@@ -11,14 +11,12 @@ not samples.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import RootOfUnity, cyclotomic_polynomial, euler_phi, poly_divmod_exact
 from .exactlin import (
-    LatticeError,
     Sublattice,
     as_fractions,
     coset_meets_lattice,
@@ -58,28 +56,33 @@ class InconsistentEigenvalues(ValueError):
     """Declared eigenvalues contradict the characteristic polynomial."""
 
 
+class GroupInvariantError(RuntimeError):
+    """A theorem-backed check on a validated group failed; signals an internal bug."""
+
+
 def char_poly(m) -> tuple[int, ...]:
-    """Characteristic polynomial det(x*I - m), constant term first, exact."""
+    """Characteristic polynomial det(x*I - m), constant term first, exact.
+
+    Division-free Berkowitz algorithm over the integers (Berkowitz, Inf. Proc.
+    Letters 18, 1984; Cohen, GTM 138, 2.2).  Write the trailing principal
+    block at row k as [[a, R], [S, A']]; its polynomial is the lower-triangular
+    Toeplitz matrix with first column (1, -a, -R S, -R A' S, -R A'^2 S, ...)
+    times the polynomial of A'.  Blocks are taken from the bottom right up.
+    """
     n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    # Faddeev-LeVerrier: M_1 = M, c_k = tr(M_k)/k, M_{k+1} = M (M_k - c_k I)
-    mk = tuple(tuple(Fraction(x) for x in row) for row in m)
-    mm = mk
-    for k in range(1, n + 1):
-        trace = sum(mk[i][i] for i in range(n))
-        ck = trace / k
-        coeffs[n - k] = -ck
-        if k < n:
-            shifted = tuple(
-                tuple(mk[i][j] - (ck if i == j else 0) for j in range(n)) for i in range(n)
-            )
-            mk = mat_mul(mm, shifted)
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return tuple(out)
+    poly = [1]  # highest degree first
+    for k in range(n - 1, -1, -1):
+        rest = range(k + 1, n)
+        column = [1, -m[k][k]]
+        v = [m[i][k] for i in rest]  # A'^j S, starting at j = 0
+        for _ in rest:
+            column.append(-sum(m[k][i] * x for i, x in zip(rest, v)))
+            v = [sum(m[i][j] * x for j, x in zip(rest, v)) for i in rest]
+        poly = [
+            sum(column[i - j] * poly[j] for j in range(min(i + 1, len(poly))))
+            for i in range(len(column))
+        ]
+    return tuple(reversed(poly))
 
 
 def cyclotomic_multiplicities(poly: tuple[int, ...]) -> dict[int, int]:
@@ -190,7 +193,8 @@ def inverse(a: AffineAut) -> AffineAut:
         blocks = tuple(
             tuple(tuple(int(x) for x in row) for row in mat_inv(b)) for b in a.blocks
         )
-    return AffineAut(linear, translation, a.eigenvalues, blocks)
+    eigenvalues = tuple(z.conjugate() for z in a.eigenvalues)
+    return AffineAut(linear, translation, eigenvalues, blocks)
 
 
 @dataclass(frozen=True)
@@ -428,10 +432,6 @@ class HyperellipticDatum:
     def dim(self) -> int:
         return self.torus.dim
 
-    @property
-    def validated(self) -> bool:
-        return self._report is not None and self._report.passed
-
 
 def _check_eigenvalues(e: AffineAut, index: int) -> str | None:
     n = e.rank // 2
@@ -516,8 +516,6 @@ def quotient_by_translations(d: HyperellipticDatum) -> HyperellipticDatum:
         rank,
         tuple(tuple(Fraction(x) for x in row) for row in new_lam_basis),
         d.torus.factors,
-        d.torus.quotient_gens
-        + tuple(d.torus.to_product_coords(t) for t in translation_vectors),
     )
     table = {}
     new_gens = []
@@ -535,7 +533,10 @@ def quotient_by_translations(d: HyperellipticDatum) -> HyperellipticDatum:
             new_gens.append(image)
     new_group = close_group(tuple(new_gens), new_torus, eigenvalue_table=table)
     expected_order = d.group.order // (len(translation_vectors) + 1)
-    assert new_group.order == expected_order, "translation quotient has wrong order"
+    if new_group.order != expected_order:
+        raise GroupInvariantError(
+            f"translation quotient has order {new_group.order}, expected {expected_order}"
+        )
     new_form = AlternatingForm(
         tuple(
             tuple(Fraction(x) for x in row)

@@ -1,23 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 I/O or parse error, 2 mathematical validation
-failure, 3 internal assertion failure.  Output is deterministic byte-for-byte
+failure, 3 internal consistency failure.  Output is deterministic byte-for-byte
 for a fixed input and flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .action import HyperellipticDatum, validate
-from .albanese import (
-    AlbaneseReport,
-    NotASubgroup,
-    PipelineInvariantError,
-    run_pipeline,
-)
+from .albanese import run_pipeline
 from .catalog import UnknownEntry, get_entry, list_entries, run_entry
 from .documents import (
     InputError,
@@ -27,7 +21,7 @@ from .documents import (
     load_document,
     validation_dict,
 )
-from .invariants import DivisibilityViolation, canonical_report, invariants_report
+from .invariants import canonical_report, invariants_report
 from .oracle import (
     build_model,
     fiber_count_level,
@@ -36,7 +30,8 @@ from .oracle import (
 )
 
 _MATH_ERRORS = (ValueError,)  # all domain errors subclass ValueError
-_INTERNAL_ERRORS = (PipelineInvariantError, NotASubgroup, DivisibilityViolation, AssertionError)
+# internal consistency failures (PipelineInvariantError, NotASubgroup, ...) subclass RuntimeError
+_INTERNAL_ERRORS = (RuntimeError, AssertionError)
 
 
 def _fail(code: int, message: str) -> int:

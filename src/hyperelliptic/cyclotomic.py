@@ -17,6 +17,10 @@ class NonRational(ValueError):
     """A cyclotomic number expected to be rational has nonzero higher coefficients."""
 
 
+class CyclotomicInvariantError(RuntimeError):
+    """An internal precondition of the cyclotomic arithmetic failed; signals a bug."""
+
+
 # ---------------------------------------------------------------------------
 # dense integer polynomials (coefficient tuples, constant term first)
 
@@ -33,7 +37,8 @@ def poly_divmod_exact(num, den):
     """Quotient and remainder of integer polynomials; den must be monic."""
     num = list(num)
     d = len(den) - 1
-    assert den[-1] == 1, "divisor must be monic"
+    if den[-1] != 1:
+        raise CyclotomicInvariantError("divisor must be monic")
     q = [0] * max(len(num) - d, 0)
     for i in range(len(num) - 1, d - 1, -1):
         c = num[i]
@@ -70,7 +75,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             num, rem = poly_divmod_exact(num, cyclotomic_polynomial(d))
-            assert rem == ()
+            if rem != ():
+                raise CyclotomicInvariantError(f"Phi_{d} does not divide x^{n} - 1")
     return num
 
 
@@ -124,7 +130,11 @@ class CycloNumber:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert len(self.coeffs) == euler_phi(self.conductor)
+        if len(self.coeffs) != euler_phi(self.conductor):
+            raise CyclotomicInvariantError(
+                f"Q(zeta_{self.conductor}) needs {euler_phi(self.conductor)} coefficients, "
+                f"got {len(self.coeffs)}"
+            )
 
     @staticmethod
     def zero(conductor: int) -> "CycloNumber":

@@ -12,8 +12,7 @@ import json
 from fractions import Fraction
 
 from .action import (
-    ActionGroup,
-    AffineAut,
+    DEFAULT_CLOSURE_CAP,
     HyperellipticDatum,
     ValidationReport,
     affine_from_factor_action,
@@ -22,7 +21,7 @@ from .action import (
 )
 from .albanese import AlbaneseReport
 from .cyclotomic import RootOfUnity
-from .exactlin import Sublattice, as_fractions
+from .exactlin import Sublattice
 from .torus import (
     AlternatingForm,
     EllipticFactor,
@@ -128,11 +127,20 @@ def _parse_int_matrix(rows, size: int):
     for row in rows:
         if not isinstance(row, list) or len(row) != size:
             raise InputError(f"expected a {size}x{size} integer matrix")
+        if any(isinstance(x, (bool, float)) for x in row):
+            raise InputError(f"matrix entries must be integers, got {row!r}")
         try:
             out.append(tuple(int(x) for x in row))
         except (TypeError, ValueError):
             raise InputError("matrix entries must be integers") from None
     return tuple(out)
+
+
+def _parse_closure_cap(doc) -> int:
+    cap = doc.get("closure_cap", DEFAULT_CLOSURE_CAP)
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise InputError(f"closure_cap must be a positive integer, got {cap!r}")
+    return cap
 
 
 def _build_builder(doc) -> HyperellipticDatum:
@@ -162,7 +170,7 @@ def _build_builder(doc) -> HyperellipticDatum:
         else:
             raise InputError("generators need 'zetas' or 'blocks'")
         generators.append(affine_from_factor_action(torus, blocks, translation))
-    group = close_group(generators, torus, cap=int(doc.get("closure_cap", 1024)))
+    group = close_group(generators, torus, cap=_parse_closure_cap(doc))
     return HyperellipticDatum(torus, group, standard_form(torus), builder_mode=True)
 
 
@@ -198,7 +206,7 @@ def _build_raw(doc) -> HyperellipticDatum:
         e = parse_element(spec)
         table[e.linear] = e.eigenvalues
     group = close_group(
-        generators, torus, cap=int(doc.get("closure_cap", 1024)), eigenvalue_table=table
+        generators, torus, cap=_parse_closure_cap(doc), eigenvalue_table=table
     )
     return HyperellipticDatum(
         torus, group, form, builder_mode=False, j_stability_assumed=True
@@ -339,7 +347,3 @@ def invariants_dict(inv) -> dict:
 
 def dumps_canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def parse_report_json(text: str) -> dict:
-    return json.loads(text)

@@ -29,10 +29,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def transpose(m):
     return tuple(zip(*m)) if m else ()
 
@@ -391,12 +387,6 @@ class Sublattice:
             raise LatticeError("ambient ranks differ")
         return Sublattice.from_rat_columns(
             self.ambient_rank, self.basis_vectors() + other.basis_vectors()
-        )
-
-    def scaled_copy(self, factor: int) -> "Sublattice":
-        """The lattice factor * self."""
-        return Sublattice.from_rat_columns(
-            self.ambient_rank, [vec_scale(factor, b) for b in self.basis_vectors()]
         )
 
     def is_saturated(self) -> bool:

@@ -18,8 +18,6 @@ from math import lcm
 from .action import AffineAut, HyperellipticDatum
 from .albanese import AlbaneseReport
 from .exactlin import (
-    frac_mod1,
-    identity,
     mat_vec,
     smith_normal_form,
     transpose,
@@ -347,6 +345,13 @@ def oracle_fiber_count(
     Coordinates the fiber key does not depend on each contribute a uniform
     factor N to every bucket, so only the active subgrid is enumerated and the
     counts are compared after scaling back.
+
+    A fiber key is the tuple of residues key_i mod D_i, one per row of the
+    projection; it is packed into one int in mixed radix over the D_i, first
+    row most significant, so int order is tuple order.  Rows with D_i = 1 are
+    always 0 and are left out of the packing; each packed row sums only the
+    active coordinates whose coefficient is nonzero mod D_i.  A failing
+    verdict names the smallest failing key, unpacked back to its tuple.
     """
     n = model.level
     rank = model.rank
@@ -369,17 +374,35 @@ def oracle_fiber_count(
         if any(coeffs[i][j] % dens[i] for i in range(len(coeffs)))
     ]
     scale = n ** (rank - len(active))
-    counter: dict = {}
+    # per packed row: its modulus and (index into the active point, coefficient) terms
+    packed = [
+        (d, [(k, row[j] % d) for k, j in enumerate(active) if row[j] % d])
+        for row, d in zip(coeffs, dens)
+        if d > 1
+    ]
+    counter: dict[int, int] = {}
     for p in itertools.product(range(n), repeat=len(active)):
-        key = tuple(
-            sum(row[j] * v for j, v in zip(active, p)) % d
-            for row, d in zip(coeffs, dens)
-        )
+        key = 0
+        for d, terms in packed:
+            key = key * d + sum(c * p[j] for j, c in terms) % d
         counter[key] = counter.get(key, 0) + 1
-    for key, count in sorted(counter.items()):
-        if count * scale != predicted:
-            return FiberCountVerdict(n, False, predicted, len(counter), (key, count * scale))
+    bad = None
+    for key, count in counter.items():
+        if count * scale != predicted and (bad is None or key < bad):
+            bad = key
+    if bad is not None:
+        witness = (_unpack_fiber_key(bad, dens), counter[bad] * scale)
+        return FiberCountVerdict(n, False, predicted, len(counter), witness)
     total = sum(counter.values()) * scale
     if total != model.point_count:
         return FiberCountVerdict(n, False, predicted, len(counter), ("total", total))
     return FiberCountVerdict(n, True, predicted, len(counter), None)
+
+
+def _unpack_fiber_key(key: int, dens) -> tuple[int, ...]:
+    """The residue tuple of a packed fiber key; rows with D_i = 1 read 0."""
+    out = []
+    for d in reversed(dens):
+        key, digit = divmod(key, d)
+        out.append(digit)
+    return tuple(reversed(out))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cyclotomic import RootOfUnity
 from .exactlin import (
@@ -85,9 +84,6 @@ class EllipticFactor:
             self.kind
         ]
 
-    def allowed_orders(self) -> tuple[int, ...]:
-        return tuple(sorted({z.order for z in self.units.values()}))
-
     def display_label(self) -> str:
         if self.label:
             return self.label
@@ -154,7 +150,6 @@ class TorusDatum:
     rank: int
     lam_basis: tuple[tuple[Fraction, ...], ...]
     factors: tuple[EllipticFactor, ...] | None = None
-    quotient_gens: tuple[tuple[Fraction, ...], ...] = ()
 
     def __post_init__(self):
         if self.factors is not None and 2 * len(self.factors) != self.rank:
@@ -180,11 +175,6 @@ class TorusDatum:
     def to_product_coords(self, v_lattice):
         return mat_vec(self.lam_basis, as_fractions(v_lattice))
 
-    def product_lattice_in_lattice_coords(self) -> Sublattice:
-        """Z^rank (product lattice) as a sublattice in lattice coordinates."""
-        cols = transpose(self.lam_basis_inv)
-        return Sublattice.from_int_columns(self.rank, tuple(tuple(int(x) for x in c) for c in cols))
-
     @staticmethod
     def raw(rank: int) -> "TorusDatum":
         return TorusDatum(rank, tuple(tuple(map(Fraction, row)) for row in identity(rank)))
@@ -202,7 +192,7 @@ def build_product_torus(factors, k_gens=()) -> TorusDatum:
     if gens:
         lam = lam.sum(Sublattice.from_rat_columns(rank, gens))
     basis = transpose(tuple(tuple(Fraction(x, lam.den) for x in c) for c in lam.cols))
-    return TorusDatum(rank, basis, factors, tuple(gens))
+    return TorusDatum(rank, basis, factors)
 
 
 def standard_form(t: TorusDatum) -> AlternatingForm:

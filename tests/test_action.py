@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperelliptic.action import (
     AffineAut,
@@ -21,6 +23,7 @@ from hyperelliptic.action import (
     quotient_by_translations,
     validate,
 )
+from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.exactlin import identity, mat_mul
 from hyperelliptic.torus import (
@@ -101,6 +104,37 @@ class TestCharPoly:
         assert cyclotomic_multiplicities((1, 0, 1)) == {4: 1}
         assert cyclotomic_multiplicities(char_poly(identity(3))) == {1: 3}
 
+    def test_empty_and_scalar(self):
+        assert char_poly(()) == (1,)
+        assert char_poly(((3,),)) == (-3, 1)
+
+
+def sympy_char_poly(m) -> tuple[int, ...]:
+    """det(x*I - m), constant term first, computed by sympy."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = sympy.Matrix(m).charpoly().all_coeffs()
+    return tuple(int(c) for c in reversed(coeffs))
+
+
+square_int_matrix = st.integers(1, 8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+class TestCharPolyAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(square_int_matrix)
+    def test_random_integer_matrices(self, rows):
+        m = tuple(map(tuple, rows))
+        assert char_poly(m) == sympy_char_poly(m)
+
+    @pytest.mark.parametrize("name", list_entries())
+    def test_catalog_elements(self, name):
+        for e in get_entry(name).build().group.elements:
+            assert char_poly(e.linear) == sympy_char_poly(e.linear)
+
 
 class TestClosure:
     def test_involution(self):
@@ -169,6 +203,16 @@ class TestComposeInverse:
         g = d.group.generators[0]
         assert compose(g, inverse(g)).is_identity()
         assert compose(inverse(g), g).is_identity()
+
+    @pytest.mark.parametrize("name", ["z4-threefold", "zmzm-threefold-m3"])
+    def test_inverse_conjugates_eigenvalues(self, name):
+        group = get_entry(name).build().group
+        i = next(i for i in range(group.order) if group.element_order(i) in (3, 4))
+        g = group.elements[i]
+        g_inv = inverse(g)
+        assert g_inv.eigenvalues == tuple(z.conjugate() for z in g.eigenvalues)
+        assert g_inv.eigenvalues != g.eigenvalues
+        assert g_inv.eigenvalues == group.elements[group.inverse_index(i)].eigenvalues
 
     def test_is_translation(self):
         ident = affine_identity(2)

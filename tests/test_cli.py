@@ -1,9 +1,13 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hyperelliptic
+from hyperelliptic.catalog import get_entry
 from hyperelliptic.cli import main
 from hyperelliptic.documents import (
     InputError,
@@ -129,6 +133,61 @@ class TestExitCodes:
         assert "unimodular" in err or "invalid datum" in err
 
 
+RAW_INVOLUTION = {
+    "mode": "raw",
+    "rank": 2,
+    "form": [["0", "1"], ["-1", "0"]],
+    "generators": [
+        {"matrix": [[-1, 0], [0, -1]], "translation": ["0", "1/2"], "eigenvalues": ["-1"]}
+    ],
+}
+
+
+class TestStrictInput:
+    def check_exit(self, doc, tmp_path, capsys) -> tuple[int, str]:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["check", str(path)], capsys)
+        return code, err
+
+    @pytest.mark.parametrize("cap", ["abc", "1024", 2.5, True, 0, -3, None])
+    def test_bad_closure_cap_builder_exit_1(self, cap, tmp_path, capsys):
+        doc = dict(get_entry("z4-threefold").document, closure_cap=cap)
+        code, err = self.check_exit(doc, tmp_path, capsys)
+        assert code == 1
+        assert "closure_cap" in err
+
+    @pytest.mark.parametrize("cap", ["abc", False, 0])
+    def test_bad_closure_cap_raw_exit_1(self, cap, tmp_path, capsys):
+        code, err = self.check_exit(dict(RAW_INVOLUTION, closure_cap=cap), tmp_path, capsys)
+        assert code == 1
+        assert "closure_cap" in err
+
+    def test_good_closure_cap(self, tmp_path, capsys):
+        doc = dict(get_entry("z4-threefold").document, closure_cap=4)
+        code, _ = self.check_exit(doc, tmp_path, capsys)
+        assert code == 0
+        assert build_datum(dict(RAW_INVOLUTION, closure_cap=2)).group.order == 2
+
+    @pytest.mark.parametrize("entry", [-1.0, -1.9, True])
+    def test_non_integer_raw_matrix_entry_exit_1(self, entry, tmp_path, capsys):
+        generator = dict(RAW_INVOLUTION["generators"][0], matrix=[[entry, 0], [0, -1]])
+        doc = dict(RAW_INVOLUTION, generators=[generator])
+        code, err = self.check_exit(doc, tmp_path, capsys)
+        assert code == 1
+        assert "integers" in err
+
+    def test_non_integer_block_entry_exit_1(self, tmp_path, capsys):
+        doc = {
+            "mode": "builder",
+            "factors": [{"kind": "generic"}],
+            "generators": [{"blocks": [[[-1.9, 0], [0, -1]]], "translation": ["1/2", "0"]}],
+        }
+        code, err = self.check_exit(doc, tmp_path, capsys)
+        assert code == 1
+        assert "integers" in err
+
+
 class TestReports:
     def test_albanese_json_structure(self, z4_file, capsys):
         code, out, _ = run_cli(["albanese", z4_file, "--format", "json"], capsys)
@@ -206,6 +265,29 @@ class TestInternalErrors:
         code, _, err = run_cli(["albanese", z4_file], capsys)
         assert code == 3
         assert "internal error" in err
+
+    def test_cyclotomic_invariant_error_exits_3(self, z4_file, capsys, monkeypatch):
+        from hyperelliptic.cyclotomic import CycloNumber
+
+        def bad_zero(conductor):
+            return CycloNumber(conductor, ())
+
+        monkeypatch.setattr(CycloNumber, "zero", staticmethod(bad_zero))
+        code, _, err = run_cli(["invariants", z4_file], capsys)
+        assert code == 3
+        assert "internal error" in err
+
+    def test_library_has_no_assert_statements(self):
+        # python -O strips assert statements, so checks must raise instead
+        offenders = []
+        for path in sorted(Path(hyperelliptic.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            offenders += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+            ]
+        assert offenders == []
 
 
 class TestDeterminism:

@@ -4,12 +4,14 @@ import pytest
 
 from hyperelliptic.cyclotomic import (
     CycloNumber,
+    CyclotomicInvariantError,
     NonRational,
     RootOfUnity,
     cyclotomic_polynomial,
     elementary_symmetric,
     embed,
     euler_phi,
+    poly_divmod_exact,
     poly_mul,
     rational_part,
 )
@@ -128,3 +130,13 @@ class TestRationalPart:
         half = F(1, 2)
         z = (embed(RootOfUnity.of(1, 2), 4) + embed(RootOfUnity.one(), 4)) * half
         assert rational_part(z) == 0
+
+
+class TestInternalChecks:
+    def test_non_monic_divisor(self):
+        with pytest.raises(CyclotomicInvariantError):
+            poly_divmod_exact((1, 0, 1), (1, 2))
+
+    def test_wrong_coefficient_count(self):
+        with pytest.raises(CyclotomicInvariantError):
+            CycloNumber(4, (F(1),))

@@ -184,4 +184,5 @@ class TestFiberCount:
         level = fiber_count_level(d, broken)
         verdict = oracle_fiber_count(build_model(d, level), broken, d.group.order)
         assert not verdict.passed
-        assert verdict.witness is not None
+        assert verdict.fiber_count == 8
+        assert verdict.witness == ((0, 0), 512)
