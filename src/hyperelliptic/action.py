@@ -224,9 +224,6 @@ class ActionGroup:
             memo[(i, j)] = self._index[(linear, translation)]
         return memo[(i, j)]
 
-    def inverse_index(self, i: int) -> int:
-        return self._index[inverse(self.elements[i]).key()]
-
     def element_order(self, i: int) -> int:
         order = 1
         j = i
@@ -460,10 +457,18 @@ def _check_eigenvalues(e: AffineAut, index: int) -> str | None:
 
 
 def validate(d: HyperellipticDatum) -> ValidationReport:
-    """Run every hyperelliptic-variety check and cache the report on the datum."""
+    """Run every hyperelliptic-variety check and cache the report on the datum.
+
+    Freeness, translations and eigenvalues are checked on every element.  The
+    form is checked on the generators only: M^T E M = E for the generators
+    implies it for every product of them, so on failure form_violations
+    lists the failing generators' element indices.
+    """
     fixed = []
     translations = []
-    form_bad = []
+    form_bad = sorted(
+        {d.group.index_of(g) for g in d.group.generators if not d.form.is_invariant_under(g.linear)}
+    )
     eig_bad = []
     linears = set()
     for i, e in enumerate(d.group.elements):
@@ -474,8 +479,6 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
             fixed.append(i)
         if e.is_translation():
             translations.append(i)
-        if not d.form.is_invariant_under(e.linear):
-            form_bad.append(i)
         problem = _check_eigenvalues(e, i)
         if problem:
             eig_bad.append(problem)

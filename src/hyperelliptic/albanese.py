@@ -12,18 +12,22 @@ Given X = A/G this computes, exactly and in lattice coordinates:
     invariant factors of Lambda_B/Lambda_0,
   * the Albanese fiber A1/H as a new datum, normalized and classified.
 
-Everything is certified by construction; consistency facts that are theorems
-for valid input (rank parity, |K| = |K0| = |K1|, H closed under composition)
-are asserted and raise PipelineInvariantError when violated, which signals a
-bug rather than bad input.
+Everything is certified by construction.  G fixes V0 pointwise and keeps V1
+stable, so P0 M_g = P0 for every g, where P0 is the projection onto V0 along
+V1; that makes t0 a homomorphism modulo Lambda_0 + K0 = P0(Z^n) and H its
+kernel.  The pipeline checks the cheap certificates these theorems supply,
+not the consequences element by element: P0 M_g = P0 per generator, H
+membership by one integer solve of P0 w = t0(g) per element, |K0| = |K1| =
+|K| from the orders of two lattice quotients, and |H| dividing |G|.  A failed
+certificate raises PipelineInvariantError (NotASubgroup for H), which signals
+a bug rather than bad input.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .action import (
     ActionGroup,
@@ -36,6 +40,8 @@ from .action import (
 from .exactlin import (
     FiniteAbelianGroup,
     Sublattice,
+    column_hermite,
+    integer_solution,
     kernel_lattice,
     mat_det,
     mat_inv,
@@ -43,6 +49,7 @@ from .exactlin import (
     mat_vec,
     quotient_group,
     transpose,
+    vec_denominator,
     vec_mod1,
     vec_sub,
 )
@@ -60,7 +67,7 @@ class DegenerateRestriction(ValueError):
 
 
 class NotASubgroup(RuntimeError):
-    """H failed its closure check; impossible for valid data, so a pipeline bug."""
+    """H failed its subgroup certificate; impossible for valid data, so a pipeline bug."""
 
 
 class PipelineInvariantError(RuntimeError):
@@ -76,8 +83,6 @@ class Decomposition:
     k: FiniteAbelianGroup
     k0: FiniteAbelianGroup
     k1: FiniteAbelianGroup
-    # every K element as (lift in Lambda, V0 part, V1 part); index 0 is zero
-    k_elements: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]], ...]
     proj0: tuple[tuple[Fraction, ...], ...]
     proj1: tuple[tuple[Fraction, ...], ...]
 
@@ -88,10 +93,9 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class CocycleTable:
-    """V0/V1 splitting of each element's translation lift (indexed like the group)."""
+    """V0 part of each element's translation lift (indexed like the group)."""
 
     t0: tuple[tuple[Fraction, ...], ...]
-    t1: tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -217,94 +221,65 @@ def compute_K(
     if k.order > K_ENUMERATION_CAP:
         raise PipelineInvariantError(f"K of order {k.order} exceeds the enumeration cap")
 
-    def split(v):
-        return mat_vec(proj0, v), mat_vec(proj1, v)
-
     k0_gens = []
     k1_gens = []
     for gen in k.generators:
-        p0, p1 = split(gen)
+        p0, p1 = mat_vec(proj0, gen), mat_vec(proj1, gen)
         k0_gens.append(lambda0.reduce_mod(p0) if lambda0.rank else p0)
         k1_gens.append(lambda1.reduce_mod(p1) if lambda1.rank else p1)
     k0 = FiniteAbelianGroup(k.invariant_factors, tuple(k0_gens))
     k1 = FiniteAbelianGroup(k.invariant_factors, tuple(k1_gens))
-    elements = []
-    for lift in k.elements(small):
-        p0, p1 = split(lift)
-        elements.append((lift, p0, p1))
-    # |K| = |K0| = |K1| because both projections are injective on K
-    seen0 = {tuple(lambda0.reduce_mod(p0)) if lambda0.rank else tuple(p0) for _, p0, _ in elements}
-    seen1 = {tuple(lambda1.reduce_mod(p1)) if lambda1.rank else tuple(p1) for _, _, p1 in elements}
-    if not (len(seen0) == len(seen1) == len(elements) == k.order):
-        raise PipelineInvariantError("K projections are not injective")
-    return Decomposition(lambda0, lambda1, k, k0, k1, tuple(elements), proj0, proj1)
+    # both projections are injective on K: each image Ki has order |K|
+    if k.generators:
+        for lam, ki in ((lambda0, k0), (lambda1, k1)):
+            span = lam.sum(Sublattice.from_rat_columns(rank, ki.generators))
+            if quotient_group(span, lam).order != k.order:
+                raise PipelineInvariantError("K projections are not injective")
+    return Decomposition(lambda0, lambda1, k, k0, k1, proj0, proj1)
+
+
+def _scaled_proj0(dec: Decomposition) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, den * P0) with den the least common denominator of P0's entries."""
+    den = lcm(*map(vec_denominator, dec.proj0))
+    return den, tuple(tuple(int(x * den) for x in row) for row in dec.proj0)
 
 
 def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition) -> CocycleTable:
-    """Split each element's canonical translation lift along V0 + V1.
+    """The V0 part t0(g) = P0 tau(g) of each element's canonical translation lift.
 
-    The splitting of one fixed lift is unique; the non-uniqueness of the
-    torus-level decomposition is absorbed by doing all downstream membership
-    tests modulo K0/K1, which is choice-independent.
+    The cocycle identity t0(gh) = t0(g) + t0(h) mod Lambda_0 + K0 follows from
+    P0 M_g = P0, because tau(gh) = M_g tau(h) + tau(g) - lambda and P0(Z^n) =
+    Lambda_0 + K0; the identity for every element follows from the generators.
     """
-    t0s = []
-    t1s = []
-    for e in d.group.elements:
-        t0s.append(mat_vec(dec.proj0, e.translation))
-        t1s.append(mat_vec(dec.proj1, e.translation))
-    table = CocycleTable(tuple(t0s), tuple(t1s))
-    # cocycle identity: t0(gh) - t0(g) - t0(h) lies in Lambda_0 + K0 lifts
-    enlarged = dec.lambda0
-    if dec.k0.generators:
-        enlarged = enlarged.sum(
-            Sublattice.from_rat_columns(d.rank, dec.k0.generators)
-        )
-    n = d.group.order
-    for i in range(n):
-        for j in range(n):
-            ij = d.group.compose_indices(i, j)
-            diff = vec_sub(table.t0[ij], tuple(a + b for a, b in zip(table.t0[i], table.t0[j])))
-            membership = (
-                all(x.denominator == 1 for x in diff)
-                if enlarged.rank == 0
-                else enlarged.contains(diff)
-            )
-            if not membership:
-                raise PipelineInvariantError("cocycle identity fails modulo K0")
-    return table
-
-
-def _match_k_element(dec: Decomposition, t0):
-    """The unique K element whose V0 part is congruent to t0 mod Lambda_0, or None."""
-    for lift, p0, p1 in dec.k_elements:
-        diff = vec_sub(t0, p0)
-        if dec.lambda0.rank == 0:
-            inside = all(x == 0 for x in diff)
-        else:
-            inside = dec.lambda0.contains(diff)
-        if inside:
-            return lift, p0, p1
-    return None
+    _, p0 = _scaled_proj0(dec)
+    for g in d.group.generators:
+        if mat_mul(p0, g.linear) != p0:
+            raise PipelineInvariantError("a generator moves V0 or does not keep V1 stable")
+    return CocycleTable(tuple(mat_vec(dec.proj0, e.translation) for e in d.group.elements))
 
 
 def compute_H(d: HyperellipticDatum, dec: Decomposition, table: CocycleTable):
-    """Indices of H = {g : t0(g) in K0}, with the paired K1 parts for the fiber."""
+    """Indices of H = {g : t0(g) in P0(Z^n)}, with each member's fiber shift.
+
+    g is in H iff P0 w = t0(g) has an integer solution w; then tau(g) - w lies
+    in V1 and is the fiber translation of g, congruent modulo Lambda_1 to
+    t1(g) minus the V1 part of the K element paired with t0(g).  H is the
+    kernel of t0 modulo P0(Z^n), so it is a subgroup; the identity being in
+    H and |H| dividing |G| are checked as its certificate.
+    """
+    den, p0 = _scaled_proj0(dec)
+    hermite = column_hermite(p0)
     members = []
-    paired_k1 = {}
-    for i in range(d.group.order):
-        match = _match_k_element(dec, table.t0[i])
-        if match is not None:
+    shifts = {}
+    for i, e in enumerate(d.group.elements):
+        w = integer_solution(hermite, tuple(x * den for x in table.t0[i]))
+        if w is not None:
             members.append(i)
-            paired_k1[i] = match[2]
-    members = tuple(members)
-    member_set = set(members)
-    for i in members:
-        for j in members:
-            if d.group.compose_indices(i, j) not in member_set:
-                raise NotASubgroup("H is not closed under composition")
-        if d.group.inverse_index(i) not in member_set:
-            raise NotASubgroup("H is not closed under inversion")
-    return members, paired_k1
+            shifts[i] = vec_sub(e.translation, w)
+    if not members or members[0] != 0 or d.group.order % len(members) != 0:
+        raise NotASubgroup(f"H has {len(members)} elements and must contain the identity "
+                           f"and divide |G| = {d.group.order}")
+    return tuple(members), shifts
 
 
 def compute_albanese(d: HyperellipticDatum, dec: Decomposition, table: CocycleTable):
@@ -342,15 +317,14 @@ def _fiber_basis(d: HyperellipticDatum, lambda1: Sublattice):
 def compute_fiber(
     d: HyperellipticDatum,
     dec: Decomposition,
-    table: CocycleTable,
     h_indices,
-    paired_k1,
+    shifts,
 ) -> tuple[HyperellipticDatum, tuple[int, ...] | None]:
     """The fiber datum over the origin: A1 with the induced H-action.
 
-    Each h acts by a1 -> rho(h)|V1 a1 + (t1(h) - k1(h)) where k1(h) is the K1
-    element paired with t0(h); the datum is then normalized via
-    quotient_by_translations by the caller before classification.
+    Each h acts by a1 -> rho(h)|V1 a1 + shift(h), with the V1 shift from
+    compute_H; the datum is then normalized via quotient_by_translations by
+    the caller before classification.
     """
     basis_cols, factor_indices = _fiber_basis(d, dec.lambda1)
     r1 = len(basis_cols)
@@ -367,8 +341,7 @@ def compute_fiber(
                 raise PipelineInvariantError("H does not preserve the fiber lattice")
             image_cols.append(tuple(int(c) for c in coords))
         linear = transpose(tuple(image_cols))
-        shift = vec_sub(table.t1[i], paired_k1[i])
-        coords = fiber_lattice.coords_of(shift)
+        coords = fiber_lattice.coords_of(shifts[i])
         if coords is None:
             raise PipelineInvariantError("fiber translation is outside V1")
         translation = vec_mod1(coords)
@@ -417,62 +390,46 @@ def compute_fiber(
 
 
 def _abelian_invariant_factors(group: ActionGroup) -> tuple[int, ...]:
-    """Invariant factors of a finite abelian group from its element orders."""
+    """Invariant factors of a finite abelian group from its element orders.
+
+    For each prime p, #{x : x^(p^k) = 1} = p^(s_k), and s_k - s_(k-1) counts
+    the cyclic p-parts of order at least p^k.
+    """
     n = group.order
     orders = [group.element_order(i) for i in range(n)]
-
-    def counts_match(factors) -> bool:
-        for dvs in range(1, max(orders) + 1):
-            actual = sum(1 for o in orders if dvs % o == 0)
-            predicted = 1
-            for f in factors:
-                predicted *= gcd(dvs, f)
-            if actual != predicted:
-                return False
-        return True
-
-    def factorizations(n):
-        # multiplicative partitions of n into factors with ascending divisibility
-        def partitions_of_prime(e):
-            def parts(e, cap):
-                if e == 0:
-                    yield ()
-                for first in range(min(e, cap), 0, -1):
-                    for rest in parts(e - first, first):
-                        yield (first,) + rest
-
-            return list(parts(e, e))
-
-        primes = {}
-        m = n
-        p = 2
-        while p * p <= m:
-            while m % p == 0:
-                primes[p] = primes.get(p, 0) + 1
-                m //= p
+    factors = []  # largest first; entry j collects the j-th largest p-part of each p
+    m = n
+    p = 2
+    while m > 1:
+        if m % p:
             p += 1
-        if m > 1:
-            primes[m] = primes.get(m, 0) + 1
-        per_prime = []
-        for p, e in primes.items():
-            per_prime.append([(p, part) for part in partitions_of_prime(e)])
-        for combo in itertools.product(*per_prime):
-            maxlen = max(len(part) for _, part in combo)
-            factors = []
-            for i in range(maxlen):
-                f = 1
-                for p, part in combo:
-                    if i < len(part):
-                        f *= p ** part[i]
-                factors.append(f)
-            yield tuple(sorted(factors))
-
-    if n == 1:
-        return ()
-    for candidate in factorizations(n):
-        if counts_match(candidate):
-            return candidate
-    raise PipelineInvariantError("no abelian structure matches the element orders")
+            continue
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        at_least = []  # at_least[k - 1]: cyclic p-parts of order at least p^k
+        prev = 0
+        for k in range(1, e + 1):
+            count = sum(1 for o in orders if p**k % o == 0)
+            s = 0
+            while count % p == 0:
+                count //= p
+                s += 1
+            if count != 1:
+                raise PipelineInvariantError(f"the {p}^{k}-torsion count is not a power of {p}")
+            at_least.append(s - prev)
+            prev = s
+        for j in range(at_least[0]):
+            if j == len(factors):
+                factors.append(1)
+            factors[j] *= p ** sum(1 for c in at_least if c > j)
+    product = 1
+    for f in factors:
+        product *= f
+    if product != n:
+        raise PipelineInvariantError("no abelian structure matches the element orders")
+    return tuple(reversed(factors))
 
 
 def classify_fiber(fiber: HyperellipticDatum) -> FiberClassification:
@@ -499,9 +456,9 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
     lambda1 = compute_A1(d, lambda0)
     dec = compute_K(d, lambda0, lambda1)
     table = decompose_cocycle(d, dec)
-    h_indices, paired_k1 = compute_H(d, dec, table)
+    h_indices, shifts = compute_H(d, dec, table)
     lam_b, factors = compute_albanese(d, dec, table)
-    fiber, fiber_factor_indices = compute_fiber(d, dec, table, h_indices, paired_k1)
+    fiber, fiber_factor_indices = compute_fiber(d, dec, h_indices, shifts)
     fiber = quotient_by_translations(fiber)
     fiber_report_check = validate(fiber)
     if not fiber_report_check.passed:

@@ -30,7 +30,9 @@ from .oracle import (
 )
 
 _MATH_ERRORS = (ValueError,)  # all domain errors subclass ValueError
-# internal consistency failures (PipelineInvariantError, NotASubgroup, ...) subclass RuntimeError
+# failed theorem-backed certificates (PipelineInvariantError, NotASubgroup,
+# GroupInvariantError, CyclotomicInvariantError) subclass RuntimeError; the
+# library has no assert statements, so AssertionError can only be a bug too
 _INTERNAL_ERRORS = (RuntimeError, AssertionError)
 
 

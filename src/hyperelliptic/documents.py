@@ -136,11 +136,11 @@ def _parse_int_matrix(rows, size: int):
     return tuple(out)
 
 
-def _parse_closure_cap(doc) -> int:
-    cap = doc.get("closure_cap", DEFAULT_CLOSURE_CAP)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise InputError(f"closure_cap must be a positive integer, got {cap!r}")
-    return cap
+def _positive_int(doc, key: str, default=None) -> int:
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{key} must be a positive integer, got {value!r}")
+    return value
 
 
 def _build_builder(doc) -> HyperellipticDatum:
@@ -170,16 +170,14 @@ def _build_builder(doc) -> HyperellipticDatum:
         else:
             raise InputError("generators need 'zetas' or 'blocks'")
         generators.append(affine_from_factor_action(torus, blocks, translation))
-    group = close_group(generators, torus, cap=_parse_closure_cap(doc))
+    cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP)
+    group = close_group(generators, torus, cap=cap)
     return HyperellipticDatum(torus, group, standard_form(torus), builder_mode=True)
 
 
 def _build_raw(doc) -> HyperellipticDatum:
-    try:
-        rank = int(doc["rank"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError("raw documents need an integer 'rank'") from None
-    if rank < 2 or rank % 2 != 0:
+    rank = _positive_int(doc, "rank")
+    if rank % 2 != 0:
         raise InputError("rank must be a positive even integer")
     if "form" not in doc:
         raise InputError("raw documents must supply an alternating 'form'")
@@ -205,12 +203,17 @@ def _build_raw(doc) -> HyperellipticDatum:
     for spec in doc.get("elements", []):
         e = parse_element(spec)
         table[e.linear] = e.eigenvalues
-    group = close_group(
-        generators, torus, cap=_parse_closure_cap(doc), eigenvalue_table=table
-    )
+    cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP)
+    group = close_group(generators, torus, cap=cap, eigenvalue_table=table)
     return HyperellipticDatum(
         torus, group, form, builder_mode=False, j_stability_assumed=True
     )
+
+
+_DOCUMENT_KEYS = {
+    "builder": frozenset({"mode", "factors", "k_gens", "generators", "closure_cap"}),
+    "raw": frozenset({"mode", "rank", "form", "generators", "elements", "closure_cap"}),
+}
 
 
 def build_datum(doc) -> HyperellipticDatum:
@@ -218,11 +221,12 @@ def build_datum(doc) -> HyperellipticDatum:
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
     mode = doc.get("mode")
-    if mode == "builder":
-        return _build_builder(doc)
-    if mode == "raw":
-        return _build_raw(doc)
-    raise InputError(f"mode must be 'builder' or 'raw', got {mode!r}")
+    if mode not in ("builder", "raw"):
+        raise InputError(f"mode must be 'builder' or 'raw', got {mode!r}")
+    unknown = sorted(set(doc) - _DOCUMENT_KEYS[mode])
+    if unknown:
+        raise InputError(f"unknown keys in a {mode} document: {unknown}")
+    return _build_builder(doc) if mode == "builder" else _build_raw(doc)
 
 
 def load_document(path: str) -> HyperellipticDatum:

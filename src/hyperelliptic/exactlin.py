@@ -9,7 +9,6 @@ column-style Hermite form so that equal lattices compare equal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -193,6 +192,33 @@ def column_hermite(m: Matrix) -> tuple[Matrix, Matrix]:
     """Column-operation Hermite form: (h, v) with m @ v == h, v unimodular."""
     ht, ut = hermite_normal_form(transpose(m))
     return transpose(ht), transpose(ut)
+
+
+def integer_solution(hermite: tuple[Matrix, Matrix], b) -> tuple[int, ...] | None:
+    """An integer x with m @ x == b, or None if there is none.
+
+    ``hermite`` is ``column_hermite(m)``, so one Hermite form serves many
+    right-hand sides: m @ v == h with v unimodular, and the pivot rows of h's
+    columns strictly increase, so h @ y == b is solved column by column and
+    x = v @ y.
+    """
+    h, v = hermite
+    target = list(b)
+    y = [0] * len(v)
+    for j, col in enumerate(transpose(h)):
+        pivot = next((i for i, x in enumerate(col) if x), None)
+        if pivot is None:
+            break
+        c = Fraction(target[pivot], col[pivot])
+        if c.denominator != 1:
+            return None
+        y[j] = int(c)
+        if y[j]:
+            for i, x in enumerate(col):
+                target[i] -= y[j] * x
+    if any(target):
+        return None
+    return mat_vec(v, y)
 
 
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -469,29 +495,12 @@ class FiniteAbelianGroup:
     invariant_factors: tuple[int, ...]
     generators: tuple[Vector, ...]
 
-    @staticmethod
-    def trivial() -> "FiniteAbelianGroup":
-        return FiniteAbelianGroup((), ())
-
     @property
     def order(self) -> int:
         n = 1
         for d in self.invariant_factors:
             n *= d
         return n
-
-    def elements(self, ref: Sublattice) -> tuple[Vector, ...]:
-        """All canonical coset representatives modulo ref (including 0)."""
-        if not self.generators:
-            return (tuple(Fraction(0) for _ in range(ref.ambient_rank)),)
-        out = []
-        for combo in itertools.product(*(range(d) for d in self.invariant_factors)):
-            v = tuple(Fraction(0) for _ in range(ref.ambient_rank))
-            for c, g in zip(combo, self.generators):
-                if c:
-                    v = vec_add(v, vec_scale(c, g))
-            out.append(ref.reduce_mod(v))
-        return tuple(out)
 
 
 def coset_meets_lattice(w: Sublattice, t) -> bool:
@@ -509,15 +518,3 @@ def coset_meets_lattice(w: Sublattice, t) -> bool:
     image = Sublattice.from_int_columns(len(c), transpose(c))
     return image.contains(mat_vec(c, t))
 
-
-def member_of_finite_group(group: FiniteAbelianGroup, ref: Sublattice, p) -> bool:
-    """True iff p mod ref equals some element of the group."""
-    p = as_fractions(p)
-    if len(p) != ref.ambient_rank:
-        raise LatticeError("vector length does not match ambient rank")
-    enlarged = ref
-    if group.generators:
-        enlarged = ref.sum(
-            Sublattice.from_rat_columns(ref.ambient_rank, group.generators)
-        )
-    return enlarged.contains(p)

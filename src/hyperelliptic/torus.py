@@ -212,36 +212,6 @@ def standard_form(t: TorusDatum) -> AlternatingForm:
     return AlternatingForm(tuple(tuple(Fraction(x) for x in row) for row in gram))
 
 
-def average_form(form: AlternatingForm, mats, cap: int = 1024) -> AlternatingForm:
-    """Sum of M^T E M over the group closure of mats; invariant by construction."""
-    n = len(form.matrix)
-    group = {identity(n)}
-    frontier = [tuple(map(tuple, m)) for m in mats]
-    group.update(frontier)
-    while frontier:
-        new = []
-        for m in mats:
-            m = tuple(map(tuple, m))
-            for g in frontier:
-                prod = mat_mul(m, g)
-                if prod not in group:
-                    group.add(prod)
-                    new.append(prod)
-                    if len(group) > cap:
-                        raise ValueError(f"matrix group exceeds cap {cap}")
-        frontier = new
-    total = [[Fraction(0)] * n for _ in range(n)]
-    for g in group:
-        term = mat_mul(mat_mul(transpose(g), form.matrix), g)
-        for i in range(n):
-            for j in range(n):
-                total[i][j] += term[i][j]
-    averaged = tuple(tuple(Fraction(x) for x in row) for row in total)
-    if mat_det(averaged) == 0:
-        raise DegenerateForm("averaged form is singular")
-    return AlternatingForm(averaged)
-
-
 def identify_factor_subspace(t: TorusDatum, sub: Sublattice) -> tuple[int, ...] | None:
     """Factor indices whose coordinate planes exactly span the sublattice, if any.
 

@@ -3,13 +3,32 @@
 These deliberately avoid the library's normal-form code paths: determinants
 come from fraction-free Bareiss elimination, ranks from rational Gaussian
 elimination, and memberships from brute-force enumeration, so they can catch
-systematic bugs in the Hermite/Smith machinery.
+systematic bugs in the Hermite/Smith machinery.  `load_perfbench` imports a
+benchmark module by path for the tests that use the stress generator or the
+tracer's name table.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """Import perfbench/<name>.py by path; skip the test when it is absent."""
+    path = PERFBENCH / f"{name}.py"
+    if not path.exists():
+        pytest.skip("perfbench/ is absent")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def bareiss_det(m) -> int:

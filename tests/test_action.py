@@ -212,7 +212,7 @@ class TestComposeInverse:
         g_inv = inverse(g)
         assert g_inv.eigenvalues == tuple(z.conjugate() for z in g.eigenvalues)
         assert g_inv.eigenvalues != g.eigenvalues
-        assert g_inv.eigenvalues == group.elements[group.inverse_index(i)].eigenvalues
+        assert g_inv.eigenvalues == group.elements[group.index_of(g_inv)].eigenvalues
 
     def test_is_translation(self):
         ident = affine_identity(2)

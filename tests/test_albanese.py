@@ -10,12 +10,11 @@ from hyperelliptic.albanese import (
     compute_H,
     compute_K,
     compute_albanese,
-    compute_fiber,
     decompose_cocycle,
     run_pipeline,
 )
 from hyperelliptic.catalog import get_entry
-from hyperelliptic.exactlin import Sublattice, mat_vec
+from hyperelliptic.exactlin import Sublattice, mat_vec, vec_sub
 from hyperelliptic.torus import identify_factor_subspace
 
 F = Fraction
@@ -125,7 +124,6 @@ class TestDecomposition:
             d = datum_of(name)
             dec, _ = pipeline_parts(d)
             assert dec.k.order == dec.k0.order == dec.k1.order
-            assert len(dec.k_elements) == dec.k.order
 
 
 class TestCocycle:
@@ -133,17 +131,17 @@ class TestCocycle:
         d = datum_of("z4-threefold")
         dec, table = pipeline_parts(d)
         assert not any(table.t0[0])
-        assert not any(table.t1[0])
+        _, shifts = compute_H(d, dec, table)
+        assert not any(shifts[0])
 
     def test_z4_generator_splits_on_base(self):
-        # t0(g) = 1/4 on the first factor and t1(g) = 0, both mod the lattices
+        # t0(g) = 1/4 on the first factor, mod Lambda_0
         d = datum_of("z4-threefold")
         dec, table = pipeline_parts(d)
         g_index = d.group.index_of(d.group.generators[0])
         expected_t0 = d.torus.to_lattice_coords((F(1, 4), 0, 0, 0, 0, 0))
         diff = tuple(a - b for a, b in zip(table.t0[g_index], expected_t0))
         assert dec.lambda0.contains(diff)
-        assert dec.lambda1.contains(table.t1[g_index])
 
     def test_zmzm_second_generator_splits_to_tau_quotient(self):
         # t0(g2) = tau0/3 on the first factor, mod Lambda_0
@@ -155,12 +153,17 @@ class TestCocycle:
         assert dec.lambda0.contains(diff)
 
     def test_splitting_reassembles(self):
-        for name in ("bielliptic-6", "z4-threefold", "zmzm-threefold-m3"):
+        # tau(h) = w + shift(h) with w integral, P0 w = t0(h) and shift(h) in V1
+        for name in ("bielliptic-6", "z4-threefold", "zmzm-threefold-m3", "z2z2-threefold"):
             d = datum_of(name)
             dec, table = pipeline_parts(d)
-            for i, e in enumerate(d.group.elements):
-                total = tuple(a + b for a, b in zip(table.t0[i], table.t1[i]))
-                assert total == e.translation
+            h, shifts = compute_H(d, dec, table)
+            assert set(shifts) == set(h)
+            for i in h:
+                assert dec.lambda1.coords_of(shifts[i]) is not None
+                w = vec_sub(d.group.elements[i].translation, shifts[i])
+                assert all(x.denominator == 1 for x in w)
+                assert mat_vec(dec.proj0, w) == table.t0[i]
 
 
 class TestSubgroupH:

@@ -142,6 +142,20 @@ RAW_INVOLUTION = {
     ],
 }
 
+# free, faithful and with consistent eigenvalues, but diag(1, 1, -1, -1)
+# flips E(e0, e2), so the form is not invariant
+RAW_FORM_FLIP = {
+    "mode": "raw",
+    "rank": 4,
+    "form": [["0", "1", "1", "0"], ["-1", "0", "0", "0"],
+             ["-1", "0", "0", "1"], ["0", "0", "-1", "0"]],
+    "generators": [
+        {"matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+         "translation": ["1/2", "0", "0", "0"],
+         "eigenvalues": ["1", "-1"]}
+    ],
+}
+
 
 class TestStrictInput:
     def check_exit(self, doc, tmp_path, capsys) -> tuple[int, str]:
@@ -177,6 +191,20 @@ class TestStrictInput:
         assert code == 1
         assert "integers" in err
 
+    @pytest.mark.parametrize(
+        "doc,rank", [(RAW_INVOLUTION, 2.9), (RAW_INVOLUTION, True), (RAW_FORM_FLIP, "4")]
+    )
+    def test_non_integer_raw_rank_exit_1(self, doc, rank, tmp_path, capsys):
+        code, err = self.check_exit(dict(doc, rank=rank), tmp_path, capsys)
+        assert code == 1
+        assert "rank" in err
+
+    def test_unknown_key_exit_1(self, tmp_path, capsys):
+        for doc in (get_entry("z4-threefold").document, RAW_INVOLUTION):
+            code, err = self.check_exit(dict(doc, bogus=1), tmp_path, capsys)
+            assert code == 1
+            assert "bogus" in err
+
     def test_non_integer_block_entry_exit_1(self, tmp_path, capsys):
         doc = {
             "mode": "builder",
@@ -186,6 +214,18 @@ class TestStrictInput:
         code, err = self.check_exit(doc, tmp_path, capsys)
         assert code == 1
         assert "integers" in err
+
+
+class TestFormViolation:
+    def test_generator_that_moves_the_form_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(RAW_FORM_FLIP))
+        code, out, _ = run_cli(["check", str(path), "--format", "json"], capsys)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["form_invariant"] is False
+        assert payload["free"] and payload["eigenvalues_consistent"] and payload["faithful"]
+        assert payload["failures"] == ["form not invariant at element indices [1]"]
 
 
 class TestReports:

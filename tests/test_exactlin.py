@@ -6,15 +6,16 @@ from hypothesis import strategies as st
 
 from conftest import bareiss_det, in_span, minors_gcd
 from hyperelliptic.exactlin import (
-    FiniteAbelianGroup,
     LatticeError,
     Sublattice,
+    column_hermite,
     coset_meets_lattice,
     hermite_normal_form,
     identity,
+    integer_solution,
     kernel_lattice,
     mat_mul,
-    member_of_finite_group,
+    mat_vec,
     quotient_group,
     saturate,
     smith_normal_form,
@@ -223,6 +224,42 @@ class TestQuotient:
             )
 
 
+class TestIntegerSolution:
+    def test_rational_projection(self):
+        # P0 for V0 = span (1, 1) along V1 = span (1, -1), times den = 2
+        hermite = column_hermite(((1, 1), (1, 1)))
+        x = integer_solution(hermite, (F(1), F(1)))
+        assert x is not None and mat_vec(((1, 1), (1, 1)), x) == (1, 1)
+        assert integer_solution(hermite, (F(1, 2), F(1, 2))) is None
+        assert integer_solution(hermite, (F(1), F(2))) is None
+
+    def test_zero_matrix(self):
+        hermite = column_hermite(((0, 0), (0, 0)))
+        assert integer_solution(hermite, (F(0), F(0))) == (0, 0)
+        assert integer_solution(hermite, (F(0), F(1))) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_int_matrix(3, 3, bound=3),
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3),
+        st.booleans(),
+    )
+    def test_against_bounded_enumeration(self, m, x0, solvable):
+        import itertools
+
+        b = mat_vec(m, x0) if solvable else tuple(x0)
+        got = integer_solution(column_hermite(m), tuple(F(x) for x in b))
+        if got is not None:
+            assert mat_vec(m, got) == tuple(b)
+        found = any(
+            mat_vec(m, z) == tuple(b)
+            for z in itertools.product(range(-3, 4), repeat=3)
+        )
+        # a solution in the box means the solver must find one (perhaps another)
+        if found:
+            assert got is not None
+
+
 class TestCosetMeetsLattice:
     def test_fixed_half_coordinate(self):
         w = Sublattice.from_int_columns(2, [(1, 0)])
@@ -265,30 +302,3 @@ class TestCosetMeetsLattice:
             assert got is True
         if not got:
             assert not found
-
-
-class TestMemberOfFiniteGroup:
-    def test_trivial_group(self):
-        ref = Sublattice.standard(1)
-        g = FiniteAbelianGroup.trivial()
-        assert member_of_finite_group(g, ref, (F(2),)) is True
-        assert member_of_finite_group(g, ref, (F(1, 2),)) is False
-
-    def test_half_group(self):
-        # <1/2> mod Z, as in the first bielliptic family's K0
-        ref = Sublattice.standard(1)
-        g = FiniteAbelianGroup((2,), ((F(1, 2),),))
-        assert member_of_finite_group(g, ref, (F(1, 2),)) is True
-        assert member_of_finite_group(g, ref, (F(1, 3),)) is False
-
-    def test_dimension_mismatch(self):
-        ref = Sublattice.standard(2)
-        with pytest.raises(LatticeError):
-            member_of_finite_group(FiniteAbelianGroup.trivial(), ref, (F(1),))
-
-    def test_elements_enumeration(self):
-        ref = Sublattice.standard(2)
-        g = FiniteAbelianGroup((2, 2), ((F(1, 2), F(0)), (F(0), F(1, 2))))
-        elems = set(g.elements(ref))
-        assert len(elems) == 4
-        assert (F(1, 2), F(1, 2)) in elems

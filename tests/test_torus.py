@@ -10,7 +10,6 @@ from hyperelliptic.torus import (
     InvalidAutomorphism,
     NoProvenance,
     TorusDatum,
-    average_form,
     build_product_torus,
     factor_automorphism_matrix,
     factor_block_eigenvalue,
@@ -129,29 +128,6 @@ class TestStandardForm:
         form = standard_form(t)
         dens = {x.denominator for row in form.matrix for x in row}
         assert dens <= {1, 2, 4}
-
-
-class TestAverageForm:
-    def test_trivial_group_scales(self):
-        form = standard_form(build_product_torus([GEN]))
-        out = average_form(form, [])
-        assert out.matrix == form.matrix
-
-    def test_invariant_form_scales(self):
-        t = build_product_torus([GEN, GEN])
-        form = standard_form(t)
-        flip = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
-        out = average_form(form, [flip])
-        assert out.matrix == tuple(tuple(2 * x for x in row) for row in form.matrix)
-        assert out.is_invariant_under(flip)
-
-    def test_direct_computation_oracle(self):
-        form = AlternatingForm(((F(0), F(1)), (F(-1), F(0))))
-        m = ((-1, 0), (0, -1))
-        out = average_form(form, [m])
-        # direct oracle: E + M^T E M with M = -I is 2E
-        expected = tuple(tuple(2 * x for x in row) for row in form.matrix)
-        assert out.matrix == expected
 
 
 class TestIdentifyFactorSubspace:
