@@ -184,19 +184,6 @@ def compose(a: AffineAut, b: AffineAut, eigenvalue_table=None) -> AffineAut:
     return AffineAut(linear, translation, _eigenvalues_from_char_poly(linear), None)
 
 
-def inverse(a: AffineAut) -> AffineAut:
-    inv_rows = mat_inv(a.linear)
-    linear = tuple(tuple(int(x) for x in row) for row in inv_rows)
-    translation = vec_mod1(tuple(-x for x in mat_vec(linear, a.translation)))
-    blocks = None
-    if a.blocks is not None:
-        blocks = tuple(
-            tuple(tuple(int(x) for x in row) for row in mat_inv(b)) for b in a.blocks
-        )
-    eigenvalues = tuple(z.conjugate() for z in a.eigenvalues)
-    return AffineAut(linear, translation, eigenvalues, blocks)
-
-
 @dataclass(frozen=True)
 class ActionGroup:
     """A finite closed group of affine automorphisms, identity first."""

@@ -5,6 +5,11 @@ floating point enters any computation, so every membership and solvability
 answer is a certificate.  Matrices are tuples of row tuples; lattices store
 their basis as integer columns over a common denominator, canonicalized by a
 column-style Hermite form so that equal lattices compare equal.
+
+Matrix products (`mat_mul`, `mat_vec`) run over one common denominator: each
+operand is scaled to an integer matrix over the lcm of its entry
+denominators, the inner products are taken in `int`, and each output entry
+becomes one `Fraction`.  Products of all-`int` operands stay `int`.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -32,13 +38,36 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
+def _over_common_denominator(rows):
+    """(D, integer rows) with rows == integer rows / D; D is None when every entry is an int.
+
+    D is the lcm of the entry denominators, so each integer entry is
+    numerator * (D // denominator).
+    """
+    if all(type(x) is int for row in rows for x in row):
+        return None, rows
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
 def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    da, a = _over_common_denominator(a)
+    db, bt = _over_common_denominator(transpose(b))
+    out = tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    if da is None and db is None:
+        return out
+    d = (da or 1) * (db or 1)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in out)
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    da, a = _over_common_denominator(a)
+    dv, (v,) = _over_common_denominator((v,))
+    out = tuple(sum(map(mul, row, v)) for row in a)
+    if da is None and dv is None:
+        return out
+    d = (da or 1) * (dv or 1)
+    return tuple(Fraction(x, d) for x in out)
 
 
 def vec_add(u, v):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .action import AffineAut, HyperellipticDatum
 from .albanese import AlbaneseReport
@@ -356,6 +356,14 @@ def oracle_fiber_count(
     always 0 and are left out of the packing; each packed row sums only the
     active coordinates whose coefficient is nonzero mod D_i.  A failing
     verdict names the smallest failing key, unpacked back to its tuple.
+
+    The packed key is a mixed-radix index below the product of the packed
+    D_i, so the counts live in a dense list of that size rather than a hash
+    map: the fiber count is the number of nonzero slots, and the first
+    nonzero slot whose scaled count is off is the smallest failing key.  A
+    table with more slots than the model has points (N^rank, the count that
+    build_model caps) raises CapExceeded, so a malformed report cannot
+    allocate past that cap.
     """
     n = model.level
     rank = model.rank
@@ -384,20 +392,23 @@ def oracle_fiber_count(
         for row, d in zip(coeffs, dens)
         if d > 1
     ]
-    counter: dict[int, int] = {}
+    size = prod(d for d, _ in packed)
+    if size > model.point_count:
+        raise CapExceeded(
+            f"fiber table of {size} keys exceeds the {model.point_count} model points"
+        )
+    counts = [0] * size
     for p in itertools.product(range(n), repeat=len(active)):
         key = 0
         for d, terms in packed:
             key = key * d + sum(c * p[j] for j, c in terms) % d
-        counter[key] = counter.get(key, 0) + 1
-    bad = None
-    for key, count in counter.items():
-        if count * scale != predicted and (bad is None or key < bad):
-            bad = key
-    if bad is not None:
-        witness = (_unpack_fiber_key(bad, dens), counter[bad] * scale)
-        return FiberCountVerdict(n, False, predicted, len(counter), witness)
-    return FiberCountVerdict(n, True, predicted, len(counter), None)
+        counts[key] += 1
+    fiber_count = size - counts.count(0)
+    for key, count in enumerate(counts):
+        if count and count * scale != predicted:
+            witness = (_unpack_fiber_key(key, dens), count * scale)
+            return FiberCountVerdict(n, False, predicted, fiber_count, witness)
+    return FiberCountVerdict(n, True, predicted, fiber_count, None)
 
 
 def _unpack_fiber_key(key: int, dens) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ half-plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import RootOfUnity
@@ -150,6 +150,8 @@ class TorusDatum:
     rank: int
     lam_basis: tuple[tuple[Fraction, ...], ...]
     factors: tuple[EllipticFactor, ...] | None = None
+    # the integer matrix lam_basis^-1, derived once from lam_basis
+    lam_basis_inv: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.factors is not None and 2 * len(self.factors) != self.rank:
@@ -157,14 +159,11 @@ class TorusDatum:
         inv = mat_inv(self.lam_basis)
         if not all(vec_is_integral(row) for row in inv):
             raise LatticeError("lattice must contain the product lattice Z^rank")
+        object.__setattr__(self, "lam_basis_inv", tuple(tuple(map(int, row)) for row in inv))
 
     @property
     def dim(self) -> int:
         return self.rank // 2
-
-    @property
-    def lam_basis_inv(self):
-        return mat_inv(self.lam_basis)
 
     def index_over_product_lattice(self) -> int:
         return int(abs(1 / mat_det(self.lam_basis)))

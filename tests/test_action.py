@@ -18,7 +18,6 @@ from hyperelliptic.action import (
     compose,
     cyclotomic_multiplicities,
     has_fixed_point,
-    inverse,
     is_translation,
     quotient_by_translations,
     validate,
@@ -198,21 +197,27 @@ class TestComposeInverse:
         gg = compose(g, g)
         assert gg.is_identity()
 
+    @staticmethod
+    def _inverse_in(group, g):
+        """The element h of the closed group with g . h = identity."""
+        (h,) = [h for h in group.elements if compose(g, h).is_identity()]
+        return h
+
     def test_inverse(self):
         d = z4_threefold()
         g = d.group.generators[0]
-        assert compose(g, inverse(g)).is_identity()
-        assert compose(inverse(g), g).is_identity()
+        g_inv = self._inverse_in(d.group, g)
+        assert not g_inv.is_identity()
+        assert compose(g_inv, g).is_identity()
 
     @pytest.mark.parametrize("name", ["z4-threefold", "zmzm-threefold-m3"])
     def test_inverse_conjugates_eigenvalues(self, name):
         group = get_entry(name).build().group
         i = next(i for i in range(group.order) if group.element_order(i) in (3, 4))
         g = group.elements[i]
-        g_inv = inverse(g)
+        g_inv = self._inverse_in(group, g)
         assert g_inv.eigenvalues == tuple(z.conjugate() for z in g.eigenvalues)
         assert g_inv.eigenvalues != g.eigenvalues
-        assert g_inv.eigenvalues == group.elements[group.index_of(g_inv)].eigenvalues
 
     def test_is_translation(self):
         ident = affine_identity(2)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bareiss_det, in_span, minors_gcd
+from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.exactlin import (
     LatticeError,
     Sublattice,
@@ -23,6 +24,16 @@ from hyperelliptic.exactlin import (
 )
 
 F = Fraction
+
+
+def reference_mat_mul(a, b):
+    """The plain product, one entry at a time: sum(x * y) over the operands' own types."""
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def reference_mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def small_int_matrix(rows, cols, bound=5):
@@ -80,6 +91,129 @@ class TestHermite:
         h, u = hermite_normal_form(m)
         assert mat_mul(u, m) == h
         assert abs(bareiss_det(u)) == 1
+
+
+# entries: ints, Fractions with denominators up to 10^6, or a mix of both
+ENTRY_KINDS = {
+    "int": st.integers(-10**6, 10**6),
+    "fraction": st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+}
+ENTRY_KINDS["mixed"] = st.one_of(ENTRY_KINDS["int"], ENTRY_KINDS["fraction"])
+
+
+def entry_matrix(kind, rows, cols):
+    return st.lists(
+        st.lists(ENTRY_KINDS[kind], min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda m: tuple(map(tuple, m)))
+
+
+def all_ints(values) -> bool:
+    return all(type(x) is int for x in values)
+
+
+product_operands = st.tuples(
+    st.sampled_from(tuple(ENTRY_KINDS)),
+    st.sampled_from(tuple(ENTRY_KINDS)),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 4),
+).flatmap(
+    lambda t: st.tuples(entry_matrix(t[0], t[2], t[3]), entry_matrix(t[1], t[3], t[4]))
+)
+
+
+class TestProductsAgainstReference:
+    """mat_mul / mat_vec over one common denominator against the entry-wise sums."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(product_operands)
+    def test_mat_mul(self, operands):
+        a, b = operands
+        got = mat_mul(a, b)
+        assert got == reference_mat_mul(a, b)
+        if all_ints(x for row in a + b for x in row):
+            assert all_ints(x for row in got for x in row)
+
+    @settings(max_examples=300, deadline=None)
+    @given(product_operands)
+    def test_mat_vec(self, operands):
+        a, b = operands
+        v = tuple(row[0] for row in b) if b and b[0] else tuple(0 for _ in b)
+        got = mat_vec(a, v)
+        assert got == reference_mat_vec(a, v)
+        if all_ints(x for row in a for x in row) and all_ints(v):
+            assert all_ints(got)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((), ((1, 2),)),  # 0 x 1 times 1 x 2
+            (((),) * 3, ()),  # 3 x 0 times 0 x n
+            (((F(-7, 3),),), ((F(9, 14),),)),  # 1 x 1
+            (((F(1, 999_983),),), ((-999_979,),)),
+            (((2, -3), (0, 5)), ((F(1, 2), 0), (0, F(-1, 10**6)))),
+            (((1, 2), (3, 4)), ((-5, 6), (7, -8))),
+        ],
+    )
+    def test_edge_shapes(self, a, b):
+        assert mat_mul(a, b) == reference_mat_mul(a, b)
+        v = tuple(row[0] for row in b) if b and b[0] else ()
+        assert mat_vec(a, v) == reference_mat_vec(a, v)
+
+
+def sympy_hermite_rows(m):
+    """The nonzero rows of the row Hermite form of m, computed by sympy.
+
+    sympy gives the column Hermite form with pivots at the bottom right and
+    zero columns dropped; reversing the row and column order of m^T before
+    and after maps it to this library's row convention (pivots top left,
+    entries above each pivot reduced into [0, pivot)).
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    flipped = sympy.Matrix([list(reversed(col)) for col in reversed(transpose(m))])
+    w = [list(reversed(row)) for row in reversed(sympy_hnf(flipped).tolist())]
+    return tuple(tuple(int(x) for x in col) for col in transpose(w)) if w and w[0] else ()
+
+
+def sympy_smith(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    s, _, _ = smith_normal_decomp(sympy.Matrix(m), domain=sympy.ZZ)
+    return tuple(tuple(int(x) for x in row) for row in s.tolist())
+
+
+def assert_normal_forms_match_sympy(m):
+    h, _ = hermite_normal_form(m)
+    assert tuple(row for row in h if any(row)) == sympy_hermite_rows(m)
+    _, s, _ = smith_normal_form(m)
+    assert s == sympy_smith(m)
+
+
+def minus_identity(m):
+    return tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(m))
+
+
+class TestNormalFormsAgainstSympy:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 6), st.integers(1, 6), st.sampled_from((1, 3, 9))).flatmap(
+            lambda t: small_int_matrix(*t)
+        )
+    )
+    def test_random_integer_matrices(self, m):
+        assert_normal_forms_match_sympy(m)
+
+    @pytest.mark.parametrize("m", [((0,),), ((0, 0, 0), (0, 0, 0)), ((4, 6), (6, 9))])
+    def test_degenerate(self, m):
+        assert_normal_forms_match_sympy(m)
+
+    @pytest.mark.parametrize("name", list_entries())
+    def test_catalog_elements_minus_identity(self, name):
+        for e in get_entry(name).build().group.elements:
+            assert_normal_forms_match_sympy(minus_identity(e.linear))
 
 
 class TestSmith:

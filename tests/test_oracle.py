@@ -1,14 +1,24 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
+from conftest import load_perfbench
 from hyperelliptic.action import HyperellipticDatum, close_group, validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
+from hyperelliptic.documents import build_datum
+from hyperelliptic.exactlin import Sublattice
 from hyperelliptic.oracle import (
     BadLevel,
     CapExceeded,
+    FiberCountVerdict,
+    TorsionModel,
+    _albanese_projection_matrix,
+    _unpack_fiber_key,
     build_model,
     datum_denominator,
     element_level_bound,
@@ -186,3 +196,107 @@ class TestFiberCount:
         assert not verdict.passed
         assert verdict.fiber_count == 8
         assert verdict.witness == ((0, 0), 512)
+
+
+def reference_fiber_count(model, report, group_order):
+    """The fiber count with a dict of packed keys, as before the dense table."""
+    n = model.level
+    rank = model.rank
+    r1 = report.decomposition.lambda1.rank
+    predicted = (group_order // len(report.subgroup_h)) * n**r1
+    lmat = _albanese_projection_matrix(report, rank)
+    dens = []
+    coeffs = []
+    for row in lmat:
+        d = 1
+        for x in row:
+            d = lcm(d, Fraction(x, n).denominator)
+        dens.append(d)
+        coeffs.append(tuple(int(Fraction(x, n) * d) for x in row))
+    active = [j for j in range(rank) if any(c[j] % d for c, d in zip(coeffs, dens))]
+    scale = n ** (rank - len(active))
+    packed = [
+        (d, [(k, row[j] % d) for k, j in enumerate(active) if row[j] % d])
+        for row, d in zip(coeffs, dens)
+        if d > 1
+    ]
+    counter: dict[int, int] = {}
+    for p in itertools.product(range(n), repeat=len(active)):
+        key = 0
+        for d, terms in packed:
+            key = key * d + sum(c * p[j] for j, c in terms) % d
+        counter[key] = counter.get(key, 0) + 1
+    bad = None
+    for key, count in counter.items():
+        if count * scale != predicted and (bad is None or key < bad):
+            bad = key
+    if bad is not None:
+        witness = (_unpack_fiber_key(bad, dens), counter[bad] * scale)
+        return FiberCountVerdict(n, False, predicted, len(counter), witness)
+    return FiberCountVerdict(n, True, predicted, len(counter), None)
+
+
+def fiber_count_pair(model, report, group_order):
+    got = oracle_fiber_count(model, report, group_order)
+    assert got == reference_fiber_count(model, report, group_order)
+    return got
+
+
+def oracle_inputs(d):
+    report = run_pipeline(d)
+    return build_model(d, fiber_count_level(d, report)), report
+
+
+def projection_report(rank, proj0, lam_b_cols, h_order=1):
+    """A hand-built report: only what the fiber count reads (proj0, Lambda_B, Lambda_1, |H|)."""
+    return SimpleNamespace(
+        decomposition=SimpleNamespace(lambda1=Sublattice.zero(rank), proj0=proj0),
+        albanese_lattice=Sublattice.from_int_columns(rank, lam_b_cols),
+        subgroup_h=(None,) * h_order,
+    )
+
+
+class TestDenseFiberTable:
+    """The dense count table against the dict of keys it replaced."""
+
+    VALID_ENTRIES = [name for name in list_entries() if not get_entry(name).expect_invalid]
+
+    @pytest.mark.parametrize("name", VALID_ENTRIES)
+    def test_catalog(self, name):
+        d = datum_of(name)
+        verdict = fiber_count_pair(*oracle_inputs(d), d.group.order)
+        assert verdict.passed
+
+    def test_mixed_moduli_entry(self):
+        d = datum_of("small-irregularity-cyclic")
+        assert fiber_count_pair(*oracle_inputs(d), d.group.order).fiber_count == 216
+
+    @pytest.mark.parametrize("point", [(3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8)],
+                             ids=lambda p: "m{}-k{}-base{}".format(*p))
+    def test_stress_points(self, point):
+        d = build_datum(load_perfbench("stress").stress_document(*point, 0))
+        assert fiber_count_pair(*oracle_inputs(d), d.group.order).passed
+
+    def test_truncated_h(self):
+        d = datum_of("z4-threefold")
+        model, report = oracle_inputs(d)
+        broken = replace(report, subgroup_h=report.subgroup_h[:1])
+        verdict = fiber_count_pair(model, broken, d.group.order)
+        assert (verdict.passed, verdict.fiber_count, verdict.witness) == (False, 8, ((0, 0), 512))
+
+    def test_key_space_with_empty_slots(self):
+        # both key rows read (p0 + p1)/2 mod 1, so only the keys (0, 0) and (1, 1)
+        # of the four slots are hit, two points each, times N = 2 for the idle p2
+        proj0 = ((1, 1, 0), (1, 1, 0), (0, 0, 0))
+        report = projection_report(3, proj0, [(1, 0, 0), (0, 1, 0)])
+        model = TorsionModel(2, 3, ())
+        verdict = fiber_count_pair(model, report, 4)
+        assert (verdict.passed, verdict.fiber_count) == (True, 2)
+        verdict = fiber_count_pair(model, report, 2)
+        assert (verdict.passed, verdict.fiber_count, verdict.witness) == (False, 2, ((0, 0), 4))
+
+    def test_table_larger_than_model_is_capped(self):
+        # Lambda_B = 3Z gives the key p/6 mod 1: six slots for a two-point model
+        report = projection_report(1, ((1,),), [(3,)])
+        with pytest.raises(CapExceeded):
+            oracle_fiber_count(TorsionModel(2, 1, ()), report, 1)
