@@ -11,9 +11,9 @@ not samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .cyclotomic import RootOfUnity, cyclotomic_polynomial, euler_phi, poly_divmod_exact
 from .exactlin import (
@@ -110,20 +110,37 @@ def cyclotomic_multiplicities(poly: tuple[int, ...]) -> dict[int, int]:
     raise InconsistentEigenvalues("characteristic polynomial is not a product of cyclotomics")
 
 
-@dataclass(frozen=True)
 class AffineAut:
     """One affine automorphism x -> linear @ x + translation of A = V/Lambda.
 
     ``eigenvalues`` are the n complex-representation eigenvalues of the
     element; ``blocks`` are the per-factor 2x2 product-coordinate blocks when
     the datum was built from elliptic factors (they make closure eigenvalues
-    exact), and None for raw data.
+    exact), and None for raw data.  Equality and hashing read only the linear
+    part and the translation.
     """
 
-    linear: tuple[tuple[int, ...], ...]
-    translation: tuple[Fraction, ...]
-    eigenvalues: tuple[RootOfUnity, ...] = field(compare=False)
-    blocks: tuple[tuple[tuple[int, ...], ...], ...] | None = field(default=None, compare=False)
+    __slots__ = ("linear", "translation", "eigenvalues", "blocks")
+
+    def __init__(
+        self,
+        linear: tuple[tuple[int, ...], ...],
+        translation: tuple[Fraction, ...],
+        eigenvalues: tuple[RootOfUnity, ...],
+        blocks: tuple[tuple[tuple[int, ...], ...], ...] | None = None,
+    ):
+        self.linear = linear
+        self.translation = translation
+        self.eigenvalues = eigenvalues
+        self.blocks = blocks
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineAut):
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
 
     @property
     def rank(self) -> int:
@@ -184,16 +201,16 @@ def compose(a: AffineAut, b: AffineAut, eigenvalue_table=None) -> AffineAut:
     return AffineAut(linear, translation, _eigenvalues_from_char_poly(linear), None)
 
 
-@dataclass(frozen=True)
 class ActionGroup:
     """A finite closed group of affine automorphisms, identity first."""
 
-    generators: tuple[AffineAut, ...]
-    elements: tuple[AffineAut, ...]
+    __slots__ = ("generators", "elements", "_index", "_mul_memo")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {e.key(): i for i, e in enumerate(self.elements)})
-        object.__setattr__(self, "_mul_memo", {})
+    def __init__(self, generators: tuple[AffineAut, ...], elements: tuple[AffineAut, ...]):
+        self.generators = generators
+        self.elements = elements
+        self._index = {e.key(): i for i, e in enumerate(elements)}
+        self._mul_memo = {}
 
     @property
     def order(self) -> int:
@@ -344,8 +361,7 @@ def has_fixed_point(a: AffineAut, torus: TorusDatum) -> bool:
     return coset_meets_lattice(span, a.translation)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Structured outcome of all hyperelliptic-datum checks."""
 
     group_order: int
@@ -397,16 +413,28 @@ class ValidationReport:
         return tuple(out)
 
 
-@dataclass
 class HyperellipticDatum:
-    """A = V/Lambda together with a finite affine action and an invariant form."""
+    """A = V/Lambda together with a finite affine action and an invariant form.
 
-    torus: TorusDatum
-    group: ActionGroup
-    form: AlternatingForm
-    builder_mode: bool = True
-    j_stability_assumed: bool = False
-    _report: ValidationReport | None = field(default=None, repr=False)
+    ``validate`` caches its report in ``_report``.
+    """
+
+    __slots__ = ("torus", "group", "form", "builder_mode", "j_stability_assumed", "_report")
+
+    def __init__(
+        self,
+        torus: TorusDatum,
+        group: ActionGroup,
+        form: AlternatingForm,
+        builder_mode: bool = True,
+        j_stability_assumed: bool = False,
+    ):
+        self.torus = torus
+        self.group = group
+        self.form = form
+        self.builder_mode = builder_mode
+        self.j_stability_assumed = j_stability_assumed
+        self._report = None
 
     @property
     def rank(self) -> int:

@@ -25,9 +25,9 @@ a bug rather than bad input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .action import (
     ActionGroup,
@@ -74,8 +74,7 @@ class PipelineInvariantError(RuntimeError):
     """A theorem-backed consistency check failed; signals an internal bug."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A ~ (A0 x A1)/K in lattice coordinates, with the K projections paired."""
 
     lambda0: Sublattice
@@ -91,15 +90,13 @@ class Decomposition:
         return self.lambda0.rank // 2
 
 
-@dataclass(frozen=True)
-class CocycleTable:
+class CocycleTable(NamedTuple):
     """V0 part of each element's translation lift (indexed like the group)."""
 
     t0: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class FiberClassification:
+class FiberClassification(NamedTuple):
     kind: str  # "abelian" | "hyperelliptic"
     dim: int
     holonomy_order: int
@@ -117,8 +114,7 @@ class FiberClassification:
         return f"hyperelliptic of dimension {self.dim} with holonomy {structure}"
 
 
-@dataclass
-class AlbaneseReport:
+class AlbaneseReport(NamedTuple):
     q: int
     dim: int
     group_order: int
@@ -488,5 +484,5 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
         fiber_factor_indices=fiber_factor_indices,
     )
     if recurse and fiber_class.kind == "hyperelliptic" and fiber.dim < n:
-        report.fiber_report = run_pipeline(fiber, recurse=True)
+        report = report._replace(fiber_report=run_pipeline(fiber, recurse=True))
     return report

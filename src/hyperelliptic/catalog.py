@@ -6,15 +6,53 @@ restricted to classically stated facts about the construction; everything
 else the pipeline computes is exercised by the test suite as derived
 snapshots, clearly separated from these expectations.
 
+The entries are data: they live in ``catalog.json`` beside this module and
+are read with one JSON parse, which costs far less than compiling them as
+Python source would.  In the expectations, rationals are strings "p/q",
+tuples are lists, and a word in the generators is a list of generator
+indices (``[0, 0]`` is g^2).
+
 Coordinate convention: a point of a factor E = C/(Z + tau*Z) is written in
 the coordinates (coefficient of 1, coefficient of tau), so a half-period
 tau/2 is (0, 1/2), and (1 - zeta3)/3 on an Eisenstein curve is (1/3, -1/3).
+
+The constructions:
+
+* ``bielliptic-1`` ... ``bielliptic-7``: the seven bielliptic families
+  (Bagnera-de Franchis / Enriques-Severi classification) in the
+  translation-free cyclic presentation, g = (z1 + 1/order, zeta*z2) on
+  E_tau x A1.  ``albanese_lattice_factor0`` lists the Albanese lattice on
+  the E_tau plane in (1, tau) coordinates.
+* ``z4-threefold``: (E_tau0 x E_tau1 x E_i)/<(1/2, 1/2, 0)> with
+  g = (z0 + 1/4, -z1, i z2); H = {1, g^2}, and the Albanese fiber is a
+  bielliptic surface.
+* ``z2z2-threefold``: g1 = (-z1, -z2 + 1/2, z3 + 1/2) and
+  g2 = (z1 + 1/2, -z2, -z3); regular, with trivial canonical bundle.
+* ``zmzm-threefold-m2``, ``-m3``: g1 = (z0 + 1/m, zeta_m z1, z2) and
+  g2 = (z0 + tau0/m, z1, zeta_m z2) over (E_0 x E_1 x E_2)/<(1/m, 0, t)>,
+  t a fixed point of zeta_m; H is generated by g1.
+* ``abelian-fiber-construction``: (A0 x A1)/<(z0 + 1/2, -z1)> with A0
+  elliptic and A1 a product of two generic curves.
+* ``low-irregularity-cyclic``: (T x E)/(Z/2) with (a, z) -> (-a, z + 1/2),
+  T a product of two elliptic curves.
+* ``small-irregularity-cyclic``: the diagonal Z/6 on a product of a Z/2- and
+  a Z/3-type bielliptic cover.
+* ``z4-threefold-corrupted`` (negative control): ``z4-threefold`` with the
+  translation 1/4 corrupted to 1/2, so g^2 has fixed points.
+* ``not-all-bielliptic-2-6`` (negative control): g1 = (z1 + tau'/2, -z2, z3)
+  and g2 = (z1 + 1/4, z2 + 1/2, zeta6 z3) on
+  (E_tau' x E_tau x E_zeta3)/<(1/2, 1/2, 0)>.  2 t0(g2) = 1/2 lies in K0,
+  which forces an order-3 element into H; g2^4 then has a fixed point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import os
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .action import HyperellipticDatum, compose, validate
 from .albanese import run_pipeline
@@ -29,348 +67,31 @@ class UnknownEntry(KeyError):
     """No catalog entry with the requested name."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     provenance: str
     document: dict
-    expected: dict = field(default_factory=dict)
+    expected: Mapping = MappingProxyType({})
     expect_invalid: bool = False
 
     def build(self) -> HyperellipticDatum:
         return build_datum(self.document)
 
 
-def _vec(*xs):
-    return [str(F(x)) for x in xs]
+def _load_entries() -> dict[str, CatalogEntry]:
+    path = os.path.join(os.path.dirname(__file__), "catalog.json")
+    with open(path, encoding="utf-8") as fh:
+        return {item["name"]: CatalogEntry(**item) for item in json.load(fh)}
 
 
-def _bielliptic_row(name, a1_kind, a1_label, order, k_gen, provenance, alb_gens):
-    """One row of the classical seven-family bielliptic table.
-
-    The generator acts by (z1, z2) -> (z1 + 1/order, zeta*z2) on
-    E_tau x A1; alb_gens are the extra Albanese-lattice generators on the
-    E_tau plane, in (1, tau) coordinates.
-    """
-    zeta = {2: "-1", 3: "zeta3", 4: "i", 6: "zeta6"}[order]
-    doc = {
-        "mode": "builder",
-        "factors": [
-            {"kind": "generic", "label": "tau"},
-            {"kind": a1_kind, "label": a1_label},
-        ],
-        "k_gens": [k_gen] if k_gen else [],
-        "generators": [
-            {"zetas": ["1", zeta], "translation": _vec(F(1, order), 0, 0, 0)}
-        ],
-    }
-    lattice = [(1, 0), (0, 1)] + alb_gens
-    expected = {
-        "group_order": order,
-        "q": 1,
-        "dim": 2,
-        "canonical_order": order,
-        "cyclic": True,
-        "k_order": 1 if not k_gen else None,  # filled below when stated
-        "albanese_isogeny_factors_normalized": None,  # filled by caller
-        "albanese_lattice_factor0": [tuple(map(F, v)) for v in lattice],
-        "fiber_kind": "abelian",
-        "fiber_dim": 1,
-        "fiber_factor_kinds": (a1_kind,),
-        "h_order": 1,
-    }
-    return doc, expected, provenance
+_ENTRIES = _load_entries()
 
 
-def _build_entries() -> dict[str, CatalogEntry]:
-    entries: dict[str, CatalogEntry] = {}
-
-    def add(entry: CatalogEntry) -> None:
-        entries[entry.name] = entry
-
-    # -- the seven bielliptic families (Bagnera-de Franchis / Enriques-Severi
-    #    classification), with the translation-free cyclic presentation
-    rows = [
-        ("bielliptic-1", "generic", "tau1", 2, None, [], (2,), 1),
-        ("bielliptic-2", "generic", "tau1", 2, _vec(0, F(1, 2), F(1, 2), 0), [(0, F(1, 2))], (2, 2), 2),
-        ("bielliptic-3", "eisenstein", "", 3, None, [], (3,), 1),
-        ("bielliptic-4", "eisenstein", "", 3, _vec(0, F(1, 3), F(1, 3), F(-1, 3)), [(0, F(1, 3))], (3, 3), 3),
-        ("bielliptic-5", "gauss", "", 4, None, [], (4,), 1),
-        ("bielliptic-6", "gauss", "", 4, _vec(0, F(1, 2), F(1, 2), F(1, 2)), [(0, F(1, 2))], (4, 2), 2),
-        ("bielliptic-7", "eisenstein", "", 6, None, [], (6,), 1),
-    ]
-    for name, kind, label, order, k_gen, extra_alb, alb_factors, k_order in rows:
-        alb_gens = [(F(1, order), F(0))] + extra_alb
-        doc, expected, _ = _bielliptic_row(
-            name, kind, label, order, k_gen,
-            "bielliptic surface classification", alb_gens,
-        )
-        expected["k_order"] = k_order
-        expected["albanese_isogeny_factors_normalized"] = tuple(sorted(alb_factors, reverse=True))
-        add(CatalogEntry(
-            name=name,
-            provenance=f"bielliptic surface family {name.split('-')[1]} "
-            "(Bagnera-de Franchis classification, holonomy-only presentation)",
-            document=doc,
-            expected=expected,
-        ))
-
-    # -- order-4 cyclic threefold with a bielliptic Albanese fiber:
-    #    (E_tau0 x E_tau1 x E_i)/<(1/2, 1/2, 0)>, g = (z0 + 1/4, -z1, i z2)
-    add(CatalogEntry(
-        name="z4-threefold",
-        provenance="cyclic order-4 threefold on E_tau0 x E_tau1 x E_i with a "
-        "half-period identification; its Albanese fiber is a bielliptic surface",
-        document={
-            "mode": "builder",
-            "factors": [
-                {"kind": "generic", "label": "tau0"},
-                {"kind": "generic", "label": "tau1"},
-                {"kind": "gauss", "label": "i"},
-            ],
-            "k_gens": [_vec(F(1, 2), 0, F(1, 2), 0, 0, 0)],
-            "generators": [
-                {"zetas": ["1", "-1", "i"], "translation": _vec(F(1, 4), 0, 0, 0, 0, 0)}
-            ],
-        },
-        expected={
-            "group_order": 4,
-            "q": 1,
-            "dim": 3,
-            "cyclic": True,
-            "k_order": 2,
-            "k0_lattice_factor_plane": (0, [(F(1, 2), F(0))]),
-            "h_words": [[], [0, 0]],  # identity and g^2
-            "fiber_kind": "hyperelliptic",
-            "fiber_dim": 2,
-            "fiber_holonomy_order": 2,
-            "fiber_cyclic": True,
-            "fiber_factor_kinds": ("generic", "gauss"),
-        },
-    ))
-
-    # -- regular (q = 0) threefold with trivial canonical bundle:
-    #    g1 = (-z1, -z2 + 1/2, z3 + 1/2), g2 = (z1 + 1/2, -z2, -z3)
-    add(CatalogEntry(
-        name="z2z2-threefold",
-        provenance="regular (Z/2 x Z/2) threefold on a product of three "
-        "elliptic curves; trivial canonical bundle, irregularity 0",
-        document={
-            "mode": "builder",
-            "factors": [
-                {"kind": "generic", "label": "tau1"},
-                {"kind": "generic", "label": "tau2"},
-                {"kind": "generic", "label": "tau3"},
-            ],
-            "k_gens": [],
-            "generators": [
-                {"zetas": ["-1", "-1", "1"], "translation": _vec(0, 0, F(1, 2), 0, F(1, 2), 0)},
-                {"zetas": ["1", "-1", "-1"], "translation": _vec(F(1, 2), 0, 0, 0, 0, 0)},
-            ],
-        },
-        expected={
-            "group_order": 4,
-            "group_invariant_factors": (2, 2),
-            "q": 0,
-            "dim": 3,
-            "cyclic": False,
-            "canonical_order": 1,
-            "euler": 0,
-            "hodge_rows": ((1,), (0, 0), (0, 3, 0), (1, 3, 3, 1), (0, 3, 0), (0, 0), (1,)),
-            "fiber_dim": 3,
-        },
-    ))
-
-    # -- (Z/m)^2 threefolds with bielliptic Albanese fibers, m = 2, 3:
-    #    g1 = (z0 + 1/m, zeta_m z1, z2), g2 = (z0 + tau0/m, z1, zeta_m z2),
-    #    over (E_0 x E_1 x E_2)/<(1/m, 0, t)> with t a fixed point of zeta_m
-    for m in (2, 3):
-        if m == 2:
-            factor_kind = "generic"
-            labels = ["tau1", "tau2"]
-            t_coords = (F(1, 2), F(0))
-            zeta = "-1"
-        else:
-            factor_kind = "eisenstein"
-            labels = ["", ""]
-            t_coords = (F(1, 3), F(-1, 3))  # (1 - zeta3)/3
-            zeta = "zeta3"
-        add(CatalogEntry(
-            name=f"zmzm-threefold-m{m}",
-            provenance=f"(Z/{m})^2 threefold whose Albanese fiber is a "
-            f"bielliptic surface with Z/{m} holonomy",
-            document={
-                "mode": "builder",
-                "factors": [
-                    {"kind": "generic", "label": "tau0"},
-                    {"kind": factor_kind, "label": labels[0]},
-                    {"kind": factor_kind, "label": labels[1]},
-                ],
-                "k_gens": [_vec(F(1, m), 0, 0, 0, *t_coords)],
-                "generators": [
-                    {"zetas": ["1", zeta, "1"], "translation": _vec(F(1, m), 0, 0, 0, 0, 0)},
-                    {"zetas": ["1", "1", zeta], "translation": _vec(0, F(1, m), 0, 0, 0, 0)},
-                ],
-            },
-            expected={
-                "group_order": m * m,
-                "group_invariant_factors": (m, m),
-                "q": 1,
-                "dim": 3,
-                "cyclic": False,
-                "k_order": m,
-                "h_order": m,
-                "h_words": [[0] * k for k in range(m)],  # powers of g1
-                "fiber_kind": "hyperelliptic",
-                "fiber_dim": 2,
-                "fiber_holonomy_order": m,
-                "fiber_cyclic": True,
-            },
-        ))
-
-    # -- abelian Albanese fibers by construction: (A0 x A1)/<(z0 + 1/2, -z1)>
-    #    with A0 elliptic and A1 a product of two generic curves
-    add(CatalogEntry(
-        name="abelian-fiber-construction",
-        provenance="free Z/2 quotient translating an elliptic factor by a "
-        "half-period and negating an abelian surface; the Albanese fiber is "
-        "that abelian surface",
-        document={
-            "mode": "builder",
-            "factors": [
-                {"kind": "generic", "label": "tau0"},
-                {"kind": "generic", "label": "tau1"},
-                {"kind": "generic", "label": "tau2"},
-            ],
-            "k_gens": [],
-            "generators": [
-                {"zetas": ["1", "-1", "-1"], "translation": _vec(F(1, 2), 0, 0, 0, 0, 0)}
-            ],
-        },
-        expected={
-            "group_order": 2,
-            "q": 1,
-            "dim": 3,
-            "cyclic": True,
-            "h_order": 1,
-            "fiber_kind": "abelian",
-            "fiber_dim": 2,
-            "fiber_factor_kinds": ("generic", "generic"),
-        },
-    ))
-
-    # -- cyclic with low irregularity: (T x E)/(Z/2), (a, z) -> (-a, z + 1/2),
-    #    T a product of two elliptic curves (n = 2 instance)
-    add(CatalogEntry(
-        name="low-irregularity-cyclic",
-        provenance="cyclic Z/2 threefold with irregularity 1 = dim - 2: "
-        "negation on an abelian surface times a half-period translation",
-        document={
-            "mode": "builder",
-            "factors": [
-                {"kind": "generic", "label": "tau1"},
-                {"kind": "generic", "label": "tau2"},
-                {"kind": "generic", "label": "sigma"},
-            ],
-            "k_gens": [],
-            "generators": [
-                {"zetas": ["-1", "-1", "1"], "translation": _vec(0, 0, 0, 0, F(1, 2), 0)}
-            ],
-        },
-        expected={
-            "group_order": 2,
-            "q": 1,
-            "dim": 3,
-            "cyclic": True,
-            "h_order": 1,
-            "fiber_kind": "abelian",
-            "fiber_dim": 2,
-        },
-    ))
-
-    # -- cyclic of order 6 with irregularity 2 in dimension 4: the diagonal
-    #    Z/6 on a product of a Z/2- and a Z/3-type bielliptic cover
-    add(CatalogEntry(
-        name="small-irregularity-cyclic",
-        provenance="cyclic Z/6 fourfold of irregularity 2: diagonal action of "
-        "order-2 and order-3 bielliptic covers",
-        document={
-            "mode": "builder",
-            "factors": [
-                {"kind": "generic", "label": "tau0"},
-                {"kind": "generic", "label": "tau1"},
-                {"kind": "generic", "label": "sigma0"},
-                {"kind": "eisenstein", "label": ""},
-            ],
-            "k_gens": [],
-            "generators": [
-                {
-                    "zetas": ["1", "-1", "1", "zeta3"],
-                    "translation": _vec(F(1, 2), 0, 0, 0, F(1, 3), 0, 0, 0),
-                }
-            ],
-        },
-        expected={
-            "group_order": 6,
-            "q": 2,
-            "dim": 4,
-            "cyclic": True,
-        },
-    ))
-
-    # -- negative control: the order-4 threefold with the 1/4 translation
-    #    corrupted to 1/2; g^2 then fixes points
-    add(CatalogEntry(
-        name="z4-threefold-corrupted",
-        provenance="negative control: z4-threefold with translation 1/2 "
-        "instead of 1/4, so the square of the generator has fixed points",
-        document={
-            "mode": "builder",
-            "factors": [
-                {"kind": "generic", "label": "tau0"},
-                {"kind": "generic", "label": "tau1"},
-                {"kind": "gauss", "label": "i"},
-            ],
-            "k_gens": [_vec(F(1, 2), 0, F(1, 2), 0, 0, 0)],
-            "generators": [
-                {"zetas": ["1", "-1", "i"], "translation": _vec(F(1, 2), 0, 0, 0, 0, 0)}
-            ],
-        },
-        expected={"fixed_point_words": [[0, 0]]},  # g^2 has a fixed point
-        expect_invalid=True,
-    ))
-
-    # -- negative control: linear parts diag(1,-1,1) and diag(1,1,zeta6) on
-    #    (E_tau' x E_tau x E_zeta3)/<(1/2, 1/2, 0)> with translations chosen
-    #    to force an order-3 element into H; freeness then fails at g2^4
-    add(CatalogEntry(
-        name="not-all-bielliptic-2-6",
-        provenance="negative control: a (Z/2 x Z/6)-shaped configuration set "
-        "up to force an order-3 subgroup into H; the fourth power of the "
-        "order-6 generator acquires a fixed point",
-        document={
-            "mode": "builder",
-            "factors": [
-                {"kind": "generic", "label": "tau_prime"},
-                {"kind": "generic", "label": "tau"},
-                {"kind": "eisenstein", "label": ""},
-            ],
-            "k_gens": [_vec(F(1, 2), 0, F(1, 2), 0, 0, 0)],
-            "generators": [
-                # g1 = (z1 + tau'/2, -z2, z3)
-                {"zetas": ["1", "-1", "1"], "translation": _vec(0, F(1, 2), 0, 0, 0, 0)},
-                # g2 = (z1 + 1/4, z2 + 1/2, zeta6 z3): 2 t0(g2) = 1/2 lies in K0
-                {"zetas": ["1", "1", "zeta6"], "translation": _vec(F(1, 4), 0, F(1, 2), 0, 0, 0)},
-            ],
-        },
-        expected={"fixed_point_words": [[1, 1, 1, 1]]},  # g2^4 has a fixed point
-        expect_invalid=True,
-    ))
-
-    return entries
-
-
-_ENTRIES = _build_entries()
+def _as_json(value):
+    """A computed value in the form the expectations take: tuples become lists."""
+    if isinstance(value, (tuple, list)):
+        return [_as_json(x) for x in value]
+    return value
 
 
 def list_entries() -> tuple[str, ...]:
@@ -402,7 +123,7 @@ def run_entry(name: str) -> dict:
 
     def check(key, actual):
         if key in entry.expected and entry.expected[key] is not None:
-            if entry.expected[key] != actual:
+            if entry.expected[key] != _as_json(actual):
                 diff[key] = {"expected": entry.expected[key], "actual": actual}
 
     if entry.expect_invalid:

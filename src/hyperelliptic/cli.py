@@ -12,7 +12,6 @@ import sys
 
 from .action import HyperellipticDatum, validate
 from .albanese import run_pipeline
-from .catalog import UnknownEntry, get_entry, list_entries, run_entry
 from .documents import (
     InputError,
     albanese_dict,
@@ -174,12 +173,19 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    # the only command that reads the catalog, so the only one that imports it
+    from .catalog import UnknownEntry, get_entry, list_entries, run_entry
+
     if args.action == "list":
         for name in list_entries():
             print(name)
         return 0
     if args.name is None:
         return _fail(1, f"catalog {args.action} needs an entry name")
+    try:
+        entry = get_entry(args.name)
+    except UnknownEntry as exc:
+        return _fail(1, f"unknown catalog entry: {exc}")
     if args.action == "run":
         diff = run_entry(args.name)
         if not diff:
@@ -188,7 +194,6 @@ def cmd_catalog(args) -> int:
         sys.stdout.write(dumps_canonical({"entry": args.name, "diff": diff}))
         return 2
     if args.action == "export":
-        entry = get_entry(args.name)
         sys.stdout.write(dumps_canonical(entry.document))
         return 0
     return _fail(1, f"unknown catalog action {args.action!r}")
@@ -239,8 +244,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         return _fail(1, f"input error: {exc}")
-    except UnknownEntry as exc:
-        return _fail(1, f"unknown catalog entry: {exc}")
     except _INTERNAL_ERRORS as exc:
         return _fail(3, f"internal error: {exc}")
     except _MATH_ERRORS as exc:

@@ -7,10 +7,10 @@ dimensions are certified integers rather than rounded floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 
 class NonRational(ValueError):
@@ -83,9 +83,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # roots of unity
 
-@dataclass(frozen=True, order=True)
-class RootOfUnity:
-    """exp(2*pi*i * k / order), stored gcd-reduced so order is the actual order."""
+class RootOfUnity(NamedTuple):
+    """exp(2*pi*i * k / order), stored gcd-reduced so order is the actual order.
+
+    Roots compare and sort as the pair (k, order).
+    """
 
     k: int
     order: int
@@ -122,19 +124,27 @@ class RootOfUnity:
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 
-@dataclass(frozen=True)
 class CycloNumber:
     """Element of Q(zeta_N) in the power basis 1, x, ..., x^(phi(N)-1) mod Phi_N."""
 
-    conductor: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("conductor", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != euler_phi(self.conductor):
+    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != euler_phi(conductor):
             raise CyclotomicInvariantError(
-                f"Q(zeta_{self.conductor}) needs {euler_phi(self.conductor)} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"Q(zeta_{conductor}) needs {euler_phi(conductor)} coefficients, "
+                f"got {len(coeffs)}"
             )
+        self.conductor = conductor
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, CycloNumber):
+            return NotImplemented
+        return (self.conductor, self.coeffs) == (other.conductor, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.conductor, self.coeffs))
 
     @staticmethod
     def zero(conductor: int) -> "CycloNumber":

@@ -229,13 +229,25 @@ def build_datum(doc) -> HyperellipticDatum:
     return _build_builder(doc) if mode == "builder" else _build_raw(doc)
 
 
+def _unique_keys(pairs) -> dict:
+    """object_pairs_hook for json: a key given twice is an error, not last-one-wins."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InputError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_document(path: str) -> HyperellipticDatum:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, an over-long integer literal, a
+        # duplicate key, or nesting deeper than the parser's recursion limit
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     return build_datum(doc)
 

@@ -14,10 +14,10 @@ becomes one `Fraction`.  Products of all-`int` operands stay `int`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -335,8 +335,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 # ---------------------------------------------------------------------------
 # lattices
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(NamedTuple):
     """A finitely generated lattice in Q^ambient_rank.
 
     Basis vectors are ``cols[i] / den``; ``cols`` is an integer column tuple in
@@ -512,8 +511,7 @@ def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
     return FiniteAbelianGroup(tuple(factors), tuple(gens))
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(NamedTuple):
     """A finite abelian group with invariant factors d1 | d2 | ... (ascending).
 
     Generators are coset representatives in ambient coordinates, reduced

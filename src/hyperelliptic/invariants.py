@@ -10,9 +10,9 @@ translations act trivially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .action import HyperellipticDatum
 from .albanese import AlbaneseReport, compute_A0
@@ -40,8 +40,7 @@ class DivisibilityViolation(RuntimeError):
     """Fiber canonical order fails to divide the total space's; a pipeline bug."""
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(NamedTuple):
     n: int
     h: tuple[tuple[int, ...], ...]  # h[p][q]
 
@@ -63,8 +62,7 @@ class HodgeDiamond:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class InvariantsReport:
+class InvariantsReport(NamedTuple):
     dim: int
     q: int
     diamond: HodgeDiamond
@@ -74,8 +72,7 @@ class InvariantsReport:
     cyclic: bool
 
 
-@dataclass(frozen=True)
-class PullbackDiagnostic:
+class PullbackDiagnostic(NamedTuple):
     """Whether omega_X is pulled back from the Albanese (iff the fiber is Calabi-Yau)."""
 
     x_canonical_order: int

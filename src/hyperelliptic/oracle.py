@@ -11,9 +11,9 @@ recorded in the verdict rather than assumed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from typing import NamedTuple
 
 from .action import AffineAut, HyperellipticDatum
 from .albanese import AlbaneseReport
@@ -37,8 +37,7 @@ class BadLevel(ValueError):
     """The level is not divisible by some denominator appearing in the datum."""
 
 
-@dataclass(frozen=True)
-class TorsionModel:
+class TorsionModel(NamedTuple):
     """The G-set (1/N)Lambda/Lambda: N^rank tuples, with the action mod N."""
 
     level: int
@@ -202,8 +201,7 @@ def oracle_fixed_points(model: TorsionModel, element_index: int) -> int:
     return count * free
 
 
-@dataclass(frozen=True)
-class FixedPointCheck:
+class FixedPointCheck(NamedTuple):
     element_index: int
     level: int
     exhaustive: bool
@@ -217,8 +215,7 @@ class FixedPointCheck:
         return (not self.exhaustive) or (not self.exact_has_fixed_point)
 
 
-@dataclass(frozen=True)
-class FixedPointSurvey:
+class FixedPointSurvey(NamedTuple):
     checks: tuple[FixedPointCheck, ...]
     downgraded: bool  # True when the formula level was over the cap
 
@@ -288,8 +285,7 @@ def fixed_point_survey(
     return FixedPointSurvey(tuple(checks), downgraded)
 
 
-@dataclass(frozen=True)
-class FiberCountVerdict:
+class FiberCountVerdict(NamedTuple):
     level: int
     passed: bool
     predicted_points_per_fiber: int

@@ -14,8 +14,8 @@ half-plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import RootOfUnity
 from .exactlin import (
@@ -28,6 +28,7 @@ from .exactlin import (
     mat_mul,
     mat_vec,
     transpose,
+    vec_denominator,
     vec_is_integral,
 )
 
@@ -67,16 +68,24 @@ _GENERIC_UNITS = {
 }
 
 
-@dataclass(frozen=True)
 class EllipticFactor:
     """One elliptic factor E = C/(Z + tau*Z) with basis (1, tau)."""
 
-    kind: str
-    label: str = ""
+    __slots__ = ("kind", "label")
 
-    def __post_init__(self):
-        if self.kind not in (GENERIC, GAUSS, EISENSTEIN):
-            raise ValueError(f"unknown factor kind {self.kind!r}")
+    def __init__(self, kind: str, label: str = ""):
+        if kind not in (GENERIC, GAUSS, EISENSTEIN):
+            raise ValueError(f"unknown factor kind {kind!r}")
+        self.kind = kind
+        self.label = label
+
+    def __eq__(self, other):
+        if not isinstance(other, EllipticFactor):
+            return NotImplemented
+        return (self.kind, self.label) == (other.kind, other.label)
+
+    def __hash__(self):
+        return hash((self.kind, self.label))
 
     @property
     def units(self) -> dict[tuple[int, int], RootOfUnity]:
@@ -113,21 +122,28 @@ def factor_block_eigenvalue(f: EllipticFactor, block) -> RootOfUnity:
     return unit
 
 
-@dataclass(frozen=True)
 class AlternatingForm:
     """Nondegenerate antisymmetric rational form, as a Gram matrix in lattice coordinates."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = self.matrix
-        n = len(m)
-        if any(len(row) != n for row in m):
+    def __init__(self, matrix: tuple[tuple[Fraction, ...], ...]):
+        n = len(matrix)
+        if any(len(row) != n for row in matrix):
             raise DegenerateForm("form matrix must be square")
-        if any(m[i][j] != -m[j][i] for i in range(n) for j in range(n)):
+        if any(matrix[i][j] != -matrix[j][i] for i in range(n) for j in range(n)):
             raise DegenerateForm("form matrix must be antisymmetric")
-        if mat_det(m) == 0:
+        if mat_det(matrix) == 0:
             raise DegenerateForm("form matrix is singular")
+        self.matrix = matrix
+
+    def __eq__(self, other):
+        if not isinstance(other, AlternatingForm):
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash(self.matrix)
 
     def restricted_to(self, basis_columns) -> tuple[tuple[Fraction, ...], ...]:
         """Gram matrix B^T E B for the given (rational) basis columns."""
@@ -138,28 +154,46 @@ class AlternatingForm:
         return mat_mul(mat_mul(transpose(m), self.matrix), m) == self.matrix
 
 
-@dataclass(frozen=True)
 class TorusDatum:
     """A = V/Lambda with Lambda presented against the product coordinates.
 
     ``lam_basis`` columns are a basis of Lambda written in product coordinates;
     in lattice coordinates Lambda is Z^rank.  Raw data use the identity basis
-    and carry no factors.
+    and carry no factors.  Equality compares rank, ``lam_basis`` and factors;
+    the integer matrices derived from ``lam_basis`` are left out.
     """
 
-    rank: int
-    lam_basis: tuple[tuple[Fraction, ...], ...]
-    factors: tuple[EllipticFactor, ...] | None = None
-    # the integer matrix lam_basis^-1, derived once from lam_basis
-    lam_basis_inv: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("rank", "lam_basis", "factors", "lam_basis_inv", "_lam_den", "_lam_int")
 
-    def __post_init__(self):
-        if self.factors is not None and 2 * len(self.factors) != self.rank:
+    def __init__(
+        self,
+        rank: int,
+        lam_basis: tuple[tuple[Fraction, ...], ...],
+        factors: tuple[EllipticFactor, ...] | None = None,
+    ):
+        if factors is not None and 2 * len(factors) != rank:
             raise ValueError("factor count does not match rank")
-        inv = mat_inv(self.lam_basis)
+        inv = mat_inv(lam_basis)
         if not all(vec_is_integral(row) for row in inv):
             raise LatticeError("lattice must contain the product lattice Z^rank")
-        object.__setattr__(self, "lam_basis_inv", tuple(tuple(map(int, row)) for row in inv))
+        self.rank = rank
+        self.lam_basis = lam_basis
+        self.factors = factors
+        # lam_basis^-1 is an integer matrix; lam_basis is _lam_int / _lam_den
+        self.lam_basis_inv = tuple(tuple(map(int, row)) for row in inv)
+        den = lcm(*map(vec_denominator, lam_basis))
+        self._lam_den = den
+        self._lam_int = tuple(tuple(int(x * den) for x in row) for row in lam_basis)
+
+    def __eq__(self, other):
+        if not isinstance(other, TorusDatum):
+            return NotImplemented
+        return (self.rank, self.lam_basis, self.factors) == (
+            other.rank, other.lam_basis, other.factors
+        )
+
+    def __hash__(self):
+        return hash((self.rank, self.lam_basis, self.factors))
 
     @property
     def dim(self) -> int:
@@ -172,7 +206,7 @@ class TorusDatum:
         return mat_vec(self.lam_basis_inv, as_fractions(v_product))
 
     def to_product_coords(self, v_lattice):
-        return mat_vec(self.lam_basis, as_fractions(v_lattice))
+        return tuple(x / self._lam_den for x in mat_vec(self._lam_int, as_fractions(v_lattice)))
 
     @staticmethod
     def raw(rank: int) -> "TorusDatum":

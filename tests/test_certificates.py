@@ -14,6 +14,7 @@ recursive fibers and on the stress family the benchmark uses.
 from __future__ import annotations
 
 import itertools
+import random
 from math import gcd, lcm
 
 import pytest
@@ -40,6 +41,8 @@ from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.documents import build_datum
 from hyperelliptic.exactlin import (
     Sublattice,
+    identity,
+    mat_det,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -48,6 +51,7 @@ from hyperelliptic.exactlin import (
     vec_mod1,
     vec_sub,
 )
+from hyperelliptic.invariants import invariants_report
 from hyperelliptic.oracle import datum_denominator, fiber_count_level
 from hyperelliptic.torus import AlternatingForm, TorusDatum
 
@@ -182,12 +186,35 @@ def conjugated(d, u):
     return HyperellipticDatum(torus, group, form, builder_mode=False, j_stability_assumed=True)
 
 
-@pytest.mark.parametrize("name", VALID_ENTRIES)
-def test_base_change_certificates_match_enumeration(name):
+def base_change(kind: str, rank: int, seed: str):
+    """U = I + superdiagonal, or a seeded product of elementary matrices in GL(rank, Z)."""
+    if kind == "superdiagonal":
+        return tuple(tuple(int(j in (i, i + 1)) for j in range(rank)) for i in range(rank))
+    rng = random.Random(seed)
+    u = [list(row) for row in identity(rank)]
+    for _ in range(2 * rank):
+        i, j = rng.sample(range(rank), 2)  # row i += c * row j
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    flip = rng.randrange(rank)  # one row times -1, so det U = -1
+    u[flip] = [-a for a in u[flip]]
+    return tuple(map(tuple, u))
+
+
+BASE_CHANGES = [
+    pytest.param(name, kind, id=name if kind == "superdiagonal" else f"{name}-random")
+    for kind in ("superdiagonal", "random")
+    for name in VALID_ENTRIES
+]
+
+
+@pytest.mark.parametrize("name,kind", BASE_CHANGES)
+def test_base_change_certificates_match_enumeration(name, kind):
     # in a skewed basis some translations of H pick up integer V0 parts, so
     # the integer solution w of P0 w = t0(g) is not always zero
     d = get_entry(name).build()
-    u = tuple(tuple(int(j in (i, i + 1)) for j in range(d.rank)) for i in range(d.rank))
+    u = base_change(kind, d.rank, name)
+    assert abs(mat_det(u)) == 1
     moved = conjugated(d, u)
     assert validate(moved).passed
     chain = pipeline_chain(moved)
@@ -200,6 +227,8 @@ def test_base_change_certificates_match_enumeration(name):
     assert report.decomposition.k.invariant_factors == original.decomposition.k.invariant_factors
     assert report.albanese_isogeny_factors == original.albanese_isogeny_factors
     assert report.fiber_class == original.fiber_class
+    # the Hodge diamond and the canonical order do not see the basis either
+    assert invariants_report(moved) == invariants_report(d)
 
 
 @pytest.mark.parametrize("point", STRESS_POINTS, ids=lambda p: "m{}-k{}-base{}".format(*p))

@@ -216,6 +216,36 @@ class TestStrictInput:
         assert "integers" in err
 
 
+class TestMalformedFiles:
+    """A file that json cannot read as one document is an input error (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "content,fragment",
+        [
+            (b'{"mode": "\xff"}', "utf-8"),
+            (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+            (b'{"mode": "raw", "rank": ' + b"1" * 5000 + b"}", "digits"),
+            (json.dumps(RAW_INVOLUTION)[:-1].encode() + b', "rank": 2}', "duplicate key 'rank'"),
+        ],
+        ids=["non-utf8", "deep-nesting", "long-integer", "duplicate-key"],
+    )
+    def test_malformed_file_exit_1(self, content, fragment, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("input error: ") and fragment in err
+
+    def test_duplicate_key_in_a_nested_object_exit_1(self, tmp_path, capsys):
+        generator = json.dumps(RAW_INVOLUTION["generators"][0])[:-1] + ', "eigenvalues": ["-1"]}'
+        text = json.dumps(dict(RAW_INVOLUTION, generators=[])).replace("[]", f"[{generator}]")
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 1
+        assert "duplicate key 'eigenvalues'" in err
+
+
 class TestFormViolation:
     def test_generator_that_moves_the_form_exits_2(self, tmp_path, capsys):
         path = tmp_path / "form.json"

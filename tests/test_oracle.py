@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -190,7 +189,7 @@ class TestFiberCount:
     def test_corrupted_h_fails_with_witness(self):
         d = datum_of("z4-threefold")
         report = run_pipeline(d)
-        broken = replace(report, subgroup_h=report.subgroup_h[:1])  # drop g^2
+        broken = report._replace(subgroup_h=report.subgroup_h[:1])  # drop g^2
         level = fiber_count_level(d, broken)
         verdict = oracle_fiber_count(build_model(d, level), broken, d.group.order)
         assert not verdict.passed
@@ -280,7 +279,7 @@ class TestDenseFiberTable:
     def test_truncated_h(self):
         d = datum_of("z4-threefold")
         model, report = oracle_inputs(d)
-        broken = replace(report, subgroup_h=report.subgroup_h[:1])
+        broken = report._replace(subgroup_h=report.subgroup_h[:1])
         verdict = fiber_count_pair(model, broken, d.group.order)
         assert (verdict.passed, verdict.fiber_count, verdict.witness) == (False, 8, ((0, 0), 512))
 
