@@ -33,6 +33,10 @@ from .exactlin import (
 from .torus import AlternatingForm, TorusDatum, factor_block_eigenvalue
 
 DEFAULT_CLOSURE_CAP = 1024
+# the largest closure cap and lattice rank a document may ask for: closure
+# time grows with the cap, and every per-element check with a power of the rank
+MAX_CLOSURE_CAP = 65536
+MAX_RANK = 64
 
 
 class LatticeNotPreserved(ValueError):
@@ -157,10 +161,6 @@ class AffineAut:
 
     def key(self):
         return (self.linear, self.translation)
-
-
-def is_translation(a: AffineAut) -> bool:
-    return a.is_translation()
 
 
 def affine_identity(rank: int) -> AffineAut:

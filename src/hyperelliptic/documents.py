@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from .action import (
     DEFAULT_CLOSURE_CAP,
+    MAX_CLOSURE_CAP,
+    MAX_RANK,
     HyperellipticDatum,
     ValidationReport,
     affine_from_factor_action,
@@ -95,16 +97,6 @@ def parse_root_label(text) -> RootOfUnity:
     raise InputError(f"bad root-of-unity label {text!r}")
 
 
-def format_root(z: RootOfUnity) -> str:
-    if z.order == 1:
-        return "1"
-    if z.order == 2:
-        return "-1"
-    if z.order == 4:
-        return "i" if z.k == 1 else "-i"
-    return f"zeta{z.order}" if z.k == 1 else f"zeta{z.order}^{z.k}"
-
-
 # ---------------------------------------------------------------------------
 # documents -> data
 
@@ -136,10 +128,12 @@ def _parse_int_matrix(rows, size: int):
     return tuple(out)
 
 
-def _positive_int(doc, key: str, default=None) -> int:
+def _positive_int(doc, key: str, default=None, maximum=None) -> int:
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise InputError(f"{key} must be a positive integer, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise InputError(f"{key} must be at most {maximum}, got {value}")
     return value
 
 
@@ -148,6 +142,10 @@ def _build_builder(doc) -> HyperellipticDatum:
     if not factors:
         raise InputError("builder documents need at least one factor")
     rank = 2 * len(factors)
+    if rank > MAX_RANK:
+        raise InputError(
+            f"factors: {len(factors)} factors give rank {rank}, over the maximum {MAX_RANK}"
+        )
     k_gens = [parse_vector(v, rank) for v in doc.get("k_gens", [])]
     torus = build_product_torus(factors, k_gens)
     generators = []
@@ -170,13 +168,13 @@ def _build_builder(doc) -> HyperellipticDatum:
         else:
             raise InputError("generators need 'zetas' or 'blocks'")
         generators.append(affine_from_factor_action(torus, blocks, translation))
-    cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP)
+    cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP, MAX_CLOSURE_CAP)
     group = close_group(generators, torus, cap=cap)
     return HyperellipticDatum(torus, group, standard_form(torus), builder_mode=True)
 
 
 def _build_raw(doc) -> HyperellipticDatum:
-    rank = _positive_int(doc, "rank")
+    rank = _positive_int(doc, "rank", maximum=MAX_RANK)
     if rank % 2 != 0:
         raise InputError("rank must be a positive even integer")
     if "form" not in doc:
@@ -203,7 +201,7 @@ def _build_raw(doc) -> HyperellipticDatum:
     for spec in doc.get("elements", []):
         e = parse_element(spec)
         table[e.linear] = e.eigenvalues
-    cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP)
+    cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP, MAX_CLOSURE_CAP)
     group = close_group(generators, torus, cap=cap, eigenvalue_table=table)
     return HyperellipticDatum(
         torus, group, form, builder_mode=False, j_stability_assumed=True

@@ -2,10 +2,19 @@
 
 Hodge numbers of a free quotient X = A/G are dimensions of G-invariants in
 the exterior algebra of the (co)tangent space, so they are character averages
-over G.  They are computed exactly in Q(zeta_N) for N the lcm of all
-eigenvalue orders and certified to be nonnegative integers; the canonical
-order of omega_X is the order of the determinant character, on which
-translations act trivially.
+over G: h^{p,q} = (1/|G|) * sum_g e_p(g) * conj(e_q(g)), where e_p(g) is the
+p-th elementary symmetric function of g's eigenvalues.
+
+With N the lcm of all eigenvalue orders, an eigenvalue exp(2*pi*i * k/order)
+is zeta_N^a with exponent a = k * N/order.  The elements are grouped into
+classes by their sorted exponents, since e_p depends on nothing else.  For
+each class, e_0 .. e_n are expanded in one pass of prod (1 + x * zeta_N^a) as
+lists of N integer counts in the group ring Z[Z/N], and each (p, q) cell
+accumulates count * (e_p convolved with conj(e_q)), conjugation being the
+index map t -> -t.  Each cell is reduced mod Phi_N once; the remainder must
+be a constant (else NonRational) that is nonnegative and divisible by |G|
+(else Inconsistent).  The canonical order of omega_X is the order of the
+determinant character, on which translations act trivially.
 """
 
 from __future__ import annotations
@@ -16,7 +25,12 @@ from typing import NamedTuple
 
 from .action import HyperellipticDatum
 from .albanese import AlbaneseReport, compute_A0
-from .cyclotomic import CycloNumber, RootOfUnity, elementary_symmetric, embed
+from .cyclotomic import (
+    NonRational,
+    RootOfUnity,
+    cyclotomic_polynomial,
+    poly_divmod_exact,
+)
 
 __all__ = [
     "HodgeDiamond",
@@ -80,19 +94,56 @@ class PullbackDiagnostic(NamedTuple):
     pulled_back_from_albanese: bool
 
 
-def _conductor(d: HyperellipticDatum) -> int:
-    n = 1
+def _exponent_classes(d: HyperellipticDatum) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The conductor N and the number of elements with each sorted exponent tuple."""
+    conductor = 1
     for e in d.group.elements:
         for z in e.eigenvalues:
-            n = lcm(n, z.order)
-    return n
+            conductor = lcm(conductor, z.order)
+    classes: dict[tuple[int, ...], int] = {}
+    for e in d.group.elements:
+        key = tuple(sorted(z.k * (conductor // z.order) for z in e.eigenvalues))
+        classes[key] = classes.get(key, 0) + 1
+    return conductor, classes
 
 
-def _certified_integer(value: CycloNumber, what: str) -> int:
-    rational = value.rational_part()  # NonRational propagates
-    if rational.denominator != 1 or rational < 0:
-        raise Inconsistent(f"{what} is not a nonnegative integer: {rational}")
-    return int(rational)
+def _elementary_symmetric(exponents, conductor: int) -> list[list[int]]:
+    """e_0 .. e_n of the roots zeta_N^a, one list of N counts in Z[Z/N] each."""
+    es = [[0] * conductor for _ in range(len(exponents) + 1)]
+    es[0][0] = 1
+    for done, a in enumerate(exponents, start=1):
+        for p in range(done, 0, -1):
+            lower, upper = es[p - 1], es[p]
+            for t, c in enumerate(lower):
+                if c:
+                    upper[(t + a) % conductor] += c
+    return es
+
+
+def _add_class(cells, exponents, count: int, conductor: int) -> None:
+    """Add count * e_p * conj(e_q) of one class to each cell (p, q), in Z[Z/N]."""
+    # each e_p as its nonzero (exponent, count) terms
+    terms = [
+        [(t, c) for t, c in enumerate(e) if c]
+        for e in _elementary_symmetric(exponents, conductor)
+    ]
+    for p, row in enumerate(cells):
+        for q, cell in enumerate(row):
+            for s, c in terms[p]:
+                c *= count
+                for t, c2 in terms[q]:
+                    cell[(s - t) % conductor] += c * c2
+
+
+def _certified_integer(cell, conductor: int, order: int, what: str) -> int:
+    """(1/|G|) * sum_t cell[t] * zeta_N^t, certified to be a nonnegative integer."""
+    _, rem = poly_divmod_exact(cell, cyclotomic_polynomial(conductor))
+    if len(rem) > 1:
+        raise NonRational(f"{what} is not rational: remainder {rem} mod Phi_{conductor}")
+    total = rem[0] if rem else 0
+    if total < 0 or total % order:
+        raise Inconsistent(f"{what} is not a nonnegative integer: {Fraction(total, order)}")
+    return total // order
 
 
 def irregularity(d: HyperellipticDatum) -> int:
@@ -100,13 +151,12 @@ def irregularity(d: HyperellipticDatum) -> int:
 
     Cross-checked against the lattice side: q must equal rank(Lambda_0)/2.
     """
-    conductor = _conductor(d)
-    total = CycloNumber.zero(conductor)
-    for e in d.group.elements:
-        for z in e.eigenvalues:
-            total = total + embed(z, conductor)
-    average = total * Fraction(1, d.group.order)
-    q = _certified_integer(average, "irregularity")
+    conductor, classes = _exponent_classes(d)
+    trace = [0] * conductor
+    for exponents, count in classes.items():
+        for a in exponents:
+            trace[a] += count
+    q = _certified_integer(trace, conductor, d.group.order, "irregularity")
     lattice_q = compute_A0(d).rank // 2
     if q != lattice_q:
         raise Inconsistent(
@@ -118,23 +168,18 @@ def irregularity(d: HyperellipticDatum) -> int:
 def hodge_diamond(d: HyperellipticDatum) -> HodgeDiamond:
     """h^{p,q} = average over G of e_p(eigenvalues) * conj(e_q(eigenvalues))."""
     n = d.dim
-    conductor = _conductor(d)
-    per_element = []
-    for e in d.group.elements:
-        values = [embed(z, conductor) for z in e.eigenvalues]
-        es = [elementary_symmetric(values, p) for p in range(n + 1)]
-        per_element.append((es, [v.conjugate() for v in es]))
-    grid = []
-    weight = Fraction(1, d.group.order)
-    for p in range(n + 1):
-        row = []
-        for q in range(n + 1):
-            total = CycloNumber.zero(conductor)
-            for es, es_conj in per_element:
-                total = total + es[p] * es_conj[q]
-            row.append(_certified_integer(total * weight, f"h^{{{p},{q}}}"))
-        grid.append(tuple(row))
-    diamond = HodgeDiamond(n, tuple(grid))
+    conductor, classes = _exponent_classes(d)
+    cells = [[[0] * conductor for _ in range(n + 1)] for _ in range(n + 1)]
+    for exponents, count in classes.items():
+        _add_class(cells, exponents, count, conductor)
+    grid = tuple(
+        tuple(
+            _certified_integer(cells[p][q], conductor, d.group.order, f"h^{{{p},{q}}}")
+            for q in range(n + 1)
+        )
+        for p in range(n + 1)
+    )
+    diamond = HodgeDiamond(n, grid)
     for p in range(n + 1):
         for q in range(n + 1):
             if diamond.h[p][q] != diamond.h[q][p]:

@@ -18,7 +18,6 @@ from hyperelliptic.action import (
     compose,
     cyclotomic_multiplicities,
     has_fixed_point,
-    is_translation,
     quotient_by_translations,
     validate,
 )
@@ -221,11 +220,11 @@ class TestComposeInverse:
 
     def test_is_translation(self):
         ident = affine_identity(2)
-        assert is_translation(ident)
+        assert ident.is_translation()
         shift = AffineAut(identity(2), (F(1, 2), F(0)), (ONE,), None)
-        assert is_translation(shift)
+        assert shift.is_translation()
         neg = affine_raw(((-1, 0), (0, -1)), (0, 0), (MINUS,))
-        assert not is_translation(neg)
+        assert not neg.is_translation()
 
 
 class TestFixedPoints:

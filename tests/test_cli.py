@@ -7,17 +7,28 @@ from pathlib import Path
 import pytest
 
 import hyperelliptic
+from hyperelliptic.action import MAX_CLOSURE_CAP, MAX_RANK
 from hyperelliptic.catalog import get_entry
 from hyperelliptic.cli import main
 from hyperelliptic.documents import (
     InputError,
     build_datum,
     dumps_canonical,
-    format_root,
     parse_rational,
     parse_root_label,
 )
 from hyperelliptic.cyclotomic import RootOfUnity
+
+
+def format_root(z: RootOfUnity) -> str:
+    """The label `parse_root_label` reads back as z: 1, -1, i, -i, zetaN or zetaN^k."""
+    if z.order == 1:
+        return "1"
+    if z.order == 2:
+        return "-1"
+    if z.order == 4:
+        return "i" if z.k == 1 else "-i"
+    return f"zeta{z.order}" if z.k == 1 else f"zeta{z.order}^{z.k}"
 
 
 def run_cli(args, capsys):
@@ -183,6 +194,37 @@ class TestStrictInput:
         assert code == 0
         assert build_datum(dict(RAW_INVOLUTION, closure_cap=2)).group.order == 2
 
+    @pytest.mark.parametrize("cap", [MAX_CLOSURE_CAP + 1, 10**9])
+    @pytest.mark.parametrize("mode", ["builder", "raw"])
+    def test_closure_cap_over_maximum_exit_1(self, mode, cap, tmp_path, capsys):
+        base = get_entry("z4-threefold").document if mode == "builder" else RAW_INVOLUTION
+        code, err = self.check_exit(dict(base, closure_cap=cap), tmp_path, capsys)
+        assert code == 1
+        assert "closure_cap" in err and str(MAX_CLOSURE_CAP) in err
+
+    def test_closure_cap_at_maximum(self):
+        doc = dict(get_entry("z4-threefold").document, closure_cap=MAX_CLOSURE_CAP)
+        assert build_datum(doc).group.order == 4
+        assert build_datum(dict(RAW_INVOLUTION, closure_cap=MAX_CLOSURE_CAP)).group.order == 2
+
+    def test_builder_rank_over_maximum_exit_1(self, tmp_path, capsys):
+        factors = [{"kind": "generic"}] * (MAX_RANK // 2 + 1)
+        doc = {"mode": "builder", "factors": factors, "generators": []}
+        code, err = self.check_exit(doc, tmp_path, capsys)
+        assert code == 1
+        assert "factors" in err and str(MAX_RANK) in err
+
+    def test_builder_rank_at_maximum(self):
+        factors = [{"kind": "generic"}] * (MAX_RANK // 2)
+        doc = {"mode": "builder", "factors": factors, "generators": []}
+        assert build_datum(doc).rank == MAX_RANK
+
+    @pytest.mark.parametrize("rank", [MAX_RANK + 2, 10**6])
+    def test_raw_rank_over_maximum_exit_1(self, rank, tmp_path, capsys):
+        code, err = self.check_exit(dict(RAW_INVOLUTION, rank=rank), tmp_path, capsys)
+        assert code == 1
+        assert "rank" in err and str(MAX_RANK) in err
+
     @pytest.mark.parametrize("entry", [-1.0, -1.9, True])
     def test_non_integer_raw_matrix_entry_exit_1(self, entry, tmp_path, capsys):
         generator = dict(RAW_INVOLUTION["generators"][0], matrix=[[entry, 0], [0, -1]])
@@ -337,12 +379,10 @@ class TestInternalErrors:
         assert "internal error" in err
 
     def test_cyclotomic_invariant_error_exits_3(self, z4_file, capsys, monkeypatch):
-        from hyperelliptic.cyclotomic import CycloNumber
-
-        def bad_zero(conductor):
-            return CycloNumber(conductor, ())
-
-        monkeypatch.setattr(CycloNumber, "zero", staticmethod(bad_zero))
+        # a non-monic Phi_N makes the reduction mod Phi_N raise CyclotomicInvariantError
+        monkeypatch.setattr(
+            "hyperelliptic.invariants.cyclotomic_polynomial", lambda n: (1, 2)
+        )
         code, _, err = run_cli(["invariants", z4_file], capsys)
         assert code == 3
         assert "internal error" in err

