@@ -3,10 +3,12 @@
 Group elements are stored in lattice coordinates: the linear part is a
 unimodular integer matrix acting on Lambda = Z^2n, and the translation is a
 rational vector reduced into [0, 1)^2n so that equality of elements is
-canonical.  Fixed-point existence is decided exactly by rational linear
-algebra: since the linear part and the translation are rational, a real fixed
-point exists iff a rational one does, so freeness results are certificates,
-not samples.
+canonical.  ``close_group`` is the only place that multiplies elements; it
+keeps the Cayley edges, ``ActionGroup`` reads every product off them, and a
+new element's eigenvalues follow one rule per kind of datum (see close_group).
+Fixed-point existence is decided exactly by rational linear algebra: since
+the linear part and the translation are rational, a real fixed point exists
+iff a rational one does, so freeness results are certificates, not samples.
 """
 
 from __future__ import annotations
@@ -118,25 +120,22 @@ class AffineAut:
     """One affine automorphism x -> linear @ x + translation of A = V/Lambda.
 
     ``eigenvalues`` are the n complex-representation eigenvalues of the
-    element; ``blocks`` are the per-factor 2x2 product-coordinate blocks when
-    the datum was built from elliptic factors (they make closure eigenvalues
-    exact), and None for raw data.  Equality and hashing read only the linear
-    part and the translation.
+    element; on a torus with elliptic factors they are in factor order, one
+    per factor.  Equality and hashing read only the linear part and the
+    translation.
     """
 
-    __slots__ = ("linear", "translation", "eigenvalues", "blocks")
+    __slots__ = ("linear", "translation", "eigenvalues")
 
     def __init__(
         self,
         linear: tuple[tuple[int, ...], ...],
         translation: tuple[Fraction, ...],
-        eigenvalues: tuple[RootOfUnity, ...],
-        blocks: tuple[tuple[tuple[int, ...], ...], ...] | None = None,
+        eigenvalues: tuple[RootOfUnity, ...] | None,
     ):
         self.linear = linear
         self.translation = translation
         self.eigenvalues = eigenvalues
-        self.blocks = blocks
 
     def __eq__(self, other):
         if not isinstance(other, AffineAut):
@@ -156,9 +155,6 @@ class AffineAut:
     def is_translation(self) -> bool:
         return self.linear == identity(self.rank)
 
-    def apply(self, point):
-        return vec_mod1(vec_add(mat_vec(self.linear, as_fractions(point)), self.translation))
-
     def key(self):
         return (self.linear, self.translation)
 
@@ -168,7 +164,6 @@ def affine_identity(rank: int) -> AffineAut:
         identity(rank),
         tuple(Fraction(0) for _ in range(rank)),
         tuple(RootOfUnity.one() for _ in range(rank // 2)),
-        tuple(identity(2) for _ in range(rank // 2)),
     )
 
 
@@ -188,29 +183,33 @@ def _eigenvalues_from_char_poly(m) -> tuple[RootOfUnity, ...]:
     return tuple(eig)
 
 
-def compose(a: AffineAut, b: AffineAut, eigenvalue_table=None) -> AffineAut:
-    """(M, t) . (M', t') = (M M', M t' + t), translation reduced mod Lambda."""
+def compose(a: AffineAut, b: AffineAut) -> AffineAut:
+    """(M, t) . (M', t') = (M M', M t' + t), translation reduced mod Lambda.
+
+    The eigenvalues are left None; close_group assigns them by the datum's rule.
+    """
     linear = mat_mul(a.linear, b.linear)
     translation = vec_mod1(vec_add(mat_vec(a.linear, b.translation), a.translation))
-    if a.blocks is not None and b.blocks is not None:
-        blocks = tuple(mat_mul(x, y) for x, y in zip(a.blocks, b.blocks))
-        eigenvalues = None  # filled by the caller, which knows the factors
-        return AffineAut(linear, translation, eigenvalues, blocks)
-    if eigenvalue_table is not None and linear in eigenvalue_table:
-        return AffineAut(linear, translation, eigenvalue_table[linear], None)
-    return AffineAut(linear, translation, _eigenvalues_from_char_poly(linear), None)
+    return AffineAut(linear, translation, None)
 
 
 class ActionGroup:
-    """A finite closed group of affine automorphisms, identity first."""
+    """A finite closed group of affine automorphisms, identity first.
 
-    __slots__ = ("generators", "elements", "_index", "_mul_memo")
+    ``edges[i][s]`` is the index of elements[i] . generators[s], and element
+    j > 0 was first reached along the edge ``tree[j] = (parent, s)``.  The
+    tree spells every element as a word in the generators, so a product is
+    read off the edges and no element is multiplied after the closure.
+    """
 
-    def __init__(self, generators: tuple[AffineAut, ...], elements: tuple[AffineAut, ...]):
+    __slots__ = ("generators", "elements", "edges", "_tree", "_index")
+
+    def __init__(self, generators, elements, edges, tree):
         self.generators = generators
         self.elements = elements
+        self.edges = edges
+        self._tree = tree
         self._index = {e.key(): i for i, e in enumerate(elements)}
-        self._mul_memo = {}
 
     @property
     def order(self) -> int:
@@ -220,13 +219,14 @@ class ActionGroup:
         return self._index[a.key()]
 
     def compose_indices(self, i: int, j: int) -> int:
-        memo = self._mul_memo
-        if (i, j) not in memo:
-            a, b = self.elements[i], self.elements[j]
-            linear = mat_mul(a.linear, b.linear)
-            translation = vec_mod1(vec_add(mat_vec(a.linear, b.translation), a.translation))
-            memo[(i, j)] = self._index[(linear, translation)]
-        return memo[(i, j)]
+        """Index of elements[i] . elements[j]: from i, follow the edges of j's word."""
+        word = []
+        while j:
+            j, s = self._tree[j]
+            word.append(s)
+        for s in reversed(word):
+            i = self.edges[i][s]
+        return i
 
     def element_order(self, i: int) -> int:
         order = 1
@@ -237,25 +237,16 @@ class ActionGroup:
         return order
 
     def is_abelian(self) -> bool:
-        n = self.order
+        """G is abelian iff its generators commute."""
+        gens = [self.index_of(g) for g in self.generators]
         return all(
-            self.compose_indices(i, j) == self.compose_indices(j, i)
-            for i in range(n)
-            for j in range(i + 1, n)
+            self.edges[a][t] == self.edges[b][s]
+            for s, a in enumerate(gens)
+            for t, b in enumerate(gens[:s])
         )
 
     def is_cyclic(self) -> bool:
         return any(self.element_order(i) == self.order for i in range(self.order))
-
-    def eigenvalue_table(self):
-        return {e.linear: e.eigenvalues for e in self.elements}
-
-
-def _finish_eigenvalues(a: AffineAut, factors) -> AffineAut:
-    if a.eigenvalues is not None:
-        return a
-    eig = tuple(factor_block_eigenvalue(f, b) for f, b in zip(factors, a.blocks))
-    return AffineAut(a.linear, a.translation, eig, a.blocks)
 
 
 def close_group(
@@ -264,11 +255,18 @@ def close_group(
     cap: int = DEFAULT_CLOSURE_CAP,
     eigenvalue_table=None,
 ) -> ActionGroup:
-    """Close the generators under composition mod Lambda.
+    """Close the generators under composition mod Lambda, keeping the Cayley edges.
 
-    Deterministic BFS order with the identity first.  Raises
-    LatticeNotPreserved for non-unimodular or non-integral linear parts and
-    NotClosedWithinCap past the cap.
+    Walks the element list breadth-first while it grows, identity first, and
+    records edges[i][s] = index of elements[i] . gens[s].  A new element gets
+    its eigenvalues once.  With elliptic factors each linear part is one unit
+    of each factor's endomorphism ring, so they are the factorwise product of
+    the parent's and the generator's, in factor order.  Raw data take them
+    from ``eigenvalue_table`` (keyed by linear part) or else from the
+    characteristic polynomial, which raises MissingEigenvalueData when it
+    cannot split conjugate pairs.  Raises LatticeNotPreserved for
+    non-unimodular or non-integral linear parts and NotClosedWithinCap past
+    the cap.
     """
     gens = tuple(gens)
     rank = torus.rank
@@ -282,36 +280,29 @@ def close_group(
             raise LatticeNotPreserved("linear part is not unimodular")
         table.setdefault(g.linear, g.eigenvalues)
 
-    def finish(a: AffineAut) -> AffineAut:
-        if a.eigenvalues is not None:
-            return a
-        if torus.factors is not None and a.blocks is not None:
-            return _finish_eigenvalues(a, torus.factors)
-        if a.linear in table:
-            return AffineAut(a.linear, a.translation, table[a.linear], a.blocks)
-        return AffineAut(
-            a.linear, a.translation, _eigenvalues_from_char_poly(a.linear), a.blocks
-        )
-
-    ident = affine_identity(rank)
-    elements = [ident]
-    seen = {ident.key()}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gens:
-                product = finish(compose(e, g, table))
-                if product.key() not in seen:
-                    if len(elements) >= cap:
-                        raise NotClosedWithinCap(f"group closure exceeds cap {cap}")
-                    seen.add(product.key())
-                    elements.append(product)
-                    table.setdefault(product.linear, product.eigenvalues)
-                    new.append(product)
-        frontier = new
-    canonical_gens = tuple(finish(g) for g in gens)
-    return ActionGroup(canonical_gens, tuple(elements))
+    elements = [affine_identity(rank)]
+    index = {elements[0].key(): 0}
+    edges = []
+    tree = [None]
+    for i, e in enumerate(elements):  # the list grows while it is walked
+        row = []
+        for s, g in enumerate(gens):
+            product = compose(e, g)
+            key = product.key()
+            if key not in index:
+                if torus.factors is not None:
+                    eig = tuple(x * y for x, y in zip(e.eigenvalues, g.eigenvalues))
+                else:
+                    eig = table.get(product.linear) or _eigenvalues_from_char_poly(product.linear)
+                    table[product.linear] = eig
+                if len(elements) >= cap:
+                    raise NotClosedWithinCap(f"group closure exceeds cap {cap}")
+                index[key] = len(elements)
+                elements.append(AffineAut(product.linear, product.translation, eig))
+                tree.append((i, s))
+            row.append(index[key])
+        edges.append(tuple(row))
+    return ActionGroup(gens, tuple(elements), tuple(edges), tuple(tree))
 
 
 def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) -> AffineAut:
@@ -338,13 +329,13 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) ->
     linear = tuple(tuple(int(x) for x in row) for row in linear_rows)
     eig = tuple(factor_block_eigenvalue(f, b) for f, b in zip(torus.factors, blocks))
     translation = vec_mod1(torus.to_lattice_coords(as_fractions(translation_product)))
-    return AffineAut(linear, translation, eig, blocks)
+    return AffineAut(linear, translation, eig)
 
 
 def affine_raw(linear, translation, eigenvalues) -> AffineAut:
     """Raw-mode generator: integer matrix, lattice-coordinate translation, declared eigenvalues."""
     linear = tuple(tuple(int(x) for x in row) for row in linear)
-    return AffineAut(linear, vec_mod1(as_fractions(translation)), tuple(eigenvalues), None)
+    return AffineAut(linear, vec_mod1(as_fractions(translation)), tuple(eigenvalues))
 
 
 def has_fixed_point(a: AffineAut, torus: TorusDatum) -> bool:
@@ -535,7 +526,6 @@ def quotient_by_translations(d: HyperellipticDatum) -> HyperellipticDatum:
         tuple(tuple(Fraction(x) for x in row) for row in new_lam_basis),
         d.torus.factors,
     )
-    table = {}
     new_gens = []
     seen = set()
     for g in d.group.generators + d.group.elements:
@@ -544,12 +534,11 @@ def quotient_by_translations(d: HyperellipticDatum) -> HyperellipticDatum:
             raise LatticeNotPreserved("translation subgroup is not normal (internal error)")
         linear = tuple(tuple(int(x) for x in row) for row in linear_rows)
         translation = vec_mod1(mat_vec(s_inv, g.translation))
-        image = AffineAut(linear, translation, g.eigenvalues, g.blocks)
-        table.setdefault(linear, g.eigenvalues)
+        image = AffineAut(linear, translation, g.eigenvalues)
         if not image.is_identity() and image.key() not in seen:
             seen.add(image.key())
             new_gens.append(image)
-    new_group = close_group(tuple(new_gens), new_torus, eigenvalue_table=table)
+    new_group = close_group(tuple(new_gens), new_torus)
     expected_order = d.group.order // (len(translation_vectors) + 1)
     if new_group.order != expected_order:
         raise GroupInvariantError(

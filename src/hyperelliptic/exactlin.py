@@ -443,11 +443,6 @@ class Sublattice(NamedTuple):
             self.ambient_rank, self.basis_vectors() + other.basis_vectors()
         )
 
-    def is_saturated(self) -> bool:
-        if self.den != 1:
-            raise LatticeError("saturation is only meaningful for integer lattices")
-        return saturate(self) == self
-
 
 def kernel_lattice(m: Matrix) -> Sublattice:
     """Saturated sublattice {v in Z^cols : m @ v == 0} of the column space."""
@@ -460,19 +455,6 @@ def kernel_lattice(m: Matrix) -> Sublattice:
     if not kernel_cols:
         return Sublattice.zero(cols)
     return Sublattice.from_int_columns(cols, kernel_cols)
-
-
-def saturate(s: Sublattice) -> Sublattice:
-    """Saturation (span_Q(s) intersected with Z^ambient) of an integer sublattice."""
-    if s.den != 1:
-        raise LatticeError("saturate expects an integer sublattice")
-    if s.rank == 0:
-        return s
-    basis = s.basis_matrix()  # ambient x rank
-    ann = kernel_lattice(transpose(basis))  # {y : y . col == 0 for all columns}
-    if ann.rank == 0:
-        return Sublattice.standard(s.ambient_rank)
-    return kernel_lattice(transpose(ann.basis_matrix()))
 
 
 def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":

@@ -26,7 +26,6 @@ from .exactlin import (
 
 DEFAULT_POINT_CAP = 10_000_000
 _DIRECT_LOOP_LIMIT = 200_000
-_ORBIT_ENUMERATION_LIMIT = 500_000
 
 
 class CapExceeded(ValueError):
@@ -48,39 +47,6 @@ class TorsionModel(NamedTuple):
     @property
     def point_count(self) -> int:
         return self.level**self.rank
-
-    def points(self):
-        return itertools.product(range(self.level), repeat=self.rank)
-
-    def apply(self, element_index: int, point):
-        m, nt = self.actions[element_index]
-        n = self.level
-        return tuple(
-            (sum(m[i][j] * point[j] for j in range(self.rank)) + nt[i]) % n
-            for i in range(self.rank)
-        )
-
-    def orbits(self) -> list[int]:
-        """All orbit sizes (small models only)."""
-        if self.point_count > _ORBIT_ENUMERATION_LIMIT:
-            raise CapExceeded("orbit enumeration is limited to small models")
-        seen: set = set()
-        sizes = []
-        for p in self.points():
-            if p in seen:
-                continue
-            orbit = {p}
-            frontier = [p]
-            while frontier:
-                x = frontier.pop()
-                for i in range(len(self.actions)):
-                    y = self.apply(i, x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            seen |= orbit
-            sizes.append(len(orbit))
-        return sizes
 
 
 def datum_denominator(d: HyperellipticDatum) -> int:
@@ -133,7 +99,7 @@ def build_model(
 
     With split_counting the cap applies to the meet-in-the-middle half grids
     instead of the full point set; such a model supports fixed-point counting
-    but not full traversals (points(), orbits(), fiber counting).
+    but not fiber counting, which traverses every point.
     """
     rank = d.rank
     if level < 1 or level % datum_denominator(d) != 0:
@@ -222,10 +188,6 @@ class FixedPointSurvey(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(c.agrees for c in self.checks)
-
-    @property
-    def all_exhaustive(self) -> bool:
-        return all(c.exhaustive for c in self.checks)
 
 
 def fixed_point_survey(

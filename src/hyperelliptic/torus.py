@@ -199,9 +199,6 @@ class TorusDatum:
     def dim(self) -> int:
         return self.rank // 2
 
-    def index_over_product_lattice(self) -> int:
-        return int(abs(1 / mat_det(self.lam_basis)))
-
     def to_lattice_coords(self, v_product):
         return mat_vec(self.lam_basis_inv, as_fractions(v_product))
 

@@ -21,7 +21,6 @@ import pytest
 
 from conftest import load_perfbench
 from hyperelliptic.action import (
-    ActionGroup,
     AffineAut,
     HyperellipticDatum,
     close_group,
@@ -251,7 +250,7 @@ def test_invariant_factors_match_divisor_counts(name):
     pairs = itertools.combinations(range(d.group.order), 2)
     for members in {subgroup_indices(d.group, pair) for pair in pairs}:
         elements = tuple(d.group.elements[i] for i in sorted(members))
-        groups.append(ActionGroup(elements[1:], elements))
+        groups.append(close_group(elements[1:], d.torus))
     for group in groups:
         if group.order > 1 and group.is_abelian():
             check_invariant_factors(group)

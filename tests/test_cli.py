@@ -366,6 +366,18 @@ class TestReports:
             assert code == 0, (name, out2)
 
 
+class TestNoKCap:
+    def test_k_larger_than_the_old_enumeration_cap_exits_0(self, tmp_path, capsys, monkeypatch):
+        # nothing enumerates K, so its order is not a limit (|K| = 3 here)
+        path = tmp_path / "m3.json"
+        path.write_text(json.dumps(get_entry("zmzm-threefold-m3").document))
+        argv = ["albanese", str(path), "--format", "json"]
+        code, expected, _ = run_cli(argv, capsys)
+        assert code == 0
+        monkeypatch.setattr("hyperelliptic.albanese.K_ENUMERATION_CAP", 1)
+        assert run_cli(argv, capsys) == (0, expected, "")
+
+
 class TestInternalErrors:
     def test_pipeline_invariant_error_exits_3(self, z4_file, capsys, monkeypatch):
         from hyperelliptic.albanese import PipelineInvariantError

@@ -1,18 +1,30 @@
-"""Every top-level function and class of the library has a caller in the library.
+"""Every top-level function, class and method of the library has a caller in the library.
 
 A definition only the tests use is a test-only helper and belongs under
-`tests/`; one nothing uses is dead.  A definition counts as used when library
-code outside its own body names it (`ast.Name`) or imports it by name
-(`from .module import name`).  Module hooks that Python calls by name are
-allowed without a caller.
+`tests/`; one nothing uses is dead.  A top-level definition counts as used
+when library code outside its own body names it (`ast.Name`) or imports it by
+name (`from .module import name`).  A method of a top-level class counts as
+used when library code outside its own body names it as an attribute or as a
+name; the owner of an attribute is not resolved, so any attribute of that
+name counts.  Module hooks and dunder methods, which Python calls by name,
+are allowed without a caller.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import hyperelliptic
 
 ALLOWED = {"__getattr__"}
+
+
+def _library_trees() -> dict[str, ast.Module]:
+    package = Path(hyperelliptic.__file__).parent
+    return {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(package.glob("*.py"))
+    }
 
 
 def _references(module: str, tree: ast.Module):
@@ -28,11 +40,7 @@ def _references(module: str, tree: ast.Module):
 
 
 def test_every_top_level_definition_is_referenced():
-    package = Path(hyperelliptic.__file__).parent
-    trees = {
-        path.stem: ast.parse(path.read_text(), filename=str(path))
-        for path in sorted(package.glob("*.py"))
-    }
+    trees = _library_trees()
     used = set()
     for module, tree in trees.items():
         for target, name, owner in _references(module, tree):
@@ -45,5 +53,30 @@ def test_every_top_level_definition_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in ALLOWED
         and (module, node.name) not in used
+    ]
+    assert unused == []
+
+
+def _mentions(node: ast.AST) -> Counter:
+    """How often each identifier appears as an attribute or as a name under node."""
+    return Counter(
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Attribute, ast.Name))
+    )
+
+
+def test_every_method_is_referenced():
+    trees = _library_trees()
+    total = sum((_mentions(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}.{cls.name}.{method.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and total[method.name] == _mentions(method)[method.name]
     ]
     assert unused == []

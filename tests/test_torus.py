@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import index_over_product_lattice
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.exactlin import identity, mat_mul, transpose
 from hyperelliptic.torus import (
@@ -69,7 +70,7 @@ class TestBuildProductTorus:
     def test_single_generic_factor(self):
         t = build_product_torus([GEN])
         assert t.rank == 2
-        assert t.index_over_product_lattice() == 1
+        assert index_over_product_lattice(t) == 1
 
     def test_half_diagonal_identification(self):
         t = build_product_torus(
@@ -77,7 +78,7 @@ class TestBuildProductTorus:
             [(F(1, 2), 0, F(1, 2), 0, 0, 0)],
         )
         assert t.rank == 6
-        assert t.index_over_product_lattice() == 2
+        assert index_over_product_lattice(t) == 2
 
     def test_hyperelliptic_fibers_style_generator(self):
         # K = <(1/2, 0, 1/2)> in complex notation, expanded coordinates below
@@ -85,7 +86,7 @@ class TestBuildProductTorus:
             [GEN, EllipticFactor("generic", "tau1"), EllipticFactor("generic", "tau2")],
             [(F(1, 2), 0, 0, 0, F(1, 2), 0)],
         )
-        assert t.index_over_product_lattice() == 2
+        assert index_over_product_lattice(t) == 2
 
     def test_index_is_subgroup_order(self):
         # generator of order 3 plus an independent one of order 2
@@ -93,7 +94,7 @@ class TestBuildProductTorus:
             [GEN, EIS],
             [(F(1, 3), 0, F(1, 3), F(-1, 3)), (0, F(1, 2), 0, 0)],
         )
-        assert t.index_over_product_lattice() == 6
+        assert index_over_product_lattice(t) == 6
 
     def test_lattice_coord_roundtrip(self):
         t = build_product_torus([GEN, GAUSS], [(F(1, 2), 0, F(1, 2), 0)])
