@@ -21,7 +21,7 @@ from .cyclotomic import RootOfUnity, cyclotomic_polynomial, euler_phi, poly_divm
 from .exactlin import (
     Sublattice,
     as_fractions,
-    coset_meets_lattice,
+    hermite_normal_form,
     identity,
     mat_det,
     mat_inv,
@@ -338,18 +338,23 @@ def affine_raw(linear, translation, eigenvalues) -> AffineAut:
     return AffineAut(linear, vec_mod1(as_fractions(translation)), tuple(eigenvalues))
 
 
-def has_fixed_point(a: AffineAut, torus: TorusDatum) -> bool:
+def has_fixed_point(a: AffineAut) -> bool:
     """Exact decision: does g(x) = x have a solution on A = V/Lambda?
 
-    g(x) = x iff (M - I)x = -t + lambda for some lattice vector, i.e. iff the
-    coset t + colspace(M - I) meets Z^rank.
+    g(x) = x iff (M - I)x = -t + lambda for some rational x and lattice vector
+    lambda.  Take the Hermite form u (M - I) = h with u unimodular (Cohen, GTM
+    138, 2.4) and multiply through by u: h x = -u t + u lambda, where u lambda
+    runs over all of Z^rank.  The nonzero rows of h are independent, so they
+    reach every rational value; on the zero rows the equation reads
+    (u t)_i = (u lambda)_i.  So g has a fixed point iff u t is integral on the
+    zero rows of h.
     """
     n = a.rank
-    diff_cols = [
-        tuple(a.linear[i][j] - (1 if i == j else 0) for i in range(n)) for j in range(n)
-    ]
-    span = Sublattice.from_int_columns(n, [c for c in diff_cols if any(c)])
-    return coset_meets_lattice(span, a.translation)
+    h, u = hermite_normal_form(
+        tuple(tuple(a.linear[i][j] - int(i == j) for j in range(n)) for i in range(n))
+    )
+    zero_rows = tuple(row for row, h_row in zip(u, h) if not any(h_row))
+    return vec_is_integral(mat_vec(zero_rows, a.translation))
 
 
 class ValidationReport(NamedTuple):
@@ -481,7 +486,7 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
         if i == 0:
             linears.add(e.linear)
             continue
-        if has_fixed_point(e, d.torus):
+        if has_fixed_point(e):
             fixed.append(i)
         if e.is_translation():
             translations.append(i)

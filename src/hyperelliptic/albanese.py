@@ -419,9 +419,12 @@ def _abelian_invariant_factors(group: ActionGroup) -> tuple[int, ...]:
 
 
 def classify_fiber(fiber: HyperellipticDatum) -> FiberClassification:
-    """Abelian iff nothing but translations remain; otherwise the holonomy structure."""
-    normalized = quotient_by_translations(fiber)
-    group = normalized.group
+    """Abelian iff nothing but translations remain; otherwise the holonomy structure.
+
+    The fiber must already be normalized by ``quotient_by_translations``, as
+    ``run_pipeline`` does, so its group has no nonidentity translations.
+    """
+    group = fiber.group
     dim = fiber.dim
     if group.order == 1:
         return FiberClassification("abelian", dim, 1, True, (), (1,))

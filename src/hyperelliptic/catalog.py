@@ -113,6 +113,28 @@ def _word_to_element(datum: HyperellipticDatum, word) -> int:
     return index
 
 
+def _factor_plane_diff(datum: HyperellipticDatum, factor_index: int, plane_vectors, vectors):
+    """The diff of two lattices in product coordinates, or None when they are equal.
+
+    The expected lattice is spanned by ``plane_vectors``, pairs (coefficient
+    of 1, coefficient of tau) on one factor's plane; the actual one by
+    ``vectors``, given in the datum's lattice coordinates.
+    """
+    rank = datum.torus.rank
+    expected = []
+    for v in plane_vectors:
+        col = [F(0)] * rank
+        col[2 * factor_index], col[2 * factor_index + 1] = F(v[0]), F(v[1])
+        expected.append(tuple(col))
+    actual = [datum.torus.to_product_coords(v) for v in vectors]
+    if Sublattice.from_rat_columns(rank, expected) == Sublattice.from_rat_columns(rank, actual):
+        return None
+    return {
+        "expected": [[str(x) for x in v] for v in expected],
+        "actual": [[str(x) for x in v] for v in actual],
+    }
+
+
 def run_entry(name: str) -> dict:
     """Compute the entry and diff against its expected values (empty diff = pass)."""
     entry = get_entry(name)
@@ -175,48 +197,25 @@ def run_entry(name: str) -> dict:
             }
 
     if "albanese_lattice_factor0" in entry.expected:
-        torus = datum.torus
-        rank = torus.rank
-        expected_vectors = []
-        for v in entry.expected["albanese_lattice_factor0"]:
-            col = [F(0)] * rank
-            col[0], col[1] = F(v[0]), F(v[1])
-            expected_vectors.append(tuple(col))
-        expected_lattice = Sublattice.from_rat_columns(rank, expected_vectors)
-        actual_vectors = [
-            torus.to_product_coords(b) for b in alb.albanese_lattice.basis_vectors()
-        ]
-        actual_lattice = Sublattice.from_rat_columns(rank, actual_vectors)
-        if expected_lattice != actual_lattice:
-            diff["albanese_lattice_factor0"] = {
-                "expected": [[str(x) for x in v] for v in expected_vectors],
-                "actual": [[str(x) for x in v] for v in actual_vectors],
-            }
+        problem = _factor_plane_diff(
+            datum,
+            0,
+            entry.expected["albanese_lattice_factor0"],
+            alb.albanese_lattice.basis_vectors(),
+        )
+        if problem:
+            diff["albanese_lattice_factor0"] = problem
 
     if "k0_lattice_factor_plane" in entry.expected:
         factor_index, gens = entry.expected["k0_lattice_factor_plane"]
-        torus = datum.torus
-        rank = torus.rank
-        expected_vectors = []
-        for j in (2 * factor_index, 2 * factor_index + 1):
-            col = [F(0)] * rank
-            col[j] = F(1)
-            expected_vectors.append(tuple(col))
-        for g in gens:
-            col = [F(0)] * rank
-            col[2 * factor_index], col[2 * factor_index + 1] = F(g[0]), F(g[1])
-            expected_vectors.append(tuple(col))
-        expected_lattice = Sublattice.from_rat_columns(rank, expected_vectors)
-        actual_vectors = [
-            torus.to_product_coords(b)
-            for b in alb.decomposition.lambda0.basis_vectors()
-        ] + [torus.to_product_coords(g) for g in alb.decomposition.k0.generators]
-        actual_lattice = Sublattice.from_rat_columns(rank, actual_vectors)
-        if expected_lattice != actual_lattice:
-            diff["k0_lattice_factor_plane"] = {
-                "expected": [[str(x) for x in v] for v in expected_vectors],
-                "actual": [[str(x) for x in v] for v in actual_vectors],
-            }
+        problem = _factor_plane_diff(
+            datum,
+            factor_index,
+            [(1, 0), (0, 1), *gens],
+            alb.decomposition.lambda0.basis_vectors() + alb.decomposition.k0.generators,
+        )
+        if problem:
+            diff["k0_lattice_factor_plane"] = problem
 
     if "fiber_factor_kinds" in entry.expected:
         torus = datum.torus

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .action import HyperellipticDatum, validate
+from .action import validate
 from .albanese import run_pipeline
 from .documents import (
     InputError,
@@ -40,12 +40,8 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load(path: str) -> HyperellipticDatum:
-    return load_document(path)
-
-
 def cmd_check(args) -> int:
-    datum = _load(args.path)
+    datum = load_document(args.path)
     report = validate(datum)
     payload = validation_dict(report)
     if args.format == "json":
@@ -60,13 +56,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_albanese(args) -> int:
-    datum = _load(args.path)
+    datum = load_document(args.path)
     report = validate(datum)
     if not report.passed:
         return _fail(2, "invalid datum: " + "; ".join(report.failures()))
     alb = run_pipeline(datum, recurse=args.recurse)
     payload = albanese_dict(alb, datum)
-    diag = canonical_report(alb, invariants_report(datum), invariants_report(alb.fiber))
+    diag = canonical_report(invariants_report(datum), invariants_report(alb.fiber))
     payload["canonical"] = {
         "x_order": diag.x_canonical_order,
         "fiber_order": diag.fiber_canonical_order,
@@ -103,7 +99,7 @@ def _print_albanese_text(payload: dict, indent: str = "") -> None:
 
 
 def cmd_invariants(args) -> int:
-    datum = _load(args.path)
+    datum = load_document(args.path)
     report = validate(datum)
     if not report.passed:
         return _fail(2, "invalid datum: " + "; ".join(report.failures()))
@@ -122,7 +118,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    datum = _load(args.path)
+    datum = load_document(args.path)
     report = validate(datum)
     if not report.passed:
         return _fail(2, "invalid datum: " + "; ".join(report.failures()))

@@ -396,10 +396,6 @@ class Sublattice(NamedTuple):
     def basis_vectors(self) -> tuple[Vector, ...]:
         return tuple(tuple(Fraction(x, self.den) for x in c) for c in self.cols)
 
-    def basis_matrix(self) -> Matrix:
-        """Integer matrix (ambient x rank) whose columns are den * basis."""
-        return transpose(self.cols) if self.cols else tuple(() for _ in range(self.ambient_rank))
-
     def coords_of(self, v) -> Vector | None:
         """Rational coordinates of v in this basis, or None if v is outside the span."""
         v = as_fractions(v)
@@ -418,10 +414,6 @@ class Sublattice(NamedTuple):
         if any(target):
             return None
         return tuple(coords)
-
-    def contains(self, v) -> bool:
-        coords = self.coords_of(v)
-        return coords is not None and all(c.denominator == 1 for c in coords)
 
     def reduce_mod(self, v) -> Vector:
         """Canonical representative of v modulo this lattice (v must lie in the span)."""
@@ -510,20 +502,4 @@ class FiniteAbelianGroup(NamedTuple):
         for d in self.invariant_factors:
             n *= d
         return n
-
-
-def coset_meets_lattice(w: Sublattice, t) -> bool:
-    """Exact decision of (t + span_Q(w)) intersect Z^n != empty set."""
-    t = as_fractions(t)
-    if len(t) != w.ambient_rank:
-        raise LatticeError("vector length does not match ambient rank")
-    if w.rank == w.ambient_rank:
-        return True
-    if w.rank == 0:
-        return vec_is_integral(t)
-    # annihilator rows C with C @ w == 0; then t in Z^n + span(w) iff C t in C Z^n
-    ann = kernel_lattice(transpose(w.basis_matrix()))
-    c = transpose(ann.basis_matrix())  # (n - rank) x n
-    image = Sublattice.from_int_columns(len(c), transpose(c))
-    return image.contains(mat_vec(c, t))
 

@@ -24,7 +24,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .action import HyperellipticDatum
-from .albanese import AlbaneseReport, compute_A0
+from .albanese import compute_A0
 from .cyclotomic import (
     NonRational,
     RootOfUnity,
@@ -222,9 +222,7 @@ def invariants_report(d: HyperellipticDatum) -> InvariantsReport:
     )
 
 
-def canonical_report(
-    report: AlbaneseReport, inv_x: InvariantsReport, inv_fiber: InvariantsReport
-) -> PullbackDiagnostic:
+def canonical_report(inv_x: InvariantsReport, inv_fiber: InvariantsReport) -> PullbackDiagnostic:
     """Divisibility of canonical orders along the Albanese fibration.
 
     The fiber order always divides the total order; omega_X is pulled back

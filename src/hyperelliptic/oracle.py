@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import NamedTuple
 
-from .action import AffineAut, HyperellipticDatum
+from .action import AffineAut, HyperellipticDatum, validate
 from .albanese import AlbaneseReport
 from .exactlin import (
     mat_vec,
@@ -25,7 +25,6 @@ from .exactlin import (
 )
 
 DEFAULT_POINT_CAP = 10_000_000
-_DIRECT_LOOP_LIMIT = 200_000
 
 
 class CapExceeded(ValueError):
@@ -73,7 +72,7 @@ def element_level_bound(e: AffineAut) -> int:
     for i in range(n):
         if s[i][i]:
             divisor_lcm = lcm(divisor_lcm, s[i][i])
-    return lcm(divisor_lcm * vec_denominator(e.translation), vec_denominator(e.translation))
+    return divisor_lcm * vec_denominator(e.translation)
 
 
 def formula_level(d: HyperellipticDatum) -> int:
@@ -119,9 +118,9 @@ def oracle_fixed_points(model: TorsionModel, element_index: int) -> int:
 
     Counts solutions of (M - I)p + N t == 0 mod N by enumeration.  Coordinates
     the system never touches are free (they multiply the count by N), all-zero
-    rows are direct congruence checks, and above the direct-loop limit the
-    remaining coordinates are split meet-in-the-middle, which enumerates the
-    same solution set by hashing partial column sums.
+    rows are direct congruence checks, and the remaining coordinates are split
+    meet-in-the-middle: one half's column sums are counted in a hash map, and
+    each point of the other half looks up the sum that completes it.
     """
     n = model.level
     r = model.rank
@@ -141,15 +140,6 @@ def oracle_fixed_points(model: TorsionModel, element_index: int) -> int:
     rows = [tuple(a[i][j] for j in active_cols) for i in active_rows]
     target = tuple(b[i] for i in active_rows)
     k = len(active_cols)
-    if n**k <= _DIRECT_LOOP_LIMIT:
-        count = 0
-        for p in itertools.product(range(n), repeat=k):
-            if all(
-                sum(row[j] * p[j] for j in range(k)) % n == t
-                for row, t in zip(rows, target)
-            ):
-                count += 1
-        return count * free
     half = k // 2
     partial: dict = {}
     for p2 in itertools.product(range(n), repeat=k - half):
@@ -195,55 +185,44 @@ def fixed_point_survey(
 ) -> FixedPointSurvey:
     """Compare enumeration counts with the exact freeness decision, element by element.
 
-    With no level given, uses lcm(denominators) * lcm(orders), enlarged to
-    contain every element's certificate bound; if even split counting at that
-    level is over the cap, each element falls back to its own bound (or the
-    bare denominator level, then one-sided), recorded as a downgrade.
+    The exact decision is the one ``validate`` made: the survey reads the
+    report cached on the datum (validating first if nothing is cached).  Each
+    element's count is exhaustive when its level is a multiple of its bound,
+    lcm(element_level_bound, datum denominator).  With no level given, the
+    shared level is lcm(denominators) * lcm(orders), enlarged to contain every
+    bound.  When split counting at the shared level fits the cap, every
+    element is counted there; otherwise each element falls back to its own
+    bound if that fits, or else to the bare denominator level (one-sided),
+    and a fallback from the formula level is recorded as a downgrade.
     """
-    from .action import has_fixed_point
-
+    report = d._report or validate(d)
+    base = datum_denominator(d)
+    bounds = [lcm(element_level_bound(e), base) for e in d.group.elements[1:]]
     downgraded = False
     if level is None:
-        level = formula_level(d)
-        # keep every per-element certificate bound inside the chosen level
-        for e in d.group.elements:
-            level = lcm(level, element_level_bound(e))
-        if _split_grid_size(level, d.rank) > cap:
-            downgraded = True
+        level = lcm(formula_level(d), *bounds)
+        downgraded = _split_grid_size(level, d.rank) > cap
+    shared = _split_grid_size(level, d.rank) <= cap
+    models = {level: build_model(d, level, cap, split_counting=True)} if shared else {}
     checks = []
-    if not downgraded and _split_grid_size(level, d.rank) <= cap:
-        model = build_model(d, level, cap, split_counting=True)
-        for i, e in enumerate(d.group.elements):
-            if i == 0:
-                continue
-            bound = lcm(element_level_bound(e), vec_denominator(e.translation))
-            checks.append(
-                FixedPointCheck(
-                    element_index=i,
-                    level=level,
-                    exhaustive=level % bound == 0,
-                    count=oracle_fixed_points(model, i),
-                    exact_has_fixed_point=has_fixed_point(e, d.torus),
-                )
+    for i, bound in enumerate(bounds, start=1):
+        if shared:
+            use = level
+        elif _split_grid_size(bound, d.rank) <= cap:
+            use = bound
+        else:
+            use = base
+        if use not in models:
+            models[use] = build_model(d, use, cap, split_counting=True)
+        checks.append(
+            FixedPointCheck(
+                element_index=i,
+                level=use,
+                exhaustive=use % bound == 0,
+                count=oracle_fixed_points(models[use], i),
+                exact_has_fixed_point=i in report.fixed_point_elements,
             )
-    else:
-        base = datum_denominator(d)
-        for i, e in enumerate(d.group.elements):
-            if i == 0:
-                continue
-            bound = lcm(element_level_bound(e), base)
-            exhaustive = _split_grid_size(bound, d.rank) <= cap
-            use = bound if exhaustive else base
-            model = build_model(d, use, cap, split_counting=True)
-            checks.append(
-                FixedPointCheck(
-                    element_index=i,
-                    level=use,
-                    exhaustive=exhaustive,
-                    count=oracle_fixed_points(model, i),
-                    exact_has_fixed_point=has_fixed_point(e, d.torus),
-                )
-            )
+        )
     return FixedPointSurvey(tuple(checks), downgraded)
 
 

@@ -1,18 +1,83 @@
 """Helpers only the tests use, kept out of the library.
 
 Each was a library method or function that no library code called: lattice
-saturation, the torsion model's orbit enumeration, the survey's "every count
-exhaustive" flag and the index of a torus lattice over the product lattice.
+saturation, lattice membership and basis matrices, the coset-meets-lattice
+decision, the torsion model's orbit enumeration, the direct fixed-point loop,
+the survey's "every count exhaustive" flag, the two-branch fixed-point survey
+and the index of a torus lattice over the product lattice.  The coset
+decision, the direct loop and the two-branch survey are the references the
+library's one Hermite form per element, meet-in-the-middle count and one
+survey loop are checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from hyperelliptic.exactlin import LatticeError, Sublattice, kernel_lattice, mat_det, transpose
-from hyperelliptic.oracle import CapExceeded
+from math import lcm
+
+from hyperelliptic.exactlin import (
+    LatticeError,
+    Sublattice,
+    as_fractions,
+    kernel_lattice,
+    mat_det,
+    mat_vec,
+    transpose,
+    vec_denominator,
+    vec_is_integral,
+)
+from hyperelliptic.oracle import (
+    DEFAULT_POINT_CAP,
+    CapExceeded,
+    FixedPointCheck,
+    FixedPointSurvey,
+    _split_grid_size,
+    build_model,
+    datum_denominator,
+    element_level_bound,
+    formula_level,
+    oracle_fixed_points,
+)
 
 ORBIT_ENUMERATION_LIMIT = 500_000
+
+
+def basis_matrix(s: Sublattice):
+    """Integer matrix (ambient x rank) whose columns are den * basis."""
+    return transpose(s.cols) if s.cols else tuple(() for _ in range(s.ambient_rank))
+
+
+def contains(s: Sublattice, v) -> bool:
+    """Whether v lies in the lattice s."""
+    coords = s.coords_of(v)
+    return coords is not None and all(c.denominator == 1 for c in coords)
+
+
+def coset_meets_lattice(w: Sublattice, t) -> bool:
+    """Exact decision of (t + span_Q(w)) intersect Z^n != empty set."""
+    t = as_fractions(t)
+    if len(t) != w.ambient_rank:
+        raise LatticeError("vector length does not match ambient rank")
+    if w.rank == w.ambient_rank:
+        return True
+    if w.rank == 0:
+        return vec_is_integral(t)
+    # annihilator rows C with C @ w == 0; then t in Z^n + span(w) iff C t in C Z^n
+    ann = kernel_lattice(transpose(basis_matrix(w)))
+    c = transpose(basis_matrix(ann))  # (n - rank) x n
+    image = Sublattice.from_int_columns(len(c), transpose(c))
+    return contains(image, mat_vec(c, t))
+
+
+def coset_has_fixed_point(e) -> bool:
+    """The exact fixed-point decision through coset_meets_lattice: t + colspace(M - I)."""
+    n = e.rank
+    diff_cols = [
+        tuple(e.linear[i][j] - (1 if i == j else 0) for i in range(n)) for j in range(n)
+    ]
+    span = Sublattice.from_int_columns(n, [c for c in diff_cols if any(c)])
+    return coset_meets_lattice(span, e.translation)
 
 
 def saturate(s: Sublattice) -> Sublattice:
@@ -21,11 +86,11 @@ def saturate(s: Sublattice) -> Sublattice:
         raise LatticeError("saturate expects an integer sublattice")
     if s.rank == 0:
         return s
-    basis = s.basis_matrix()  # ambient x rank
+    basis = basis_matrix(s)  # ambient x rank
     ann = kernel_lattice(transpose(basis))  # {y : y . col == 0 for all columns}
     if ann.rank == 0:
         return Sublattice.standard(s.ambient_rank)
-    return kernel_lattice(transpose(ann.basis_matrix()))
+    return kernel_lattice(transpose(basis_matrix(ann)))
 
 
 def is_saturated(s: Sublattice) -> bool:
@@ -70,6 +135,72 @@ def orbits(model) -> list[int]:
         seen |= orbit
         sizes.append(len(orbit))
     return sizes
+
+
+def direct_fixed_points(model, element_index: int) -> int:
+    """Fixed points of one element of the torsion model, one point at a time."""
+    m, nt = model.actions[element_index]
+    n = model.level
+    r = model.rank
+    count = 0
+    for p in itertools.product(range(n), repeat=r):
+        if all(
+            (sum(m[i][j] * p[j] for j in range(r)) - p[i] + nt[i]) % n == 0 for i in range(r)
+        ):
+            count += 1
+    return count
+
+
+def two_branch_survey(d, level=None, cap=DEFAULT_POINT_CAP) -> FixedPointSurvey:
+    """The fixed-point survey with one branch per kind of level.
+
+    One branch counts every element at the shared level; the other builds one
+    model per element at its own bound or the bare denominator.  Bounds are
+    computed while choosing the level and again per element, and the exact
+    decision comes from coset_has_fixed_point.
+    """
+    downgraded = False
+    if level is None:
+        level = formula_level(d)
+        for e in d.group.elements:
+            level = lcm(level, element_level_bound(e))
+        if _split_grid_size(level, d.rank) > cap:
+            downgraded = True
+    checks = []
+    if not downgraded and _split_grid_size(level, d.rank) <= cap:
+        model = build_model(d, level, cap, split_counting=True)
+        for i, e in enumerate(d.group.elements):
+            if i == 0:
+                continue
+            bound = lcm(element_level_bound(e), vec_denominator(e.translation))
+            checks.append(
+                FixedPointCheck(
+                    element_index=i,
+                    level=level,
+                    exhaustive=level % bound == 0,
+                    count=oracle_fixed_points(model, i),
+                    exact_has_fixed_point=coset_has_fixed_point(e),
+                )
+            )
+    else:
+        base = datum_denominator(d)
+        for i, e in enumerate(d.group.elements):
+            if i == 0:
+                continue
+            bound = lcm(element_level_bound(e), base)
+            exhaustive = _split_grid_size(bound, d.rank) <= cap
+            use = bound if exhaustive else base
+            model = build_model(d, use, cap, split_counting=True)
+            checks.append(
+                FixedPointCheck(
+                    element_index=i,
+                    level=use,
+                    exhaustive=exhaustive,
+                    count=oracle_fixed_points(model, i),
+                    exact_has_fixed_point=coset_has_fixed_point(e),
+                )
+            )
+    return FixedPointSurvey(tuple(checks), downgraded)
 
 
 def all_exhaustive(survey) -> bool:

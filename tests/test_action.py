@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import index_over_product_lattice
+from conftest import load_perfbench
+from helpers import coset_has_fixed_point, coset_meets_lattice, index_over_product_lattice
 from hyperelliptic.action import (
     AffineAut,
     HyperellipticDatum,
@@ -24,7 +25,9 @@ from hyperelliptic.action import (
 )
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cyclotomic import RootOfUnity
-from hyperelliptic.exactlin import identity, mat_mul
+from hyperelliptic.albanese import run_pipeline
+from hyperelliptic.documents import build_datum
+from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
 from hyperelliptic.torus import (
     EllipticFactor,
     TorusDatum,
@@ -232,25 +235,59 @@ class TestFixedPoints:
     def test_negation_has_fixed_points(self):
         torus = build_product_torus([GEN0])
         g = affine_from_factor_action(torus, [block(GEN0, MINUS)], (0, 0))
-        assert has_fixed_point(g, torus) is True
+        assert has_fixed_point(g) is True
 
     def test_pure_half_translation_is_free(self):
         torus = build_product_torus([GEN0])
         g = AffineAut(identity(2), (F(1, 2), F(0)), (ONE,))
-        assert has_fixed_point(g, torus) is False
+        assert has_fixed_point(g) is False
 
     def test_z4_square_acts_freely(self):
         d = z4_threefold()
         g = d.group.generators[0]
         g2 = compose(g, g)
         assert not g2.is_identity()
-        assert has_fixed_point(g2, d.torus) is False
+        assert has_fixed_point(g2) is False
 
     def test_corrupted_z4_square_has_fixed_point(self):
         d = z4_threefold(quarter=F(1, 2))
         g = d.group.generators[0]
         g2 = compose(g, g)
-        assert has_fixed_point(g2, d.torus) is True
+        assert has_fixed_point(g2) is True
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=4, max_size=4),
+        st.lists(
+            st.fractions(min_value=-2, max_value=2, max_denominator=12), min_size=4, max_size=4
+        ),
+    )
+    def test_hermite_decision_matches_coset_reference(self, b, t):
+        linear = tuple(tuple(b[i][j] + (i == j) for j in range(4)) for i in range(4))
+        t = tuple(t)
+        span = Sublattice.from_int_columns(4, [c for c in transpose(b) if any(c)])
+        assert has_fixed_point(AffineAut(linear, t, None)) == coset_meets_lattice(span, t)
+
+    def test_hermite_decision_matches_coset_reference_on_data(self):
+        # every element of every catalog datum, of the fibers along each
+        # recursion, and of the seed-0 stress points
+        stress = load_perfbench("stress")
+        data = [get_entry(name).build() for name in list_entries()]
+        data += [
+            build_datum(stress.stress_document(m, k, base, 0))
+            for m, k, base in ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8), (2, 2, 10), (3, 4, 2))
+        ]
+        fibers = 0
+        while data:
+            d = data.pop()
+            for e in d.group.elements:
+                assert has_fixed_point(e) == coset_has_fixed_point(e)
+            if validate(d).passed and d.group.order > 1:
+                report = run_pipeline(d)
+                if report.fiber.dim < d.dim:  # q > 0; at q = 0 the fiber is X again
+                    data.append(report.fiber)
+                    fibers += 1
+        assert fibers > 20
 
 
 class TestValidate:

@@ -20,6 +20,7 @@ from math import gcd, lcm
 import pytest
 
 from conftest import load_perfbench
+from helpers import contains
 from hyperelliptic.action import (
     AffineAut,
     HyperellipticDatum,
@@ -59,7 +60,7 @@ STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8))
 
 
 def in_lattice(lattice: Sublattice, v) -> bool:
-    return not any(v) if lattice.rank == 0 else lattice.contains(v)
+    return not any(v) if lattice.rank == 0 else contains(lattice, v)
 
 
 def enumerate_k(d, dec):

@@ -1,4 +1,5 @@
-"""Every top-level function, class and method of the library has a caller in the library.
+"""Every top-level function, class and method of the library has a caller in the library,
+and every parameter is read.
 
 A definition only the tests use is a test-only helper and belongs under
 `tests/`; one nothing uses is dead.  A top-level definition counts as used
@@ -7,7 +8,8 @@ name (`from .module import name`).  A method of a top-level class counts as
 used when library code outside its own body names it as an attribute or as a
 name; the owner of an attribute is not resolved, so any attribute of that
 name counts.  Module hooks and dunder methods, which Python calls by name,
-are allowed without a caller.
+are allowed without a caller.  A parameter, other than `self` or `cls`,
+counts as read when its function's body names it.
 """
 
 import ast
@@ -80,3 +82,20 @@ def test_every_method_is_referenced():
         and total[method.name] == _mentions(method)[method.name]
     ]
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for module, tree in _library_trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [
+                f"{module}.{fn.name}({p.arg})"
+                for p in params
+                if p.arg not in ("self", "cls") and p.arg not in read
+            ]
+    assert unread == []

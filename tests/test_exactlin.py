@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bareiss_det, in_span, minors_gcd
-from helpers import is_saturated, saturate
+from helpers import contains, coset_meets_lattice, is_saturated, saturate
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.exactlin import (
     LatticeError,
     Sublattice,
     column_hermite,
-    coset_meets_lattice,
     hermite_normal_form,
     identity,
     integer_solution,
@@ -275,7 +274,7 @@ class TestSaturate:
         for x in range(-4, 5):
             for y in range(-4, 5):
                 if in_span(cols, (x, y)):
-                    assert sat.contains((F(x), F(y)))
+                    assert contains(sat, (F(x), F(y)))
         assert sat == Sublattice.standard(2)
 
     def test_enumeration_oracle_rank_one(self):
@@ -285,7 +284,7 @@ class TestSaturate:
         for x in range(-4, 5):
             for y in range(-4, 5):
                 if in_span([(2, 4)], (x, y)):
-                    assert sat.contains((F(x), F(y)))
+                    assert contains(sat, (F(x), F(y)))
         assert sat == Sublattice.from_int_columns(2, [(1, 2)])
 
     @settings(max_examples=40, deadline=None)

@@ -175,9 +175,7 @@ class TestReports:
         for k in range(1, 8):
             d = datum_of(f"bielliptic-{k}")
             report = run_pipeline(d)
-            diag = canonical_report(
-                report, invariants_report(d), invariants_report(report.fiber)
-            )
+            diag = canonical_report(invariants_report(d), invariants_report(report.fiber))
             assert diag.fiber_canonical_order == 1
             assert diag.pulled_back_from_albanese
 
@@ -186,7 +184,7 @@ class TestReports:
         report = run_pipeline(d)
         inv_x = invariants_report(d)
         inv_f = invariants_report(report.fiber)
-        diag = canonical_report(report, inv_x, inv_f)
+        diag = canonical_report(inv_x, inv_f)
         assert inv_x.canonical_order == 4
         assert inv_f.canonical_order == 2
         assert not diag.pulled_back_from_albanese
@@ -201,7 +199,7 @@ class TestReports:
             report = run_pipeline(d)
             inv_x = invariants_report(d)
             inv_f = invariants_report(report.fiber)
-            diag = canonical_report(report, inv_x, inv_f)
+            diag = canonical_report(inv_x, inv_f)
             assert inv_x.canonical_order % inv_f.canonical_order == 0
             assert diag.pulled_back_from_albanese == (inv_f.canonical_order == 1)
 
@@ -211,4 +209,4 @@ class TestReports:
         inv_x = invariants_report(report.fiber)  # deliberately swapped
         inv_f = invariants_report(d)
         with pytest.raises(DivisibilityViolation):
-            canonical_report(report, inv_x, inv_f)
+            canonical_report(inv_x, inv_f)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import load_perfbench
-from helpers import all_exhaustive, orbits
+from helpers import all_exhaustive, direct_fixed_points, orbits, two_branch_survey
 from hyperelliptic.action import HyperellipticDatum, close_group, validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
@@ -106,19 +107,14 @@ class TestFixedPoints:
         assert oracle_fixed_points(model, 1) == 0
 
     def test_meet_in_middle_matches_direct(self):
-        # same counts through both code paths on a model straddling the limit
-        d = datum_of("zmzm-threefold-m3")
-        model = build_model(d, 3)
-        direct = [oracle_fixed_points(model, i) for i in range(1, d.group.order)]
-        import hyperelliptic.oracle as oracle_module
-
-        old = oracle_module._DIRECT_LOOP_LIMIT
-        oracle_module._DIRECT_LOOP_LIMIT = 0
-        try:
-            split = [oracle_fixed_points(model, i) for i in range(1, d.group.order)]
-        finally:
-            oracle_module._DIRECT_LOOP_LIMIT = old
-        assert direct == split
+        # the meet-in-the-middle count equals the point-by-point count
+        for name in list_entries():
+            d = get_entry(name).build()
+            model = build_model(d, datum_denominator(d))
+            if model.point_count > 5000:
+                continue
+            for i in range(d.group.order):
+                assert oracle_fixed_points(model, i) == direct_fixed_points(model, i), (name, i)
 
     def test_corrupted_z4_detects_fixed_points(self):
         d = get_entry("z4-threefold-corrupted").build()
@@ -137,6 +133,29 @@ class TestSurvey:
             validate(d)
             survey = fixed_point_survey(d)
             assert survey.passed, f"{name}: {survey.checks}"
+
+    def test_one_loop_matches_two_branch_reference(self):
+        # every catalog entry at caps that take each branch of the reference,
+        # with the formula level, a given level and twice it
+        outcomes = []
+        for name in list_entries():
+            d = get_entry(name).build()
+            validate(d)
+            for cap in (50, 1000, 10**4, 10**5, None):
+                for level in (None, formula_level(d), 2 * formula_level(d)):
+                    kwargs = {"level": level} if cap is None else {"level": level, "cap": cap}
+                    try:
+                        expected = two_branch_survey(d, **kwargs)
+                    except CapExceeded as exc:
+                        with pytest.raises(CapExceeded, match=f"^{re.escape(str(exc))}$"):
+                            fixed_point_survey(d, **kwargs)
+                        outcomes.append("cap")
+                        continue
+                    assert fixed_point_survey(d, **kwargs) == expected, (name, cap, level)
+                    outcomes.append("downgraded" if expected.downgraded else "survey")
+        assert len(outcomes) == 240
+        assert outcomes.count("downgraded") == 18
+        assert outcomes.count("cap") == 18
 
     def test_exhaustive_levels_divide_formula_level_when_small(self):
         d = datum_of("bielliptic-3")
