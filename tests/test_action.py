@@ -23,9 +23,9 @@ from hyperelliptic.action import (
     quotient_by_translations,
     validate,
 )
+from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cyclotomic import RootOfUnity
-from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.documents import build_datum
 from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
 from hyperelliptic.torus import (
@@ -263,7 +263,7 @@ class TestFixedPoints:
         ),
     )
     def test_hermite_decision_matches_coset_reference(self, b, t):
-        linear = tuple(tuple(b[i][j] + (i == j) for j in range(4)) for i in range(4))
+        linear = tuple(tuple(b[i][j] + int(i == j) for j in range(4)) for i in range(4))
         t = tuple(t)
         span = Sublattice.from_int_columns(4, [c for c in transpose(b) if any(c)])
         assert has_fixed_point(AffineAut(linear, t, None)) == coset_meets_lattice(span, t)
