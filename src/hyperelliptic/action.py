@@ -473,7 +473,10 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
     Freeness, translations and eigenvalues are checked on every element.  The
     form is checked on the generators only: M^T E M = E for the generators
     implies it for every product of them, so on failure form_violations
-    lists the failing generators' element indices.
+    lists the failing generators' element indices.  The complex
+    representation rho is faithful iff no nonidentity element is a
+    translation: lin (x) C = rho + conj(rho), so ker rho = ker lin, and the
+    kernel of g -> lin(g) is the translation subgroup.
     """
     fixed = []
     translations = []
@@ -481,10 +484,8 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
         {d.group.index_of(g) for g in d.group.generators if not d.form.is_invariant_under(g.linear)}
     )
     eig_bad = []
-    linears = set()
     for i, e in enumerate(d.group.elements):
         if i == 0:
-            linears.add(e.linear)
             continue
         if has_fixed_point(e):
             fixed.append(i)
@@ -493,14 +494,13 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
         problem = _check_eigenvalues(e, i)
         if problem:
             eig_bad.append(problem)
-        linears.add(e.linear)
     report = ValidationReport(
         group_order=d.group.order,
         fixed_point_elements=tuple(fixed),
         nonidentity_translations=tuple(translations),
         form_violations=tuple(form_bad),
         eigenvalue_violations=tuple(eig_bad),
-        faithful=len(linears) == d.group.order,
+        faithful=not translations,
     )
     d._report = report
     return report
@@ -513,52 +513,56 @@ def quotient_by_translations(d: HyperellipticDatum) -> HyperellipticDatum:
     lattice, and the group descends with the translations removed.  Data with
     no nonidentity translations are returned unchanged (idempotent).
     """
-    translation_vectors = [
+    translations = [
         e.translation for e in d.group.elements if e.is_translation() and not e.is_identity()
     ]
-    if not translation_vectors:
+    if not translations:
         return d
     rank = d.rank
-    enlarged = Sublattice.standard(rank).sum(
-        Sublattice.from_rat_columns(rank, translation_vectors)
-    )
-    # columns of s: new lattice basis in old lattice coordinates
-    s = transpose(tuple(tuple(Fraction(x, enlarged.den) for x in c) for c in enlarged.cols))
-    s_inv = mat_inv(s)
-    new_lam_basis = mat_mul(d.torus.lam_basis, s)
-    new_torus = TorusDatum(
-        rank,
-        tuple(tuple(Fraction(x) for x in row) for row in new_lam_basis),
-        d.torus.factors,
-    )
-    new_gens = []
-    seen = set()
-    for g in d.group.generators + d.group.elements:
-        linear_rows = mat_mul(mat_mul(s_inv, g.linear), s)
-        if not all(vec_is_integral(row) for row in linear_rows):
-            raise LatticeNotPreserved("translation subgroup is not normal (internal error)")
-        linear = tuple(tuple(int(x) for x in row) for row in linear_rows)
-        translation = vec_mod1(mat_vec(s_inv, g.translation))
-        image = AffineAut(linear, translation, g.eigenvalues)
-        if not image.is_identity() and image.key() not in seen:
-            seen.add(image.key())
-            new_gens.append(image)
-    new_group = close_group(tuple(new_gens), new_torus)
-    expected_order = d.group.order // (len(translation_vectors) + 1)
-    if new_group.order != expected_order:
+    enlarged = Sublattice.standard(rank).sum(Sublattice.from_rat_columns(rank, translations))
+    cols = enlarged.basis_vectors()
+    torus = TorusDatum(rank, mat_mul(d.torus.lam_basis, transpose(cols)), d.torus.factors)
+    quotient = rewrite_on_lattice(d, cols, torus, d.group.generators + d.group.elements)
+    expected = d.group.order // (len(translations) + 1)
+    if quotient.group.order != expected:
         raise GroupInvariantError(
-            f"translation quotient has order {new_group.order}, expected {expected_order}"
+            f"translation quotient has order {quotient.group.order}, expected {expected}"
         )
-    new_form = AlternatingForm(
-        tuple(
-            tuple(Fraction(x) for x in row)
-            for row in mat_mul(mat_mul(transpose(s), d.form.matrix), s)
+    return quotient
+
+
+def rewrite_on_lattice(
+    d: HyperellipticDatum, cols, torus: TorusDatum, elements
+) -> HyperellipticDatum:
+    """The given elements of d, written on the G-stable lattice with basis ``cols``.
+
+    ``cols`` are basis columns B in d's lattice coordinates, ``torus`` is the
+    lattice they span with Z^len(cols) as its lattice coordinates, and each
+    element is an AffineAut with its linear part and translation in d's
+    coordinates and its eigenvalues for the new datum.  In the basis B an
+    element reads (L M B, L t mod 1) with L = (B^T B)^-1 B^T, so L B = I, and
+    the form reads B^T E B.  A linear part that is not integral raises
+    GroupInvariantError; repeats and the identity are dropped, and what
+    remains is closed in its given order.
+    """
+    b = transpose(cols)
+    left = mat_mul(mat_inv(mat_mul(cols, b)), cols)
+    gens = {}
+    for e in elements:
+        linear = mat_mul(left, mat_mul(e.linear, b))
+        if not all(vec_is_integral(row) for row in linear):
+            raise GroupInvariantError("an element does not preserve the lattice")
+        g = AffineAut(
+            tuple(tuple(map(int, row)) for row in linear),
+            vec_mod1(mat_vec(left, e.translation)),
+            e.eigenvalues,
         )
-    )
+        if not g.is_identity():
+            gens.setdefault(g.key(), g)
     return HyperellipticDatum(
-        new_torus,
-        new_group,
-        new_form,
-        builder_mode=d.builder_mode,
+        torus,
+        close_group(tuple(gens.values()), torus),
+        AlternatingForm(d.form.restricted_to(cols)),
+        builder_mode=torus.factors is not None,
         j_stability_assumed=d.j_stability_assumed,
     )

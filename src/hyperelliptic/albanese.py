@@ -33,8 +33,8 @@ from .action import (
     ActionGroup,
     AffineAut,
     HyperellipticDatum,
-    close_group,
     quotient_by_translations,
+    rewrite_on_lattice,
     validate,
 )
 from .exactlin import (
@@ -50,10 +50,9 @@ from .exactlin import (
     quotient_group,
     transpose,
     vec_denominator,
-    vec_mod1,
     vec_sub,
 )
-from .torus import AlternatingForm, TorusDatum, identify_factor_subspace
+from .torus import TorusDatum, identify_factor_subspace
 
 # only perfbench's compute_K size hook reads this; nothing enumerates K any more
 K_ENUMERATION_CAP = 100_000
@@ -295,18 +294,17 @@ def compute_albanese(d: HyperellipticDatum, dec: Decomposition, table: CocycleTa
 
 
 def _fiber_basis(d: HyperellipticDatum, lambda1: Sublattice):
-    """Basis columns for the fiber's coordinates, factor-aligned when possible."""
+    """Basis columns of Lambda_1, factor-aligned when Lambda_1 is a product of factor planes.
+
+    The aligned columns are the lattice coordinates of the product coordinate
+    vectors of those factors, i.e. columns of lam_basis^-1; otherwise they are
+    the Hermite basis of Lambda_1.
+    """
     indices = identify_factor_subspace(d.torus, lambda1)
-    if indices is not None:
-        aligned = []
-        for i in indices:
-            for j in (2 * i, 2 * i + 1):
-                col = [Fraction(0)] * d.rank
-                col[j] = Fraction(1)
-                aligned.append(tuple(d.torus.to_lattice_coords(col)))
-        if all(all(x.denominator == 1 for x in col) for col in aligned):
-            return tuple(aligned), indices
-    return lambda1.basis_vectors(), None
+    if indices is None:
+        return lambda1.basis_vectors(), None
+    inv_cols = transpose(d.torus.lam_basis_inv)
+    return tuple(inv_cols[j] for i in indices for j in (2 * i, 2 * i + 1)), indices
 
 
 def compute_fiber(
@@ -317,31 +315,20 @@ def compute_fiber(
 ) -> tuple[HyperellipticDatum, tuple[int, ...] | None]:
     """The fiber datum over the origin: A1 with the induced H-action.
 
-    Each h acts by a1 -> rho(h)|V1 a1 + shift(h), with the V1 shift from
-    compute_H; the datum is then normalized via quotient_by_translations by
-    the caller before classification.  On a factor-aligned fiber h keeps its
-    eigenvalues on the fiber's factors, in factor order, and must have
+    The fiber's lattice coordinates are the basis of Lambda_1 that
+    ``_fiber_basis`` returns: on a factor-aligned fiber, the product
+    coordinates of the fiber's factors; otherwise the Hermite basis of
+    Lambda_1.  Each h acts by a1 -> rho(h)|V1 a1 + shift(h), with the V1 shift
+    from compute_H; the datum is then normalized via quotient_by_translations
+    by the caller before classification.  On a factor-aligned fiber h keeps
+    its eigenvalues on the fiber's factors, in factor order, and must have
     eigenvalue 1 on the others; otherwise it drops the first q ones.
     """
-    basis_cols, factor_indices = _fiber_basis(d, dec.lambda1)
-    r1 = len(basis_cols)
-    fiber_lattice = Sublattice.from_rat_columns(d.rank, basis_cols)
+    cols, factor_indices = _fiber_basis(d, dec.lambda1)
     q = dec.q
     elements = []
     for i in h_indices:
         e = d.group.elements[i]
-        image_cols = []
-        for col in basis_cols:
-            image = mat_vec(e.linear, col)
-            coords = fiber_lattice.coords_of(image)
-            if coords is None or not all(c.denominator == 1 for c in coords):
-                raise PipelineInvariantError("H does not preserve the fiber lattice")
-            image_cols.append(tuple(int(c) for c in coords))
-        linear = transpose(tuple(image_cols))
-        coords = fiber_lattice.coords_of(shifts[i])
-        if coords is None:
-            raise PipelineInvariantError("fiber translation is outside V1")
-        translation = vec_mod1(coords)
         eig = e.eigenvalues
         kept = factor_indices  # factor order: the fiber's closure multiplies factor by factor
         if kept is None:  # drop the first q ones
@@ -350,28 +337,15 @@ def compute_fiber(
         dropped = [eig[k] for k in range(len(eig)) if k not in kept]
         if len(dropped) != q or not all(z.is_one() for z in dropped):
             raise PipelineInvariantError("element lacks eigenvalue 1 on the q Albanese directions")
-        elements.append(AffineAut(linear, translation, tuple(eig[k] for k in kept)))
+        elements.append(AffineAut(e.linear, shifts[i], tuple(eig[k] for k in kept)))
     factors = None
     if factor_indices is not None:
         factors = tuple(d.torus.factors[i] for i in factor_indices)
-    fiber_torus = TorusDatum(
-        r1,
-        tuple(tuple(Fraction(int(i == j)) for j in range(r1)) for i in range(r1)),
-        factors,
-    )
-    gram = AlternatingForm(
-        tuple(tuple(Fraction(x) for x in row) for row in d.form.restricted_to(basis_cols))
-    )
-    group = close_group(tuple(e for e in elements if not e.is_identity()), fiber_torus)
-    if group.order != len(h_indices):
+    r1 = len(cols)
+    torus = TorusDatum(r1, TorusDatum.raw(r1).lam_basis, factors)
+    fiber = rewrite_on_lattice(d, cols, torus, elements)
+    if fiber.group.order != len(h_indices):
         raise PipelineInvariantError("fiber action has the wrong order")
-    fiber = HyperellipticDatum(
-        fiber_torus,
-        group,
-        gram,
-        builder_mode=factors is not None,
-        j_stability_assumed=d.j_stability_assumed,
-    )
     return fiber, factor_indices
 
 

@@ -16,7 +16,7 @@ from math import lcm, prod
 from typing import NamedTuple
 
 from .action import AffineAut, HyperellipticDatum, validate
-from .albanese import AlbaneseReport
+from .albanese import AlbaneseReport, PipelineInvariantError
 from .exactlin import (
     mat_vec,
     smith_normal_form,
@@ -188,12 +188,14 @@ def fixed_point_survey(
     The exact decision is the one ``validate`` made: the survey reads the
     report cached on the datum (validating first if nothing is cached).  Each
     element's count is exhaustive when its level is a multiple of its bound,
-    lcm(element_level_bound, datum denominator).  With no level given, the
-    shared level is lcm(denominators) * lcm(orders), enlarged to contain every
-    bound.  When split counting at the shared level fits the cap, every
-    element is counted there; otherwise each element falls back to its own
-    bound if that fits, or else to the bare denominator level (one-sided),
-    and a fallback from the formula level is recorded as a downgrade.
+    lcm(element_level_bound, datum denominator).  A given level is built
+    first, so a level that is not a multiple of every denominator raises
+    BadLevel and one whose split grid is over the cap raises CapExceeded;
+    every element is counted there.  With no level given, the shared level is
+    lcm(denominators) * lcm(orders), enlarged to contain every bound.  When
+    split counting at it fits the cap, every element is counted there;
+    otherwise the survey is downgraded, and each element falls back to its
+    own bound if that fits, or else to the bare denominator level (one-sided).
     """
     report = d._report or validate(d)
     base = datum_denominator(d)
@@ -202,11 +204,10 @@ def fixed_point_survey(
     if level is None:
         level = lcm(formula_level(d), *bounds)
         downgraded = _split_grid_size(level, d.rank) > cap
-    shared = _split_grid_size(level, d.rank) <= cap
-    models = {level: build_model(d, level, cap, split_counting=True)} if shared else {}
+    models = {} if downgraded else {level: build_model(d, level, cap, split_counting=True)}
     checks = []
     for i, bound in enumerate(bounds, start=1):
-        if shared:
+        if not downgraded:
             use = level
         elif _split_grid_size(bound, d.rank) <= cap:
             use = bound
@@ -254,7 +255,7 @@ def _albanese_projection_matrix(report: AlbaneseReport, rank: int):
         w = mat_vec(report.decomposition.proj0, e_j)
         coords = lam_b.coords_of(w)
         if coords is None:
-            raise BadLevel("projection leaves the Albanese lattice span (internal)")
+            raise PipelineInvariantError("projection leaves the Albanese lattice span")
         columns.append(coords)
     return transpose(columns)
 

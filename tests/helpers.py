@@ -154,7 +154,8 @@ def direct_fixed_points(model, element_index: int) -> int:
 def two_branch_survey(d, level=None, cap=DEFAULT_POINT_CAP) -> FixedPointSurvey:
     """The fixed-point survey with one branch per kind of level.
 
-    One branch counts every element at the shared level; the other builds one
+    One branch counts every element at the shared level, given or computed;
+    the other, taken only when the computed level is over the cap, builds one
     model per element at its own bound or the bare denominator.  Bounds are
     computed while choosing the level and again per element, and the exact
     decision comes from coset_has_fixed_point.
@@ -167,7 +168,7 @@ def two_branch_survey(d, level=None, cap=DEFAULT_POINT_CAP) -> FixedPointSurvey:
         if _split_grid_size(level, d.rank) > cap:
             downgraded = True
     checks = []
-    if not downgraded and _split_grid_size(level, d.rank) <= cap:
+    if not downgraded:  # a given level is never replaced: build_model rejects it or counts there
         model = build_model(d, level, cap, split_counting=True)
         for i, e in enumerate(d.group.elements):
             if i == 0:

@@ -8,6 +8,7 @@ from conftest import load_perfbench
 from helpers import coset_has_fixed_point, coset_meets_lattice, index_over_product_lattice
 from hyperelliptic.action import (
     AffineAut,
+    GroupInvariantError,
     HyperellipticDatum,
     LatticeNotPreserved,
     MissingEigenvalueData,
@@ -21,6 +22,7 @@ from hyperelliptic.action import (
     cyclotomic_multiplicities,
     has_fixed_point,
     quotient_by_translations,
+    rewrite_on_lattice,
     validate,
 )
 from hyperelliptic.albanese import run_pipeline
@@ -316,9 +318,26 @@ class TestValidate:
 
     def test_faithful_on_valid_data(self):
         d = z4_threefold()
-        validate(d)
+        assert validate(d).faithful
         linears = {e.linear for e in d.group.elements}
         assert len(linears) == d.group.order
+
+    def test_faithful_iff_no_translations(self):
+        # the kernel of g -> lin(g) is the translation subgroup, so distinct
+        # linear parts and no nonidentity translation are the same condition
+        torus = build_product_torus([GEN0, GEN1])
+        shift = AffineAut(identity(4), (F(1, 2), F(0), F(0), F(0)), (ONE, ONE))
+        neg = affine_from_factor_action(
+            torus, [block(GEN0, ONE), block(GEN1, MINUS)], (0, F(1, 2), 0, 0)
+        )
+        data = [get_entry(name).build() for name in list_entries()]
+        group = close_group([shift, neg], torus)
+        data.append(HyperellipticDatum(torus, group, standard_form(torus)))
+        for d in data:
+            report = validate(d)
+            distinct = len({e.linear for e in d.group.elements}) == d.group.order
+            assert report.faithful == distinct == (not report.nonidentity_translations)
+        assert not report.faithful and report.nonidentity_translations == (1,)
 
 
 class TestEigenvalueOrders:
@@ -371,6 +390,14 @@ class TestQuotientByTranslations:
         assert once.group.order == 2
         twice = quotient_by_translations(once)
         assert twice is once
+
+    def test_unstable_lattice_is_internal_error(self):
+        # a basis the group does not preserve is a program bug: exit 3, not "invalid datum"
+        d = z4_threefold()
+        cols = tuple(tuple(2 if i == j == 4 else int(i == j) for i in range(6)) for j in range(6))
+        with pytest.raises(GroupInvariantError, match="does not preserve the lattice"):
+            rewrite_on_lattice(d, cols, d.torus, d.group.elements)
+        assert issubclass(GroupInvariantError, RuntimeError)
 
     def test_group_order_factorization(self):
         torus = build_product_torus([GEN0, GEN1])

@@ -1,3 +1,5 @@
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from helpers import contains
 from hyperelliptic.action import compose, validate
 from hyperelliptic.albanese import (
+    _fiber_basis,
     classify_fiber,
     compute_A0,
     compute_A1,
@@ -15,7 +18,15 @@ from hyperelliptic.albanese import (
     run_pipeline,
 )
 from hyperelliptic.catalog import get_entry
+from hyperelliptic.cli import main
+from hyperelliptic.documents import build_datum
 from hyperelliptic.exactlin import Sublattice, mat_vec, vec_sub
+from hyperelliptic.oracle import (
+    build_model,
+    fiber_count_level,
+    fixed_point_survey,
+    oracle_fiber_count,
+)
 from hyperelliptic.torus import identify_factor_subspace
 
 F = Fraction
@@ -272,6 +283,61 @@ class TestFiber:
             report = run_pipeline(datum_of(name))
             assert report.fiber_class.kind == "abelian"
             assert report.subgroup_h == (0,)
+
+
+def three_curve_document(k_gen, translation):
+    """E x E' x E'' (generic) over Z^6 + Z k_gen, with g = (z0 + translation, -z1, z2)."""
+    return {
+        "mode": "builder",
+        "factors": [{"kind": "generic"}] * 3,
+        "k_gens": [list(k_gen)],
+        "generators": [
+            {"zetas": ["1", "-1", "1"], "translation": list(translation) + ["0"] * 4}
+        ],
+    }
+
+
+class TestFiberBasis:
+    """The fiber is written in the basis its torus and form use, Hermite or not."""
+
+    def test_aligned_basis_outside_hermite_form(self, tmp_path, capsys):
+        # k_gen touches the fiber's factor plane, so the factor-aligned basis
+        # of Lambda_1 is not its Hermite basis
+        path = tmp_path / "datum.json"
+        doc = three_curve_document(("0", "0", "1/2", "1/2", "1/2", "1/2"), ("1/2", "1/2"))
+        path.write_text(json.dumps(doc))
+        d = build_datum(doc)
+        validate(d)
+        lambda1 = run_pipeline(d).decomposition.lambda1
+        cols, indices = _fiber_basis(d, lambda1)
+        assert indices == (1,) and cols != lambda1.basis_vectors()
+        outputs = {}
+        for command in ("check", "albanese", "invariants", "oracle"):
+            assert main([command, str(path), "--format", "json"]) == 0, command
+            outputs[command] = json.loads(capsys.readouterr().out)
+        alb = outputs["albanese"]
+        assert alb["q"] == 2
+        assert alb["h"]["order"] == 1
+        assert (alb["fiber"]["kind"], alb["fiber"]["dim"]) == ("abelian", 1)
+
+    def test_valid_data_pass_pipeline_and_oracle(self):
+        # every k_gen in {0, 1/2}^6 with three first-factor translations
+        valid = unaligned = 0
+        for k_gen in itertools.product(("0", "1/2"), repeat=6):
+            for translation in (("1/2", "0"), ("1/2", "1/2"), ("0", "1/2")):
+                d = build_datum(three_curve_document(k_gen, translation))
+                if not validate(d).passed:
+                    continue
+                valid += 1
+                report = run_pipeline(d, recurse=True)
+                lambda1 = report.decomposition.lambda1
+                cols, indices = _fiber_basis(d, lambda1)
+                unaligned += indices is not None and cols != lambda1.basis_vectors()
+                assert fixed_point_survey(d).passed
+                model = build_model(d, fiber_count_level(d, report))
+                assert oracle_fiber_count(model, report, d.group.order).passed
+        assert valid == 180
+        assert unaligned > 0
 
 
 class TestRunPipeline:

@@ -1,10 +1,12 @@
 """Every top-level function, class and method of the library has a caller in the library,
-and every parameter is read.
+every parameter is read and every import is used.
 
 A definition only the tests use is a test-only helper and belongs under
 `tests/`; one nothing uses is dead.  A top-level definition counts as used
 when library code outside its own body names it (`ast.Name`) or imports it by
-name (`from .module import name`).  A method of a top-level class counts as
+name (`from .module import name`); every imported name must itself be
+named (`ast.Name`) somewhere in its module, so an unused import cannot keep
+a dead definition alive.  A method of a top-level class counts as
 used when library code outside its own body names it as an attribute or as a
 name; the owner of an attribute is not resolved, so any attribute of that
 name counts.  Module hooks and dunder methods, which Python calls by name,
@@ -56,6 +58,21 @@ def test_every_top_level_definition_is_referenced():
         and node.name not in ALLOWED
         and (module, node.name) not in used
     ]
+    assert unused == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for module, tree in _library_trees().items():
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            else:
+                continue
+            unused += [f"{module}: {name}" for name in bound if name not in names]
     assert unused == []
 
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import load_perfbench
 from helpers import all_exhaustive, direct_fixed_points, orbits, two_branch_survey
 from hyperelliptic.action import HyperellipticDatum, close_group, validate
-from hyperelliptic.albanese import run_pipeline
+from hyperelliptic.albanese import PipelineInvariantError, run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.documents import build_datum
 from hyperelliptic.exactlin import Sublattice
@@ -153,9 +153,20 @@ class TestSurvey:
                         continue
                     assert fixed_point_survey(d, **kwargs) == expected, (name, cap, level)
                     outcomes.append("downgraded" if expected.downgraded else "survey")
+        # a given level whose split grid is over the cap raises instead of falling back
         assert len(outcomes) == 240
         assert outcomes.count("downgraded") == 18
-        assert outcomes.count("cap") == 18
+        assert outcomes.count("cap") == 66
+
+    def test_given_level_is_built_first(self):
+        # level 33 is not a multiple of z4-threefold's denominator 4, and its
+        # split grid of 2 * 33^3 points is over the cap: neither falls back
+        d = datum_of("z4-threefold")
+        with pytest.raises(BadLevel):
+            fixed_point_survey(d, level=33, cap=1000)
+        with pytest.raises(CapExceeded):
+            fixed_point_survey(d, level=16, cap=1000)
+        assert fixed_point_survey(d, level=16, cap=10**4).checks[0].level == 16
 
     def test_exhaustive_levels_divide_formula_level_when_small(self):
         d = datum_of("bielliptic-3")
@@ -215,6 +226,14 @@ class TestFiberCount:
         assert not verdict.passed
         assert verdict.fiber_count == 8
         assert verdict.witness == ((0, 0), 512)
+
+    def test_projection_outside_albanese_lattice_is_internal(self):
+        # a report whose Albanese lattice misses V0 is a program bug (exit 3), not bad input
+        d = datum_of("bielliptic-1")
+        report = run_pipeline(d)
+        broken = report._replace(albanese_lattice=report.decomposition.lambda1)
+        with pytest.raises(PipelineInvariantError, match="Albanese lattice span"):
+            _albanese_projection_matrix(broken, d.rank)
 
 
 def reference_fiber_count(model, report, group_order):
