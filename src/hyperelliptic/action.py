@@ -6,6 +6,7 @@ rational vector reduced into [0, 1)^2n so that equality of elements is
 canonical.  ``close_group`` is the only place that multiplies elements; it
 keeps the Cayley edges, ``ActionGroup`` reads every product off them, and a
 new element's eigenvalues follow one rule per kind of datum (see close_group).
+A derived group (a fiber, a translation quotient) reads its parent's edges.
 Fixed-point existence is decided exactly by rational linear algebra: since
 the linear part and the translation are rational, a real fixed point exists
 iff a rational one does, so freeness results are certificates, not samples.
@@ -199,7 +200,8 @@ class ActionGroup:
     ``edges[i][s]`` is the index of elements[i] . generators[s], and element
     j > 0 was first reached along the edge ``tree[j] = (parent, s)``.  The
     tree spells every element as a word in the generators, so a product is
-    read off the edges and no element is multiplied after the closure.
+    read off the edges and no element is multiplied after the closure.  In
+    a group from ``rewrite_on_lattice`` every word has length one.
     """
 
     __slots__ = ("generators", "elements", "edges", "_tree", "_index")
@@ -522,7 +524,7 @@ def quotient_by_translations(d: HyperellipticDatum) -> HyperellipticDatum:
     enlarged = Sublattice.standard(rank).sum(Sublattice.from_rat_columns(rank, translations))
     cols = enlarged.basis_vectors()
     torus = TorusDatum(rank, mat_mul(d.torus.lam_basis, transpose(cols)), d.torus.factors)
-    quotient = rewrite_on_lattice(d, cols, torus, d.group.generators + d.group.elements)
+    quotient = rewrite_on_lattice(d, cols, torus, enumerate(d.group.elements))
     expected = d.group.order // (len(translations) + 1)
     if quotient.group.order != expected:
         raise GroupInvariantError(
@@ -532,23 +534,26 @@ def quotient_by_translations(d: HyperellipticDatum) -> HyperellipticDatum:
 
 
 def rewrite_on_lattice(
-    d: HyperellipticDatum, cols, torus: TorusDatum, elements
+    d: HyperellipticDatum, cols, torus: TorusDatum, members
 ) -> HyperellipticDatum:
-    """The given elements of d, written on the G-stable lattice with basis ``cols``.
+    """The members of d, written on the G-stable lattice with basis ``cols``.
 
     ``cols`` are basis columns B in d's lattice coordinates, ``torus`` is the
-    lattice they span with Z^len(cols) as its lattice coordinates, and each
-    element is an AffineAut with its linear part and translation in d's
+    lattice they span with Z^len(cols) as its lattice coordinates, and
+    ``members`` are (index in d.group, element) pairs, identity first, each
+    element an AffineAut with its linear part and translation in d's
     coordinates and its eigenvalues for the new datum.  In the basis B an
     element reads (L M B, L t mod 1) with L = (B^T B)^-1 B^T, so L B = I, and
     the form reads B^T E B.  A linear part that is not integral raises
-    GroupInvariantError; repeats and the identity are dropped, and what
-    remains is closed in its given order.
+    GroupInvariantError.  Equal images merge in first-seen order and every
+    nonidentity image is a generator.  The rewrite is a homomorphism, so a
+    product is read off d's Cayley table at the first members with those
+    images; one outside the members raises GroupInvariantError.
     """
     b = transpose(cols)
     left = mat_mul(mat_inv(mat_mul(cols, b)), cols)
-    gens = {}
-    for e in elements:
+    elements, reps, index, label = [], [], {}, {}
+    for i, e in members:
         linear = mat_mul(left, mat_mul(e.linear, b))
         if not all(vec_is_integral(row) for row in linear):
             raise GroupInvariantError("an element does not preserve the lattice")
@@ -557,11 +562,18 @@ def rewrite_on_lattice(
             vec_mod1(mat_vec(left, e.translation)),
             e.eigenvalues,
         )
-        if not g.is_identity():
-            gens.setdefault(g.key(), g)
+        label[i] = index.setdefault(g.key(), len(elements))
+        if label[i] == len(elements):
+            elements.append(g)
+            reps.append(i)
+    try:
+        edges = tuple(tuple(label[d.group.compose_indices(a, s)] for s in reps[1:]) for a in reps)
+    except KeyError as exc:
+        raise GroupInvariantError(f"members are not closed: element {exc} is missing") from None
+    tree = (None,) + tuple((0, j) for j in range(len(reps) - 1))
     return HyperellipticDatum(
         torus,
-        close_group(tuple(gens.values()), torus),
+        ActionGroup(tuple(elements[1:]), tuple(elements), edges, tree),
         AlternatingForm(d.form.restricted_to(cols)),
         builder_mode=torus.factors is not None,
         j_stability_assumed=d.j_stability_assumed,

@@ -16,11 +16,11 @@ Everything is certified by construction.  G fixes V0 pointwise and keeps V1
 stable, so P0 M_g = P0 for every g, where P0 is the projection onto V0 along
 V1; that makes t0 a homomorphism modulo Lambda_0 + K0 = P0(Z^n) and H its
 kernel.  The pipeline checks the cheap certificates these theorems supply,
-not the consequences element by element: P0 M_g = P0 per generator, H
-membership by one integer solve of P0 w = t0(g) per element, |K0| = |K1| =
-|K| from the orders of two lattice quotients, and |H| dividing |G|.  A failed
-certificate raises PipelineInvariantError (NotASubgroup for H), which signals
-a bug rather than bad input.
+not the consequences element by element: P0 M_g = P0 per generator (which
+also makes V1 G-stable), H membership by one integer solve of P0 w = t0(g)
+per element, |K0| = |K1| = |K| from the orders of two lattice quotients, and
+|H| dividing |G|.  A failed certificate raises PipelineInvariantError
+(NotASubgroup for H), which signals a bug rather than bad input.
 """
 
 from __future__ import annotations
@@ -177,12 +177,6 @@ def compute_A1(d: HyperellipticDatum, lambda0: Sublattice) -> Sublattice:
     lam1 = kernel_lattice(int_rows)
     if lambda0.rank + lam1.rank != rank:
         raise DegenerateRestriction("V0 and its complement do not span V")
-    b1 = lam1.basis_vectors()
-    for g in d.group.generators:
-        for col in b1:
-            image = mat_vec(g.linear, col)
-            if lam1.coords_of(image) is None:
-                raise PipelineInvariantError("V1 is not stable under the group action")
     return lam1
 
 
@@ -319,31 +313,34 @@ def compute_fiber(
     ``_fiber_basis`` returns: on a factor-aligned fiber, the product
     coordinates of the fiber's factors; otherwise the Hermite basis of
     Lambda_1.  Each h acts by a1 -> rho(h)|V1 a1 + shift(h), with the V1 shift
-    from compute_H; the datum is then normalized via quotient_by_translations
-    by the caller before classification.  On a factor-aligned fiber h keeps
-    its eigenvalues on the fiber's factors, in factor order, and must have
-    eigenvalue 1 on the others; otherwise it drops the first q ones.
+    from compute_H.  A1/H is the restriction of H to A1, so its group law is
+    G's: each h goes to ``rewrite_on_lattice`` with its index in G, and the
+    fiber's products are read off G's Cayley table, not closed again.  The
+    caller then normalizes the datum via quotient_by_translations before
+    classification.  On a factor-aligned fiber h keeps its eigenvalues on the
+    fiber's factors, in factor order, and must have eigenvalue 1 on the
+    others; otherwise it drops the first q ones.
     """
     cols, factor_indices = _fiber_basis(d, dec.lambda1)
     q = dec.q
-    elements = []
+    members = []
     for i in h_indices:
         e = d.group.elements[i]
         eig = e.eigenvalues
-        kept = factor_indices  # factor order: the fiber's closure multiplies factor by factor
+        kept = factor_indices  # factor order: the order of the fiber torus's factors
         if kept is None:  # drop the first q ones
             ones = [k for k, z in enumerate(eig) if z.is_one()][:q]
             kept = [k for k in range(len(eig)) if k not in ones]
         dropped = [eig[k] for k in range(len(eig)) if k not in kept]
         if len(dropped) != q or not all(z.is_one() for z in dropped):
             raise PipelineInvariantError("element lacks eigenvalue 1 on the q Albanese directions")
-        elements.append(AffineAut(e.linear, shifts[i], tuple(eig[k] for k in kept)))
+        members.append((i, AffineAut(e.linear, shifts[i], tuple(eig[k] for k in kept))))
     factors = None
     if factor_indices is not None:
         factors = tuple(d.torus.factors[i] for i in factor_indices)
     r1 = len(cols)
     torus = TorusDatum(r1, TorusDatum.raw(r1).lam_basis, factors)
-    fiber = rewrite_on_lattice(d, cols, torus, elements)
+    fiber = rewrite_on_lattice(d, cols, torus, members)
     if fiber.group.order != len(h_indices):
         raise PipelineInvariantError("fiber action has the wrong order")
     return fiber, factor_indices
@@ -403,7 +400,7 @@ def classify_fiber(fiber: HyperellipticDatum) -> FiberClassification:
     if group.order == 1:
         return FiberClassification("abelian", dim, 1, True, (), (1,))
     orders = tuple(sorted(group.element_order(i) for i in range(group.order)))
-    cyclic = group.is_cyclic()
+    cyclic = group.order in orders
     invariants = _abelian_invariant_factors(group) if group.is_abelian() else None
     return FiberClassification("hyperelliptic", dim, group.order, cyclic, invariants, orders)
 
@@ -414,8 +411,6 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
     n = d.dim
     lambda0 = compute_A0(d)
     q = lambda0.rank // 2
-    if d.group.order > 1 and not (q < n):
-        raise PipelineInvariantError("irregularity must be strictly below the dimension")
     lambda1 = compute_A1(d, lambda0)
     dec = compute_K(d, lambda0, lambda1)
     table = decompose_cocycle(d, dec)
@@ -429,8 +424,6 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
             "fiber datum fails validation: " + "; ".join(fiber_report_check.failures())
         )
     fiber_class = classify_fiber(fiber)
-    if q + fiber_class.dim != n:
-        raise PipelineInvariantError("dim Alb + dim fiber must equal dim X")
     if q == n - 1 and d.group.order > 1 and not d.group.is_cyclic():
         raise PipelineInvariantError("irregularity n - 1 forces a cyclic group")
     if d.group.is_cyclic() and fiber_class.kind == "hyperelliptic" and not fiber_class.cyclic:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 I/O or parse error, 2 mathematical validation
-failure, 3 internal consistency failure.  Output is deterministic byte-for-byte
-for a fixed input and flags.
+Exit codes: 0 success (``--help`` included), 1 I/O, parse or usage error,
+2 mathematical validation failure, 3 internal consistency failure.  Output
+is deterministic byte-for-byte for a fixed input and flags.
 """
 
 from __future__ import annotations
@@ -195,6 +195,17 @@ def cmd_catalog(args) -> int:
     return _fail(1, f"unknown catalog action {args.action!r}")
 
 
+def _level(text: str) -> int:
+    """The --level value: a positive integer, or a usage error."""
+    try:
+        level = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid level {text!r}: not an integer") from None
+    if level < 1:
+        raise argparse.ArgumentTypeError(f"invalid level {level}: must be positive")
+    return level
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperelliptic",
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force torsion-level verification")
     p.add_argument("path")
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_level, default=None)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_oracle)
 
@@ -235,7 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, an input error here
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except InputError as exc:

@@ -309,22 +309,30 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 return
 
     n = min(rows, cols)
-    for t in range(n):
-        clear_position(t)
-    # enforce the divisibility chain; fixing (t, t+1) may need re-clearing
-    t = 0
-    while t < n - 1:
-        a, b = s[t][t], s[t + 1][t + 1]
-        if a != 0 and b % a != 0:
-            rowop(t, t + 1, 1, 1, 0, 1)  # row t <- (a, b, ...): forces a gcd merge
+    start = 0
+    while True:
+        for t in range(start, n):
             clear_position(t)
-            t = max(t - 1, 0)
-            continue
-        if a == 0 and b != 0:
-            rowop(t, t + 1, 0, 1, -1, 0)
-            colop(t, t + 1, 0, 1, -1, 0)
-            continue
-        t += 1
+        # enforce the divisibility chain; fixing (t, t+1) may need re-clearing
+        t = 0
+        while t < n - 1:
+            a, b = s[t][t], s[t + 1][t + 1]
+            if a != 0 and b % a != 0:
+                rowop(t, t + 1, 1, 1, 0, 1)  # row t <- (a, b, ...): forces a gcd merge
+                clear_position(t)
+                t = max(t - 1, 0)
+                continue
+            if a == 0 and b != 0:
+                rowop(t, t + 1, 0, 1, -1, 0)
+                colop(t, t + 1, 0, 1, -1, 0)
+                continue
+            t += 1
+        # a re-clearing's pivot search can swap rows and columns of the trailing
+        # block and leave entries off its diagonal; clear again from the first
+        off = [min(i, j) for i in range(rows) for j in range(cols) if i != j and s[i][j]]
+        if not off:
+            break
+        start = min(off)
     for t in range(n):
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]

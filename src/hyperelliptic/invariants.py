@@ -146,17 +146,12 @@ def _certified_integer(cell, conductor: int, order: int, what: str) -> int:
     return total // order
 
 
-def irregularity(d: HyperellipticDatum) -> int:
-    """q = multiplicity of the trivial character in the complex representation.
+def irregularity(d: HyperellipticDatum, diamond: HodgeDiamond) -> int:
+    """q = h^{1,0}, the multiplicity of the trivial character in the complex representation.
 
     Cross-checked against the lattice side: q must equal rank(Lambda_0)/2.
     """
-    conductor, classes = _exponent_classes(d)
-    trace = [0] * conductor
-    for exponents, count in classes.items():
-        for a in exponents:
-            trace[a] += count
-    q = _certified_integer(trace, conductor, d.group.order, "irregularity")
+    q = diamond.h[1][0]
     lattice_q = compute_A0(d).rank // 2
     if q != lattice_q:
         raise Inconsistent(
@@ -201,10 +196,8 @@ def canonical_order(d: HyperellipticDatum) -> int:
 
 
 def invariants_report(d: HyperellipticDatum) -> InvariantsReport:
-    q = irregularity(d)
     diamond = hodge_diamond(d)
-    if diamond.h[1][0] != q:
-        raise Inconsistent("h^{1,0} differs from the irregularity")
+    q = irregularity(d, diamond)
     euler = sum((-1) ** k * diamond.h[0][k] for k in range(d.dim + 1))
     order = canonical_order(d)
     if (diamond.h[d.dim][0] == 1) != (order == 1):

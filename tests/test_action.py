@@ -396,8 +396,17 @@ class TestQuotientByTranslations:
         d = z4_threefold()
         cols = tuple(tuple(2 if i == j == 4 else int(i == j) for i in range(6)) for j in range(6))
         with pytest.raises(GroupInvariantError, match="does not preserve the lattice"):
-            rewrite_on_lattice(d, cols, d.torus, d.group.elements)
+            rewrite_on_lattice(d, cols, d.torus, enumerate(d.group.elements))
         assert issubclass(GroupInvariantError, RuntimeError)
+
+    def test_members_not_closed_are_internal_error(self):
+        # products are read off the parent's table, so one outside the members is a bug
+        d = z4_threefold()
+        assert d.group.element_order(1) == 4
+        cols = identity(6)
+        members = [(0, d.group.elements[0]), (1, d.group.elements[1])]
+        with pytest.raises(GroupInvariantError, match="not closed"):
+            rewrite_on_lattice(d, cols, d.torus, members)
 
     def test_group_order_factorization(self):
         torus = build_product_torus([GEN0, GEN1])

@@ -168,6 +168,38 @@ RAW_FORM_FLIP = {
 }
 
 
+class TestUsageErrors:
+    """A command line argparse rejects is an input error: exit 1, like a bad file."""
+
+    @pytest.mark.parametrize("args", [
+        ["--bogus"],
+        ["--format", "xml"],
+        ["--level", "abc"],
+        ["--level", "0"],
+        ["--level", "-4"],
+    ], ids=["unknown-option", "format-xml", "level-abc", "level-0", "level-negative"])
+    def test_usage_error_exits_1(self, args, z4_file, capsys):
+        code, _, err = run_cli(["oracle", z4_file, *args], capsys)
+        assert code == 1
+        assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["check", "albanese", "invariants", "oracle"])
+    def test_missing_path_exits_1(self, command, capsys):
+        code, _, err = run_cli([command], capsys)
+        assert code == 1
+        assert "required: path" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run_cli(["--help"], capsys)
+        assert code == 0
+        assert "usage:" in out
+
+    def test_level_not_divisible_stays_exit_2(self, z4_file, capsys):
+        code, _, err = run_cli(["oracle", z4_file, "--level", "7"], capsys)
+        assert code == 2
+        assert "level 7 is not divisible" in err
+
+
 class TestStrictInput:
     def check_exit(self, doc, tmp_path, capsys) -> tuple[int, str]:
         path = tmp_path / "doc.json"

@@ -2,14 +2,16 @@
 
 `close_group` forms every product once and keeps its Cayley edges;
 `ActionGroup` answers later products by following them, and decides
-commutativity on the generators alone.  With elliptic factors a new
-element's eigenvalues are the factorwise product of its parent's and its
-generator's.  The references here are the computations those replaced:
-`compose` on every pair of elements, a power walk for element orders, the
-all-pairs commutation test, and the eigenvalue read off each diagonal 2x2
-block in product coordinates.  They run on every catalog entry, on the raw and
-normalized fibers along each valid entry's recursion, and on the benchmark's
-stress points at seed 0.
+commutativity on the generators alone.  A derived group (a fiber or a
+translation quotient) reads its products off its parent's Cayley table and
+multiplies nothing.  With elliptic factors a new element's eigenvalues are
+the factorwise product of its parent's and its generator's.  The references
+here are the computations those replaced: `compose` on every pair of
+elements, a power walk for element orders, the all-pairs commutation test,
+and the eigenvalue read off each diagonal 2x2 block in product coordinates.
+They run on every catalog entry, on the raw and normalized fibers along each
+valid entry's recursion, on two copies of `z2z2-threefold` side by side, and
+on the benchmark's stress points at seed 0.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import pytest
 
 from conftest import load_perfbench
+import hyperelliptic.action
 from hyperelliptic.action import compose, quotient_by_translations, validate
 from hyperelliptic.albanese import (
     compute_A0,
@@ -68,10 +71,34 @@ def stress_data(point):
     return data_of(build_datum(load_perfbench("stress").stress_document(*point, 0)))
 
 
+def side_by_side(doc, copies):
+    """A builder document for copies of doc's variety, each group acting on its own copy."""
+    f = len(doc["factors"])
+    generators = [
+        {
+            "zetas": ["1"] * (f * c) + g["zetas"] + ["1"] * (f * (copies - c - 1)),
+            "translation": ["0"] * (2 * f * c) + g["translation"]
+            + ["0"] * (2 * f * (copies - c - 1)),
+        }
+        for c in range(copies)
+        for g in doc["generators"]
+    ]
+    factors = [dict(x, label=f"{x['label']}.{c}") for c in range(copies) for x in doc["factors"]]
+    return {"mode": "builder", "factors": factors, "k_gens": [], "generators": generators}
+
+
+def z2z2_copies(copies):
+    return build_datum(side_by_side(get_entry("z2z2-threefold").document, copies))
+
+
+def copies_data(copies):
+    return data_of(z2z2_copies(copies))
+
+
 CASES = [pytest.param(catalog_data, name, id=name) for name in list_entries()] + [
     pytest.param(stress_data, point, id="m{}-k{}-base{}".format(*point))
     for point in STRESS_POINTS
-]
+] + [pytest.param(copies_data, 2, id="z2z2-x2")]
 
 
 def naive_order(e) -> int:
@@ -120,6 +147,31 @@ def test_eigenvalues_match_factor_blocks(data, arg):
     assert checked
 
 
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(get_entry(name).build, id=name)
+     for name in list_entries() if not get_entry(name).expect_invalid]
+    + [pytest.param(lambda: z2z2_copies(2), id="z2z2-x2")],
+)
+def test_pipeline_multiplies_no_element(build, monkeypatch):
+    # the fiber and the translation quotient read their products off G's table
+    d = build()
+    assert validate(d).passed
+
+    def refuse(a, b):
+        raise AssertionError("an element was multiplied after the closure")
+
+    monkeypatch.setattr(hyperelliptic.action, "compose", refuse)
+    run_pipeline(d, recurse=True)
+
+
+def test_two_z2z2_copies_have_h_everything():
+    d = z2z2_copies(2)
+    report = run_pipeline(d, recurse=True)
+    assert (d.group.order, d.rank, report.q) == (16, 12, 0)
+    assert report.fiber.group.order == 16
+
+
 def test_quotient_with_translations_is_covered():
     # some catalog fiber has translations, so the cases above reach a nontrivial quotient
     assert any(
@@ -131,7 +183,7 @@ def test_quotient_with_translations_is_covered():
 
 # q = 1 on e2; H = <g1> acts on the fiber e0 x e1 by (z0 + 1/2, -z1).  Dropping
 # "the first q ones" from g1's eigenvalues (1, -1, 1) would give (-1, 1), out of
-# factor order; the fiber's closure multiplies eigenvalues factor by factor.
+# factor order; the fiber's eigenvalues must match its factor blocks.
 FIBER_ORDER_DOCUMENT = {
     "mode": "builder",
     "factors": [

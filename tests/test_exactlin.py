@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bareiss_det, in_span, minors_gcd
@@ -230,6 +230,10 @@ class TestSmith:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 5).flatmap(lambda n: small_int_matrix(n, n, bound=4)))
+    # a divisibility fix-up once left these two off the diagonal
+    @example(((-2, -3, 4, 0, 1), (-1, 1, -2, -2, -1), (-2, -3, -2, 0, 1),
+              (-1, -2, 2, 4, 3), (-4, -3, -2, 4, 4)))
+    @example(((-4, 3, 2, -1), (2, -1, 4, 4), (-2, 4, 4, 2), (4, 0, -4, 0)))
     def test_random_against_minor_gcds(self, m):
         n = len(m)
         u, s, v = smith_normal_form(m)

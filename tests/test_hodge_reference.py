@@ -54,7 +54,7 @@ def datum_and_fibers(d):
 
 def assert_matches_reference(d):
     assert hodge_diamond(d) == ref.hodge_diamond(d)
-    assert irregularity(d) == ref.irregularity(d)
+    assert irregularity(d, hodge_diamond(d)) == ref.irregularity(d)
 
 
 @pytest.mark.parametrize("name", VALID_ENTRIES)

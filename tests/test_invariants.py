@@ -62,15 +62,17 @@ def _prod(xs):
 class TestIrregularity:
     @pytest.mark.parametrize("name", [f"bielliptic-{k}" for k in range(1, 8)])
     def test_table_families(self, name):
-        assert irregularity(datum_of(name)) == 1
+        d = datum_of(name)
+        assert irregularity(d, hodge_diamond(d)) == 1
 
     def test_small_irregularity_cyclic(self):
         d = datum_of("small-irregularity-cyclic")
         assert d.dim == 4
-        assert irregularity(d) == 2
+        assert irregularity(d, hodge_diamond(d)) == 2
 
     def test_z2z2(self):
-        assert irregularity(datum_of("z2z2-threefold")) == 0
+        d = datum_of("z2z2-threefold")
+        assert irregularity(d, hodge_diamond(d)) == 0
 
 
 class TestHodgeDiamond:
