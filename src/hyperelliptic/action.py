@@ -24,7 +24,7 @@ from .exactlin import (
     as_fractions,
     hermite_normal_form,
     identity,
-    mat_det,
+    is_unimodular,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -278,7 +278,7 @@ def close_group(
             raise LatticeNotPreserved("generator rank mismatch")
         if not all(isinstance(x, int) for row in g.linear for x in row):
             raise LatticeNotPreserved("linear part must be integral on the lattice")
-        if abs(mat_det(g.linear)) != 1:
+        if not is_unimodular(g.linear):
             raise LatticeNotPreserved("linear part is not unimodular")
         table.setdefault(g.linear, g.eigenvalues)
 
@@ -472,30 +472,34 @@ def _check_eigenvalues(e: AffineAut, index: int) -> str | None:
 def validate(d: HyperellipticDatum) -> ValidationReport:
     """Run every hyperelliptic-variety check and cache the report on the datum.
 
-    Freeness, translations and eigenvalues are checked on every element.  The
-    form is checked on the generators only: M^T E M = E for the generators
-    implies it for every product of them, so on failure form_violations
-    lists the failing generators' element indices.  The complex
+    Freeness and translations are checked on every element.  The form is
+    checked on the generators only: M^T E M = E for the generators implies it
+    for every product of them, so on failure form_violations lists the
+    failing generators' element indices.  On a torus with elliptic factors
+    the eigenvalues are checked on the generators only as well: a builder
+    generator's linear part is lam^-1 blockdiag(units) lam with the units as
+    its eigenvalues (``factor_block_eigenvalue`` checks every block), and
+    close_group gives a product the factorwise product of the units, so its
+    linear part is lam^-1 blockdiag(its eigenvalues) lam and its
+    characteristic polynomial is the one they declare.  In a derived group
+    every nonidentity element is a generator.  Raw data declare or derive
+    eigenvalues per element, so every element is checked.  The complex
     representation rho is faithful iff no nonidentity element is a
     translation: lin (x) C = rho + conj(rho), so ker rho = ker lin, and the
     kernel of g -> lin(g) is the translation subgroup.
     """
+    elements = d.group.elements
     fixed = []
     translations = []
-    form_bad = sorted(
-        {d.group.index_of(g) for g in d.group.generators if not d.form.is_invariant_under(g.linear)}
-    )
-    eig_bad = []
-    for i, e in enumerate(d.group.elements):
-        if i == 0:
-            continue
-        if has_fixed_point(e):
+    for i in range(1, len(elements)):
+        if has_fixed_point(elements[i]):
             fixed.append(i)
-        if e.is_translation():
+        if elements[i].is_translation():
             translations.append(i)
-        problem = _check_eigenvalues(e, i)
-        if problem:
-            eig_bad.append(problem)
+    gens = sorted({d.group.index_of(g) for g in d.group.generators})
+    form_bad = [i for i in gens if not d.form.is_invariant_under(elements[i].linear)]
+    checked = gens if d.torus.factors is not None else range(len(elements))
+    eig_bad = [p for i in checked if i and (p := _check_eigenvalues(elements[i], i))]
     report = ValidationReport(
         group_order=d.group.order,
         fixed_point_elements=tuple(fixed),

@@ -26,7 +26,6 @@ per element, |K0| = |K1| = |K| from the orders of two lattice quotients, and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .action import (
@@ -42,14 +41,14 @@ from .exactlin import (
     Sublattice,
     column_hermite,
     integer_solution,
+    is_singular,
     kernel_lattice,
-    mat_det,
     mat_inv,
     mat_mul,
     mat_vec,
+    over_common_denominator,
     quotient_group,
     transpose,
-    vec_denominator,
     vec_sub,
 )
 from .torus import TorusDatum, identify_factor_subspace
@@ -90,12 +89,6 @@ class Decomposition(NamedTuple):
         return self.lambda0.rank // 2
 
 
-class CocycleTable(NamedTuple):
-    """V0 part of each element's translation lift (indexed like the group)."""
-
-    t0: tuple[tuple[Fraction, ...], ...]
-
-
 class FiberClassification(NamedTuple):
     kind: str  # "abelian" | "hyperelliptic"
     dim: int
@@ -119,7 +112,7 @@ class AlbaneseReport(NamedTuple):
     dim: int
     group_order: int
     decomposition: Decomposition
-    cocycle: CocycleTable
+    cocycle: tuple[tuple[Fraction, ...], ...]  # t0 of each element, indexed like the group
     albanese_lattice: Sublattice
     albanese_isogeny_factors: tuple[int, ...]
     subgroup_h: tuple[int, ...]
@@ -160,24 +153,16 @@ def compute_A0(d: HyperellipticDatum) -> Sublattice:
 
 def compute_A1(d: HyperellipticDatum, lambda0: Sublattice) -> Sublattice:
     """Lambda_1 = Lambda intersect V1, the form-orthogonal complement of V0."""
-    rank = d.rank
     if lambda0.rank == 0:
-        return Sublattice.standard(rank)
-    b0 = transpose(lambda0.cols)  # rank x r0, integer
-    gram = mat_mul(mat_mul(transpose(b0), d.form.matrix), b0)
-    if mat_det(gram) == 0:
-        raise DegenerateRestriction("form restricted to V0 is singular")
+        return Sublattice.standard(d.rank)
     # rows of the constraint: E(b, .) = 0 for each Lambda_0 basis vector b
-    constraint = mat_mul(transpose(b0), d.form.matrix)  # r0 x rank, rational
-    den = 1
-    for row in constraint:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    int_rows = tuple(tuple(int(x * den) for x in row) for row in constraint)
-    lam1 = kernel_lattice(int_rows)
-    if lambda0.rank + lam1.rank != rank:
-        raise DegenerateRestriction("V0 and its complement do not span V")
-    return lam1
+    constraint = mat_mul(lambda0.cols, d.form.matrix)  # r0 x rank, rational
+    if is_singular(mat_mul(constraint, transpose(lambda0.cols))):
+        raise DegenerateRestriction("form restricted to V0 is singular")
+    # E is nondegenerate, so the constraint has full row rank r0 and the
+    # kernel has the complementary rank
+    _, rows = over_common_denominator(constraint)
+    return kernel_lattice(tuple(rows))
 
 
 def _projectors(lambda0: Sublattice, lambda1: Sublattice):
@@ -226,27 +211,20 @@ def compute_K(
     return Decomposition(lambda0, lambda1, k, k0, k1, proj0, proj1)
 
 
-def _scaled_proj0(dec: Decomposition) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(den, den * P0) with den the least common denominator of P0's entries."""
-    den = lcm(*map(vec_denominator, dec.proj0))
-    return den, tuple(tuple(int(x * den) for x in row) for row in dec.proj0)
-
-
-def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition) -> CocycleTable:
-    """The V0 part t0(g) = P0 tau(g) of each element's canonical translation lift.
+def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
+    """The V0 part t0(g) = P0 tau(g) of each element's canonical translation lift, by index.
 
     The cocycle identity t0(gh) = t0(g) + t0(h) mod Lambda_0 + K0 follows from
     P0 M_g = P0, because tau(gh) = M_g tau(h) + tau(g) - lambda and P0(Z^n) =
     Lambda_0 + K0; the identity for every element follows from the generators.
     """
-    _, p0 = _scaled_proj0(dec)
     for g in d.group.generators:
-        if mat_mul(p0, g.linear) != p0:
+        if mat_mul(dec.proj0, g.linear) != dec.proj0:
             raise PipelineInvariantError("a generator moves V0 or does not keep V1 stable")
-    return CocycleTable(tuple(mat_vec(dec.proj0, e.translation) for e in d.group.elements))
+    return tuple(mat_vec(dec.proj0, e.translation) for e in d.group.elements)
 
 
-def compute_H(d: HyperellipticDatum, dec: Decomposition, table: CocycleTable):
+def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):
     """Indices of H = {g : t0(g) in P0(Z^n)}, with each member's fiber shift.
 
     g is in H iff P0 w = t0(g) has an integer solution w; then tau(g) - w lies
@@ -255,12 +233,12 @@ def compute_H(d: HyperellipticDatum, dec: Decomposition, table: CocycleTable):
     kernel of t0 modulo P0(Z^n), so it is a subgroup; the identity being in
     H and |H| dividing |G| are checked as its certificate.
     """
-    den, p0 = _scaled_proj0(dec)
+    den, p0 = over_common_denominator(dec.proj0)
     hermite = column_hermite(p0)
     members = []
     shifts = {}
     for i, e in enumerate(d.group.elements):
-        w = integer_solution(hermite, tuple(x * den for x in table.t0[i]))
+        w = integer_solution(hermite, tuple(x * den for x in t0[i]))
         if w is not None:
             members.append(i)
             shifts[i] = vec_sub(e.translation, w)
@@ -270,13 +248,13 @@ def compute_H(d: HyperellipticDatum, dec: Decomposition, table: CocycleTable):
     return tuple(members), shifts
 
 
-def compute_albanese(d: HyperellipticDatum, dec: Decomposition, table: CocycleTable):
+def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
     """Albanese lattice Lambda_B in V0 and the invariant factors of Lambda_B/Lambda_0."""
     rank = d.rank
     vectors = list(dec.lambda0.basis_vectors())
     vectors.extend(dec.k0.generators)
     for g in d.group.generators:
-        vectors.append(table.t0[d.group.index_of(g)])
+        vectors.append(t0[d.group.index_of(g)])
     vectors = [v for v in vectors if any(v)]
     if not vectors:
         return Sublattice.zero(rank), ()
@@ -413,9 +391,9 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
     q = lambda0.rank // 2
     lambda1 = compute_A1(d, lambda0)
     dec = compute_K(d, lambda0, lambda1)
-    table = decompose_cocycle(d, dec)
-    h_indices, shifts = compute_H(d, dec, table)
-    lam_b, factors = compute_albanese(d, dec, table)
+    t0 = decompose_cocycle(d, dec)
+    h_indices, shifts = compute_H(d, dec, t0)
+    lam_b, factors = compute_albanese(d, dec, t0)
     fiber, fiber_factor_indices = compute_fiber(d, dec, h_indices, shifts)
     fiber = quotient_by_translations(fiber)
     fiber_report_check = validate(fiber)
@@ -434,7 +412,7 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
         dim=n,
         group_order=d.group.order,
         decomposition=dec,
-        cocycle=table,
+        cocycle=t0,
         albanese_lattice=lam_b,
         albanese_isogeny_factors=factors,
         subgroup_h=h_indices,

@@ -102,11 +102,8 @@ class RootOfUnity(NamedTuple):
     def __pow__(self, exponent: int) -> "RootOfUnity":
         return RootOfUnity.of(self.k * exponent, self.order)
 
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity.of(-self.k, self.order)
-
     def conjugate(self) -> "RootOfUnity":
-        return self.inverse()
+        return RootOfUnity.of(-self.k, self.order)
 
     def is_one(self) -> bool:
         return self.order == 1

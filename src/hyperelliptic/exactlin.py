@@ -6,10 +6,14 @@ answer is a certificate.  Matrices are tuples of row tuples; lattices store
 their basis as integer columns over a common denominator, canonicalized by a
 column-style Hermite form so that equal lattices compare equal.
 
-Matrix products (`mat_mul`, `mat_vec`) run over one common denominator: each
-operand is scaled to an integer matrix over the lcm of its entry
-denominators, the inner products are taken in `int`, and each output entry
-becomes one `Fraction`.  Products of all-`int` operands stay `int`.
+This module is the one place where rationals become integers: no other
+module of the package reads a `.numerator` or a `.denominator`.
+`over_common_denominator` scales a rational matrix to integer rows over the
+lcm of its entry denominators.  Matrix products (`mat_mul`, `mat_vec`) take
+their inner products on those integer rows and turn each output entry into
+one `Fraction`; products of all-`int` operands stay `int`.  The Hermite form
+(Cohen, GTM 138, 2.4) answers the integer questions: `is_unimodular`,
+`is_singular`, `integer_solution` and `Sublattice.coords_of` all read it.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
-def _over_common_denominator(rows):
-    """(D, integer rows) with rows == integer rows / D; D is None when every entry is an int.
+def over_common_denominator(rows):
+    """(D, integer rows) with rows == integer rows / D for the least positive integer D.
 
     D is the lcm of the entry denominators, so each integer entry is
-    numerator * (D // denominator).
+    numerator * (D // denominator).  When every entry is an int, D is None
+    (standing for 1) and the rows come back as they are, so a product of ints
+    can stay int.
     """
     if all(type(x) is int for row in rows for x in row):
         return None, rows
@@ -51,8 +57,8 @@ def _over_common_denominator(rows):
 
 
 def mat_mul(a, b):
-    da, a = _over_common_denominator(a)
-    db, bt = _over_common_denominator(transpose(b))
+    da, a = over_common_denominator(a)
+    db, bt = over_common_denominator(transpose(b))
     out = tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
     if da is None and db is None:
         return out
@@ -61,8 +67,8 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    da, a = _over_common_denominator(a)
-    dv, (v,) = _over_common_denominator((v,))
+    da, a = over_common_denominator(a)
+    dv, (v,) = over_common_denominator((v,))
     out = tuple(sum(map(mul, row, v)) for row in a)
     if da is None and dv is None:
         return out
@@ -102,29 +108,6 @@ def frac_mod1(x: Fraction) -> Fraction:
 
 def vec_mod1(v) -> Vector:
     return tuple(frac_mod1(x) for x in v)
-
-
-def mat_det(m) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 def mat_inv(m):
@@ -170,6 +153,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # normal forms
 
+def _combine_rows(mats, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
+    """Rows i, j <- (a*i + b*j, c*i + d*j) in each matrix; a*d - b*c must be +-1."""
+    for m in mats:
+        m[i], m[j] = (
+            [a * x + b * y for x, y in zip(m[i], m[j])],
+            [c * x + d * y for x, y in zip(m[i], m[j])],
+        )
+
+
 def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
     """Row-operation Hermite form: (h, u) with u @ m == h and u unimodular.
 
@@ -181,18 +173,6 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
     cols = len(m[0]) if rows else 0
     h = [list(row) for row in m]
     u = [list(row) for row in identity(rows)]
-
-    def rowop(i: int, j: int, a: int, b: int, c: int, d: int) -> None:
-        # rows i, j <- (a*i + b*j, c*i + d*j); requires a*d - b*c == +-1
-        h[i], h[j] = (
-            [a * x + b * y for x, y in zip(h[i], h[j])],
-            [c * x + d * y for x, y in zip(h[i], h[j])],
-        )
-        u[i], u[j] = (
-            [a * x + b * y for x, y in zip(u[i], u[j])],
-            [c * x + d * y for x, y in zip(u[i], u[j])],
-        )
-
     r = 0
     for col in range(cols):
         for i in range(r + 1, rows):
@@ -200,7 +180,7 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
                 continue
             a, b = h[r][col], h[i][col]
             g, x, y = _xgcd(a, b)
-            rowop(r, i, x, y, -(b // g), a // g)
+            _combine_rows((h, u), r, i, x, y, -(b // g), a // g)
         if r < rows and h[r][col] != 0:
             if h[r][col] < 0:
                 h[r] = [-x for x in h[r]]
@@ -209,8 +189,7 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
             for i in range(r):
                 q = h[i][col] // p
                 if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                    _combine_rows((h, u), i, r, 1, -q, 0, 1)
             r += 1
             if r == rows:
                 break
@@ -223,31 +202,47 @@ def column_hermite(m: Matrix) -> tuple[Matrix, Matrix]:
     return transpose(ht), transpose(ut)
 
 
+def is_unimodular(m: Matrix) -> bool:
+    """Whether a square integer matrix has determinant +-1: its Hermite form is the identity."""
+    return hermite_normal_form(m)[0] == identity(len(m))
+
+
+def is_singular(m) -> bool:
+    """Whether a square rational matrix is singular: its scaled Hermite form has a zero row."""
+    _, rows = over_common_denominator(m)
+    return any(not any(row) for row in hermite_normal_form(rows)[0])
+
+
+def _hermite_coords(cols, target) -> list[Fraction] | None:
+    """Rational y with sum_j y[j] * cols[j] == target, or None outside the columns' span.
+
+    The nonzero integer columns are in column-Hermite form: the pivot (first
+    nonzero) rows strictly increase, so y is read off one pivot at a time.
+    """
+    target = list(target)
+    y = []
+    for col in cols:
+        pivot = next(i for i, x in enumerate(col) if x)
+        c = Fraction(target[pivot], col[pivot])
+        y.append(c)
+        if c:
+            for i, x in enumerate(col):
+                target[i] -= c * x
+    return None if any(target) else y
+
+
 def integer_solution(hermite: tuple[Matrix, Matrix], b) -> tuple[int, ...] | None:
     """An integer x with m @ x == b, or None if there is none.
 
     ``hermite`` is ``column_hermite(m)``, so one Hermite form serves many
-    right-hand sides: m @ v == h with v unimodular, and the pivot rows of h's
-    columns strictly increase, so h @ y == b is solved column by column and
-    x = v @ y.
+    right-hand sides: m @ v == h with v unimodular, so x = v @ y for the
+    solution y of h @ y == b, which is integral iff x is.
     """
     h, v = hermite
-    target = list(b)
-    y = [0] * len(v)
-    for j, col in enumerate(transpose(h)):
-        pivot = next((i for i, x in enumerate(col) if x), None)
-        if pivot is None:
-            break
-        c = Fraction(target[pivot], col[pivot])
-        if c.denominator != 1:
-            return None
-        y[j] = int(c)
-        if y[j]:
-            for i, x in enumerate(col):
-                target[i] -= y[j] * x
-    if any(target):
+    y = _hermite_coords([c for c in transpose(h) if any(c)], b)
+    if y is None or any(c.denominator != 1 for c in y):
         return None
-    return mat_vec(v, y)
+    return mat_vec(v, [int(c) for c in y] + [0] * (len(v) - len(y)))
 
 
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -257,16 +252,6 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     s = [list(row) for row in m]
     u = [list(row) for row in identity(rows)]
     v = [list(row) for row in identity(cols)]
-
-    def rowop(i, j, a, b, c, d):
-        s[i], s[j] = (
-            [a * x + b * y for x, y in zip(s[i], s[j])],
-            [c * x + d * y for x, y in zip(s[i], s[j])],
-        )
-        u[i], u[j] = (
-            [a * x + b * y for x, y in zip(u[i], u[j])],
-            [c * x + d * y for x, y in zip(u[i], u[j])],
-        )
 
     def colop(i, j, a, b, c, d):
         for row in s:
@@ -287,7 +272,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 return
             pi, pj = pivot
             if pi != t:
-                rowop(t, pi, 0, 1, -1, 0)
+                _combine_rows((s, u), t, pi, 0, 1, -1, 0)
             if pj != t:
                 colop(t, pj, 0, 1, -1, 0)
             if s[t][t] < 0:
@@ -297,7 +282,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 if s[i][t]:
                     a, b = s[t][t], s[i][t]
                     g, x, y = _xgcd(a, b)
-                    rowop(t, i, x, y, -(b // g), a // g)
+                    _combine_rows((s, u), t, i, x, y, -(b // g), a // g)
             for j in range(t + 1, cols):
                 if s[t][j]:
                     a, b = s[t][t], s[t][j]
@@ -318,12 +303,13 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         while t < n - 1:
             a, b = s[t][t], s[t + 1][t + 1]
             if a != 0 and b % a != 0:
-                rowop(t, t + 1, 1, 1, 0, 1)  # row t <- (a, b, ...): forces a gcd merge
+                # row t <- (a, b, ...): forces a gcd merge
+                _combine_rows((s, u), t, t + 1, 1, 1, 0, 1)
                 clear_position(t)
                 t = max(t - 1, 0)
                 continue
             if a == 0 and b != 0:
-                rowop(t, t + 1, 0, 1, -1, 0)
+                _combine_rows((s, u), t, t + 1, 0, 1, -1, 0)
                 colop(t, t + 1, 0, 1, -1, 0)
                 continue
             t += 1
@@ -367,10 +353,7 @@ class Sublattice(NamedTuple):
         for v in vectors:
             if len(v) != ambient_rank:
                 raise LatticeError("vector length does not match ambient rank")
-        den = 1
-        for v in vectors:
-            den = lcm(den, vec_denominator(v))
-        cols = [tuple(int(x * den) for x in v) for v in vectors]
+        den, cols = over_common_denominator(vectors)
         return Sublattice._canonical(ambient_rank, den, cols)
 
     @staticmethod
@@ -409,19 +392,8 @@ class Sublattice(NamedTuple):
         v = as_fractions(v)
         if len(v) != self.ambient_rank:
             raise LatticeError("vector length does not match ambient rank")
-        target = [x * self.den for x in v]
-        coords = [Fraction(0)] * self.rank
-        # columns are in column-Hermite form: eliminate by each column's pivot row
-        for j, col in enumerate(self.cols):
-            pivot = next(i for i, x in enumerate(col) if x)
-            c = Fraction(target[pivot], col[pivot])
-            coords[j] = c
-            if c:
-                for i in range(self.ambient_rank):
-                    target[i] -= c * col[i]
-        if any(target):
-            return None
-        return tuple(coords)
+        coords = _hermite_coords(self.cols, [x * self.den for x in v])
+        return None if coords is None else tuple(coords)
 
     def reduce_mod(self, v) -> Vector:
         """Canonical representative of v modulo this lattice (v must lie in the span)."""
@@ -439,9 +411,10 @@ class Sublattice(NamedTuple):
     def sum(self, other: "Sublattice") -> "Sublattice":
         if other.ambient_rank != self.ambient_rank:
             raise LatticeError("ambient ranks differ")
-        return Sublattice.from_rat_columns(
-            self.ambient_rank, self.basis_vectors() + other.basis_vectors()
-        )
+        # a canonical den is the lcm of its basis's reduced entry denominators
+        den = lcm(self.den, other.den)
+        cols = [tuple(x * (den // s.den) for x in c) for s in (self, other) for c in s.cols]
+        return Sublattice._canonical(self.ambient_rank, den, cols)
 
 
 def kernel_lattice(m: Matrix) -> Sublattice:

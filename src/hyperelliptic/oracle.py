@@ -11,14 +11,13 @@ recorded in the verdict rather than assumed.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import lcm, prod
 from typing import NamedTuple
 
 from .action import AffineAut, HyperellipticDatum, validate
 from .albanese import AlbaneseReport, PipelineInvariantError
 from .exactlin import (
-    mat_vec,
+    over_common_denominator,
     smith_normal_form,
     transpose,
     vec_denominator,
@@ -243,16 +242,13 @@ class FiberCountVerdict(NamedTuple):
         return f"fail at level {self.level}: fiber {self.witness[0]} has {self.witness[1]} points"
 
 
-def _albanese_projection_matrix(report: AlbaneseReport, rank: int):
+def _albanese_projection_matrix(report: AlbaneseReport):
     """Row matrix L with key(v) = frac(L v): coordinates of proj_V0(v) in Lambda_B."""
     lam_b = report.albanese_lattice
     if lam_b.rank == 0:
         return ()
-    rows = []
     columns = []
-    for j in range(rank):
-        e_j = tuple(Fraction(int(i == j)) for i in range(rank))
-        w = mat_vec(report.decomposition.proj0, e_j)
+    for w in transpose(report.decomposition.proj0):
         coords = lam_b.coords_of(w)
         if coords is None:
             raise PipelineInvariantError("projection leaves the Albanese lattice span")
@@ -308,16 +304,14 @@ def oracle_fiber_count(
     r1 = report.decomposition.lambda1.rank
     h_order = len(report.subgroup_h)
     predicted = (group_order // h_order) * n**r1
-    lmat = _albanese_projection_matrix(report, rank)
+    lmat = _albanese_projection_matrix(report)
     # integerize: key_i = (sum_j c[i][j] p_j) mod D_i encodes frac(L p / N)
     dens = []
     coeffs = []
     for row in lmat:
-        d = 1
-        for x in row:
-            d = lcm(d, Fraction(x, n).denominator)
+        d, (c,) = over_common_denominator(([x / n for x in row],))
         dens.append(d)
-        coeffs.append(tuple(int(Fraction(x, n) * d) for x in row))
+        coeffs.append(c)
     active = [
         j
         for j in range(rank)

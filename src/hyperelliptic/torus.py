@@ -15,7 +15,6 @@ half-plane.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .cyclotomic import RootOfUnity
 from .exactlin import (
@@ -23,12 +22,11 @@ from .exactlin import (
     Sublattice,
     as_fractions,
     identity,
-    mat_det,
+    is_singular,
     mat_inv,
     mat_mul,
     mat_vec,
     transpose,
-    vec_denominator,
     vec_is_integral,
 )
 
@@ -133,7 +131,7 @@ class AlternatingForm:
             raise DegenerateForm("form matrix must be square")
         if any(matrix[i][j] != -matrix[j][i] for i in range(n) for j in range(n)):
             raise DegenerateForm("form matrix must be antisymmetric")
-        if mat_det(matrix) == 0:
+        if is_singular(matrix):
             raise DegenerateForm("form matrix is singular")
         self.matrix = matrix
 
@@ -160,10 +158,10 @@ class TorusDatum:
     ``lam_basis`` columns are a basis of Lambda written in product coordinates;
     in lattice coordinates Lambda is Z^rank.  Raw data use the identity basis
     and carry no factors.  Equality compares rank, ``lam_basis`` and factors;
-    the integer matrices derived from ``lam_basis`` are left out.
+    the integer inverse derived from ``lam_basis`` is left out.
     """
 
-    __slots__ = ("rank", "lam_basis", "factors", "lam_basis_inv", "_lam_den", "_lam_int")
+    __slots__ = ("rank", "lam_basis", "factors", "lam_basis_inv")
 
     def __init__(
         self,
@@ -179,11 +177,7 @@ class TorusDatum:
         self.rank = rank
         self.lam_basis = lam_basis
         self.factors = factors
-        # lam_basis^-1 is an integer matrix; lam_basis is _lam_int / _lam_den
         self.lam_basis_inv = tuple(tuple(map(int, row)) for row in inv)
-        den = lcm(*map(vec_denominator, lam_basis))
-        self._lam_den = den
-        self._lam_int = tuple(tuple(int(x * den) for x in row) for row in lam_basis)
 
     def __eq__(self, other):
         if not isinstance(other, TorusDatum):
@@ -203,7 +197,7 @@ class TorusDatum:
         return mat_vec(self.lam_basis_inv, as_fractions(v_product))
 
     def to_product_coords(self, v_lattice):
-        return tuple(x / self._lam_den for x in mat_vec(self._lam_int, as_fractions(v_lattice)))
+        return mat_vec(self.lam_basis, as_fractions(v_lattice))
 
     @staticmethod
     def raw(rank: int) -> "TorusDatum":
@@ -221,8 +215,7 @@ def build_product_torus(factors, k_gens=()) -> TorusDatum:
     lam = Sublattice.standard(rank)
     if gens:
         lam = lam.sum(Sublattice.from_rat_columns(rank, gens))
-    basis = transpose(tuple(tuple(Fraction(x, lam.den) for x in c) for c in lam.cols))
-    return TorusDatum(rank, basis, factors)
+    return TorusDatum(rank, transpose(lam.basis_vectors()), factors)
 
 
 def standard_form(t: TorusDatum) -> AlternatingForm:

@@ -3,11 +3,13 @@
 Each was a library method or function that no library code called: lattice
 saturation, lattice membership and basis matrices, the coset-meets-lattice
 decision, the torsion model's orbit enumeration, the direct fixed-point loop,
-the survey's "every count exhaustive" flag, the two-branch fixed-point survey
-and the index of a torus lattice over the product lattice.  The coset
-decision, the direct loop and the two-branch survey are the references the
-library's one Hermite form per element, meet-in-the-middle count and one
-survey loop are checked against.
+the survey's "every count exhaustive" flag, the two-branch fixed-point survey,
+the index of a torus lattice over the product lattice and the eigenvalue
+check on every element.  The coset decision, the direct loop, the two-branch
+survey and the every-element eigenvalue loop are the references the
+library's one Hermite form per element, meet-in-the-middle count, one survey
+loop and generator-only eigenvalue check are checked against.
+`three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import itertools
 
 from math import lcm
 
+from conftest import bareiss_det
+from hyperelliptic.action import _check_eigenvalues
 from hyperelliptic.exactlin import (
     LatticeError,
     Sublattice,
     as_fractions,
     kernel_lattice,
-    mat_det,
     mat_vec,
     transpose,
     vec_denominator,
@@ -210,5 +213,26 @@ def all_exhaustive(survey) -> bool:
 
 
 def index_over_product_lattice(torus) -> int:
-    """[Lambda : Z^rank], the index of the torus lattice over the product lattice."""
-    return int(abs(1 / mat_det(torus.lam_basis)))
+    """[Lambda : Z^rank], the index of the torus lattice over the product lattice.
+
+    Lambda has basis lam_basis, so the index is |det lam_basis^-1|, an integer determinant.
+    """
+    return abs(bareiss_det(torus.lam_basis_inv))
+
+
+def every_element_eigenvalue_violations(d) -> tuple[str, ...]:
+    """The eigenvalue check on every nonidentity element, in element order."""
+    checks = (_check_eigenvalues(e, i) for i, e in enumerate(d.group.elements) if i)
+    return tuple(problem for problem in checks if problem)
+
+
+def three_curve_document(k_gen, translation):
+    """E x E' x E'' (generic) over Z^6 + Z k_gen, with g = (z0 + translation, -z1, z2)."""
+    return {
+        "mode": "builder",
+        "factors": [{"kind": "generic"}] * 3,
+        "k_gens": [list(k_gen)],
+        "generators": [
+            {"zetas": ["1", "-1", "1"], "translation": list(translation) + ["0"] * 4}
+        ],
+    }

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import contains
+from helpers import contains, three_curve_document
 from hyperelliptic.action import compose, validate
 from hyperelliptic.albanese import (
     _fiber_basis,
@@ -142,7 +142,7 @@ class TestCocycle:
     def test_identity_splits_to_zero(self):
         d = datum_of("z4-threefold")
         dec, table = pipeline_parts(d)
-        assert not any(table.t0[0])
+        assert not any(table[0])
         _, shifts = compute_H(d, dec, table)
         assert not any(shifts[0])
 
@@ -152,7 +152,7 @@ class TestCocycle:
         dec, table = pipeline_parts(d)
         g_index = d.group.index_of(d.group.generators[0])
         expected_t0 = d.torus.to_lattice_coords((F(1, 4), 0, 0, 0, 0, 0))
-        diff = tuple(a - b for a, b in zip(table.t0[g_index], expected_t0))
+        diff = tuple(a - b for a, b in zip(table[g_index], expected_t0))
         assert contains(dec.lambda0, diff)
 
     def test_zmzm_second_generator_splits_to_tau_quotient(self):
@@ -161,7 +161,7 @@ class TestCocycle:
         dec, table = pipeline_parts(d)
         idx = d.group.index_of(d.group.generators[1])
         expected_t0 = d.torus.to_lattice_coords((0, F(1, 3), 0, 0, 0, 0))
-        diff = tuple(a - b for a, b in zip(table.t0[idx], expected_t0))
+        diff = tuple(a - b for a, b in zip(table[idx], expected_t0))
         assert contains(dec.lambda0, diff)
 
     def test_splitting_reassembles(self):
@@ -175,7 +175,7 @@ class TestCocycle:
                 assert dec.lambda1.coords_of(shifts[i]) is not None
                 w = vec_sub(d.group.elements[i].translation, shifts[i])
                 assert all(x.denominator == 1 for x in w)
-                assert mat_vec(dec.proj0, w) == table.t0[i]
+                assert mat_vec(dec.proj0, w) == table[i]
 
 
 class TestSubgroupH:
@@ -283,18 +283,6 @@ class TestFiber:
             report = run_pipeline(datum_of(name))
             assert report.fiber_class.kind == "abelian"
             assert report.subgroup_h == (0,)
-
-
-def three_curve_document(k_gen, translation):
-    """E x E' x E'' (generic) over Z^6 + Z k_gen, with g = (z0 + translation, -z1, z2)."""
-    return {
-        "mode": "builder",
-        "factors": [{"kind": "generic"}] * 3,
-        "k_gens": [list(k_gen)],
-        "generators": [
-            {"zetas": ["1", "-1", "1"], "translation": list(translation) + ["0"] * 4}
-        ],
-    }
 
 
 class TestFiberBasis:

@@ -8,7 +8,9 @@ job the long way: it enumerates K element by element, matches t0(g) against
 every K0 element, tests P0 M_g = P0 and the cocycle identity on every
 element, and checks invariant factors by the divisor-count predicate
 #{x : x^d = 1} = prod gcd(d, f_i).  It runs on every catalog entry, on its
-recursive fibers and on the stress family the benchmark uses.
+recursive fibers and on the stress family the benchmark uses.  `validate`
+checks a factor torus's eigenvalues on the generators only; the reference
+checks every element, on the same data and on the fiber-basis sweep.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from math import gcd, lcm
 
 import pytest
 
-from conftest import load_perfbench
-from helpers import contains
+from conftest import bareiss_det, load_perfbench
+from helpers import contains, every_element_eigenvalue_violations, three_curve_document
 from hyperelliptic.action import (
     AffineAut,
     HyperellipticDatum,
@@ -38,11 +40,11 @@ from hyperelliptic.albanese import (
     run_pipeline,
 )
 from hyperelliptic.catalog import get_entry, list_entries
+from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
 from hyperelliptic.exactlin import (
     Sublattice,
     identity,
-    mat_det,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -106,14 +108,14 @@ def check_against_enumeration(d, report):
         assert mat_mul(dec.proj0, e.linear) == dec.proj0
         for j in range(d.group.order):
             ij = d.group.compose_indices(i, j)
-            diff = vec_sub(table.t0[ij], tuple(a + b for a, b in zip(table.t0[i], table.t0[j])))
+            diff = vec_sub(table[ij], tuple(a + b for a, b in zip(table[i], table[j])))
             assert in_lattice(enlarged, diff)
 
     # H = {g : t0(g) - p0(k) in Lambda_0 for some k}, and each fiber shift is
     # t1(g) - p1(k) modulo Lambda_1 for that k
     expected_h = []
     for i, e in enumerate(d.group.elements):
-        t0 = table.t0[i]
+        t0 = table[i]
         match = next((k for k in k_elements if in_lattice(dec.lambda0, vec_sub(t0, k[1]))), None)
         if match is None:
             continue
@@ -214,7 +216,7 @@ def test_base_change_certificates_match_enumeration(name, kind):
     # the integer solution w of P0 w = t0(g) is not always zero
     d = get_entry(name).build()
     u = base_change(kind, d.rank, name)
-    assert abs(mat_det(u)) == 1
+    assert abs(bareiss_det(u)) == 1
     moved = conjugated(d, u)
     assert validate(moved).passed
     chain = pipeline_chain(moved)
@@ -255,3 +257,50 @@ def test_invariant_factors_match_divisor_counts(name):
     for group in groups:
         if group.order > 1 and group.is_abelian():
             check_invariant_factors(group)
+
+
+def assert_eigenvalue_check_matches_every_element(d):
+    assert validate(d).eigenvalue_violations == every_element_eigenvalue_violations(d)
+
+
+@pytest.mark.parametrize("name", list_entries())
+def test_catalog_eigenvalue_check_matches_every_element(name):
+    d = get_entry(name).build()
+    assert_eigenvalue_check_matches_every_element(d)
+    if not get_entry(name).expect_invalid:
+        for fiber, _ in pipeline_chain(d)[1:]:
+            assert_eigenvalue_check_matches_every_element(fiber)
+
+
+@pytest.mark.parametrize(
+    "point", STRESS_POINTS + ((3, 4, 2),), ids=lambda p: "m{}-k{}-base{}".format(*p)
+)
+def test_stress_eigenvalue_check_matches_every_element(point):
+    stress = load_perfbench("stress")
+    for seed in range(4):
+        assert_eigenvalue_check_matches_every_element(
+            build_datum(stress.stress_document(*point, seed))
+        )
+
+
+def test_sweep_eigenvalue_check_matches_every_element():
+    for k_gen in itertools.product(("0", "1/2"), repeat=6):
+        for translation in (("1/2", "0"), ("1/2", "1/2"), ("0", "1/2")):
+            d = build_datum(three_curve_document(k_gen, translation))
+            assert_eigenvalue_check_matches_every_element(d)
+
+
+@pytest.mark.parametrize("name", ["bielliptic-5", "z4-threefold", "zmzm-threefold-m3"])
+def test_wrong_generator_eigenvalue_fails_both_checks(name):
+    # declare 1 where a generator acts by a nontrivial unit: the closure
+    # multiplies the wrong value into every product, and the generator-only
+    # check reports a subset of what the every-element loop reports
+    d = get_entry(name).build()
+    g = d.group.generators[0]
+    k = next(k for k, z in enumerate(g.eigenvalues) if not z.is_one())
+    eig = g.eigenvalues[:k] + (RootOfUnity.one(),) + g.eigenvalues[k + 1:]
+    gens = (AffineAut(g.linear, g.translation, eig),) + d.group.generators[1:]
+    bad = HyperellipticDatum(d.torus, close_group(gens, d.torus), d.form)
+    got = validate(bad).eigenvalue_violations
+    reference = every_element_eigenvalue_violations(bad)
+    assert got and set(got) <= set(reference)

@@ -47,7 +47,7 @@ class TestRootOfUnity:
     def test_multiplication(self):
         i = RootOfUnity.of(1, 4)
         assert i * i == RootOfUnity.of(1, 2)
-        assert (i * i.inverse()).is_one()
+        assert (i * i.conjugate()).is_one()
 
     def test_pow(self):
         z6 = RootOfUnity.of(1, 6)

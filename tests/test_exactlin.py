@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,9 +15,12 @@ from hyperelliptic.exactlin import (
     hermite_normal_form,
     identity,
     integer_solution,
+    is_singular,
+    is_unimodular,
     kernel_lattice,
     mat_mul,
     mat_vec,
+    over_common_denominator,
     quotient_group,
     smith_normal_form,
     transpose,
@@ -158,6 +162,74 @@ class TestProductsAgainstReference:
         assert mat_mul(a, b) == reference_mat_mul(a, b)
         v = tuple(row[0] for row in b) if b and b[0] else ()
         assert mat_vec(a, v) == reference_mat_vec(a, v)
+
+
+class TestOverCommonDenominator:
+    """The one scaler: integer rows over the least common denominator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(product_operands)
+    def test_integral_minimal_and_products_unchanged(self, operands):
+        a, b = operands
+        bt = transpose(b)
+        scaled = []
+        for m in (a, bt):
+            den, rows = over_common_denominator(m)
+            if all_ints(x for row in m for x in row):
+                assert den is None and rows is m
+            else:
+                assert all_ints(y for row in rows for y in row)
+                assert all(F(y, den) == x for r, row in zip(rows, m) for y, x in zip(r, row))
+                # den is the least common denominator iff no prime divides it
+                # and every scaled entry
+                assert gcd(den, *(y for row in rows for y in row)) == 1
+            scaled.append((den or 1, rows))
+        (da, ia), (db, ib) = scaled
+        products = tuple(
+            tuple(F(sum(x * y for x, y in zip(r, c)), da * db) for c in ib) for r in ia
+        )
+        assert mat_mul(a, b) == products == reference_mat_mul(a, b)
+        v = bt[0] if bt else tuple(0 for _ in b)
+        assert mat_vec(a, v) == reference_mat_vec(a, v)
+
+
+def square_matrices(kind="int", bound=2):
+    if kind == "int":
+        return st.integers(0, 5).flatmap(lambda n: small_int_matrix(n, n, bound=bound))
+    entry = st.builds(F, st.integers(-bound, bound), st.integers(1, 6))
+    return st.integers(0, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+        ).map(lambda m: tuple(map(tuple, m)))
+    )
+
+
+class TestHermiteDecisions:
+    """is_unimodular and is_singular read the Hermite form; Bareiss computes the determinant."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    @example(())
+    @example(((2, 1), (1, 1)))
+    @example(((0, 1, 0), (0, 0, -1), (1, 0, 0)))
+    @example(((2, 0), (0, 1)))
+    @example(((1, 2), (2, 4)))
+    def test_integer_matrices_against_bareiss(self, m):
+        det = bareiss_det(m)
+        assert is_unimodular(m) == (abs(det) == 1)
+        assert is_singular(m) == (det == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices("fraction"))
+    @example(((F(1, 2), F(1, 3)), (F(3, 2), F(1))))
+    @example(((F(0), F(1, 2)), (F(-1, 2), F(0))))
+    def test_rational_singularity_against_bareiss(self, m):
+        # scaling row i by the lcm of its own denominators keeps det == 0 or != 0
+        rows = []
+        for row in m:
+            d = lcm(*(x.denominator for x in row)) if row else 1
+            rows.append(tuple(int(x * d) for x in row))
+        assert is_singular(m) == (bareiss_det(rows) == 0)
 
 
 def sympy_hermite_rows(m):

@@ -233,7 +233,7 @@ class TestFiberCount:
         report = run_pipeline(d)
         broken = report._replace(albanese_lattice=report.decomposition.lambda1)
         with pytest.raises(PipelineInvariantError, match="Albanese lattice span"):
-            _albanese_projection_matrix(broken, d.rank)
+            _albanese_projection_matrix(broken)
 
 
 def reference_fiber_count(model, report, group_order):
@@ -242,7 +242,7 @@ def reference_fiber_count(model, report, group_order):
     rank = model.rank
     r1 = report.decomposition.lambda1.rank
     predicted = (group_order // len(report.subgroup_h)) * n**r1
-    lmat = _albanese_projection_matrix(report, rank)
+    lmat = _albanese_projection_matrix(report)
     dens = []
     coeffs = []
     for row in lmat:

@@ -123,7 +123,7 @@ class TestValueRecords:
         d = get_entry("z4-threefold").build()
         report = run_pipeline(d, recurse=True)
         records = [
-            validate(d), report, report.decomposition, report.decomposition.k, report.cocycle,
+            validate(d), report, report.decomposition, report.decomposition.k,
             report.fiber_class, report.albanese_lattice, invariants_report(d),
             invariants_report(d).diamond, RootOfUnity.one(), get_entry("z4-threefold"),
         ]
