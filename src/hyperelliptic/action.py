@@ -367,7 +367,6 @@ class ValidationReport(NamedTuple):
     nonidentity_translations: tuple[int, ...]
     form_violations: tuple[int, ...]
     eigenvalue_violations: tuple[str, ...]
-    faithful: bool
 
     @property
     def free(self) -> bool:
@@ -382,14 +381,12 @@ class ValidationReport(NamedTuple):
         return not self.eigenvalue_violations
 
     @property
+    def faithful(self) -> bool:
+        return not self.nonidentity_translations
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.free
-            and not self.nonidentity_translations
-            and self.form_invariant
-            and self.eigenvalues_consistent
-            and self.faithful
-        )
+        return self.free and self.faithful and self.form_invariant and self.eigenvalues_consistent
 
     @property
     def is_hyperelliptic(self) -> bool:
@@ -417,22 +414,24 @@ class HyperellipticDatum:
     ``validate`` caches its report in ``_report``.
     """
 
-    __slots__ = ("torus", "group", "form", "builder_mode", "j_stability_assumed", "_report")
+    __slots__ = ("torus", "group", "form", "j_stability_assumed", "_report")
 
     def __init__(
         self,
         torus: TorusDatum,
         group: ActionGroup,
         form: AlternatingForm,
-        builder_mode: bool = True,
         j_stability_assumed: bool = False,
     ):
         self.torus = torus
         self.group = group
         self.form = form
-        self.builder_mode = builder_mode
         self.j_stability_assumed = j_stability_assumed
         self._report = None
+
+    @property
+    def builder_mode(self) -> bool:
+        return self.torus.factors is not None
 
     @property
     def rank(self) -> int:
@@ -506,7 +505,6 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
         nonidentity_translations=tuple(translations),
         form_violations=tuple(form_bad),
         eigenvalue_violations=tuple(eig_bad),
-        faithful=not translations,
     )
     d._report = report
     return report
@@ -579,6 +577,5 @@ def rewrite_on_lattice(
         torus,
         ActionGroup(tuple(elements[1:]), tuple(elements), edges, tree),
         AlternatingForm(d.form.restricted_to(cols)),
-        builder_mode=torus.factors is not None,
         j_stability_assumed=d.j_stability_assumed,
     )

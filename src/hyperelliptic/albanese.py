@@ -12,15 +12,23 @@ Given X = A/G this computes, exactly and in lattice coordinates:
     invariant factors of Lambda_B/Lambda_0,
   * the Albanese fiber A1/H as a new datum, normalized and classified.
 
+Every object is read through the projection onto V0 along V1,
+
+  P0 = B0 (B0^T E B0)^-1 B0^T E,
+
+for B0 the basis columns of Lambda_0 and E the invariant form; I - P0
+projects onto V1 along V0.  K0 and K1 are the images of K under P0 and
+I - P0, t0(g) = P0 tau(g), and Lambda_B = P0(Z^n) + <t0(g) : g a generator>.
+
 Everything is certified by construction.  G fixes V0 pointwise and keeps V1
-stable, so P0 M_g = P0 for every g, where P0 is the projection onto V0 along
-V1; that makes t0 a homomorphism modulo Lambda_0 + K0 = P0(Z^n) and H its
-kernel.  The pipeline checks the cheap certificates these theorems supply,
-not the consequences element by element: P0 M_g = P0 per generator (which
-also makes V1 G-stable), H membership by one integer solve of P0 w = t0(g)
-per element, |K0| = |K1| = |K| from the orders of two lattice quotients, and
-|H| dividing |G|.  A failed certificate raises PipelineInvariantError
-(NotASubgroup for H), which signals a bug rather than bad input.
+stable, so P0 M_g = P0 for every g; that makes t0 a homomorphism modulo
+Lambda_0 + K0 = P0(Z^n) and H its kernel.  The pipeline checks the cheap
+certificates these theorems supply, not the consequences element by
+element: P0 M_g = P0 per generator (which also makes V1 G-stable), H
+membership by one integer solve of P0 w = t0(g) per element, |K0| = |K1| =
+|K| from the orders of two lattice quotients, and |H| dividing |G|.  A
+failed certificate raises PipelineInvariantError (NotASubgroup for H),
+which signals a bug rather than bad input.
 """
 
 from __future__ import annotations
@@ -82,7 +90,6 @@ class Decomposition(NamedTuple):
     k0: FiniteAbelianGroup
     k1: FiniteAbelianGroup
     proj0: tuple[tuple[Fraction, ...], ...]
-    proj1: tuple[tuple[Fraction, ...], ...]
 
     @property
     def q(self) -> int:
@@ -112,7 +119,6 @@ class AlbaneseReport(NamedTuple):
     dim: int
     group_order: int
     decomposition: Decomposition
-    cocycle: tuple[tuple[Fraction, ...], ...]  # t0 of each element, indexed like the group
     albanese_lattice: Sublattice
     albanese_isogeny_factors: tuple[int, ...]
     subgroup_h: tuple[int, ...]
@@ -165,41 +171,35 @@ def compute_A1(d: HyperellipticDatum, lambda0: Sublattice) -> Sublattice:
     return kernel_lattice(tuple(rows))
 
 
-def _projectors(lambda0: Sublattice, lambda1: Sublattice):
-    rank = lambda0.ambient_rank
-    cols = lambda0.basis_vectors() + lambda1.basis_vectors()
-    b = transpose(cols)  # rank x rank
-    c = mat_inv(b)
-    r0 = lambda0.rank
-    if r0 == 0:
-        zero = tuple(tuple(Fraction(0) for _ in range(rank)) for _ in range(rank))
-        return zero, tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank))
-    if lambda1.rank == 0:
-        zero = tuple(tuple(Fraction(0) for _ in range(rank)) for _ in range(rank))
-        return tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)), zero
-    b0 = transpose(lambda0.basis_vectors())
-    b1 = transpose(lambda1.basis_vectors())
-    c0 = c[:r0]
-    c1 = c[r0:]
-    return mat_mul(b0, c0), mat_mul(b1, c1)
-
-
 def compute_K(
     d: HyperellipticDatum, lambda0: Sublattice, lambda1: Sublattice
 ) -> Decomposition:
-    """K = Lambda/(Lambda_0 + Lambda_1) and its paired projections K0, K1."""
+    """K = Lambda/(Lambda_0 + Lambda_1), its paired projections K0, K1 and P0.
+
+    P0 = B0 (B0^T E B0)^-1 B0^T E, for B0 the basis columns of Lambda_0, is
+    the projection onto V0 along V1: B0^T E is the constraint that cuts out
+    V1 in ``compute_A1`` and B0^T E B0 the restriction it checks is
+    nondegenerate.  I - P0 is the projection onto V1 along V0, so K0 is
+    generated by the P0 g and K1 by the g - P0 g, for g the generators of K,
+    each reduced modulo its lattice.
+    """
     rank = d.rank
     small = Sublattice.from_int_columns(rank, lambda0.cols + lambda1.cols)
     big = Sublattice.standard(rank)
     k = quotient_group(big, small)
-    proj0, proj1 = _projectors(lambda0, lambda1)
+    if lambda0.rank:
+        constraint = mat_mul(lambda0.cols, d.form.matrix)  # B0^T E
+        gram = mat_mul(constraint, transpose(lambda0.cols))  # B0^T E B0
+        proj0 = mat_mul(transpose(lambda0.cols), mat_mul(mat_inv(gram), constraint))
+    else:  # V0 = 0; mat_mul cannot shape a product over an inner dimension of 0
+        proj0 = tuple((Fraction(0),) * rank for _ in range(rank))
 
     k0_gens = []
     k1_gens = []
     for gen in k.generators:
-        p0, p1 = mat_vec(proj0, gen), mat_vec(proj1, gen)
-        k0_gens.append(lambda0.reduce_mod(p0) if lambda0.rank else p0)
-        k1_gens.append(lambda1.reduce_mod(p1) if lambda1.rank else p1)
+        p0 = mat_vec(proj0, gen)
+        k0_gens.append(lambda0.reduce_mod(p0))
+        k1_gens.append(lambda1.reduce_mod(vec_sub(gen, p0)))
     k0 = FiniteAbelianGroup(k.invariant_factors, tuple(k0_gens))
     k1 = FiniteAbelianGroup(k.invariant_factors, tuple(k1_gens))
     # both projections are injective on K: each image Ki has order |K|
@@ -208,7 +208,7 @@ def compute_K(
             span = lam.sum(Sublattice.from_rat_columns(rank, ki.generators))
             if quotient_group(span, lam).order != k.order:
                 raise PipelineInvariantError("K projections are not injective")
-    return Decomposition(lambda0, lambda1, k, k0, k1, proj0, proj1)
+    return Decomposition(lambda0, lambda1, k, k0, k1, proj0)
 
 
 def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
@@ -249,16 +249,13 @@ def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):
 
 
 def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
-    """Albanese lattice Lambda_B in V0 and the invariant factors of Lambda_B/Lambda_0."""
-    rank = d.rank
-    vectors = list(dec.lambda0.basis_vectors())
-    vectors.extend(dec.k0.generators)
-    for g in d.group.generators:
-        vectors.append(t0[d.group.index_of(g)])
-    vectors = [v for v in vectors if any(v)]
-    if not vectors:
-        return Sublattice.zero(rank), ()
-    lam_b = Sublattice.from_rat_columns(rank, vectors)
+    """Albanese lattice Lambda_B in V0 and the invariant factors of Lambda_B/Lambda_0.
+
+    Lambda_B = P0(Z^n) + <t0(g) : g a generator of G>, read off the columns
+    of P0: P0(Z^n) = Lambda_0 + K0, and t0 is a homomorphism modulo it.
+    """
+    gens = tuple(t0[d.group.index_of(g)] for g in d.group.generators)
+    lam_b = Sublattice.from_rat_columns(d.rank, transpose(dec.proj0) + gens)
     if lam_b.rank != dec.lambda0.rank:
         raise PipelineInvariantError("Albanese lattice rank differs from rank Lambda_0")
     factors = quotient_group(lam_b, dec.lambda0).invariant_factors
@@ -412,7 +409,6 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
         dim=n,
         group_order=d.group.order,
         decomposition=dec,
-        cocycle=t0,
         albanese_lattice=lam_b,
         albanese_isogeny_factors=factors,
         subgroup_h=h_indices,

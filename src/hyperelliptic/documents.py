@@ -170,7 +170,7 @@ def _build_builder(doc) -> HyperellipticDatum:
         generators.append(affine_from_factor_action(torus, blocks, translation))
     cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP, MAX_CLOSURE_CAP)
     group = close_group(generators, torus, cap=cap)
-    return HyperellipticDatum(torus, group, standard_form(torus), builder_mode=True)
+    return HyperellipticDatum(torus, group, standard_form(torus))
 
 
 def _build_raw(doc) -> HyperellipticDatum:
@@ -203,9 +203,7 @@ def _build_raw(doc) -> HyperellipticDatum:
         table[e.linear] = e.eigenvalues
     cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP, MAX_CLOSURE_CAP)
     group = close_group(generators, torus, cap=cap, eigenvalue_table=table)
-    return HyperellipticDatum(
-        torus, group, form, builder_mode=False, j_stability_assumed=True
-    )
+    return HyperellipticDatum(torus, group, form, j_stability_assumed=True)
 
 
 _DOCUMENT_KEYS = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,14 +55,18 @@ def bareiss_det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rational_rank(m) -> int:
-    """Rank over Q by plain Gaussian elimination with Fractions."""
-    if not m:
-        return 0
+def _reduced_echelon(m):
+    """(nonzero rows, pivot columns) of the reduced row echelon form over Q.
+
+    Plain Gauss-Jordan elimination with Fractions.
+    """
     a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    rank = 0
+    rows, cols = len(a), len(a[0]) if a else 0
+    pivots = []
     for col in range(cols):
+        rank = len(pivots)
+        if rank == rows:
+            break
         pivot = next((r for r in range(rank, rows) if a[r][col] != 0), None)
         if pivot is None:
             continue
@@ -72,16 +77,34 @@ def rational_rank(m) -> int:
             if r != rank and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+        pivots.append(col)
+    return a[: len(pivots)], pivots
+
+
+def rational_rank(m) -> int:
+    """Rank over Q by plain Gaussian elimination with Fractions."""
+    return len(_reduced_echelon(m)[1])
+
+
+def left_kernel(columns, n: int) -> list[list[int]]:
+    """Integer rows y spanning {y in Q^n : y . c == 0 for every column c}.
+
+    One row per non-pivot coordinate f of the reduced columns: y_f = 1 and
+    y_p = -(entry f of the row with pivot p), scaled to integers.
+    """
+    reduced, pivots = _reduced_echelon(columns)
+    rows = []
+    for f in (j for j in range(n) if j not in pivots):
+        y = [Fraction(int(j == f)) for j in range(n)]
+        for row, p in zip(reduced, pivots):
+            y[p] = -row[f]
+        den = math.lcm(*(x.denominator for x in y))
+        rows.append([int(x * den) for x in y])
+    return rows
 
 
 def minors_gcd(m, k: int) -> int:
     """gcd of all k x k minors of an integer matrix (0 if all vanish)."""
-    import math
-
     rows = range(len(m))
     cols = range(len(m[0]) if m else 0)
     g = 0

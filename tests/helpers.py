@@ -4,18 +4,20 @@ Each was a library method or function that no library code called: lattice
 saturation, lattice membership and basis matrices, the coset-meets-lattice
 decision, the torsion model's orbit enumeration, the direct fixed-point loop,
 the survey's "every count exhaustive" flag, the two-branch fixed-point survey,
-the index of a torus lattice over the product lattice and the eigenvalue
-check on every element.  The coset decision, the direct loop, the two-branch
-survey and the every-element eigenvalue loop are the references the
-library's one Hermite form per element, meet-in-the-middle count, one survey
-loop and generator-only eigenvalue check are checked against.
+the index of a torus lattice over the product lattice, the eigenvalue
+check on every element and the Albanese projectors from the inverse of the
+basis [Lambda_0 | Lambda_1].  The coset decision, the direct loop, the
+two-branch survey, the every-element eigenvalue loop and the basis-inverse
+projectors are the references the library's one Hermite form per element,
+meet-in-the-middle count, one survey loop, generator-only eigenvalue check
+and projector read off the form are checked against.
 `three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
 from __future__ import annotations
 
 import itertools
-
+from fractions import Fraction
 from math import lcm
 
 from conftest import bareiss_det
@@ -25,6 +27,8 @@ from hyperelliptic.exactlin import (
     Sublattice,
     as_fractions,
     kernel_lattice,
+    mat_inv,
+    mat_mul,
     mat_vec,
     transpose,
     vec_denominator,
@@ -71,6 +75,31 @@ def coset_meets_lattice(w: Sublattice, t) -> bool:
     c = transpose(basis_matrix(ann))  # (n - rank) x n
     image = Sublattice.from_int_columns(len(c), transpose(c))
     return contains(image, mat_vec(c, t))
+
+
+def projectors(lambda0: Sublattice, lambda1: Sublattice):
+    """(P0, P1), the projections onto V0 along V1 and onto V1 along V0.
+
+    Read off the inverse C of the basis B = [Lambda_0 | Lambda_1]: P0 = B0 C0
+    and P1 = B1 C1 for the column blocks B0, B1 of B and the matching row
+    blocks C0, C1 of C.
+    """
+    rank = lambda0.ambient_rank
+    cols = lambda0.basis_vectors() + lambda1.basis_vectors()
+    b = transpose(cols)  # rank x rank
+    c = mat_inv(b)
+    r0 = lambda0.rank
+    if r0 == 0:
+        zero = tuple(tuple(Fraction(0) for _ in range(rank)) for _ in range(rank))
+        return zero, tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank))
+    if lambda1.rank == 0:
+        zero = tuple(tuple(Fraction(0) for _ in range(rank)) for _ in range(rank))
+        return tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)), zero
+    b0 = transpose(lambda0.basis_vectors())
+    b1 = transpose(lambda1.basis_vectors())
+    c0 = c[:r0]
+    c1 = c[r0:]
+    return mat_mul(b0, c0), mat_mul(b1, c1)
 
 
 def coset_has_fixed_point(e) -> bool:

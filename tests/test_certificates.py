@@ -8,7 +8,10 @@ job the long way: it enumerates K element by element, matches t0(g) against
 every K0 element, tests P0 M_g = P0 and the cocycle identity on every
 element, and checks invariant factors by the divisor-count predicate
 #{x : x^d = 1} = prod gcd(d, f_i).  It runs on every catalog entry, on its
-recursive fibers and on the stress family the benchmark uses.  `validate`
+recursive fibers and on the stress family the benchmark uses.  The projector
+P0 read off the form, and I - P0, must equal the projectors read off the
+inverse of the basis [Lambda_0 | Lambda_1] on those data, on the fiber-basis
+sweep, on the D4 threefold and in two other lattice bases.  `validate`
 checks a factor torus's eigenvalues on the generators only; the reference
 checks every element, on the same data and on the fiber-basis sweep.
 """
@@ -22,7 +25,12 @@ from math import gcd, lcm
 import pytest
 
 from conftest import bareiss_det, load_perfbench
-from helpers import contains, every_element_eigenvalue_violations, three_curve_document
+from helpers import (
+    contains,
+    every_element_eigenvalue_violations,
+    projectors,
+    three_curve_document,
+)
 from hyperelliptic.action import (
     AffineAut,
     HyperellipticDatum,
@@ -56,6 +64,7 @@ from hyperelliptic.exactlin import (
 from hyperelliptic.invariants import invariants_report
 from hyperelliptic.oracle import datum_denominator, fiber_count_level
 from hyperelliptic.torus import AlternatingForm, TorusDatum
+from test_nonabelian import D4_THREEFOLD
 
 # the benchmark's stress points, (m, k, base); each pipeline runs in well under 2 s
 STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8))
@@ -72,7 +81,8 @@ def enumerate_k(d, dec):
     for combo in itertools.product(*(range(f) for f in dec.k.invariant_factors)):
         v = tuple(sum(c * g[t] for c, g in zip(combo, dec.k.generators)) for t in range(d.rank))
         lift = small.reduce_mod(v)
-        out.append((lift, mat_vec(dec.proj0, lift), mat_vec(dec.proj1, lift)))
+        p0 = mat_vec(dec.proj0, lift)
+        out.append((lift, p0, vec_sub(lift, p0)))
     return out
 
 
@@ -120,7 +130,8 @@ def check_against_enumeration(d, report):
         if match is None:
             continue
         expected_h.append(i)
-        old_shift = vec_sub(mat_vec(dec.proj1, e.translation), match[2])
+        t1 = vec_sub(e.translation, mat_vec(dec.proj0, e.translation))
+        old_shift = vec_sub(t1, match[2])
         assert in_lattice(dec.lambda1, vec_sub(shifts[i], old_shift))
     assert h == tuple(expected_h) == report.subgroup_h
     members = set(h)
@@ -185,7 +196,7 @@ def conjugated(d, u):
     torus = TorusDatum.raw(d.rank)
     group = close_group([move(g) for g in d.group.generators], torus, eigenvalue_table=table)
     form = AlternatingForm(mat_mul(mat_mul(transpose(u), d.form.matrix), u))
-    return HyperellipticDatum(torus, group, form, builder_mode=False, j_stability_assumed=True)
+    return HyperellipticDatum(torus, group, form, j_stability_assumed=True)
 
 
 def base_change(kind: str, rank: int, seed: str):
@@ -231,6 +242,46 @@ def test_base_change_certificates_match_enumeration(name, kind):
     assert report.fiber_class == original.fiber_class
     # the Hodge diamond and the canonical order do not see the basis either
     assert invariants_report(moved) == invariants_report(d)
+
+
+def projector_data(family):
+    """The valid data of one family, each to be followed along its recursion."""
+    if family == "catalog":
+        return [get_entry(name).build() for name in VALID_ENTRIES]
+    if family == "stress":
+        stress = load_perfbench("stress")
+        return [build_datum(stress.stress_document(*p, 0)) for p in STRESS_POINTS + ((3, 4, 2),)]
+    if family == "sweep":
+        data = [
+            build_datum(three_curve_document(k_gen, translation))
+            for k_gen in itertools.product(("0", "1/2"), repeat=6)
+            for translation in (("1/2", "0"), ("1/2", "1/2"), ("0", "1/2"))
+        ]
+        return [d for d in data if validate(d).passed]
+    if family == "nonabelian":
+        return [build_datum(D4_THREEFOLD)]
+    # "base-change": every valid entry in the two other lattice bases
+    moved = []
+    for kind in ("superdiagonal", "random"):
+        for name in VALID_ENTRIES:
+            d = get_entry(name).build()
+            moved.append(conjugated(d, base_change(kind, d.rank, name)))
+    return moved
+
+
+@pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
+def test_projectors_match_basis_inverse(family):
+    data = projector_data(family)
+    assert data
+    for d in data:
+        for _, report in pipeline_chain(d):
+            dec = report.decomposition
+            p0, p1 = projectors(dec.lambda0, dec.lambda1)
+            assert dec.proj0 == p0
+            complement = tuple(
+                tuple(int(i == j) - x for j, x in enumerate(row)) for i, row in enumerate(dec.proj0)
+            )
+            assert complement == p1
 
 
 @pytest.mark.parametrize("point", STRESS_POINTS, ids=lambda p: "m{}-k{}-base{}".format(*p))

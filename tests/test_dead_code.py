@@ -11,7 +11,10 @@ used when library code outside its own body names it as an attribute or as a
 name; the owner of an attribute is not resolved, so any attribute of that
 name counts.  Module hooks and dunder methods, which Python calls by name,
 are allowed without a caller.  A parameter, other than `self` or `cls`,
-counts as read when its function's body names it.
+counts as read when its function's body names it.  A field of a
+`NamedTuple` or a name in a class's `__slots__` counts as read when library
+code loads an attribute of that name; as for methods, the owner is not
+resolved.
 """
 
 import ast
@@ -21,6 +24,8 @@ from pathlib import Path
 import hyperelliptic
 
 ALLOWED = {"__getattr__"}
+# record fields kept as data without a reader: where each catalog entry comes from, in catalog.json
+UNREAD_FIELDS_ALLOWED = {"catalog.CatalogEntry.provenance"}
 
 
 def _library_trees() -> dict[str, ast.Module]:
@@ -116,3 +121,34 @@ def test_every_parameter_is_read():
                 if p.arg not in ("self", "cls") and p.arg not in read
             ]
     assert unread == []
+
+
+def _record_fields(cls: ast.ClassDef):
+    """The NamedTuple fields and the __slots__ names a class declares."""
+    named_tuple = any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases)
+    for stmt in cls.body:
+        if named_tuple and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            yield stmt.target.id
+        elif isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+        ):
+            yield from ast.literal_eval(stmt.value)
+
+
+def test_every_record_field_is_read():
+    trees = _library_trees()
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}.{cls.name}.{field}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for field in _record_fields(cls)
+        if field not in loaded
+    ]
+    assert sorted(set(unread) - UNREAD_FIELDS_ALLOWED) == []

@@ -1,11 +1,13 @@
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bareiss_det, in_span, minors_gcd
+from conftest import bareiss_det, in_span, left_kernel, minors_gcd
 from helpers import contains, coset_meets_lattice, is_saturated, saturate
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.exactlin import (
@@ -454,8 +456,6 @@ class TestIntegerSolution:
         st.booleans(),
     )
     def test_against_bounded_enumeration(self, m, x0, solvable):
-        import itertools
-
         b = mat_vec(m, x0) if solvable else tuple(x0)
         got = integer_solution(column_hermite(m), tuple(F(x) for x in b))
         if got is not None:
@@ -496,17 +496,16 @@ class TestCosetMeetsLattice:
         w = Sublattice.from_int_columns(4, cols)
         t = tuple(tvec)
         got = coset_meets_lattice(w, t)
-        # bounded enumeration oracle: z - t must lie in the span; the box is
-        # large enough for these entry/denominator bounds (|B| <= 2, den <= 12)
+        # bounded enumeration oracle: z - t must lie in the span, that is, every
+        # row y of its left kernel has y . z == y . t; the box is large enough
+        # for these entry/denominator bounds (|B| <= 2, den <= 12)
         radius = 3
-        found = False
-        import itertools
-
-        for z in itertools.product(range(-radius, radius + 1), repeat=4):
-            diff = tuple(F(zi) - ti for zi, ti in zip(z, t))
-            if in_span([tuple(c) for c in w.cols], diff):
-                found = True
-                break
+        kernel = left_kernel([tuple(c) for c in w.cols], 4)
+        targets = [sum(y * ti for y, ti in zip(row, t)) for row in kernel]
+        found = any(
+            all(sum(map(mul, row, z)) == target for row, target in zip(kernel, targets))
+            for z in itertools.product(range(-radius, radius + 1), repeat=4)
+        )
         if found:
             assert got is True
         if not got:
