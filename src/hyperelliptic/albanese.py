@@ -3,7 +3,7 @@
 Given X = A/G this computes, exactly and in lattice coordinates:
 
   * the fixed subtorus A0 (saturated kernel lattice of the generators),
-  * its invariant complement A1 cut out by the invariant alternating form,
+  * its invariant complement A1, the kernel of the group average,
   * the kernel K of the addition isogeny A0 x A1 -> A with its two
     isomorphic projections K0, K1,
   * the splitting of every translation part along V0 + V1,
@@ -12,23 +12,29 @@ Given X = A/G this computes, exactly and in lattice coordinates:
     invariant factors of Lambda_B/Lambda_0,
   * the Albanese fiber A1/H as a new datum, normalized and classified.
 
-Every object is read through the projection onto V0 along V1,
+Every object is read through the group average of the linear parts,
 
-  P0 = B0 (B0^T E B0)^-1 B0^T E,
+  P0 = (1/|G|) sum_g M_g,
 
-for B0 the basis columns of Lambda_0 and E the invariant form; I - P0
-projects onto V1 along V0.  K0 and K1 are the images of K under P0 and
+the symmetric idempotent of G: it is the projection onto V0 = V^G along
+V1 = ker P0, the sum of the nontrivial isotypic components, and I - P0
+projects onto V1 along V0.  V1 is also the form-orthogonal complement of
+V0: for a G-invariant form E, E(v0, (g - 1) w) = E(g^-1 v0, w) - E(v0, w)
+= 0 for v0 in V0, and the (g - 1) w span V1.  So the form restricted to V0
+is nondegenerate whenever E is, and the pipeline never reads E.  Lambda_1
+is the saturated kernel of P0, K0 and K1 are the images of K under P0 and
 I - P0, t0(g) = P0 tau(g), and Lambda_B = P0(Z^n) + <t0(g) : g a generator>.
 
 Everything is certified by construction.  G fixes V0 pointwise and keeps V1
 stable, so P0 M_g = P0 for every g; that makes t0 a homomorphism modulo
 Lambda_0 + K0 = P0(Z^n) and H its kernel.  The pipeline checks the cheap
 certificates these theorems supply, not the consequences element by
-element: P0 M_g = P0 per generator (which also makes V1 G-stable), H
-membership by one integer solve of P0 w = t0(g) per element, |K0| = |K1| =
-|K| from the orders of two lattice quotients, and |H| dividing |G|.  A
-failed certificate raises PipelineInvariantError (NotASubgroup for H),
-which signals a bug rather than bad input.
+element: P0 M_g = P0 per generator (which also certifies that the average
+ran over a closed group), H membership by one integer solve of
+P0 w = t0(g) per element, |K0| = |K1| = |K| from the orders of two lattice
+quotients, and |H| dividing |G|.  A failed certificate raises
+PipelineInvariantError (NotASubgroup for H), which signals a bug rather
+than bad input.
 """
 
 from __future__ import annotations
@@ -49,9 +55,7 @@ from .exactlin import (
     Sublattice,
     column_hermite,
     integer_solution,
-    is_singular,
     kernel_lattice,
-    mat_inv,
     mat_mul,
     mat_vec,
     over_common_denominator,
@@ -67,10 +71,6 @@ K_ENUMERATION_CAP = 100_000
 
 class OddRank(ValueError):
     """The fixed lattice has odd rank: the complex-structure data is inconsistent."""
-
-
-class DegenerateRestriction(ValueError):
-    """The invariant form restricted to V0 is singular (rejected raw input)."""
 
 
 class NotASubgroup(RuntimeError):
@@ -157,43 +157,34 @@ def compute_A0(d: HyperellipticDatum) -> Sublattice:
     return lam0
 
 
-def compute_A1(d: HyperellipticDatum, lambda0: Sublattice) -> Sublattice:
-    """Lambda_1 = Lambda intersect V1, the form-orthogonal complement of V0."""
-    if lambda0.rank == 0:
-        return Sublattice.standard(d.rank)
-    # rows of the constraint: E(b, .) = 0 for each Lambda_0 basis vector b
-    constraint = mat_mul(lambda0.cols, d.form.matrix)  # r0 x rank, rational
-    if is_singular(mat_mul(constraint, transpose(lambda0.cols))):
-        raise DegenerateRestriction("form restricted to V0 is singular")
-    # E is nondegenerate, so the constraint has full row rank r0 and the
-    # kernel has the complementary rank
-    _, rows = over_common_denominator(constraint)
+def fixed_projector(d: HyperellipticDatum) -> tuple[tuple[Fraction, ...], ...]:
+    """P0 = (1/|G|) sum_g M_g, the projection onto V0 along V1, over the closed group."""
+    order = d.group.order
+    return tuple(
+        tuple(Fraction(sum(column), order) for column in zip(*rows))
+        for rows in zip(*(e.linear for e in d.group.elements))
+    )
+
+
+def compute_A1(proj0) -> Sublattice:
+    """Lambda_1 = Lambda intersect V1, the saturated kernel of P0."""
+    _, rows = over_common_denominator(proj0)
     return kernel_lattice(tuple(rows))
 
 
 def compute_K(
-    d: HyperellipticDatum, lambda0: Sublattice, lambda1: Sublattice
+    d: HyperellipticDatum, lambda0: Sublattice, lambda1: Sublattice, proj0
 ) -> Decomposition:
-    """K = Lambda/(Lambda_0 + Lambda_1), its paired projections K0, K1 and P0.
+    """K = Lambda/(Lambda_0 + Lambda_1) and its paired projections K0, K1.
 
-    P0 = B0 (B0^T E B0)^-1 B0^T E, for B0 the basis columns of Lambda_0, is
-    the projection onto V0 along V1: B0^T E is the constraint that cuts out
-    V1 in ``compute_A1`` and B0^T E B0 the restriction it checks is
-    nondegenerate.  I - P0 is the projection onto V1 along V0, so K0 is
-    generated by the P0 g and K1 by the g - P0 g, for g the generators of K,
-    each reduced modulo its lattice.
+    I - P0 is the projection onto V1 along V0, so K0 is generated by the
+    P0 g and K1 by the g - P0 g, for g the generators of K, each reduced
+    modulo its lattice.
     """
     rank = d.rank
     small = Sublattice.from_int_columns(rank, lambda0.cols + lambda1.cols)
     big = Sublattice.standard(rank)
     k = quotient_group(big, small)
-    if lambda0.rank:
-        constraint = mat_mul(lambda0.cols, d.form.matrix)  # B0^T E
-        gram = mat_mul(constraint, transpose(lambda0.cols))  # B0^T E B0
-        proj0 = mat_mul(transpose(lambda0.cols), mat_mul(mat_inv(gram), constraint))
-    else:  # V0 = 0; mat_mul cannot shape a product over an inner dimension of 0
-        proj0 = tuple((Fraction(0),) * rank for _ in range(rank))
-
     k0_gens = []
     k1_gens = []
     for gen in k.generators:
@@ -386,8 +377,8 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
     n = d.dim
     lambda0 = compute_A0(d)
     q = lambda0.rank // 2
-    lambda1 = compute_A1(d, lambda0)
-    dec = compute_K(d, lambda0, lambda1)
+    proj0 = fixed_projector(d)
+    dec = compute_K(d, lambda0, compute_A1(proj0), proj0)
     t0 = decompose_cocycle(d, dec)
     h_indices, shifts = compute_H(d, dec, t0)
     lam_b, factors = compute_albanese(d, dec, t0)

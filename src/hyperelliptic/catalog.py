@@ -105,10 +105,16 @@ def get_entry(name: str) -> CatalogEntry:
         raise UnknownEntry(name) from None
 
 
-def _word_to_element(datum: HyperellipticDatum, word) -> int:
-    """Index of the product of the generators in ``word``, read off the Cayley edges."""
+def _word_to_element(datum: HyperellipticDatum, word) -> int | None:
+    """Index of the product of the generators in ``word``, read off the Cayley edges.
+
+    None when the word names a generator the datum does not have, so the
+    expectation that holds it shows up in the diff.
+    """
     index = 0
     for k in word:
+        if not 0 <= k < len(datum.group.generators):
+            return None
         index = datum.group.edges[index][k]
     return index
 

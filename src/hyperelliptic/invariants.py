@@ -24,7 +24,6 @@ from math import lcm
 from typing import NamedTuple
 
 from .action import HyperellipticDatum
-from .albanese import compute_A0
 from .cyclotomic import (
     NonRational,
     RootOfUnity,
@@ -149,13 +148,15 @@ def _certified_integer(cell, conductor: int, order: int, what: str) -> int:
 def irregularity(d: HyperellipticDatum, diamond: HodgeDiamond) -> int:
     """q = h^{1,0}, the multiplicity of the trivial character in the complex representation.
 
-    Cross-checked against the lattice side: q must equal rank(Lambda_0)/2.
+    Cross-checked against the lattice side: 2q must equal dim V^G, the trace
+    (1/|G|) sum_g tr M_g of the group average of the linear parts.
     """
     q = diamond.h[1][0]
-    lattice_q = compute_A0(d).rank // 2
-    if q != lattice_q:
+    traces = sum(e.linear[i][i] for e in d.group.elements for i in range(d.rank))
+    if traces != 2 * q * d.group.order:
         raise Inconsistent(
-            f"character irregularity {q} != lattice irregularity {lattice_q}"
+            f"character irregularity {q} != lattice irregularity "
+            f"{Fraction(traces, 2 * d.group.order)}"
         )
     return q
 

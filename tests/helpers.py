@@ -22,6 +22,7 @@ from math import lcm
 
 from conftest import bareiss_det
 from hyperelliptic.action import _check_eigenvalues
+from hyperelliptic.albanese import compute_A0, compute_A1, compute_K, fixed_projector
 from hyperelliptic.exactlin import (
     LatticeError,
     Sublattice,
@@ -30,6 +31,7 @@ from hyperelliptic.exactlin import (
     mat_inv,
     mat_mul,
     mat_vec,
+    over_common_denominator,
     transpose,
     vec_denominator,
     vec_is_integral,
@@ -100,6 +102,23 @@ def projectors(lambda0: Sublattice, lambda1: Sublattice):
     c0 = c[:r0]
     c1 = c[r0:]
     return mat_mul(b0, c0), mat_mul(b1, c1)
+
+
+def form_complement(d, lambda0: Sublattice) -> Sublattice:
+    """Lambda intersect V0^perp, for the invariant form E: the saturated kernel of B0^T E.
+
+    B0 is the basis of Lambda_0; with Lambda_0 = 0 the complement is all of Lambda.
+    """
+    if lambda0.rank == 0:
+        return Sublattice.standard(d.rank)
+    _, rows = over_common_denominator(mat_mul(lambda0.cols, d.form.matrix))
+    return kernel_lattice(tuple(rows))
+
+
+def decomposition(d):
+    """The pipeline's Decomposition of a validated datum: Lambda_0, P0, Lambda_1, then K."""
+    proj0 = fixed_projector(d)
+    return compute_K(d, compute_A0(d), compute_A1(proj0), proj0)
 
 
 def coset_has_fixed_point(e) -> bool:

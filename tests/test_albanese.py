@@ -4,15 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import contains, three_curve_document
+from helpers import contains, decomposition, three_curve_document
 from hyperelliptic.action import compose, validate
 from hyperelliptic.albanese import (
     _fiber_basis,
     classify_fiber,
-    compute_A0,
-    compute_A1,
     compute_H,
-    compute_K,
     compute_albanese,
     decompose_cocycle,
     run_pipeline,
@@ -39,9 +36,7 @@ def datum_of(name):
 
 
 def pipeline_parts(d):
-    lambda0 = compute_A0(d)
-    lambda1 = compute_A1(d, lambda0)
-    dec = compute_K(d, lambda0, lambda1)
+    dec = decomposition(d)
     table = decompose_cocycle(d, dec)
     return dec, table
 
@@ -81,17 +76,15 @@ class TestDecomposition:
         torus = build_product_torus([EllipticFactor("generic", "t")])
         d = HyperellipticDatum(torus, close_group([], torus), standard_form(torus))
         validate(d)
-        lambda0 = compute_A0(d)
-        assert lambda0 == Sublattice.standard(2)
-        lambda1 = compute_A1(d, lambda0)
-        assert lambda1.rank == 0
+        dec = decomposition(d)
+        assert dec.lambda0 == Sublattice.standard(2)
+        assert dec.lambda1.rank == 0
 
     def test_z2z2_has_rank_zero_fixed_lattice(self):
         d = datum_of("z2z2-threefold")
-        lambda0 = compute_A0(d)
-        assert lambda0.rank == 0
-        lambda1 = compute_A1(d, lambda0)
-        assert lambda1 == Sublattice.standard(6)
+        dec = decomposition(d)
+        assert dec.lambda0.rank == 0
+        assert dec.lambda1 == Sublattice.standard(6)
 
     def test_z4_fixed_and_moving_parts(self):
         d = datum_of("z4-threefold")

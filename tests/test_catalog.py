@@ -1,5 +1,6 @@
 import pytest
 
+import hyperelliptic.catalog
 from hyperelliptic.action import compose, validate
 from hyperelliptic.catalog import UnknownEntry, get_entry, list_entries, run_entry
 from hyperelliptic.documents import build_datum
@@ -26,6 +27,23 @@ class TestRunEntries:
     @pytest.mark.parametrize("name", list_entries())
     def test_empty_diff(self, name):
         assert run_entry(name) == {}
+
+    # z4-threefold has one generator g and H = {1, g^2}; g^2 of the corrupted
+    # copy has fixed points.  Index -1 must not be read as the last generator,
+    # or the last word list for each key would match.
+    @pytest.mark.parametrize("name, key, words", [
+        ("z4-threefold", "h_words", [[1]]),
+        ("z4-threefold", "h_words", [[-1]]),
+        ("z4-threefold", "h_words", [[], [-1, -1]]),
+        ("z4-threefold-corrupted", "fixed_point_words", [[1]]),
+        ("z4-threefold-corrupted", "fixed_point_words", [[-1]]),
+        ("z4-threefold-corrupted", "fixed_point_words", [[-1, -1]]),
+    ])
+    def test_word_naming_a_missing_generator_is_a_diff(self, monkeypatch, name, key, words):
+        entry = get_entry(name)
+        patched = entry._replace(expected={**entry.expected, key: words})
+        monkeypatch.setitem(hyperelliptic.catalog._ENTRIES, name, patched)
+        assert key in run_entry(name)
 
     def test_every_positive_entry_validates(self):
         for name in list_entries():

@@ -9,9 +9,11 @@ every K0 element, tests P0 M_g = P0 and the cocycle identity on every
 element, and checks invariant factors by the divisor-count predicate
 #{x : x^d = 1} = prod gcd(d, f_i).  It runs on every catalog entry, on its
 recursive fibers and on the stress family the benchmark uses.  The projector
-P0 read off the form, and I - P0, must equal the projectors read off the
-inverse of the basis [Lambda_0 | Lambda_1] on those data, on the fiber-basis
-sweep, on the D4 threefold and in two other lattice bases.  `validate`
+P0, the group average of the linear parts, and I - P0 must equal the
+projectors read off the inverse of the basis [Lambda_0 | Lambda_1] on those
+data, on the fiber-basis sweep, on the D4 threefold and in two other lattice
+bases; there Lambda_1 must also be the complement the invariant form cuts
+out, and the trace of P0 the rank of Lambda_0.  `validate`
 checks a factor torus's eigenvalues on the generators only; the reference
 checks every element, on the same data and on the fiber-basis sweep.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -27,7 +30,9 @@ import pytest
 from conftest import bareiss_det, load_perfbench
 from helpers import (
     contains,
+    decomposition,
     every_element_eigenvalue_violations,
+    form_complement,
     projectors,
     three_curve_document,
 )
@@ -41,9 +46,7 @@ from hyperelliptic.action import (
 from hyperelliptic.albanese import (
     _abelian_invariant_factors,
     compute_A0,
-    compute_A1,
     compute_H,
-    compute_K,
     decompose_cocycle,
     run_pipeline,
 )
@@ -98,8 +101,7 @@ def pipeline_chain(d):
 
 
 def check_against_enumeration(d, report):
-    lambda0 = compute_A0(d)
-    dec = compute_K(d, lambda0, compute_A1(d, lambda0))
+    dec = decomposition(d)
     table = decompose_cocycle(d, dec)
     h, shifts = compute_H(d, dec, table)
     k_elements = enumerate_k(d, dec)
@@ -274,7 +276,7 @@ def test_projectors_match_basis_inverse(family):
     data = projector_data(family)
     assert data
     for d in data:
-        for _, report in pipeline_chain(d):
+        for datum, report in pipeline_chain(d):
             dec = report.decomposition
             p0, p1 = projectors(dec.lambda0, dec.lambda1)
             assert dec.proj0 == p0
@@ -282,6 +284,10 @@ def test_projectors_match_basis_inverse(family):
                 tuple(int(i == j) - x for j, x in enumerate(row)) for i, row in enumerate(dec.proj0)
             )
             assert complement == p1
+            assert dec.lambda1 == form_complement(datum, dec.lambda0)
+            order = datum.group.order
+            traces = sum(e.linear[i][i] for e in datum.group.elements for i in range(datum.rank))
+            assert Fraction(traces, 2 * order) == compute_A0(datum).rank // 2
 
 
 @pytest.mark.parametrize("point", STRESS_POINTS, ids=lambda p: "m{}-k{}-base{}".format(*p))

@@ -21,14 +21,12 @@ import json
 import pytest
 
 from conftest import load_perfbench
+from helpers import decomposition
 import hyperelliptic.action
 from hyperelliptic.action import compose, quotient_by_translations, validate
 from hyperelliptic.albanese import (
-    compute_A0,
-    compute_A1,
     compute_fiber,
     compute_H,
-    compute_K,
     decompose_cocycle,
     run_pipeline,
 )
@@ -44,8 +42,7 @@ STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8))
 
 def raw_fiber(d):
     """The fiber datum before quotient_by_translations, as run_pipeline builds it."""
-    lambda0 = compute_A0(d)
-    dec = compute_K(d, lambda0, compute_A1(d, lambda0))
+    dec = decomposition(d)
     h, shifts = compute_H(d, dec, decompose_cocycle(d, dec))
     return compute_fiber(d, dec, h, shifts)[0]
 

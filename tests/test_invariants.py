@@ -8,6 +8,7 @@ from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.invariants import (
     DivisibilityViolation,
+    Inconsistent,
     canonical_order,
     canonical_report,
     hodge_diamond,
@@ -73,6 +74,16 @@ class TestIrregularity:
     def test_z2z2(self):
         d = datum_of("z2z2-threefold")
         assert irregularity(d, hodge_diamond(d)) == 0
+
+    def test_disagreeing_lattice_side_raises(self):
+        # the traces of the linear parts give dim V^G = 2, so q = 1, not 2
+        d = datum_of("bielliptic-1")
+        diamond = hodge_diamond(d)
+        rows = [list(row) for row in diamond.h]
+        rows[1][0] = 2
+        wrong = diamond._replace(h=tuple(map(tuple, rows)))
+        with pytest.raises(Inconsistent, match="character irregularity 2 != lattice irregularity 1$"):
+            irregularity(d, wrong)
 
 
 class TestHodgeDiamond:
