@@ -4,9 +4,12 @@ Group elements are stored in lattice coordinates: the linear part is a
 unimodular integer matrix acting on Lambda = Z^2n, and the translation is a
 rational vector reduced into [0, 1)^2n so that equality of elements is
 canonical.  ``close_group`` is the only place that multiplies elements; it
-keeps the Cayley edges, ``ActionGroup`` reads every product off them, and a
-new element's eigenvalues follow one rule per kind of datum (see close_group).
-A derived group (a fiber, a translation quotient) reads its parent's edges.
+keeps the Cayley edges, and a new element's eigenvalues follow one rule per
+kind of datum (see close_group).  The group is its Cayley table: a generator
+is an element index (``ActionGroup.gens``), every product is read off the
+edges, element orders are computed once (``ActionGroup.orders``), and
+nothing looks an element up by value.  A derived group (a fiber, a
+translation quotient) reads its parent's edges.
 Fixed-point existence is decided exactly by rational linear algebra: since
 the linear part and the translation are rational, a real fixed point exists
 iff a rational one does, so freeness results are certificates, not samples.
@@ -150,9 +153,6 @@ class AffineAut:
     def rank(self) -> int:
         return len(self.linear)
 
-    def is_identity(self) -> bool:
-        return self.linear == identity(self.rank) and not any(self.translation)
-
     def is_translation(self) -> bool:
         return self.linear == identity(self.rank)
 
@@ -195,30 +195,40 @@ def compose(a: AffineAut, b: AffineAut) -> AffineAut:
 
 
 class ActionGroup:
-    """A finite closed group of affine automorphisms, identity first.
+    """A finite closed group of affine automorphisms, identity first: its Cayley table.
 
-    ``edges[i][s]`` is the index of elements[i] . generators[s], and element
-    j > 0 was first reached along the edge ``tree[j] = (parent, s)``.  The
-    tree spells every element as a word in the generators, so a product is
-    read off the edges and no element is multiplied after the closure.  In
-    a group from ``rewrite_on_lattice`` every word has length one.
+    ``edges[i][s]`` is the index of elements[i] . g_s for the s-th generator
+    g_s, so ``gens = edges[0]`` lists the generators' indices (with repeats,
+    and 0 for an identity generator).  Element j > 0 was first reached along
+    the edge ``tree[j] = (parent, s)``.  The tree spells every element as a
+    word in the generators, so a product is read off the edges and no
+    element is multiplied after the closure.  In a group from
+    ``rewrite_on_lattice`` every word has length one.  ``orders[i]`` is the
+    order of elements[i], walked once here.
     """
 
-    __slots__ = ("generators", "elements", "edges", "_tree", "_index")
+    __slots__ = ("elements", "edges", "_tree", "orders")
 
-    def __init__(self, generators, elements, edges, tree):
-        self.generators = generators
+    def __init__(self, elements, edges, tree):
         self.elements = elements
         self.edges = edges
         self._tree = tree
-        self._index = {e.key(): i for i, e in enumerate(elements)}
+        orders = []
+        for i in range(len(elements)):
+            order, j = 1, i
+            while j:
+                j = self.compose_indices(j, i)
+                order += 1
+            orders.append(order)
+        self.orders = tuple(orders)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def index_of(self, a: AffineAut) -> int:
-        return self._index[a.key()]
+    @property
+    def gens(self) -> tuple[int, ...]:
+        return self.edges[0]
 
     def compose_indices(self, i: int, j: int) -> int:
         """Index of elements[i] . elements[j]: from i, follow the edges of j's word."""
@@ -230,17 +240,9 @@ class ActionGroup:
             i = self.edges[i][s]
         return i
 
-    def element_order(self, i: int) -> int:
-        order = 1
-        j = i
-        while j != 0:
-            j = self.compose_indices(j, i)
-            order += 1
-        return order
-
     def is_abelian(self) -> bool:
         """G is abelian iff its generators commute."""
-        gens = [self.index_of(g) for g in self.generators]
+        gens = self.gens
         return all(
             self.edges[a][t] == self.edges[b][s]
             for s, a in enumerate(gens)
@@ -248,7 +250,7 @@ class ActionGroup:
         )
 
     def is_cyclic(self) -> bool:
-        return any(self.element_order(i) == self.order for i in range(self.order))
+        return self.order in self.orders
 
 
 def close_group(
@@ -304,7 +306,7 @@ def close_group(
                 tree.append((i, s))
             row.append(index[key])
         edges.append(tuple(row))
-    return ActionGroup(gens, tuple(elements), tuple(edges), tuple(tree))
+    return ActionGroup(tuple(elements), tuple(edges), tuple(tree))
 
 
 def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) -> AffineAut:
@@ -495,7 +497,7 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
             fixed.append(i)
         if elements[i].is_translation():
             translations.append(i)
-    gens = sorted({d.group.index_of(g) for g in d.group.generators})
+    gens = sorted(set(d.group.gens))
     form_bad = [i for i in gens if not d.form.is_invariant_under(elements[i].linear)]
     checked = gens if d.torus.factors is not None else range(len(elements))
     eig_bad = [p for i in checked if i and (p := _check_eigenvalues(elements[i], i))]
@@ -517,9 +519,7 @@ def quotient_by_translations(d: HyperellipticDatum) -> HyperellipticDatum:
     lattice, and the group descends with the translations removed.  Data with
     no nonidentity translations are returned unchanged (idempotent).
     """
-    translations = [
-        e.translation for e in d.group.elements if e.is_translation() and not e.is_identity()
-    ]
+    translations = [e.translation for e in d.group.elements[1:] if e.is_translation()]
     if not translations:
         return d
     rank = d.rank
@@ -575,7 +575,7 @@ def rewrite_on_lattice(
     tree = (None,) + tuple((0, j) for j in range(len(reps) - 1))
     return HyperellipticDatum(
         torus,
-        ActionGroup(tuple(elements[1:]), tuple(elements), edges, tree),
+        ActionGroup(tuple(elements), edges, tree),
         AlternatingForm(d.form.restricted_to(cols)),
         j_stability_assumed=d.j_stability_assumed,
     )

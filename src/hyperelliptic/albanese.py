@@ -143,9 +143,10 @@ def compute_A0(d: HyperellipticDatum) -> Sublattice:
     """Saturated fixed lattice of the generators (Lambda_0, even rank)."""
     rank = d.rank
     rows = []
-    for g in d.group.generators:
-        if g.is_identity():
+    for k in d.group.gens:
+        if k == 0:
             continue
+        g = d.group.elements[k]
         for i in range(rank):
             row = tuple(g.linear[i][j] - (1 if i == j else 0) for j in range(rank))
             rows.append(row)
@@ -209,8 +210,8 @@ def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
     P0 M_g = P0, because tau(gh) = M_g tau(h) + tau(g) - lambda and P0(Z^n) =
     Lambda_0 + K0; the identity for every element follows from the generators.
     """
-    for g in d.group.generators:
-        if mat_mul(dec.proj0, g.linear) != dec.proj0:
+    for i in d.group.gens:
+        if mat_mul(dec.proj0, d.group.elements[i].linear) != dec.proj0:
             raise PipelineInvariantError("a generator moves V0 or does not keep V1 stable")
     return tuple(mat_vec(dec.proj0, e.translation) for e in d.group.elements)
 
@@ -245,7 +246,7 @@ def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
     Lambda_B = P0(Z^n) + <t0(g) : g a generator of G>, read off the columns
     of P0: P0(Z^n) = Lambda_0 + K0, and t0 is a homomorphism modulo it.
     """
-    gens = tuple(t0[d.group.index_of(g)] for g in d.group.generators)
+    gens = tuple(t0[i] for i in d.group.gens)
     lam_b = Sublattice.from_rat_columns(d.rank, transpose(dec.proj0) + gens)
     if lam_b.rank != dec.lambda0.rank:
         raise PipelineInvariantError("Albanese lattice rank differs from rank Lambda_0")
@@ -319,7 +320,6 @@ def _abelian_invariant_factors(group: ActionGroup) -> tuple[int, ...]:
     the cyclic p-parts of order at least p^k.
     """
     n = group.order
-    orders = [group.element_order(i) for i in range(n)]
     factors = []  # largest first; entry j collects the j-th largest p-part of each p
     m = n
     p = 2
@@ -334,7 +334,7 @@ def _abelian_invariant_factors(group: ActionGroup) -> tuple[int, ...]:
         at_least = []  # at_least[k - 1]: cyclic p-parts of order at least p^k
         prev = 0
         for k in range(1, e + 1):
-            count = sum(1 for o in orders if p**k % o == 0)
+            count = sum(1 for o in group.orders if p**k % o == 0)
             s = 0
             while count % p == 0:
                 count //= p
@@ -365,8 +365,8 @@ def classify_fiber(fiber: HyperellipticDatum) -> FiberClassification:
     dim = fiber.dim
     if group.order == 1:
         return FiberClassification("abelian", dim, 1, True, (), (1,))
-    orders = tuple(sorted(group.element_order(i) for i in range(group.order)))
-    cyclic = group.order in orders
+    orders = tuple(sorted(group.orders))
+    cyclic = group.is_cyclic()
     invariants = _abelian_invariant_factors(group) if group.is_abelian() else None
     return FiberClassification("hyperelliptic", dim, group.order, cyclic, invariants, orders)
 

@@ -113,7 +113,7 @@ def _word_to_element(datum: HyperellipticDatum, word) -> int | None:
     """
     index = 0
     for k in word:
-        if not 0 <= k < len(datum.group.generators):
+        if not 0 <= k < len(datum.group.gens):
             return None
         index = datum.group.edges[index][k]
     return index

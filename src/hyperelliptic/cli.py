@@ -40,6 +40,15 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _valid_datum(path: str):
+    """The datum in the file; one that fails validation exits 2 through main."""
+    datum = load_document(path)
+    report = validate(datum)
+    if not report.passed:
+        raise ValueError("; ".join(report.failures()))
+    return datum
+
+
 def cmd_check(args) -> int:
     datum = load_document(args.path)
     report = validate(datum)
@@ -56,10 +65,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_albanese(args) -> int:
-    datum = load_document(args.path)
-    report = validate(datum)
-    if not report.passed:
-        return _fail(2, "invalid datum: " + "; ".join(report.failures()))
+    datum = _valid_datum(args.path)
     alb = run_pipeline(datum, recurse=args.recurse)
     payload = albanese_dict(alb, datum)
     diag = canonical_report(invariants_report(datum), invariants_report(alb.fiber))
@@ -99,10 +105,7 @@ def _print_albanese_text(payload: dict, indent: str = "") -> None:
 
 
 def cmd_invariants(args) -> int:
-    datum = load_document(args.path)
-    report = validate(datum)
-    if not report.passed:
-        return _fail(2, "invalid datum: " + "; ".join(report.failures()))
+    datum = _valid_datum(args.path)
     inv = invariants_report(datum)
     payload = invariants_dict(inv)
     if args.format == "json":
@@ -118,10 +121,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    datum = load_document(args.path)
-    report = validate(datum)
-    if not report.passed:
-        return _fail(2, "invalid datum: " + "; ".join(report.failures()))
+    datum = _valid_datum(args.path)
     survey = fixed_point_survey(datum, level=args.level)
     alb = run_pipeline(datum)
     level = fiber_count_level(datum, alb)

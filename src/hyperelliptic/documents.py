@@ -42,7 +42,7 @@ class InputError(ValueError):
 # rationals and root-of-unity labels
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise InputError(f"expected a rational string, got {text!r}")
@@ -109,7 +109,10 @@ def _parse_factor(item) -> EllipticFactor:
     kind = item["kind"]
     if kind not in _FACTOR_KINDS:
         raise InputError(f"unknown factor kind {kind!r}")
-    return EllipticFactor(kind, str(item.get("label", "")))
+    label = item.get("label", "")
+    if not isinstance(label, str):
+        raise InputError(f"factor labels must be strings, got {label!r}")
+    return EllipticFactor(kind, label)
 
 
 def _parse_int_matrix(rows, size: int):
@@ -128,6 +131,13 @@ def _parse_int_matrix(rows, size: int):
     return tuple(out)
 
 
+def _list(doc, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise InputError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def _positive_int(doc, key: str, default=None, maximum=None) -> int:
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -138,7 +148,7 @@ def _positive_int(doc, key: str, default=None, maximum=None) -> int:
 
 
 def _build_builder(doc) -> HyperellipticDatum:
-    factors = [_parse_factor(f) for f in doc.get("factors", [])]
+    factors = [_parse_factor(f) for f in _list(doc, "factors")]
     if not factors:
         raise InputError("builder documents need at least one factor")
     rank = 2 * len(factors)
@@ -146,10 +156,10 @@ def _build_builder(doc) -> HyperellipticDatum:
         raise InputError(
             f"factors: {len(factors)} factors give rank {rank}, over the maximum {MAX_RANK}"
         )
-    k_gens = [parse_vector(v, rank) for v in doc.get("k_gens", [])]
+    k_gens = [parse_vector(v, rank) for v in _list(doc, "k_gens")]
     torus = build_product_torus(factors, k_gens)
     generators = []
-    for spec in doc.get("generators", []):
+    for spec in _list(doc, "generators"):
         if not isinstance(spec, dict):
             raise InputError("generator entries must be objects")
         translation = parse_vector(spec.get("translation", ["0"] * rank), rank)
@@ -162,7 +172,7 @@ def _build_builder(doc) -> HyperellipticDatum:
                 for f, z in zip(factors, zetas)
             ]
         elif "blocks" in spec:
-            blocks = [_parse_int_matrix(b, 2) for b in spec["blocks"]]
+            blocks = [_parse_int_matrix(b, 2) for b in _list(spec, "blocks")]
             if len(blocks) != len(factors):
                 raise InputError("need one 2x2 block per factor")
         else:
@@ -196,9 +206,9 @@ def _build_raw(doc) -> HyperellipticDatum:
         eig = tuple(parse_root_label(z) for z in labels)
         return affine_raw(linear, translation, eig)
 
-    generators = [parse_element(spec) for spec in doc.get("generators", [])]
+    generators = [parse_element(spec) for spec in _list(doc, "generators")]
     table = {}
-    for spec in doc.get("elements", []):
+    for spec in _list(doc, "elements"):
         e = parse_element(spec)
         table[e.linear] = e.eigenvalues
     cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP, MAX_CLOSURE_CAP)

@@ -245,18 +245,15 @@ def integer_solution(hermite: tuple[Matrix, Matrix], b) -> tuple[int, ...] | Non
     return mat_vec(v, [int(c) for c in y] + [0] * (len(v) - len(y)))
 
 
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """(u, s, v) with u @ m @ v == s diagonal, d_i | d_{i+1}, u, v unimodular."""
+def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
+    """(u, s) with u @ m @ v == s diagonal, d_i | d_{i+1}, u and some v unimodular (not formed)."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     s = [list(row) for row in m]
     u = [list(row) for row in identity(rows)]
-    v = [list(row) for row in identity(cols)]
 
     def colop(i, j, a, b, c, d):
         for row in s:
-            row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
-        for row in v:
             row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
 
     def clear_position(t: int) -> None:
@@ -323,7 +320,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]
             u[t] = [-x for x in u[t]]
-    return tuple(map(tuple, u)), tuple(map(tuple, s)), tuple(map(tuple, v))
+    return tuple(map(tuple, u)), tuple(map(tuple, s))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +443,7 @@ def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
             raise LatticeError("small lattice is not contained in big lattice")
         coord_cols.append(tuple(int(c) for c in coords))
     x = transpose(tuple(coord_cols))  # k x k, big-coordinates of small's basis
-    u, s, _ = smith_normal_form(x)
+    u, s = smith_normal_form(x)
     u_inv = mat_inv(u)
     factors = []
     gens = []

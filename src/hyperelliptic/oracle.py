@@ -66,7 +66,7 @@ def element_level_bound(e: AffineAut) -> int:
     diff = tuple(
         tuple(e.linear[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
     )
-    _, s, _ = smith_normal_form(diff)
+    _, s = smith_normal_form(diff)
     divisor_lcm = 1
     for i in range(n):
         if s[i][i]:
@@ -76,10 +76,7 @@ def element_level_bound(e: AffineAut) -> int:
 
 def formula_level(d: HyperellipticDatum) -> int:
     """lcm(denominators) * lcm(element orders), the headline exhaustive level."""
-    orders = 1
-    for i in range(d.group.order):
-        orders = lcm(orders, d.group.element_order(i))
-    return datum_denominator(d) * orders
+    return datum_denominator(d) * lcm(*d.group.orders)
 
 
 def _split_grid_size(level: int, rank: int) -> int:

@@ -1,0 +1,88 @@
+"""One sha256 over every CLI output on a fixed set of documents.
+
+Runs `check`, `albanese`, `albanese --recurse`, `invariants` and `oracle`,
+each in json and text format, in process, on 233 documents: the catalog
+entries, the stress points (3,3,2), (2,4,2), (2,2,6), (2,2,8), (3,4,2) and
+(2,2,10) at seeds 0-3, the 192 `three_curve_document` sweep documents and
+the D4 threefold.  An output is the exit code, stdout and stderr.  Two
+checkouts whose reports are byte-identical print the same count and digest,
+so a refactor that must not change any report is checked by running this
+in both.  It is a script, not a collected test, because it takes about
+half a minute.
+
+    PYTHONPATH=src python tests/output_digest.py [--each]
+
+`--each` also prints one digest per output, to find the ones that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
+
+from conftest import load_perfbench  # noqa: E402
+from helpers import three_curve_document  # noqa: E402
+from test_nonabelian import D4_THREEFOLD  # noqa: E402
+
+from hyperelliptic.catalog import get_entry, list_entries  # noqa: E402
+from hyperelliptic.cli import main  # noqa: E402
+
+STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8), (3, 4, 2), (2, 2, 10))
+COMMANDS = (["check"], ["albanese"], ["albanese", "--recurse"], ["invariants"], ["oracle"])
+
+
+def documents():
+    """(name, document) pairs, in a fixed order."""
+    for name in list_entries():
+        yield name, get_entry(name).document
+    stress = load_perfbench("stress")
+    for (m, k, base), seed in itertools.product(STRESS_POINTS, range(4)):
+        yield f"stress-m{m}-k{k}-base{base}-seed{seed}", stress.stress_document(m, k, base, seed)
+    for k_gen in itertools.product(("0", "1/2"), repeat=6):
+        for translation in (("1/2", "0"), ("1/2", "1/2"), ("0", "1/2")):
+            name = f"sweep-{'_'.join(k_gen)}-{'_'.join(translation)}"
+            yield name, three_curve_document(k_gen, translation)
+    yield "d4-threefold", D4_THREEFOLD
+
+
+def outputs(path: Path):
+    """(label, output digest) for every command and format on every document."""
+    for name, doc in documents():
+        path.write_text(json.dumps(doc))
+        for command, fmt in itertools.product(COMMANDS, ("json", "text")):
+            argv = [command[0], str(path), *command[1:], "--format", fmt]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            record = json.dumps([code, out.getvalue(), err.getvalue()])
+            yield f"{name} {' '.join(command)} {fmt}", hashlib.sha256(record.encode()).hexdigest()
+
+
+def run(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--each", action="store_true", help="print one digest per output")
+    args = parser.parse_args(argv)
+    total = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, digest in outputs(Path(tmp) / "datum.json"):
+            if args.each:
+                print(digest, label)
+            total.update(f"{digest} {label}\n".encode())
+            count += 1
+    print(f"{count} outputs, sha256 {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(run())

@@ -76,8 +76,8 @@ def test_z4_threefold_example():
     with criterion("order-4 threefold: H = {e, g^2}, bielliptic Z/2 fiber, K0 = <1/2>"):
         datum = build_valid("z4-threefold")
         report = run_pipeline(datum)
-        g = datum.group.generators[0]
-        g2_index = datum.group.index_of(compose(g, g))
+        g = datum.group.elements[datum.group.gens[0]]
+        g2_index = datum.group.elements.index(compose(g, g))
         assert set(report.subgroup_h) == {0, g2_index}
         assert report.fiber_class.kind == "hyperelliptic"
         assert report.fiber_class.cyclic
@@ -101,16 +101,16 @@ def test_zmzm_threefold_example(m):
     with criterion(f"(Z/{m})^2 threefold: H = <g1> of order {m}, bielliptic Z/{m} fiber"):
         datum = build_valid(f"zmzm-threefold-m{m}")
         assert datum.group.order == m * m
-        orders = sorted(datum.group.element_order(i) for i in range(datum.group.order))
+        orders = sorted(datum.group.orders)
         assert orders == sorted([1] + [m] * (m * m - 1))  # (Z/m)^2 shape
         assert datum.group.is_abelian() and not datum.group.is_cyclic()
         report = run_pipeline(datum)
         assert report.q == 1
-        g1 = datum.group.generators[0]
+        g1 = datum.group.elements[datum.group.gens[0]]
         expected_h = {0}
         power = g1
         for _ in range(m - 1):
-            expected_h.add(datum.group.index_of(power))
+            expected_h.add(datum.group.elements.index(power))
             power = compose(power, g1)
         assert set(report.subgroup_h) == expected_h
         assert len(report.subgroup_h) == m
@@ -199,13 +199,13 @@ def test_negative_controls():
         corrupted = get_entry("z4-threefold-corrupted").build()
         report = validate(corrupted)
         assert not report.passed
-        g = corrupted.group.generators[0]
-        assert corrupted.group.index_of(compose(g, g)) in report.fixed_point_elements
+        g = corrupted.group.elements[corrupted.group.gens[0]]
+        assert corrupted.group.elements.index(compose(g, g)) in report.fixed_point_elements
 
         forced = get_entry("not-all-bielliptic-2-6").build()
         report = validate(forced)
         assert not report.passed
         assert report.fixed_point_elements, "rejection must carry a fixed-point witness"
-        g2 = forced.group.generators[1]
+        g2 = forced.group.elements[forced.group.gens[1]]
         fourth = compose(compose(compose(g2, g2), g2), g2)
-        assert forced.group.index_of(fourth) in report.fixed_point_elements
+        assert forced.group.elements.index(fourth) in report.fixed_point_elements

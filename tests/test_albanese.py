@@ -143,7 +143,7 @@ class TestCocycle:
         # t0(g) = 1/4 on the first factor, mod Lambda_0
         d = datum_of("z4-threefold")
         dec, table = pipeline_parts(d)
-        g_index = d.group.index_of(d.group.generators[0])
+        g_index = d.group.elements.index(d.group.elements[d.group.gens[0]])
         expected_t0 = d.torus.to_lattice_coords((F(1, 4), 0, 0, 0, 0, 0))
         diff = tuple(a - b for a, b in zip(table[g_index], expected_t0))
         assert contains(dec.lambda0, diff)
@@ -152,7 +152,7 @@ class TestCocycle:
         # t0(g2) = tau0/3 on the first factor, mod Lambda_0
         d = datum_of("zmzm-threefold-m3")
         dec, table = pipeline_parts(d)
-        idx = d.group.index_of(d.group.generators[1])
+        idx = d.group.elements.index(d.group.elements[d.group.gens[1]])
         expected_t0 = d.torus.to_lattice_coords((0, F(1, 3), 0, 0, 0, 0))
         diff = tuple(a - b for a, b in zip(table[idx], expected_t0))
         assert contains(dec.lambda0, diff)
@@ -176,9 +176,9 @@ class TestSubgroupH:
         d = datum_of("z4-threefold")
         dec, table = pipeline_parts(d)
         h, paired = compute_H(d, dec, table)
-        g = d.group.generators[0]
+        g = d.group.elements[d.group.gens[0]]
         g2 = compose(g, g)
-        assert set(h) == {0, d.group.index_of(g2)}
+        assert set(h) == {0, d.group.elements.index(g2)}
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_zmzm_h_is_first_generator(self, m):
@@ -186,11 +186,11 @@ class TestSubgroupH:
         dec, table = pipeline_parts(d)
         h, _ = compute_H(d, dec, table)
         assert len(h) == m
-        g1 = d.group.generators[0]
+        g1 = d.group.elements[d.group.gens[0]]
         power = g1
         indices = {0}
         for _ in range(m - 1):
-            indices.add(d.group.index_of(power))
+            indices.add(d.group.elements.index(power))
             power = compose(power, g1)
         assert set(h) == indices
 
@@ -365,8 +365,8 @@ class TestRunPipeline:
             if d.group.is_cyclic():
                 assert report.fiber_class.kind == "abelian" or report.fiber_class.cyclic
             gen_eigs = [
-                {z.order for z in g.eigenvalues if not z.is_one()}
-                for g in d.group.generators
+                {z.order for z in d.group.elements[i].eigenvalues if not z.is_one()}
+                for i in d.group.gens
             ]
             if d.group.is_cyclic() and len(gen_eigs) == 1 and len(gen_eigs[0]) == 1:
                 assert report.fiber_class.kind == "abelian"

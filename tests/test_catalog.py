@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 import hyperelliptic.catalog
 from hyperelliptic.action import compose, validate
 from hyperelliptic.catalog import UnknownEntry, get_entry, list_entries, run_entry
+from hyperelliptic.cli import main
 from hyperelliptic.documents import build_datum
 
 
@@ -63,9 +66,9 @@ class TestNegativeFixtures:
         datum = entry.build()
         report = validate(datum)
         assert not report.passed
-        g = datum.group.generators[0]
+        g = datum.group.elements[datum.group.gens[0]]
         g2 = compose(g, g)
-        assert datum.group.index_of(g2) in report.fixed_point_elements
+        assert datum.group.elements.index(g2) in report.fixed_point_elements
 
     def test_2_6_configuration_rejected_with_fixed_point_witness(self):
         entry = get_entry("not-all-bielliptic-2-6")
@@ -73,14 +76,14 @@ class TestNegativeFixtures:
         report = validate(datum)
         assert not report.passed
         assert report.fixed_point_elements  # the rejection carries a witness
-        g2 = datum.group.generators[1]
+        g2 = datum.group.elements[datum.group.gens[1]]
         power = g2
         for _ in range(3):
             power = compose(power, g2)
-        assert datum.group.index_of(power) in report.fixed_point_elements
+        assert datum.group.elements.index(power) in report.fixed_point_elements
         # the forcing translation: 2 * t0(g2) hits the K0 part, so an H of
         # order 3 would be required if the datum were free
-        assert datum.group.element_order(datum.group.index_of(g2)) in (6, 12)
+        assert datum.group.orders[datum.group.gens[1]] in (6, 12)
 
     def test_2_6_configuration_also_surfaces_a_translation(self):
         entry = get_entry("not-all-bielliptic-2-6")
@@ -98,3 +101,27 @@ class TestDocuments:
         assert rebuilt.torus == original.torus
         assert rebuilt.group.elements == original.group.elements
         assert rebuilt.form == original.form
+
+
+@pytest.mark.parametrize("extra", ["repeat", "identity"])
+@pytest.mark.parametrize("name", list_entries())
+def test_repeated_or_identity_generator_changes_nothing(name, extra, tmp_path, capsys):
+    # a generator whose index is a repeat, or 0, closes to the same elements
+    # in the same order, and every report reads the same bytes
+    doc = get_entry(name).document
+    identity = {"zetas": ["1"] * len(doc["factors"])}
+    generator = doc["generators"][0] if extra == "repeat" else identity
+    extended = dict(doc, generators=[*doc["generators"], generator])
+    group = build_datum(doc).group
+    assert build_datum(extended).group.elements == group.elements
+    assert build_datum(extended).group.gens[-1] == (group.gens[0] if extra == "repeat" else 0)
+    outputs = []
+    for d in (doc, extended):
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(d))
+        runs = []
+        for command in (["check"], ["albanese", "--recurse"], ["invariants"], ["oracle"]):
+            code = main([command[0], str(path), *command[1:], "--format", "json"])
+            runs.append((code, capsys.readouterr()))
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]

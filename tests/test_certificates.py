@@ -162,7 +162,7 @@ def subgroup_indices(group, gens) -> frozenset[int]:
 def check_invariant_factors(group):
     """p-primary counting against the divisor-count predicate it replaced."""
     factors = _abelian_invariant_factors(group)
-    orders = [group.element_order(i) for i in range(group.order)]
+    orders = group.orders
     product = 1
     for f in factors:
         product *= f
@@ -196,7 +196,8 @@ def conjugated(d, u):
 
     table = {move(e).linear: e.eigenvalues for e in d.group.elements}
     torus = TorusDatum.raw(d.rank)
-    group = close_group([move(g) for g in d.group.generators], torus, eigenvalue_table=table)
+    gens = [move(d.group.elements[i]) for i in d.group.gens]
+    group = close_group(gens, torus, eigenvalue_table=table)
     form = AlternatingForm(mat_mul(mat_mul(transpose(u), d.form.matrix), u))
     return HyperellipticDatum(torus, group, form, j_stability_assumed=True)
 
@@ -353,10 +354,12 @@ def test_wrong_generator_eigenvalue_fails_both_checks(name):
     # multiplies the wrong value into every product, and the generator-only
     # check reports a subset of what the every-element loop reports
     d = get_entry(name).build()
-    g = d.group.generators[0]
+    g = d.group.elements[d.group.gens[0]]
     k = next(k for k, z in enumerate(g.eigenvalues) if not z.is_one())
     eig = g.eigenvalues[:k] + (RootOfUnity.one(),) + g.eigenvalues[k + 1:]
-    gens = (AffineAut(g.linear, g.translation, eig),) + d.group.generators[1:]
+    gens = (AffineAut(g.linear, g.translation, eig),) + tuple(
+        d.group.elements[i] for i in d.group.gens[1:]
+    )
     bad = HyperellipticDatum(d.torus, close_group(gens, d.torus), d.form)
     got = validate(bad).eigenvalue_violations
     reference = every_element_eigenvalue_violations(bad)

@@ -168,6 +168,18 @@ RAW_FORM_FLIP = {
 }
 
 
+# (z0 + 1/2, -z1): free and valid, the base of the malformed builder cases
+BUILDER_SHIFT = {
+    "mode": "builder",
+    "factors": [{"kind": "generic"}, {"kind": "generic"}],
+    "generators": [{"zetas": ["1", "-1"], "translation": ["1/2", "0", "0", "0"]}],
+}
+
+
+def with_generator(doc, **changes):
+    return dict(doc, generators=[dict(doc["generators"][0], **changes)])
+
+
 class TestUsageErrors:
     """A command line argparse rejects is an input error: exit 1, like a bad file."""
 
@@ -278,6 +290,33 @@ class TestStrictInput:
             code, err = self.check_exit(dict(doc, bogus=1), tmp_path, capsys)
             assert code == 1
             assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            with_generator(BUILDER_SHIFT, translation=[True, "0", "0", "0"]),
+            dict(BUILDER_SHIFT, k_gens=[[False, "1/2", "0", "0"]]),
+            with_generator(RAW_INVOLUTION, translation=[True, "0"]),
+            dict(RAW_INVOLUTION, form=[[False, "1"], ["-1", False]]),
+            dict(BUILDER_SHIFT, factors=5),
+            dict(BUILDER_SHIFT, factors=None),
+            dict(BUILDER_SHIFT, k_gens=5),
+            dict(BUILDER_SHIFT, generators=None),
+            dict(RAW_INVOLUTION, generators=5),
+            dict(RAW_INVOLUTION, elements=None),
+            dict(BUILDER_SHIFT, generators=[{"blocks": 5}]),
+            dict(BUILDER_SHIFT, factors=[{"kind": "generic", "label": 5}, {"kind": "generic"}]),
+        ],
+        ids=[
+            "bool-translation", "bool-k-gen", "bool-raw-translation", "bool-form",
+            "factors-int", "factors-null", "k-gens-int", "generators-null",
+            "raw-generators-int", "elements-null", "blocks-int", "label-int",
+        ],
+    )
+    def test_coerced_or_non_list_input_exit_1(self, doc, tmp_path, capsys):
+        code, err = self.check_exit(doc, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("input error:")
 
     def test_non_integer_block_entry_exit_1(self, tmp_path, capsys):
         doc = {

@@ -87,7 +87,7 @@ def test_tables_match_compose():
         elements = group.elements
         for i, j in pairs:
             product = compose(elements[i], elements[j])
-            assert group.compose_indices(i, j) == group.index_of(product)
+            assert group.compose_indices(i, j) == group.elements.index(product)
         noncommuting = [
             (i, j) for i, j in pairs if group.compose_indices(i, j) != group.compose_indices(j, i)
         ]
