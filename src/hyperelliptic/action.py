@@ -7,7 +7,7 @@ canonical.  ``close_group`` is the only place that multiplies elements; it
 keeps the Cayley edges, and a new element's eigenvalues follow one rule per
 kind of datum (see close_group).  The group is its Cayley table: a generator
 is an element index (``ActionGroup.gens``), every product is read off the
-edges, element orders are computed once (``ActionGroup.orders``), and
+edges, element orders are walked once, on first use (``ActionGroup.orders``), and
 nothing looks an element up by value.  A derived group (a fiber, a
 translation quotient) reads its parent's edges.
 Fixed-point existence is decided exactly by rational linear algebra: since
@@ -204,27 +204,32 @@ class ActionGroup:
     word in the generators, so a product is read off the edges and no
     element is multiplied after the closure.  In a group from
     ``rewrite_on_lattice`` every word has length one.  ``orders[i]`` is the
-    order of elements[i], walked once here.
+    order of elements[i], walked once on first use: validation never pays.
     """
 
-    __slots__ = ("elements", "edges", "_tree", "orders")
+    __slots__ = ("elements", "edges", "_tree", "_orders")
 
     def __init__(self, elements, edges, tree):
         self.elements = elements
         self.edges = edges
         self._tree = tree
-        orders = []
-        for i in range(len(elements)):
-            order, j = 1, i
-            while j:
-                j = self.compose_indices(j, i)
-                order += 1
-            orders.append(order)
-        self.orders = tuple(orders)
+        self._orders = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        if self._orders is None:
+            orders = []
+            for i in range(self.order):
+                order, j = 1, i
+                while j:
+                    j, order = self.compose_indices(j, i), order + 1
+                orders.append(order)
+            self._orders = tuple(orders)
+        return self._orders
 
     @property
     def gens(self) -> tuple[int, ...]:

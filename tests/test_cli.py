@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,38 @@ class TestFormViolation:
         assert payload["form_invariant"] is False
         assert payload["free"] and payload["eigenvalues_consistent"] and payload["faithful"]
         assert payload["failures"] == ["form not invariant at element indices [1]"]
+
+
+class TestRejectedGroupCost:
+    """A group that fails validation costs its closure, not its element orders.
+
+    One generator translating by 1/1024 closes to 1024 pure translations, one
+    chain whose words grow to length 1023; walking every element's powers
+    along it takes minutes, so no command may do it before rejecting.
+    """
+
+    CHAINS = {
+        "builder": {
+            "mode": "builder",
+            "factors": [{"kind": "generic", "label": "tau"}],
+            "generators": [{"zetas": ["1"], "translation": ["1/1024", "0"]}],
+        },
+        "raw": dict(RAW_INVOLUTION, generators=[
+            {"matrix": [[1, 0], [0, 1]], "translation": ["1/1024", "0"], "eigenvalues": ["1"]}
+        ]),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(CHAINS))
+    @pytest.mark.parametrize("command", ["check", "albanese", "invariants", "oracle"])
+    def test_translation_chain_exits_2_quickly(self, command, mode, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(self.CHAINS[mode]))
+        start = time.perf_counter()
+        code, out, err = run_cli([command, str(path)], capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert "nonidentity translations" in (out if command == "check" else err)
+        assert elapsed < 5.0
 
 
 class TestReports:
