@@ -200,19 +200,19 @@ class ActionGroup:
     ``edges[i][s]`` is the index of elements[i] . g_s for the s-th generator
     g_s, so ``gens = edges[0]`` lists the generators' indices (with repeats,
     and 0 for an identity generator).  Element j > 0 was first reached along
-    the edge ``tree[j] = (parent, s)``.  The tree spells every element as a
-    word in the generators, so a product is read off the edges and no
-    element is multiplied after the closure.  In a group from
+    the edge ``tree[j] = (parent, s)``, parent < j.  The tree spells every
+    element as a word in the generators: products are read off the edges, and
+    a homomorphism is walked along it from the generators.  In a group from
     ``rewrite_on_lattice`` every word has length one.  ``orders[i]`` is the
     order of elements[i], walked once on first use: validation never pays.
     """
 
-    __slots__ = ("elements", "edges", "_tree", "_orders")
+    __slots__ = ("elements", "edges", "tree", "_orders")
 
     def __init__(self, elements, edges, tree):
         self.elements = elements
         self.edges = edges
-        self._tree = tree
+        self.tree = tree
         self._orders = None
 
     @property
@@ -239,7 +239,7 @@ class ActionGroup:
         """Index of elements[i] . elements[j]: from i, follow the edges of j's word."""
         word = []
         while j:
-            j, s = self._tree[j]
+            j, s = self.tree[j]
             word.append(s)
         for s in reversed(word):
             i = self.edges[i][s]
@@ -475,6 +475,14 @@ def _check_eigenvalues(e: AffineAut, index: int) -> str | None:
     return None
 
 
+def determinant(e: AffineAut) -> RootOfUnity:
+    """det rho(e), the product of e's eigenvalues."""
+    det = RootOfUnity.one()
+    for z in e.eigenvalues:
+        det = det * z
+    return det
+
+
 def validate(d: HyperellipticDatum) -> ValidationReport:
     """Run every hyperelliptic-variety check and cache the report on the datum.
 
@@ -489,7 +497,10 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
     linear part is lam^-1 blockdiag(its eigenvalues) lam and its
     characteristic polynomial is the one they declare.  In a derived group
     every nonidentity element is a generator.  Raw data declare or derive
-    eigenvalues per element, so every element is checked.  The complex
+    eigenvalues per element, so every element is checked, and det rho, the
+    product of the eigenvalues, must be a character (Serre, Linear
+    Representations of Finite Groups, 2): the first Cayley edge on which it is
+    not multiplicative is reported.  This needs no element orders.  The complex
     representation rho is faithful iff no nonidentity element is a
     translation: lin (x) C = rho + conj(rho), so ker rho = ker lin, and the
     kernel of g -> lin(g) is the translation subgroup.
@@ -506,6 +517,13 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
     form_bad = [i for i in gens if not d.form.is_invariant_under(elements[i].linear)]
     checked = gens if d.torus.factors is not None else range(len(elements))
     eig_bad = [p for i in checked if i and (p := _check_eigenvalues(elements[i], i))]
+    if d.torus.factors is None:
+        det, g = [determinant(e) for e in elements], d.group.gens
+        edge = next((f"element {i} . generator {s} = element {j}"
+                     for i, row in enumerate(d.group.edges)
+                     for s, j in enumerate(row) if det[j] != det[i] * det[g[s]]), None)
+        if edge:
+            eig_bad.append(f"det rho is not a character: it is not multiplicative on {edge}")
     report = ValidationReport(
         group_order=d.group.order,
         fixed_point_elements=tuple(fixed),

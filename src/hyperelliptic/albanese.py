@@ -2,8 +2,8 @@
 
 Given X = A/G this computes, exactly and in lattice coordinates:
 
-  * the fixed subtorus A0 (saturated kernel lattice of the generators),
-  * its invariant complement A1, the kernel of the group average,
+  * the fixed subtorus A0 and its invariant complement A1, the two
+    saturated kernels of the group average,
   * the kernel K of the addition isogeny A0 x A1 -> A with its two
     isomorphic projections K0, K1,
   * the splitting of every translation part along V0 + V1,
@@ -21,25 +21,29 @@ V1 = ker P0, the sum of the nontrivial isotypic components, and I - P0
 projects onto V1 along V0.  V1 is also the form-orthogonal complement of
 V0: for a G-invariant form E, E(v0, (g - 1) w) = E(g^-1 v0, w) - E(v0, w)
 = 0 for v0 in V0, and the (g - 1) w span V1.  So the form restricted to V0
-is nondegenerate whenever E is, and the pipeline never reads E.  Lambda_1
-is the saturated kernel of P0, K0 and K1 are the images of K under P0 and
-I - P0, t0(g) = P0 tau(g), and Lambda_B = P0(Z^n) + <t0(g) : g a generator>.
+is nondegenerate whenever E is, and the pipeline never reads E.  Lambda_0
+and Lambda_1 are the saturated kernels of I - P0 and P0, K0 and K1 are the
+images of K under P0 and I - P0, t0(g) = P0 tau(g), and
+Lambda_B = P0(Z^n) + <t0(g) : g a generator>.
 
 Everything is certified by construction.  G fixes V0 pointwise and keeps V1
-stable, so P0 M_g = P0 for every g; that makes t0 a homomorphism modulo
-Lambda_0 + K0 = P0(Z^n) and H its kernel.  The pipeline checks the cheap
-certificates these theorems supply, not the consequences element by
-element: P0 M_g = P0 per generator (which also certifies that the average
-ran over a closed group), H membership by one integer solve of
-P0 w = t0(g) per element, |K0| = |K1| = |K| from the orders of two lattice
-quotients, and |H| dividing |G|.  A failed certificate raises
-PipelineInvariantError (NotASubgroup for H), which signals a bug rather
-than bad input.
+stable, so P0 M_g = P0 for every g; that makes t0 a homomorphism from G onto
+Lambda_B/P0(Z^n), with P0(Z^n) = Lambda_0 + K0, so t0 is known from the
+generators and H, its kernel, is read off the Cayley tree.  The pipeline
+checks the cheap certificates these theorems supply, not the consequences
+element by element: P0 M_g = P0 per generator (which also certifies that
+the average ran over a closed group), an integer solution of P0 w = t0(h)
+per member h of H, |K0| = |K1| = |K| from the orders of two lattice
+quotients, and |G| |K| = |H| [Lambda_B : Lambda_0], which is
+|G| = |H| [Lambda_B : P0(Z^n)] as [P0(Z^n) : Lambda_0] = |K0|.  A failed
+certificate raises PipelineInvariantError (NotASubgroup for H), which
+signals a bug rather than bad input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from .action import (
@@ -139,20 +143,10 @@ def _require_validated(d: HyperellipticDatum) -> None:
         )
 
 
-def compute_A0(d: HyperellipticDatum) -> Sublattice:
-    """Saturated fixed lattice of the generators (Lambda_0, even rank)."""
-    rank = d.rank
-    rows = []
-    for k in d.group.gens:
-        if k == 0:
-            continue
-        g = d.group.elements[k]
-        for i in range(rank):
-            row = tuple(g.linear[i][j] - (1 if i == j else 0) for j in range(rank))
-            rows.append(row)
-    if not rows:
-        return Sublattice.standard(rank)
-    lam0 = kernel_lattice(tuple(rows))
+def compute_A0(proj0) -> Sublattice:
+    """Lambda_0 = Lambda intersect V0, the saturated kernel of I - P0 (even rank)."""
+    complement = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(proj0)]
+    lam0 = kernel_lattice(complement)
     if lam0.rank % 2 != 0:
         raise OddRank(f"fixed lattice has odd rank {lam0.rank}")
     return lam0
@@ -169,8 +163,7 @@ def fixed_projector(d: HyperellipticDatum) -> tuple[tuple[Fraction, ...], ...]:
 
 def compute_A1(proj0) -> Sublattice:
     """Lambda_1 = Lambda intersect V1, the saturated kernel of P0."""
-    _, rows = over_common_denominator(proj0)
-    return kernel_lattice(tuple(rows))
+    return kernel_lattice(proj0)
 
 
 def compute_K(
@@ -204,40 +197,46 @@ def compute_K(
 
 
 def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
-    """The V0 part t0(g) = P0 tau(g) of each element's canonical translation lift, by index.
+    """The V0 part t0(g) = P0 tau(g) of each generator's translation, in ``gens`` order.
 
     The cocycle identity t0(gh) = t0(g) + t0(h) mod Lambda_0 + K0 follows from
     P0 M_g = P0, because tau(gh) = M_g tau(h) + tau(g) - lambda and P0(Z^n) =
     Lambda_0 + K0; the identity for every element follows from the generators.
     """
-    for i in d.group.gens:
-        if mat_mul(dec.proj0, d.group.elements[i].linear) != dec.proj0:
+    gens = [d.group.elements[i] for i in d.group.gens]
+    for g in gens:
+        if mat_mul(dec.proj0, g.linear) != dec.proj0:
             raise PipelineInvariantError("a generator moves V0 or does not keep V1 stable")
-    return tuple(mat_vec(dec.proj0, e.translation) for e in d.group.elements)
+    return tuple(mat_vec(dec.proj0, g.translation) for g in gens)
 
 
 def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):
     """Indices of H = {g : t0(g) in P0(Z^n)}, with each member's fiber shift.
 
-    g is in H iff P0 w = t0(g) has an integer solution w; then tau(g) - w lies
-    in V1 and is the fiber translation of g, congruent modulo Lambda_1 to
-    t1(g) minus the V1 part of the K element paired with t0(g).  H is the
-    kernel of t0 modulo P0(Z^n), so it is a subgroup; the identity being in
-    H and |H| dividing |G| are checked as its certificate.
+    t0 is a homomorphism modulo P0(Z^n), so an element's class, its Hermite
+    coordinates in P0(Z^n) mod 1 kept as integers mod their common
+    denominator, is its tree parent's plus its edge generator's; H is the
+    class 0.  A member h has an integer w with P0 w = t0(h) (else
+    NotASubgroup); tau(h) - w lies in V1 and is the fiber translation of h,
+    congruent modulo Lambda_1 to t1(h) minus the V1 part of the K element
+    paired with t0(h).
     """
-    den, p0 = over_common_denominator(dec.proj0)
+    image = Sublattice.from_rat_columns(d.rank, transpose(dec.proj0))
+    den, steps = over_common_denominator([image.coords_of(v) for v in t0])
+    classes = [(0,) * image.rank]
+    for parent, s in d.group.tree[1:]:
+        classes.append(tuple((a + b) % den for a, b in zip(classes[parent], steps[s])))
+    members = tuple(i for i, c in enumerate(classes) if not any(c))
+    _, p0 = over_common_denominator(dec.proj0)
     hermite = column_hermite(p0)
-    members = []
     shifts = {}
-    for i, e in enumerate(d.group.elements):
-        w = integer_solution(hermite, tuple(x * den for x in t0[i]))
-        if w is not None:
-            members.append(i)
-            shifts[i] = vec_sub(e.translation, w)
-    if not members or members[0] != 0 or d.group.order % len(members) != 0:
-        raise NotASubgroup(f"H has {len(members)} elements and must contain the identity "
-                           f"and divide |G| = {d.group.order}")
-    return tuple(members), shifts
+    for i in members:
+        tau = d.group.elements[i].translation
+        w = integer_solution(hermite, mat_vec(p0, tau))
+        if w is None:
+            raise NotASubgroup(f"element {i} has t0 in P0(Z^n) but P0 w = t0 has no integer w")
+        shifts[i] = vec_sub(tau, w)
+    return members, shifts
 
 
 def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
@@ -246,8 +245,7 @@ def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
     Lambda_B = P0(Z^n) + <t0(g) : g a generator of G>, read off the columns
     of P0: P0(Z^n) = Lambda_0 + K0, and t0 is a homomorphism modulo it.
     """
-    gens = tuple(t0[i] for i in d.group.gens)
-    lam_b = Sublattice.from_rat_columns(d.rank, transpose(dec.proj0) + gens)
+    lam_b = Sublattice.from_rat_columns(d.rank, transpose(dec.proj0) + t0)
     if lam_b.rank != dec.lambda0.rank:
         raise PipelineInvariantError("Albanese lattice rank differs from rank Lambda_0")
     factors = quotient_group(lam_b, dec.lambda0).invariant_factors
@@ -375,13 +373,15 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
     """Full Albanese computation; optionally recurses into hyperelliptic fibers."""
     _require_validated(d)
     n = d.dim
-    lambda0 = compute_A0(d)
-    q = lambda0.rank // 2
     proj0 = fixed_projector(d)
+    lambda0 = compute_A0(proj0)
+    q = lambda0.rank // 2
     dec = compute_K(d, lambda0, compute_A1(proj0), proj0)
     t0 = decompose_cocycle(d, dec)
     h_indices, shifts = compute_H(d, dec, t0)
     lam_b, factors = compute_albanese(d, dec, t0)
+    if d.group.order * dec.k.order != len(h_indices) * prod(factors):
+        raise NotASubgroup(f"|G| |K| != |H| [Lambda_B : Lambda_0] with |H| = {len(h_indices)}")
     fiber, fiber_factor_indices = compute_fiber(d, dec, h_indices, shifts)
     fiber = quotient_by_translations(fiber)
     fiber_report_check = validate(fiber)

@@ -207,10 +207,14 @@ def _build_raw(doc) -> HyperellipticDatum:
         return affine_raw(linear, translation, eig)
 
     generators = [parse_element(spec) for spec in _list(doc, "generators")]
-    table = {}
-    for spec in _list(doc, "elements"):
-        e = parse_element(spec)
-        table[e.linear] = e.eigenvalues
+    elements = [parse_element(spec) for spec in _list(doc, "elements")]
+    table, first = {}, {}  # matrix -> its eigenvalues, and the entry that declared them first
+    for key, entries in (("generators", generators), ("elements", elements)):
+        for k, e in enumerate(entries):
+            name = first.setdefault(e.linear, f"{key}[{k}]")
+            if table.setdefault(e.linear, e.eigenvalues) != e.eigenvalues:
+                raise InputError(f"{name} and {key}[{k}] declare different eigenvalues "
+                                 "for one matrix")
     cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP, MAX_CLOSURE_CAP)
     group = close_group(generators, torus, cap=cap, eigenvalue_table=table)
     return HyperellipticDatum(torus, group, form, j_stability_assumed=True)

@@ -11,9 +11,10 @@ module of the package reads a `.numerator` or a `.denominator`.
 `over_common_denominator` scales a rational matrix to integer rows over the
 lcm of its entry denominators.  Matrix products (`mat_mul`, `mat_vec`) take
 their inner products on those integer rows and turn each output entry into
-one `Fraction`; products of all-`int` operands stay `int`.  The Hermite form
-(Cohen, GTM 138, 2.4) answers the integer questions: `is_unimodular`,
-`is_singular`, `integer_solution` and `Sublattice.coords_of` all read it.
+one `Fraction`; products of all-`int` operands stay `int`.  `kernel_lattice`
+takes the kernel of those integer rows.  The Hermite form (Cohen, GTM 138,
+2.4) answers the integer questions: `is_unimodular`, `is_singular`,
+`integer_solution` and `Sublattice.coords_of` all read it.
 """
 
 from __future__ import annotations
@@ -414,13 +415,12 @@ class Sublattice(NamedTuple):
         return Sublattice._canonical(self.ambient_rank, den, cols)
 
 
-def kernel_lattice(m: Matrix) -> Sublattice:
-    """Saturated sublattice {v in Z^cols : m @ v == 0} of the column space."""
-    rows = len(m)
-    if rows == 0:
+def kernel_lattice(m) -> Sublattice:
+    """Saturated sublattice {v in Z^cols : m @ v == 0}, m scaled to integer rows if rational."""
+    if not m:
         raise LatticeError("kernel_lattice needs at least one row (use Sublattice.standard)")
     cols = len(m[0])
-    h, v = column_hermite(m)
+    h, v = column_hermite(over_common_denominator(m)[1])
     kernel_cols = [col for hcol, col in zip(transpose(h), transpose(v)) if not any(hcol)]
     if not kernel_cols:
         return Sublattice.zero(cols)

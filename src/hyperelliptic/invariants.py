@@ -23,10 +23,9 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .action import HyperellipticDatum
+from .action import HyperellipticDatum, determinant
 from .cyclotomic import (
     NonRational,
-    RootOfUnity,
     cyclotomic_polynomial,
     poly_divmod_exact,
 )
@@ -187,13 +186,7 @@ def hodge_diamond(d: HyperellipticDatum) -> HodgeDiamond:
 
 def canonical_order(d: HyperellipticDatum) -> int:
     """Order of the determinant character g -> prod of eigenvalues; 1 iff omega_X is trivial."""
-    order = 1
-    for e in d.group.elements:
-        det = RootOfUnity.one()
-        for z in e.eigenvalues:
-            det = det * z
-        order = lcm(order, det.order)
-    return order
+    return lcm(*(determinant(e).order for e in d.group.elements))
 
 
 def invariants_report(d: HyperellipticDatum) -> InvariantsReport:

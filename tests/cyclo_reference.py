@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from hyperelliptic.albanese import compute_A0
+from helpers import generator_fixed_lattice
 from hyperelliptic.cyclotomic import (
     CyclotomicInvariantError,
     NonRational,
@@ -224,7 +224,7 @@ def irregularity(d) -> int:
             total = total + embed(z, conductor)
     average = total * Fraction(1, d.group.order)
     q = _certified_integer(average, "irregularity")
-    lattice_q = compute_A0(d).rank // 2
+    lattice_q = generator_fixed_lattice(d).rank // 2
     if q != lattice_q:
         raise Inconsistent(
             f"character irregularity {q} != lattice irregularity {lattice_q}"

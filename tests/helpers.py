@@ -5,12 +5,15 @@ saturation, lattice membership and basis matrices, the coset-meets-lattice
 decision, the torsion model's orbit enumeration, the direct fixed-point loop,
 the survey's "every count exhaustive" flag, the two-branch fixed-point survey,
 the index of a torus lattice over the product lattice, the eigenvalue
-check on every element and the Albanese projectors from the inverse of the
-basis [Lambda_0 | Lambda_1].  The coset decision, the direct loop, the
-two-branch survey, the every-element eigenvalue loop and the basis-inverse
-projectors are the references the library's one Hermite form per element,
-meet-in-the-middle count, one survey loop, generator-only eigenvalue check
-and projector read off the form are checked against.
+check on every element, the Albanese projectors from the inverse of the
+basis [Lambda_0 | Lambda_1], Lambda_0 from the generators' rows, the t0
+table of every element and H by one integer solve per element.  The coset
+decision, the direct loop, the two-branch survey, the every-element
+eigenvalue loop, the basis-inverse projectors, the generator rows, the t0
+table and the per-element solve are the references the library's one
+Hermite form per element, meet-in-the-middle count, one survey loop,
+generator-only eigenvalue check, group average, kernel of I - P0, t0 on the
+generators and walk of the Cayley tree are checked against.
 `three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
@@ -27,6 +30,8 @@ from hyperelliptic.exactlin import (
     LatticeError,
     Sublattice,
     as_fractions,
+    column_hermite,
+    integer_solution,
     kernel_lattice,
     mat_inv,
     mat_mul,
@@ -35,6 +40,7 @@ from hyperelliptic.exactlin import (
     transpose,
     vec_denominator,
     vec_is_integral,
+    vec_sub,
 )
 from hyperelliptic.oracle import (
     DEFAULT_POINT_CAP,
@@ -116,9 +122,43 @@ def form_complement(d, lambda0: Sublattice) -> Sublattice:
 
 
 def decomposition(d):
-    """The pipeline's Decomposition of a validated datum: Lambda_0, P0, Lambda_1, then K."""
+    """The pipeline's Decomposition of a validated datum: P0, Lambda_0, Lambda_1, then K."""
     proj0 = fixed_projector(d)
-    return compute_K(d, compute_A0(d), compute_A1(proj0), proj0)
+    return compute_K(d, compute_A0(proj0), compute_A1(proj0), proj0)
+
+
+def generator_fixed_lattice(d) -> Sublattice:
+    """Lambda_0 from the generators alone: the saturated kernel of the stacked M_g - I."""
+    rank = d.rank
+    rows = [
+        tuple(g.linear[i][j] - (1 if i == j else 0) for j in range(rank))
+        for g in (d.group.elements[k] for k in d.group.gens if k)
+        for i in range(rank)
+    ]
+    return kernel_lattice(tuple(rows)) if rows else Sublattice.standard(rank)
+
+
+def t0_table(d, dec):
+    """t0(g) = P0 tau(g) for every element, by index."""
+    return tuple(mat_vec(dec.proj0, e.translation) for e in d.group.elements)
+
+
+def h_by_solve(d, dec, table):
+    """H and its fiber shifts by one integer solve of P0 w = t0(g) per element.
+
+    ``table`` is ``t0_table(d, dec)``; g is in H iff the solve succeeds, and
+    its shift is tau(g) - w.
+    """
+    den, p0 = over_common_denominator(dec.proj0)
+    hermite = column_hermite(p0)
+    members = []
+    shifts = {}
+    for i, e in enumerate(d.group.elements):
+        w = integer_solution(hermite, tuple(x * den for x in table[i]))
+        if w is not None:
+            members.append(i)
+            shifts[i] = vec_sub(e.translation, w)
+    return tuple(members), shifts
 
 
 def coset_has_fixed_point(e) -> bool:

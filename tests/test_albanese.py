@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import contains, decomposition, three_curve_document
+from helpers import contains, decomposition, t0_table, three_curve_document
 from hyperelliptic.action import compose, validate
 from hyperelliptic.albanese import (
     _fiber_basis,
@@ -37,8 +37,13 @@ def datum_of(name):
 
 def pipeline_parts(d):
     dec = decomposition(d)
-    table = decompose_cocycle(d, dec)
+    table = t0_table(d, dec)
     return dec, table
+
+
+def subgroup_h(d, dec):
+    """compute_H as the pipeline calls it, on t0 of the generators."""
+    return compute_H(d, dec, decompose_cocycle(d, dec))
 
 
 def product_lattice(d, vectors):
@@ -136,25 +141,23 @@ class TestCocycle:
         d = datum_of("z4-threefold")
         dec, table = pipeline_parts(d)
         assert not any(table[0])
-        _, shifts = compute_H(d, dec, table)
+        _, shifts = subgroup_h(d, dec)
         assert not any(shifts[0])
 
     def test_z4_generator_splits_on_base(self):
         # t0(g) = 1/4 on the first factor, mod Lambda_0
         d = datum_of("z4-threefold")
-        dec, table = pipeline_parts(d)
-        g_index = d.group.gens[0]
+        dec, _ = pipeline_parts(d)
         expected_t0 = d.torus.to_lattice_coords((F(1, 4), 0, 0, 0, 0, 0))
-        diff = tuple(a - b for a, b in zip(table[g_index], expected_t0))
+        diff = tuple(a - b for a, b in zip(decompose_cocycle(d, dec)[0], expected_t0))
         assert contains(dec.lambda0, diff)
 
     def test_zmzm_second_generator_splits_to_tau_quotient(self):
         # t0(g2) = tau0/3 on the first factor, mod Lambda_0
         d = datum_of("zmzm-threefold-m3")
-        dec, table = pipeline_parts(d)
-        idx = d.group.gens[1]
+        dec, _ = pipeline_parts(d)
         expected_t0 = d.torus.to_lattice_coords((0, F(1, 3), 0, 0, 0, 0))
-        diff = tuple(a - b for a, b in zip(table[idx], expected_t0))
+        diff = tuple(a - b for a, b in zip(decompose_cocycle(d, dec)[1], expected_t0))
         assert contains(dec.lambda0, diff)
 
     def test_splitting_reassembles(self):
@@ -162,7 +165,7 @@ class TestCocycle:
         for name in ("bielliptic-6", "z4-threefold", "zmzm-threefold-m3", "z2z2-threefold"):
             d = datum_of(name)
             dec, table = pipeline_parts(d)
-            h, shifts = compute_H(d, dec, table)
+            h, shifts = subgroup_h(d, dec)
             assert set(shifts) == set(h)
             for i in h:
                 assert dec.lambda1.coords_of(shifts[i]) is not None
@@ -174,8 +177,8 @@ class TestCocycle:
 class TestSubgroupH:
     def test_z4_h_is_generated_by_square(self):
         d = datum_of("z4-threefold")
-        dec, table = pipeline_parts(d)
-        h, paired = compute_H(d, dec, table)
+        dec, _ = pipeline_parts(d)
+        h, paired = subgroup_h(d, dec)
         g = d.group.elements[d.group.gens[0]]
         g2 = compose(g, g)
         assert set(h) == {0, d.group.elements.index(g2)}
@@ -183,8 +186,8 @@ class TestSubgroupH:
     @pytest.mark.parametrize("m", [2, 3])
     def test_zmzm_h_is_first_generator(self, m):
         d = datum_of(f"zmzm-threefold-m{m}")
-        dec, table = pipeline_parts(d)
-        h, _ = compute_H(d, dec, table)
+        dec, _ = pipeline_parts(d)
+        h, _ = subgroup_h(d, dec)
         assert len(h) == m
         g1 = d.group.elements[d.group.gens[0]]
         power = g1
@@ -197,14 +200,14 @@ class TestSubgroupH:
     def test_bielliptic_h_trivial(self):
         for name in ("bielliptic-1", "bielliptic-5", "bielliptic-7"):
             d = datum_of(name)
-            dec, table = pipeline_parts(d)
-            h, _ = compute_H(d, dec, table)
+            dec, _ = pipeline_parts(d)
+            h, _ = subgroup_h(d, dec)
             assert h == (0,)
 
     def test_z2z2_h_is_everything(self):
         d = datum_of("z2z2-threefold")
-        dec, table = pipeline_parts(d)
-        h, _ = compute_H(d, dec, table)
+        dec, _ = pipeline_parts(d)
+        h, _ = subgroup_h(d, dec)
         assert set(h) == set(range(d.group.order))
 
 
@@ -223,8 +226,8 @@ class TestAlbanese:
     )
     def test_table_rows(self, name, factors):
         d = datum_of(name)
-        dec, table = pipeline_parts(d)
-        lam_b, got = compute_albanese(d, dec, table)
+        dec, _ = pipeline_parts(d)
+        lam_b, got = compute_albanese(d, dec, decompose_cocycle(d, dec))
         assert sorted(got) == sorted(factors)
 
     def test_trivial_group_albanese_is_lambda0(self):
@@ -234,8 +237,8 @@ class TestAlbanese:
         torus = build_product_torus([EllipticFactor("generic", "t")])
         d = HyperellipticDatum(torus, close_group([], torus), standard_form(torus))
         validate(d)
-        dec, table = pipeline_parts(d)
-        lam_b, factors = compute_albanese(d, dec, table)
+        dec, _ = pipeline_parts(d)
+        lam_b, factors = compute_albanese(d, dec, decompose_cocycle(d, dec))
         assert factors == ()
         assert lam_b == dec.lambda0
 

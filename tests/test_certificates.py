@@ -1,9 +1,10 @@
 """The Albanese pipeline's certificates against the enumerations they replace.
 
-The pipeline checks P0 M_g = P0 on the generators only, decides H by one
-integer solve of P0 w = t0(g) per element, checks |K0| = |K1| = |K| from two
-lattice quotients, reads the oracle level off the K0 and K1 generators and
-finds invariant factors by p-primary counting.  The reference here does each
+The pipeline checks P0 M_g = P0 on the generators only, reads H off the
+Cayley tree and solves P0 w = t0(h) only for its members, checks
+|K0| = |K1| = |K| from two lattice quotients, reads the oracle level off
+the K0 and K1 generators and finds invariant factors by p-primary
+counting.  The reference here does each
 job the long way: it enumerates K element by element, matches t0(g) against
 every K0 element, tests P0 M_g = P0 and the cocycle identity on every
 element, and checks invariant factors by the divisor-count predicate
@@ -13,7 +14,10 @@ P0, the group average of the linear parts, and I - P0 must equal the
 projectors read off the inverse of the basis [Lambda_0 | Lambda_1] on those
 data, on the fiber-basis sweep, on the D4 threefold and in two other lattice
 bases; there Lambda_1 must also be the complement the invariant form cuts
-out, and the trace of P0 the rank of Lambda_0.  `validate`
+out, and the trace of P0 the rank of Lambda_0.  On the same data Lambda_0,
+the kernel of I - P0, must equal the kernel of the generators' rows M_g - I,
+H and its shifts must equal one integer solve per element, and
+|G| |K| = |H| [Lambda_B : Lambda_0] must hold.  `validate`
 checks a factor torus's eigenvalues on the generators only; the reference
 checks every element, on the same data and on the fiber-basis sweep.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -33,7 +37,10 @@ from helpers import (
     decomposition,
     every_element_eigenvalue_violations,
     form_complement,
+    generator_fixed_lattice,
+    h_by_solve,
     projectors,
+    t0_table,
     three_curve_document,
 )
 from hyperelliptic.action import (
@@ -56,6 +63,7 @@ from hyperelliptic.documents import build_datum
 from hyperelliptic.exactlin import (
     Sublattice,
     identity,
+    integer_solution,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -102,8 +110,8 @@ def pipeline_chain(d):
 
 def check_against_enumeration(d, report):
     dec = decomposition(d)
-    table = decompose_cocycle(d, dec)
-    h, shifts = compute_H(d, dec, table)
+    table = t0_table(d, dec)
+    h, shifts = compute_H(d, dec, decompose_cocycle(d, dec))
     k_elements = enumerate_k(d, dec)
 
     # K: both projections injective, checked element by element
@@ -288,7 +296,38 @@ def test_projectors_match_basis_inverse(family):
             assert dec.lambda1 == form_complement(datum, dec.lambda0)
             order = datum.group.order
             traces = sum(e.linear[i][i] for e in datum.group.elements for i in range(datum.rank))
-            assert Fraction(traces, 2 * order) == compute_A0(datum).rank // 2
+            assert Fraction(traces, 2 * order) == generator_fixed_lattice(datum).rank // 2
+
+
+@pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
+def test_tree_walk_matches_per_element_solve(family, monkeypatch):
+    # Lambda_0 as a kernel of I - P0, t0 on the generators and H walked along
+    # the Cayley tree, against the generator rows, the t0 table and one
+    # integer solve per element; the pipeline solves only for members of H
+    solves = []
+
+    def counting(*args):
+        solves.append(args)
+        return integer_solution(*args)
+
+    monkeypatch.setattr("hyperelliptic.albanese.integer_solution", counting)
+    for d in projector_data(family):
+        for datum, report in pipeline_chain(d):
+            dec = report.decomposition
+            assert compute_A0(dec.proj0) == generator_fixed_lattice(datum)
+            table = t0_table(datum, dec)
+            t0 = decompose_cocycle(datum, dec)
+            assert t0 == tuple(table[i] for i in datum.group.gens)
+            solves.clear()
+            members, shifts = compute_H(datum, dec, t0)
+            assert len(solves) == len(members)
+            assert (members, shifts) == h_by_solve(datum, dec, table)
+            assert members == report.subgroup_h
+            index = prod(report.albanese_isogeny_factors)
+            assert datum.group.order * dec.k.order == len(members) * index
+            solves.clear()
+            run_pipeline(datum)
+            assert len(solves) == len(members)
 
 
 @pytest.mark.parametrize("point", STRESS_POINTS, ids=lambda p: "m{}-k{}-base{}".format(*p))

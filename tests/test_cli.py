@@ -19,6 +19,7 @@ from hyperelliptic.documents import (
     parse_root_label,
 )
 from hyperelliptic.cyclotomic import RootOfUnity
+from test_nonabelian import D4_THREEFOLD
 
 
 def format_root(z: RootOfUnity) -> str:
@@ -372,6 +373,59 @@ class TestFormViolation:
         assert payload["failures"] == ["form not invariant at element indices [1]"]
 
 
+def d4_with_elements(*elements):
+    """The D4 threefold with its r^3 entry and then the given (matrix, eigenvalues) entries."""
+    r_cubed = D4_THREEFOLD["elements"][0]
+    doc = dict(D4_THREEFOLD, elements=[r_cubed])
+    doc["elements"] += [{"matrix": m, "eigenvalues": eig} for m, eig in elements]
+    return doc
+
+
+class TestRawEigenvalueDeclarations:
+    """The declared eigenvalues of a raw document must describe one representation rho."""
+
+    R = D4_THREEFOLD["generators"][0]["matrix"]
+    R_CUBED = D4_THREEFOLD["elements"][0]["matrix"]
+
+    @pytest.mark.parametrize("matrix,eig,first,second", [
+        (R, ["1", "i", "i"], "generators[0]", "elements[1]"),
+        (R_CUBED, ["1", "-i", "-i"], "elements[0]", "elements[1]"),
+    ], ids=["r-again", "r3-again"])
+    def test_conflicting_declarations_exit_1(self, matrix, eig, first, second, tmp_path, capsys):
+        path = tmp_path / "d4.json"
+        path.write_text(json.dumps(d4_with_elements((matrix, eig))))
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 1
+        assert "input error" in err
+        assert f"{first} and {second} declare different eigenvalues for one matrix" in err
+
+    def test_repeated_equal_declaration_changes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "d4.json"
+        path.write_text(json.dumps(D4_THREEFOLD))
+        expected = run_cli(["albanese", str(path), "--format", "json"], capsys)
+        path.write_text(json.dumps(d4_with_elements((self.R, ["1", "i", "-i"]))))
+        assert run_cli(["albanese", str(path), "--format", "json"], capsys) == expected
+
+    @pytest.mark.parametrize("command", ["check", "albanese", "invariants", "oracle"])
+    def test_determinant_not_a_character_exits_2(self, command, tmp_path, capsys):
+        # r^3 declared (1, i, i) fits its characteristic polynomial, but its
+        # determinant is -1 while det rho(r)^3 = 1
+        doc = dict(D4_THREEFOLD, elements=[dict(D4_THREEFOLD["elements"][0],
+                                                eigenvalues=["1", "i", "i"])])
+        path = tmp_path / "d4.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command, str(path), "--format", "json"], capsys)
+        assert code == 2
+        failure = ("det rho is not a character: it is not multiplicative on "
+                   "element 3 . generator 0 = element 6")
+        if command == "check":
+            payload = json.loads(out)
+            assert payload["eigenvalues_consistent"] is False
+            assert payload["failures"] == [failure]
+        else:
+            assert failure in err
+
+
 class TestRejectedGroupCost:
     """A group that fails validation costs its closure, not its element orders.
 
@@ -491,6 +545,27 @@ class TestInternalErrors:
 
         monkeypatch.setattr("hyperelliptic.cli.run_pipeline", boom)
         code, _, err = run_cli(["albanese", z4_file], capsys)
+        assert code == 3
+        assert "internal error" in err
+
+    def test_index_identity_catches_a_lost_member_of_h(self, tmp_path, capsys, monkeypatch):
+        # on z2z2-threefold H = G; without one member, |G| |K| = |H| [Lambda_B : Lambda_0] fails
+        from hyperelliptic import albanese
+
+        d = get_entry("z2z2-threefold").build()
+        assert len(albanese.run_pipeline(d).subgroup_h) == d.group.order
+        compute_H = albanese.compute_H
+
+        def lossy(*args):
+            members, shifts = compute_H(*args)
+            return members[:-1], shifts
+
+        monkeypatch.setattr(albanese, "compute_H", lossy)
+        with pytest.raises(albanese.NotASubgroup):
+            albanese.run_pipeline(d)
+        path = tmp_path / "z2z2.json"
+        path.write_text(json.dumps(get_entry("z2z2-threefold").document))
+        code, _, err = run_cli(["albanese", str(path)], capsys)
         assert code == 3
         assert "internal error" in err
 
