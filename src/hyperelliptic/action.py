@@ -18,7 +18,7 @@ iff a rational one does, so freeness results are certificates, not samples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from .cyclotomic import RootOfUnity, cyclotomic_polynomial, euler_phi, poly_divmod_exact
@@ -477,10 +477,7 @@ def _check_eigenvalues(e: AffineAut, index: int) -> str | None:
 
 def determinant(e: AffineAut) -> RootOfUnity:
     """det rho(e), the product of e's eigenvalues."""
-    det = RootOfUnity.one()
-    for z in e.eigenvalues:
-        det = det * z
-    return det
+    return prod(e.eigenvalues, start=RootOfUnity.one())
 
 
 def validate(d: HyperellipticDatum) -> ValidationReport:
