@@ -146,9 +146,6 @@ class AffineAut:
             return NotImplemented
         return self.key() == other.key()
 
-    def __hash__(self):
-        return hash(self.key())
-
     @property
     def rank(self) -> int:
         return len(self.linear)

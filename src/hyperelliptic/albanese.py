@@ -22,8 +22,11 @@ projects onto V1 along V0.  V1 is also the form-orthogonal complement of
 V0: for a G-invariant form E, E(v0, (g - 1) w) = E(g^-1 v0, w) - E(v0, w)
 = 0 for v0 in V0, and the (g - 1) w span V1.  So the form restricted to V0
 is nondegenerate whenever E is, and the pipeline never reads E.  Lambda_0
-and Lambda_1 are the saturated kernels of I - P0 and P0, K0 and K1 are the
-images of K under P0 and I - P0, t0(g) = P0 tau(g), and
+is the saturated kernel of I - P0.  D P0, for D the lcm of P0's
+denominators, has one column Hermite form (h, v): Lambda_1 = ker P0 is
+spanned by the columns of v over the zero columns of h, whose nonzero
+columns are D times a basis of P0(Z^n).  K0 and K1 are the images of K
+under P0 and I - P0, t0(g) = P0 tau(g), and
 Lambda_B = P0(Z^n) + <t0(g) : g a generator>.
 
 Everything is certified by construction.  G fixes V0 pointwise and keeps V1
@@ -58,6 +61,8 @@ from .exactlin import (
     FiniteAbelianGroup,
     Sublattice,
     column_hermite,
+    hermite_coords,
+    hermite_kernel,
     integer_solution,
     kernel_lattice,
     mat_mul,
@@ -86,7 +91,7 @@ class PipelineInvariantError(RuntimeError):
 
 
 class Decomposition(NamedTuple):
-    """A ~ (A0 x A1)/K in lattice coordinates, with the K projections paired."""
+    """A ~ (A0 x A1)/K in lattice coordinates: K's paired projections, P0, D P0's Hermite form."""
 
     lambda0: Sublattice
     lambda1: Sublattice
@@ -94,6 +99,7 @@ class Decomposition(NamedTuple):
     k0: FiniteAbelianGroup
     k1: FiniteAbelianGroup
     proj0: tuple[tuple[Fraction, ...], ...]
+    hermite: tuple  # column_hermite(D P0), D the lcm of P0's denominators
 
     @property
     def q(self) -> int:
@@ -161,21 +167,21 @@ def fixed_projector(d: HyperellipticDatum) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def compute_A1(proj0) -> Sublattice:
-    """Lambda_1 = Lambda intersect V1, the saturated kernel of P0."""
-    return kernel_lattice(proj0)
+def compute_A1(hermite) -> Sublattice:
+    """Lambda_1 = Lambda intersect V1, the saturated kernel of P0, off D P0's Hermite form."""
+    return hermite_kernel(hermite)
 
 
-def compute_K(
-    d: HyperellipticDatum, lambda0: Sublattice, lambda1: Sublattice, proj0
-) -> Decomposition:
+def compute_K(d: HyperellipticDatum, lambda0: Sublattice, proj0) -> Decomposition:
     """K = Lambda/(Lambda_0 + Lambda_1) and its paired projections K0, K1.
 
-    I - P0 is the projection onto V1 along V0, so K0 is generated by the
-    P0 g and K1 by the g - P0 g, for g the generators of K, each reduced
-    modulo its lattice.
+    Lambda_1 is read off D P0's column Hermite form, made here.  I - P0 is
+    the projection onto V1 along V0, so K0 is generated by the P0 g and K1
+    by the g - P0 g, for g the generators of K, each reduced modulo its lattice.
     """
     rank = d.rank
+    hermite = column_hermite(over_common_denominator(proj0)[1])
+    lambda1 = compute_A1(hermite)
     small = Sublattice.from_int_columns(rank, lambda0.cols + lambda1.cols)
     big = Sublattice.standard(rank)
     k = quotient_group(big, small)
@@ -193,7 +199,7 @@ def compute_K(
             span = lam.sum(Sublattice.from_rat_columns(rank, ki.generators))
             if quotient_group(span, lam).order != k.order:
                 raise PipelineInvariantError("K projections are not injective")
-    return Decomposition(lambda0, lambda1, k, k0, k1, proj0)
+    return Decomposition(lambda0, lambda1, k, k0, k1, proj0, hermite)
 
 
 def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
@@ -213,26 +219,27 @@ def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
 def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):
     """Indices of H = {g : t0(g) in P0(Z^n)}, with each member's fiber shift.
 
-    t0 is a homomorphism modulo P0(Z^n), so an element's class, its Hermite
-    coordinates in P0(Z^n) mod 1 kept as integers mod their common
-    denominator, is its tree parent's plus its edge generator's; H is the
-    class 0.  A member h has an integer w with P0 w = t0(h) (else
-    NotASubgroup); tau(h) - w lies in V1 and is the fiber translation of h,
-    congruent modulo Lambda_1 to t1(h) minus the V1 part of the K element
-    paired with t0(h).
+    t0 is a homomorphism modulo P0(Z^n), so an element's class, the
+    coordinates of D t0 against the nonzero columns of ``dec.hermite`` mod 1
+    kept as integers mod their common denominator, is its tree parent's plus
+    its edge generator's; H is the class 0.  A member h has an integer w
+    with P0 w = t0(h), read off the same form (else NotASubgroup); tau(h) - w
+    lies in V1 and is the fiber translation of h, congruent modulo Lambda_1
+    to t1(h) minus the V1 part of the K element paired with t0(h).
     """
-    image = Sublattice.from_rat_columns(d.rank, transpose(dec.proj0))
-    den, steps = over_common_denominator([image.coords_of(v) for v in t0])
-    classes = [(0,) * image.rank]
+    scale, p0 = over_common_denominator(dec.proj0)
+    pivots = [c for c in transpose(dec.hermite[0]) if any(c)]
+    den, steps = over_common_denominator(
+        [hermite_coords(pivots, [x * scale for x in v]) for v in t0]
+    )
+    classes = [(0,) * len(pivots)]
     for parent, s in d.group.tree[1:]:
         classes.append(tuple((a + b) % den for a, b in zip(classes[parent], steps[s])))
     members = tuple(i for i, c in enumerate(classes) if not any(c))
-    _, p0 = over_common_denominator(dec.proj0)
-    hermite = column_hermite(p0)
     shifts = {}
     for i in members:
         tau = d.group.elements[i].translation
-        w = integer_solution(hermite, mat_vec(p0, tau))
+        w = integer_solution(dec.hermite, mat_vec(p0, tau))
         if w is None:
             raise NotASubgroup(f"element {i} has t0 in P0(Z^n) but P0 w = t0 has no integer w")
         shifts[i] = vec_sub(tau, w)
@@ -345,10 +352,7 @@ def _abelian_invariant_factors(group: ActionGroup) -> tuple[int, ...]:
             if j == len(factors):
                 factors.append(1)
             factors[j] *= p ** sum(1 for c in at_least if c > j)
-    product = 1
-    for f in factors:
-        product *= f
-    if product != n:
+    if prod(factors) != n:
         raise PipelineInvariantError("no abelian structure matches the element orders")
     return tuple(reversed(factors))
 
@@ -376,7 +380,7 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
     proj0 = fixed_projector(d)
     lambda0 = compute_A0(proj0)
     q = lambda0.rank // 2
-    dec = compute_K(d, lambda0, compute_A1(proj0), proj0)
+    dec = compute_K(d, lambda0, proj0)
     t0 = decompose_cocycle(d, dec)
     h_indices, shifts = compute_H(d, dec, t0)
     lam_b, factors = compute_albanese(d, dec, t0)

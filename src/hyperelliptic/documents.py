@@ -46,6 +46,8 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise InputError(f"expected a rational string, got {text!r}")
+    if not text.isascii() or "_" in text:  # Fraction reads "1_0" as 10 and non-ASCII digits
+        raise InputError(f"bad rational {text!r}: only ASCII digits without '_'")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -72,6 +74,11 @@ def format_vector(v) -> list[str]:
 _ROOT_SHORTHAND = {"1": (0, 1), "-1": (1, 2), "i": (1, 4), "-i": (3, 4)}
 
 
+def _is_ascii_digits(text: str) -> bool:
+    """Whether text is a nonempty run of 0-9; int() also reads "1_0", " 4" and non-ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_root_label(text) -> RootOfUnity:
     if not isinstance(text, str):
         raise InputError(f"expected a root-of-unity label, got {text!r}")
@@ -83,14 +90,12 @@ def parse_root_label(text) -> RootOfUnity:
         power = 1
         if "^" in body:
             body, exp = body.split("^", 1)
-            try:
-                power = int(exp)
-            except ValueError:
-                raise InputError(f"bad exponent in {text!r}") from None
-        try:
-            order = int(body)
-        except ValueError:
-            raise InputError(f"bad root-of-unity label {text!r}") from None
+            if not _is_ascii_digits(exp.removeprefix("-")):
+                raise InputError(f"bad exponent in {text!r}")
+            power = int(exp)
+        if not _is_ascii_digits(body):
+            raise InputError(f"bad root-of-unity label {text!r}")
+        order = int(body)
         if order < 1:
             raise InputError(f"bad root-of-unity order in {text!r}")
         return RootOfUnity.of(power, order)
@@ -122,12 +127,9 @@ def _parse_int_matrix(rows, size: int):
     for row in rows:
         if not isinstance(row, list) or len(row) != size:
             raise InputError(f"expected a {size}x{size} integer matrix")
-        if any(isinstance(x, (bool, float)) for x in row):
-            raise InputError(f"matrix entries must be integers, got {row!r}")
-        try:
-            out.append(tuple(int(x) for x in row))
-        except (TypeError, ValueError):
-            raise InputError("matrix entries must be integers") from None
+        if not all(type(x) is int for x in row):  # not bool, float or a numeric string
+            raise InputError(f"matrix entries must be JSON integers, got {row!r}")
+        out.append(tuple(row))
     return tuple(out)
 
 

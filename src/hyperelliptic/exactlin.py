@@ -11,16 +11,18 @@ module of the package reads a `.numerator` or a `.denominator`.
 `over_common_denominator` scales a rational matrix to integer rows over the
 lcm of its entry denominators.  Matrix products (`mat_mul`, `mat_vec`) take
 their inner products on those integer rows and turn each output entry into
-one `Fraction`; products of all-`int` operands stay `int`.  `kernel_lattice`
-takes the kernel of those integer rows.  The Hermite form (Cohen, GTM 138,
-2.4) answers the integer questions: `is_unimodular`, `is_singular`,
-`integer_solution` and `Sublattice.coords_of` all read it.
+one `Fraction`; products of all-`int` operands stay `int`.  The Hermite form
+(Cohen, GTM 138, 2.4) answers the integer questions.  One column Hermite
+form (h, v) of m has three readers: `hermite_kernel` (the kernel of m),
+`hermite_coords` (coordinates against h's pivot columns, as in
+`Sublattice.coords_of`) and `integer_solution`; `is_unimodular` and
+`is_singular` read the row form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -214,7 +216,7 @@ def is_singular(m) -> bool:
     return any(not any(row) for row in hermite_normal_form(rows)[0])
 
 
-def _hermite_coords(cols, target) -> list[Fraction] | None:
+def hermite_coords(cols, target) -> list[Fraction] | None:
     """Rational y with sum_j y[j] * cols[j] == target, or None outside the columns' span.
 
     The nonzero integer columns are in column-Hermite form: the pivot (first
@@ -240,7 +242,7 @@ def integer_solution(hermite: tuple[Matrix, Matrix], b) -> tuple[int, ...] | Non
     solution y of h @ y == b, which is integral iff x is.
     """
     h, v = hermite
-    y = _hermite_coords([c for c in transpose(h) if any(c)], b)
+    y = hermite_coords([c for c in transpose(h) if any(c)], b)
     if y is None or any(c.denominator != 1 for c in y):
         return None
     return mat_vec(v, [int(c) for c in y] + [0] * (len(v) - len(y)))
@@ -359,20 +361,13 @@ class Sublattice(NamedTuple):
         return Sublattice.from_int_columns(n, transpose(identity(n)))
 
     @staticmethod
-    def zero(n: int) -> "Sublattice":
-        return Sublattice(n, 1, ())
-
-    @staticmethod
     def _canonical(ambient_rank: int, den: int, cols) -> "Sublattice":
         if not cols:
             return Sublattice(ambient_rank, 1, ())
         m = transpose(tuple(cols))  # ambient_rank x k
         h, _ = column_hermite(m)
         kept = tuple(c for c in transpose(h) if any(c))
-        g = den
-        for c in kept:
-            for x in c:
-                g = gcd(g, x)
+        g = gcd(den, *(x for c in kept for x in c))
         if g > 1:
             den //= g
             kept = tuple(tuple(x // g for x in c) for c in kept)
@@ -390,7 +385,7 @@ class Sublattice(NamedTuple):
         v = as_fractions(v)
         if len(v) != self.ambient_rank:
             raise LatticeError("vector length does not match ambient rank")
-        coords = _hermite_coords(self.cols, [x * self.den for x in v])
+        coords = hermite_coords(self.cols, [x * self.den for x in v])
         return None if coords is None else tuple(coords)
 
     def reduce_mod(self, v) -> Vector:
@@ -415,16 +410,18 @@ class Sublattice(NamedTuple):
         return Sublattice._canonical(self.ambient_rank, den, cols)
 
 
+def hermite_kernel(hermite: tuple[Matrix, Matrix]) -> Sublattice:
+    """Saturated kernel of m off column_hermite(m) = (h, v): v's columns over h's zero columns."""
+    h, v = hermite
+    kernel_cols = [col for hcol, col in zip(transpose(h), transpose(v)) if not any(hcol)]
+    return Sublattice.from_int_columns(len(v), kernel_cols)
+
+
 def kernel_lattice(m) -> Sublattice:
     """Saturated sublattice {v in Z^cols : m @ v == 0}, m scaled to integer rows if rational."""
     if not m:
         raise LatticeError("kernel_lattice needs at least one row (use Sublattice.standard)")
-    cols = len(m[0])
-    h, v = column_hermite(over_common_denominator(m)[1])
-    kernel_cols = [col for hcol, col in zip(transpose(h), transpose(v)) if not any(hcol)]
-    if not kernel_cols:
-        return Sublattice.zero(cols)
-    return Sublattice.from_int_columns(cols, kernel_cols)
+    return hermite_kernel(column_hermite(over_common_denominator(m)[1]))
 
 
 def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
@@ -476,8 +473,5 @@ class FiniteAbelianGroup(NamedTuple):
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 

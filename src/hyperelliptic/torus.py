@@ -82,9 +82,6 @@ class EllipticFactor:
             return NotImplemented
         return (self.kind, self.label) == (other.kind, other.label)
 
-    def __hash__(self):
-        return hash((self.kind, self.label))
-
     @property
     def units(self) -> dict[tuple[int, int], RootOfUnity]:
         return {GENERIC: _GENERIC_UNITS, GAUSS: _GAUSS_UNITS, EISENSTEIN: _EISENSTEIN_UNITS}[
@@ -140,9 +137,6 @@ class AlternatingForm:
             return NotImplemented
         return self.matrix == other.matrix
 
-    def __hash__(self):
-        return hash(self.matrix)
-
     def restricted_to(self, basis_columns) -> tuple[tuple[Fraction, ...], ...]:
         """Gram matrix B^T E B for the given (rational) basis columns."""
         b = transpose(tuple(as_fractions(c) for c in basis_columns))
@@ -185,9 +179,6 @@ class TorusDatum:
         return (self.rank, self.lam_basis, self.factors) == (
             other.rank, other.lam_basis, other.factors
         )
-
-    def __hash__(self):
-        return hash((self.rank, self.lam_basis, self.factors))
 
     @property
     def dim(self) -> int:

@@ -25,7 +25,7 @@ from math import lcm
 
 from conftest import bareiss_det
 from hyperelliptic.action import _check_eigenvalues
-from hyperelliptic.albanese import compute_A0, compute_A1, compute_K, fixed_projector
+from hyperelliptic.albanese import compute_A0, compute_K, fixed_projector
 from hyperelliptic.exactlin import (
     LatticeError,
     Sublattice,
@@ -122,9 +122,9 @@ def form_complement(d, lambda0: Sublattice) -> Sublattice:
 
 
 def decomposition(d):
-    """The pipeline's Decomposition of a validated datum: P0, Lambda_0, Lambda_1, then K."""
+    """The pipeline's Decomposition of a validated datum: P0, Lambda_0, then Lambda_1 and K."""
     proj0 = fixed_projector(d)
-    return compute_K(d, compute_A0(proj0), compute_A1(proj0), proj0)
+    return compute_K(d, compute_A0(proj0), proj0)
 
 
 def generator_fixed_lattice(d) -> Sublattice:

@@ -16,8 +16,9 @@ data, on the fiber-basis sweep, on the D4 threefold and in two other lattice
 bases; there Lambda_1 must also be the complement the invariant form cuts
 out, and the trace of P0 the rank of Lambda_0.  On the same data Lambda_0,
 the kernel of I - P0, must equal the kernel of the generators' rows M_g - I,
-H and its shifts must equal one integer solve per element, and
-|G| |K| = |H| [Lambda_B : Lambda_0] must hold.  `validate`
+H and its shifts must equal one integer solve per element, D P0 must reach
+its column Hermite form once per pipeline level with Lambda_1 still the
+kernel of P0, and |G| |K| = |H| [Lambda_B : Lambda_0] must hold.  `validate`
 checks a factor torus's eigenvalues on the generators only; the reference
 checks every element, on the same data and on the fiber-basis sweep.
 """
@@ -62,11 +63,15 @@ from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
 from hyperelliptic.exactlin import (
     Sublattice,
+    column_hermite,
+    hermite_normal_form,
     identity,
     integer_solution,
+    kernel_lattice,
     mat_inv,
     mat_mul,
     mat_vec,
+    over_common_denominator,
     transpose,
     vec_denominator,
     vec_mod1,
@@ -328,6 +333,34 @@ def test_tree_walk_matches_per_element_solve(family, monkeypatch):
             solves.clear()
             run_pipeline(datum)
             assert len(solves) == len(members)
+
+
+@pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
+def test_projector_is_hermite_reduced_once_per_level(family, monkeypatch):
+    # Lambda_1, H's classes and H's shifts all read one column Hermite form of
+    # D P0, so the transpose of D P0 reaches hermite_normal_form once per
+    # pipeline level; Lambda_1 must still be the kernel of P0, and H and its
+    # shifts one integer solve per element
+    seen = []
+
+    def recording(m):
+        seen.append(tuple(map(tuple, m)))
+        return hermite_normal_form(m)
+
+    monkeypatch.setattr("hyperelliptic.exactlin.hermite_normal_form", recording)
+    for d in projector_data(family):
+        seen.clear()
+        chain = pipeline_chain(d)
+        calls = list(seen)
+        for datum, report in chain:
+            dec = report.decomposition
+            _, p0 = over_common_denominator(dec.proj0)
+            assert calls.count(transpose(p0)) == 1
+            assert dec.hermite == column_hermite(p0)
+            assert dec.lambda1 == kernel_lattice(dec.proj0)
+            members, shifts = compute_H(datum, dec, decompose_cocycle(datum, dec))
+            assert (members, shifts) == h_by_solve(datum, dec, t0_table(datum, dec))
+            assert members == report.subgroup_h
 
 
 @pytest.mark.parametrize("point", STRESS_POINTS, ids=lambda p: "m{}-k{}-base{}".format(*p))

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 import time
@@ -63,6 +64,30 @@ class TestParsing:
         assert parse_root_label("zeta6^2") == RootOfUnity.of(1, 3)
         with pytest.raises(InputError):
             parse_root_label("omega")
+
+    @pytest.mark.parametrize("text", ["1_0/3", "１/２", "1/２", "\u00a01/2"])
+    def test_rationals_are_ascii_without_underscores(self, text):
+        # Fraction alone reads "1_0/3" as 10/3 and fullwidth digits as ASCII ones
+        with pytest.raises(InputError):
+            parse_rational(text)
+
+    def test_decimal_rationals_stay_exact(self):
+        assert parse_rational("0.5") == parse_rational("1/2")
+        assert parse_rational("-0.25") == parse_rational("-1/4")
+
+    @pytest.mark.parametrize(
+        "label",
+        ["zeta1_2", "zeta４", "zeta 4", "zeta+4", "zeta", "zeta4^1_0", "zeta4^ 1", "zeta4^+1",
+         "zeta4^３", "zeta4^", "zeta4^-"],
+    )
+    def test_root_label_numbers_are_ascii_digits(self, label):
+        # int() alone reads "1_2" as 12, "４" as 4 and " 4" as 4
+        with pytest.raises(InputError):
+            parse_root_label(label)
+
+    def test_root_label_exponent_may_be_negative(self):
+        assert parse_root_label("zeta4^-1") == parse_root_label("-i")
+        assert parse_root_label(" zeta6^-2 ") == RootOfUnity.of(2, 3)
 
     def test_bad_documents(self):
         with pytest.raises(InputError):
@@ -319,6 +344,21 @@ class TestStrictInput:
         code, err = self.check_exit(doc, tmp_path, capsys)
         assert code == 1
         assert err.startswith("input error:")
+
+    @pytest.mark.parametrize("entry", ["-1", " -1", "-1_0"])
+    @pytest.mark.parametrize("mode", ["raw", "builder"])
+    def test_numeric_string_matrix_entry_exit_1(self, mode, entry, tmp_path, capsys):
+        # int() alone reads each of these strings as an integer
+        if mode == "raw":
+            generator = dict(RAW_INVOLUTION["generators"][0], matrix=[[entry, 0], [0, -1]])
+            doc = dict(RAW_INVOLUTION, generators=[generator])
+        else:
+            block = [[entry, 0], [0, -1]]
+            generator = {"blocks": [block], "translation": ["1/2", "0"]}
+            doc = {"mode": "builder", "factors": [{"kind": "generic"}], "generators": [generator]}
+        code, err = self.check_exit(doc, tmp_path, capsys)
+        assert code == 1
+        assert "integers" in err
 
     def test_non_integer_block_entry_exit_1(self, tmp_path, capsys):
         doc = {
@@ -593,12 +633,16 @@ class TestInternalErrors:
 
 class TestDeterminism:
     def test_byte_identical_reports(self, z4_file):
+        # the child imports the package from this checkout, as pytest does
+        src = str(Path(hyperelliptic.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "hyperelliptic.cli", "albanese", z4_file,
                  "--recurse", "--format", "json"],
                 capture_output=True,
                 check=True,
+                env=dict(os.environ, PYTHONPATH=path),
             ).stdout
             for _ in range(2)
         ]

@@ -381,7 +381,7 @@ class TestKernel:
         assert kernel_lattice(((0, 0), (0, 0))) == Sublattice.standard(2)
 
     def test_identity(self):
-        assert kernel_lattice(identity(2)) == Sublattice.zero(2)
+        assert kernel_lattice(identity(2)) == Sublattice(2, 1, ())
 
     def test_single_equation(self):
         k = kernel_lattice(((1, -1), (0, 0)))
@@ -480,7 +480,7 @@ class TestCosetMeetsLattice:
         assert coset_meets_lattice(w, (F(1, 3), F(1))) is True
 
     def test_rank_zero(self):
-        w = Sublattice.zero(2)
+        w = Sublattice(2, 1, ())
         assert coset_meets_lattice(w, (F(1), F(2))) is True
         assert coset_meets_lattice(w, (F(1, 2), F(0))) is False
 

@@ -288,7 +288,7 @@ def oracle_inputs(d):
 def projection_report(rank, proj0, lam_b_cols, h_order=1):
     """A hand-built report: only what the fiber count reads (proj0, Lambda_B, Lambda_1, |H|)."""
     return SimpleNamespace(
-        decomposition=SimpleNamespace(lambda1=Sublattice.zero(rank), proj0=proj0),
+        decomposition=SimpleNamespace(lambda1=Sublattice(rank, 1, ()), proj0=proj0),
         albanese_lattice=Sublattice.from_int_columns(rank, lam_b_cols),
         subgroup_h=(None,) * h_order,
     )
