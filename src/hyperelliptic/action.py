@@ -540,7 +540,7 @@ def quotient_by_translations(d: HyperellipticDatum) -> HyperellipticDatum:
     if not translations:
         return d
     rank = d.rank
-    enlarged = Sublattice.standard(rank).sum(Sublattice.from_rat_columns(rank, translations))
+    enlarged = Sublattice.from_rat_columns(rank, list(identity(rank)) + translations)
     cols = enlarged.basis_vectors()
     torus = TorusDatum(rank, mat_mul(d.torus.lam_basis, transpose(cols)), d.torus.factors)
     quotient = rewrite_on_lattice(d, cols, torus, enumerate(d.group.elements))

@@ -27,7 +27,8 @@ denominators, has one column Hermite form (h, v): Lambda_1 = ker P0 is
 spanned by the columns of v over the zero columns of h, whose nonzero
 columns are D times a basis of P0(Z^n).  K0 and K1 are the images of K
 under P0 and I - P0, t0(g) = P0 tau(g), and
-Lambda_B = P0(Z^n) + <t0(g) : g a generator>.
+Lambda_B = P0(Z^n) + <t0(g) : g a generator> is one Hermite reduction of
+h's nonzero columns over D together with the t0(g).
 
 Everything is certified by construction.  G fixes V0 pointwise and keeps V1
 stable, so P0 M_g = P0 for every g; that makes t0 a homomorphism from G onto
@@ -63,6 +64,7 @@ from .exactlin import (
     column_hermite,
     hermite_coords,
     hermite_kernel,
+    identity,
     integer_solution,
     kernel_lattice,
     mat_mul,
@@ -72,7 +74,7 @@ from .exactlin import (
     transpose,
     vec_sub,
 )
-from .torus import TorusDatum, identify_factor_subspace
+from .torus import TorusDatum, factor_plane_columns, identify_factor_subspace
 
 # only perfbench's compute_K size hook reads this; nothing enumerates K any more
 K_ENUMERATION_CAP = 100_000
@@ -183,8 +185,7 @@ def compute_K(d: HyperellipticDatum, lambda0: Sublattice, proj0) -> Decompositio
     hermite = column_hermite(over_common_denominator(proj0)[1])
     lambda1 = compute_A1(hermite)
     small = Sublattice.from_int_columns(rank, lambda0.cols + lambda1.cols)
-    big = Sublattice.standard(rank)
-    k = quotient_group(big, small)
+    k = quotient_group(Sublattice.standard(rank), small)
     k0_gens = []
     k1_gens = []
     for gen in k.generators:
@@ -196,7 +197,7 @@ def compute_K(d: HyperellipticDatum, lambda0: Sublattice, proj0) -> Decompositio
     # both projections are injective on K: each image Ki has order |K|
     if k.generators:
         for lam, ki in ((lambda0, k0), (lambda1, k1)):
-            span = lam.sum(Sublattice.from_rat_columns(rank, ki.generators))
+            span = Sublattice.from_rat_columns(rank, lam.basis_vectors() + ki.generators)
             if quotient_group(span, lam).order != k.order:
                 raise PipelineInvariantError("K projections are not injective")
     return Decomposition(lambda0, lambda1, k, k0, k1, proj0, hermite)
@@ -249,10 +250,13 @@ def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):
 def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
     """Albanese lattice Lambda_B in V0 and the invariant factors of Lambda_B/Lambda_0.
 
-    Lambda_B = P0(Z^n) + <t0(g) : g a generator of G>, read off the columns
-    of P0: P0(Z^n) = Lambda_0 + K0, and t0 is a homomorphism modulo it.
+    Lambda_B = P0(Z^n) + <t0(g) : g a generator of G>, reduced from the
+    rank(Lambda_0) pivot columns of D P0's Hermite form over D, a basis of
+    P0(Z^n) = Lambda_0 + K0, and the t0(g); t0 is a homomorphism modulo P0(Z^n).
     """
-    lam_b = Sublattice.from_rat_columns(d.rank, transpose(dec.proj0) + t0)
+    scale = over_common_denominator(dec.proj0)[0]
+    image = [tuple(Fraction(x, scale) for x in c) for c in transpose(dec.hermite[0]) if any(c)]
+    lam_b = Sublattice.from_rat_columns(d.rank, image + list(t0))
     if lam_b.rank != dec.lambda0.rank:
         raise PipelineInvariantError("Albanese lattice rank differs from rank Lambda_0")
     factors = quotient_group(lam_b, dec.lambda0).invariant_factors
@@ -269,8 +273,7 @@ def _fiber_basis(d: HyperellipticDatum, lambda1: Sublattice):
     indices = identify_factor_subspace(d.torus, lambda1)
     if indices is None:
         return lambda1.basis_vectors(), None
-    inv_cols = transpose(d.torus.lam_basis_inv)
-    return tuple(inv_cols[j] for i in indices for j in (2 * i, 2 * i + 1)), indices
+    return factor_plane_columns(d.torus, indices), indices
 
 
 def compute_fiber(
@@ -311,7 +314,7 @@ def compute_fiber(
     if factor_indices is not None:
         factors = tuple(d.torus.factors[i] for i in factor_indices)
     r1 = len(cols)
-    torus = TorusDatum(r1, TorusDatum.raw(r1).lam_basis, factors)
+    torus = TorusDatum(r1, tuple(tuple(map(Fraction, row)) for row in identity(r1)), factors)
     fiber = rewrite_on_lattice(d, cols, torus, members)
     if fiber.group.order != len(h_indices):
         raise PipelineInvariantError("fiber action has the wrong order")

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (``--help`` included), 1 I/O, parse or usage error,
-2 mathematical validation failure, 3 internal consistency failure.  Output
-is deterministic byte-for-byte for a fixed input and flags.
+2 mathematical validation failure, 3 internal consistency failure or any
+other exception, reported as ``internal error: <ExceptionType>: <message>``,
+so no traceback reaches the user.  Output is deterministic byte-for-byte for
+a fixed input and flags.
 """
 
 from __future__ import annotations
@@ -258,6 +260,8 @@ def main(argv=None) -> int:
         return _fail(3, f"internal error: {exc}")
     except _MATH_ERRORS as exc:
         return _fail(2, f"invalid datum: {exc}")
+    except Exception as exc:  # an exception no layer raises on purpose is a bug
+        return _fail(3, f"internal error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 All arithmetic is arbitrary-precision (`int`, `fractions.Fraction`); no
 floating point enters any computation, so every membership and solvability
-answer is a certificate.  Matrices are tuples of row tuples; lattices store
-their basis as integer columns over a common denominator, canonicalized by a
-column-style Hermite form so that equal lattices compare equal.
+answer is a certificate.  Matrices are tuples of row tuples.  A lattice is
+built by reducing all its generators at once to one column-style Hermite form
+over a common denominator; the form is unique, so equal lattices compare equal.
 
 This module is the one place where rationals become integers: no other
 module of the package reads a `.numerator` or a `.denominator`.
@@ -332,8 +332,9 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
 class Sublattice(NamedTuple):
     """A finitely generated lattice in Q^ambient_rank.
 
-    Basis vectors are ``cols[i] / den``; ``cols`` is an integer column tuple in
-    canonical column-Hermite form, so structural equality is lattice equality.
+    Basis vectors are ``cols[i] / den``; ``cols`` is the canonical column-Hermite
+    form of all the generators, reduced at once, so structural equality is
+    lattice equality.
     ``den == 1`` is the plain integer-sublattice case (kernels, saturations,
     Lambda_0, Lambda_1); rational denominators arise for quotient
     presentations such as Lambda in product coordinates or Albanese lattices.
@@ -358,7 +359,7 @@ class Sublattice(NamedTuple):
 
     @staticmethod
     def standard(n: int) -> "Sublattice":
-        return Sublattice.from_int_columns(n, transpose(identity(n)))
+        return Sublattice(n, 1, identity(n))  # Z^n: the identity is already canonical
 
     @staticmethod
     def _canonical(ambient_rank: int, den: int, cols) -> "Sublattice":
@@ -400,14 +401,6 @@ class Sublattice(NamedTuple):
             if whole:
                 rep = vec_sub(rep, vec_scale(whole, b))
         return rep
-
-    def sum(self, other: "Sublattice") -> "Sublattice":
-        if other.ambient_rank != self.ambient_rank:
-            raise LatticeError("ambient ranks differ")
-        # a canonical den is the lcm of its basis's reduced entry denominators
-        den = lcm(self.den, other.den)
-        cols = [tuple(x * (den // s.den) for x in c) for s in (self, other) for c in s.cols]
-        return Sublattice._canonical(self.ambient_rank, den, cols)
 
 
 def hermite_kernel(hermite: tuple[Matrix, Matrix]) -> Sublattice:

@@ -148,9 +148,9 @@ def irregularity(d: HyperellipticDatum, diamond: HodgeDiamond) -> int:
     """q = h^{1,0}, the multiplicity of the trivial character in the complex representation.
 
     Cross-checked against the lattice side: 2q must equal dim V^G, the trace
-    (1/|G|) sum_g tr M_g of the group average of the linear parts.
+    (1/|G|) sum_g tr M_g of the group average of the linear parts.  A point has q = 0.
     """
-    q = diamond.h[1][0]
+    q = diamond.h[1][0] if d.dim else 0
     traces = sum(e.linear[i][i] for e in d.group.elements for i in range(d.rank))
     if traces != 2 * q * d.group.order:
         raise Inconsistent(

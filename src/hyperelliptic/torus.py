@@ -203,9 +203,7 @@ def build_product_torus(factors, k_gens=()) -> TorusDatum:
     for g in gens:
         if len(g) != rank:
             raise ValueError("k generator length must be 2 * number of factors")
-    lam = Sublattice.standard(rank)
-    if gens:
-        lam = lam.sum(Sublattice.from_rat_columns(rank, gens))
+    lam = Sublattice.from_rat_columns(rank, identity(rank) + tuple(gens))
     return TorusDatum(rank, transpose(lam.basis_vectors()), factors)
 
 
@@ -226,30 +224,24 @@ def standard_form(t: TorusDatum) -> AlternatingForm:
     return AlternatingForm(tuple(tuple(Fraction(x) for x in row) for row in gram))
 
 
+def factor_plane_columns(t: TorusDatum, indices) -> tuple[tuple[int, ...], ...]:
+    """The factors' plane unit vectors in lattice coordinates: columns of lam_basis^-1."""
+    inv_cols = transpose(t.lam_basis_inv)
+    return tuple(inv_cols[j] for i in indices for j in (2 * i, 2 * i + 1))
+
+
 def identify_factor_subspace(t: TorusDatum, sub: Sublattice) -> tuple[int, ...] | None:
     """Factor indices whose coordinate planes exactly span the sublattice, if any.
 
-    The sublattice is given in lattice coordinates; the test is equality of
-    the rational lattice with the product sublattice of those factors, which
-    is how entries like "A_1 = E_tau x E_i" are recognized.
+    The sublattice, in lattice coordinates, must equal the lattice of
+    ``factor_plane_columns`` on its support, the factors where it is nonzero
+    in product coordinates; so entries like "A_1 = E_tau x E_i" are recognized.
     """
-    if t.factors is None or sub.rank % 2 != 0:
+    if t.factors is None:
         return None
-    prod_vectors = [t.to_product_coords(b) for b in sub.basis_vectors()]
-    support = set()
-    for v in prod_vectors:
-        for i, x in enumerate(v):
-            if x != 0:
-                support.add(i // 2)
+    support = {
+        j // 2 for b in sub.basis_vectors() for j, x in enumerate(t.to_product_coords(b)) if x
+    }
     indices = tuple(sorted(support))
-    if 2 * len(indices) != sub.rank:
-        return None
-    expected_cols = []
-    for i in indices:
-        for j in (2 * i, 2 * i + 1):
-            col = [Fraction(0)] * t.rank
-            col[j] = Fraction(1)
-            expected_cols.append(tuple(col))
-    expected = Sublattice.from_rat_columns(t.rank, expected_cols)
-    actual = Sublattice.from_rat_columns(t.rank, prod_vectors)
-    return indices if actual == expected else None
+    planes = Sublattice.from_int_columns(t.rank, factor_plane_columns(t, indices))
+    return indices if planes == sub else None

@@ -7,13 +7,15 @@ the survey's "every count exhaustive" flag, the two-branch fixed-point survey,
 the index of a torus lattice over the product lattice, the eigenvalue
 check on every element, the Albanese projectors from the inverse of the
 basis [Lambda_0 | Lambda_1], Lambda_0 from the generators' rows, the t0
-table of every element and H by one integer solve per element.  The coset
-decision, the direct loop, the two-branch survey, the every-element
-eigenvalue loop, the basis-inverse projectors, the generator rows, the t0
-table and the per-element solve are the references the library's one
-Hermite form per element, meet-in-the-middle count, one survey loop,
-generator-only eigenvalue check, group average, kernel of I - P0, t0 on the
-generators and walk of the Cayley tree are checked against.
+table of every element, H by one integer solve per element and factor
+alignment decided in product coordinates.  The coset decision, the direct
+loop, the two-branch survey, the every-element eigenvalue loop, the
+basis-inverse projectors, the generator rows, the t0 table, the
+per-element solve and the product-coordinate alignment are the references
+the library's one Hermite form per element, meet-in-the-middle count, one
+survey loop, generator-only eigenvalue check, group average, kernel of
+I - P0, t0 on the generators, walk of the Cayley tree and alignment in
+lattice coordinates are checked against.
 `three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
@@ -312,6 +314,36 @@ def every_element_eigenvalue_violations(d) -> tuple[str, ...]:
     """The eigenvalue check on every nonidentity element, in element order."""
     checks = (_check_eigenvalues(e, i) for i, e in enumerate(d.group.elements) if i)
     return tuple(problem for problem in checks if problem)
+
+
+def factor_subspace_in_product_coords(t, sub: Sublattice) -> tuple[int, ...] | None:
+    """Factor indices whose coordinate planes exactly span sub, decided in product coordinates.
+
+    sub is given in lattice coordinates.  Its basis is written in product
+    coordinates, its support is the factors where that basis is nonzero, and
+    the lattice it spans must equal the lattice of the unit vectors of the
+    support's planes, after two rank checks.
+    """
+    if t.factors is None or sub.rank % 2 != 0:
+        return None
+    prod_vectors = [t.to_product_coords(b) for b in sub.basis_vectors()]
+    support = set()
+    for v in prod_vectors:
+        for i, x in enumerate(v):
+            if x != 0:
+                support.add(i // 2)
+    indices = tuple(sorted(support))
+    if 2 * len(indices) != sub.rank:
+        return None
+    expected_cols = []
+    for i in indices:
+        for j in (2 * i, 2 * i + 1):
+            col = [Fraction(0)] * t.rank
+            col[j] = Fraction(1)
+            expected_cols.append(tuple(col))
+    expected = Sublattice.from_rat_columns(t.rank, expected_cols)
+    actual = Sublattice.from_rat_columns(t.rank, prod_vectors)
+    return indices if actual == expected else None
 
 
 def three_curve_document(k_gen, translation):

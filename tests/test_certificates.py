@@ -37,6 +37,7 @@ from helpers import (
     contains,
     decomposition,
     every_element_eigenvalue_violations,
+    factor_subspace_in_product_coords,
     form_complement,
     generator_fixed_lattice,
     h_by_solve,
@@ -44,6 +45,7 @@ from helpers import (
     t0_table,
     three_curve_document,
 )
+from hyperelliptic import albanese
 from hyperelliptic.action import (
     AffineAut,
     HyperellipticDatum,
@@ -79,7 +81,13 @@ from hyperelliptic.exactlin import (
 )
 from hyperelliptic.invariants import invariants_report
 from hyperelliptic.oracle import datum_denominator, fiber_count_level
-from hyperelliptic.torus import AlternatingForm, TorusDatum
+from hyperelliptic.torus import (
+    AlternatingForm,
+    EllipticFactor,
+    TorusDatum,
+    build_product_torus,
+    identify_factor_subspace,
+)
 from test_nonabelian import D4_THREEFOLD
 
 # the benchmark's stress points, (m, k, base); each pipeline runs in well under 2 s
@@ -126,9 +134,7 @@ def check_against_enumeration(d, report):
         assert len(images) == dec.k.order
 
     # P0 M_g = P0 and the cocycle identity hold for every element, not just generators
-    enlarged = dec.lambda0
-    if dec.k0.generators:
-        enlarged = enlarged.sum(Sublattice.from_rat_columns(d.rank, dec.k0.generators))
+    enlarged = Sublattice.from_rat_columns(d.rank, dec.lambda0.basis_vectors() + dec.k0.generators)
     for i, e in enumerate(d.group.elements):
         assert mat_mul(dec.proj0, e.linear) == dec.proj0
         for j in range(d.group.order):
@@ -361,6 +367,90 @@ def test_projector_is_hermite_reduced_once_per_level(family, monkeypatch):
             members, shifts = compute_H(datum, dec, decompose_cocycle(datum, dec))
             assert (members, shifts) == h_by_solve(datum, dec, t0_table(datum, dec))
             assert members == report.subgroup_h
+
+
+def recorded_hermite_inputs(monkeypatch):
+    """The list every hermite_normal_form input is appended to while the patch holds."""
+    seen = []
+
+    def recording(m):
+        seen.append(tuple(map(tuple, m)))
+        return hermite_normal_form(m)
+
+    monkeypatch.setattr("hyperelliptic.exactlin.hermite_normal_form", recording)
+    return seen
+
+
+@pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
+def test_albanese_lattice_reduces_a_basis_of_the_image(family, monkeypatch):
+    # Lambda_B is one reduction of the rank(Lambda_0) pivot columns of D P0's
+    # Hermite form and the |gens| vectors t0, not of the n columns of P0
+    seen = recorded_hermite_inputs(monkeypatch)
+    widths = []
+    compute_albanese = albanese.compute_albanese
+
+    def measured(*args):
+        seen.clear()
+        result = compute_albanese(*args)
+        widths.append([len(m) for m in seen])
+        return result
+
+    monkeypatch.setattr(albanese, "compute_albanese", measured)
+    for d in projector_data(family):
+        widths.clear()
+        chain = pipeline_chain(d)
+        expected = [[r.decomposition.lambda0.rank + len(datum.group.gens)] for datum, r in chain]
+        assert widths == expected
+
+
+def test_product_torus_and_factor_alignment_are_one_reduction_each(monkeypatch):
+    # Z^6 + Z k_gens is one reduction of the identity columns and the k_gens;
+    # the product lattice of the support's planes is one reduction of columns
+    # of lam_basis^-1, compared with a sublattice that is already canonical
+    seen = recorded_hermite_inputs(monkeypatch)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    k_gens = [(half, half, half, half, 0, 0), (0, 0, 0, 0, third, 2 * third)]
+    torus = build_product_torus([EllipticFactor("generic")] * 3, k_gens)
+    assert len(seen) == 1 and len(seen[0]) == 6 + len(k_gens)
+    # Lambda meets the first factor's plane in Z^2, the third's in more
+    for rows, expected in ((torus.lam_basis[2:], (0,)), (torus.lam_basis[:4], None)):
+        plane = kernel_lattice(rows)
+        seen.clear()
+        assert identify_factor_subspace(torus, plane) == expected
+        assert len(seen) == 1
+    seen.clear()
+    assert Sublattice.standard(6) == Sublattice.from_int_columns(6, identity(6))
+    assert len(seen) == 1  # from_int_columns reduces, standard does not
+
+
+@pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
+def test_factor_alignment_matches_product_coordinates(family):
+    # Lambda_0 and Lambda_1 of every pipeline level, aligned in lattice
+    # coordinates by the library and in product coordinates by the reference
+    for d in projector_data(family):
+        for datum, report in pipeline_chain(d):
+            dec = report.decomposition
+            for sub in (dec.lambda0, dec.lambda1):
+                reference = factor_subspace_in_product_coords(datum.torus, sub)
+                assert identify_factor_subspace(datum.torus, sub) == reference
+
+
+def test_factor_alignment_matches_product_coordinates_on_the_sweep():
+    # the sweep's half vectors k_gen join factors, so Lambda meets a set of
+    # factor planes in more than the product lattice of those planes; every
+    # such intersection is tested on all 192 documents, aligned or not
+    outcomes = set()
+    for k_gen in itertools.product(("0", "1/2"), repeat=6):
+        for translation in (("1/2", "0"), ("1/2", "1/2"), ("0", "1/2")):
+            t = build_datum(three_curve_document(k_gen, translation)).torus
+            for size in range(4):
+                for support in itertools.combinations(range(3), size):
+                    rows = [t.lam_basis[j] for j in range(6) if j // 2 not in support]
+                    sub = kernel_lattice(rows) if rows else Sublattice.standard(6)
+                    got = identify_factor_subspace(t, sub)
+                    assert got == factor_subspace_in_product_coords(t, sub)
+                    outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("point", STRESS_POINTS, ids=lambda p: "m{}-k{}-base{}".format(*p))

@@ -40,6 +40,17 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def run_fresh_cli(args) -> subprocess.CompletedProcess:
+    """``python -m hyperelliptic.cli`` in a new interpreter importing this checkout's package."""
+    src = str(Path(hyperelliptic.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "hyperelliptic.cli", *args],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 @pytest.fixture()
 def z4_file(tmp_path, capsys):
     code, out, _ = run_cli(["catalog", "export", "z4-threefold"], capsys)
@@ -576,6 +587,77 @@ class TestNoKCap:
         assert run_cli(argv, capsys) == (0, expected, "")
 
 
+# data whose group is trivial: X = A, so q = dim X and the Albanese fiber is a point
+TRIVIAL_GROUP_DOCUMENTS = {
+    "builder-no-generators": {
+        "mode": "builder",
+        "factors": [{"kind": "generic"}, {"kind": "gauss"}],
+        "generators": [],
+    },
+    "builder-identity-generator": {
+        "mode": "builder",
+        "factors": [{"kind": "generic"}],
+        "generators": [{"zetas": ["1"]}],
+    },
+    "raw-no-generators": {"mode": "raw", "rank": 2, "form": [["0", "1"], ["-1", "0"]]},
+    "raw-elements-only": {
+        "mode": "raw",
+        "rank": 2,
+        "form": [["0", "1"], ["-1", "0"]],
+        "elements": [{"matrix": [[1, 0], [0, 1]], "eigenvalues": ["1"]}],
+    },
+}
+
+
+@pytest.fixture(params=sorted(TRIVIAL_GROUP_DOCUMENTS))
+def trivial_group_file(request, tmp_path):
+    path = tmp_path / f"{request.param}.json"
+    path.write_text(json.dumps(TRIVIAL_GROUP_DOCUMENTS[request.param]))
+    return str(path)
+
+
+class TestTrivialGroup:
+    @pytest.mark.parametrize("recurse", [[], ["--recurse"]])
+    def test_albanese_is_the_torus_over_a_point(self, trivial_group_file, recurse, capsys):
+        argv = ["albanese", trivial_group_file, *recurse, "--format"]
+        code, out, err = run_cli([*argv, "json"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["group_order"] == 1
+        assert payload["q"] == payload["dim"]
+        assert (payload["fiber"]["kind"], payload["fiber"]["dim"]) == ("abelian", 0)
+        assert payload["canonical"]["x_order"] == payload["canonical"]["fiber_order"] == 1
+        code, out, err = run_cli([*argv, "text"], capsys)
+        assert (code, err) == (0, "")
+        dim = payload["dim"]
+        assert f"dim X = {dim}, irregularity q = {dim}, |G| = 1" in out
+        assert "fiber: abelian of dimension 0" in out
+
+    def test_other_commands_exit_0(self, trivial_group_file, capsys):
+        for command in ("check", "invariants", "oracle"):
+            for fmt in ("json", "text"):
+                code, _, err = run_cli([command, trivial_group_file, "--format", fmt], capsys)
+                assert (code, err) == (0, ""), (command, fmt)
+        code, out, _ = run_cli(["invariants", trivial_group_file, "--format", "json"], capsys)
+        payload = json.loads(out)
+        assert payload["q"] == payload["dim"]
+
+
+class TestExitCodeContract:
+    def test_no_traceback_from_a_fresh_process(self, tmp_path):
+        # only a new interpreter shows how an exception that escapes main() exits:
+        # with a traceback and code 1, which the contract reserves for input errors
+        commands = (["check"], ["albanese"], ["albanese", "--recurse"], ["invariants"], ["oracle"])
+        for name, doc in sorted(TRIVIAL_GROUP_DOCUMENTS.items()):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            for command in commands:
+                for fmt in ("json", "text"):
+                    run = run_fresh_cli([*command, str(path), "--format", fmt])
+                    assert run.returncode in (0, 1, 2, 3), (name, command, fmt)
+                    assert b"Traceback" not in run.stderr, (name, command, fmt)
+
+
 class TestInternalErrors:
     def test_pipeline_invariant_error_exits_3(self, z4_file, capsys, monkeypatch):
         from hyperelliptic.albanese import PipelineInvariantError
@@ -609,6 +691,18 @@ class TestInternalErrors:
         assert code == 3
         assert "internal error" in err
 
+    def test_unexpected_exception_exits_3_with_its_type(self, z4_file, capsys, monkeypatch):
+        # an exception no layer raises on purpose is a bug, not an input error
+        from hyperelliptic import albanese
+
+        def broken(*args):
+            raise IndexError("synthetic index failure")
+
+        monkeypatch.setattr(albanese, "compute_albanese", broken)
+        code, out, err = run_cli(["albanese", z4_file], capsys)
+        assert (code, out) == (3, "")
+        assert err == "internal error: IndexError: synthetic index failure\n"
+
     def test_cyclotomic_invariant_error_exits_3(self, z4_file, capsys, monkeypatch):
         # a non-monic Phi_N makes the reduction mod Phi_N raise CyclotomicInvariantError
         monkeypatch.setattr(
@@ -634,19 +728,10 @@ class TestInternalErrors:
 class TestDeterminism:
     def test_byte_identical_reports(self, z4_file):
         # the child imports the package from this checkout, as pytest does
-        src = str(Path(hyperelliptic.__file__).parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "hyperelliptic.cli", "albanese", z4_file,
-                 "--recurse", "--format", "json"],
-                capture_output=True,
-                check=True,
-                env=dict(os.environ, PYTHONPATH=path),
-            ).stdout
-            for _ in range(2)
-        ]
-        assert runs[0] == runs[1]
+        argv = ["albanese", z4_file, "--recurse", "--format", "json"]
+        runs = [run_fresh_cli(argv) for _ in range(2)]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
 
     def test_json_round_trip(self, z4_file, capsys):
         code, out, _ = run_cli(["albanese", z4_file, "--format", "json"], capsys)

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import index_over_product_lattice
+from helpers import factor_subspace_in_product_coords, index_over_product_lattice
 from hyperelliptic.cyclotomic import RootOfUnity
-from hyperelliptic.exactlin import identity, mat_mul, transpose
+from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose, vec_scale
 from hyperelliptic.torus import (
     AlternatingForm,
     EllipticFactor,
@@ -145,3 +145,36 @@ class TestIdentifyFactorSubspace:
         t = build_product_torus([GEN, GAUSS])
         sub = Sublattice.from_int_columns(4, [(1, 0, 1, 0), (0, 1, 0, 1)])
         assert identify_factor_subspace(t, sub) is None
+
+    @pytest.mark.parametrize("k_gens", [(), ((F(1, 2), F(1, 2), F(1, 2), F(1, 2), 0, 0),)])
+    def test_hand_made_sublattices_match_product_coordinates(self, k_gens):
+        # sublattices written in product coordinates: odd rank, a support wider
+        # than the rank, a plane of index 2, planes enlarged by a half vector
+        # (the k_gen lies in Lambda, the other half vector never does) and the
+        # aligned planes themselves
+        t = build_product_torus([GEN, GAUSS, EIS], k_gens)
+        e = [tuple(F(int(i == j)) for j in range(6)) for i in range(6)]
+        half = (F(1, 2), F(1, 2), 0, 0, 0, 0)
+        cases = {
+            "odd rank": ([e[0]], None),
+            "odd rank three": ([e[0], e[1], e[2]], None),
+            "wrong support": ([e[0], e[2]], None),
+            "wrong support four": ([e[0], e[1], e[2], e[4]], None),
+            "index 2": ([vec_scale(2, e[0]), e[1]], None),
+            "half vector": ([e[0], e[1], half], None),
+            "half vector across": ([e[0], e[1], e[2], e[3], (F(1, 2),) * 4 + (0, 0)], None),
+            "first plane": ([e[0], e[1]], (0,)),
+            "outer planes": ([e[0], e[1], e[4], e[5]], (0, 2)),
+            "everything": (e, (0, 1, 2)),
+        }
+        for name, (vectors, expected) in cases.items():
+            sub = Sublattice.from_rat_columns(6, [t.to_lattice_coords(v) for v in vectors])
+            got = identify_factor_subspace(t, sub)
+            assert got == factor_subspace_in_product_coords(t, sub), name
+            assert got == expected, name
+
+    def test_raw_torus_has_no_factors(self):
+        t = TorusDatum.raw(4)
+        sub = Sublattice.standard(4)
+        assert identify_factor_subspace(t, sub) is None
+        assert factor_subspace_in_product_coords(t, sub) is None
