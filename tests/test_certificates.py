@@ -341,12 +341,8 @@ def test_tree_walk_matches_per_element_solve(family, monkeypatch):
             assert len(solves) == len(members)
 
 
-@pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
-def test_projector_is_hermite_reduced_once_per_level(family, monkeypatch):
-    # Lambda_1, H's classes and H's shifts all read one column Hermite form of
-    # D P0, so the transpose of D P0 reaches hermite_normal_form once per
-    # pipeline level; Lambda_1 must still be the kernel of P0, and H and its
-    # shifts one integer solve per element
+def recorded_hermite_inputs(monkeypatch):
+    """The list every hermite_normal_form input is appended to while the patch holds."""
     seen = []
 
     def recording(m):
@@ -354,6 +350,16 @@ def test_projector_is_hermite_reduced_once_per_level(family, monkeypatch):
         return hermite_normal_form(m)
 
     monkeypatch.setattr("hyperelliptic.exactlin.hermite_normal_form", recording)
+    return seen
+
+
+@pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
+def test_projector_is_hermite_reduced_once_per_level(family, monkeypatch):
+    # Lambda_1, H's classes and H's shifts all read one column Hermite form of
+    # D P0, so the transpose of D P0 reaches hermite_normal_form once per
+    # pipeline level; Lambda_1 must still be the kernel of P0, and H and its
+    # shifts one integer solve per element
+    seen = recorded_hermite_inputs(monkeypatch)
     for d in projector_data(family):
         seen.clear()
         chain = pipeline_chain(d)
@@ -367,18 +373,6 @@ def test_projector_is_hermite_reduced_once_per_level(family, monkeypatch):
             members, shifts = compute_H(datum, dec, decompose_cocycle(datum, dec))
             assert (members, shifts) == h_by_solve(datum, dec, t0_table(datum, dec))
             assert members == report.subgroup_h
-
-
-def recorded_hermite_inputs(monkeypatch):
-    """The list every hermite_normal_form input is appended to while the patch holds."""
-    seen = []
-
-    def recording(m):
-        seen.append(tuple(map(tuple, m)))
-        return hermite_normal_form(m)
-
-    monkeypatch.setattr("hyperelliptic.exactlin.hermite_normal_form", recording)
-    return seen
 
 
 @pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
