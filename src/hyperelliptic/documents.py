@@ -108,9 +108,17 @@ def parse_root_label(text) -> RootOfUnity:
 _FACTOR_KINDS = ("generic", "gauss", "eisenstein")
 
 
-def _parse_factor(item) -> EllipticFactor:
+def _check_keys(item: dict, allowed, where: str) -> None:
+    """A key outside ``allowed`` is an input error, not a field read as its default."""
+    unknown = sorted(set(item) - allowed)
+    if unknown:
+        raise InputError(f"unknown keys in {where}: {unknown}")
+
+
+def _parse_factor(item, where: str) -> EllipticFactor:
     if not isinstance(item, dict) or "kind" not in item:
         raise InputError(f"factor entries need a 'kind', got {item!r}")
+    _check_keys(item, {"kind", "label"}, where)
     kind = item["kind"]
     if kind not in _FACTOR_KINDS:
         raise InputError(f"unknown factor kind {kind!r}")
@@ -150,7 +158,7 @@ def _positive_int(doc, key: str, default=None, maximum=None) -> int:
 
 
 def _build_builder(doc) -> HyperellipticDatum:
-    factors = [_parse_factor(f) for f in _list(doc, "factors")]
+    factors = [_parse_factor(f, f"factors[{k}]") for k, f in enumerate(_list(doc, "factors"))]
     if not factors:
         raise InputError("builder documents need at least one factor")
     rank = 2 * len(factors)
@@ -161,9 +169,12 @@ def _build_builder(doc) -> HyperellipticDatum:
     k_gens = [parse_vector(v, rank) for v in _list(doc, "k_gens")]
     torus = build_product_torus(factors, k_gens)
     generators = []
-    for spec in _list(doc, "generators"):
+    for k, spec in enumerate(_list(doc, "generators")):
         if not isinstance(spec, dict):
             raise InputError("generator entries must be objects")
+        _check_keys(spec, {"zetas", "blocks", "translation"}, f"generators[{k}]")
+        if ("zetas" in spec) == ("blocks" in spec):
+            raise InputError(f"generators[{k}] needs exactly one of 'zetas' and 'blocks'")
         translation = parse_vector(spec.get("translation", ["0"] * rank), rank)
         if "zetas" in spec:
             zetas = spec["zetas"]
@@ -173,12 +184,10 @@ def _build_builder(doc) -> HyperellipticDatum:
                 factor_automorphism_matrix(f, parse_root_label(z))
                 for f, z in zip(factors, zetas)
             ]
-        elif "blocks" in spec:
+        else:
             blocks = [_parse_int_matrix(b, 2) for b in _list(spec, "blocks")]
             if len(blocks) != len(factors):
                 raise InputError("need one 2x2 block per factor")
-        else:
-            raise InputError("generators need 'zetas' or 'blocks'")
         generators.append(affine_from_factor_action(torus, blocks, translation))
     cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP, MAX_CLOSURE_CAP)
     group = close_group(generators, torus, cap=cap)
@@ -197,9 +206,10 @@ def _build_raw(doc) -> HyperellipticDatum:
     form = AlternatingForm(tuple(parse_vector(row, rank) for row in form_rows))
     torus = TorusDatum.raw(rank)
 
-    def parse_element(spec):
+    def parse_element(spec, where):
         if not isinstance(spec, dict) or "matrix" not in spec:
             raise InputError("raw elements need a 'matrix'")
+        _check_keys(spec, {"matrix", "translation", "eigenvalues"}, where)
         linear = _parse_int_matrix(spec["matrix"], rank)
         translation = parse_vector(spec.get("translation", ["0"] * rank), rank)
         labels = spec.get("eigenvalues")
@@ -208,8 +218,10 @@ def _build_raw(doc) -> HyperellipticDatum:
         eig = tuple(parse_root_label(z) for z in labels)
         return affine_raw(linear, translation, eig)
 
-    generators = [parse_element(spec) for spec in _list(doc, "generators")]
-    elements = [parse_element(spec) for spec in _list(doc, "elements")]
+    element_specs = _list(doc, "elements")
+    generators = [parse_element(spec, f"generators[{k}]")
+                  for k, spec in enumerate(_list(doc, "generators"))]
+    elements = [parse_element(spec, f"elements[{k}]") for k, spec in enumerate(element_specs)]
     table, first = {}, {}  # matrix -> its eigenvalues, and the entry that declared them first
     for key, entries in (("generators", generators), ("elements", elements)):
         for k, e in enumerate(entries):
@@ -219,6 +231,13 @@ def _build_raw(doc) -> HyperellipticDatum:
                                  "for one matrix")
     cap = _positive_int(doc, "closure_cap", DEFAULT_CLOSURE_CAP, MAX_CLOSURE_CAP)
     group = close_group(generators, torus, cap=cap, eigenvalue_table=table)
+    linear_parts = {e.linear for e in group.elements}
+    keys = {e.key() for e in group.elements}
+    for k, (spec, e) in enumerate(zip(element_specs, elements)):
+        if e.linear not in linear_parts:
+            raise InputError(f"elements[{k}]: its matrix is the linear part of no group element")
+        if "translation" in spec and e.key() not in keys:
+            raise InputError(f"elements[{k}]: no group element has its matrix and translation")
     return HyperellipticDatum(torus, group, form, j_stability_assumed=True)
 
 
@@ -235,9 +254,7 @@ def build_datum(doc) -> HyperellipticDatum:
     mode = doc.get("mode")
     if mode not in ("builder", "raw"):
         raise InputError(f"mode must be 'builder' or 'raw', got {mode!r}")
-    unknown = sorted(set(doc) - _DOCUMENT_KEYS[mode])
-    if unknown:
-        raise InputError(f"unknown keys in a {mode} document: {unknown}")
+    _check_keys(doc, _DOCUMENT_KEYS[mode], f"a {mode} document")
     return _build_builder(doc) if mode == "builder" else _build_raw(doc)
 
 
@@ -267,30 +284,26 @@ def load_document(path: str) -> HyperellipticDatum:
 # ---------------------------------------------------------------------------
 # data -> reports
 
-def _lattice_dict(lat: Sublattice, torus: TorusDatum | None = None) -> dict:
-    out = {
+def _lattice_dict(lat: Sublattice, torus: TorusDatum) -> dict:
+    return {
         "ambient_rank": lat.ambient_rank,
         "rank": lat.rank,
         "basis": [format_vector(b) for b in lat.basis_vectors()],
-    }
-    if torus is not None:
-        out["basis_product_coords"] = [
+        "basis_product_coords": [
             format_vector(torus.to_product_coords(b)) for b in lat.basis_vectors()
-        ]
-    return out
+        ],
+    }
 
 
-def _group_dict(group, torus: TorusDatum | None = None) -> dict:
-    out = {
+def _group_dict(group, torus: TorusDatum) -> dict:
+    return {
         "invariant_factors": list(group.invariant_factors),
         "order": group.order,
         "generators": [format_vector(g) for g in group.generators],
-    }
-    if torus is not None:
-        out["generators_product_coords"] = [
+        "generators_product_coords": [
             format_vector(torus.to_product_coords(g)) for g in group.generators
-        ]
-    return out
+        ],
+    }
 
 
 def validation_dict(report: ValidationReport) -> dict:

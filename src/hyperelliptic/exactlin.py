@@ -16,7 +16,8 @@ one `Fraction`; products of all-`int` operands stay `int`.  The Hermite form
 form (h, v) of m has three readers: `hermite_kernel` (the kernel of m),
 `hermite_coords` (coordinates against h's pivot columns, as in
 `Sublattice.coords_of`) and `integer_solution`; `is_unimodular` and
-`is_singular` read the row form.
+`is_singular` read the row form.  The Smith form is a loop of row and column
+Hermite forms, so `hermite_normal_form` is the one elimination routine.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class LatticeError(ValueError):
 # small matrix/vector helpers (exact, shape-explicit where it matters)
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def transpose(m):
@@ -157,7 +158,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # normal forms
 
 def _combine_rows(mats, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
-    """Rows i, j <- (a*i + b*j, c*i + d*j) in each matrix; a*d - b*c must be +-1."""
+    """Hermite row step in each matrix: rows i, j <- (a*i + b*j, c*i + d*j), a*d - b*c == +-1."""
     for m in mats:
         m[i], m[j] = (
             [a * x + b * y for x, y in zip(m[i], m[j])],
@@ -249,81 +250,32 @@ def integer_solution(hermite: tuple[Matrix, Matrix], b) -> tuple[int, ...] | Non
 
 
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
-    """(u, s) with u @ m @ v == s diagonal, d_i | d_{i+1}, u and some v unimodular (not formed)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    s = [list(row) for row in m]
-    u = [list(row) for row in identity(rows)]
+    """(u, s) with u @ m @ v == s diagonal, d_i | d_{i+1}, u and some v unimodular (not formed).
 
-    def colop(i, j, a, b, c, d):
-        for row in s:
-            row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
-
-    def clear_position(t: int) -> None:
-        # bring gcd of the trailing block into (t, t), zero its row and column;
-        # the pivot is kept positive so each full pass strictly shrinks it
-        while True:
-            pivot = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if s[i][j] != 0 and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                return
-            pi, pj = pivot
-            if pi != t:
-                _combine_rows((s, u), t, pi, 0, 1, -1, 0)
-            if pj != t:
-                colop(t, pj, 0, 1, -1, 0)
-            if s[t][t] < 0:
-                s[t] = [-x for x in s[t]]
-                u[t] = [-x for x in u[t]]
-            for i in range(t + 1, rows):
-                if s[i][t]:
-                    a, b = s[t][t], s[i][t]
-                    g, x, y = _xgcd(a, b)
-                    _combine_rows((s, u), t, i, x, y, -(b // g), a // g)
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    a, b = s[t][t], s[t][j]
-                    g, x, y = _xgcd(a, b)
-                    colop(t, j, x, y, -(b // g), a // g)
-            if all(s[i][t] == 0 for i in range(t + 1, rows)) and all(
-                s[t][j] == 0 for j in range(t + 1, cols)
-            ):
-                return
-
-    n = min(rows, cols)
-    start = 0
+    A loop of Hermite forms (Kannan and Bachem, 1979; Cohen, GTM 138, 2.4).
+    Each round takes the row form of [s | u], then the column form of s.  Rows
+    of s that are zero take pivots only in u's columns, so the s part of the
+    row form is the row form of s and its u part is u after the same row
+    operations.  The column form's v is dropped.  The loop ends: take the first
+    t whose row or column is not yet cleared.  After a row form s[t][t] is the
+    gcd of column t, after a column form the gcd of row t, so it divides its
+    previous value; if it stays the same, row t and column t are cleared.  Once
+    s is diagonal, each d_t that does not divide d_{t+1} gets column t+1 added
+    to column t, and the next row form lowers the first such d_t to
+    gcd(d_t, d_{t+1}) and leaves the d before it as they are.
+    """
+    cols = len(m[0]) if m else 0
+    s, u = m, identity(len(m))
     while True:
-        for t in range(start, n):
-            clear_position(t)
-        # enforce the divisibility chain; fixing (t, t+1) may need re-clearing
-        t = 0
-        while t < n - 1:
-            a, b = s[t][t], s[t + 1][t + 1]
-            if a != 0 and b % a != 0:
-                # row t <- (a, b, ...): forces a gcd merge
-                _combine_rows((s, u), t, t + 1, 1, 1, 0, 1)
-                clear_position(t)
-                t = max(t - 1, 0)
-                continue
-            if a == 0 and b != 0:
-                _combine_rows((s, u), t, t + 1, 0, 1, -1, 0)
-                colop(t, t + 1, 0, 1, -1, 0)
-                continue
-            t += 1
-        # a re-clearing's pivot search can swap rows and columns of the trailing
-        # block and leave entries off its diagonal; clear again from the first
-        off = [min(i, j) for i in range(rows) for j in range(cols) if i != j and s[i][j]]
-        if not off:
-            break
-        start = min(off)
-    for t in range(n):
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-    return tuple(map(tuple, u)), tuple(map(tuple, s))
+        h, _ = hermite_normal_form(tuple(a + b for a, b in zip(s, u)))
+        s, u = column_hermite(tuple(r[:cols] for r in h))[0], tuple(r[cols:] for r in h)
+        if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(s)):
+            continue
+        d = [row[t] for t, row in enumerate(s[:cols])]
+        fix = {t for t in range(len(d) - 1) if d[t] and d[t + 1] % d[t]}
+        if not fix:
+            return u, s
+        s = tuple(tuple(x + row[t + 1] if t in fix else x for t, x in enumerate(row)) for row in s)
 
 
 # ---------------------------------------------------------------------------

@@ -60,18 +60,15 @@ def element_level_bound(e: AffineAut) -> int:
 
     If (M - I)x = -t + lambda is solvable over Q, a solution exists with
     denominator dividing lcm(nonzero Smith divisors of M - I) * den(t), so a
-    zero count at any multiple of this bound certifies freeness of e.
+    zero count at any multiple of this bound certifies freeness of e.  Each
+    divisor divides the next, so their lcm is the largest of them.
     """
     n = e.rank
     diff = tuple(
         tuple(e.linear[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
     )
     _, s = smith_normal_form(diff)
-    divisor_lcm = 1
-    for i in range(n):
-        if s[i][i]:
-            divisor_lcm = lcm(divisor_lcm, s[i][i])
-    return divisor_lcm * vec_denominator(e.translation)
+    return max(1, *(s[i][i] for i in range(n))) * vec_denominator(e.translation)
 
 
 def formula_level(d: HyperellipticDatum) -> int:

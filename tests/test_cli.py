@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,10 @@ from hyperelliptic.documents import (
     parse_rational,
     parse_root_label,
 )
+from hyperelliptic.albanese import fixed_projector
 from hyperelliptic.cyclotomic import RootOfUnity
+from hyperelliptic.exactlin import Sublattice, identity, transpose
+from helpers import contains
 from test_nonabelian import D4_THREEFOLD
 
 
@@ -477,6 +481,97 @@ class TestRawEigenvalueDeclarations:
             assert failure in err
 
 
+class TestEntryKeys:
+    """A key that an entry does not read is an input error (exit 1), not a default."""
+
+    # `translaton` for `translation`: read as a zero translation, the datum
+    # failed freeness (exit 2) and the misspelling went unmentioned
+    MISSPELT_TRANSLATION = {
+        "mode": "builder",
+        "factors": [{"kind": "generic"}, {"kind": "gauss"}],
+        "generators": [{"zetas": ["1", "i"], "translaton": ["1/4", "0", "0", "0"]}],
+    }
+
+    @pytest.mark.parametrize("doc,fragment", [
+        (MISSPELT_TRANSLATION, "unknown keys in generators[0]: ['translaton']"),
+        (dict(BUILDER_SHIFT, factors=[{"kind": "generic"}, {"kind": "generic", "lable": "E"}]),
+         "unknown keys in factors[1]: ['lable']"),
+        (with_generator(RAW_INVOLUTION, eigenvalue=["-1"]),
+         "unknown keys in generators[0]: ['eigenvalue']"),
+        (dict(D4_THREEFOLD, elements=[dict(D4_THREEFOLD["elements"][0], zetas=["1"])]),
+         "unknown keys in elements[0]: ['zetas']"),
+        (with_generator(BUILDER_SHIFT, blocks=[[[1, 0], [0, 1]], [[-1, 0], [0, -1]]]),
+         "generators[0] needs exactly one of 'zetas' and 'blocks'"),
+        (dict(BUILDER_SHIFT, generators=[{"translation": ["1/2", "0", "0", "0"]}]),
+         "generators[0] needs exactly one of 'zetas' and 'blocks'"),
+    ], ids=["builder-translaton", "factor-lable", "raw-eigenvalue", "element-zetas",
+            "zetas-and-blocks", "neither"])
+    @pytest.mark.parametrize("command", ["check", "albanese", "invariants", "oracle"])
+    def test_unread_entry_key_exits_1(self, command, doc, fragment, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli([command, str(path)], capsys)
+        assert code == 1
+        assert err.startswith("input error:") and fragment in err
+
+    def test_every_allowed_key_is_read(self):
+        factors = [{"kind": "generic", "label": "E"}, {"kind": "generic"}]
+        blocks = [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]]
+        builder = dict(BUILDER_SHIFT, factors=factors,
+                       generators=[{"blocks": blocks, "translation": ["1/2", "0", "0", "0"]}])
+        datum = build_datum(builder)
+        assert datum.group.elements == build_datum(BUILDER_SHIFT).group.elements
+        assert datum.torus.factors[0].label == "E"
+        assert build_datum(RAW_INVOLUTION).group.order == 2
+
+
+class TestRawElements:
+    """Each raw `elements` entry must name an element of the generated group."""
+
+    R_CUBED = D4_THREEFOLD["elements"][0]
+
+    def r_cubed_translation(self):
+        group = build_datum(D4_THREEFOLD).group
+        (e,) = (e for e in group.elements if e.linear == tuple(map(tuple, self.R_CUBED["matrix"])))
+        return e.translation
+
+    @pytest.mark.parametrize("doc,fragment", [
+        ({"mode": "raw", "rank": 2, "form": [["0", "1"], ["-1", "0"]],
+          "elements": [{"matrix": [[-1, 0], [0, -1]], "eigenvalues": ["-1"]}]},
+         "elements[0]: its matrix is the linear part of no group element"),
+        (dict(RAW_INVOLUTION, elements=[
+            {"matrix": [[-1, 0], [0, -1]], "translation": ["1/2", "0"], "eigenvalues": ["-1"]}]),
+         "elements[0]: no group element has its matrix and translation"),
+    ], ids=["minus-one-not-generated", "wrong-translation"])
+    @pytest.mark.parametrize("command", ["check", "albanese", "invariants", "oracle"])
+    def test_entry_outside_the_group_exits_1(self, command, doc, fragment, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli([command, str(path)], capsys)
+        assert code == 1
+        assert err.startswith("input error:") and fragment in err
+
+    def test_wrong_r_cubed_translation_exits_1(self, tmp_path, capsys):
+        t = self.r_cubed_translation()
+        moved = [str(x + Fraction(1, 2)) if i == 0 else str(x) for i, x in enumerate(t)]
+        path = tmp_path / "d4.json"
+        path.write_text(json.dumps(
+            dict(D4_THREEFOLD, elements=[dict(self.R_CUBED, translation=moved)])))
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 1
+        assert "elements[0]: no group element has its matrix and translation" in err
+
+    @pytest.mark.parametrize("shift", [0, 1, -2], ids=["same", "plus-lattice", "minus-lattice"])
+    def test_r_cubed_translation_mod_lattice_changes_nothing(self, shift, tmp_path, capsys):
+        path = tmp_path / "d4.json"
+        path.write_text(json.dumps(D4_THREEFOLD))
+        expected = run_cli(["albanese", str(path), "--format", "json"], capsys)
+        translation = [str(x + shift) for x in self.r_cubed_translation()]
+        path.write_text(json.dumps(
+            dict(D4_THREEFOLD, elements=[dict(self.R_CUBED, translation=translation)])))
+        assert run_cli(["albanese", str(path), "--format", "json"], capsys) == expected
+
+
 class TestRejectedGroupCost:
     """A group that fails validation costs its closure, not its element orders.
 
@@ -573,6 +668,63 @@ class TestReports:
         for name in out.split():
             code, out2, _ = run_cli(["catalog", "run", name], capsys)
             assert code == 0, (name, out2)
+
+
+class TestNonCyclicK:
+    """K = Lambda/(Lambda_0 + Lambda_1) and its images K0, K1 when K is not cyclic.
+
+    Such a K has many bases and the printed one is not pinned; every basis
+    must have the printed orders and span its quotient with the sublattice.
+    """
+
+    DOCUMENTS = {
+        "z2-squared": {
+            "mode": "builder",
+            "factors": [{"kind": "generic"}] * 3,
+            "k_gens": [["0", "0", "1/2", "0", "1/2", "1/2"], ["1/2", "0", "1/2", "0", "1/2", "0"]],
+            "generators": [{"zetas": ["1", "1", "-1"],
+                            "translation": ["0", "1/2", "0", "0", "0", "0"]}],
+        },
+        "z3-squared": {
+            "mode": "builder",
+            "factors": [{"kind": "generic"}] * 2 + [{"kind": "eisenstein"}] * 2,
+            "k_gens": [["1/3", "0", "1/3", "0", "2/3", "-2/3", "0", "0"],
+                       ["1/3", "1/6", "0", "1/3", "0", "0", "2/3", "-2/3"]],
+            "generators": [{"zetas": ["1", "1", "zeta3", "zeta3"],
+                            "translation": ["1/3", "0", "0", "0", "0", "0", "0", "0"]}],
+        },
+    }
+
+    @pytest.mark.parametrize("name,factor", [("z2-squared", 2), ("z3-squared", 3)])
+    def test_printed_bases_span_their_quotients(self, name, factor, tmp_path, capsys):
+        doc = self.DOCUMENTS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["albanese", str(path), "--format", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        n = report["lambda0"]["ambient_rank"]
+
+        def vectors(items):
+            return [tuple(Fraction(x) for x in v) for v in items]
+
+        lam0, lam1 = (vectors(report[key]["basis"]) for key in ("lambda0", "lambda1"))
+        proj0 = transpose(fixed_projector(build_datum(doc)))  # columns P0 e_i
+        rest = [tuple(int(i == j) - x for j, x in enumerate(c)) for i, c in enumerate(proj0)]
+        for key, small, image in (
+            ("k", lam0 + lam1, identity(n)),
+            ("k0", lam0, proj0),
+            ("k1", lam1, rest),
+        ):
+            group = report[key]
+            assert group["invariant_factors"] == [factor, factor]
+            small_lattice = Sublattice.from_rat_columns(n, small)
+            gens = vectors(group["generators"])
+            for d, g in zip(group["invariant_factors"], gens, strict=True):
+                multiples = [contains(small_lattice, [k * x for x in g]) for k in range(1, d + 1)]
+                assert multiples == [False] * (d - 1) + [True], (key, g)
+            spanned = Sublattice.from_rat_columns(n, small + gens)
+            assert spanned == Sublattice.from_rat_columns(n, image), key
 
 
 class TestNoKCap:

@@ -303,21 +303,31 @@ class TestSmith:
         assert (s[0][0], s[1][1]) == (2, 2)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(3, 5).flatmap(lambda n: small_int_matrix(n, n, bound=4)))
+    @given(
+        st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+            lambda t: small_int_matrix(*t, bound=4)
+        )
+    )
     # a divisibility fix-up once left these two off the diagonal
     @example(((-2, -3, 4, 0, 1), (-1, 1, -2, -2, -1), (-2, -3, -2, 0, 1),
               (-1, -2, 2, 4, 3), (-4, -3, -2, 4, 4)))
     @example(((-4, 3, 2, -1), (2, -1, 4, 4), (-2, 4, 4, 2), (4, 0, -4, 0)))
+    # diag(3, 2) after the first Hermite rounds: a fix-up that adds row t + 1
+    # to row t, not column t + 1 to column t, cycles on these two
+    @example(((-3, 0, -3, 3, 3), (3, 2, -1, -3, 3)))
+    @example(((3, 0), (0, 2)))
     def test_random_against_minor_gcds(self, m):
-        n = len(m)
+        rows, cols = len(m), len(m[0])
         u, s = smith_normal_form(m)
         # u @ m @ v == s for some unimodular v iff the canonical column
         # Hermite forms of u @ m and s agree
+        assert len(u) == rows and all(len(row) == rows for row in u)
+        assert len(s) == rows and all(len(row) == cols for row in s)
         assert column_hermite(mat_mul(u, m))[0] == column_hermite(s)[0]
         assert abs(bareiss_det(u)) == 1
-        diag = [s[i][i] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
+        diag = [s[i][i] for i in range(min(rows, cols))]
+        for i in range(rows):
+            for j in range(cols):
                 if i != j:
                     assert s[i][j] == 0
         for a, b in zip(diag, diag[1:]):
@@ -425,6 +435,42 @@ class TestQuotient:
         small = Sublattice.from_int_columns(3, [(2, 1, 0), (0, 3, 1), (0, 0, 2)])
         g = quotient_group(big, small)
         assert g.order == abs(bareiss_det(transpose(small.cols)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.fractions(-2, 2, max_denominator=6), min_size=n, max_size=n),
+                    max_size=3,
+                ),
+                small_int_matrix(n, n, bound=4),
+            )
+        )
+    )
+    def test_random_big_over_small(self, case):
+        # big = Z^n + the extra vectors; small has basis c @ (a basis of big),
+        # so [big : small] = |det c|
+        extra, c = case
+        n = len(c)
+        big = Sublattice.from_rat_columns(n, list(identity(n)) + extra)
+        basis = big.basis_vectors()
+        small_basis = [tuple(sum(x * b[t] for x, b in zip(row, basis)) for t in range(n))
+                       for row in c]
+        small = Sublattice.from_rat_columns(n, small_basis)
+        if small.rank < n:
+            with pytest.raises(LatticeError):
+                quotient_group(big, small)
+            return
+        g = quotient_group(big, small)
+        assert g.order == abs(bareiss_det(c))
+        assert all(d > 1 for d in g.invariant_factors)
+        assert all(b % a == 0 for a, b in zip(g.invariant_factors, g.invariant_factors[1:]))
+        for d, gen in zip(g.invariant_factors, g.generators, strict=True):
+            assert contains(big, gen)
+            multiples = [contains(small, tuple(k * x for x in gen)) for k in range(1, d + 1)]
+            assert multiples == [False] * (d - 1) + [True]
+        assert Sublattice.from_rat_columns(n, small.basis_vectors() + g.generators) == big
 
     def test_errors(self):
         with pytest.raises(LatticeError):
