@@ -256,6 +256,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         return _fail(1, f"input error: {exc}")
+    except UnicodeEncodeError as exc:  # a ValueError, but stdout's encoding is at fault
+        return _fail(1, f"cannot write output: {exc}")
     except _INTERNAL_ERRORS as exc:
         return _fail(3, f"internal error: {exc}")
     except _MATH_ERRORS as exc:

@@ -86,16 +86,15 @@ def parse_root_label(text) -> RootOfUnity:
     if label in _ROOT_SHORTHAND:
         return RootOfUnity.of(*_ROOT_SHORTHAND[label])
     if label.startswith("zeta"):
-        body = label[4:]
-        power = 1
-        if "^" in body:
-            body, exp = body.split("^", 1)
-            if not _is_ascii_digits(exp.removeprefix("-")):
-                raise InputError(f"bad exponent in {text!r}")
-            power = int(exp)
+        body, caret, exp = label[4:].partition("^")
+        if caret and not _is_ascii_digits(exp.removeprefix("-")):
+            raise InputError(f"bad exponent in {text!r}")
         if not _is_ascii_digits(body):
             raise InputError(f"bad root-of-unity label {text!r}")
-        order = int(body)
+        try:
+            order, power = int(body), int(exp or 1)
+        except ValueError as exc:  # a run of digits past int()'s conversion limit
+            raise InputError(f"bad root-of-unity label {text!r}: {exc}") from None
         if order < 1:
             raise InputError(f"bad root-of-unity order in {text!r}")
         return RootOfUnity.of(power, order)

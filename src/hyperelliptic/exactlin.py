@@ -13,11 +13,13 @@ lcm of its entry denominators.  Matrix products (`mat_mul`, `mat_vec`) take
 their inner products on those integer rows and turn each output entry into
 one `Fraction`; products of all-`int` operands stay `int`.  The Hermite form
 (Cohen, GTM 138, 2.4) answers the integer questions.  One column Hermite
-form (h, v) of m has three readers: `hermite_kernel` (the kernel of m),
+form (h, v) of m has four readers: `hermite_kernel` (the kernel of m),
 `hermite_coords` (coordinates against h's pivot columns, as in
-`Sublattice.coords_of`) and `integer_solution`; `is_unimodular` and
-`is_singular` read the row form.  The Smith form is a loop of row and column
-Hermite forms, so `hermite_normal_form` is the one elimination routine.
+`Sublattice.coords_of`), `integer_solution` and `mat_inv` (v h^-1, with h^-1
+read off h's pivots); `is_unimodular` and `is_singular` read the row form.
+The Smith form is a loop of row and column Hermite forms, and the inverse of
+its unimodular u is the transform of u's row form, so `hermite_normal_form`
+is the one elimination routine.
 """
 
 from __future__ import annotations
@@ -112,25 +114,6 @@ def frac_mod1(x: Fraction) -> Fraction:
 
 def vec_mod1(v) -> Vector:
     return tuple(frac_mod1(x) for x in v)
-
-
-def mat_inv(m):
-    """Exact inverse of a square rational matrix (LatticeError if singular)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise LatticeError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -247,6 +230,21 @@ def integer_solution(hermite: tuple[Matrix, Matrix], b) -> tuple[int, ...] | Non
     if y is None or any(c.denominator != 1 for c in y):
         return None
     return mat_vec(v, [int(c) for c in y] + [0] * (len(v) - len(y)))
+
+
+def mat_inv(m):
+    """Exact inverse of a square rational matrix (LatticeError if singular).
+
+    For m = a / D with a integral, column_hermite(a) = (h, v) has a v = h, so
+    m^-1 = v (D h^-1), and column j of D h^-1 is read off h's pivots.
+    """
+    d, a = over_common_denominator(m)
+    h, v = column_hermite(a)
+    cols = transpose(h)
+    if not all(map(any, cols)):
+        raise LatticeError("matrix is singular")
+    scaled = [hermite_coords(cols, vec_scale(d or 1, e)) for e in identity(len(m))]
+    return transpose([mat_vec(v, y) for y in scaled])
 
 
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
@@ -386,7 +384,7 @@ def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
         coord_cols.append(tuple(int(c) for c in coords))
     x = transpose(tuple(coord_cols))  # k x k, big-coordinates of small's basis
     u, s = smith_normal_form(x)
-    u_inv = mat_inv(u)
+    u_inv = hermite_normal_form(u)[1]  # u is unimodular: its row form is I
     factors = []
     gens = []
     big_basis = big.basis_vectors()

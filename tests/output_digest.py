@@ -10,9 +10,12 @@ so a refactor that must not change any report is checked by running this
 in both.  It is a script, not a collected test, because it takes about
 half a minute.
 
-    PYTHONPATH=src python tests/output_digest.py [--each]
+    PYTHONPATH=src python tests/output_digest.py [--each] [--expect SHA256]
 
 `--each` also prints one digest per output, to find the ones that differ.
+`--expect SHA256` compares the digest with a known one, such as the digest
+printed in the other checkout: when they differ, the script prints both and
+exits 1, so the byte-identity check is one command.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ def outputs(path: Path):
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--each", action="store_true", help="print one digest per output")
+    parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the digest is this one")
     args = parser.parse_args(argv)
     total = hashlib.sha256()
     count = 0
@@ -80,7 +84,11 @@ def run(argv=None) -> int:
                 print(digest, label)
             total.update(f"{digest} {label}\n".encode())
             count += 1
-    print(f"{count} outputs, sha256 {total.hexdigest()}")
+    digest = total.hexdigest()
+    print(f"{count} outputs, sha256 {digest}")
+    if args.expect is not None and digest != args.expect:
+        print(f"digest differs: expected {args.expect}, got {digest}")
+        return 1
     return 0
 
 

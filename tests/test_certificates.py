@@ -45,7 +45,7 @@ from helpers import (
     t0_table,
     three_curve_document,
 )
-from hyperelliptic import albanese, exactlin
+from hyperelliptic import albanese
 from hyperelliptic.action import (
     AffineAut,
     HyperellipticDatum,
@@ -382,17 +382,17 @@ def test_albanese_lattice_reduces_a_basis_of_the_image(family, monkeypatch):
     seen = recorded_hermite_inputs(monkeypatch)
     widths = []
     compute_albanese = albanese.compute_albanese
-    smith_normal_form = exactlin.smith_normal_form
+    quotient_group = albanese.quotient_group
 
-    def unrecorded_smith(m):
-        # the Smith form of Lambda_B / Lambda_0 is a loop of Hermite forms of
-        # its own; its rounds reduce no generators of Lambda_B
+    def unrecorded_quotient(big, small):
+        # Lambda_B / Lambda_0 takes Hermite forms of its own: the Smith
+        # form's rounds and the inverse of its u; none reduces generators
         start = len(seen)
-        result = smith_normal_form(m)
+        result = quotient_group(big, small)
         del seen[start:]
         return result
 
-    monkeypatch.setattr(exactlin, "smith_normal_form", unrecorded_smith)
+    monkeypatch.setattr(albanese, "quotient_group", unrecorded_quotient)
 
     def measured(*args):
         seen.clear()
@@ -409,14 +409,17 @@ def test_albanese_lattice_reduces_a_basis_of_the_image(family, monkeypatch):
 
 
 def test_product_torus_and_factor_alignment_are_one_reduction_each(monkeypatch):
-    # Z^6 + Z k_gens is one reduction of the identity columns and the k_gens;
+    # Z^6 + Z k_gens is one reduction of the identity columns and the k_gens,
+    # then TorusDatum inverts the basis with one 6 x 6 form of D lam_basis;
     # the product lattice of the support's planes is one reduction of columns
     # of lam_basis^-1, compared with a sublattice that is already canonical
     seen = recorded_hermite_inputs(monkeypatch)
     half, third = Fraction(1, 2), Fraction(1, 3)
     k_gens = [(half, half, half, half, 0, 0), (0, 0, 0, 0, third, 2 * third)]
     torus = build_product_torus([EllipticFactor("generic")] * 3, k_gens)
-    assert len(seen) == 1 and len(seen[0]) == 6 + len(k_gens)
+    assert len(seen) == 2
+    assert len(seen[0]) == 6 + len(k_gens) and len(seen[0][0]) == 6
+    assert seen[1] == transpose(over_common_denominator(torus.lam_basis)[1])
     # Lambda meets the first factor's plane in Z^2, the third's in more
     for rows, expected in ((torus.lam_basis[2:], (0,)), (torus.lam_basis[:4], None)):
         plane = kernel_lattice(rows)

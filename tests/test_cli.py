@@ -44,14 +44,14 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_fresh_cli(args) -> subprocess.CompletedProcess:
+def run_fresh_cli(args, **env) -> subprocess.CompletedProcess:
     """``python -m hyperelliptic.cli`` in a new interpreter importing this checkout's package."""
     src = str(Path(hyperelliptic.__file__).parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "hyperelliptic.cli", *args],
         capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
 
 
@@ -326,6 +326,22 @@ class TestStrictInput:
         code, err = self.check_exit(dict(doc, rank=rank), tmp_path, capsys)
         assert code == 1
         assert "rank" in err
+
+    @pytest.mark.parametrize(
+        "label", ["zeta" + "9" * 5000, "zeta4^" + "9" * 5000, "zeta4^-" + "9" * 5000],
+        ids=["order", "exponent", "negative-exponent"],
+    )
+    @pytest.mark.parametrize("mode", ["builder", "raw"])
+    def test_over_long_root_label_exit_1(self, mode, label, tmp_path, capsys):
+        # int() refuses a run of digits past its conversion limit with a bare ValueError
+        if mode == "builder":
+            doc = with_generator(BUILDER_SHIFT, zetas=[label, "-1"])
+        else:
+            doc = with_generator(RAW_INVOLUTION, eigenvalues=[label])
+        code, err = self.check_exit(doc, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith(f"input error: bad root-of-unity label {label!r}: ")
+        assert "digits" in err
 
     def test_unknown_key_exit_1(self, tmp_path, capsys):
         for doc in (get_entry("z4-threefold").document, RAW_INVOLUTION):
@@ -808,6 +824,22 @@ class TestExitCodeContract:
                     run = run_fresh_cli([*command, str(path), "--format", fmt])
                     assert run.returncode in (0, 1, 2, 3), (name, command, fmt)
                     assert b"Traceback" not in run.stderr, (name, command, fmt)
+
+
+class TestUnencodableOutput:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_output_the_terminal_cannot_encode_exits_1(self, fmt, tmp_path):
+        # UnicodeEncodeError is a ValueError, but the fault is stdout's, not the datum's
+        factors = [{"kind": "generic", "label": "E_\u03c4"}, {"kind": "generic"}]
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps(dict(BUILDER_SHIFT, factors=factors)))
+        run = run_fresh_cli(["albanese", str(path), "--format", fmt], PYTHONIOENCODING="ascii")
+        assert run.returncode == 1
+        assert run.stderr.startswith(b"cannot write output: 'ascii' codec can't encode")
+        unicode_run = run_fresh_cli(["albanese", str(path), "--format", fmt],
+                                    PYTHONIOENCODING="utf-8")
+        assert unicode_run.returncode == 0
+        assert "E_\u03c4".encode() in unicode_run.stdout
 
 
 class TestInternalErrors:

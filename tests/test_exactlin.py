@@ -20,6 +20,7 @@ from hyperelliptic.exactlin import (
     is_singular,
     is_unimodular,
     kernel_lattice,
+    mat_inv,
     mat_mul,
     mat_vec,
     over_common_denominator,
@@ -227,11 +228,90 @@ class TestHermiteDecisions:
     @example(((F(0), F(1, 2)), (F(-1, 2), F(0))))
     def test_rational_singularity_against_bareiss(self, m):
         # scaling row i by the lcm of its own denominators keeps det == 0 or != 0
-        rows = []
-        for row in m:
-            d = lcm(*(x.denominator for x in row)) if row else 1
-            rows.append(tuple(int(x * d) for x in row))
-        assert is_singular(m) == (bareiss_det(rows) == 0)
+        assert is_singular(m) == (bareiss_det(row_scaled(m)) == 0)
+
+
+def row_scaled(m):
+    """m with each row scaled by the lcm of its own denominators: det stays 0 or != 0."""
+    rows = []
+    for row in m:
+        d = lcm(*(F(x).denominator for x in row)) if row else 1
+        rows.append(tuple(int(x * d) for x in row))
+    return rows
+
+
+def unimodular_matrices(max_n=5):
+    """Products of random elementary integer row operations: add c * row j, swap, negate."""
+    def build(case):
+        n, ops = case
+        u = [list(row) for row in identity(n)]
+        for kind, i, j, c in ops:
+            i, j = i % n, j % n
+            if kind == 0 and i != j:
+                u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+            elif kind == 1:
+                u[i], u[j] = u[j], u[i]
+            elif kind == 2:
+                u[i] = [-x for x in u[i]]
+        return tuple(map(tuple, u))
+
+    op = st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 4), st.integers(-3, 3))
+    return st.tuples(st.integers(1, max_n), st.lists(op, max_size=12)).map(build)
+
+
+class TestInverse:
+    """mat_inv is D v h^-1 off column_hermite(D m) = (h, v); checked only by products."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.builds(F, st.integers(-3, 3), st.integers(1, 6)),
+                         min_size=n, max_size=n),
+                min_size=n, max_size=n,
+            ).map(lambda m: tuple(map(tuple, m)))
+        )
+    )
+    @example(((F(1, 2),),))
+    @example(((F(0), F(1)), (F(1), F(0))))  # no pivot on the diagonal
+    @example(((F(2), F(1)), (F(1), F(1))))  # unimodular: the inverse is integral
+    def test_two_sided_inverse(self, m):
+        if bareiss_det(row_scaled(m)) == 0:
+            with pytest.raises(LatticeError, match="singular"):
+                mat_inv(m)
+            return
+        inv = mat_inv(m)
+        n = len(m)
+        assert reference_mat_mul(m, inv) == identity(n) == reference_mat_mul(inv, m)
+        assert all(type(x) is F for row in inv for x in row)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            ((0, 0), (0, 0)),
+            ((1, 2, 3), (0, 0, 0), (4, 5, 7)),
+            ((F(1, 2), 3, 1), (1, 1, 1), (F(1, 2), 3, 1)),
+        ],
+        ids=["zero-matrix", "zero-row", "equal-rows"],
+    )
+    def test_singular_raises(self, m):
+        with pytest.raises(LatticeError, match="singular"):
+            mat_inv(m)
+
+    def test_empty(self):
+        assert mat_inv(()) == ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(unimodular_matrices())
+    @example(((0, 1), (1, 0)))
+    @example(((-1,),))
+    def test_row_form_of_unimodular_is_identity_and_inverse(self, u):
+        # quotient_group reads the inverse of the Smith form's u this way
+        n = len(u)
+        h, u_inv = hermite_normal_form(u)
+        assert h == identity(n)
+        assert reference_mat_mul(u_inv, u) == identity(n) == reference_mat_mul(u, u_inv)
+        assert u_inv == mat_inv(u)
 
 
 def sympy_hermite_rows(m):
