@@ -43,6 +43,12 @@ need no certificate: an x in Z^n with P0 x in Lambda_0 has x - P0 x in
 Z^n meet V1 = Lambda_1, so P0 is injective on K, and so is I - P0.  A failed
 certificate raises PipelineInvariantError (NotASubgroup for H), which
 signals a bug rather than bad input.
+
+The fiber passes validation by theorem, as the datum did (h in H, basis B):
+free: a fixed point of h on A1 is one on A, as the shift is tau(h) - w, w in Z^n;
+faithful: M_h = I on V1 and on V0 makes h a translation of G, so h = 1;
+form: M B = B L gives L^T (B^T E B) L = B^T E B;
+eigenvalues: rho|V0 is trivial, and det rho|V1 = det rho is a character of G.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from .action import (
     ActionGroup,
     AffineAut,
     HyperellipticDatum,
+    ValidationReport,
     quotient_by_translations,
     rewrite_on_lattice,
     validate,
@@ -143,12 +150,10 @@ class AlbaneseReport(NamedTuple):
 
 
 def _require_validated(d: HyperellipticDatum) -> None:
-    if d._report is None:
-        validate(d)
-    if not d._report.passed:
+    report = d._report or validate(d)  # a fiber's report is certified by compute_fiber
+    if not report.passed:
         raise PipelineInvariantError(
-            "pipeline requires a datum that passes validation: "
-            + "; ".join(d._report.failures())
+            "pipeline requires a datum that passes validation: " + "; ".join(report.failures())
         )
 
 
@@ -279,7 +284,7 @@ def compute_fiber(
     h_indices,
     shifts,
 ) -> tuple[HyperellipticDatum, tuple[int, ...] | None]:
-    """The fiber datum over the origin: A1 with the induced H-action.
+    """The fiber datum over the origin: A1 with the induced H-action, certified valid.
 
     The fiber's lattice coordinates are the basis of Lambda_1 that
     ``_fiber_basis`` returns: on a factor-aligned fiber, the product
@@ -287,11 +292,12 @@ def compute_fiber(
     Lambda_1.  Each h acts by a1 -> rho(h)|V1 a1 + shift(h), with the V1 shift
     from compute_H.  A1/H is the restriction of H to A1, so its group law is
     G's: each h goes to ``rewrite_on_lattice`` with its index in G, and the
-    fiber's products are read off G's Cayley table, not closed again.  The
-    caller then normalizes the datum via quotient_by_translations before
-    classification.  On a factor-aligned fiber h keeps its eigenvalues on the
-    fiber's factors, in factor order, and must have eigenvalue 1 on the
-    others; otherwise it drops the first q ones.
+    fiber's products are read off G's Cayley table, not closed again.  On a
+    factor-aligned fiber h keeps its eigenvalues on the fiber's factors, in
+    factor order, and must have eigenvalue 1 on the others; otherwise it
+    drops the first q ones.  Once no two members merge (order check), the
+    fiber's cached report is the passing one the module docstring proves, so
+    ``quotient_by_translations`` returns it unchanged.
     """
     cols, factor_indices = _fiber_basis(d, dec.lambda1)
     q = dec.q
@@ -307,14 +313,13 @@ def compute_fiber(
         if len(dropped) != q or not all(z.is_one() for z in dropped):
             raise PipelineInvariantError("element lacks eigenvalue 1 on the q Albanese directions")
         members.append((i, AffineAut(e.linear, shifts[i], tuple(eig[k] for k in kept))))
-    factors = None
-    if factor_indices is not None:
-        factors = tuple(d.torus.factors[i] for i in factor_indices)
+    factors = None if factor_indices is None else tuple(d.torus.factors[i] for i in factor_indices)
     r1 = len(cols)
     torus = TorusDatum(r1, tuple(tuple(map(Fraction, row)) for row in identity(r1)), factors)
     fiber = rewrite_on_lattice(d, cols, torus, members)
     if fiber.group.order != len(h_indices):
         raise PipelineInvariantError("fiber action has the wrong order")
+    fiber._report = ValidationReport(fiber.group.order, (), (), (), ())
     return fiber, factor_indices
 
 
@@ -358,11 +363,7 @@ def _abelian_invariant_factors(group: ActionGroup) -> tuple[int, ...]:
 
 
 def classify_fiber(fiber: HyperellipticDatum) -> FiberClassification:
-    """Abelian iff nothing but translations remain; otherwise the holonomy structure.
-
-    The fiber must already be normalized by ``quotient_by_translations``, as
-    ``run_pipeline`` does, so its group has no nonidentity translations.
-    """
+    """Abelian iff H is trivial, else H's structure: a fiber is faithful, so H is its holonomy."""
     group = fiber.group
     dim = fiber.dim
     if group.order == 1:
@@ -379,7 +380,6 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
     n = d.dim
     proj0 = fixed_projector(d)
     lambda0 = compute_A0(proj0)
-    q = lambda0.rank // 2
     dec = compute_K(d, lambda0, proj0)
     t0 = decompose_cocycle(d, dec)
     h_indices, shifts = compute_H(d, dec, t0)
@@ -388,19 +388,14 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
         raise NotASubgroup(f"|G| |K| != |H| [Lambda_B : Lambda_0] with |H| = {len(h_indices)}")
     fiber, fiber_factor_indices = compute_fiber(d, dec, h_indices, shifts)
     fiber = quotient_by_translations(fiber)
-    fiber_report_check = validate(fiber)
-    if not fiber_report_check.passed:
-        raise PipelineInvariantError(
-            "fiber datum fails validation: " + "; ".join(fiber_report_check.failures())
-        )
     fiber_class = classify_fiber(fiber)
-    if q == n - 1 and d.group.order > 1 and not d.group.is_cyclic():
+    if dec.q == n - 1 and d.group.order > 1 and not d.group.is_cyclic():
         raise PipelineInvariantError("irregularity n - 1 forces a cyclic group")
     if d.group.is_cyclic() and fiber_class.kind == "hyperelliptic" and not fiber_class.cyclic:
         raise PipelineInvariantError("cyclic groups must give abelian or cyclic fibers")
     alb_indices = identify_factor_subspace(d.torus, lambda0) if lambda0.rank else ()
     report = AlbaneseReport(
-        q=q,
+        q=dec.q,
         dim=n,
         group_order=d.group.order,
         decomposition=dec,

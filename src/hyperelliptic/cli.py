@@ -4,7 +4,8 @@ Exit codes: 0 success (``--help`` included), 1 I/O, parse or usage error,
 2 mathematical validation failure, 3 internal consistency failure or any
 other exception, reported as ``internal error: <ExceptionType>: <message>``,
 so no traceback reaches the user.  Output is deterministic byte-for-byte for
-a fixed input and flags.
+a fixed input and flags, and each report, json or text, goes to stdout in
+one write, so one that stdout cannot encode leaves no partial report.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _write_lines(lines) -> None:
+    """A text report in one write, as json's, so a report stdout cannot encode writes nothing."""
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+
+
 def _valid_datum(path: str):
     """The datum in the file; one that fails validation exits 2 through main."""
     datum = load_document(path)
@@ -58,11 +64,10 @@ def cmd_check(args) -> int:
     if args.format == "json":
         sys.stdout.write(dumps_canonical(payload))
     else:
-        for key in ("passed", "is_hyperelliptic", "group_order", "free",
-                    "form_invariant", "eigenvalues_consistent", "faithful"):
-            print(f"{key}: {payload[key]}")
-        for failure in payload["failures"]:
-            print(f"failure: {failure}")
+        keys = ("passed", "is_hyperelliptic", "group_order", "free",
+                "form_invariant", "eigenvalues_consistent", "faithful")
+        _write_lines([f"{key}: {payload[key]}" for key in keys]
+                     + [f"failure: {failure}" for failure in payload["failures"]])
     return 0 if report.passed else 2
 
 
@@ -79,31 +84,34 @@ def cmd_albanese(args) -> int:
     if args.format == "json":
         sys.stdout.write(dumps_canonical(payload))
     else:
-        _print_albanese_text(payload)
-        print(f"canonical orders: omega_X {diag.x_canonical_order}, "
-              f"fiber {diag.fiber_canonical_order}; pulled back from Albanese: "
-              f"{diag.pulled_back_from_albanese}")
+        _write_lines(_albanese_lines(payload) + [
+            f"canonical orders: omega_X {diag.x_canonical_order}, "
+            f"fiber {diag.fiber_canonical_order}; pulled back from Albanese: "
+            f"{diag.pulled_back_from_albanese}"])
     return 0
 
 
-def _print_albanese_text(payload: dict, indent: str = "") -> None:
-    print(f"{indent}dim X = {payload['dim']}, irregularity q = {payload['q']}, "
-          f"|G| = {payload['group_order']}")
-    print(f"{indent}K invariant factors: {payload['k']['invariant_factors']}")
+def _albanese_lines(payload: dict, indent: str = "") -> list[str]:
     alb = payload["albanese"]
-    names = alb["factor_names"]
-    base = f" on {' x '.join(names)}" if names else ""
-    print(f"{indent}Albanese: dimension {alb['dim']}{base}, "
-          f"isogeny factors over Lambda_0: {alb['isogeny_factors']}")
     h = payload["h"]
-    print(f"{indent}H: order {h['order']}, element indices {h['element_indices']}")
     fiber = payload["fiber"]
-    names = fiber["factor_names"]
-    base = f" on {' x '.join(names)}" if names else ""
-    print(f"{indent}fiber: {fiber['description']}{base}")
+    lines = [
+        f"{indent}dim X = {payload['dim']}, irregularity q = {payload['q']}, "
+        f"|G| = {payload['group_order']}",
+        f"{indent}K invariant factors: {payload['k']['invariant_factors']}",
+        f"{indent}Albanese: dimension {alb['dim']}{_on_factors(alb['factor_names'])}, "
+        f"isogeny factors over Lambda_0: {alb['isogeny_factors']}",
+        f"{indent}H: order {h['order']}, element indices {h['element_indices']}",
+        f"{indent}fiber: {fiber['description']}{_on_factors(fiber['factor_names'])}",
+    ]
     if payload.get("fiber_report"):
-        print(f"{indent}fiber report:")
-        _print_albanese_text(payload["fiber_report"], indent + "  ")
+        lines.append(f"{indent}fiber report:")
+        lines += _albanese_lines(payload["fiber_report"], indent + "  ")
+    return lines
+
+
+def _on_factors(names) -> str:
+    return f" on {' x '.join(names)}" if names else ""
 
 
 def cmd_invariants(args) -> int:
@@ -113,12 +121,13 @@ def cmd_invariants(args) -> int:
     if args.format == "json":
         sys.stdout.write(dumps_canonical(payload))
     else:
-        print(f"dim X = {inv.dim}, q = {inv.q}, |G| = {inv.group_order}, "
-              f"cyclic = {inv.cyclic}")
-        print(f"canonical order = {inv.canonical_order}, "
-              f"chi(O_X) = {inv.euler_char_structure_sheaf}")
-        print("Hodge diamond:")
-        print(inv.diamond.pretty())
+        _write_lines([
+            f"dim X = {inv.dim}, q = {inv.q}, |G| = {inv.group_order}, cyclic = {inv.cyclic}",
+            f"canonical order = {inv.canonical_order}, "
+            f"chi(O_X) = {inv.euler_char_structure_sheaf}",
+            "Hodge diamond:",
+            inv.diamond.pretty(),
+        ])
     return 0
 
 
@@ -160,13 +169,14 @@ def cmd_oracle(args) -> int:
     if args.format == "json":
         sys.stdout.write(dumps_canonical(payload))
     else:
-        print(f"fixed points: {'pass' if survey.passed else 'FAIL'}"
-              f"{' (reduced levels)' if survey.downgraded else ''}")
-        for c in survey.checks:
-            print(f"  element {c.element_index}: count {c.count} at level {c.level}"
-                  f" ({'exhaustive' if c.exhaustive else 'one-sided'},"
-                  f" exact={c.exact_has_fixed_point})")
-        print(f"fiber count: {verdict.describe()}")
+        _write_lines(
+            [f"fixed points: {'pass' if survey.passed else 'FAIL'}"
+             f"{' (reduced levels)' if survey.downgraded else ''}"]
+            + [f"  element {c.element_index}: count {c.count} at level {c.level}"
+               f" ({'exhaustive' if c.exhaustive else 'one-sided'},"
+               f" exact={c.exact_has_fixed_point})" for c in survey.checks]
+            + [f"fiber count: {verdict.describe()}"]
+        )
     return 0 if survey.passed and verdict.passed else 2
 
 
@@ -175,8 +185,7 @@ def cmd_catalog(args) -> int:
     from .catalog import UnknownEntry, get_entry, list_entries, run_entry
 
     if args.action == "list":
-        for name in list_entries():
-            print(name)
+        _write_lines(list_entries())
         return 0
     if args.name is None:
         return _fail(1, f"catalog {args.action} needs an entry name")
@@ -187,7 +196,7 @@ def cmd_catalog(args) -> int:
     if args.action == "run":
         diff = run_entry(args.name)
         if not diff:
-            print(f"{args.name}: empty diff")
+            _write_lines([f"{args.name}: empty diff"])
             return 0
         sys.stdout.write(dumps_canonical({"entry": args.name, "diff": diff}))
         return 2

@@ -9,6 +9,8 @@ are built in canonical order and dumped with sorted keys.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 from .action import (
@@ -48,6 +50,7 @@ def parse_rational(text) -> Fraction:
         raise InputError(f"expected a rational string, got {text!r}")
     if not text.isascii() or "_" in text:  # Fraction reads "1_0" as 10 and non-ASCII digits
         raise InputError(f"bad rational {text!r}: only ASCII digits without '_'")
+    _check_digit_count(text, "bad rational")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -74,6 +77,18 @@ def format_vector(v) -> list[str]:
 _ROOT_SHORTHAND = {"1": (0, 1), "-1": (1, 2), "i": (1, 4), "-i": (3, 4)}
 
 
+def _check_digit_count(text: str, what: str) -> None:
+    """Name a run of digits past int()'s conversion limit by its length, not its digits.
+
+    int() reads each run of a rational or a label on its own, and its error
+    quotes a remedy (sys.set_int_max_str_digits) that a document cannot apply.
+    """
+    longest = max(map(len, re.findall("[0-9]+", text)), default=0)
+    limit = sys.get_int_max_str_digits()
+    if limit and longest > limit:
+        raise InputError(f"{what}: a number of {longest} digits, over the limit of {limit}")
+
+
 def _is_ascii_digits(text: str) -> bool:
     """Whether text is a nonempty run of 0-9; int() also reads "1_0", " 4" and non-ASCII digits."""
     return text.isascii() and text.isdigit()
@@ -91,10 +106,8 @@ def parse_root_label(text) -> RootOfUnity:
             raise InputError(f"bad exponent in {text!r}")
         if not _is_ascii_digits(body):
             raise InputError(f"bad root-of-unity label {text!r}")
-        try:
-            order, power = int(body), int(exp or 1)
-        except ValueError as exc:  # a run of digits past int()'s conversion limit
-            raise InputError(f"bad root-of-unity label {text!r}: {exc}") from None
+        _check_digit_count(label, "bad root-of-unity label")
+        order, power = int(body), int(exp or 1)
         if order < 1:
             raise InputError(f"bad root-of-unity order in {text!r}")
         return RootOfUnity.of(power, order)
@@ -267,10 +280,16 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
+def _json_int(text: str) -> int:
+    """parse_int for json: an over-long integer literal is named by its length."""
+    _check_digit_count(text, "integer literal")
+    return int(text)
+
+
 def load_document(path: str) -> HyperellipticDatum:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
+            doc = json.load(fh, object_pairs_hook=_unique_keys, parse_int=_json_int)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:

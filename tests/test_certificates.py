@@ -20,7 +20,10 @@ H and its shifts must equal one integer solve per element, D P0 must reach
 its column Hermite form once per pipeline level with Lambda_1 still the
 kernel of P0, and |G| |K| = |H| [Lambda_B : Lambda_0] must hold.  `validate`
 checks a factor torus's eigenvalues on the generators only; the reference
-checks every element, on the same data and on the fiber-basis sweep.
+checks every element, on the same data and on the fiber-basis sweep.  Each
+fiber's report, which `compute_fiber` certifies by theorem, must equal the
+full `validate` of the fiber, on every level of those data and of two copies
+of `z2z2-threefold` side by side.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ from hyperelliptic.torus import (
     build_product_torus,
     identify_factor_subspace,
 )
+from test_closure_reference import z2z2_copies
 from test_nonabelian import D4_THREEFOLD
 
 # the benchmark's stress points, (m, k, base); each pipeline runs in well under 2 s
@@ -441,6 +445,20 @@ def test_factor_alignment_matches_product_coordinates(family):
             for sub in (dec.lambda0, dec.lambda1):
                 reference = factor_subspace_in_product_coords(datum.torus, sub)
                 assert identify_factor_subspace(datum.torus, sub) == reference
+
+
+@pytest.mark.parametrize(
+    "family", ["catalog", "stress", "sweep", "nonabelian", "base-change", "z2z2-x2"]
+)
+def test_certified_fiber_report_matches_validate(family):
+    # compute_fiber gives each fiber a passing report by theorem, and the
+    # pipeline no longer validates fibers; the full validate must agree
+    data = [z2z2_copies(2)] if family == "z2z2-x2" else projector_data(family)
+    assert data
+    for d in data:
+        for _, report in pipeline_chain(d):
+            certified = report.fiber._report  # read before validate replaces it
+            assert validate(report.fiber) == certified
 
 
 def test_factor_alignment_matches_product_coordinates_on_the_sweep():

@@ -340,8 +340,26 @@ class TestStrictInput:
             doc = with_generator(RAW_INVOLUTION, eigenvalues=[label])
         code, err = self.check_exit(doc, tmp_path, capsys)
         assert code == 1
-        assert err.startswith(f"input error: bad root-of-unity label {label!r}: ")
-        assert "digits" in err
+        assert err.startswith("input error: bad root-of-unity label: a number of 5000 digits, ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps(with_generator(RAW_INVOLUTION, translation=["1" + "0" * 4999, "1/2"])),
+            json.dumps(with_generator(BUILDER_SHIFT, zetas=["zeta" + "9" * 5000, "-1"])),
+            json.dumps(RAW_INVOLUTION).replace('"rank": 2', '"rank": ' + "1" * 5000),
+        ],
+        ids=["rational", "root-label", "json-integer"],
+    )
+    def test_over_long_number_is_named_not_echoed(self, text, tmp_path, capsys):
+        # the message gives the digit count and the limit, not the value and
+        # Python's own remedy, which a document cannot apply
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 1
+        assert "5000 digits, over the limit of 4300" in err
+        assert len(err.encode()) < 300 and "set_int_max_str_digits" not in err
 
     def test_unknown_key_exit_1(self, tmp_path, capsys):
         for doc in (get_entry("z4-threefold").document, RAW_INVOLUTION):
@@ -829,15 +847,16 @@ class TestExitCodeContract:
 class TestUnencodableOutput:
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_output_the_terminal_cannot_encode_exits_1(self, fmt, tmp_path):
-        # UnicodeEncodeError is a ValueError, but the fault is stdout's, not the datum's
+        # UnicodeEncodeError is a ValueError, but the fault is stdout's, not the
+        # datum's; the report is written in one call, so none of it reaches stdout
         factors = [{"kind": "generic", "label": "E_\u03c4"}, {"kind": "generic"}]
         path = tmp_path / "tau.json"
         path.write_text(json.dumps(dict(BUILDER_SHIFT, factors=factors)))
-        run = run_fresh_cli(["albanese", str(path), "--format", fmt], PYTHONIOENCODING="ascii")
-        assert run.returncode == 1
+        argv = ["albanese", str(path), "--format", fmt]
+        run = run_fresh_cli(argv, PYTHONIOENCODING="ascii")
+        assert (run.returncode, run.stdout) == (1, b"")
         assert run.stderr.startswith(b"cannot write output: 'ascii' codec can't encode")
-        unicode_run = run_fresh_cli(["albanese", str(path), "--format", fmt],
-                                    PYTHONIOENCODING="utf-8")
+        unicode_run = run_fresh_cli(argv, PYTHONIOENCODING="utf-8")
         assert unicode_run.returncode == 0
         assert "E_\u03c4".encode() in unicode_run.stdout
 
