@@ -8,8 +8,8 @@ keeps the Cayley edges, and a new element's eigenvalues follow one rule per
 kind of datum (see close_group).  The group is its Cayley table: a generator
 is an element index (``ActionGroup.gens``), every product is read off the
 edges, element orders are walked once, on first use (``ActionGroup.orders``), and
-nothing looks an element up by value.  A derived group (a fiber, a
-translation quotient) reads its parent's edges.
+nothing looks an element up by value.  A derived group (an Albanese fiber)
+reads its parent's edges.
 Fixed-point existence is decided exactly by rational linear algebra: since
 the linear part and the translation are rational, a real fixed point exists
 iff a rational one does, so freeness results are certificates, not samples.
@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 from .cyclotomic import RootOfUnity, cyclotomic_polynomial, euler_phi, poly_divmod_exact
 from .exactlin import (
-    Sublattice,
     as_fractions,
     hermite_normal_form,
     identity,
@@ -530,26 +529,17 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
 
 
 def quotient_by_translations(d: HyperellipticDatum) -> HyperellipticDatum:
-    """Normalize T/G to (T/H)/(G/H) where H is the translation subgroup.
+    """Certify that no nonidentity element of G is a translation, and return d.
 
-    The translation subgroup is normal; its vectors enlarge the period
-    lattice, and the group descends with the translations removed.  Data with
-    no nonidentity translations are returned unchanged (idempotent).
+    Every datum ``run_pipeline`` reaches is faithful: a top-level datum has
+    passed ``validate``, and an Albanese fiber is faithful by theorem (see the
+    ``albanese`` module docstring).  So no translation subgroup is left to
+    quotient away, and a nonidentity translation raises GroupInvariantError.
     """
-    translations = [e.translation for e in d.group.elements[1:] if e.is_translation()]
-    if not translations:
-        return d
-    rank = d.rank
-    enlarged = Sublattice.from_rat_columns(rank, list(identity(rank)) + translations)
-    cols = enlarged.basis_vectors()
-    torus = TorusDatum(rank, mat_mul(d.torus.lam_basis, transpose(cols)), d.torus.factors)
-    quotient = rewrite_on_lattice(d, cols, torus, enumerate(d.group.elements))
-    expected = d.group.order // (len(translations) + 1)
-    if quotient.group.order != expected:
-        raise GroupInvariantError(
-            f"translation quotient has order {quotient.group.order}, expected {expected}"
-        )
-    return quotient
+    for i, e in enumerate(d.group.elements[1:], 1):
+        if e.is_translation():
+            raise GroupInvariantError(f"element {i} is a translation of a faithful datum")
+    return d
 
 
 def rewrite_on_lattice(
@@ -564,14 +554,14 @@ def rewrite_on_lattice(
     coordinates and its eigenvalues for the new datum.  In the basis B an
     element reads (L M B, L t mod 1) with L = (B^T B)^-1 B^T, so L B = I, and
     the form reads B^T E B.  A linear part that is not integral raises
-    GroupInvariantError.  Equal images merge in first-seen order and every
-    nonidentity image is a generator.  The rewrite is a homomorphism, so a
-    product is read off d's Cayley table at the first members with those
-    images; one outside the members raises GroupInvariantError.
+    GroupInvariantError, and so do two members with one image: the members
+    act faithfully, so each keeps its own element.  Every nonidentity member
+    is a generator.  The rewrite is a homomorphism, so a product is read off
+    d's Cayley table; one outside the members raises GroupInvariantError.
     """
     b = transpose(cols)
     left = mat_mul(mat_inv(mat_mul(cols, b)), cols)
-    elements, reps, index, label = [], [], {}, {}
+    elements, label, owner = [], {}, {}
     for i, e in members:
         linear = mat_mul(left, mat_mul(e.linear, b))
         if not all(vec_is_integral(row) for row in linear):
@@ -581,10 +571,12 @@ def rewrite_on_lattice(
             vec_mod1(mat_vec(left, e.translation)),
             e.eigenvalues,
         )
-        label[i] = index.setdefault(g.key(), len(elements))
-        if label[i] == len(elements):
-            elements.append(g)
-            reps.append(i)
+        key = g.key()
+        if key in owner:
+            raise GroupInvariantError(f"elements {owner[key]} and {i} have one image")
+        owner[key], label[i] = i, len(elements)
+        elements.append(g)
+    reps = tuple(label)
     try:
         edges = tuple(tuple(label[d.group.compose_indices(a, s)] for s in reps[1:]) for a in reps)
     except KeyError as exc:

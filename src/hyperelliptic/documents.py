@@ -51,6 +51,8 @@ def parse_rational(text) -> Fraction:
     if not text.isascii() or "_" in text:  # Fraction reads "1_0" as 10 and non-ASCII digits
         raise InputError(f"bad rational {text!r}: only ASCII digits without '_'")
     _check_digit_count(text, "bad rational")
+    if "e" in text.lower():  # Fraction reads "1e999999999" as a number of a billion digits
+        raise InputError(f"bad rational {text!r}: exponent notation is not accepted")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -25,7 +25,7 @@ is the one elimination routine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -282,9 +282,11 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
 class Sublattice(NamedTuple):
     """A finitely generated lattice in Q^ambient_rank.
 
-    Basis vectors are ``cols[i] / den``; ``cols`` is the canonical column-Hermite
-    form of all the generators, reduced at once, so structural equality is
-    lattice equality.
+    Basis vectors are ``cols[i] / den``: ``den`` is the least common
+    denominator of the generators, which depends on the lattice alone (its
+    vectors are integer combinations of them), and ``cols`` is the canonical
+    column-Hermite form of all the generators over ``den``, reduced at once,
+    so structural equality is lattice equality.
     ``den == 1`` is the plain integer-sublattice case (kernels, saturations,
     Lambda_0, Lambda_1); rational denominators arise for quotient
     presentations such as Lambda in product coordinates or Albanese lattices.
@@ -318,10 +320,6 @@ class Sublattice(NamedTuple):
         m = transpose(tuple(cols))  # ambient_rank x k
         h, _ = column_hermite(m)
         kept = tuple(c for c in transpose(h) if any(c))
-        g = gcd(den, *(x for c in kept for x in c))
-        if g > 1:
-            den //= g
-            kept = tuple(tuple(x // g for x in c) for c in kept)
         return Sublattice(ambient_rank, den, kept)
 
     @property

@@ -128,8 +128,6 @@ def oracle_fixed_points(model: TorsionModel, element_index: int) -> int:
             return 0
     active_cols = [j for j in range(r) if any(a[i][j] for i in range(r))]
     free = n ** (r - len(active_cols))
-    if not active_cols:
-        return free
     rows = [tuple(a[i][j] for j in active_cols) for i in active_rows]
     target = tuple(b[i] for i in active_rows)
     k = len(active_cols)

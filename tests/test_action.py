@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_perfbench
-from helpers import coset_has_fixed_point, coset_meets_lattice, index_over_product_lattice
+from helpers import coset_has_fixed_point, coset_meets_lattice
 from hyperelliptic.action import (
     AffineAut,
     GroupInvariantError,
@@ -362,7 +362,19 @@ class TestEigenvalueOrders:
                 assert order == expected, (name, e.eigenvalues)
 
 
+def shift_and_flip():
+    """(z0 + 1/2, z1) and (z0, -z1 + 1/2) on E_tau0 x E_tau1: element 1 is a translation."""
+    torus = build_product_torus([GEN0, GEN1])
+    shift = AffineAut(identity(4), (F(1, 2), F(0), F(0), F(0)), (ONE, ONE))
+    neg = affine_from_factor_action(
+        torus, [block(GEN0, ONE), block(GEN1, MINUS)], (0, F(1, 2), 0, 0)
+    )
+    return HyperellipticDatum(torus, close_group([shift, neg], torus), standard_form(torus))
+
+
 class TestQuotientByTranslations:
+    """A faithful datum passes unchanged; a translation in the group is a program bug."""
+
     def test_no_translations_identity(self):
         d = z4_threefold()
         assert quotient_by_translations(d) is d
@@ -370,26 +382,15 @@ class TestQuotientByTranslations:
     def test_single_translation_of_order_two(self):
         torus = build_product_torus([GEN0])
         shift = AffineAut(identity(2), (F(1, 2), F(0)), (ONE,))
-        group = close_group([shift], torus)
-        d = HyperellipticDatum(torus, group, standard_form(torus))
-        out = quotient_by_translations(d)
-        assert out.group.order == 1
-        assert index_over_product_lattice(out.torus) == 2 * index_over_product_lattice(torus)
+        d = HyperellipticDatum(torus, close_group([shift], torus), standard_form(torus))
+        with pytest.raises(GroupInvariantError, match="element 1 is a translation"):
+            quotient_by_translations(d)
 
     def test_idempotent(self):
-        torus = build_product_torus([GEN0, GEN1])
-        shift = AffineAut(
-            identity(4), (F(1, 2), F(0), F(0), F(0)), (ONE, ONE)
-        )
-        neg = affine_from_factor_action(
-            torus, [block(GEN0, ONE), block(GEN1, MINUS)], (0, F(1, 2), 0, 0)
-        )
-        group = close_group([shift, neg], torus)
-        d = HyperellipticDatum(torus, group, standard_form(torus))
-        once = quotient_by_translations(d)
-        assert once.group.order == 2
-        twice = quotient_by_translations(once)
-        assert twice is once
+        d = shift_and_flip()
+        assert d.group.order == 4 and d.group.elements[1].is_translation()
+        with pytest.raises(GroupInvariantError, match="element 1 is a translation"):
+            quotient_by_translations(d)
 
     def test_unstable_lattice_is_internal_error(self):
         # a basis the group does not preserve is a program bug: exit 3, not "invalid datum"
@@ -408,19 +409,22 @@ class TestQuotientByTranslations:
         with pytest.raises(GroupInvariantError, match="not closed"):
             rewrite_on_lattice(d, cols, d.torus, members)
 
+    def test_two_members_of_one_image_are_internal_error(self):
+        # on the lattice its translation enlarges, element 1 acts as the identity
+        d = shift_and_flip()
+        rank = d.rank
+        lattice = Sublattice.from_rat_columns(
+            rank, list(identity(rank)) + [d.group.elements[1].translation]
+        )
+        cols = lattice.basis_vectors()
+        torus = TorusDatum(rank, mat_mul(d.torus.lam_basis, transpose(cols)), d.torus.factors)
+        with pytest.raises(GroupInvariantError, match="elements 0 and 1 have one image"):
+            rewrite_on_lattice(d, cols, torus, enumerate(d.group.elements))
+
     def test_group_order_factorization(self):
-        torus = build_product_torus([GEN0, GEN1])
-        shift = AffineAut(
-            identity(4), (F(1, 2), F(0), F(0), F(0)), (ONE, ONE)
-        )
-        neg = affine_from_factor_action(
-            torus, [block(GEN0, ONE), block(GEN1, MINUS)], (0, F(1, 2), 0, 0)
-        )
-        group = close_group([shift, neg], torus)
-        d = HyperellipticDatum(torus, group, standard_form(torus))
-        out = quotient_by_translations(d)
-        translations = sum(1 for e in d.group.elements if e.is_translation())
-        assert out.group.order * translations == d.group.order
-        assert all(
-            not e.is_translation() for e in out.group.elements if e != affine_identity(out.rank)
-        )
+        # the rewrite gives each member its own element, so no quotient order is left to check
+        d = shift_and_flip()
+        translations = [i for i, e in enumerate(d.group.elements) if e.is_translation()]
+        assert translations == [0, 1]
+        with pytest.raises(GroupInvariantError, match="element 1 is a translation"):
+            quotient_by_translations(d)

@@ -20,7 +20,7 @@ from hyperelliptic.documents import (
     parse_rational,
     parse_root_label,
 )
-from hyperelliptic.albanese import fixed_projector
+from hyperelliptic.albanese import PipelineInvariantError, fixed_projector, run_pipeline
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.exactlin import Sublattice, identity, transpose
 from helpers import contains
@@ -361,6 +361,15 @@ class TestStrictInput:
         assert "5000 digits, over the limit of 4300" in err
         assert len(err.encode()) < 300 and "set_int_max_str_digits" not in err
 
+    @pytest.mark.parametrize("entry", ["1e1000000", "1E2", "-2.5e-1"])
+    def test_exponent_notation_exit_1(self, entry, tmp_path, capsys):
+        # Fraction reads exponent notation, so nine characters would build a
+        # number of a million digits
+        doc = with_generator(RAW_INVOLUTION, translation=[entry, "1/2"])
+        code, err = self.check_exit(doc, tmp_path, capsys)
+        assert code == 1
+        assert "exponent notation" in err
+
     def test_unknown_key_exit_1(self, tmp_path, capsys):
         for doc in (get_entry("z4-threefold").document, RAW_INVOLUTION):
             code, err = self.check_exit(dict(doc, bogus=1), tmp_path, capsys)
@@ -460,6 +469,38 @@ class TestFormViolation:
         assert payload["form_invariant"] is False
         assert payload["free"] and payload["eigenvalues_consistent"] and payload["faithful"]
         assert payload["failures"] == ["form not invariant at element indices [1]"]
+
+
+class TestTranslationInGroup:
+    """A group with a nonidentity translation is not faithful, and every command rejects it.
+
+    (z0 + 1/2, -z1) and the translation z0 + tau/2 generate Z/2 x Z/2 with
+    element 2 a translation.  Nothing quotients translations away, so
+    ``run_pipeline`` refuses the datum as well.
+    """
+
+    DOC = {
+        "mode": "builder",
+        "factors": [{"kind": "generic"}, {"kind": "generic"}],
+        "generators": [
+            {"zetas": ["1", "-1"], "translation": ["1/2", "0", "0", "0"]},
+            {"zetas": ["1", "1"], "translation": ["0", "1/2", "0", "0"]},
+        ],
+    }
+
+    @pytest.mark.parametrize("command", ["check", "albanese", "invariants", "oracle"])
+    def test_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "translation.json"
+        path.write_text(json.dumps(self.DOC))
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert code == 2
+        assert "nonidentity translations at element indices [2]" in (
+            out if command == "check" else err
+        )
+
+    def test_run_pipeline_refuses(self):
+        with pytest.raises(PipelineInvariantError, match="nonidentity translations"):
+            run_pipeline(build_datum(self.DOC))
 
 
 def d4_with_elements(*elements):

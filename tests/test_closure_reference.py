@@ -2,16 +2,16 @@
 
 `close_group` forms every product once and keeps its Cayley edges;
 `ActionGroup` answers later products by following them, and decides
-commutativity on the generators alone.  A derived group (a fiber or a
-translation quotient) reads its products off its parent's Cayley table and
-multiplies nothing.  With elliptic factors a new element's eigenvalues are
-the factorwise product of its parent's and its generator's.  The references
+commutativity on the generators alone.  A derived group (an Albanese
+fiber) reads its products off its parent's Cayley table and multiplies
+nothing.  With elliptic factors a new element's eigenvalues are the
+factorwise product of its parent's and its generator's.  The references
 here are the computations those replaced: `compose` on every pair of
 elements, a power walk for element orders, the all-pairs commutation test,
 and the eigenvalue read off each diagonal 2x2 block in product coordinates.
-They run on every catalog entry, on the raw and normalized fibers along each
-valid entry's recursion, on two copies of `z2z2-threefold` side by side, and
-on the benchmark's stress points at seed 0.
+They run on every catalog entry, on the fibers along each valid entry's
+recursion, on two copies of `z2z2-threefold` side by side, and on the
+benchmark's stress points at seed 0.
 """
 
 from __future__ import annotations
@@ -21,16 +21,10 @@ import json
 import pytest
 
 from conftest import load_perfbench
-from helpers import decomposition
 import hyperelliptic.action
 import hyperelliptic.albanese
-from hyperelliptic.action import affine_identity, compose, quotient_by_translations, validate
-from hyperelliptic.albanese import (
-    compute_fiber,
-    compute_H,
-    decompose_cocycle,
-    run_pipeline,
-)
+from hyperelliptic.action import affine_identity, compose, validate
+from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cli import main
 from hyperelliptic.cyclotomic import RootOfUnity
@@ -41,23 +35,15 @@ from hyperelliptic.torus import factor_block_eigenvalue
 STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8))
 
 
-def raw_fiber(d):
-    """The fiber datum before quotient_by_translations, as run_pipeline builds it."""
-    dec = decomposition(d)
-    h, shifts = compute_H(d, dec, decompose_cocycle(d, dec))
-    return compute_fiber(d, dec, h, shifts)[0]
-
-
 def data_of(d):
-    """d and, when d is valid, the raw and normalized fiber of each datum its recursion visits."""
+    """d and, when d is valid, the fiber of each datum its recursion visits."""
     out = [d]
     if not validate(d).passed:
         return out
     report = run_pipeline(d, recurse=True)
     while report is not None:
-        fiber = raw_fiber(d)
-        out += [fiber, quotient_by_translations(fiber), report.fiber]
-        d, report = report.fiber, report.fiber_report
+        out.append(report.fiber)
+        report = report.fiber_report
     return out
 
 
@@ -152,8 +138,8 @@ def test_eigenvalues_match_factor_blocks(data, arg):
     + [pytest.param(lambda: z2z2_copies(2), id="z2z2-x2")],
 )
 def test_pipeline_multiplies_no_element(build, monkeypatch):
-    # the fiber and the translation quotient read their products off G's table,
-    # and each fiber's report is certified, so no element is checked either
+    # the fiber reads its products off G's table, and each fiber's report is
+    # certified, so no element is checked either
     d = build()
     assert validate(d).passed
 
@@ -172,15 +158,6 @@ def test_two_z2z2_copies_have_h_everything():
     report = run_pipeline(d, recurse=True)
     assert (d.group.order, d.rank, report.q) == (16, 12, 0)
     assert report.fiber.group.order == 16
-
-
-def test_quotient_with_translations_is_covered():
-    # some catalog fiber has translations, so the cases above reach a nontrivial quotient
-    assert any(
-        quotient_by_translations(d) is not d
-        for name in list_entries()
-        for d in catalog_data(name)
-    )
 
 
 # q = 1 on e2; H = <g1> acts on the fiber e0 x e1 by (z0 + 1/2, -z1).  Dropping

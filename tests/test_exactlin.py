@@ -196,6 +196,33 @@ class TestOverCommonDenominator:
         assert mat_vec(a, v) == reference_mat_vec(a, v)
 
 
+class TestSublatticeDenominator:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.lists(st.fractions(-3, 3, max_denominator=12), min_size=n, max_size=n),
+                    max_size=5,
+                ),
+            )
+        )
+    )
+    def test_hermite_columns_share_no_factor_with_den(self, case):
+        """A lattice from rational generators needs no gcd reduction: gcd(den, entries) == 1.
+
+        den is 1 or the least common denominator D of the generators, and the
+        Hermite columns span the same Z-module as the scaled generators D x.
+        If a prime p divided D and every Hermite entry, it would divide every
+        entry of every D x.  Take an entry x = a/b in lowest terms with
+        v_p(b) = v_p(D) > 0: then D x = a (D/b) is prime to p, a contradiction.
+        """
+        n, vectors = case
+        lat = Sublattice.from_rat_columns(n, vectors)
+        assert gcd(lat.den, *(x for c in lat.cols for x in c)) == 1
+
+
 def square_matrices(kind="int", bound=2):
     if kind == "int":
         return st.integers(0, 5).flatmap(lambda n: small_int_matrix(n, n, bound=bound))
