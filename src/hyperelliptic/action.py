@@ -3,9 +3,11 @@
 Group elements are stored in lattice coordinates: the linear part is a
 unimodular integer matrix acting on Lambda = Z^2n, and the translation is a
 rational vector reduced into [0, 1)^2n so that equality of elements is
-canonical.  ``close_group`` is the only place that multiplies elements; it
-keeps the Cayley edges, and a new element's eigenvalues follow one rule per
-kind of datum (see close_group).  The group is its Cayley table: a generator
+canonical.  ``close_group`` is the only place that multiplies elements, in
+integers: a product's key is its linear part and D times its translation mod
+D, with D the lcm of the generators' translation denominators.  It keeps the
+Cayley edges, and a new element's eigenvalues follow one rule per kind of
+datum (see close_group).  The group is its Cayley table: a generator
 is an element index (``ActionGroup.gens``), every product is read off the
 edges, element orders are walked once, on first use (``ActionGroup.orders``), and
 nothing looks an element up by value.  A derived group (an Albanese fiber)
@@ -30,8 +32,8 @@ from .exactlin import (
     mat_inv,
     mat_mul,
     mat_vec,
+    over_common_denominator,
     transpose,
-    vec_add,
     vec_is_integral,
     vec_mod1,
 )
@@ -180,16 +182,6 @@ def _eigenvalues_from_char_poly(m) -> tuple[RootOfUnity, ...]:
     return tuple(eig)
 
 
-def compose(a: AffineAut, b: AffineAut) -> AffineAut:
-    """(M, t) . (M', t') = (M M', M t' + t), translation reduced mod Lambda.
-
-    The eigenvalues are left None; close_group assigns them by the datum's rule.
-    """
-    linear = mat_mul(a.linear, b.linear)
-    translation = vec_mod1(vec_add(mat_vec(a.linear, b.translation), a.translation))
-    return AffineAut(linear, translation, None)
-
-
 class ActionGroup:
     """A finite closed group of affine automorphisms, identity first: its Cayley table.
 
@@ -263,15 +255,19 @@ def close_group(
     """Close the generators under composition mod Lambda, keeping the Cayley edges.
 
     Walks the element list breadth-first while it grows, identity first, and
-    records edges[i][s] = index of elements[i] . gens[s].  A new element gets
-    its eigenvalues once.  With elliptic factors each linear part is one unit
-    of each factor's endomorphism ring, so they are the factorwise product of
-    the parent's and the generator's, in factor order.  Raw data take them
-    from ``eigenvalue_table`` (keyed by linear part) or else from the
-    characteristic polynomial, which raises MissingEigenvalueData when it
-    cannot split conjugate pairs.  Raises LatticeNotPreserved for
-    non-unimodular or non-integral linear parts and NotClosedWithinCap past
-    the cap.
+    records edges[i][s] = index of elements[i] . gens[s].  Linear parts are
+    integral, so every translation lies in (1/D)Z^rank, D the lcm of the
+    generators' translation denominators, and the integer pair
+    (M_e M_s, (M_e D t_s + D t_e) mod D) is both the product and its key.
+    A new element alone becomes an AffineAut, with translation (D t mod D)/D,
+    and gets its eigenvalues once.  With elliptic factors
+    each linear part is one unit of each factor's endomorphism ring, so they
+    are the factorwise product of the parent's and the generator's, in factor
+    order.  Raw data take them from ``eigenvalue_table`` (keyed by linear
+    part) or else from the characteristic polynomial, which raises
+    MissingEigenvalueData when it cannot split conjugate pairs.  Raises
+    LatticeNotPreserved for non-unimodular or non-integral linear parts and
+    NotClosedWithinCap past the cap.
     """
     gens = tuple(gens)
     rank = torus.rank
@@ -284,28 +280,33 @@ def close_group(
         if not is_unimodular(g.linear):
             raise LatticeNotPreserved("linear part is not unimodular")
         table.setdefault(g.linear, g.eigenvalues)
+    den, dt_gens = over_common_denominator([g.translation for g in gens])  # D t_s
+    den = den or 1
 
     elements = [affine_identity(rank)]
-    index = {elements[0].key(): 0}
+    dt = [(0,) * rank]  # D t_e mod D
+    index = {(elements[0].linear, dt[0]): 0}
     edges = []
     tree = [None]
     for i, e in enumerate(elements):  # the list grows while it is walked
         row = []
         for s, g in enumerate(gens):
-            product = compose(e, g)
-            key = product.key()
-            if key not in index:
+            linear = mat_mul(e.linear, g.linear)
+            shift = tuple((x + y) % den for x, y in zip(mat_vec(e.linear, dt_gens[s]), dt[i]))
+            j = index.get((linear, shift))
+            if j is None:
                 if torus.factors is not None:
                     eig = tuple(x * y for x, y in zip(e.eigenvalues, g.eigenvalues))
                 else:
-                    eig = table.get(product.linear) or _eigenvalues_from_char_poly(product.linear)
-                    table[product.linear] = eig
+                    eig = table.get(linear) or _eigenvalues_from_char_poly(linear)
+                    table[linear] = eig
                 if len(elements) >= cap:
                     raise NotClosedWithinCap(f"group closure exceeds cap {cap}")
-                index[key] = len(elements)
-                elements.append(AffineAut(product.linear, product.translation, eig))
+                j = index[linear, shift] = len(elements)
+                elements.append(AffineAut(linear, tuple(Fraction(x, den) for x in shift), eig))
+                dt.append(shift)
                 tree.append((i, s))
-            row.append(index[key])
+            row.append(j)
         edges.append(tuple(row))
     return ActionGroup(tuple(elements), tuple(edges), tuple(tree))
 

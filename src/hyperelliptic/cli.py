@@ -17,13 +17,14 @@ from .action import validate
 from .albanese import run_pipeline
 from .documents import (
     InputError,
+    _is_ascii_digits,
     albanese_dict,
     dumps_canonical,
     invariants_dict,
     load_document,
     validation_dict,
 )
-from .invariants import canonical_report, invariants_report
+from .invariants import canonical_order, canonical_report, invariants_report
 from .oracle import (
     build_model,
     fiber_count_level,
@@ -75,7 +76,7 @@ def cmd_albanese(args) -> int:
     datum = _valid_datum(args.path)
     alb = run_pipeline(datum, recurse=args.recurse)
     payload = albanese_dict(alb, datum)
-    diag = canonical_report(invariants_report(datum), invariants_report(alb.fiber))
+    diag = canonical_report(canonical_order(datum), canonical_order(alb.fiber))
     payload["canonical"] = {
         "x_order": diag.x_canonical_order,
         "fiber_order": diag.fiber_canonical_order,
@@ -207,14 +208,15 @@ def cmd_catalog(args) -> int:
 
 
 def _level(text: str) -> int:
-    """The --level value: a positive integer, or a usage error."""
-    try:
-        level = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid level {text!r}: not an integer") from None
-    if level < 1:
-        raise argparse.ArgumentTypeError(f"invalid level {level}: must be positive")
-    return level
+    """The --level value: a positive integer in ASCII digits, or a usage error."""
+    if not _is_ascii_digits(text):
+        raise argparse.ArgumentTypeError(f"invalid level {text!r}: not a run of digits 0-9")
+    if 0 < (limit := sys.get_int_max_str_digits()) < len(text):
+        raise argparse.ArgumentTypeError(
+            f"invalid level: a number of {len(text)} digits, over the limit of {limit}")
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"invalid level {text}: must be positive")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

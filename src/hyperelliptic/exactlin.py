@@ -82,10 +82,6 @@ def mat_vec(a, v):
     return tuple(Fraction(x, d) for x in out)
 
 
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(x - y for x, y in zip(u, v))
 

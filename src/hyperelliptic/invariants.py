@@ -209,19 +209,18 @@ def invariants_report(d: HyperellipticDatum) -> InvariantsReport:
     )
 
 
-def canonical_report(inv_x: InvariantsReport, inv_fiber: InvariantsReport) -> PullbackDiagnostic:
+def canonical_report(x_order: int, fiber_order: int) -> PullbackDiagnostic:
     """Divisibility of canonical orders along the Albanese fibration.
 
     The fiber order always divides the total order; omega_X is pulled back
     from Alb(X) exactly when the fiber is Calabi-Yau (order 1).
     """
-    if inv_x.canonical_order % inv_fiber.canonical_order != 0:
+    if x_order % fiber_order != 0:
         raise DivisibilityViolation(
-            f"fiber canonical order {inv_fiber.canonical_order} does not divide "
-            f"{inv_x.canonical_order}"
+            f"fiber canonical order {fiber_order} does not divide {x_order}"
         )
     return PullbackDiagnostic(
-        x_canonical_order=inv_x.canonical_order,
-        fiber_canonical_order=inv_fiber.canonical_order,
-        pulled_back_from_albanese=inv_fiber.canonical_order == 1,
+        x_canonical_order=x_order,
+        fiber_canonical_order=fiber_order,
+        pulled_back_from_albanese=fiber_order == 1,
     )

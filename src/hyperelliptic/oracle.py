@@ -48,11 +48,12 @@ class TorsionModel(NamedTuple):
 
 
 def datum_denominator(d: HyperellipticDatum) -> int:
-    """lcm of all translation denominators (the minimum usable level)."""
-    den = 1
-    for e in d.group.elements:
-        den = lcm(den, vec_denominator(e.translation))
-    return den
+    """lcm of all translation denominators: the minimum usable level, and close_group's D.
+
+    It is read off the generators: t_{es} = M_e t_s + t_e mod 1 with M_e
+    integral, so every element's denominator divides the generators' lcm.
+    """
+    return lcm(*(vec_denominator(d.group.elements[i].translation) for i in d.group.gens))
 
 
 def element_level_bound(e: AffineAut) -> int:

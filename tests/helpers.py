@@ -8,14 +8,16 @@ the index of a torus lattice over the product lattice, the eigenvalue
 check on every element, the Albanese projectors from the inverse of the
 basis [Lambda_0 | Lambda_1], Lambda_0 from the generators' rows, the t0
 table of every element, H by one integer solve per element and factor
-alignment decided in product coordinates.  The coset decision, the direct
+alignment decided in product coordinates, and `compose`, the product of two
+elements in `Fraction` arithmetic, which `close_group` no longer calls.  The
+coset decision, the direct
 loop, the two-branch survey, the every-element eigenvalue loop, the
 basis-inverse projectors, the generator rows, the t0 table, the
-per-element solve and the product-coordinate alignment are the references
-the library's one Hermite form per element, meet-in-the-middle count, one
-survey loop, generator-only eigenvalue check, group average, kernel of
-I - P0, t0 on the generators, walk of the Cayley tree and alignment in
-lattice coordinates are checked against.
+per-element solve, the product-coordinate alignment and `compose` are the
+references the library's one Hermite form per element, meet-in-the-middle
+count, one survey loop, generator-only eigenvalue check, group average,
+kernel of I - P0, t0 on the generators, walk of the Cayley tree, alignment
+in lattice coordinates and integer closure are checked against.
 `three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
@@ -26,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 
 from conftest import bareiss_det
-from hyperelliptic.action import _check_eigenvalues
+from hyperelliptic.action import AffineAut, _check_eigenvalues
 from hyperelliptic.albanese import compute_A0, compute_K, fixed_projector
 from hyperelliptic.exactlin import (
     LatticeError,
@@ -42,6 +44,7 @@ from hyperelliptic.exactlin import (
     transpose,
     vec_denominator,
     vec_is_integral,
+    vec_mod1,
     vec_sub,
 )
 from hyperelliptic.oracle import (
@@ -58,6 +61,12 @@ from hyperelliptic.oracle import (
 )
 
 ORBIT_ENUMERATION_LIMIT = 500_000
+
+
+def compose(a: AffineAut, b: AffineAut) -> AffineAut:
+    """(M, t) . (M', t') = (M M', M t' + t), translation reduced mod Lambda; no eigenvalues."""
+    translation = tuple(x + y for x, y in zip(mat_vec(a.linear, b.translation), a.translation))
+    return AffineAut(mat_mul(a.linear, b.linear), vec_mod1(translation), None)
 
 
 def basis_matrix(s: Sublattice):

@@ -4,7 +4,12 @@ Runs `check`, `albanese`, `albanese --recurse`, `invariants` and `oracle`,
 each in json and text format, in process, on 233 documents: the catalog
 entries, the stress points (3,3,2), (2,4,2), (2,2,6), (2,2,8), (3,4,2) and
 (2,2,10) at seeds 0-3, the 192 `three_curve_document` sweep documents and
-the D4 threefold.  An output is the exit code, stdout and stderr.  Two
+the D4 threefold.  On each catalog entry and the D4 threefold it also runs
+`oracle --level L`, in both formats, at L = 2D and at L = 2D + 1, where D is
+the datum's translation denominator (`oracle.datum_denominator`): the first
+level is valid and D does not divide the second, so the given-level path and
+its `BadLevel` refusal are covered too.  An output is the exit code, stdout
+and stderr.  Two
 checkouts whose reports are byte-identical print the same count and digest,
 so a refactor that must not change any report is checked by running this
 in both.  It is a script, not a collected test, because it takes about
@@ -39,6 +44,8 @@ from test_nonabelian import D4_THREEFOLD  # noqa: E402
 
 from hyperelliptic.catalog import get_entry, list_entries  # noqa: E402
 from hyperelliptic.cli import main  # noqa: E402
+from hyperelliptic.documents import build_datum  # noqa: E402
+from hyperelliptic.oracle import datum_denominator  # noqa: E402
 
 STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8), (3, 4, 2), (2, 2, 10))
 COMMANDS = (["check"], ["albanese"], ["albanese", "--recurse"], ["invariants"], ["oracle"])
@@ -58,11 +65,19 @@ def documents():
     yield "d4-threefold", D4_THREEFOLD
 
 
+def commands(name: str, doc) -> tuple[list[str], ...]:
+    """COMMANDS, and on a catalog entry or the D4 threefold `oracle --level` at 2D and 2D + 1."""
+    if name not in {*list_entries(), "d4-threefold"}:
+        return COMMANDS
+    den = datum_denominator(build_datum(doc))
+    return COMMANDS + tuple(["oracle", "--level", str(level)] for level in (2 * den, 2 * den + 1))
+
+
 def outputs(path: Path):
     """(label, output digest) for every command and format on every document."""
     for name, doc in documents():
         path.write_text(json.dumps(doc))
-        for command, fmt in itertools.product(COMMANDS, ("json", "text")):
+        for command, fmt in itertools.product(commands(name, doc), ("json", "text")):
             argv = [command[0], str(path), *command[1:], "--format", fmt]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -90,7 +90,7 @@ def trace_runs() -> dict[Path, set[int]]:
         return None if hits[name] is None else trace_lines
 
     sys.settrace(trace_calls)
-    from output_digest import COMMANDS, documents
+    from output_digest import commands, documents
 
     from hyperelliptic.catalog import list_entries
     from hyperelliptic.cli import main
@@ -101,9 +101,9 @@ def trace_runs() -> dict[Path, set[int]]:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "datum.json"
-        for _, doc in documents():
+        for name, doc in documents():
             path.write_text(json.dumps(doc))
-            for command, fmt in itertools.product(COMMANDS, ("json", "text")):
+            for command, fmt in itertools.product(commands(name, doc), ("json", "text")):
                 silent_main([command[0], str(path), *command[1:], "--format", fmt])
     silent_main(["catalog", "list"])
     for name, action in itertools.product(list_entries(), ("run", "export")):

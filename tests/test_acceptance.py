@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperelliptic.action import compose, validate
+from helpers import compose
+from hyperelliptic.action import validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.exactlin import Sublattice

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_perfbench
-from helpers import coset_has_fixed_point, coset_meets_lattice
+from helpers import compose, coset_has_fixed_point, coset_meets_lattice
 from hyperelliptic.action import (
     AffineAut,
     GroupInvariantError,
@@ -18,7 +18,6 @@ from hyperelliptic.action import (
     affine_raw,
     char_poly,
     close_group,
-    compose,
     cyclotomic_multiplicities,
     has_fixed_point,
     quotient_by_translations,

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import contains, decomposition, t0_table, three_curve_document
-from hyperelliptic.action import compose, validate
+from helpers import compose, contains, decomposition, t0_table, three_curve_document
+from hyperelliptic.action import validate
 from hyperelliptic.albanese import (
     _fiber_basis,
     classify_fiber,

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from helpers import compose
 import hyperelliptic.catalog
-from hyperelliptic.action import compose, validate
+from hyperelliptic.action import validate
 from hyperelliptic.catalog import UnknownEntry, get_entry, list_entries, run_entry
 from hyperelliptic.cli import main
 from hyperelliptic.documents import build_datum

@@ -91,6 +91,7 @@ from hyperelliptic.torus import (
     build_product_torus,
     identify_factor_subspace,
 )
+from output_digest import documents as digest_documents
 from test_closure_reference import z2z2_copies
 from test_nonabelian import D4_THREEFOLD
 
@@ -534,6 +535,19 @@ def test_sweep_eigenvalue_check_matches_every_element():
         for translation in (("1/2", "0"), ("1/2", "1/2"), ("0", "1/2")):
             d = build_datum(three_curve_document(k_gen, translation))
             assert_eigenvalue_check_matches_every_element(d)
+
+
+def test_datum_denominator_is_the_all_element_lcm():
+    # every document of the output digest (catalog, stress points, sweep, D4)
+    # and each fiber its recursion descends into
+    levels = 0
+    for _, doc in digest_documents():
+        d = build_datum(doc)
+        for datum in [x for x, _ in pipeline_chain(d)] if validate(d).passed else [d]:
+            every = lcm(*(vec_denominator(e.translation) for e in datum.group.elements))
+            assert datum_denominator(datum) == every
+            levels += 1
+    assert levels > len(list_entries())
 
 
 @pytest.mark.parametrize("name", ["bielliptic-5", "z4-threefold", "zmzm-threefold-m3"])

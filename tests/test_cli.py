@@ -231,11 +231,23 @@ class TestUsageErrors:
         ["--level", "abc"],
         ["--level", "0"],
         ["--level", "-4"],
-    ], ids=["unknown-option", "format-xml", "level-abc", "level-0", "level-negative"])
+        ["--level", "1_2"],
+        ["--level", " 4"],
+        ["--level", "+4"],
+        ["--level", "\u0664"],
+    ], ids=["unknown-option", "format-xml", "level-abc", "level-0", "level-negative",
+            "level-underscore", "level-space", "level-plus", "level-arabic-indic"])
     def test_usage_error_exits_1(self, args, z4_file, capsys):
         code, _, err = run_cli(["oracle", z4_file, *args], capsys)
         assert code == 1
         assert "error:" in err
+
+    def test_overlong_level_is_named_by_its_digit_count(self, z4_file, capsys):
+        level = "4" * (sys.get_int_max_str_digits() + 1)
+        code, _, err = run_cli(["oracle", z4_file, "--level", level], capsys)
+        assert code == 1
+        assert f"a number of {len(level)} digits" in err
+        assert level not in err
 
     @pytest.mark.parametrize("command", ["check", "albanese", "invariants", "oracle"])
     def test_missing_path_exits_1(self, command, capsys):
@@ -694,6 +706,18 @@ class TestReports:
             "pulled_back_from_albanese": False,
             "x_order": 4,
         }
+
+    @pytest.mark.parametrize("recurse", [[], ["--recurse"]], ids=["plain", "recurse"])
+    def test_albanese_computes_no_hodge_diamond(self, z4_file, recurse, capsys, monkeypatch):
+        # the canonical orders are the whole of what albanese reads off the invariants
+        expected = run_cli(["albanese", z4_file, *recurse, "--format", "json"], capsys)
+
+        def refuse(*args):
+            raise AssertionError("albanese computed a Hodge diamond")
+
+        monkeypatch.setattr("hyperelliptic.invariants.hodge_diamond", refuse)
+        assert run_cli(["albanese", z4_file, *recurse, "--format", "json"], capsys) == expected
+        assert expected[0] == 0
 
     def test_albanese_recurse(self, z4_file, capsys):
         code, out, _ = run_cli(

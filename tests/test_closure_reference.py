@@ -1,14 +1,16 @@
 """Products read off the Cayley edges, and eigenvalues multiplied factor by factor.
 
-`close_group` forms every product once and keeps its Cayley edges;
+`close_group` forms every product once, in integers over one denominator,
+builds an element only when it is new, and keeps its Cayley edges;
 `ActionGroup` answers later products by following them, and decides
 commutativity on the generators alone.  A derived group (an Albanese
 fiber) reads its products off its parent's Cayley table and multiplies
 nothing.  With elliptic factors a new element's eigenvalues are the
 factorwise product of its parent's and its generator's.  The references
-here are the computations those replaced: `compose` on every pair of
-elements, a power walk for element orders, the all-pairs commutation test,
-and the eigenvalue read off each diagonal 2x2 block in product coordinates.
+here are the computations those replaced: `compose`, the `Fraction`
+product, on every pair of elements, a power walk for element orders, the
+all-pairs commutation test, and the eigenvalue read off each diagonal 2x2
+block in product coordinates.
 They run on every catalog entry, on the fibers along each valid entry's
 recursion, on two copies of `z2z2-threefold` side by side, and on the
 benchmark's stress points at seed 0.
@@ -21,9 +23,10 @@ import json
 import pytest
 
 from conftest import load_perfbench
+from helpers import compose
 import hyperelliptic.action
 import hyperelliptic.albanese
-from hyperelliptic.action import affine_identity, compose, validate
+from hyperelliptic.action import affine_identity, close_group, validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cli import main
@@ -138,19 +141,43 @@ def test_eigenvalues_match_factor_blocks(data, arg):
     + [pytest.param(lambda: z2z2_copies(2), id="z2z2-x2")],
 )
 def test_pipeline_multiplies_no_element(build, monkeypatch):
-    # the fiber reads its products off G's table, and each fiber's report is
-    # certified, so no element is checked either
+    # the pipeline closes no group: the fiber reads its products off G's
+    # table, and each fiber's report is certified, so no element is checked either
     d = build()
     assert validate(d).passed
 
     def refuse(*args):
         raise AssertionError("an element was multiplied or checked after validation")
 
-    monkeypatch.setattr(hyperelliptic.action, "compose", refuse)
+    monkeypatch.setattr(hyperelliptic.action, "close_group", refuse)
     monkeypatch.setattr(hyperelliptic.albanese, "validate", refuse)
     monkeypatch.setattr(hyperelliptic.action, "has_fixed_point", refuse)
     monkeypatch.setattr(hyperelliptic.action, "char_poly", refuse)
     run_pipeline(d, recurse=True)
+
+
+@pytest.mark.parametrize("data,arg", CASES)
+def test_closure_builds_one_element_per_group_element(data, arg, monkeypatch):
+    # the products are integer pairs: an AffineAut is built for a new element only
+    d = data(arg)[0]
+    gens = [d.group.elements[i] for i in d.group.gens]
+    table = {e.linear: e.eigenvalues for e in d.group.elements}
+    built = []
+
+    class Counted(hyperelliptic.action.AffineAut):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(hyperelliptic.action, "AffineAut", Counted)
+    group = close_group(gens, d.torus, cap=d.group.order,
+                        eigenvalue_table=None if d.builder_mode else table)
+    assert len(built) == group.order == d.group.order
+    assert [(e.key(), e.eigenvalues) for e in group.elements] == [
+        (e.key(), e.eigenvalues) for e in d.group.elements]
+    assert (group.edges, group.tree) == (d.group.edges, d.group.tree)
 
 
 def test_two_z2z2_copies_have_h_everything():

@@ -188,18 +188,18 @@ class TestReports:
         for k in range(1, 8):
             d = datum_of(f"bielliptic-{k}")
             report = run_pipeline(d)
-            diag = canonical_report(invariants_report(d), invariants_report(report.fiber))
+            diag = canonical_report(canonical_order(d), canonical_order(report.fiber))
             assert diag.fiber_canonical_order == 1
             assert diag.pulled_back_from_albanese
 
     def test_pullback_diagnostic_z4(self):
         d = datum_of("z4-threefold")
         report = run_pipeline(d)
-        inv_x = invariants_report(d)
-        inv_f = invariants_report(report.fiber)
-        diag = canonical_report(inv_x, inv_f)
-        assert inv_x.canonical_order == 4
-        assert inv_f.canonical_order == 2
+        diag = canonical_report(canonical_order(d), canonical_order(report.fiber))
+        assert diag.x_canonical_order == 4
+        assert diag.fiber_canonical_order == 2
+        assert diag.x_canonical_order == invariants_report(d).canonical_order
+        assert diag.fiber_canonical_order == invariants_report(report.fiber).canonical_order
         assert not diag.pulled_back_from_albanese
 
     def test_fiber_order_divides_across_catalog(self):
@@ -210,16 +210,13 @@ class TestReports:
             d = entry.build()
             validate(d)
             report = run_pipeline(d)
-            inv_x = invariants_report(d)
-            inv_f = invariants_report(report.fiber)
-            diag = canonical_report(inv_x, inv_f)
-            assert inv_x.canonical_order % inv_f.canonical_order == 0
-            assert diag.pulled_back_from_albanese == (inv_f.canonical_order == 1)
+            x_order, fiber_order = canonical_order(d), canonical_order(report.fiber)
+            diag = canonical_report(x_order, fiber_order)
+            assert x_order % fiber_order == 0
+            assert diag.pulled_back_from_albanese == (fiber_order == 1)
 
     def test_divisibility_violation_raises(self):
         d = datum_of("z4-threefold")
         report = run_pipeline(d)
-        inv_x = invariants_report(report.fiber)  # deliberately swapped
-        inv_f = invariants_report(d)
-        with pytest.raises(DivisibilityViolation):
-            canonical_report(inv_x, inv_f)
+        with pytest.raises(DivisibilityViolation):  # deliberately swapped
+            canonical_report(canonical_order(report.fiber), canonical_order(d))

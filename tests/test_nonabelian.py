@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 
-from hyperelliptic.action import compose, validate
+from helpers import compose
+from hyperelliptic.action import validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.cli import main
 from hyperelliptic.documents import build_datum
