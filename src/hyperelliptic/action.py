@@ -126,8 +126,8 @@ class AffineAut:
 
     ``eigenvalues`` are the n complex-representation eigenvalues of the
     element; on a torus with elliptic factors they are in factor order, one
-    per factor.  Equality and hashing read only the linear part and the
-    translation.
+    per factor.  ``key()``, the linear part and the translation, identifies
+    the element.
     """
 
     __slots__ = ("linear", "translation", "eigenvalues")
@@ -142,17 +142,12 @@ class AffineAut:
         self.translation = translation
         self.eigenvalues = eigenvalues
 
-    def __eq__(self, other):
-        if not isinstance(other, AffineAut):
-            return NotImplemented
-        return self.key() == other.key()
-
     @property
     def rank(self) -> int:
         return len(self.linear)
 
     def is_translation(self) -> bool:
-        return self.linear == identity(self.rank)
+        return all(x == (i == j) for i, row in enumerate(self.linear) for j, x in enumerate(row))
 
     def key(self):
         return (self.linear, self.translation)
@@ -480,24 +475,24 @@ def determinant(e: AffineAut) -> RootOfUnity:
 def validate(d: HyperellipticDatum) -> ValidationReport:
     """Run every hyperelliptic-variety check and cache the report on the datum.
 
-    Freeness and translations are checked on every element.  The form is
-    checked on the generators only: M^T E M = E for the generators implies it
-    for every product of them, so on failure form_violations lists the
-    failing generators' element indices.  On a torus with elliptic factors
-    the eigenvalues are checked on the generators only as well: a builder
-    generator's linear part is lam^-1 blockdiag(units) lam with the units as
-    its eigenvalues (``factor_block_eigenvalue`` checks every block), and
-    close_group gives a product the factorwise product of the units, so its
-    linear part is lam^-1 blockdiag(its eigenvalues) lam and its
-    characteristic polynomial is the one they declare.  In a derived group
-    every nonidentity element is a generator.  Raw data declare or derive
-    eigenvalues per element, so every element is checked, and det rho, the
-    product of the eigenvalues, must be a character (Serre, Linear
-    Representations of Finite Groups, 2): the first Cayley edge on which it is
-    not multiplicative is reported.  This needs no element orders.  The complex
+    Freeness and translations are checked on every element.  The complex
     representation rho is faithful iff no nonidentity element is a
     translation: lin (x) C = rho + conj(rho), so ker rho = ker lin, and the
-    kernel of g -> lin(g) is the translation subgroup.
+    kernel of g -> lin(g) is the translation subgroup.  On a torus with
+    elliptic factors the form and the eigenvalues hold by construction:
+    ``affine_from_factor_action`` accepts only blocks that
+    ``factor_block_eigenvalue`` matches to units, so M = lam^-1 B lam with B
+    block-diagonal in them.  A unit has norm 1, so each block b has det b = 1
+    and b^T J b = J, and M preserves ``standard_form``'s lam^T J lam.  The
+    units are a generator's eigenvalues and close_group multiplies them
+    factorwise, so every element's are those of its linear part, and det rho
+    is multiplicative.  A factor-aligned Albanese fiber is data of the same
+    kind; a datum assembled by hand is taken on the same terms.  Raw data are
+    checked: M^T E M = E per generator, which implies it for every product,
+    every element's eigenvalues against its characteristic polynomial, and
+    det rho, their product, as a character (Serre, Linear Representations of
+    Finite Groups, 2): the first Cayley edge on which it is not
+    multiplicative is reported.  This needs no element orders.
     """
     elements = d.group.elements
     fixed = []
@@ -507,11 +502,11 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
             fixed.append(i)
         if elements[i].is_translation():
             translations.append(i)
-    gens = sorted(set(d.group.gens))
-    form_bad = [i for i in gens if not d.form.is_invariant_under(elements[i].linear)]
-    checked = gens if d.torus.factors is not None else range(len(elements))
-    eig_bad = [p for i in checked if i and (p := _check_eigenvalues(elements[i], i))]
+    form_bad, eig_bad = [], []
     if d.torus.factors is None:
+        gens = sorted(set(d.group.gens))
+        form_bad = [i for i in gens if not d.form.is_invariant_under(elements[i].linear)]
+        eig_bad = [p for i in range(1, len(elements)) if (p := _check_eigenvalues(elements[i], i))]
         det, g = [determinant(e) for e in elements], d.group.gens
         edge = next((f"element {i} . generator {s} = element {j}"
                      for i, row in enumerate(d.group.edges)

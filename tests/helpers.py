@@ -8,16 +8,17 @@ the index of a torus lattice over the product lattice, the eigenvalue
 check on every element, the Albanese projectors from the inverse of the
 basis [Lambda_0 | Lambda_1], Lambda_0 from the generators' rows, the t0
 table of every element, H by one integer solve per element and factor
-alignment decided in product coordinates, and `compose`, the product of two
-elements in `Fraction` arithmetic, which `close_group` no longer calls.  The
-coset decision, the direct
-loop, the two-branch survey, the every-element eigenvalue loop, the
-basis-inverse projectors, the generator rows, the t0 table, the
-per-element solve, the product-coordinate alignment and `compose` are the
-references the library's one Hermite form per element, meet-in-the-middle
-count, one survey loop, generator-only eigenvalue check, group average,
-kernel of I - P0, t0 on the generators, walk of the Cayley tree, alignment
-in lattice coordinates and integer closure are checked against.
+alignment decided in product coordinates, `compose`, the product of two
+elements in `Fraction` arithmetic, which `close_group` no longer calls, and
+`element_keys` and `element_index`, which compare elements by key in place
+of the equality `AffineAut` had.  The coset decision, the direct loop, the
+two-branch survey, the every-element eigenvalue loop, the basis-inverse
+projectors, the generator rows, the t0 table, the per-element solve, the
+product-coordinate alignment and `compose` are the references the library's
+one Hermite form per element, meet-in-the-middle count, one survey loop,
+eigenvalues by construction, group average, kernel of I - P0, t0 on the
+generators, walk of the Cayley tree, alignment in lattice coordinates and
+integer closure are checked against.
 `three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
@@ -67,6 +68,16 @@ def compose(a: AffineAut, b: AffineAut) -> AffineAut:
     """(M, t) . (M', t') = (M M', M t' + t), translation reduced mod Lambda; no eigenvalues."""
     translation = tuple(x + y for x, y in zip(mat_vec(a.linear, b.translation), a.translation))
     return AffineAut(mat_mul(a.linear, b.linear), vec_mod1(translation), None)
+
+
+def element_keys(group) -> list:
+    """The keys of group's elements, in element order."""
+    return [e.key() for e in group.elements]
+
+
+def element_index(group, a: AffineAut) -> int:
+    """The index of the element of group whose key is a's."""
+    return element_keys(group).index(a.key())
 
 
 def basis_matrix(s: Sublattice):
@@ -320,7 +331,11 @@ def index_over_product_lattice(torus) -> int:
 
 
 def every_element_eigenvalue_violations(d) -> tuple[str, ...]:
-    """The eigenvalue check on every nonidentity element, in element order."""
+    """The eigenvalue check on every nonidentity element, in element order.
+
+    `validate` runs it on raw data only; on a factor torus it is the
+    reference for the eigenvalues that hold by construction.
+    """
     checks = (_check_eigenvalues(e, i) for i, e in enumerate(d.group.elements) if i)
     return tuple(problem for problem in checks if problem)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import compose
+from helpers import compose, element_index, element_keys
 import hyperelliptic.catalog
 from hyperelliptic.action import validate
 from hyperelliptic.catalog import UnknownEntry, get_entry, list_entries, run_entry
@@ -69,7 +69,7 @@ class TestNegativeFixtures:
         assert not report.passed
         g = datum.group.elements[datum.group.gens[0]]
         g2 = compose(g, g)
-        assert datum.group.elements.index(g2) in report.fixed_point_elements
+        assert element_index(datum.group, g2) in report.fixed_point_elements
 
     def test_2_6_configuration_rejected_with_fixed_point_witness(self):
         entry = get_entry("not-all-bielliptic-2-6")
@@ -81,7 +81,7 @@ class TestNegativeFixtures:
         power = g2
         for _ in range(3):
             power = compose(power, g2)
-        assert datum.group.elements.index(power) in report.fixed_point_elements
+        assert element_index(datum.group, power) in report.fixed_point_elements
         # the forcing translation: 2 * t0(g2) hits the K0 part, so an H of
         # order 3 would be required if the datum were free
         assert datum.group.orders[datum.group.gens[1]] in (6, 12)
@@ -100,7 +100,7 @@ class TestDocuments:
         rebuilt = build_datum(entry.document)
         original = entry.build()
         assert rebuilt.torus == original.torus
-        assert rebuilt.group.elements == original.group.elements
+        assert element_keys(rebuilt.group) == element_keys(original.group)
         assert rebuilt.form == original.form
 
 
@@ -114,7 +114,7 @@ def test_repeated_or_identity_generator_changes_nothing(name, extra, tmp_path, c
     generator = doc["generators"][0] if extra == "repeat" else identity
     extended = dict(doc, generators=[*doc["generators"], generator])
     group = build_datum(doc).group
-    assert build_datum(extended).group.elements == group.elements
+    assert element_keys(build_datum(extended).group) == element_keys(group)
     assert build_datum(extended).group.gens[-1] == (group.gens[0] if extra == "repeat" else 0)
     outputs = []
     for d in (doc, extended):

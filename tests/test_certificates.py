@@ -18,12 +18,14 @@ out, and the trace of P0 the rank of Lambda_0.  On the same data Lambda_0,
 the kernel of I - P0, must equal the kernel of the generators' rows M_g - I,
 H and its shifts must equal one integer solve per element, D P0 must reach
 its column Hermite form once per pipeline level with Lambda_1 still the
-kernel of P0, and |G| |K| = |H| [Lambda_B : Lambda_0] must hold.  `validate`
-checks a factor torus's eigenvalues on the generators only; the reference
-checks every element, on the same data and on the fiber-basis sweep.  Each
-fiber's report, which `compute_fiber` certifies by theorem, must equal the
-full `validate` of the fiber, on every level of those data and of two copies
-of `z2z2-threefold` side by side.
+kernel of P0, and |G| |K| = |H| [Lambda_B : Lambda_0] must hold.  On a
+factor torus `validate` checks neither the form nor the eigenvalues, which
+hold by construction; the reference checks every element's eigenvalues and
+the form under every generator, on the same data, on the fiber-basis sweep
+and on every builder document of the output digest and each fiber of its
+recursion, while raw data still get every check.  Each fiber's report, which
+`compute_fiber` certifies by theorem, must equal `validate` of the fiber, on
+every level of those data and of two copies of `z2z2-threefold` side by side.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from helpers import (
     t0_table,
     three_curve_document,
 )
-from hyperelliptic import albanese
+from hyperelliptic import action, albanese
 from hyperelliptic.action import (
     AffineAut,
     HyperellipticDatum,
@@ -92,6 +94,7 @@ from hyperelliptic.torus import (
     identify_factor_subspace,
 )
 from output_digest import documents as digest_documents
+from test_cli import RAW_FORM_FLIP, RAW_INVOLUTION
 from test_closure_reference import z2z2_copies
 from test_nonabelian import D4_THREEFOLD
 
@@ -552,9 +555,11 @@ def test_datum_denominator_is_the_all_element_lcm():
 
 @pytest.mark.parametrize("name", ["bielliptic-5", "z4-threefold", "zmzm-threefold-m3"])
 def test_wrong_generator_eigenvalue_fails_both_checks(name):
-    # declare 1 where a generator acts by a nontrivial unit: the closure
-    # multiplies the wrong value into every product, and the generator-only
-    # check reports a subset of what the every-element loop reports
+    # declare 1 where a generator acts by a nontrivial unit, which no document
+    # can do: affine_from_factor_action reads each eigenvalue off its block.
+    # validate takes a factor torus's eigenvalues as built and reports
+    # nothing; the every-element reference flags the datum, and so does
+    # validate once the same group and form are given as raw data
     d = get_entry(name).build()
     g = d.group.elements[d.group.gens[0]]
     k = next(k for k, z in enumerate(g.eigenvalues) if not z.is_one())
@@ -563,6 +568,65 @@ def test_wrong_generator_eigenvalue_fails_both_checks(name):
         d.group.elements[i] for i in d.group.gens[1:]
     )
     bad = HyperellipticDatum(d.torus, close_group(gens, d.torus), d.form)
-    got = validate(bad).eigenvalue_violations
     reference = every_element_eigenvalue_violations(bad)
-    assert got and set(got) <= set(reference)
+    assert reference
+    assert validate(bad).eigenvalue_violations == ()
+    raw = HyperellipticDatum(TorusDatum.raw(d.rank), bad.group, d.form)
+    assert validate(raw).eigenvalue_violations == reference
+
+
+def builder_chains():
+    """Each builder document of the output digest and each fiber its recursion descends into."""
+    for _, doc in digest_documents():
+        if doc["mode"] == "builder":
+            d = build_datum(doc)
+            yield [x for x, _ in pipeline_chain(d)] if validate(d).passed else [d]
+
+
+def test_builder_data_hold_form_and_eigenvalues_by_construction(monkeypatch):
+    # the reference finds every builder datum and every fiber valid on the
+    # form and the eigenvalues, and validate checks neither on a factor torus
+    chains = list(builder_chains())
+    for datum in (datum for chain in chains for datum in chain):
+        assert every_element_eigenvalue_violations(datum) == ()
+        gens = [datum.group.elements[i].linear for i in datum.group.gens]
+        assert all(datum.form.is_invariant_under(m) for m in gens)
+    factor_data = [x for chain in chains for x in chain if x.torus.factors is not None]
+    assert len(factor_data) > len(chains)  # some fibers are factor-aligned
+
+    def refuse(*args):
+        raise AssertionError("a form or eigenvalue check ran on a factor torus")
+
+    monkeypatch.setattr(action, "char_poly", refuse)
+    monkeypatch.setattr(action, "cyclotomic_multiplicities", refuse)
+    monkeypatch.setattr(AlternatingForm, "is_invariant_under", refuse)
+    for datum in factor_data:
+        report = validate(datum)
+        assert not report.form_violations and not report.eigenvalue_violations
+
+
+@pytest.mark.parametrize("doc", [D4_THREEFOLD, RAW_INVOLUTION, RAW_FORM_FLIP],
+                         ids=["d4-threefold", "raw-involution", "raw-form-flip"])
+def test_raw_data_get_every_check(doc, monkeypatch):
+    # per nonidentity element a characteristic polynomial and its cyclotomic
+    # factors, and per distinct generator the form
+    d = build_datum(doc)
+    calls = []
+
+    def counting(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+
+        return call
+
+    for name in ("char_poly", "cyclotomic_multiplicities"):
+        monkeypatch.setattr(action, name, counting(name, getattr(action, name)))
+    monkeypatch.setattr(
+        AlternatingForm, "is_invariant_under", counting("form", AlternatingForm.is_invariant_under)
+    )
+    report = validate(d)
+    nonidentity = d.group.order - 1
+    assert calls.count("char_poly") == calls.count("cyclotomic_multiplicities") == nonidentity
+    assert calls.count("form") == len(set(d.group.gens))
+    assert report.form_invariant == (doc is not RAW_FORM_FLIP)

@@ -23,7 +23,7 @@ from hyperelliptic.documents import (
 from hyperelliptic.albanese import PipelineInvariantError, fixed_projector, run_pipeline
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.exactlin import Sublattice, identity, transpose
-from helpers import contains
+from helpers import contains, element_keys
 from test_nonabelian import D4_THREEFOLD
 
 
@@ -607,7 +607,7 @@ class TestEntryKeys:
         builder = dict(BUILDER_SHIFT, factors=factors,
                        generators=[{"blocks": blocks, "translation": ["1/2", "0", "0", "0"]}])
         datum = build_datum(builder)
-        assert datum.group.elements == build_datum(BUILDER_SHIFT).group.elements
+        assert element_keys(datum.group) == element_keys(build_datum(BUILDER_SHIFT).group)
         assert datum.torus.factors[0].label == "E"
         assert build_datum(RAW_INVOLUTION).group.order == 2
 

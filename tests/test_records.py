@@ -55,11 +55,9 @@ class TestPlainClasses:
         half = (F(1, 2), F(0))
         a = AffineAut(identity(2), half, (RootOfUnity.one(),))
         b = AffineAut(identity(2), half, (RootOfUnity.of(1, 2),))
-        assert a == b
-        with pytest.raises(TypeError):  # compared by value, never hashed
-            hash(a)
-        assert a != AffineAut(identity(2), (F(0), F(1, 2)), (RootOfUnity.one(),))
-        assert a != AffineAut(((-1, 0), (0, -1)), half, (RootOfUnity.one(),))
+        assert a.key() == b.key()  # elements are compared by key; eigenvalues are not in it
+        assert a.key() != AffineAut(identity(2), (F(0), F(1, 2)), (RootOfUnity.one(),)).key()
+        assert a.key() != AffineAut(((-1, 0), (0, -1)), half, (RootOfUnity.one(),)).key()
 
     def test_torus_equality_ignores_the_derived_inverse(self):
         factors = (EllipticFactor("generic", "t"), EllipticFactor("gauss"))
