@@ -25,12 +25,7 @@ from .documents import (
     validation_dict,
 )
 from .invariants import canonical_order, canonical_report, invariants_report
-from .oracle import (
-    build_model,
-    fiber_count_level,
-    fixed_point_survey,
-    oracle_fiber_count,
-)
+from .oracle import build_model, datum_denominator, fixed_point_survey, oracle_fiber_count
 
 _MATH_ERRORS = (ValueError,)  # all domain errors subclass ValueError
 # failed theorem-backed certificates (PipelineInvariantError, NotASubgroup,
@@ -136,12 +131,7 @@ def cmd_oracle(args) -> int:
     datum = _valid_datum(args.path)
     survey = fixed_point_survey(datum, level=args.level)
     alb = run_pipeline(datum)
-    level = fiber_count_level(datum, alb)
-    if args.level is not None:
-        if args.level % level != 0:
-            return _fail(2, f"level {args.level} is not divisible by the fiber-map "
-                            f"denominator {level}")
-        level = args.level
+    level = args.level or datum_denominator(datum)
     verdict = oracle_fiber_count(build_model(datum, level), alb, datum.group.order)
     payload = {
         "fixed_points": {
@@ -201,10 +191,8 @@ def cmd_catalog(args) -> int:
             return 0
         sys.stdout.write(dumps_canonical({"entry": args.name, "diff": diff}))
         return 2
-    if args.action == "export":
-        sys.stdout.write(dumps_canonical(entry.document))
-        return 0
-    return _fail(1, f"unknown catalog action {args.action!r}")
+    sys.stdout.write(dumps_canonical(entry.document))  # export, the last choice
+    return 0
 
 
 def _level(text: str) -> int:

@@ -99,9 +99,6 @@ class RootOfUnity(NamedTuple):
         n = lcm(self.order, other.order)
         return RootOfUnity.of(self.k * (n // self.order) + other.k * (n // other.order), n)
 
-    def __pow__(self, exponent: int) -> "RootOfUnity":
-        return RootOfUnity.of(self.k * exponent, self.order)
-
     def conjugate(self) -> "RootOfUnity":
         return RootOfUnity.of(-self.k, self.order)
 

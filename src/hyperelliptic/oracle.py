@@ -2,10 +2,29 @@
 
 The model is the finite G-set (1/N)Lambda/Lambda, i.e. tuples mod N in the
 lattice basis.  Fixed-point counts here are pure enumeration (no normal-form
-shortcuts), so they cross-check the exact pipeline; a count is *exhaustive*
-evidence exactly when the level is divisible by the element's solution
-denominator bound, which is computed from the Smith divisors of (M - I) and
-recorded in the verdict rather than assumed.
+shortcuts), so they cross-check the exact pipeline.  ``build_model`` admits
+exactly the multiples N of D, the lcm of the translation denominators, and
+two theorems say what a count at such an N proves.
+
+Fixed points.  An element e = (M, t) is counted exhaustively when N is a
+multiple of its bound lcm(s * den(t), D), s the largest Smith divisor of
+M - I (``element_level_bound``); the verdict records whether it was.  Every
+bound divides D * lcm(orders) (``formula_level``), because s divides
+m = ord(M), which divides ord(e), and den(t) divides D.  Proof that s | m:
+s is the exponent of the torsion of Z^n/(M - I)Z^n.  If k x lies in
+(M - I)Z^n, then S x = 0 for S = sum_{i<m} M^i, as S (M - I) = M^m - I = 0
+and Z^n has no torsion; so m x = S x + sum_{i<m} (I - M^i) x lies in
+(M - I)Z^n, each I - M^i being (M - I) times an integer matrix.
+
+Fibers.  At every multiple N of D, each nonempty fiber of the model over
+V0/Lambda_B holds [G : H] * N^rank(Lambda_1) points, so the fiber count
+needs no level of its own.  The map p -> P0 p mod Lambda_B is a
+homomorphism, so its nonempty fibers have the order of its kernel Q/Z^n,
+Q = P0^-1(Lambda_B) meet (1/N)Z^n.  Lambda_B is spanned by P0(Z^n) and the
+t0(g) = P0 tau(g) with D tau(g) integral, so it lies in P0((1/N)Z^n) and P0
+maps Q onto it, with kernel (1/N)Lambda_1, as it maps Z^n onto P0(Z^n) with
+kernel Lambda_1.  So [Q : Z^n] = N^rank(Lambda_1) [Lambda_B : P0(Z^n)], and
+``run_pipeline`` certifies |G| = |H| [Lambda_B : P0(Z^n)].
 """
 
 from __future__ import annotations
@@ -184,17 +203,19 @@ def fixed_point_survey(
     first, so a level that is not a multiple of every denominator raises
     BadLevel and one whose split grid is over the cap raises CapExceeded;
     every element is counted there.  With no level given, the shared level is
-    lcm(denominators) * lcm(orders), enlarged to contain every bound.  When
-    split counting at it fits the cap, every element is counted there;
-    otherwise the survey is downgraded, and each element falls back to its
-    own bound if that fits, or else to the bare denominator level (one-sided).
+    ``formula_level``, lcm(denominators) * lcm(orders), a multiple of every
+    bound by the module's theorem (the largest Smith divisor of M - I divides
+    ord(M)).  When split counting at it fits the cap, every element is
+    counted there, exhaustively; otherwise the survey is downgraded, and each
+    element falls back to its own bound if that fits, or else to the bare
+    denominator level (one-sided).
     """
     report = d._report or validate(d)
     base = datum_denominator(d)
     bounds = [lcm(element_level_bound(e), base) for e in d.group.elements[1:]]
     downgraded = False
     if level is None:
-        level = lcm(formula_level(d), *bounds)
+        level = formula_level(d)
         downgraded = _split_grid_size(level, d.rank) > cap
     models = {} if downgraded else {level: build_model(d, level, cap, split_counting=True)}
     checks = []
@@ -247,20 +268,6 @@ def _albanese_projection_matrix(report: AlbaneseReport):
             raise PipelineInvariantError("projection leaves the Albanese lattice span")
         columns.append(coords)
     return transpose(columns)
-
-
-def fiber_count_level(d: HyperellipticDatum, report: AlbaneseReport) -> int:
-    """Smallest level divisible by every denominator the fiber map uses.
-
-    The V0 and V1 parts of any K element differ from integer combinations of
-    the K0 and K1 generators by vectors of Lambda_0 and Lambda_1, which are
-    integral, so the generators carry every denominator of K.
-    """
-    dec = report.decomposition
-    den = datum_denominator(d)
-    for v in report.albanese_lattice.basis_vectors() + dec.k0.generators + dec.k1.generators:
-        den = lcm(den, vec_denominator(v))
-    return den
 
 
 def oracle_fiber_count(

@@ -77,11 +77,6 @@ class EllipticFactor:
         self.kind = kind
         self.label = label
 
-    def __eq__(self, other):
-        if not isinstance(other, EllipticFactor):
-            return NotImplemented
-        return (self.kind, self.label) == (other.kind, other.label)
-
     @property
     def units(self) -> dict[tuple[int, int], RootOfUnity]:
         return {GENERIC: _GENERIC_UNITS, GAUSS: _GAUSS_UNITS, EISENSTEIN: _EISENSTEIN_UNITS}[
@@ -132,11 +127,6 @@ class AlternatingForm:
             raise DegenerateForm("form matrix is singular")
         self.matrix = matrix
 
-    def __eq__(self, other):
-        if not isinstance(other, AlternatingForm):
-            return NotImplemented
-        return self.matrix == other.matrix
-
     def restricted_to(self, basis_columns) -> tuple[tuple[Fraction, ...], ...]:
         """Gram matrix B^T E B for the given (rational) basis columns."""
         b = transpose(tuple(as_fractions(c) for c in basis_columns))
@@ -151,8 +141,7 @@ class TorusDatum:
 
     ``lam_basis`` columns are a basis of Lambda written in product coordinates;
     in lattice coordinates Lambda is Z^rank.  Raw data use the identity basis
-    and carry no factors.  Equality compares rank, ``lam_basis`` and factors;
-    the integer inverse derived from ``lam_basis`` is left out.
+    and carry no factors.
     """
 
     __slots__ = ("rank", "lam_basis", "factors", "lam_basis_inv")
@@ -172,13 +161,6 @@ class TorusDatum:
         self.lam_basis = lam_basis
         self.factors = factors
         self.lam_basis_inv = tuple(tuple(map(int, row)) for row in inv)
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusDatum):
-            return NotImplemented
-        return (self.rank, self.lam_basis, self.factors) == (
-            other.rank, other.lam_basis, other.factors
-        )
 
     @property
     def dim(self) -> int:

@@ -11,14 +11,16 @@ table of every element, H by one integer solve per element and factor
 alignment decided in product coordinates, `compose`, the product of two
 elements in `Fraction` arithmetic, which `close_group` no longer calls, and
 `element_keys` and `element_index`, which compare elements by key in place
-of the equality `AffineAut` had.  The coset decision, the direct loop, the
-two-branch survey, the every-element eigenvalue loop, the basis-inverse
-projectors, the generator rows, the t0 table, the per-element solve, the
-product-coordinate alignment and `compose` are the references the library's
-one Hermite form per element, meet-in-the-middle count, one survey loop,
-eigenvalues by construction, group average, kernel of I - P0, t0 on the
-generators, walk of the Cayley tree, alignment in lattice coordinates and
-integer closure are checked against.
+of the equality `AffineAut` had, and `factor_key` and `torus_key`, which
+compare factors and tori by the fields the library reads in place of the
+equality `EllipticFactor` and `TorusDatum` had.  The coset decision, the
+direct loop, the two-branch survey, the every-element eigenvalue loop, the
+basis-inverse projectors, the generator rows, the t0 table, the per-element
+solve, the product-coordinate alignment and `compose` are the references
+the library's one Hermite form per element, meet-in-the-middle count, one
+survey loop, eigenvalues by construction, group average, kernel of I - P0,
+t0 on the generators, walk of the Cayley tree, alignment in lattice
+coordinates and integer closure are checked against.
 `three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
@@ -78,6 +80,17 @@ def element_keys(group) -> list:
 def element_index(group, a: AffineAut) -> int:
     """The index of the element of group whose key is a's."""
     return element_keys(group).index(a.key())
+
+
+def factor_key(f) -> tuple[str, str]:
+    """An elliptic factor's kind and label."""
+    return f.kind, f.label
+
+
+def torus_key(t) -> tuple:
+    """A torus's rank, lam_basis and factor keys; its derived integer inverse is left out."""
+    factors = None if t.factors is None else tuple(map(factor_key, t.factors))
+    return t.rank, t.lam_basis, factors
 
 
 def basis_matrix(s: Sublattice):
@@ -271,7 +284,9 @@ def two_branch_survey(d, level=None, cap=DEFAULT_POINT_CAP) -> FixedPointSurvey:
     the other, taken only when the computed level is over the cap, builds one
     model per element at its own bound or the bare denominator.  Bounds are
     computed while choosing the level and again per element, and the exact
-    decision comes from coset_has_fixed_point.
+    decision comes from coset_has_fixed_point.  The computed level is
+    enlarged by every bound, which leaves formula_level unchanged, as each
+    bound divides it (the oracle module's theorem).
     """
     downgraded = False
     if level is None:

@@ -11,11 +11,17 @@ header or a statement inside it ran; consecutive statements that never ran
 print as one range, and nothing inside them is listed again.  It is a script,
 not a collected test, because tracing every line takes a few minutes.
 
-    PYTHONPATH=src python tests/reachability.py
+    PYTHONPATH=src python tests/reachability.py [--expect N]
+
+`--expect N` compares the number of ranges with a known one, such as the
+number printed before a change: when they differ, the script prints both
+and exits 1, so a change that should reach no more or no less code is
+checked by one command.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -116,7 +122,11 @@ def trace_runs() -> dict[Path, set[int]]:
     return ran
 
 
-def run() -> int:
+def run(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", type=int, metavar="N",
+                        help="exit 1 unless this many ranges never ran")
+    args = parser.parse_args(argv)
     ran = trace_runs()
     count = 0
     for path in sorted(PACKAGE.glob("*.py")):
@@ -129,6 +139,9 @@ def run() -> int:
             span = str(first) if first == last else f"{first}-{last}"
             print(f"  {span}: {source_lines[first - 1].strip()}")
     print(f"{count} ranges never ran")
+    if args.expect is not None and count != args.expect:
+        print(f"range count differs: expected {args.expect}, got {count}")
+        return 1
     return 0
 
 

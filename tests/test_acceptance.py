@@ -19,7 +19,7 @@ from hyperelliptic.exactlin import Sublattice
 from hyperelliptic.invariants import canonical_report, invariants_report
 from hyperelliptic.oracle import (
     build_model,
-    fiber_count_level,
+    datum_denominator,
     fixed_point_survey,
     oracle_fiber_count,
 )
@@ -178,7 +178,7 @@ def test_oracle_equivalence():
             assert survey.passed, name
             assert all(c.exhaustive for c in survey.checks), name
             report = run_pipeline(datum)
-            level = fiber_count_level(datum, report)
+            level = datum_denominator(datum)
             verdict = oracle_fiber_count(
                 build_model(datum, level), report, datum.group.order
             )

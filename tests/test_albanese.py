@@ -20,7 +20,7 @@ from hyperelliptic.documents import build_datum
 from hyperelliptic.exactlin import Sublattice, mat_vec, vec_sub
 from hyperelliptic.oracle import (
     build_model,
-    fiber_count_level,
+    datum_denominator,
     fixed_point_survey,
     oracle_fiber_count,
 )
@@ -318,7 +318,7 @@ class TestFiberBasis:
                 cols, indices = _fiber_basis(d, lambda1)
                 unaligned += indices is not None and cols != lambda1.basis_vectors()
                 assert fixed_point_survey(d).passed
-                model = build_model(d, fiber_count_level(d, report))
+                model = build_model(d, datum_denominator(d))
                 assert oracle_fiber_count(model, report, d.group.order).passed
         assert valid == 180
         assert unaligned > 0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import compose, element_index, element_keys
+from helpers import compose, element_index, element_keys, torus_key
 import hyperelliptic.catalog
 from hyperelliptic.action import validate
 from hyperelliptic.catalog import UnknownEntry, get_entry, list_entries, run_entry
@@ -99,9 +99,9 @@ class TestDocuments:
         entry = get_entry(name)
         rebuilt = build_datum(entry.document)
         original = entry.build()
-        assert rebuilt.torus == original.torus
+        assert torus_key(rebuilt.torus) == torus_key(original.torus)
         assert element_keys(rebuilt.group) == element_keys(original.group)
-        assert rebuilt.form == original.form
+        assert rebuilt.form.matrix == original.form.matrix
 
 
 @pytest.mark.parametrize("extra", ["repeat", "identity"])

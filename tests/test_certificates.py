@@ -85,7 +85,7 @@ from hyperelliptic.exactlin import (
     vec_sub,
 )
 from hyperelliptic.invariants import invariants_report
-from hyperelliptic.oracle import datum_denominator, fiber_count_level
+from hyperelliptic.oracle import datum_denominator
 from hyperelliptic.torus import (
     AlternatingForm,
     EllipticFactor,
@@ -166,13 +166,12 @@ def check_against_enumeration(d, report):
     members = set(h)
     assert all(d.group.compose_indices(i, j) in members for i in h for j in h)
 
-    # the oracle level from the generators equals the lcm over all of K
-    level = datum_denominator(d)
-    for b in report.albanese_lattice.basis_vectors():
-        level = lcm(level, vec_denominator(b))
-    for _, p0, p1 in k_elements:
-        level = lcm(level, vec_denominator(p0), vec_denominator(p1))
-    assert fiber_count_level(d, report) == level
+    # the oracle's fiber count holds at every multiple of D because D t0(g) lies in
+    # P0(Z^n) for every element g, and so does D times each basis vector of Lambda_B
+    base = datum_denominator(d)
+    image = Sublattice.from_rat_columns(d.rank, transpose(dec.proj0))
+    for v in [*table, *report.albanese_lattice.basis_vectors()]:
+        assert in_lattice(image, tuple(base * x for x in v))
 
 
 def subgroup_indices(group, gens) -> frozenset[int]:

@@ -762,6 +762,16 @@ class TestReports:
         payload = json.loads(out)
         assert payload["fiber_count"]["level"] == 4
 
+    def test_oracle_counts_fibers_at_any_multiple_of_the_denominator(self, z4_file, capsys):
+        # 12 = 3D for z4-threefold; the fiber count needs no level of its own
+        code, out, _ = run_cli(
+            ["oracle", z4_file, "--level", "12", "--format", "json"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["fiber_count"]["level"] == 12
+        assert payload["fiber_count"]["passed"] is True
+
     def test_catalog_run_all_from_cli(self, capsys):
         code, out, _ = run_cli(["catalog", "list"], capsys)
         for name in out.split():

