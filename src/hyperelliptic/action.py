@@ -1,18 +1,18 @@
 """Finite groups of affine automorphisms and the hyperelliptic-datum checks.
 
 Group elements are stored in lattice coordinates: the linear part is a
-unimodular integer matrix acting on Lambda = Z^2n, and the translation is a
-rational vector reduced into [0, 1)^2n so that equality of elements is
-canonical.  ``close_group`` is the only place that multiplies elements, in
-integers: a product's key is its linear part and D times its translation mod
-D, with D the lcm of the generators' translation denominators.  It keeps the
-Cayley edges, and a new element's eigenvalues follow one rule per kind of
-datum (see close_group).  The group is its Cayley table: a generator
-is an element index (``ActionGroup.gens``), every product is read off the
-edges, element orders are walked once, on first use (``ActionGroup.orders``), and
-nothing looks an element up by value.  A derived group (an Albanese fiber)
+unimodular integer matrix acting on Lambda = Z^2n, and the translation t mod
+Lambda is the integer vector den t mod den over its least denominator den, so
+equality of elements is canonical.  ``close_group`` is the only place that
+multiplies elements, in integers: a product's key is its linear part and
+D t mod D, D the lcm of the generators' den.  It keeps the Cayley edges, and
+a new element's eigenvalues follow one rule per kind of datum (see
+close_group).  The group is its Cayley table: a generator is an element index
+(``ActionGroup.gens``), every product is read off the edges, element orders
+are walked once, on first use (``ActionGroup.orders``), and nothing looks an
+element up by value.  A derived group (an Albanese fiber)
 reads its parent's edges.
-Fixed-point existence is decided exactly by rational linear algebra: since
+Fixed-point existence is decided exactly by integer linear algebra: since
 the linear part and the translation are rational, a real fixed point exists
 iff a rational one does, so freeness results are certificates, not samples.
 """
@@ -20,7 +20,7 @@ iff a rational one does, so freeness results are certificates, not samples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .cyclotomic import RootOfUnity, cyclotomic_polynomial, euler_phi, poly_divmod_exact
@@ -32,10 +32,9 @@ from .exactlin import (
     mat_inv,
     mat_mul,
     mat_vec,
-    over_common_denominator,
+    scaled_mod1,
     transpose,
     vec_is_integral,
-    vec_mod1,
 )
 from .torus import AlternatingForm, TorusDatum, factor_block_eigenvalue
 
@@ -122,25 +121,32 @@ def cyclotomic_multiplicities(poly: tuple[int, ...]) -> dict[int, int]:
 
 
 class AffineAut:
-    """One affine automorphism x -> linear @ x + translation of A = V/Lambda.
+    """One affine automorphism x -> linear @ x + t of A = V/Lambda.
 
-    ``eigenvalues`` are the n complex-representation eigenvalues of the
-    element; on a torus with elliptic factors they are in factor order, one
-    per factor.  ``key()``, the linear part and the translation, identifies
-    the element.
+    The translation t mod Lambda is ``shift`` = den t mod den over ``den``,
+    the least positive integer with den t integral.  ``eigenvalues`` are the
+    n complex-representation eigenvalues of the element; on a torus with
+    elliptic factors they are in factor order, one per factor.  ``key()``,
+    the linear part, den and shift, identifies the element.
     """
 
-    __slots__ = ("linear", "translation", "eigenvalues")
+    __slots__ = ("linear", "den", "shift", "eigenvalues")
 
     def __init__(
         self,
         linear: tuple[tuple[int, ...], ...],
-        translation: tuple[Fraction, ...],
+        den: int,
+        shift: tuple[int, ...],
         eigenvalues: tuple[RootOfUnity, ...] | None,
     ):
         self.linear = linear
-        self.translation = translation
+        self.den = den
+        self.shift = shift
         self.eigenvalues = eigenvalues
+
+    @property
+    def translation(self) -> tuple[Fraction, ...]:  # t in [0, 1)^rank, for the Albanese algebra
+        return tuple(Fraction(x, self.den) for x in self.shift)
 
     @property
     def rank(self) -> int:
@@ -150,15 +156,11 @@ class AffineAut:
         return all(x == (i == j) for i, row in enumerate(self.linear) for j, x in enumerate(row))
 
     def key(self):
-        return (self.linear, self.translation)
+        return (self.linear, self.den, self.shift)
 
 
 def affine_identity(rank: int) -> AffineAut:
-    return AffineAut(
-        identity(rank),
-        tuple(Fraction(0) for _ in range(rank)),
-        tuple(RootOfUnity.one() for _ in range(rank // 2)),
-    )
+    return AffineAut(identity(rank), 1, (0,) * rank, (RootOfUnity.one(),) * (rank // 2))
 
 
 def _eigenvalues_from_char_poly(m) -> tuple[RootOfUnity, ...]:
@@ -252,17 +254,17 @@ def close_group(
     Walks the element list breadth-first while it grows, identity first, and
     records edges[i][s] = index of elements[i] . gens[s].  Linear parts are
     integral, so every translation lies in (1/D)Z^rank, D the lcm of the
-    generators' translation denominators, and the integer pair
-    (M_e M_s, (M_e D t_s + D t_e) mod D) is both the product and its key.
-    A new element alone becomes an AffineAut, with translation (D t mod D)/D,
-    and gets its eigenvalues once.  With elliptic factors
-    each linear part is one unit of each factor's endomorphism ring, so they
-    are the factorwise product of the parent's and the generator's, in factor
-    order.  Raw data take them from ``eigenvalue_table`` (keyed by linear
-    part) or else from the characteristic polynomial, which raises
-    MissingEigenvalueData when it cannot split conjugate pairs.  Raises
-    LatticeNotPreserved for non-unimodular or non-integral linear parts and
-    NotClosedWithinCap past the cap.
+    generators' den, and the integer pair (M_e M_s, (M_e D t_s + D t_e) mod D)
+    is both the product and its key.  A new element alone becomes an
+    AffineAut, its den and shift D and D t mod D over their gcd, and gets its
+    eigenvalues once.  With elliptic factors each linear part is one unit of
+    each factor's endomorphism ring, so they are the factorwise product of
+    the parent's and the generator's, in factor order.  Raw data take them
+    from ``eigenvalue_table`` (keyed by linear part) or else from the
+    characteristic polynomial, which raises MissingEigenvalueData when it
+    cannot split conjugate pairs.  Raises LatticeNotPreserved for
+    non-unimodular or non-integral linear parts and NotClosedWithinCap past
+    the cap.
     """
     gens = tuple(gens)
     rank = torus.rank
@@ -275,8 +277,8 @@ def close_group(
         if not is_unimodular(g.linear):
             raise LatticeNotPreserved("linear part is not unimodular")
         table.setdefault(g.linear, g.eigenvalues)
-    den, dt_gens = over_common_denominator([g.translation for g in gens])  # D t_s
-    den = den or 1
+    den = lcm(*(g.den for g in gens))
+    dt_gens = [tuple(x * (den // g.den) for x in g.shift) for g in gens]  # D t_s
 
     elements = [affine_identity(rank)]
     dt = [(0,) * rank]  # D t_e mod D
@@ -298,7 +300,8 @@ def close_group(
                 if len(elements) >= cap:
                     raise NotClosedWithinCap(f"group closure exceeds cap {cap}")
                 j = index[linear, shift] = len(elements)
-                elements.append(AffineAut(linear, tuple(Fraction(x, den) for x in shift), eig))
+                c = gcd(den, *shift)
+                elements.append(AffineAut(linear, den // c, tuple(x // c for x in shift), eig))
                 dt.append(shift)
                 tree.append((i, s))
             row.append(j)
@@ -329,14 +332,14 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) ->
         raise LatticeNotPreserved("linear part does not preserve the enlarged lattice")
     linear = tuple(tuple(int(x) for x in row) for row in linear_rows)
     eig = tuple(factor_block_eigenvalue(f, b) for f, b in zip(torus.factors, blocks))
-    translation = vec_mod1(torus.to_lattice_coords(as_fractions(translation_product)))
-    return AffineAut(linear, translation, eig)
+    den, shift = scaled_mod1(torus.to_lattice_coords(as_fractions(translation_product)))
+    return AffineAut(linear, den, shift, eig)
 
 
 def affine_raw(linear, translation, eigenvalues) -> AffineAut:
     """Raw-mode generator: integer matrix, lattice-coordinate translation, declared eigenvalues."""
     linear = tuple(tuple(int(x) for x in row) for row in linear)
-    return AffineAut(linear, vec_mod1(as_fractions(translation)), tuple(eigenvalues))
+    return AffineAut(linear, *scaled_mod1(translation), tuple(eigenvalues))
 
 
 def has_fixed_point(a: AffineAut) -> bool:
@@ -348,14 +351,14 @@ def has_fixed_point(a: AffineAut) -> bool:
     runs over all of Z^rank.  The nonzero rows of h are independent, so they
     reach every rational value; on the zero rows the equation reads
     (u t)_i = (u lambda)_i.  So g has a fixed point iff u t is integral on the
-    zero rows of h.
+    zero rows of h, that is iff u shift = 0 mod den there.
     """
     n = a.rank
     h, u = hermite_normal_form(
         tuple(tuple(a.linear[i][j] - int(i == j) for j in range(n)) for i in range(n))
     )
     zero_rows = tuple(row for row, h_row in zip(u, h) if not any(h_row))
-    return vec_is_integral(mat_vec(zero_rows, a.translation))
+    return all(x % a.den == 0 for x in mat_vec(zero_rows, a.shift))
 
 
 class ValidationReport(NamedTuple):
@@ -545,11 +548,12 @@ def rewrite_on_lattice(
 
     ``cols`` are basis columns B in d's lattice coordinates, ``torus`` is the
     lattice they span with Z^len(cols) as its lattice coordinates, and
-    ``members`` are (index in d.group, element) pairs, identity first, each
-    element an AffineAut with its linear part and translation in d's
-    coordinates and its eigenvalues for the new datum.  In the basis B an
-    element reads (L M B, L t mod 1) with L = (B^T B)^-1 B^T, so L B = I, and
-    the form reads B^T E B.  A linear part that is not integral raises
+    ``members`` are (index in d.group, t, eigenvalues) triples, identity
+    first: M is that element's linear part, t a rational translation in d's
+    coordinates and the eigenvalues are the new datum's.  In the basis B a
+    member reads (L M B, L t mod 1) with L = (B^T B)^-1 B^T, so L B = I, and
+    the form reads B^T E B; L need not be integral, so t is not reduced mod 1
+    before L is applied.  A linear part that is not integral raises
     GroupInvariantError, and so do two members with one image: the members
     act faithfully, so each keeps its own element.  Every nonidentity member
     is a generator.  The rewrite is a homomorphism, so a product is read off
@@ -558,14 +562,14 @@ def rewrite_on_lattice(
     b = transpose(cols)
     left = mat_mul(mat_inv(mat_mul(cols, b)), cols)
     elements, label, owner = [], {}, {}
-    for i, e in members:
-        linear = mat_mul(left, mat_mul(e.linear, b))
+    for i, t, eigenvalues in members:
+        linear = mat_mul(left, mat_mul(d.group.elements[i].linear, b))
         if not all(vec_is_integral(row) for row in linear):
             raise GroupInvariantError("an element does not preserve the lattice")
         g = AffineAut(
             tuple(tuple(map(int, row)) for row in linear),
-            vec_mod1(mat_vec(left, e.translation)),
-            e.eigenvalues,
+            *scaled_mod1(mat_vec(left, t)),
+            eigenvalues,
         )
         key = g.key()
         if key in owner:

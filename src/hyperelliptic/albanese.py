@@ -61,7 +61,6 @@ from typing import NamedTuple
 
 from .action import (
     ActionGroup,
-    AffineAut,
     HyperellipticDatum,
     ValidationReport,
     quotient_by_translations,
@@ -293,9 +292,9 @@ def compute_fiber(
     coordinates of the fiber's factors; otherwise the Hermite basis of
     Lambda_1.  Each h acts by a1 -> rho(h)|V1 a1 + shift(h), with the V1 shift
     from compute_H.  A1/H is the restriction of H to A1, so its group law is
-    G's: each h goes to ``rewrite_on_lattice`` with its index in G, and the
-    fiber's products are read off G's Cayley table, not closed again.  On a
-    factor-aligned fiber h keeps its eigenvalues on the fiber's factors, in
+    G's: each h goes to ``rewrite_on_lattice`` with its index in G and its V1
+    shift, and the fiber's products are read off G's Cayley table, not closed
+    again.  On a factor-aligned fiber h keeps its eigenvalues on the fiber's factors, in
     factor order, and must have eigenvalue 1 on the others; otherwise it
     drops the first q ones.  ``rewrite_on_lattice`` gives each h its own
     element, so the fiber's group has order |H|, and its cached report is the
@@ -306,8 +305,7 @@ def compute_fiber(
     q = dec.q
     members = []
     for i in h_indices:
-        e = d.group.elements[i]
-        eig = e.eigenvalues
+        eig = d.group.elements[i].eigenvalues
         kept = factor_indices  # factor order: the order of the fiber torus's factors
         if kept is None:  # drop the first q ones
             ones = [k for k, z in enumerate(eig) if z.is_one()][:q]
@@ -315,7 +313,7 @@ def compute_fiber(
         dropped = [eig[k] for k in range(len(eig)) if k not in kept]
         if len(dropped) != q or not all(z.is_one() for z in dropped):
             raise PipelineInvariantError("element lacks eigenvalue 1 on the q Albanese directions")
-        members.append((i, AffineAut(e.linear, shifts[i], tuple(eig[k] for k in kept))))
+        members.append((i, shifts[i], tuple(eig[k] for k in kept)))
     factors = None if factor_indices is None else tuple(d.torus.factors[i] for i in factor_indices)
     r1 = len(cols)
     torus = TorusDatum(r1, tuple(tuple(map(Fraction, row)) for row in identity(r1)), factors)

@@ -157,12 +157,13 @@ def run_entry(name: str) -> dict:
         if report.passed:
             diff["validated"] = {"expected": "invalid", "actual": "valid"}
             return diff
-        for word in entry.expected.get("fixed_point_words", []):
-            if _word_to_element(datum, word) not in report.fixed_point_elements:
-                diff["fixed_point_words"] = {
-                    "expected": f"fixed point at word {word}",
-                    "actual": list(report.fixed_point_elements),
-                }
+        fixed = report.fixed_point_elements
+        words = entry.expected.get("fixed_point_words", [])
+        missing = [
+            f"fixed point at word {w}" for w in words if _word_to_element(datum, w) not in fixed
+        ]
+        if missing:
+            diff["fixed_point_words"] = {"expected": missing, "actual": list(fixed)}
         return diff
 
     if not report.passed:

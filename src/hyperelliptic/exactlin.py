@@ -9,9 +9,10 @@ over a common denominator; the form is unique, so equal lattices compare equal.
 This module is the one place where rationals become integers: no other
 module of the package reads a `.numerator` or a `.denominator`.
 `over_common_denominator` scales a rational matrix to integer rows over the
-lcm of its entry denominators.  Matrix products (`mat_mul`, `mat_vec`) take
-their inner products on those integer rows and turn each output entry into
-one `Fraction`; products of all-`int` operands stay `int`.  The Hermite form
+lcm of its entry denominators, and `scaled_mod1` gives a translation's
+integers mod 1 over its least denominator.  Matrix products (`mat_mul`,
+`mat_vec`) take their inner products on those integer rows and turn each
+output entry into one `Fraction`; products of all-`int` operands stay `int`.  The Hermite form
 (Cohen, GTM 138, 2.4) answers the integer questions.  One column Hermite
 form (h, v) of m has four readers: `hermite_kernel` (the kernel of m),
 `hermite_coords` (coordinates against h's pivot columns, as in
@@ -98,18 +99,11 @@ def vec_is_integral(v) -> bool:
     return all(Fraction(x).denominator == 1 for x in v)
 
 
-def vec_denominator(v) -> int:
-    return lcm(*(Fraction(x).denominator for x in v)) if v else 1
-
-
-def frac_mod1(x: Fraction) -> Fraction:
-    """Canonical representative of x in [0, 1)."""
-    x = Fraction(x)
-    return x - (x.numerator // x.denominator)
-
-
-def vec_mod1(v) -> Vector:
-    return tuple(frac_mod1(x) for x in v)
+def scaled_mod1(v) -> tuple[int, tuple[int, ...]]:
+    """(D, D v mod D), D the least positive integer with D v integral: equal iff v is mod 1."""
+    d, (scaled,) = over_common_denominator((v,))
+    d = d or 1
+    return d, tuple(x % d for x in scaled)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -39,7 +39,6 @@ from .exactlin import (
     over_common_denominator,
     smith_normal_form,
     transpose,
-    vec_denominator,
 )
 
 DEFAULT_POINT_CAP = 10_000_000
@@ -58,7 +57,7 @@ class TorsionModel(NamedTuple):
 
     level: int
     rank: int
-    # per element: (M mod nothing, N*t as integers); action p -> M p + N t mod N
+    # per element: (M, N t as integers in [0, N)); action p -> M p + N t mod N
     actions: tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
 
     @property
@@ -72,7 +71,7 @@ def datum_denominator(d: HyperellipticDatum) -> int:
     It is read off the generators: t_{es} = M_e t_s + t_e mod 1 with M_e
     integral, so every element's denominator divides the generators' lcm.
     """
-    return lcm(*(vec_denominator(d.group.elements[i].translation) for i in d.group.gens))
+    return lcm(*(d.group.elements[i].den for i in d.group.gens))
 
 
 def element_level_bound(e: AffineAut) -> int:
@@ -88,7 +87,7 @@ def element_level_bound(e: AffineAut) -> int:
         tuple(e.linear[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
     )
     _, s = smith_normal_form(diff)
-    return max(1, *(s[i][i] for i in range(n))) * vec_denominator(e.translation)
+    return max(1, *(s[i][i] for i in range(n))) * e.den
 
 
 def formula_level(d: HyperellipticDatum) -> int:
@@ -111,7 +110,9 @@ def build_model(
 
     With split_counting the cap applies to the meet-in-the-middle half grids
     instead of the full point set; such a model supports fixed-point counting
-    but not fiber counting, which traverses every point.
+    but not fiber counting, which enumerates N^|active| points, the active
+    coordinates being those its fiber key reads, and caps its table at N^rank
+    keys (``oracle_fiber_count``).  N t is (N // den) shift.
     """
     rank = d.rank
     if level < 1 or level % datum_denominator(d) != 0:
@@ -119,11 +120,10 @@ def build_model(
     size = _split_grid_size(level, rank) if split_counting else level**rank
     if size > cap:
         raise CapExceeded(f"level {level} needs {size} enumerated points, over the cap {cap}")
-    actions = []
-    for e in d.group.elements:
-        nt = tuple(int(x * level) for x in e.translation)
-        actions.append((e.linear, nt))
-    return TorsionModel(level, rank, tuple(actions))
+    actions = tuple(
+        (e.linear, tuple(level // e.den * x for x in e.shift)) for e in d.group.elements
+    )
+    return TorsionModel(level, rank, actions)
 
 
 def oracle_fixed_points(model: TorsionModel, element_index: int) -> int:

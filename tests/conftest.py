@@ -5,7 +5,8 @@ come from fraction-free Bareiss elimination, ranks from rational Gaussian
 elimination, and memberships from brute-force enumeration, so they can catch
 systematic bugs in the Hermite/Smith machinery.  `load_perfbench` imports a
 benchmark module by path for the tests that use the stress generator or the
-tracer's name table.
+tracer's name table.  Only a skip imports pytest, so `output_digest.py`,
+which imports this module, runs on an interpreter without it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -25,6 +24,8 @@ def load_perfbench(name: str):
     """Import perfbench/<name>.py by path; skip the test when it is absent."""
     path = PERFBENCH / f"{name}.py"
     if not path.exists():
+        import pytest
+
         pytest.skip("perfbench/ is absent")
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)

@@ -21,6 +21,11 @@ the library's one Hermite form per element, meet-in-the-middle count, one
 survey loop, eigenvalues by construction, group average, kernel of I - P0,
 t0 on the generators, walk of the Cayley tree, alignment in lattice
 coordinates and integer closure are checked against.
+`vec_mod1`, `frac_mod1` and `vec_denominator` reduce a translation mod 1 in
+`Fraction` arithmetic, and `model_actions` reads the torsion model's N t as
+int(t * N): they are the references for an element's integer `den` and
+`shift` and for `build_model`'s (N // den) shift.  `members_of` gives
+`rewrite_on_lattice` every element of a group.
 `three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
@@ -45,9 +50,7 @@ from hyperelliptic.exactlin import (
     mat_vec,
     over_common_denominator,
     transpose,
-    vec_denominator,
     vec_is_integral,
-    vec_mod1,
     vec_sub,
 )
 from hyperelliptic.oracle import (
@@ -66,10 +69,36 @@ from hyperelliptic.oracle import (
 ORBIT_ENUMERATION_LIMIT = 500_000
 
 
+def vec_denominator(v) -> int:
+    """The lcm of the entries' denominators; 1 for the empty vector."""
+    return lcm(*(Fraction(x).denominator for x in v)) if v else 1
+
+
+def frac_mod1(x: Fraction) -> Fraction:
+    """Canonical representative of x in [0, 1)."""
+    x = Fraction(x)
+    return x - (x.numerator // x.denominator)
+
+
+def vec_mod1(v) -> tuple[Fraction, ...]:
+    return tuple(frac_mod1(x) for x in v)
+
+
 def compose(a: AffineAut, b: AffineAut) -> AffineAut:
     """(M, t) . (M', t') = (M M', M t' + t), translation reduced mod Lambda; no eigenvalues."""
-    translation = tuple(x + y for x, y in zip(mat_vec(a.linear, b.translation), a.translation))
-    return AffineAut(mat_mul(a.linear, b.linear), vec_mod1(translation), None)
+    t = vec_mod1(x + y for x, y in zip(mat_vec(a.linear, b.translation), a.translation))
+    den = vec_denominator(t)
+    return AffineAut(mat_mul(a.linear, b.linear), den, tuple(int(x * den) for x in t), None)
+
+
+def model_actions(d, level: int):
+    """The torsion model's actions at level N, with N t read as int(t * N) from the translation."""
+    return tuple((e.linear, tuple(int(x * level) for x in e.translation)) for e in d.group.elements)
+
+
+def members_of(group) -> list:
+    """Every element of group as a ``rewrite_on_lattice`` member: (index, t, eigenvalues)."""
+    return [(i, e.translation, e.eigenvalues) for i, e in enumerate(group.elements)]
 
 
 def element_keys(group) -> list:

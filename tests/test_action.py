@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_perfbench
-from helpers import compose, coset_has_fixed_point, coset_meets_lattice, element_index
+from helpers import (
+    compose,
+    coset_has_fixed_point,
+    coset_meets_lattice,
+    element_index,
+    members_of,
+    vec_denominator,
+    vec_mod1,
+)
 from hyperelliptic.action import (
     AffineAut,
     GroupInvariantError,
@@ -28,7 +36,7 @@ from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
-from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
+from hyperelliptic.exactlin import Sublattice, identity, mat_mul, scaled_mod1, transpose
 from hyperelliptic.torus import (
     EllipticFactor,
     TorusDatum,
@@ -162,7 +170,7 @@ class TestClosure:
 
     def test_cap(self):
         torus = build_product_torus([GEN0])
-        g = AffineAut(identity(2), (F(1, 5), F(0)), (ONE,))
+        g = AffineAut(identity(2), 5, (1, 0), (ONE,))
         with pytest.raises(NotClosedWithinCap):
             close_group([g], torus, cap=3)
 
@@ -192,6 +200,34 @@ class TestClosure:
         neg = affine_raw(((-1, 0), (0, -1)), (F(1, 2), 0), (MINUS,))
         group = close_group([neg], torus)
         assert group.order == 2
+
+
+RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 60))
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two rational vectors of one length 0-6, congruent mod 1 about half the time."""
+    n = draw(st.integers(0, 6))
+    v = draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        w = [x + draw(st.integers(-3, 3)) for x in v]
+    else:
+        w = draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    return tuple(v), tuple(w)
+
+
+class TestTranslationStorage:
+    """An element's den and shift against the Fraction reduction mod 1 they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vector_pairs())
+    def test_den_and_shift_match_the_fraction_reduction(self, pair):
+        v, w = pair
+        a, b = (affine_raw(identity(len(x)), x, ()) for x in pair)
+        assert a.den == vec_denominator(vec_mod1(v))
+        assert a.shift == tuple(a.den * x for x in vec_mod1(v))
+        assert (a.key() == b.key()) == (vec_mod1(v) == vec_mod1(w))
 
 
 class TestComposeInverse:
@@ -226,7 +262,7 @@ class TestComposeInverse:
     def test_is_translation(self):
         ident = affine_identity(2)
         assert ident.is_translation()
-        shift = AffineAut(identity(2), (F(1, 2), F(0)), (ONE,))
+        shift = AffineAut(identity(2), 2, (1, 0), (ONE,))
         assert shift.is_translation()
         neg = affine_raw(((-1, 0), (0, -1)), (0, 0), (MINUS,))
         assert not neg.is_translation()
@@ -240,7 +276,7 @@ class TestFixedPoints:
 
     def test_pure_half_translation_is_free(self):
         torus = build_product_torus([GEN0])
-        g = AffineAut(identity(2), (F(1, 2), F(0)), (ONE,))
+        g = AffineAut(identity(2), 2, (1, 0), (ONE,))
         assert has_fixed_point(g) is False
 
     def test_z4_square_acts_freely(self):
@@ -267,7 +303,8 @@ class TestFixedPoints:
         linear = tuple(tuple(b[i][j] + int(i == j) for j in range(4)) for i in range(4))
         t = tuple(t)
         span = Sublattice.from_int_columns(4, [c for c in transpose(b) if any(c)])
-        assert has_fixed_point(AffineAut(linear, t, None)) == coset_meets_lattice(span, t)
+        g = AffineAut(linear, *scaled_mod1(t), None)
+        assert has_fixed_point(g) == coset_meets_lattice(span, t)
 
     def test_hermite_decision_matches_coset_reference_on_data(self):
         # every element of every catalog datum, of the fibers along each
@@ -325,7 +362,7 @@ class TestValidate:
         # the kernel of g -> lin(g) is the translation subgroup, so distinct
         # linear parts and no nonidentity translation are the same condition
         torus = build_product_torus([GEN0, GEN1])
-        shift = AffineAut(identity(4), (F(1, 2), F(0), F(0), F(0)), (ONE, ONE))
+        shift = AffineAut(identity(4), 2, (1, 0, 0, 0), (ONE, ONE))
         neg = affine_from_factor_action(
             torus, [block(GEN0, ONE), block(GEN1, MINUS)], (0, F(1, 2), 0, 0)
         )
@@ -364,7 +401,7 @@ class TestEigenvalueOrders:
 def shift_and_flip():
     """(z0 + 1/2, z1) and (z0, -z1 + 1/2) on E_tau0 x E_tau1: element 1 is a translation."""
     torus = build_product_torus([GEN0, GEN1])
-    shift = AffineAut(identity(4), (F(1, 2), F(0), F(0), F(0)), (ONE, ONE))
+    shift = AffineAut(identity(4), 2, (1, 0, 0, 0), (ONE, ONE))
     neg = affine_from_factor_action(
         torus, [block(GEN0, ONE), block(GEN1, MINUS)], (0, F(1, 2), 0, 0)
     )
@@ -380,7 +417,7 @@ class TestQuotientByTranslations:
 
     def test_single_translation_of_order_two(self):
         torus = build_product_torus([GEN0])
-        shift = AffineAut(identity(2), (F(1, 2), F(0)), (ONE,))
+        shift = AffineAut(identity(2), 2, (1, 0), (ONE,))
         d = HyperellipticDatum(torus, close_group([shift], torus), standard_form(torus))
         with pytest.raises(GroupInvariantError, match="element 1 is a translation"):
             quotient_by_translations(d)
@@ -396,7 +433,7 @@ class TestQuotientByTranslations:
         d = z4_threefold()
         cols = tuple(tuple(2 if i == j == 4 else int(i == j) for i in range(6)) for j in range(6))
         with pytest.raises(GroupInvariantError, match="does not preserve the lattice"):
-            rewrite_on_lattice(d, cols, d.torus, enumerate(d.group.elements))
+            rewrite_on_lattice(d, cols, d.torus, members_of(d.group))
         assert issubclass(GroupInvariantError, RuntimeError)
 
     def test_members_not_closed_are_internal_error(self):
@@ -404,7 +441,7 @@ class TestQuotientByTranslations:
         d = z4_threefold()
         assert d.group.orders[1] == 4
         cols = identity(6)
-        members = [(0, d.group.elements[0]), (1, d.group.elements[1])]
+        members = members_of(d.group)[:2]
         with pytest.raises(GroupInvariantError, match="not closed"):
             rewrite_on_lattice(d, cols, d.torus, members)
 
@@ -418,7 +455,7 @@ class TestQuotientByTranslations:
         cols = lattice.basis_vectors()
         torus = TorusDatum(rank, mat_mul(d.torus.lam_basis, transpose(cols)), d.torus.factors)
         with pytest.raises(GroupInvariantError, match="elements 0 and 1 have one image"):
-            rewrite_on_lattice(d, cols, torus, enumerate(d.group.elements))
+            rewrite_on_lattice(d, cols, torus, members_of(d.group))
 
     def test_group_order_factorization(self):
         # the rewrite gives each member its own element, so no quotient order is left to check

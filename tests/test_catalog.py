@@ -49,6 +49,16 @@ class TestRunEntries:
         monkeypatch.setitem(hyperelliptic.catalog._ENTRIES, name, patched)
         assert key in run_entry(name)
 
+    def test_every_missing_fixed_point_word_is_listed(self, monkeypatch):
+        name = "z4-threefold-corrupted"
+        entry = get_entry(name)
+        patched = entry._replace(expected={**entry.expected, "fixed_point_words": [[1], [-1]]})
+        monkeypatch.setitem(hyperelliptic.catalog._ENTRIES, name, patched)
+        assert run_entry(name)["fixed_point_words"]["expected"] == [
+            "fixed point at word [1]",
+            "fixed point at word [-1]",
+        ]
+
     def test_every_positive_entry_validates(self):
         for name in list_entries():
             entry = get_entry(name)

@@ -33,7 +33,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm, prod
+from functools import cache
+from math import gcd, inf, lcm, prod
 
 import pytest
 
@@ -46,9 +47,11 @@ from helpers import (
     form_complement,
     generator_fixed_lattice,
     h_by_solve,
+    model_actions,
     projectors,
     t0_table,
     three_curve_document,
+    vec_denominator,
 )
 from hyperelliptic import action, albanese
 from hyperelliptic.action import (
@@ -79,13 +82,12 @@ from hyperelliptic.exactlin import (
     mat_mul,
     mat_vec,
     over_common_denominator,
+    scaled_mod1,
     transpose,
-    vec_denominator,
-    vec_mod1,
     vec_sub,
 )
 from hyperelliptic.invariants import invariants_report
-from hyperelliptic.oracle import datum_denominator
+from hyperelliptic.oracle import build_model, datum_denominator
 from hyperelliptic.torus import (
     AlternatingForm,
     EllipticFactor,
@@ -217,8 +219,8 @@ def conjugated(d, u):
     u_inv = tuple(tuple(int(x) for x in row) for row in mat_inv(u))
 
     def move(e):
-        translation = vec_mod1(mat_vec(u_inv, e.translation))
-        return AffineAut(mat_mul(mat_mul(u_inv, e.linear), u), translation, e.eigenvalues)
+        den, shift = scaled_mod1(mat_vec(u_inv, e.translation))
+        return AffineAut(mat_mul(mat_mul(u_inv, e.linear), u), den, shift, e.eigenvalues)
 
     table = {move(e).linear: e.eigenvalues for e in d.group.elements}
     torus = TorusDatum.raw(d.rank)
@@ -539,17 +541,36 @@ def test_sweep_eigenvalue_check_matches_every_element():
             assert_eigenvalue_check_matches_every_element(d)
 
 
-def test_datum_denominator_is_the_all_element_lcm():
-    # every document of the output digest (catalog, stress points, sweep, D4)
-    # and each fiber its recursion descends into
-    levels = 0
+@cache
+def digest_levels() -> tuple:
+    """Each output-digest datum and the fibers its recursion descends into.
+
+    The documents are the catalog entries, the stress points, the sweep and
+    D4; an invalid datum has no recursion and comes alone.  Two tests walk
+    them, so they are built once.
+    """
+    levels = []
     for _, doc in digest_documents():
         d = build_datum(doc)
-        for datum in [x for x, _ in pipeline_chain(d)] if validate(d).passed else [d]:
-            every = lcm(*(vec_denominator(e.translation) for e in datum.group.elements))
-            assert datum_denominator(datum) == every
-            levels += 1
-    assert levels > len(list_entries())
+        levels += [x for x, _ in pipeline_chain(d)] if validate(d).passed else [d]
+    return tuple(levels)
+
+
+def test_datum_denominator_is_the_all_element_lcm():
+    assert len(digest_levels()) > len(list_entries())
+    for datum in digest_levels():
+        every = lcm(*(vec_denominator(e.translation) for e in datum.group.elements))
+        assert datum_denominator(datum) == every
+
+
+def test_model_actions_match_fraction_translations():
+    # build_model reads N t as (N // den) shift; the reference reads int(t * N).
+    # The model enumerates nothing when it is built, so no cap applies here
+    for datum in digest_levels():
+        den = datum_denominator(datum)
+        for level in (den, 2 * den, 3 * den):
+            model = build_model(datum, level, cap=inf)
+            assert model.actions == model_actions(datum, level)
 
 
 @pytest.mark.parametrize("name", ["bielliptic-5", "z4-threefold", "zmzm-threefold-m3"])
@@ -563,7 +584,7 @@ def test_wrong_generator_eigenvalue_fails_both_checks(name):
     g = d.group.elements[d.group.gens[0]]
     k = next(k for k, z in enumerate(g.eigenvalues) if not z.is_one())
     eig = g.eigenvalues[:k] + (RootOfUnity.one(),) + g.eigenvalues[k + 1:]
-    gens = (AffineAut(g.linear, g.translation, eig),) + tuple(
+    gens = (AffineAut(g.linear, g.den, g.shift, eig),) + tuple(
         d.group.elements[i] for i in d.group.gens[1:]
     )
     bad = HyperellipticDatum(d.torus, close_group(gens, d.torus), d.form)

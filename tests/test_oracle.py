@@ -116,7 +116,7 @@ class TestFixedPoints:
         from hyperelliptic.action import AffineAut
         from hyperelliptic.exactlin import identity
 
-        shift = AffineAut(identity(2), (F(1, 2), F(0)), (RootOfUnity.one(),))
+        shift = AffineAut(identity(2), 2, (1, 0), (RootOfUnity.one(),))
         d = HyperellipticDatum(torus, close_group([shift], torus), standard_form(torus))
         model = build_model(d, 2)
         assert oracle_fixed_points(model, 1) == 0

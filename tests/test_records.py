@@ -53,12 +53,12 @@ def test_cli_import_loads_neither_dataclasses_nor_the_catalog():
 
 class TestPlainClasses:
     def test_affine_aut_compares_linear_part_and_translation_only(self):
-        half = (F(1, 2), F(0))
-        a = AffineAut(identity(2), half, (RootOfUnity.one(),))
-        b = AffineAut(identity(2), half, (RootOfUnity.of(1, 2),))
+        half = (1, 0)
+        a = AffineAut(identity(2), 2, half, (RootOfUnity.one(),))
+        b = AffineAut(identity(2), 2, half, (RootOfUnity.of(1, 2),))
         assert a.key() == b.key()  # elements are compared by key; eigenvalues are not in it
-        assert a.key() != AffineAut(identity(2), (F(0), F(1, 2)), (RootOfUnity.one(),)).key()
-        assert a.key() != AffineAut(((-1, 0), (0, -1)), half, (RootOfUnity.one(),)).key()
+        assert a.key() != AffineAut(identity(2), 2, (0, 1), (RootOfUnity.one(),)).key()
+        assert a.key() != AffineAut(((-1, 0), (0, -1)), 2, half, (RootOfUnity.one(),)).key()
 
     def test_torus_equality_ignores_the_derived_inverse(self):
         factors = (EllipticFactor("generic", "t"), EllipticFactor("gauss"))
