@@ -29,7 +29,6 @@ from .exactlin import (
     hermite_normal_form,
     identity,
     is_unimodular,
-    mat_inv,
     mat_mul,
     mat_vec,
     scaled_mod1,
@@ -546,31 +545,34 @@ def rewrite_on_lattice(
 ) -> HyperellipticDatum:
     """The members of d, written on the G-stable lattice with basis ``cols``.
 
-    ``cols`` are basis columns B in d's lattice coordinates, ``torus`` is the
-    lattice they span with Z^len(cols) as its lattice coordinates, and
-    ``members`` are (index in d.group, t, eigenvalues) triples, identity
-    first: M is that element's linear part, t a rational translation in d's
-    coordinates and the eigenvalues are the new datum's.  In the basis B a
-    member reads (L M B, L t mod 1) with L = (B^T B)^-1 B^T, so L B = I, and
-    the form reads B^T E B; L need not be integral, so t is not reduced mod 1
-    before L is applied.  A linear part that is not integral raises
-    GroupInvariantError, and so do two members with one image: the members
-    act faithfully, so each keeps its own element.  Every nonidentity member
-    is a generator.  The rewrite is a homomorphism, so a product is read off
-    d's Cayley table; one outside the members raises GroupInvariantError.
+    ``cols`` are basis columns B in d's lattice coordinates, integral and
+    spanning a saturated lattice, ``torus`` is the lattice they span with
+    Z^len(cols) as its lattice coordinates, and ``members`` are (index in
+    d.group, eigenvalues) pairs, identity first: the eigenvalues are the new
+    datum's.  One row Hermite form u B = h of B (n x r) certifies the
+    saturation, as h's top r rows are I exactly when B spans a saturated
+    lattice (else GroupInvariantError).  Then L = u[:r] is an integer left
+    inverse, L B = I, and R = u[r:] vanishes exactly on span(B).  A member
+    (M, tau) preserves the lattice iff R M B = 0 (else GroupInvariantError)
+    and reads (L M B, L tau mod 1) in the basis B; the form reads B^T E B.
+    Two members with one image raise GroupInvariantError: the members act
+    faithfully, so each keeps its own element.  Every nonidentity member is a
+    generator.  The rewrite is a homomorphism, so a product is read off d's
+    Cayley table; one outside the members raises GroupInvariantError.
     """
     b = transpose(cols)
-    left = mat_mul(mat_inv(mat_mul(cols, b)), cols)
+    r = len(cols)
+    h, u = hermite_normal_form(b)
+    if h[:r] != identity(r):
+        raise GroupInvariantError("the fiber basis does not span a saturated lattice")
+    left = u[:r]
     elements, label, owner = [], {}, {}
-    for i, t, eigenvalues in members:
-        linear = mat_mul(left, mat_mul(d.group.elements[i].linear, b))
-        if not all(vec_is_integral(row) for row in linear):
+    for i, eigenvalues in members:
+        e = d.group.elements[i]
+        umb = mat_mul(u, mat_mul(e.linear, b))  # L M B over R M B
+        if any(map(any, umb[r:])):
             raise GroupInvariantError("an element does not preserve the lattice")
-        g = AffineAut(
-            tuple(tuple(map(int, row)) for row in linear),
-            *scaled_mod1(mat_vec(left, t)),
-            eigenvalues,
-        )
+        g = AffineAut(umb[:r], *scaled_mod1(mat_vec(left, e.translation)), eigenvalues)
         key = g.key()
         if key in owner:
             raise GroupInvariantError(f"elements {owner[key]} and {i} have one image")

@@ -36,16 +36,18 @@ Lambda_B/P0(Z^n), with P0(Z^n) = Lambda_0 + K0, so t0 is known from the
 generators and H, its kernel, is read off the Cayley tree.  The pipeline
 checks the cheap certificates these theorems supply, not the consequences
 element by element: P0 M_g = P0 per generator (which also certifies that
-the average ran over a closed group), an integer solution of P0 w = t0(h)
-per member h of H, and |G| |K| = |H| [Lambda_B : Lambda_0], which is
-|G| = |H| [Lambda_B : P0(Z^n)] as [P0(Z^n) : Lambda_0] = |K0|.  K0 and K1
+the average ran over a closed group), and the two index identities
+|G| = |H| [G : H] and [G : H] |K| = [Lambda_B : Lambda_0], for [G : H] the
+number of classes t0 takes modulo P0(Z^n); the second is
+[G : H] = [Lambda_B : P0(Z^n)] as [P0(Z^n) : Lambda_0] = |K0|.  K0 and K1
 need no certificate: an x in Z^n with P0 x in Lambda_0 has x - P0 x in
 Z^n meet V1 = Lambda_1, so P0 is injective on K, and so is I - P0.  A failed
 certificate raises PipelineInvariantError (NotASubgroup for H), which
 signals a bug rather than bad input.
 
 The fiber passes validation by theorem, as the datum did (h in H, basis B):
-free: a fixed point of h on A1 is one on A, as the shift is tau(h) - w, w in Z^n;
+free: h has a w in Z^n with P0 w = t0(h), so tau(h) - w lies in V1 and is
+  h's shift on A1 mod Lambda_1; a fixed point of h on A1 is one on A;
 faithful: M_h = I on V1 and on V0 makes h a translation of G, so h = 1
   (``rewrite_on_lattice`` checks that distinct h have distinct images, and
   ``quotient_by_translations`` that no image but 1's is a translation);
@@ -74,7 +76,6 @@ from .exactlin import (
     hermite_coords,
     hermite_kernel,
     identity,
-    integer_solution,
     kernel_lattice,
     mat_mul,
     mat_vec,
@@ -221,17 +222,15 @@ def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
 
 
 def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):
-    """Indices of H = {g : t0(g) in P0(Z^n)}, with each member's fiber shift.
+    """Indices of H = {g : t0(g) in P0(Z^n)}, and [G : H], the number of classes.
 
     t0 is a homomorphism modulo P0(Z^n), so an element's class, the
     coordinates of D t0 against the nonzero columns of ``dec.hermite`` mod 1
     kept as integers mod their common denominator, is its tree parent's plus
-    its edge generator's; H is the class 0.  A member h has an integer w
-    with P0 w = t0(h), read off the same form (else NotASubgroup); tau(h) - w
-    lies in V1 and is the fiber translation of h, congruent modulo Lambda_1
-    to t1(h) minus the V1 part of the K element paired with t0(h).
+    its edge generator's; H is the class 0.  ``run_pipeline`` checks both
+    counts against |G| and [Lambda_B : Lambda_0].
     """
-    scale, p0 = over_common_denominator(dec.proj0)
+    scale = over_common_denominator(dec.proj0)[0]
     pivots = [c for c in transpose(dec.hermite[0]) if any(c)]
     den, steps = over_common_denominator(
         [hermite_coords(pivots, [x * scale for x in v]) for v in t0]
@@ -240,14 +239,7 @@ def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):
     for parent, s in d.group.tree[1:]:
         classes.append(tuple((a + b) % den for a, b in zip(classes[parent], steps[s])))
     members = tuple(i for i, c in enumerate(classes) if not any(c))
-    shifts = {}
-    for i in members:
-        tau = d.group.elements[i].translation
-        w = integer_solution(dec.hermite, mat_vec(p0, tau))
-        if w is None:
-            raise NotASubgroup(f"element {i} has t0 in P0(Z^n) but P0 w = t0 has no integer w")
-        shifts[i] = vec_sub(tau, w)
-    return members, shifts
+    return members, len(set(classes))
 
 
 def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
@@ -267,15 +259,16 @@ def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
 
 
 def _fiber_basis(d: HyperellipticDatum, lambda1: Sublattice):
-    """Basis columns of Lambda_1, factor-aligned when Lambda_1 is a product of factor planes.
+    """Integer basis columns of Lambda_1, factor-aligned if Lambda_1 is a product of factor planes.
 
     The aligned columns are the lattice coordinates of the product coordinate
     vectors of those factors, i.e. columns of lam_basis^-1; otherwise they are
-    the Hermite basis of Lambda_1.
+    the Hermite basis of Lambda_1, a kernel lattice, so over den 1.  Either
+    way they span Lambda_1 = Lambda meet V1, a saturated lattice.
     """
     indices = identify_factor_subspace(d.torus, lambda1)
     if indices is None:
-        return lambda1.basis_vectors(), None
+        return lambda1.cols, None
     return factor_plane_columns(d.torus, indices), indices
 
 
@@ -283,23 +276,25 @@ def compute_fiber(
     d: HyperellipticDatum,
     dec: Decomposition,
     h_indices,
-    shifts,
 ) -> tuple[HyperellipticDatum, tuple[int, ...] | None]:
     """The fiber datum over the origin: A1 with the induced H-action, certified valid.
 
     The fiber's lattice coordinates are the basis of Lambda_1 that
     ``_fiber_basis`` returns: on a factor-aligned fiber, the product
     coordinates of the fiber's factors; otherwise the Hermite basis of
-    Lambda_1.  Each h acts by a1 -> rho(h)|V1 a1 + shift(h), with the V1 shift
-    from compute_H.  A1/H is the restriction of H to A1, so its group law is
-    G's: each h goes to ``rewrite_on_lattice`` with its index in G and its V1
-    shift, and the fiber's products are read off G's Cayley table, not closed
-    again.  On a factor-aligned fiber h keeps its eigenvalues on the fiber's factors, in
-    factor order, and must have eigenvalue 1 on the others; otherwise it
-    drops the first q ones.  ``rewrite_on_lattice`` gives each h its own
-    element, so the fiber's group has order |H|, and its cached report is the
-    passing one the module docstring proves; ``quotient_by_translations``
-    then finds no translation and returns the fiber unchanged.
+    Lambda_1.  Each h acts on A1 by (L M_h B, L tau(h) mod 1), for L the
+    integer left inverse of that basis B that ``rewrite_on_lattice`` reads
+    off one Hermite form: tau(h) is h's V1 shift tau(h) - w modulo Z^n, and L
+    maps Z^n into Z^rank(Lambda_1), so w is never formed.  A1/H is the
+    restriction of H to A1, so its group law is G's: each h goes to
+    ``rewrite_on_lattice`` with its index in G, and the fiber's products are
+    read off G's Cayley table, not closed again.  On a factor-aligned fiber h
+    keeps its eigenvalues on the fiber's factors, in factor order, and must
+    have eigenvalue 1 on the others; otherwise it drops the first q ones.
+    ``rewrite_on_lattice`` gives each h its own element, so the fiber's group
+    has order |H|, and its cached report is the passing one the module
+    docstring proves; ``quotient_by_translations`` then finds no translation
+    and returns the fiber unchanged.
     """
     cols, factor_indices = _fiber_basis(d, dec.lambda1)
     q = dec.q
@@ -313,7 +308,7 @@ def compute_fiber(
         dropped = [eig[k] for k in range(len(eig)) if k not in kept]
         if len(dropped) != q or not all(z.is_one() for z in dropped):
             raise PipelineInvariantError("element lacks eigenvalue 1 on the q Albanese directions")
-        members.append((i, shifts[i], tuple(eig[k] for k in kept)))
+        members.append((i, tuple(eig[k] for k in kept)))
     factors = None if factor_indices is None else tuple(d.torus.factors[i] for i in factor_indices)
     r1 = len(cols)
     torus = TorusDatum(r1, tuple(tuple(map(Fraction, row)) for row in identity(r1)), factors)
@@ -381,11 +376,14 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
     lambda0 = compute_A0(proj0)
     dec = compute_K(d, lambda0, proj0)
     t0 = decompose_cocycle(d, dec)
-    h_indices, shifts = compute_H(d, dec, t0)
+    h_indices, h_index = compute_H(d, dec, t0)
     lam_b, factors = compute_albanese(d, dec, t0)
-    if d.group.order * dec.k.order != len(h_indices) * prod(factors):
-        raise NotASubgroup(f"|G| |K| != |H| [Lambda_B : Lambda_0] with |H| = {len(h_indices)}")
-    fiber, fiber_factor_indices = compute_fiber(d, dec, h_indices, shifts)
+    if d.group.order != len(h_indices) * h_index or h_index * dec.k.order != prod(factors):
+        raise NotASubgroup(
+            f"|G| != |H| [G : H] or [G : H] |K| != [Lambda_B : Lambda_0] with"
+            f" |H| = {len(h_indices)}, [G : H] = {h_index}"
+        )
+    fiber, fiber_factor_indices = compute_fiber(d, dec, h_indices)
     fiber = quotient_by_translations(fiber)
     fiber_class = classify_fiber(fiber)
     if dec.q == n - 1 and d.group.order > 1 and not d.group.is_cyclic():

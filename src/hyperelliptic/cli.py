@@ -132,7 +132,7 @@ def cmd_oracle(args) -> int:
     survey = fixed_point_survey(datum, level=args.level)
     alb = run_pipeline(datum)
     level = args.level or datum_denominator(datum)
-    verdict = oracle_fiber_count(build_model(datum, level), alb, datum.group.order)
+    verdict = oracle_fiber_count(build_model(datum, level), alb)
     payload = {
         "fixed_points": {
             "passed": survey.passed,

@@ -14,10 +14,10 @@ integers mod 1 over its least denominator.  Matrix products (`mat_mul`,
 `mat_vec`) take their inner products on those integer rows and turn each
 output entry into one `Fraction`; products of all-`int` operands stay `int`.  The Hermite form
 (Cohen, GTM 138, 2.4) answers the integer questions.  One column Hermite
-form (h, v) of m has four readers: `hermite_kernel` (the kernel of m),
+form (h, v) of m has three readers: `hermite_kernel` (the kernel of m),
 `hermite_coords` (coordinates against h's pivot columns, as in
-`Sublattice.coords_of`), `integer_solution` and `mat_inv` (v h^-1, with h^-1
-read off h's pivots); `is_unimodular` and `is_singular` read the row form.
+`Sublattice.coords_of`) and `mat_inv` (v h^-1, with h^-1 read off h's
+pivots); `is_unimodular` and `is_singular` read the row form.
 The Smith form is a loop of row and column Hermite forms, and the inverse of
 its unimodular u is the transform of u's row form, so `hermite_normal_form`
 is the one elimination routine.
@@ -206,20 +206,6 @@ def hermite_coords(cols, target) -> list[Fraction] | None:
             for i, x in enumerate(col):
                 target[i] -= c * x
     return None if any(target) else y
-
-
-def integer_solution(hermite: tuple[Matrix, Matrix], b) -> tuple[int, ...] | None:
-    """An integer x with m @ x == b, or None if there is none.
-
-    ``hermite`` is ``column_hermite(m)``, so one Hermite form serves many
-    right-hand sides: m @ v == h with v unimodular, so x = v @ y for the
-    solution y of h @ y == b, which is integral iff x is.
-    """
-    h, v = hermite
-    y = hermite_coords([c for c in transpose(h) if any(c)], b)
-    if y is None or any(c.denominator != 1 for c in y):
-        return None
-    return mat_vec(v, [int(c) for c in y] + [0] * (len(v) - len(y)))
 
 
 def mat_inv(m):

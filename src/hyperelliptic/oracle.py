@@ -270,11 +270,7 @@ def _albanese_projection_matrix(report: AlbaneseReport):
     return transpose(columns)
 
 
-def oracle_fiber_count(
-    model: TorsionModel,
-    report: AlbaneseReport,
-    group_order: int,
-) -> FiberCountVerdict:
+def oracle_fiber_count(model: TorsionModel, report: AlbaneseReport) -> FiberCountVerdict:
     """Check that every nonempty Albanese fiber has the predicted point count.
 
     Points of the model in one fiber of (A mod G) -> V0 mod Lambda_B come in
@@ -303,7 +299,7 @@ def oracle_fiber_count(
     rank = model.rank
     r1 = report.decomposition.lambda1.rank
     h_order = len(report.subgroup_h)
-    predicted = (group_order // h_order) * n**r1
+    predicted = (report.group_order // h_order) * n**r1
     lmat = _albanese_projection_matrix(report)
     # integerize: key_i = (sum_j c[i][j] p_j) mod D_i encodes frac(L p / N)
     dens = []

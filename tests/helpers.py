@@ -7,8 +7,10 @@ the survey's "every count exhaustive" flag, the two-branch fixed-point survey,
 the index of a torus lattice over the product lattice, the eigenvalue
 check on every element, the Albanese projectors from the inverse of the
 basis [Lambda_0 | Lambda_1], Lambda_0 from the generators' rows, the t0
-table of every element, H by one integer solve per element and factor
-alignment decided in product coordinates, `compose`, the product of two
+table of every element, H by one integer solve per element, `integer_solution`,
+the solve it calls, a fiber translation's coordinates by the rational left
+inverse (B^T B)^-1 B^T of the fiber basis, factor alignment decided in
+product coordinates, `compose`, the product of two
 elements in `Fraction` arithmetic, which `close_group` no longer calls, and
 `element_keys` and `element_index`, which compare elements by key in place
 of the equality `AffineAut` had, and `factor_key` and `torus_key`, which
@@ -16,10 +18,11 @@ compare factors and tori by the fields the library reads in place of the
 equality `EllipticFactor` and `TorusDatum` had.  The coset decision, the
 direct loop, the two-branch survey, the every-element eigenvalue loop, the
 basis-inverse projectors, the generator rows, the t0 table, the per-element
-solve, the product-coordinate alignment and `compose` are the references
-the library's one Hermite form per element, meet-in-the-middle count, one
-survey loop, eigenvalues by construction, group average, kernel of I - P0,
-t0 on the generators, walk of the Cayley tree, alignment in lattice
+solve, the rational left inverse, the product-coordinate alignment and
+`compose` are the references the library's one Hermite form per element,
+meet-in-the-middle count, one survey loop, eigenvalues by construction,
+group average, kernel of I - P0, t0 on the generators, walk of the Cayley
+tree, integer left inverse of the fiber basis, alignment in lattice
 coordinates and integer closure are checked against.
 `vec_mod1`, `frac_mod1` and `vec_denominator` reduce a translation mod 1 in
 `Fraction` arithmetic, and `model_actions` reads the torsion model's N t as
@@ -37,18 +40,19 @@ from math import lcm
 
 from conftest import bareiss_det
 from hyperelliptic.action import AffineAut, _check_eigenvalues
-from hyperelliptic.albanese import compute_A0, compute_K, fixed_projector
+from hyperelliptic.albanese import _fiber_basis, compute_A0, compute_K, fixed_projector
 from hyperelliptic.exactlin import (
     LatticeError,
     Sublattice,
     as_fractions,
     column_hermite,
-    integer_solution,
+    hermite_coords,
     kernel_lattice,
     mat_inv,
     mat_mul,
     mat_vec,
     over_common_denominator,
+    scaled_mod1,
     transpose,
     vec_is_integral,
     vec_sub,
@@ -97,8 +101,8 @@ def model_actions(d, level: int):
 
 
 def members_of(group) -> list:
-    """Every element of group as a ``rewrite_on_lattice`` member: (index, t, eigenvalues)."""
-    return [(i, e.translation, e.eigenvalues) for i, e in enumerate(group.elements)]
+    """Every element of group as a ``rewrite_on_lattice`` member: (index, eigenvalues)."""
+    return [(i, e.eigenvalues) for i, e in enumerate(group.elements)]
 
 
 def element_keys(group) -> list:
@@ -207,6 +211,20 @@ def t0_table(d, dec):
     return tuple(mat_vec(dec.proj0, e.translation) for e in d.group.elements)
 
 
+def integer_solution(hermite, b) -> tuple[int, ...] | None:
+    """An integer x with m @ x == b, or None if there is none.
+
+    ``hermite`` is ``column_hermite(m)``, so one Hermite form serves many
+    right-hand sides: m @ v == h with v unimodular, so x = v @ y for the
+    solution y of h @ y == b, which is integral iff x is.
+    """
+    h, v = hermite
+    y = hermite_coords([c for c in transpose(h) if any(c)], b)
+    if y is None or any(c.denominator != 1 for c in y):
+        return None
+    return mat_vec(v, [int(c) for c in y] + [0] * (len(v) - len(y)))
+
+
 def h_by_solve(d, dec, table):
     """H and its fiber shifts by one integer solve of P0 w = t0(g) per element.
 
@@ -223,6 +241,23 @@ def h_by_solve(d, dec, table):
             members.append(i)
             shifts[i] = vec_sub(e.translation, w)
     return tuple(members), shifts
+
+
+def fiber_translations_match(d, report, shifts) -> bool:
+    """Whether each fiber element's (den, shift) is its member's V1 shift in the fiber basis.
+
+    ``shifts`` maps each member of H, by its index in d, to a V1 shift of it
+    (such as t1(h) - p1(k), or tau(h) - w); fiber element j belongs to the
+    j-th member.  The shift's coordinates in the fiber basis B are read by the
+    rational left inverse (B^T B)^-1 B^T: on span(B) every left inverse gives
+    the B-coordinates, and this one needs neither integrality nor a saturated B.
+    """
+    cols = _fiber_basis(d, report.decomposition.lambda1)[0]
+    left = mat_mul(mat_inv(mat_mul(cols, transpose(cols))), cols)
+    return all(
+        (e.den, e.shift) == scaled_mod1(mat_vec(left, shifts[i]))
+        for i, e in zip(report.subgroup_h, report.fiber.group.elements, strict=True)
+    )
 
 
 def coset_has_fixed_point(e) -> bool:

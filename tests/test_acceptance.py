@@ -179,9 +179,7 @@ def test_oracle_equivalence():
             assert all(c.exhaustive for c in survey.checks), name
             report = run_pipeline(datum)
             level = datum_denominator(datum)
-            verdict = oracle_fiber_count(
-                build_model(datum, level), report, datum.group.order
-            )
+            verdict = oracle_fiber_count(build_model(datum, level), report)
             assert verdict.passed, (name, verdict.describe())
         # negative entries still get their fixed-point counts cross-checked
         for name in list_entries():

@@ -38,6 +38,7 @@ from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
 from hyperelliptic.exactlin import Sublattice, identity, mat_mul, scaled_mod1, transpose
 from hyperelliptic.torus import (
+    AlternatingForm,
     EllipticFactor,
     TorusDatum,
     build_product_torus,
@@ -398,6 +399,16 @@ class TestEigenvalueOrders:
                 assert order == expected, (name, e.eigenvalues)
 
 
+def swap_datum():
+    """The swap of (e1, e2) with (e3, e4) on the raw rank-4 torus, form J + J."""
+    torus = TorusDatum.raw(4)
+    swap = affine_raw(
+        ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)), (0, 0, 0, 0), (ONE, MINUS)
+    )
+    form = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
+    return HyperellipticDatum(torus, close_group([swap], torus), AlternatingForm(form))
+
+
 def shift_and_flip():
     """(z0 + 1/2, z1) and (z0, -z1 + 1/2) on E_tau0 x E_tau1: element 1 is a translation."""
     torus = build_product_torus([GEN0, GEN1])
@@ -429,12 +440,30 @@ class TestQuotientByTranslations:
             quotient_by_translations(d)
 
     def test_unstable_lattice_is_internal_error(self):
-        # a basis the group does not preserve is a program bug: exit 3, not "invalid datum"
+        # a basis the group does not preserve is a program bug: exit 3, not "invalid datum";
+        # this one is not saturated either, and the saturation certificate comes first
         d = z4_threefold()
         cols = tuple(tuple(2 if i == j == 4 else int(i == j) for i in range(6)) for j in range(6))
-        with pytest.raises(GroupInvariantError, match="does not preserve the lattice"):
+        with pytest.raises(GroupInvariantError, match="does not span a saturated lattice"):
             rewrite_on_lattice(d, cols, d.torus, members_of(d.group))
         assert issubclass(GroupInvariantError, RuntimeError)
+
+    def test_swap_off_the_basis_plane_is_internal_error(self):
+        # M swaps (e1, e2) with (e3, e4), so M B leaves span(B) for B = (e1, e2);
+        # the least-squares coordinates (B^T B)^-1 B^T M B of M B are 0, which are
+        # integral, so only a test that M B lies in span(B) sees it
+        d = swap_datum()
+        cols = identity(4)[:2]
+        with pytest.raises(GroupInvariantError, match="does not preserve the lattice"):
+            rewrite_on_lattice(d, cols, TorusDatum.raw(2), members_of(d.group))
+
+    def test_unsaturated_basis_is_internal_error(self):
+        # the swap keeps B = (2 (e1 + e3), e2 + e4) as it is, but B spans half of
+        # Lambda meet span(B), so it has no integer left inverse
+        d = swap_datum()
+        cols = ((2, 0, 2, 0), (0, 1, 0, 1))
+        with pytest.raises(GroupInvariantError, match="does not span a saturated lattice"):
+            rewrite_on_lattice(d, cols, TorusDatum.raw(2), members_of(d.group))
 
     def test_members_not_closed_are_internal_error(self):
         # products are read off the parent's table, so one outside the members is a bug
@@ -446,14 +475,11 @@ class TestQuotientByTranslations:
             rewrite_on_lattice(d, cols, d.torus, members)
 
     def test_two_members_of_one_image_are_internal_error(self):
-        # on the lattice its translation enlarges, element 1 acts as the identity
+        # on the second factor's plane, element 1, a shift along the first factor,
+        # acts as the identity
         d = shift_and_flip()
-        rank = d.rank
-        lattice = Sublattice.from_rat_columns(
-            rank, list(identity(rank)) + [d.group.elements[1].translation]
-        )
-        cols = lattice.basis_vectors()
-        torus = TorusDatum(rank, mat_mul(d.torus.lam_basis, transpose(cols)), d.torus.factors)
+        cols = identity(4)[2:]
+        torus = build_product_torus([GEN1])
         with pytest.raises(GroupInvariantError, match="elements 0 and 1 have one image"):
             rewrite_on_lattice(d, cols, torus, members_of(d.group))
 

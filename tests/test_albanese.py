@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import compose, contains, element_index, decomposition, t0_table, three_curve_document
+from helpers import (
+    compose,
+    contains,
+    decomposition,
+    element_index,
+    fiber_translations_match,
+    h_by_solve,
+    t0_table,
+    three_curve_document,
+)
 from hyperelliptic.action import validate
 from hyperelliptic.albanese import (
     _fiber_basis,
@@ -141,8 +150,14 @@ class TestCocycle:
         d = datum_of("z4-threefold")
         dec, table = pipeline_parts(d)
         assert not any(table[0])
-        _, shifts = subgroup_h(d, dec)
+        members, index = subgroup_h(d, dec)
+        solved, shifts = h_by_solve(d, dec, table)
+        assert (members, index * len(members)) == (solved, d.group.order)
         assert not any(shifts[0])
+        report = run_pipeline(d)
+        assert fiber_translations_match(d, report, shifts)
+        one = report.fiber.group.elements[0]
+        assert (one.den, any(one.shift)) == (1, False)
 
     def test_z4_generator_splits_on_base(self):
         # t0(g) = 1/4 on the first factor, mod Lambda_0
@@ -161,12 +176,16 @@ class TestCocycle:
         assert contains(dec.lambda0, diff)
 
     def test_splitting_reassembles(self):
-        # tau(h) = w + shift(h) with w integral, P0 w = t0(h) and shift(h) in V1
+        # tau(h) = w + shift(h) with w integral, P0 w = t0(h) and shift(h) in V1;
+        # the fiber translation of h is shift(h) in the fiber basis, mod 1
         for name in ("bielliptic-6", "z4-threefold", "zmzm-threefold-m3", "z2z2-threefold"):
             d = datum_of(name)
             dec, table = pipeline_parts(d)
-            h, shifts = subgroup_h(d, dec)
+            h, index = subgroup_h(d, dec)
+            solved, shifts = h_by_solve(d, dec, table)
+            assert (h, index * len(h)) == (solved, d.group.order)
             assert set(shifts) == set(h)
+            assert fiber_translations_match(d, run_pipeline(d), shifts)
             for i in h:
                 assert dec.lambda1.coords_of(shifts[i]) is not None
                 w = vec_sub(d.group.elements[i].translation, shifts[i])
@@ -178,7 +197,7 @@ class TestSubgroupH:
     def test_z4_h_is_generated_by_square(self):
         d = datum_of("z4-threefold")
         dec, _ = pipeline_parts(d)
-        h, paired = subgroup_h(d, dec)
+        h, _ = subgroup_h(d, dec)
         g = d.group.elements[d.group.gens[0]]
         g2 = compose(g, g)
         assert set(h) == {0, element_index(d.group, g2)}
@@ -319,7 +338,7 @@ class TestFiberBasis:
                 unaligned += indices is not None and cols != lambda1.basis_vectors()
                 assert fixed_point_survey(d).passed
                 model = build_model(d, datum_denominator(d))
-                assert oracle_fiber_count(model, report, d.group.order).passed
+                assert oracle_fiber_count(model, report).passed
         assert valid == 180
         assert unaligned > 0
 

@@ -1,13 +1,16 @@
 """The Albanese pipeline's certificates against the enumerations they replace.
 
-The pipeline checks P0 M_g = P0 on the generators only, reads H off the
-Cayley tree and solves P0 w = t0(h) only for its members, checks
+The pipeline checks P0 M_g = P0 on the generators only, reads H and
+[G : H] off the Cayley tree, writes each fiber translation with an integer
+left inverse of the fiber basis without solving P0 w = t0(h), checks
 |K0| = |K1| = |K| from two lattice quotients, reads the oracle level off
 the K0 and K1 generators and finds invariant factors by p-primary
 counting.  The reference here does each
 job the long way: it enumerates K element by element, matches t0(g) against
 every K0 element, tests P0 M_g = P0 and the cocycle identity on every
-element, and checks invariant factors by the divisor-count predicate
+element, reads each fiber translation as t1(g) - p1(k) for the matching K
+element k in the rational left inverse (B^T B)^-1 B^T of the fiber basis B,
+and checks invariant factors by the divisor-count predicate
 #{x : x^d = 1} = prod gcd(d, f_i).  It runs on every catalog entry, on its
 recursive fibers and on the stress family the benchmark uses.  The projector
 P0, the group average of the linear parts, and I - P0 must equal the
@@ -16,7 +19,8 @@ data, on the fiber-basis sweep, on the D4 threefold and in two other lattice
 bases; there Lambda_1 must also be the complement the invariant form cuts
 out, and the trace of P0 the rank of Lambda_0.  On the same data Lambda_0,
 the kernel of I - P0, must equal the kernel of the generators' rows M_g - I,
-H and its shifts must equal one integer solve per element, D P0 must reach
+H and [G : H] must match one integer solve per element, and the fiber's
+translations that solve's shifts tau(h) - w read by (B^T B)^-1 B^T; D P0 must reach
 its column Hermite form once per pipeline level with Lambda_1 still the
 kernel of P0, and |G| |K| = |H| [Lambda_B : Lambda_0] must hold.  On a
 factor torus `validate` checks neither the form nor the eigenvalues, which
@@ -44,6 +48,7 @@ from helpers import (
     decomposition,
     every_element_eigenvalue_violations,
     factor_subspace_in_product_coords,
+    fiber_translations_match,
     form_complement,
     generator_fixed_lattice,
     h_by_solve,
@@ -76,7 +81,6 @@ from hyperelliptic.exactlin import (
     column_hermite,
     hermite_normal_form,
     identity,
-    integer_solution,
     kernel_lattice,
     mat_inv,
     mat_mul,
@@ -134,7 +138,7 @@ def pipeline_chain(d):
 def check_against_enumeration(d, report):
     dec = decomposition(d)
     table = t0_table(d, dec)
-    h, shifts = compute_H(d, dec, decompose_cocycle(d, dec))
+    h, index = compute_H(d, dec, decompose_cocycle(d, dec))
     k_elements = enumerate_k(d, dec)
 
     # K: both projections injective, checked element by element
@@ -152,9 +156,10 @@ def check_against_enumeration(d, report):
             diff = vec_sub(table[ij], tuple(a + b for a, b in zip(table[i], table[j])))
             assert in_lattice(enlarged, diff)
 
-    # H = {g : t0(g) - p0(k) in Lambda_0 for some k}, and each fiber shift is
-    # t1(g) - p1(k) modulo Lambda_1 for that k
+    # H = {g : t0(g) - p0(k) in Lambda_0 for some k}, and each fiber translation
+    # is the V1 shift t1(g) - p1(k) for that k, in the fiber basis, mod 1
     expected_h = []
+    enumerated_shifts = {}
     for i, e in enumerate(d.group.elements):
         t0 = table[i]
         match = next((k for k in k_elements if in_lattice(dec.lambda0, vec_sub(t0, k[1]))), None)
@@ -162,11 +167,13 @@ def check_against_enumeration(d, report):
             continue
         expected_h.append(i)
         t1 = vec_sub(e.translation, mat_vec(dec.proj0, e.translation))
-        old_shift = vec_sub(t1, match[2])
-        assert in_lattice(dec.lambda1, vec_sub(shifts[i], old_shift))
+        enumerated_shifts[i] = vec_sub(t1, match[2])
+        assert dec.lambda1.coords_of(enumerated_shifts[i]) is not None
     assert h == tuple(expected_h) == report.subgroup_h
+    assert fiber_translations_match(d, report, enumerated_shifts)
     members = set(h)
     assert all(d.group.compose_indices(i, j) in members for i in h for j in h)
+    assert index * len(h) == d.group.order
 
     # the oracle's fiber count holds at every multiple of D because D t0(g) lies in
     # P0(Z^n) for every element g, and so does D times each basis vector of Lambda_B
@@ -320,17 +327,11 @@ def test_projectors_match_basis_inverse(family):
 
 
 @pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
-def test_tree_walk_matches_per_element_solve(family, monkeypatch):
-    # Lambda_0 as a kernel of I - P0, t0 on the generators and H walked along
-    # the Cayley tree, against the generator rows, the t0 table and one
-    # integer solve per element; the pipeline solves only for members of H
-    solves = []
-
-    def counting(*args):
-        solves.append(args)
-        return integer_solution(*args)
-
-    monkeypatch.setattr("hyperelliptic.albanese.integer_solution", counting)
+def test_tree_walk_matches_per_element_solve(family):
+    # Lambda_0 as a kernel of I - P0, t0 on the generators, H and [G : H]
+    # walked along the Cayley tree and the fiber translations read by an
+    # integer left inverse, against the generator rows, the t0 table and one
+    # integer solve per element
     for d in projector_data(family):
         for datum, report in pipeline_chain(d):
             dec = report.decomposition
@@ -338,16 +339,13 @@ def test_tree_walk_matches_per_element_solve(family, monkeypatch):
             table = t0_table(datum, dec)
             t0 = decompose_cocycle(datum, dec)
             assert t0 == tuple(table[i] for i in datum.group.gens)
-            solves.clear()
-            members, shifts = compute_H(datum, dec, t0)
-            assert len(solves) == len(members)
-            assert (members, shifts) == h_by_solve(datum, dec, table)
-            assert members == report.subgroup_h
-            index = prod(report.albanese_isogeny_factors)
-            assert datum.group.order * dec.k.order == len(members) * index
-            solves.clear()
-            run_pipeline(datum)
-            assert len(solves) == len(members)
+            members, index = compute_H(datum, dec, t0)
+            solved, shifts = h_by_solve(datum, dec, table)
+            assert members == solved == report.subgroup_h
+            assert index * len(solved) == datum.group.order
+            assert fiber_translations_match(datum, report, shifts)
+            lattice_index = prod(report.albanese_isogeny_factors)
+            assert datum.group.order * dec.k.order == len(members) * lattice_index
 
 
 def recorded_hermite_inputs(monkeypatch):
@@ -364,10 +362,10 @@ def recorded_hermite_inputs(monkeypatch):
 
 @pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
 def test_projector_is_hermite_reduced_once_per_level(family, monkeypatch):
-    # Lambda_1, H's classes and H's shifts all read one column Hermite form of
-    # D P0, so the transpose of D P0 reaches hermite_normal_form once per
-    # pipeline level; Lambda_1 must still be the kernel of P0, and H and its
-    # shifts one integer solve per element
+    # Lambda_1 and H's classes both read one column Hermite form of D P0, so
+    # the transpose of D P0 reaches hermite_normal_form once per pipeline
+    # level; Lambda_1 must still be the kernel of P0, and H, [G : H] and the
+    # fiber translations must match one integer solve per element
     seen = recorded_hermite_inputs(monkeypatch)
     for d in projector_data(family):
         seen.clear()
@@ -379,9 +377,11 @@ def test_projector_is_hermite_reduced_once_per_level(family, monkeypatch):
             assert calls.count(transpose(p0)) == 1
             assert dec.hermite == column_hermite(p0)
             assert dec.lambda1 == kernel_lattice(dec.proj0)
-            members, shifts = compute_H(datum, dec, decompose_cocycle(datum, dec))
-            assert (members, shifts) == h_by_solve(datum, dec, t0_table(datum, dec))
-            assert members == report.subgroup_h
+            members, index = compute_H(datum, dec, decompose_cocycle(datum, dec))
+            solved, shifts = h_by_solve(datum, dec, t0_table(datum, dec))
+            assert members == solved == report.subgroup_h
+            assert index * len(solved) == datum.group.order
+            assert fiber_translations_match(datum, report, shifts)
 
 
 @pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])

@@ -949,7 +949,7 @@ class TestInternalErrors:
         assert "internal error" in err
 
     def test_index_identity_catches_a_lost_member_of_h(self, tmp_path, capsys, monkeypatch):
-        # on z2z2-threefold H = G; without one member, |G| |K| = |H| [Lambda_B : Lambda_0] fails
+        # on z2z2-threefold H = G; without one member, |G| = |H| [G : H] fails
         from hyperelliptic import albanese
 
         d = get_entry("z2z2-threefold").build()
@@ -957,8 +957,8 @@ class TestInternalErrors:
         compute_H = albanese.compute_H
 
         def lossy(*args):
-            members, shifts = compute_H(*args)
-            return members[:-1], shifts
+            members, index = compute_H(*args)
+            return members[:-1], index
 
         monkeypatch.setattr(albanese, "compute_H", lossy)
         with pytest.raises(albanese.NotASubgroup):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bareiss_det, in_span, left_kernel, minors_gcd
-from helpers import contains, coset_meets_lattice, is_saturated, saturate
+from helpers import contains, coset_meets_lattice, integer_solution, is_saturated, saturate
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.exactlin import (
     LatticeError,
@@ -16,7 +16,6 @@ from hyperelliptic.exactlin import (
     column_hermite,
     hermite_normal_form,
     identity,
-    integer_solution,
     is_singular,
     is_unimodular,
     kernel_lattice,
@@ -590,6 +589,8 @@ class TestQuotient:
 
 
 class TestIntegerSolution:
+    """The integer solve behind `helpers.h_by_solve`, the reference for H."""
+
     def test_rational_projection(self):
         # P0 for V0 = span (1, 1) along V1 = span (1, -1), times den = 2
         hermite = column_hermite(((1, 1), (1, 1)))

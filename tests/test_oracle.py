@@ -241,7 +241,7 @@ class TestFiberCount:
         d = datum_of(name)
         report = run_pipeline(d)
         level = datum_denominator(d)
-        verdict = oracle_fiber_count(build_model(d, level), report, d.group.order)
+        verdict = oracle_fiber_count(build_model(d, level), report)
         assert verdict.passed, verdict.describe()
 
     def test_passes_at_every_multiple_of_the_denominator(self, pipeline_levels):
@@ -255,7 +255,7 @@ class TestFiberCount:
                     model = build_model(d, level)
                 except CapExceeded:
                     continue
-                verdict = oracle_fiber_count(model, report, d.group.order)
+                verdict = oracle_fiber_count(model, report)
                 assert verdict.passed, (label, level, verdict.describe())
                 counted += 1
         assert counted == 69
@@ -265,7 +265,7 @@ class TestFiberCount:
         report = run_pipeline(d)
         broken = report._replace(subgroup_h=report.subgroup_h[:1])  # drop g^2
         level = datum_denominator(d)
-        verdict = oracle_fiber_count(build_model(d, level), broken, d.group.order)
+        verdict = oracle_fiber_count(build_model(d, level), broken)
         assert not verdict.passed
         assert verdict.fiber_count == 8
         assert verdict.witness == ((0, 0), 512)
@@ -279,12 +279,12 @@ class TestFiberCount:
             _albanese_projection_matrix(broken)
 
 
-def reference_fiber_count(model, report, group_order):
+def reference_fiber_count(model, report):
     """The fiber count with a dict of packed keys, as before the dense table."""
     n = model.level
     rank = model.rank
     r1 = report.decomposition.lambda1.rank
-    predicted = (group_order // len(report.subgroup_h)) * n**r1
+    predicted = (report.group_order // len(report.subgroup_h)) * n**r1
     lmat = _albanese_projection_matrix(report)
     dens = []
     coeffs = []
@@ -317,9 +317,9 @@ def reference_fiber_count(model, report, group_order):
     return FiberCountVerdict(n, True, predicted, len(counter), None)
 
 
-def fiber_count_pair(model, report, group_order):
-    got = oracle_fiber_count(model, report, group_order)
-    assert got == reference_fiber_count(model, report, group_order)
+def fiber_count_pair(model, report):
+    got = oracle_fiber_count(model, report)
+    assert got == reference_fiber_count(model, report)
     return got
 
 
@@ -328,9 +328,10 @@ def oracle_inputs(d):
     return build_model(d, datum_denominator(d)), report
 
 
-def projection_report(rank, proj0, lam_b_cols, h_order=1):
-    """A hand-built report: only what the fiber count reads (proj0, Lambda_B, Lambda_1, |H|)."""
+def projection_report(rank, proj0, lam_b_cols, group_order, h_order=1):
+    """A hand-built report: what the fiber count reads (proj0, Lambda_B, Lambda_1, |G|, |H|)."""
     return SimpleNamespace(
+        group_order=group_order,
         decomposition=SimpleNamespace(lambda1=Sublattice(rank, 1, ()), proj0=proj0),
         albanese_lattice=Sublattice.from_int_columns(rank, lam_b_cols),
         subgroup_h=(None,) * h_order,
@@ -345,39 +346,39 @@ class TestDenseFiberTable:
     @pytest.mark.parametrize("name", VALID_ENTRIES)
     def test_catalog(self, name):
         d = datum_of(name)
-        verdict = fiber_count_pair(*oracle_inputs(d), d.group.order)
+        verdict = fiber_count_pair(*oracle_inputs(d))
         assert verdict.passed
 
     def test_mixed_moduli_entry(self):
         d = datum_of("small-irregularity-cyclic")
-        assert fiber_count_pair(*oracle_inputs(d), d.group.order).fiber_count == 216
+        assert fiber_count_pair(*oracle_inputs(d)).fiber_count == 216
 
     @pytest.mark.parametrize("point", [(3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8)],
                              ids=lambda p: "m{}-k{}-base{}".format(*p))
     def test_stress_points(self, point):
         d = build_datum(load_perfbench("stress").stress_document(*point, 0))
-        assert fiber_count_pair(*oracle_inputs(d), d.group.order).passed
+        assert fiber_count_pair(*oracle_inputs(d)).passed
 
     def test_truncated_h(self):
         d = datum_of("z4-threefold")
         model, report = oracle_inputs(d)
         broken = report._replace(subgroup_h=report.subgroup_h[:1])
-        verdict = fiber_count_pair(model, broken, d.group.order)
+        verdict = fiber_count_pair(model, broken)
         assert (verdict.passed, verdict.fiber_count, verdict.witness) == (False, 8, ((0, 0), 512))
 
     def test_key_space_with_empty_slots(self):
         # both key rows read (p0 + p1)/2 mod 1, so only the keys (0, 0) and (1, 1)
         # of the four slots are hit, two points each, times N = 2 for the idle p2
         proj0 = ((1, 1, 0), (1, 1, 0), (0, 0, 0))
-        report = projection_report(3, proj0, [(1, 0, 0), (0, 1, 0)])
+        lam_b_cols = [(1, 0, 0), (0, 1, 0)]
         model = TorsionModel(2, 3, ())
-        verdict = fiber_count_pair(model, report, 4)
+        verdict = fiber_count_pair(model, projection_report(3, proj0, lam_b_cols, 4))
         assert (verdict.passed, verdict.fiber_count) == (True, 2)
-        verdict = fiber_count_pair(model, report, 2)
+        verdict = fiber_count_pair(model, projection_report(3, proj0, lam_b_cols, 2))
         assert (verdict.passed, verdict.fiber_count, verdict.witness) == (False, 2, ((0, 0), 4))
 
     def test_table_larger_than_model_is_capped(self):
         # Lambda_B = 3Z gives the key p/6 mod 1: six slots for a two-point model
-        report = projection_report(1, ((1,),), [(3,)])
+        report = projection_report(1, ((1,),), [(3,)], 1)
         with pytest.raises(CapExceeded):
-            oracle_fiber_count(TorsionModel(2, 1, ()), report, 1)
+            oracle_fiber_count(TorsionModel(2, 1, ()), report)
