@@ -33,7 +33,6 @@ from .exactlin import (
     mat_vec,
     scaled_mod1,
     transpose,
-    vec_is_integral,
 )
 from .torus import AlternatingForm, TorusDatum, factor_block_eigenvalue
 
@@ -311,8 +310,9 @@ def close_group(
 def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) -> AffineAut:
     """Build a generator from per-factor 2x2 blocks and a product-coordinate translation.
 
-    The block-diagonal matrix is rewritten in lattice coordinates; if it does
-    not preserve the enlarged lattice, the action does not descend to A and
+    The block-diagonal B is rewritten in lattice coordinates as lam_basis_inv
+    B C / den, for Lambda's columns C over den; if den does not divide it, B
+    does not preserve Lambda, the action does not descend to A and
     LatticeNotPreserved is raised.
     """
     if torus.factors is None:
@@ -326,10 +326,11 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) ->
         for i in range(2):
             for j in range(2):
                 big[2 * f + i][2 * f + j] = b[i][j]
-    linear_rows = mat_mul(mat_mul(torus.lam_basis_inv, tuple(map(tuple, big))), torus.lam_basis)
-    if not all(vec_is_integral(row) for row in linear_rows):
+    den = torus.lattice.den
+    scaled = mat_mul(mat_mul(torus.lam_basis_inv, big), transpose(torus.lattice.cols))
+    if any(x % den for row in scaled for x in row):
         raise LatticeNotPreserved("linear part does not preserve the enlarged lattice")
-    linear = tuple(tuple(int(x) for x in row) for row in linear_rows)
+    linear = tuple(tuple(x // den for x in row) for row in scaled)
     eig = tuple(factor_block_eigenvalue(f, b) for f, b in zip(torus.factors, blocks))
     den, shift = scaled_mod1(torus.to_lattice_coords(as_fractions(translation_product)))
     return AffineAut(linear, den, shift, eig)
@@ -483,18 +484,19 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
     kernel of g -> lin(g) is the translation subgroup.  On a torus with
     elliptic factors the form and the eigenvalues hold by construction:
     ``affine_from_factor_action`` accepts only blocks that
-    ``factor_block_eigenvalue`` matches to units, so M = lam^-1 B lam with B
-    block-diagonal in them.  A unit has norm 1, so each block b has det b = 1
-    and b^T J b = J, and M preserves ``standard_form``'s lam^T J lam.  The
-    units are a generator's eigenvalues and close_group multiplies them
-    factorwise, so every element's are those of its linear part, and det rho
-    is multiplicative.  A factor-aligned Albanese fiber is data of the same
-    kind; a datum assembled by hand is taken on the same terms.  Raw data are
-    checked: M^T E M = E per generator, which implies it for every product,
-    every element's eigenvalues against its characteristic polynomial, and
-    det rho, their product, as a character (Serre, Linear Representations of
-    Finite Groups, 2): the first Cayley edge on which it is not
-    multiplicative is reported.  This needs no element orders.
+    ``factor_block_eigenvalue`` matches to units, so M = C^-1 B C with B
+    block-diagonal in them, for Lambda's basis C (over its den).  A unit has
+    norm 1, so each block b has det b = 1 and b^T J b = J, and M preserves
+    ``standard_form``'s C^T J C.  The units are a generator's eigenvalues
+    and close_group multiplies them factorwise, so every element's are those
+    of its linear part, and det rho is multiplicative.  A factor-aligned
+    Albanese fiber is data of the same kind; a datum assembled by hand is
+    taken on the same terms.  Raw data are checked: M^T E M = E per
+    generator, which implies it for every product, every element's
+    eigenvalues against its characteristic polynomial, and det rho, their
+    product, as a character (Serre, Linear Representations of Finite Groups,
+    2): the first Cayley edge on which it is not multiplicative is reported.
+    This needs no element orders.
     """
     elements = d.group.elements
     fixed = []

@@ -14,7 +14,7 @@ Given X = A/G this computes, exactly and in lattice coordinates:
 
 Every object is read through the group average of the linear parts,
 
-  P0 = (1/|G|) sum_g M_g,
+  P0 = S/|G|,  S = sum_g M_g the integer group sum,
 
 the symmetric idempotent of G: it is the projection onto V0 = V^G along
 V1 = ker P0, the sum of the nontrivial isotypic components, and I - P0
@@ -22,20 +22,21 @@ projects onto V1 along V0.  V1 is also the form-orthogonal complement of
 V0: for a G-invariant form E, E(v0, (g - 1) w) = E(g^-1 v0, w) - E(v0, w)
 = 0 for v0 in V0, and the (g - 1) w span V1.  So the form restricted to V0
 is nondegenerate whenever E is, and the pipeline never reads E.  Lambda_0
-is the saturated kernel of I - P0.  D P0, for D the lcm of P0's
-denominators, has one column Hermite form (h, v): Lambda_1 = ker P0 is
-spanned by the columns of v over the zero columns of h, whose nonzero
-columns are D times a basis of P0(Z^n).  K0 and K1 are the images of K
-under P0 and I - P0, t0(g) = P0 tau(g), and
-Lambda_B = P0(Z^n) + <t0(g) : g a generator> is one Hermite reduction of
-h's nonzero columns over D together with the t0(g).
+is the saturated kernel of |G| I - S.  S has one column Hermite form
+(h, v): Lambda_1 = ker P0 is spanned by the columns of v over the zero
+columns of h, whose nonzero columns are |G| times a basis of P0(Z^n), as
+S = (|G|/D) D P0 for D the lcm of P0's denominators, and Euclid's steps on
+(c a, c b) are its steps on (a, b): the form of c m is c times m's, with the
+same transform.  K0 and K1 are the images of K under P0 and I - P0,
+t0(g) = P0 tau(g), and Lambda_B = P0(Z^n) + <t0(g) : g a generator> is one
+Hermite reduction of h's nonzero columns over |G| together with the t0(g).
 
 Everything is certified by construction.  G fixes V0 pointwise and keeps V1
 stable, so P0 M_g = P0 for every g; that makes t0 a homomorphism from G onto
 Lambda_B/P0(Z^n), with P0(Z^n) = Lambda_0 + K0, so t0 is known from the
 generators and H, its kernel, is read off the Cayley tree.  The pipeline
 checks the cheap certificates these theorems supply, not the consequences
-element by element: P0 M_g = P0 per generator (which also certifies that
+element by element: S M_g = S per generator (which also certifies that
 the average ran over a closed group), and the two index identities
 |G| = |H| [G : H] and [G : H] |K| = [Lambda_B : Lambda_0], for [G : H] the
 number of classes t0 takes modulo P0(Z^n); the second is
@@ -75,13 +76,13 @@ from .exactlin import (
     column_hermite,
     hermite_coords,
     hermite_kernel,
-    identity,
     kernel_lattice,
     mat_mul,
     mat_vec,
     over_common_denominator,
     quotient_group,
     transpose,
+    vec_scale,
     vec_sub,
 )
 from .torus import TorusDatum, factor_plane_columns, identify_factor_subspace
@@ -103,15 +104,15 @@ class PipelineInvariantError(RuntimeError):
 
 
 class Decomposition(NamedTuple):
-    """A ~ (A0 x A1)/K in lattice coordinates: K's paired projections, P0, D P0's Hermite form."""
+    """A ~ (A0 x A1)/K in lattice coordinates: K's paired projections, S = |G| P0, S's form."""
 
     lambda0: Sublattice
     lambda1: Sublattice
     k: FiniteAbelianGroup
     k0: FiniteAbelianGroup
     k1: FiniteAbelianGroup
-    proj0: tuple[tuple[Fraction, ...], ...]
-    hermite: tuple  # column_hermite(D P0), D the lcm of P0's denominators
+    group_sum: tuple[tuple[int, ...], ...]
+    hermite: tuple  # column_hermite(S): |G|/D times D P0's, one transform (module docstring)
 
     @property
     def q(self) -> int:
@@ -159,81 +160,83 @@ def _require_validated(d: HyperellipticDatum) -> None:
         )
 
 
-def compute_A0(proj0) -> Sublattice:
-    """Lambda_0 = Lambda intersect V0, the saturated kernel of I - P0 (even rank)."""
-    complement = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(proj0)]
+def compute_A0(s, order: int) -> Sublattice:
+    """Lambda_0 = Lambda intersect V0, the saturated kernel of |G| I - S (even rank)."""
+    complement = [[order * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(s)]
     lam0 = kernel_lattice(complement)
     if lam0.rank % 2 != 0:
         raise OddRank(f"fixed lattice has odd rank {lam0.rank}")
     return lam0
 
 
-def fixed_projector(d: HyperellipticDatum) -> tuple[tuple[Fraction, ...], ...]:
-    """P0 = (1/|G|) sum_g M_g, the projection onto V0 along V1, over the closed group."""
-    order = d.group.order
+def group_sum(d: HyperellipticDatum) -> tuple[tuple[int, ...], ...]:
+    """S = sum_g M_g over the closed group: P0 = S/|G| projects onto V0 along V1."""
     return tuple(
-        tuple(Fraction(sum(column), order) for column in zip(*rows))
-        for rows in zip(*(e.linear for e in d.group.elements))
+        tuple(map(sum, zip(*rows))) for rows in zip(*(e.linear for e in d.group.elements))
     )
 
 
 def compute_A1(hermite) -> Sublattice:
-    """Lambda_1 = Lambda intersect V1, the saturated kernel of P0, off D P0's Hermite form."""
+    """Lambda_1 = Lambda intersect V1, the saturated kernel of P0, off S's Hermite form."""
     return hermite_kernel(hermite)
 
 
-def compute_K(d: HyperellipticDatum, lambda0: Sublattice, proj0) -> Decomposition:
+def compute_K(d: HyperellipticDatum, lambda0: Sublattice, s) -> Decomposition:
     """K = Lambda/(Lambda_0 + Lambda_1) and its paired projections K0, K1.
 
-    Lambda_1 is read off D P0's column Hermite form, made here.  I - P0 is
+    Lambda_1 is read off S's column Hermite form, made here.  I - P0 is
     the projection onto V1 along V0, so K0 is generated by the P0 g and K1
     by the g - P0 g, for g the generators of K, each reduced modulo its lattice.
     Both projections are injective on K (module docstring), so K0 and K1
     keep K's invariant factors.
     """
     rank = d.rank
-    hermite = column_hermite(over_common_denominator(proj0)[1])
+    hermite = column_hermite(s)
     lambda1 = compute_A1(hermite)
     small = Sublattice.from_int_columns(rank, lambda0.cols + lambda1.cols)
     k = quotient_group(Sublattice.standard(rank), small)
     k0_gens = []
     k1_gens = []
     for gen in k.generators:
-        p0 = mat_vec(proj0, gen)
+        p0 = vec_scale(Fraction(1, d.group.order), mat_vec(s, gen))
         k0_gens.append(lambda0.reduce_mod(p0))
         k1_gens.append(lambda1.reduce_mod(vec_sub(gen, p0)))
     k0 = FiniteAbelianGroup(k.invariant_factors, tuple(k0_gens))
     k1 = FiniteAbelianGroup(k.invariant_factors, tuple(k1_gens))
-    return Decomposition(lambda0, lambda1, k, k0, k1, proj0, hermite)
+    return Decomposition(lambda0, lambda1, k, k0, k1, s, hermite)
 
 
 def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
     """The V0 part t0(g) = P0 tau(g) of each generator's translation, in ``gens`` order.
 
     The cocycle identity t0(gh) = t0(g) + t0(h) mod Lambda_0 + K0 follows from
-    P0 M_g = P0, because tau(gh) = M_g tau(h) + tau(g) - lambda and P0(Z^n) =
-    Lambda_0 + K0; the identity for every element follows from the generators.
+    P0 M_g = P0, that is S M_g = S, because tau(gh) = M_g tau(h) + tau(g) -
+    lambda and P0(Z^n) = Lambda_0 + K0; the identity for every element
+    follows from the generators.  t0(g) is S shift / (|G| den).
     """
     gens = [d.group.elements[i] for i in d.group.gens]
+    s = dec.group_sum
     for g in gens:
-        if mat_mul(dec.proj0, g.linear) != dec.proj0:
+        if mat_mul(s, g.linear) != s:
             raise PipelineInvariantError("a generator moves V0 or does not keep V1 stable")
-    return tuple(mat_vec(dec.proj0, g.translation) for g in gens)
+    order = d.group.order
+    return tuple(vec_scale(Fraction(1, order * g.den), mat_vec(s, g.shift)) for g in gens)
 
 
 def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):
     """Indices of H = {g : t0(g) in P0(Z^n)}, and [G : H], the number of classes.
 
     t0 is a homomorphism modulo P0(Z^n), so an element's class, the
-    coordinates of D t0 against the nonzero columns of ``dec.hermite`` mod 1
-    kept as integers mod their common denominator, is its tree parent's plus
-    its edge generator's; H is the class 0.  ``run_pipeline`` checks both
-    counts against |G| and [Lambda_B : Lambda_0].
+    coordinates of |G| t0 against the nonzero columns of ``dec.hermite``
+    (|G| times a basis of P0(Z^n)) mod 1, kept as integers mod their common
+    denominator, is its tree parent's plus its edge generator's; H is the
+    class 0.  ``run_pipeline`` checks both counts against |G| and
+    [Lambda_B : Lambda_0].
     """
-    scale = over_common_denominator(dec.proj0)[0]
+    order = d.group.order
     pivots = [c for c in transpose(dec.hermite[0]) if any(c)]
     den, steps = over_common_denominator(
-        [hermite_coords(pivots, [x * scale for x in v]) for v in t0]
+        [hermite_coords(pivots, [x * order for x in v]) for v in t0]
     )
     classes = [(0,) * len(pivots)]
     for parent, s in d.group.tree[1:]:
@@ -246,11 +249,11 @@ def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
     """Albanese lattice Lambda_B in V0 and the invariant factors of Lambda_B/Lambda_0.
 
     Lambda_B = P0(Z^n) + <t0(g) : g a generator of G>, reduced from the
-    rank(Lambda_0) pivot columns of D P0's Hermite form over D, a basis of
+    rank(Lambda_0) pivot columns of S's Hermite form over |G|, a basis of
     P0(Z^n) = Lambda_0 + K0, and the t0(g); t0 is a homomorphism modulo P0(Z^n).
     """
-    scale = over_common_denominator(dec.proj0)[0]
-    image = [tuple(Fraction(x, scale) for x in c) for c in transpose(dec.hermite[0]) if any(c)]
+    order = d.group.order
+    image = [tuple(Fraction(x, order) for x in c) for c in transpose(dec.hermite[0]) if any(c)]
     lam_b = Sublattice.from_rat_columns(d.rank, image + list(t0))
     if lam_b.rank != dec.lambda0.rank:
         raise PipelineInvariantError("Albanese lattice rank differs from rank Lambda_0")
@@ -262,7 +265,7 @@ def _fiber_basis(d: HyperellipticDatum, lambda1: Sublattice):
     """Integer basis columns of Lambda_1, factor-aligned if Lambda_1 is a product of factor planes.
 
     The aligned columns are the lattice coordinates of the product coordinate
-    vectors of those factors, i.e. columns of lam_basis^-1; otherwise they are
+    vectors of those factors, i.e. columns of lam_basis_inv; otherwise they are
     the Hermite basis of Lambda_1, a kernel lattice, so over den 1.  Either
     way they span Lambda_1 = Lambda meet V1, a saturated lattice.
     """
@@ -310,8 +313,7 @@ def compute_fiber(
             raise PipelineInvariantError("element lacks eigenvalue 1 on the q Albanese directions")
         members.append((i, tuple(eig[k] for k in kept)))
     factors = None if factor_indices is None else tuple(d.torus.factors[i] for i in factor_indices)
-    r1 = len(cols)
-    torus = TorusDatum(r1, tuple(tuple(map(Fraction, row)) for row in identity(r1)), factors)
+    torus = TorusDatum(Sublattice.standard(len(cols)), factors)
     fiber = rewrite_on_lattice(d, cols, torus, members)
     fiber._report = ValidationReport(fiber.group.order, (), (), (), ())
     return fiber, factor_indices
@@ -372,9 +374,9 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
     """Full Albanese computation; optionally recurses into hyperelliptic fibers."""
     _require_validated(d)
     n = d.dim
-    proj0 = fixed_projector(d)
-    lambda0 = compute_A0(proj0)
-    dec = compute_K(d, lambda0, proj0)
+    s = group_sum(d)
+    lambda0 = compute_A0(s, d.group.order)
+    dec = compute_K(d, lambda0, s)
     t0 = decompose_cocycle(d, dec)
     h_indices, h_index = compute_H(d, dec, t0)
     lam_b, factors = compute_albanese(d, dec, t0)

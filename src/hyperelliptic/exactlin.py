@@ -10,14 +10,16 @@ This module is the one place where rationals become integers: no other
 module of the package reads a `.numerator` or a `.denominator`.
 `over_common_denominator` scales a rational matrix to integer rows over the
 lcm of its entry denominators, and `scaled_mod1` gives a translation's
-integers mod 1 over its least denominator.  Matrix products (`mat_mul`,
-`mat_vec`) take their inner products on those integer rows and turn each
-output entry into one `Fraction`; products of all-`int` operands stay `int`.  The Hermite form
-(Cohen, GTM 138, 2.4) answers the integer questions.  One column Hermite
-form (h, v) of m has three readers: `hermite_kernel` (the kernel of m),
-`hermite_coords` (coordinates against h's pivot columns, as in
-`Sublattice.coords_of`) and `mat_inv` (v h^-1, with h^-1 read off h's
-pivots); `is_unimodular` and `is_singular` read the row form.
+integers mod 1 over its least denominator.  Every matrix the package
+multiplies is an integer matrix, so `mat_mul` is the plain integer product;
+where a rational matrix is meant, its denominator is held once beside it
+(a `Sublattice`'s den, a group average's |G|).  `mat_vec` takes its inner
+products on the integer rows of a rational vector and turns each output
+entry into one `Fraction`.  The Hermite form (Cohen, GTM 138, 2.4) answers
+the integer questions.  One column Hermite form (h, v) of m has two
+readers: `hermite_kernel` (the kernel of m) and `hermite_coords`
+(coordinates against h's pivot columns, as in `Sublattice.coords_of`);
+`is_unimodular` and `is_singular` read the row form.
 The Smith form is a loop of row and column Hermite forms, and the inverse of
 its unimodular u is the transform of u's row form, so `hermite_normal_form`
 is the one elimination routine.
@@ -64,13 +66,9 @@ def over_common_denominator(rows):
 
 
 def mat_mul(a, b):
-    da, a = over_common_denominator(a)
-    db, bt = over_common_denominator(transpose(b))
-    out = tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
-    if da is None and db is None:
-        return out
-    d = (da or 1) * (db or 1)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in out)
+    """The product of two integer matrices."""
+    bt = transpose(b)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a, v):
@@ -184,10 +182,9 @@ def is_unimodular(m: Matrix) -> bool:
     return hermite_normal_form(m)[0] == identity(len(m))
 
 
-def is_singular(m) -> bool:
-    """Whether a square rational matrix is singular: its scaled Hermite form has a zero row."""
-    _, rows = over_common_denominator(m)
-    return any(not any(row) for row in hermite_normal_form(rows)[0])
+def is_singular(m: Matrix) -> bool:
+    """Whether a square integer matrix is singular: its Hermite form has a zero row."""
+    return any(not any(row) for row in hermite_normal_form(m)[0])
 
 
 def hermite_coords(cols, target) -> list[Fraction] | None:
@@ -206,21 +203,6 @@ def hermite_coords(cols, target) -> list[Fraction] | None:
             for i, x in enumerate(col):
                 target[i] -= c * x
     return None if any(target) else y
-
-
-def mat_inv(m):
-    """Exact inverse of a square rational matrix (LatticeError if singular).
-
-    For m = a / D with a integral, column_hermite(a) = (h, v) has a v = h, so
-    m^-1 = v (D h^-1), and column j of D h^-1 is read off h's pivots.
-    """
-    d, a = over_common_denominator(m)
-    h, v = column_hermite(a)
-    cols = transpose(h)
-    if not all(map(any, cols)):
-        raise LatticeError("matrix is singular")
-    scaled = [hermite_coords(cols, vec_scale(d or 1, e)) for e in identity(len(m))]
-    return transpose([mat_vec(v, y) for y in scaled])
 
 
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
@@ -334,11 +316,11 @@ def hermite_kernel(hermite: tuple[Matrix, Matrix]) -> Sublattice:
     return Sublattice.from_int_columns(len(v), kernel_cols)
 
 
-def kernel_lattice(m) -> Sublattice:
-    """Saturated sublattice {v in Z^cols : m @ v == 0}, m scaled to integer rows if rational."""
+def kernel_lattice(m: Matrix) -> Sublattice:
+    """Saturated sublattice {v in Z^cols : m @ v == 0} of an integer matrix m."""
     if not m:
         raise LatticeError("kernel_lattice needs at least one row (use Sublattice.standard)")
-    return hermite_kernel(column_hermite(over_common_denominator(m)[1]))
+    return hermite_kernel(column_hermite(m))
 
 
 def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":

@@ -257,16 +257,16 @@ class FiberCountVerdict(NamedTuple):
 
 
 def _albanese_projection_matrix(report: AlbaneseReport):
-    """Row matrix L with key(v) = frac(L v): coordinates of proj_V0(v) in Lambda_B."""
+    """Row matrix L with key(v) = frac(L v): coordinates of P0 v = S v / |G| in Lambda_B."""
     lam_b = report.albanese_lattice
     if lam_b.rank == 0:
         return ()
     columns = []
-    for w in transpose(report.decomposition.proj0):
+    for w in transpose(report.decomposition.group_sum):
         coords = lam_b.coords_of(w)
         if coords is None:
             raise PipelineInvariantError("projection leaves the Albanese lattice span")
-        columns.append(coords)
+        columns.append([c / report.group_order for c in coords])
     return transpose(columns)
 
 

@@ -4,8 +4,11 @@ The standard presentation is a product of elliptic curves modulo a finite
 subgroup: each factor E = C/(Z + tau*Z) contributes a coordinate pair
 (coefficient of 1, coefficient of tau).  Internally every datum works in
 "lattice coordinates", the basis of the full period lattice Lambda, where
-Lambda is exactly Z^2n; the torus remembers the change of basis back to the
-product coordinates for reporting and for building the standard form.
+Lambda is exactly Z^2n; the torus keeps Lambda as a `Sublattice` of the
+product coordinates (Hermite columns C over den) for reporting and for
+building the standard form.  A form is kept as an integer Gram matrix, up
+to a positive scalar that none of its four readers sees: the antisymmetry
+and nonsingularity checks, `is_invariant_under` and `restricted_to`.
 
 Generic periods tau are formal: only +-1 acts on a generic factor, so all
 arithmetic stays rational while covering arbitrary tau in the upper
@@ -23,11 +26,12 @@ from .exactlin import (
     as_fractions,
     identity,
     is_singular,
-    mat_inv,
     mat_mul,
     mat_vec,
+    over_common_denominator,
     transpose,
     vec_is_integral,
+    vec_scale,
 )
 
 
@@ -113,54 +117,49 @@ def factor_block_eigenvalue(f: EllipticFactor, block) -> RootOfUnity:
 
 
 class AlternatingForm:
-    """Nondegenerate antisymmetric rational form, as a Gram matrix in lattice coordinates."""
+    """Nondegenerate antisymmetric Gram matrix in lattice coordinates, over its lcm denominator."""
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, matrix):
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise DegenerateForm("form matrix must be square")
+        matrix = tuple(map(tuple, over_common_denominator(matrix)[1]))
         if any(matrix[i][j] != -matrix[j][i] for i in range(n) for j in range(n)):
             raise DegenerateForm("form matrix must be antisymmetric")
         if is_singular(matrix):
             raise DegenerateForm("form matrix is singular")
         self.matrix = matrix
 
-    def restricted_to(self, basis_columns) -> tuple[tuple[Fraction, ...], ...]:
-        """Gram matrix B^T E B for the given (rational) basis columns."""
-        b = transpose(tuple(as_fractions(c) for c in basis_columns))
-        return mat_mul(mat_mul(transpose(b), self.matrix), b)
+    def restricted_to(self, basis_columns) -> tuple[tuple[int, ...], ...]:
+        """Gram matrix B^T E B for the given integer basis columns."""
+        return mat_mul(mat_mul(basis_columns, self.matrix), transpose(basis_columns))
 
     def is_invariant_under(self, m) -> bool:
         return mat_mul(mat_mul(transpose(m), self.matrix), m) == self.matrix
 
 
 class TorusDatum:
-    """A = V/Lambda with Lambda presented against the product coordinates.
+    """A = V/Lambda, ``lattice`` = Lambda in product coordinates; in lattice coordinates Z^rank.
 
-    ``lam_basis`` columns are a basis of Lambda written in product coordinates;
-    in lattice coordinates Lambda is Z^rank.  Raw data use the identity basis
-    and carry no factors.
+    Column i of ``lam_basis_inv`` is the coordinates of e_i in the basis of
+    Lambda, integral because Lambda contains Z^rank.  Raw data use Z^rank.
     """
 
-    __slots__ = ("rank", "lam_basis", "factors", "lam_basis_inv")
+    __slots__ = ("rank", "lattice", "factors", "lam_basis_inv")
 
-    def __init__(
-        self,
-        rank: int,
-        lam_basis: tuple[tuple[Fraction, ...], ...],
-        factors: tuple[EllipticFactor, ...] | None = None,
-    ):
+    def __init__(self, lattice: Sublattice, factors: tuple[EllipticFactor, ...] | None = None):
+        rank = lattice.ambient_rank
         if factors is not None and 2 * len(factors) != rank:
             raise ValueError("factor count does not match rank")
-        inv = mat_inv(lam_basis)
-        if not all(vec_is_integral(row) for row in inv):
+        inv_cols = [lattice.coords_of(e) for e in identity(rank)]
+        if not all(c is not None and vec_is_integral(c) for c in inv_cols):
             raise LatticeError("lattice must contain the product lattice Z^rank")
         self.rank = rank
-        self.lam_basis = lam_basis
+        self.lattice = lattice
         self.factors = factors
-        self.lam_basis_inv = tuple(tuple(map(int, row)) for row in inv)
+        self.lam_basis_inv = transpose([tuple(map(int, c)) for c in inv_cols])
 
     @property
     def dim(self) -> int:
@@ -170,11 +169,12 @@ class TorusDatum:
         return mat_vec(self.lam_basis_inv, as_fractions(v_product))
 
     def to_product_coords(self, v_lattice):
-        return mat_vec(self.lam_basis, as_fractions(v_lattice))
+        product = mat_vec(transpose(self.lattice.cols), as_fractions(v_lattice))
+        return vec_scale(Fraction(1, self.lattice.den), product)
 
     @staticmethod
     def raw(rank: int) -> "TorusDatum":
-        return TorusDatum(rank, tuple(tuple(map(Fraction, row)) for row in identity(rank)))
+        return TorusDatum(Sublattice.standard(rank))
 
 
 def build_product_torus(factors, k_gens=()) -> TorusDatum:
@@ -185,29 +185,29 @@ def build_product_torus(factors, k_gens=()) -> TorusDatum:
     for g in gens:
         if len(g) != rank:
             raise ValueError("k generator length must be 2 * number of factors")
-    lam = Sublattice.from_rat_columns(rank, identity(rank) + tuple(gens))
-    return TorusDatum(rank, transpose(lam.basis_vectors()), factors)
+    return TorusDatum(Sublattice.from_rat_columns(rank, identity(rank) + tuple(gens)), factors)
 
 
 def standard_form(t: TorusDatum) -> AlternatingForm:
-    """Product symplectic form, expressed in lattice coordinates.
+    """Product symplectic form, expressed in lattice coordinates, as C^T J C.
 
-    On each factor's basis (1, tau) the form is [[0, 1], [-1, 0]]; it is
-    integral on the product lattice and rational on Lambda.
+    On each factor's basis (1, tau) the form is J = [[0, 1], [-1, 0]]; it is
+    integral on the product lattice and rational on Lambda, where it is
+    C^T J C / den^2, so C^T J C is the form up to a positive scalar.
     """
     if t.factors is None:
         raise NoProvenance("raw lattices must supply an alternating form explicitly")
     n2 = t.rank
-    e = [[Fraction(0)] * n2 for _ in range(n2)]
+    j = [[0] * n2 for _ in range(n2)]
     for i in range(0, n2, 2):
-        e[i][i + 1] = Fraction(1)
-        e[i + 1][i] = Fraction(-1)
-    gram = mat_mul(mat_mul(transpose(t.lam_basis), tuple(map(tuple, e))), t.lam_basis)
-    return AlternatingForm(tuple(tuple(Fraction(x) for x in row) for row in gram))
+        j[i][i + 1] = 1
+        j[i + 1][i] = -1
+    cols = t.lattice.cols
+    return AlternatingForm(mat_mul(mat_mul(cols, j), transpose(cols)))
 
 
 def factor_plane_columns(t: TorusDatum, indices) -> tuple[tuple[int, ...], ...]:
-    """The factors' plane unit vectors in lattice coordinates: columns of lam_basis^-1."""
+    """The factors' plane unit vectors in lattice coordinates: columns of lam_basis_inv."""
     inv_cols = transpose(t.lam_basis_inv)
     return tuple(inv_cols[j] for i in indices for j in (2 * i, 2 * i + 1))
 

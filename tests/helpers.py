@@ -29,6 +29,13 @@ coordinates and integer closure are checked against.
 int(t * N): they are the references for an element's integer `den` and
 `shift` and for `build_model`'s (N // den) shift.  `members_of` gives
 `rewrite_on_lattice` every element of a group.
+`mat_inv`, the exact inverse of a rational matrix, and `fixed_projector`,
+the group average P0 as a `Fraction` matrix, left the library when every
+matrix it multiplies became an integer matrix: they are the references for
+`TorusDatum.lam_basis_inv` and for the group sum S = |G| P0 that
+`Decomposition` keeps.  `proj0` reads P0 = S/|G| off a decomposition,
+`lam_basis` gives a torus lattice's basis as a `Fraction` matrix, and
+`reference_mat_mul` multiplies matrices of any entry type one entry at a time.
 `three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
@@ -40,21 +47,22 @@ from math import lcm
 
 from conftest import bareiss_det
 from hyperelliptic.action import AffineAut, _check_eigenvalues
-from hyperelliptic.albanese import _fiber_basis, compute_A0, compute_K, fixed_projector
+from hyperelliptic.albanese import _fiber_basis, compute_A0, compute_K, group_sum
 from hyperelliptic.exactlin import (
     LatticeError,
     Sublattice,
     as_fractions,
     column_hermite,
     hermite_coords,
+    identity,
     kernel_lattice,
-    mat_inv,
     mat_mul,
     mat_vec,
     over_common_denominator,
     scaled_mod1,
     transpose,
     vec_is_integral,
+    vec_scale,
     vec_sub,
 )
 from hyperelliptic.oracle import (
@@ -71,6 +79,46 @@ from hyperelliptic.oracle import (
 )
 
 ORBIT_ENUMERATION_LIMIT = 500_000
+
+
+def reference_mat_mul(a, b):
+    """The plain product, one entry at a time: sum(x * y) over the operands' own types."""
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def mat_inv(m):
+    """Exact inverse of a square rational matrix (LatticeError if singular).
+
+    For m = a / D with a integral, column_hermite(a) = (h, v) has a v = h, so
+    m^-1 = v (D h^-1), and column j of D h^-1 is read off h's pivots.
+    """
+    d, a = over_common_denominator(m)
+    h, v = column_hermite(a)
+    cols = transpose(h)
+    if not all(map(any, cols)):
+        raise LatticeError("matrix is singular")
+    scaled = [hermite_coords(cols, vec_scale(d or 1, e)) for e in identity(len(m))]
+    return transpose([mat_vec(v, y) for y in scaled])
+
+
+def lam_basis(t):
+    """A torus lattice's basis as a `Fraction` matrix: columns C / den, its Hermite columns."""
+    return transpose(t.lattice.basis_vectors())
+
+
+def fixed_projector(d):
+    """P0 = (1/|G|) sum_g M_g as a `Fraction` matrix, the group average over the closed group."""
+    order = d.group.order
+    return tuple(
+        tuple(Fraction(sum(column), order) for column in zip(*rows))
+        for rows in zip(*(e.linear for e in d.group.elements))
+    )
+
+
+def proj0(d, dec):
+    """P0 read off the decomposition: its group sum S over |G|, as a `Fraction` matrix."""
+    return tuple(tuple(Fraction(x, d.group.order) for x in row) for row in dec.group_sum)
 
 
 def vec_denominator(v) -> int:
@@ -121,9 +169,9 @@ def factor_key(f) -> tuple[str, str]:
 
 
 def torus_key(t) -> tuple:
-    """A torus's rank, lam_basis and factor keys; its derived integer inverse is left out."""
+    """A torus's rank, lattice and factor keys; its derived integer inverse is left out."""
     factors = None if t.factors is None else tuple(map(factor_key, t.factors))
-    return t.rank, t.lam_basis, factors
+    return t.rank, t.lattice, factors
 
 
 def basis_matrix(s: Sublattice):
@@ -175,7 +223,7 @@ def projectors(lambda0: Sublattice, lambda1: Sublattice):
     b1 = transpose(lambda1.basis_vectors())
     c0 = c[:r0]
     c1 = c[r0:]
-    return mat_mul(b0, c0), mat_mul(b1, c1)
+    return reference_mat_mul(b0, c0), reference_mat_mul(b1, c1)
 
 
 def form_complement(d, lambda0: Sublattice) -> Sublattice:
@@ -185,14 +233,13 @@ def form_complement(d, lambda0: Sublattice) -> Sublattice:
     """
     if lambda0.rank == 0:
         return Sublattice.standard(d.rank)
-    _, rows = over_common_denominator(mat_mul(lambda0.cols, d.form.matrix))
-    return kernel_lattice(tuple(rows))
+    return kernel_lattice(mat_mul(lambda0.cols, d.form.matrix))
 
 
 def decomposition(d):
-    """The pipeline's Decomposition of a validated datum: P0, Lambda_0, then Lambda_1 and K."""
-    proj0 = fixed_projector(d)
-    return compute_K(d, compute_A0(proj0), proj0)
+    """The pipeline's Decomposition of a validated datum: S, Lambda_0, then Lambda_1 and K."""
+    s = group_sum(d)
+    return compute_K(d, compute_A0(s, d.group.order), s)
 
 
 def generator_fixed_lattice(d) -> Sublattice:
@@ -206,9 +253,10 @@ def generator_fixed_lattice(d) -> Sublattice:
     return kernel_lattice(tuple(rows)) if rows else Sublattice.standard(rank)
 
 
-def t0_table(d, dec):
-    """t0(g) = P0 tau(g) for every element, by index."""
-    return tuple(mat_vec(dec.proj0, e.translation) for e in d.group.elements)
+def t0_table(d):
+    """t0(g) = P0 tau(g) for every element, by index, with the reference P0."""
+    p0 = fixed_projector(d)
+    return tuple(mat_vec(p0, e.translation) for e in d.group.elements)
 
 
 def integer_solution(hermite, b) -> tuple[int, ...] | None:
@@ -225,13 +273,13 @@ def integer_solution(hermite, b) -> tuple[int, ...] | None:
     return mat_vec(v, [int(c) for c in y] + [0] * (len(v) - len(y)))
 
 
-def h_by_solve(d, dec, table):
+def h_by_solve(d, table):
     """H and its fiber shifts by one integer solve of P0 w = t0(g) per element.
 
-    ``table`` is ``t0_table(d, dec)``; g is in H iff the solve succeeds, and
-    its shift is tau(g) - w.
+    ``table`` is ``t0_table(d)``; g is in H iff the solve succeeds, and its
+    shift is tau(g) - w.  P0 is the reference ``fixed_projector``.
     """
-    den, p0 = over_common_denominator(dec.proj0)
+    den, p0 = over_common_denominator(fixed_projector(d))
     hermite = column_hermite(p0)
     members = []
     shifts = {}
@@ -253,7 +301,7 @@ def fiber_translations_match(d, report, shifts) -> bool:
     the B-coordinates, and this one needs neither integrality nor a saturated B.
     """
     cols = _fiber_basis(d, report.decomposition.lambda1)[0]
-    left = mat_mul(mat_inv(mat_mul(cols, transpose(cols))), cols)
+    left = reference_mat_mul(mat_inv(mat_mul(cols, transpose(cols))), cols)
     return all(
         (e.den, e.shift) == scaled_mod1(mat_vec(left, shifts[i]))
         for i, e in zip(report.subgroup_h, report.fiber.group.elements, strict=True)

@@ -11,6 +11,7 @@ from helpers import (
     element_index,
     fiber_translations_match,
     h_by_solve,
+    proj0,
     t0_table,
     three_curve_document,
 )
@@ -46,7 +47,7 @@ def datum_of(name):
 
 def pipeline_parts(d):
     dec = decomposition(d)
-    table = t0_table(d, dec)
+    table = t0_table(d)
     return dec, table
 
 
@@ -151,7 +152,7 @@ class TestCocycle:
         dec, table = pipeline_parts(d)
         assert not any(table[0])
         members, index = subgroup_h(d, dec)
-        solved, shifts = h_by_solve(d, dec, table)
+        solved, shifts = h_by_solve(d, table)
         assert (members, index * len(members)) == (solved, d.group.order)
         assert not any(shifts[0])
         report = run_pipeline(d)
@@ -182,7 +183,7 @@ class TestCocycle:
             d = datum_of(name)
             dec, table = pipeline_parts(d)
             h, index = subgroup_h(d, dec)
-            solved, shifts = h_by_solve(d, dec, table)
+            solved, shifts = h_by_solve(d, table)
             assert (h, index * len(h)) == (solved, d.group.order)
             assert set(shifts) == set(h)
             assert fiber_translations_match(d, run_pipeline(d), shifts)
@@ -190,7 +191,7 @@ class TestCocycle:
                 assert dec.lambda1.coords_of(shifts[i]) is not None
                 w = vec_sub(d.group.elements[i].translation, shifts[i])
                 assert all(x.denominator == 1 for x in w)
-                assert mat_vec(dec.proj0, w) == table[i]
+                assert mat_vec(proj0(d, dec), w) == table[i]
 
 
 class TestSubgroupH:

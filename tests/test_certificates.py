@@ -20,9 +20,11 @@ bases; there Lambda_1 must also be the complement the invariant form cuts
 out, and the trace of P0 the rank of Lambda_0.  On the same data Lambda_0,
 the kernel of I - P0, must equal the kernel of the generators' rows M_g - I,
 H and [G : H] must match one integer solve per element, and the fiber's
-translations that solve's shifts tau(h) - w read by (B^T B)^-1 B^T; D P0 must reach
-its column Hermite form once per pipeline level with Lambda_1 still the
-kernel of P0, and |G| |K| = |H| [Lambda_B : Lambda_0] must hold.  On a
+translations that solve's shifts tau(h) - w read by (B^T B)^-1 B^T; the group
+sum S must reach its column Hermite form once per pipeline level with
+Lambda_1 still the kernel of P0, that form must be |G|/D times the form of
+D P0 with the same transform, for the reference P0 and D its denominator,
+and |G| |K| = |H| [Lambda_B : Lambda_0] must hold.  On a
 factor torus `validate` checks neither the form nor the eigenvalues, which
 hold by construction; the reference checks every element's eigenvalues and
 the form under every generator, on the same data, on the fiber-basis sweep
@@ -49,10 +51,14 @@ from helpers import (
     every_element_eigenvalue_violations,
     factor_subspace_in_product_coords,
     fiber_translations_match,
+    fixed_projector,
     form_complement,
     generator_fixed_lattice,
     h_by_solve,
+    lam_basis,
+    mat_inv,
     model_actions,
+    proj0,
     projectors,
     t0_table,
     three_curve_document,
@@ -82,7 +88,6 @@ from hyperelliptic.exactlin import (
     hermite_normal_form,
     identity,
     kernel_lattice,
-    mat_inv,
     mat_mul,
     mat_vec,
     over_common_denominator,
@@ -115,11 +120,12 @@ def in_lattice(lattice: Sublattice, v) -> bool:
 def enumerate_k(d, dec):
     """Every K element as (lift in Lambda, V0 part, V1 part), by enumeration."""
     small = Sublattice.from_int_columns(d.rank, dec.lambda0.cols + dec.lambda1.cols)
+    projector = proj0(d, dec)
     out = []
     for combo in itertools.product(*(range(f) for f in dec.k.invariant_factors)):
         v = tuple(sum(c * g[t] for c, g in zip(combo, dec.k.generators)) for t in range(d.rank))
         lift = small.reduce_mod(v)
-        p0 = mat_vec(dec.proj0, lift)
+        p0 = mat_vec(projector, lift)
         out.append((lift, p0, vec_sub(lift, p0)))
     return out
 
@@ -137,7 +143,9 @@ def pipeline_chain(d):
 
 def check_against_enumeration(d, report):
     dec = decomposition(d)
-    table = t0_table(d, dec)
+    projector = proj0(d, dec)
+    assert projector == fixed_projector(d)
+    table = t0_table(d)
     h, index = compute_H(d, dec, decompose_cocycle(d, dec))
     k_elements = enumerate_k(d, dec)
 
@@ -147,10 +155,10 @@ def check_against_enumeration(d, report):
         images = {tuple(lam.reduce_mod(e[part])) if lam.rank else e[part] for e in k_elements}
         assert len(images) == dec.k.order
 
-    # P0 M_g = P0 and the cocycle identity hold for every element, not just generators
+    # S M_g = S and the cocycle identity hold for every element, not just generators
     enlarged = Sublattice.from_rat_columns(d.rank, dec.lambda0.basis_vectors() + dec.k0.generators)
     for i, e in enumerate(d.group.elements):
-        assert mat_mul(dec.proj0, e.linear) == dec.proj0
+        assert mat_mul(dec.group_sum, e.linear) == dec.group_sum
         for j in range(d.group.order):
             ij = d.group.compose_indices(i, j)
             diff = vec_sub(table[ij], tuple(a + b for a, b in zip(table[i], table[j])))
@@ -166,7 +174,7 @@ def check_against_enumeration(d, report):
         if match is None:
             continue
         expected_h.append(i)
-        t1 = vec_sub(e.translation, mat_vec(dec.proj0, e.translation))
+        t1 = vec_sub(e.translation, mat_vec(projector, e.translation))
         enumerated_shifts[i] = vec_sub(t1, match[2])
         assert dec.lambda1.coords_of(enumerated_shifts[i]) is not None
     assert h == tuple(expected_h) == report.subgroup_h
@@ -178,7 +186,7 @@ def check_against_enumeration(d, report):
     # the oracle's fiber count holds at every multiple of D because D t0(g) lies in
     # P0(Z^n) for every element g, and so does D times each basis vector of Lambda_B
     base = datum_denominator(d)
-    image = Sublattice.from_rat_columns(d.rank, transpose(dec.proj0))
+    image = Sublattice.from_rat_columns(d.rank, transpose(projector))
     for v in [*table, *report.albanese_lattice.basis_vectors()]:
         assert in_lattice(image, tuple(base * x for x in v))
 
@@ -315,9 +323,9 @@ def test_projectors_match_basis_inverse(family):
         for datum, report in pipeline_chain(d):
             dec = report.decomposition
             p0, p1 = projectors(dec.lambda0, dec.lambda1)
-            assert dec.proj0 == p0
+            assert proj0(datum, dec) == p0 == fixed_projector(datum)
             complement = tuple(
-                tuple(int(i == j) - x for j, x in enumerate(row)) for i, row in enumerate(dec.proj0)
+                tuple(int(i == j) - x for j, x in enumerate(row)) for i, row in enumerate(p0)
             )
             assert complement == p1
             assert dec.lambda1 == form_complement(datum, dec.lambda0)
@@ -335,12 +343,12 @@ def test_tree_walk_matches_per_element_solve(family):
     for d in projector_data(family):
         for datum, report in pipeline_chain(d):
             dec = report.decomposition
-            assert compute_A0(dec.proj0) == generator_fixed_lattice(datum)
-            table = t0_table(datum, dec)
+            assert compute_A0(dec.group_sum, datum.group.order) == generator_fixed_lattice(datum)
+            table = t0_table(datum)
             t0 = decompose_cocycle(datum, dec)
             assert t0 == tuple(table[i] for i in datum.group.gens)
             members, index = compute_H(datum, dec, t0)
-            solved, shifts = h_by_solve(datum, dec, table)
+            solved, shifts = h_by_solve(datum, table)
             assert members == solved == report.subgroup_h
             assert index * len(solved) == datum.group.order
             assert fiber_translations_match(datum, report, shifts)
@@ -362,10 +370,10 @@ def recorded_hermite_inputs(monkeypatch):
 
 @pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
 def test_projector_is_hermite_reduced_once_per_level(family, monkeypatch):
-    # Lambda_1 and H's classes both read one column Hermite form of D P0, so
-    # the transpose of D P0 reaches hermite_normal_form once per pipeline
-    # level; Lambda_1 must still be the kernel of P0, and H, [G : H] and the
-    # fiber translations must match one integer solve per element
+    # Lambda_1 and H's classes both read one column Hermite form of the group
+    # sum S, so the transpose of S reaches hermite_normal_form once per
+    # pipeline level; Lambda_1 must still be the kernel of P0, and H, [G : H]
+    # and the fiber translations must match one integer solve per element
     seen = recorded_hermite_inputs(monkeypatch)
     for d in projector_data(family):
         seen.clear()
@@ -373,20 +381,37 @@ def test_projector_is_hermite_reduced_once_per_level(family, monkeypatch):
         calls = list(seen)
         for datum, report in chain:
             dec = report.decomposition
-            _, p0 = over_common_denominator(dec.proj0)
-            assert calls.count(transpose(p0)) == 1
-            assert dec.hermite == column_hermite(p0)
-            assert dec.lambda1 == kernel_lattice(dec.proj0)
+            assert calls.count(transpose(dec.group_sum)) == 1
+            assert dec.hermite == column_hermite(dec.group_sum)
+            _, p0 = over_common_denominator(fixed_projector(datum))
+            assert dec.lambda1 == kernel_lattice(p0)
             members, index = compute_H(datum, dec, decompose_cocycle(datum, dec))
-            solved, shifts = h_by_solve(datum, dec, t0_table(datum, dec))
+            solved, shifts = h_by_solve(datum, t0_table(datum))
             assert members == solved == report.subgroup_h
             assert index * len(solved) == datum.group.order
             assert fiber_translations_match(datum, report, shifts)
 
 
 @pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
+def test_group_sum_hermite_form_is_a_multiple_of_the_projector_form(family):
+    # S = (|G|/D) D P0, so column_hermite(S) is (|G|/D) h with the transform v
+    # of column_hermite(D P0) = (h, v): Lambda_1, P0(Z^n) and H's classes
+    # read the same lattices off either form
+    for d in projector_data(family):
+        for datum, report in pipeline_chain(d):
+            den, p0 = over_common_denominator(fixed_projector(datum))
+            den = den or 1
+            scale, rest = divmod(datum.group.order, den)
+            assert rest == 0
+            h, v = column_hermite(p0)
+            assert report.decomposition.hermite == (
+                tuple(tuple(scale * x for x in row) for row in h), v
+            )
+
+
+@pytest.mark.parametrize("family", ["catalog", "stress", "sweep", "nonabelian", "base-change"])
 def test_albanese_lattice_reduces_a_basis_of_the_image(family, monkeypatch):
-    # Lambda_B is one reduction of the rank(Lambda_0) pivot columns of D P0's
+    # Lambda_B is one reduction of the rank(Lambda_0) pivot columns of S's
     # Hermite form and the |gens| vectors t0, not of the n columns of P0
     seen = recorded_hermite_inputs(monkeypatch)
     widths = []
@@ -418,19 +443,22 @@ def test_albanese_lattice_reduces_a_basis_of_the_image(family, monkeypatch):
 
 
 def test_product_torus_and_factor_alignment_are_one_reduction_each(monkeypatch):
-    # Z^6 + Z k_gens is one reduction of the identity columns and the k_gens,
-    # then TorusDatum inverts the basis with one 6 x 6 form of D lam_basis;
-    # the product lattice of the support's planes is one reduction of columns
-    # of lam_basis^-1, compared with a sublattice that is already canonical
+    # Z^6 + Z k_gens is one reduction of the identity columns and the k_gens;
+    # TorusDatum reads the inverse of the basis off that reduction's Hermite
+    # columns, with no form of its own; the product lattice of the support's
+    # planes is one reduction of columns of lam_basis_inv, compared with a
+    # sublattice that is already canonical
     seen = recorded_hermite_inputs(monkeypatch)
     half, third = Fraction(1, 2), Fraction(1, 3)
     k_gens = [(half, half, half, half, 0, 0), (0, 0, 0, 0, third, 2 * third)]
     torus = build_product_torus([EllipticFactor("generic")] * 3, k_gens)
-    assert len(seen) == 2
+    assert len(seen) == 1
     assert len(seen[0]) == 6 + len(k_gens) and len(seen[0][0]) == 6
-    assert seen[1] == transpose(over_common_denominator(torus.lam_basis)[1])
-    # Lambda meets the first factor's plane in Z^2, the third's in more
-    for rows, expected in ((torus.lam_basis[2:], (0,)), (torus.lam_basis[:4], None)):
+    assert torus.lam_basis_inv == mat_inv(lam_basis(torus))
+    # Lambda meets the first factor's plane in Z^2, the third's in more; the
+    # rows of den lam_basis, the Hermite rows, have the kernel of lam_basis's
+    rows = transpose(torus.lattice.cols)
+    for rows, expected in ((rows[2:], (0,)), (rows[:4], None)):
         plane = kernel_lattice(rows)
         seen.clear()
         assert identify_factor_subspace(torus, plane) == expected
@@ -474,9 +502,10 @@ def test_factor_alignment_matches_product_coordinates_on_the_sweep():
     for k_gen in itertools.product(("0", "1/2"), repeat=6):
         for translation in (("1/2", "0"), ("1/2", "1/2"), ("0", "1/2")):
             t = build_datum(three_curve_document(k_gen, translation)).torus
+            scaled_rows = transpose(t.lattice.cols)  # den lam_basis: the same kernels
             for size in range(4):
                 for support in itertools.combinations(range(3), size):
-                    rows = [t.lam_basis[j] for j in range(6) if j // 2 not in support]
+                    rows = [r for j, r in enumerate(scaled_rows) if j // 2 not in support]
                     sub = kernel_lattice(rows) if rows else Sublattice.standard(6)
                     got = identify_factor_subspace(t, sub)
                     assert got == factor_subspace_in_product_coords(t, sub)

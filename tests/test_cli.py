@@ -20,10 +20,10 @@ from hyperelliptic.documents import (
     parse_rational,
     parse_root_label,
 )
-from hyperelliptic.albanese import PipelineInvariantError, fixed_projector, run_pipeline
+from hyperelliptic.albanese import PipelineInvariantError, run_pipeline
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.exactlin import Sublattice, identity, transpose
-from helpers import contains, element_keys
+from helpers import contains, element_keys, fixed_projector
 from test_nonabelian import D4_THREEFOLD
 
 

@@ -23,7 +23,7 @@ import json
 import pytest
 
 from conftest import load_perfbench
-from helpers import compose, element_index
+from helpers import compose, element_index, lam_basis, mat_inv, reference_mat_mul
 import hyperelliptic.action
 import hyperelliptic.albanese
 from hyperelliptic.action import affine_identity, close_group, validate
@@ -32,7 +32,6 @@ from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cli import main
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
-from hyperelliptic.exactlin import mat_inv, mat_mul
 from hyperelliptic.torus import factor_block_eigenvalue
 
 STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8))
@@ -97,7 +96,8 @@ def naive_order(e) -> int:
 
 def block_eigenvalues(torus, e):
     """The eigenvalue of each diagonal 2x2 block of e in product coordinates, in factor order."""
-    m = mat_mul(mat_mul(torus.lam_basis, e.linear), mat_inv(torus.lam_basis))
+    basis = lam_basis(torus)
+    m = reference_mat_mul(reference_mat_mul(basis, e.linear), mat_inv(basis))
     assert all(x.denominator == 1 for row in m for x in row)
     assert all(m[i][j] == 0 for i in range(len(m)) for j in range(len(m)) if i // 2 != j // 2)
     return tuple(

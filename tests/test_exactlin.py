@@ -8,7 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bareiss_det, in_span, left_kernel, minors_gcd
-from helpers import contains, coset_meets_lattice, integer_solution, is_saturated, saturate
+from helpers import (
+    contains,
+    coset_meets_lattice,
+    integer_solution,
+    is_saturated,
+    mat_inv,
+    reference_mat_mul,
+    saturate,
+)
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.exactlin import (
     LatticeError,
@@ -19,7 +27,6 @@ from hyperelliptic.exactlin import (
     is_singular,
     is_unimodular,
     kernel_lattice,
-    mat_inv,
     mat_mul,
     mat_vec,
     over_common_denominator,
@@ -29,12 +36,6 @@ from hyperelliptic.exactlin import (
 )
 
 F = Fraction
-
-
-def reference_mat_mul(a, b):
-    """The plain product, one entry at a time: sum(x * y) over the operands' own types."""
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def reference_mat_vec(a, v):
@@ -127,27 +128,43 @@ product_operands = st.tuples(
 )
 
 
+def columns_of(b):
+    """The columns of b, or one zero column when b has none, so a product is always read."""
+    return transpose(b) or (tuple(0 for _ in b),)
+
+
+int_product_operands = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda t: st.tuples(entry_matrix("int", t[0], t[1]), entry_matrix("int", t[1], t[2]))
+)
+
+
 class TestProductsAgainstReference:
-    """mat_mul / mat_vec over one common denominator against the entry-wise sums."""
+    """mat_mul (integer operands) and mat_vec (over one common denominator) against entry-wise sums.
+
+    mat_mul is the integer product; the rational products it no longer
+    takes are read column by column through mat_vec.
+    """
 
     @settings(max_examples=300, deadline=None)
-    @given(product_operands)
+    @given(int_product_operands)
     def test_mat_mul(self, operands):
         a, b = operands
         got = mat_mul(a, b)
         assert got == reference_mat_mul(a, b)
-        if all_ints(x for row in a + b for x in row):
-            assert all_ints(x for row in got for x in row)
+        assert all_ints(x for row in got for x in row)
 
     @settings(max_examples=300, deadline=None)
     @given(product_operands)
     def test_mat_vec(self, operands):
         a, b = operands
-        v = tuple(row[0] for row in b) if b and b[0] else tuple(0 for _ in b)
-        got = mat_vec(a, v)
-        assert got == reference_mat_vec(a, v)
-        if all_ints(x for row in a for x in row) and all_ints(v):
-            assert all_ints(got)
+        product = reference_mat_mul(a, b)
+        for j, v in enumerate(columns_of(b)):
+            got = mat_vec(a, v)
+            assert got == reference_mat_vec(a, v)
+            if b and b[0]:
+                assert got == tuple(row[j] for row in product)
+            if all_ints(x for row in a for x in row) and all_ints(v):
+                assert all_ints(got)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -161,9 +178,13 @@ class TestProductsAgainstReference:
         ],
     )
     def test_edge_shapes(self, a, b):
-        assert mat_mul(a, b) == reference_mat_mul(a, b)
-        v = tuple(row[0] for row in b) if b and b[0] else ()
-        assert mat_vec(a, v) == reference_mat_vec(a, v)
+        if all_ints(x for row in a + b for x in row):
+            assert mat_mul(a, b) == reference_mat_mul(a, b)
+        product = reference_mat_mul(a, b)
+        for j, v in enumerate(columns_of(b)):
+            assert mat_vec(a, v) == reference_mat_vec(a, v)
+            if b and b[0]:
+                assert mat_vec(a, v) == tuple(row[j] for row in product)
 
 
 class TestOverCommonDenominator:
@@ -190,7 +211,9 @@ class TestOverCommonDenominator:
         products = tuple(
             tuple(F(sum(x * y for x, y in zip(r, c)), da * db) for c in ib) for r in ia
         )
-        assert mat_mul(a, b) == products == reference_mat_mul(a, b)
+        integer_product = mat_mul(ia, transpose(ib))
+        assert products == reference_mat_mul(a, b)
+        assert tuple(tuple(F(x, da * db) for x in row) for row in integer_product) == products
         v = bt[0] if bt else tuple(0 for _ in b)
         assert mat_vec(a, v) == reference_mat_vec(a, v)
 
@@ -253,8 +276,10 @@ class TestHermiteDecisions:
     @example(((F(1, 2), F(1, 3)), (F(3, 2), F(1))))
     @example(((F(0), F(1, 2)), (F(-1, 2), F(0))))
     def test_rational_singularity_against_bareiss(self, m):
+        # is_singular takes integer matrices: m over its common denominator;
         # scaling row i by the lcm of its own denominators keeps det == 0 or != 0
-        assert is_singular(m) == (bareiss_det(row_scaled(m)) == 0)
+        _, scaled = over_common_denominator(m)
+        assert is_singular(scaled) == (bareiss_det(row_scaled(m)) == 0)
 
 
 def row_scaled(m):
@@ -286,7 +311,7 @@ def unimodular_matrices(max_n=5):
 
 
 class TestInverse:
-    """mat_inv is D v h^-1 off column_hermite(D m) = (h, v); checked only by products."""
+    """The reference mat_inv is D v h^-1 off column_hermite(D m) = (h, v); checked by products."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -373,6 +398,31 @@ def assert_normal_forms_match_sympy(m):
 
 def minus_identity(m):
     return tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(m))
+
+
+class TestScaledHermite:
+    """column_hermite(c m) = (c h, v) for column_hermite(m) = (h, v) and c >= 1.
+
+    Euclid's steps on (c a, c b) are its steps on (a, b): the divisibility
+    tests, the quotients floor(c a / c b) = floor(a / b), the signs and the
+    reductions above each pivot all agree, so only h is scaled.  The group
+    sum S = (|G|/D) D P0 reaches its form this way.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 6), st.integers(1, 6), st.sampled_from((1, 3, 9))).flatmap(
+            lambda t: small_int_matrix(*t)
+        ),
+        st.integers(1, 24),
+    )
+    @example(((0, 0), (0, 0)), 4)
+    @example(((2, 1), (4, 3)), 6)
+    @example(((1, 1), (1, 1)), 2)  # 2 P0 for P0 = (1/2) [[1, 1], [1, 1]]: S of Z/2 swapping
+    def test_scaling_commutes_with_column_hermite(self, m, c):
+        h, v = column_hermite(m)
+        scaled = tuple(tuple(c * x for x in row) for row in m)
+        assert column_hermite(scaled) == (tuple(tuple(c * x for x in row) for row in h), v)
 
 
 class TestNormalFormsAgainstSympy:

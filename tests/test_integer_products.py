@@ -1,0 +1,84 @@
+"""Every matrix the library multiplies is an integer matrix.
+
+`exactlin.mat_mul` is the plain integer product: it would multiply
+`Fraction` operands too, without a word, so nothing in it holds the
+contract.  This test does.  It rebinds `mat_mul` wherever a `hyperelliptic`
+module binds it, the way `perfbench/tracing.py` rebinds its traced
+functions, with a wrapper that asserts every entry of both operands is an
+`int`, and runs `check`, `albanese --recurse`, `invariants` and `oracle`
+through the CLI on the catalog entries, the output digest's stress
+documents (every point and seed) and the D4 threefold.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from fractions import Fraction
+
+import pytest
+
+from hyperelliptic import exactlin, torus
+from hyperelliptic.catalog import list_entries
+from hyperelliptic.cli import main
+from output_digest import STRESS_POINTS, documents
+
+COMMANDS = (["check"], ["albanese", "--recurse"], ["invariants"], ["oracle"])
+GROUPS = ("catalog", "stress", "d4")
+
+
+def group_of(name: str) -> str:
+    if name.startswith("stress-"):
+        return "stress"
+    if name.startswith("sweep-"):
+        return "sweep"
+    return "d4" if name == "d4-threefold" else "catalog"
+
+
+def integer_only_mat_mul(monkeypatch):
+    """Rebind mat_mul in every hyperelliptic namespace; return the list of checked calls."""
+    original = exactlin.mat_mul
+    calls = []
+
+    def checked(a, b):
+        for operand in (a, b):
+            bad = next((x for row in operand for x in row if type(x) is not int), None)
+            assert bad is None, f"mat_mul operand entry {bad!r} is not an int"
+        calls.append(None)
+        return original(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "hyperelliptic" or module is None:
+            continue
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, checked)
+    return calls
+
+
+def test_the_wrapper_refuses_a_fraction(monkeypatch):
+    calls = integer_only_mat_mul(monkeypatch)
+    assert torus.mat_mul(((1, 2),), ((3,), (4,))) == ((11,),)
+    with pytest.raises(AssertionError, match="not an int"):
+        torus.mat_mul(((Fraction(1, 2),),), ((1,),))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_every_mat_mul_operand_is_an_integer_matrix(group, tmp_path, monkeypatch):
+    calls = integer_only_mat_mul(monkeypatch)
+    path = tmp_path / "datum.json"
+    seen = 0
+    for name, doc in documents():
+        if group_of(name) != group:
+            continue
+        seen += 1
+        path.write_text(json.dumps(doc))
+        for command in COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command[0], str(path), *command[1:], "--format", "json"])
+            assert code in (0, 2), (name, command, code)
+    counts = {"catalog": len(list_entries()), "stress": 4 * len(STRESS_POINTS), "d4": 1}
+    assert seen == counts[group]
+    assert calls  # the wrapper was reached through the library's own bindings

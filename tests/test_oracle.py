@@ -329,10 +329,14 @@ def oracle_inputs(d):
 
 
 def projection_report(rank, proj0, lam_b_cols, group_order, h_order=1):
-    """A hand-built report: what the fiber count reads (proj0, Lambda_B, Lambda_1, |G|, |H|)."""
+    """A hand-built report: what the fiber count reads (S, Lambda_B, Lambda_1, |G|, |H|).
+
+    The group sum S is |G| proj0, so the projection P0 = S/|G| is proj0 at every |G|.
+    """
+    group_sum = tuple(tuple(group_order * x for x in row) for row in proj0)
     return SimpleNamespace(
         group_order=group_order,
-        decomposition=SimpleNamespace(lambda1=Sublattice(rank, 1, ()), proj0=proj0),
+        decomposition=SimpleNamespace(lambda1=Sublattice(rank, 1, ()), group_sum=group_sum),
         albanese_lattice=Sublattice.from_int_columns(rank, lam_b_cols),
         subgroup_h=(None,) * h_order,
     )

@@ -20,7 +20,7 @@ from hyperelliptic.action import AffineAut, validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import CatalogEntry, get_entry
 from cyclo_reference import CycloNumber
-from helpers import factor_key, torus_key
+from helpers import factor_key, lam_basis, torus_key
 from hyperelliptic.cyclotomic import CyclotomicInvariantError, RootOfUnity
 from hyperelliptic.exactlin import LatticeError, Sublattice, identity
 from hyperelliptic.invariants import invariants_report
@@ -78,7 +78,7 @@ class TestPlainClasses:
         t = build_product_torus(factors, [(F(1, 2), F(0), F(1, 2), F(0))])
         v = (F(1, 3), F(-2), F(5, 7), F(0))
         assert t.to_product_coords(t.to_lattice_coords(v)) == v
-        for j, column in enumerate(zip(*t.lam_basis)):
+        for j, column in enumerate(zip(*lam_basis(t))):
             e_j = tuple(F(int(i == j)) for i in range(t.rank))
             assert t.to_product_coords(e_j) == column
 
@@ -98,8 +98,8 @@ class TestPlainClasses:
             (lambda: AlternatingForm(((F(0), F(1)), (F(1), F(0)))), DegenerateForm),
             (lambda: AlternatingForm(((F(0), F(0)), (F(0), F(0)))), DegenerateForm),
             (lambda: EllipticFactor("hexagonal"), ValueError),
-            (lambda: TorusDatum(4, identity(4), (EllipticFactor("generic"),)), ValueError),
-            (lambda: TorusDatum(2, ((F(2), F(0)), (F(0), F(1)))), LatticeError),
+            (lambda: TorusDatum(Sublattice.standard(4), (EllipticFactor("generic"),)), ValueError),
+            (lambda: TorusDatum(Sublattice.from_int_columns(2, [(2, 0), (0, 1)])), LatticeError),
             (lambda: CycloNumber(4, (F(1),)), CyclotomicInvariantError),
         ],
         ids=["form-not-square", "form-not-antisymmetric", "form-singular", "factor-kind",

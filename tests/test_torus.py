@@ -2,8 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import factor_subspace_in_product_coords, index_over_product_lattice
+from helpers import (
+    factor_subspace_in_product_coords,
+    index_over_product_lattice,
+    lam_basis,
+    mat_inv,
+    reference_mat_mul,
+)
 from hyperelliptic.cyclotomic import RootOfUnity
+from hyperelliptic.documents import build_datum
 from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose, vec_scale
 from hyperelliptic.torus import (
     AlternatingForm,
@@ -17,6 +24,7 @@ from hyperelliptic.torus import (
     identify_factor_subspace,
     standard_form,
 )
+from output_digest import documents as digest_documents
 
 F = Fraction
 
@@ -125,10 +133,25 @@ class TestStandardForm:
             standard_form(TorusDatum.raw(2))
 
     def test_rational_on_enlarged_lattice(self):
+        # the Gram matrix lam^T J lam has denominators dividing den^2 = 4; the
+        # form keeps den^2 times it, C^T J C for the Hermite columns C
         t = build_product_torus([GEN, GEN], [(F(1, 2), 0, F(1, 2), 0)])
         form = standard_form(t)
-        dens = {x.denominator for row in form.matrix for x in row}
-        assert dens <= {1, 2, 4}
+        j = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
+        basis = lam_basis(t)
+        gram = reference_mat_mul(reference_mat_mul(transpose(basis), j), basis)
+        assert {x.denominator for row in gram for x in row} <= {1, 2, 4}
+        assert t.lattice.den == 2
+        assert form.matrix == tuple(tuple(4 * x for x in row) for row in gram)
+        assert all(type(x) is int for row in form.matrix for x in row)
+
+    def test_raw_form_is_stored_over_its_lcm_denominator(self):
+        form = AlternatingForm(((F(0), F(1, 2)), (F(-1, 2), F(0))))
+        assert form.matrix == ((0, 1), (-1, 0))
+        assert all(type(x) is int for row in form.matrix for x in row)
+        swap = ((0, 1), (1, 0))
+        assert not form.is_invariant_under(swap)
+        assert form.is_invariant_under(((0, -1), (1, 0)))
 
 
 class TestIdentifyFactorSubspace:
@@ -178,3 +201,16 @@ class TestIdentifyFactorSubspace:
         sub = Sublattice.standard(4)
         assert identify_factor_subspace(t, sub) is None
         assert factor_subspace_in_product_coords(t, sub) is None
+
+
+def test_lattice_inverse_matches_the_reference_inverse_on_every_builder_torus():
+    # lam_basis_inv's columns are the coordinates of the unit vectors in the
+    # basis C / den; the reference inverts that basis as a Fraction matrix
+    tori = [
+        build_datum(doc).torus for _, doc in digest_documents() if doc["mode"] == "builder"
+    ]
+    assert len(tori) > 200
+    for t in tori:
+        basis = lam_basis(t)
+        assert t.lam_basis_inv == mat_inv(basis)
+        assert reference_mat_mul(basis, t.lam_basis_inv) == identity(t.rank)
