@@ -19,18 +19,17 @@ iff a rational one does, so freeness results are certificates, not samples.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .cyclotomic import RootOfUnity, cyclotomic_polynomial, euler_phi, poly_divmod_exact
 from .exactlin import (
-    as_fractions,
     hermite_normal_form,
     identity,
     is_unimodular,
     mat_mul,
     mat_vec,
+    reduced_mod1,
     scaled_mod1,
     transpose,
 )
@@ -122,7 +121,8 @@ class AffineAut:
     """One affine automorphism x -> linear @ x + t of A = V/Lambda.
 
     The translation t mod Lambda is ``shift`` = den t mod den over ``den``,
-    the least positive integer with den t integral.  ``eigenvalues`` are the
+    the least positive integer with den t integral; every reader takes t as
+    these integers, so no rational vector is formed.  ``eigenvalues`` are the
     n complex-representation eigenvalues of the element; on a torus with
     elliptic factors they are in factor order, one per factor.  ``key()``,
     the linear part, den and shift, identifies the element.
@@ -141,10 +141,6 @@ class AffineAut:
         self.den = den
         self.shift = shift
         self.eigenvalues = eigenvalues
-
-    @property
-    def translation(self) -> tuple[Fraction, ...]:  # t in [0, 1)^rank, for the Albanese algebra
-        return tuple(Fraction(x, self.den) for x in self.shift)
 
     @property
     def rank(self) -> int:
@@ -298,8 +294,7 @@ def close_group(
                 if len(elements) >= cap:
                     raise NotClosedWithinCap(f"group closure exceeds cap {cap}")
                 j = index[linear, shift] = len(elements)
-                c = gcd(den, *shift)
-                elements.append(AffineAut(linear, den // c, tuple(x // c for x in shift), eig))
+                elements.append(AffineAut(linear, *reduced_mod1(den, shift), eig))
                 dt.append(shift)
                 tree.append((i, s))
             row.append(j)
@@ -332,8 +327,7 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) ->
         raise LatticeNotPreserved("linear part does not preserve the enlarged lattice")
     linear = tuple(tuple(x // den for x in row) for row in scaled)
     eig = tuple(factor_block_eigenvalue(f, b) for f, b in zip(torus.factors, blocks))
-    den, shift = scaled_mod1(torus.to_lattice_coords(as_fractions(translation_product)))
-    return AffineAut(linear, den, shift, eig)
+    return AffineAut(linear, *scaled_mod1(torus.to_lattice_coords(translation_product)), eig)
 
 
 def affine_raw(linear, translation, eigenvalues) -> AffineAut:
@@ -556,7 +550,8 @@ def rewrite_on_lattice(
     lattice (else GroupInvariantError).  Then L = u[:r] is an integer left
     inverse, L B = I, and R = u[r:] vanishes exactly on span(B).  A member
     (M, tau) preserves the lattice iff R M B = 0 (else GroupInvariantError)
-    and reads (L M B, L tau mod 1) in the basis B; the form reads B^T E B.
+    and reads (L M B, L tau mod 1) in the basis B, L tau being the integers
+    L shift over the member's den; the form reads B^T E B.
     Two members with one image raise GroupInvariantError: the members act
     faithfully, so each keeps its own element.  Every nonidentity member is a
     generator.  The rewrite is a homomorphism, so a product is read off d's
@@ -574,7 +569,7 @@ def rewrite_on_lattice(
         umb = mat_mul(u, mat_mul(e.linear, b))  # L M B over R M B
         if any(map(any, umb[r:])):
             raise GroupInvariantError("an element does not preserve the lattice")
-        g = AffineAut(umb[:r], *scaled_mod1(mat_vec(left, e.translation)), eigenvalues)
+        g = AffineAut(umb[:r], *reduced_mod1(e.den, mat_vec(left, e.shift)), eigenvalues)
         key = g.key()
         if key in owner:
             raise GroupInvariantError(f"elements {owner[key]} and {i} have one image")

@@ -82,7 +82,6 @@ from .exactlin import (
     over_common_denominator,
     quotient_group,
     transpose,
-    vec_scale,
     vec_sub,
 )
 from .torus import TorusDatum, factor_plane_columns, identify_factor_subspace
@@ -198,7 +197,8 @@ def compute_K(d: HyperellipticDatum, lambda0: Sublattice, s) -> Decomposition:
     k0_gens = []
     k1_gens = []
     for gen in k.generators:
-        p0 = vec_scale(Fraction(1, d.group.order), mat_vec(s, gen))
+        den, (scaled,) = over_common_denominator((gen,))
+        p0 = tuple(Fraction(x, d.group.order * den) for x in mat_vec(s, scaled))
         k0_gens.append(lambda0.reduce_mod(p0))
         k1_gens.append(lambda1.reduce_mod(vec_sub(gen, p0)))
     k0 = FiniteAbelianGroup(k.invariant_factors, tuple(k0_gens))
@@ -220,7 +220,7 @@ def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
         if mat_mul(s, g.linear) != s:
             raise PipelineInvariantError("a generator moves V0 or does not keep V1 stable")
     order = d.group.order
-    return tuple(vec_scale(Fraction(1, order * g.den), mat_vec(s, g.shift)) for g in gens)
+    return tuple(tuple(Fraction(x, order * g.den) for x in mat_vec(s, g.shift)) for g in gens)
 
 
 def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):

@@ -8,14 +8,14 @@ over a common denominator; the form is unique, so equal lattices compare equal.
 
 This module is the one place where rationals become integers: no other
 module of the package reads a `.numerator` or a `.denominator`.
-`over_common_denominator` scales a rational matrix to integer rows over the
-lcm of its entry denominators, and `scaled_mod1` gives a translation's
-integers mod 1 over its least denominator.  Every matrix the package
-multiplies is an integer matrix, so `mat_mul` is the plain integer product;
-where a rational matrix is meant, its denominator is held once beside it
-(a `Sublattice`'s den, a group average's |G|).  `mat_vec` takes its inner
-products on the integer rows of a rational vector and turns each output
-entry into one `Fraction`.  The Hermite form (Cohen, GTM 138, 2.4) answers
+`over_common_denominator` scales rational rows to integer rows over the lcm
+of their entry denominators, and `reduced_mod1` takes a translation, held as
+integers over a denominator, mod 1 to its least denominator.  Every matrix
+and vector the package multiplies is integral, so `mat_mul` and `mat_vec`
+are the plain integer products; where a rational matrix or vector is meant,
+its denominator is held once beside it (a `Sublattice`'s den, a group
+average's |G|, an element's den), and a caller with a rational vector scales
+it once before the product.  The Hermite form (Cohen, GTM 138, 2.4) answers
 the integer questions.  One column Hermite form (h, v) of m has two
 readers: `hermite_kernel` (the kernel of m) and `hermite_coords`
 (coordinates against h's pivot columns, as in `Sublattice.coords_of`);
@@ -28,7 +28,7 @@ is the one elimination routine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -54,13 +54,9 @@ def transpose(m):
 def over_common_denominator(rows):
     """(D, integer rows) with rows == integer rows / D for the least positive integer D.
 
-    D is the lcm of the entry denominators, so each integer entry is
-    numerator * (D // denominator).  When every entry is an int, D is None
-    (standing for 1) and the rows come back as they are, so a product of ints
-    can stay int.
+    D is the lcm of the entry denominators (1 for int entries), so each
+    integer entry is numerator * (D // denominator).
     """
-    if all(type(x) is int for row in rows for x in row):
-        return None, rows
     d = lcm(*(x.denominator for row in rows for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
@@ -72,36 +68,29 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    da, a = over_common_denominator(a)
-    dv, (v,) = over_common_denominator((v,))
-    out = tuple(sum(map(mul, row, v)) for row in a)
-    if da is None and dv is None:
-        return out
-    d = (da or 1) * (dv or 1)
-    return tuple(Fraction(x, d) for x in out)
+    """The product of an integer matrix and an integer vector."""
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def vec_sub(u, v):
     return tuple(x - y for x, y in zip(u, v))
 
 
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
-
-
-def as_fractions(v) -> Vector:
-    return tuple(Fraction(x) for x in v)
-
-
 def vec_is_integral(v) -> bool:
     return all(Fraction(x).denominator == 1 for x in v)
+
+
+def reduced_mod1(den: int, scaled) -> tuple[int, tuple[int, ...]]:
+    """(D, D t mod D) for t = scaled / den, D the least positive integer with D t integral."""
+    scaled = tuple(x % den for x in scaled)
+    c = gcd(den, *scaled)
+    return den // c, tuple(x // c for x in scaled)
 
 
 def scaled_mod1(v) -> tuple[int, tuple[int, ...]]:
     """(D, D v mod D), D the least positive integer with D v integral: equal iff v is mod 1."""
     d, (scaled,) = over_common_denominator((v,))
-    d = d or 1
-    return d, tuple(x % d for x in scaled)
+    return reduced_mod1(d, scaled)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -260,7 +249,6 @@ class Sublattice(NamedTuple):
 
     @staticmethod
     def from_rat_columns(ambient_rank: int, vectors) -> "Sublattice":
-        vectors = [as_fractions(v) for v in vectors]
         for v in vectors:
             if len(v) != ambient_rank:
                 raise LatticeError("vector length does not match ambient rank")
@@ -289,7 +277,6 @@ class Sublattice(NamedTuple):
 
     def coords_of(self, v) -> Vector | None:
         """Rational coordinates of v in this basis, or None if v is outside the span."""
-        v = as_fractions(v)
         if len(v) != self.ambient_rank:
             raise LatticeError("vector length does not match ambient rank")
         coords = hermite_coords(self.cols, [x * self.den for x in v])
@@ -300,12 +287,11 @@ class Sublattice(NamedTuple):
         coords = self.coords_of(v)
         if coords is None:
             raise LatticeError("vector is outside the lattice span")
-        basis = self.basis_vectors()
-        rep = as_fractions(v)
-        for c, b in zip(coords, basis):
+        rep = tuple(map(Fraction, v))
+        for c, b in zip(coords, self.basis_vectors()):
             whole = c.numerator // c.denominator
             if whole:
-                rep = vec_sub(rep, vec_scale(whole, b))
+                rep = vec_sub(rep, [whole * x for x in b])
         return rep
 
 

@@ -37,6 +37,7 @@ from .action import AffineAut, HyperellipticDatum, validate
 from .albanese import AlbaneseReport, PipelineInvariantError
 from .exactlin import (
     over_common_denominator,
+    reduced_mod1,
     smith_normal_form,
     transpose,
 )
@@ -257,17 +258,22 @@ class FiberCountVerdict(NamedTuple):
 
 
 def _albanese_projection_matrix(report: AlbaneseReport):
-    """Row matrix L with key(v) = frac(L v): coordinates of P0 v = S v / |G| in Lambda_B."""
+    """(den, integer rows L) with key(v) = frac(L v / den): P0 v = S v / |G| in Lambda_B's basis.
+
+    The coordinates of S's columns in Lambda_B's basis, over their common
+    denominator D, are L / D, so den is D |G|.
+    """
     lam_b = report.albanese_lattice
     if lam_b.rank == 0:
-        return ()
+        return 1, ()
     columns = []
     for w in transpose(report.decomposition.group_sum):
         coords = lam_b.coords_of(w)
         if coords is None:
             raise PipelineInvariantError("projection leaves the Albanese lattice span")
-        columns.append([c / report.group_order for c in coords])
-    return transpose(columns)
+        columns.append(coords)
+    den, scaled = over_common_denominator(columns)
+    return den * report.group_order, transpose(scaled)
 
 
 def oracle_fiber_count(model: TorsionModel, report: AlbaneseReport) -> FiberCountVerdict:
@@ -300,23 +306,20 @@ def oracle_fiber_count(model: TorsionModel, report: AlbaneseReport) -> FiberCoun
     r1 = report.decomposition.lambda1.rank
     h_order = len(report.subgroup_h)
     predicted = (report.group_order // h_order) * n**r1
-    lmat = _albanese_projection_matrix(report)
-    # integerize: key_i = (sum_j c[i][j] p_j) mod D_i encodes frac(L p / N)
+    den, lmat = _albanese_projection_matrix(report)
+    # key_i = (sum_j c[i][j] p_j) mod D_i encodes frac(L p / (den N)): row i of
+    # L over den N, mod 1 over its least denominator D_i, is c[i] over D_i
     dens = []
     coeffs = []
     for row in lmat:
-        d, (c,) = over_common_denominator(([x / n for x in row],))
+        d, c = reduced_mod1(den * n, row)
         dens.append(d)
         coeffs.append(c)
-    active = [
-        j
-        for j in range(rank)
-        if any(coeffs[i][j] % dens[i] for i in range(len(coeffs)))
-    ]
+    active = [j for j in range(rank) if any(c[j] for c in coeffs)]
     scale = n ** (rank - len(active))
     # per packed row: its modulus and (index into the active point, coefficient) terms
     packed = [
-        (d, [(k, row[j] % d) for k, j in enumerate(active) if row[j] % d])
+        (d, [(k, row[j]) for k, j in enumerate(active) if row[j]])
         for row, d in zip(coeffs, dens)
         if d > 1
     ]

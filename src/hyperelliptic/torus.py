@@ -23,7 +23,6 @@ from .cyclotomic import RootOfUnity
 from .exactlin import (
     LatticeError,
     Sublattice,
-    as_fractions,
     identity,
     is_singular,
     mat_mul,
@@ -31,7 +30,6 @@ from .exactlin import (
     over_common_denominator,
     transpose,
     vec_is_integral,
-    vec_scale,
 )
 
 
@@ -145,6 +143,10 @@ class TorusDatum:
 
     Column i of ``lam_basis_inv`` is the coordinates of e_i in the basis of
     Lambda, integral because Lambda contains Z^rank.  Raw data use Z^rank.
+    A rational vector v = w / d is carried between the two coordinates as
+    its integers w, by one integer product with ``lam_basis_inv`` or with
+    Lambda's Hermite columns, and divided once at the end: by d, or by
+    d * den for Lambda's columns over den.
     """
 
     __slots__ = ("rank", "lattice", "factors", "lam_basis_inv")
@@ -166,11 +168,13 @@ class TorusDatum:
         return self.rank // 2
 
     def to_lattice_coords(self, v_product):
-        return mat_vec(self.lam_basis_inv, as_fractions(v_product))
+        d, (v,) = over_common_denominator((v_product,))
+        return tuple(Fraction(x, d) for x in mat_vec(self.lam_basis_inv, v))
 
     def to_product_coords(self, v_lattice):
-        product = mat_vec(transpose(self.lattice.cols), as_fractions(v_lattice))
-        return vec_scale(Fraction(1, self.lattice.den), product)
+        d, (v,) = over_common_denominator((v_lattice,))
+        d *= self.lattice.den
+        return tuple(Fraction(x, d) for x in mat_vec(transpose(self.lattice.cols), v))
 
     @staticmethod
     def raw(rank: int) -> "TorusDatum":
@@ -181,11 +185,11 @@ def build_product_torus(factors, k_gens=()) -> TorusDatum:
     """Lambda = Z^2n + Z*k_gens over the product of the given elliptic factors."""
     factors = tuple(factors)
     rank = 2 * len(factors)
-    gens = [as_fractions(g) for g in k_gens]
+    gens = tuple(map(tuple, k_gens))
     for g in gens:
         if len(g) != rank:
             raise ValueError("k generator length must be 2 * number of factors")
-    return TorusDatum(Sublattice.from_rat_columns(rank, identity(rank) + tuple(gens)), factors)
+    return TorusDatum(Sublattice.from_rat_columns(rank, identity(rank) + gens), factors)
 
 
 def standard_form(t: TorusDatum) -> AlternatingForm:

@@ -35,7 +35,11 @@ matrix it multiplies became an integer matrix: they are the references for
 `TorusDatum.lam_basis_inv` and for the group sum S = |G| P0 that
 `Decomposition` keeps.  `proj0` reads P0 = S/|G| off a decomposition,
 `lam_basis` gives a torus lattice's basis as a `Fraction` matrix, and
-`reference_mat_mul` multiplies matrices of any entry type one entry at a time.
+`reference_mat_mul` and `reference_mat_vec` multiply matrices and vectors of
+any entry type one entry at a time: the library's `mat_mul` and `mat_vec`
+take integers only.  `translation` reads an element's translation t =
+shift / den as a `Fraction` vector, which the library, reading the integers
+over den, never forms.
 `three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
@@ -51,7 +55,6 @@ from hyperelliptic.albanese import _fiber_basis, compute_A0, compute_K, group_su
 from hyperelliptic.exactlin import (
     LatticeError,
     Sublattice,
-    as_fractions,
     column_hermite,
     hermite_coords,
     identity,
@@ -62,7 +65,6 @@ from hyperelliptic.exactlin import (
     scaled_mod1,
     transpose,
     vec_is_integral,
-    vec_scale,
     vec_sub,
 )
 from hyperelliptic.oracle import (
@@ -87,6 +89,16 @@ def reference_mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
+def reference_mat_vec(a, v):
+    """The plain product of a matrix and a vector, one entry at a time, over their own types."""
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def translation(e: AffineAut) -> tuple[Fraction, ...]:
+    """An element's translation t = shift / den in [0, 1)^rank, as a `Fraction` vector."""
+    return tuple(Fraction(x, e.den) for x in e.shift)
+
+
 def mat_inv(m):
     """Exact inverse of a square rational matrix (LatticeError if singular).
 
@@ -98,8 +110,8 @@ def mat_inv(m):
     cols = transpose(h)
     if not all(map(any, cols)):
         raise LatticeError("matrix is singular")
-    scaled = [hermite_coords(cols, vec_scale(d or 1, e)) for e in identity(len(m))]
-    return transpose([mat_vec(v, y) for y in scaled])
+    scaled = [hermite_coords(cols, [d * x for x in e]) for e in identity(len(m))]
+    return transpose([reference_mat_vec(v, y) for y in scaled])
 
 
 def lam_basis(t):
@@ -138,14 +150,18 @@ def vec_mod1(v) -> tuple[Fraction, ...]:
 
 def compose(a: AffineAut, b: AffineAut) -> AffineAut:
     """(M, t) . (M', t') = (M M', M t' + t), translation reduced mod Lambda; no eigenvalues."""
-    t = vec_mod1(x + y for x, y in zip(mat_vec(a.linear, b.translation), a.translation))
+    t = vec_mod1(
+        x + y for x, y in zip(reference_mat_vec(a.linear, translation(b)), translation(a))
+    )
     den = vec_denominator(t)
     return AffineAut(mat_mul(a.linear, b.linear), den, tuple(int(x * den) for x in t), None)
 
 
 def model_actions(d, level: int):
     """The torsion model's actions at level N, with N t read as int(t * N) from the translation."""
-    return tuple((e.linear, tuple(int(x * level) for x in e.translation)) for e in d.group.elements)
+    return tuple(
+        (e.linear, tuple(int(x * level) for x in translation(e))) for e in d.group.elements
+    )
 
 
 def members_of(group) -> list:
@@ -187,7 +203,7 @@ def contains(s: Sublattice, v) -> bool:
 
 def coset_meets_lattice(w: Sublattice, t) -> bool:
     """Exact decision of (t + span_Q(w)) intersect Z^n != empty set."""
-    t = as_fractions(t)
+    t = tuple(map(Fraction, t))
     if len(t) != w.ambient_rank:
         raise LatticeError("vector length does not match ambient rank")
     if w.rank == w.ambient_rank:
@@ -198,7 +214,7 @@ def coset_meets_lattice(w: Sublattice, t) -> bool:
     ann = kernel_lattice(transpose(basis_matrix(w)))
     c = transpose(basis_matrix(ann))  # (n - rank) x n
     image = Sublattice.from_int_columns(len(c), transpose(c))
-    return contains(image, mat_vec(c, t))
+    return contains(image, reference_mat_vec(c, t))
 
 
 def projectors(lambda0: Sublattice, lambda1: Sublattice):
@@ -256,7 +272,7 @@ def generator_fixed_lattice(d) -> Sublattice:
 def t0_table(d):
     """t0(g) = P0 tau(g) for every element, by index, with the reference P0."""
     p0 = fixed_projector(d)
-    return tuple(mat_vec(p0, e.translation) for e in d.group.elements)
+    return tuple(reference_mat_vec(p0, translation(e)) for e in d.group.elements)
 
 
 def integer_solution(hermite, b) -> tuple[int, ...] | None:
@@ -287,7 +303,7 @@ def h_by_solve(d, table):
         w = integer_solution(hermite, tuple(x * den for x in table[i]))
         if w is not None:
             members.append(i)
-            shifts[i] = vec_sub(e.translation, w)
+            shifts[i] = vec_sub(translation(e), w)
     return tuple(members), shifts
 
 
@@ -303,7 +319,7 @@ def fiber_translations_match(d, report, shifts) -> bool:
     cols = _fiber_basis(d, report.decomposition.lambda1)[0]
     left = reference_mat_mul(mat_inv(mat_mul(cols, transpose(cols))), cols)
     return all(
-        (e.den, e.shift) == scaled_mod1(mat_vec(left, shifts[i]))
+        (e.den, e.shift) == scaled_mod1(reference_mat_vec(left, shifts[i]))
         for i, e in zip(report.subgroup_h, report.fiber.group.elements, strict=True)
     )
 
@@ -315,7 +331,7 @@ def coset_has_fixed_point(e) -> bool:
         tuple(e.linear[i][j] - (1 if i == j else 0) for i in range(n)) for j in range(n)
     ]
     span = Sublattice.from_int_columns(n, [c for c in diff_cols if any(c)])
-    return coset_meets_lattice(span, e.translation)
+    return coset_meets_lattice(span, translation(e))
 
 
 def saturate(s: Sublattice) -> Sublattice:
@@ -413,7 +429,7 @@ def two_branch_survey(d, level=None, cap=DEFAULT_POINT_CAP) -> FixedPointSurvey:
         for i, e in enumerate(d.group.elements):
             if i == 0:
                 continue
-            bound = lcm(element_level_bound(e), vec_denominator(e.translation))
+            bound = lcm(element_level_bound(e), vec_denominator(translation(e)))
             checks.append(
                 FixedPointCheck(
                     element_index=i,

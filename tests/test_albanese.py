@@ -12,8 +12,10 @@ from helpers import (
     fiber_translations_match,
     h_by_solve,
     proj0,
+    reference_mat_vec,
     t0_table,
     three_curve_document,
+    translation,
 )
 from hyperelliptic.action import validate
 from hyperelliptic.albanese import (
@@ -27,7 +29,7 @@ from hyperelliptic.albanese import (
 from hyperelliptic.catalog import get_entry
 from hyperelliptic.cli import main
 from hyperelliptic.documents import build_datum
-from hyperelliptic.exactlin import Sublattice, mat_vec, vec_sub
+from hyperelliptic.exactlin import Sublattice, vec_sub
 from hyperelliptic.oracle import (
     build_model,
     datum_denominator,
@@ -189,9 +191,9 @@ class TestCocycle:
             assert fiber_translations_match(d, run_pipeline(d), shifts)
             for i in h:
                 assert dec.lambda1.coords_of(shifts[i]) is not None
-                w = vec_sub(d.group.elements[i].translation, shifts[i])
+                w = vec_sub(translation(d.group.elements[i]), shifts[i])
                 assert all(x.denominator == 1 for x in w)
-                assert mat_vec(proj0(d, dec), w) == table[i]
+                assert reference_mat_vec(proj0(d, dec), w) == table[i]
 
 
 class TestSubgroupH:

@@ -60,8 +60,10 @@ from helpers import (
     model_actions,
     proj0,
     projectors,
+    reference_mat_vec,
     t0_table,
     three_curve_document,
+    translation,
     vec_denominator,
 )
 from hyperelliptic import action, albanese
@@ -89,7 +91,6 @@ from hyperelliptic.exactlin import (
     identity,
     kernel_lattice,
     mat_mul,
-    mat_vec,
     over_common_denominator,
     scaled_mod1,
     transpose,
@@ -125,7 +126,7 @@ def enumerate_k(d, dec):
     for combo in itertools.product(*(range(f) for f in dec.k.invariant_factors)):
         v = tuple(sum(c * g[t] for c, g in zip(combo, dec.k.generators)) for t in range(d.rank))
         lift = small.reduce_mod(v)
-        p0 = mat_vec(projector, lift)
+        p0 = reference_mat_vec(projector, lift)
         out.append((lift, p0, vec_sub(lift, p0)))
     return out
 
@@ -174,7 +175,7 @@ def check_against_enumeration(d, report):
         if match is None:
             continue
         expected_h.append(i)
-        t1 = vec_sub(e.translation, mat_vec(projector, e.translation))
+        t1 = vec_sub(translation(e), reference_mat_vec(projector, translation(e)))
         enumerated_shifts[i] = vec_sub(t1, match[2])
         assert dec.lambda1.coords_of(enumerated_shifts[i]) is not None
     assert h == tuple(expected_h) == report.subgroup_h
@@ -234,7 +235,7 @@ def conjugated(d, u):
     u_inv = tuple(tuple(int(x) for x in row) for row in mat_inv(u))
 
     def move(e):
-        den, shift = scaled_mod1(mat_vec(u_inv, e.translation))
+        den, shift = scaled_mod1(reference_mat_vec(u_inv, translation(e)))
         return AffineAut(mat_mul(mat_mul(u_inv, e.linear), u), den, shift, e.eigenvalues)
 
     table = {move(e).linear: e.eigenvalues for e in d.group.elements}
@@ -400,7 +401,6 @@ def test_group_sum_hermite_form_is_a_multiple_of_the_projector_form(family):
     for d in projector_data(family):
         for datum, report in pipeline_chain(d):
             den, p0 = over_common_denominator(fixed_projector(datum))
-            den = den or 1
             scale, rest = divmod(datum.group.order, den)
             assert rest == 0
             h, v = column_hermite(p0)
@@ -588,7 +588,7 @@ def digest_levels() -> tuple:
 def test_datum_denominator_is_the_all_element_lcm():
     assert len(digest_levels()) > len(list_entries())
     for datum in digest_levels():
-        every = lcm(*(vec_denominator(e.translation) for e in datum.group.elements))
+        every = lcm(*(vec_denominator(translation(e)) for e in datum.group.elements))
         assert datum_denominator(datum) == every
 
 

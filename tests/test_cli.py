@@ -23,7 +23,7 @@ from hyperelliptic.documents import (
 from hyperelliptic.albanese import PipelineInvariantError, run_pipeline
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.exactlin import Sublattice, identity, transpose
-from helpers import contains, element_keys, fixed_projector
+from helpers import contains, element_keys, fixed_projector, translation
 from test_nonabelian import D4_THREEFOLD
 
 
@@ -620,7 +620,7 @@ class TestRawElements:
     def r_cubed_translation(self):
         group = build_datum(D4_THREEFOLD).group
         (e,) = (e for e in group.elements if e.linear == tuple(map(tuple, self.R_CUBED["matrix"])))
-        return e.translation
+        return translation(e)
 
     @pytest.mark.parametrize("doc,fragment", [
         ({"mode": "raw", "rank": 2, "form": [["0", "1"], ["-1", "0"]],

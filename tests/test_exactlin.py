@@ -15,6 +15,7 @@ from helpers import (
     is_saturated,
     mat_inv,
     reference_mat_mul,
+    reference_mat_vec,
     saturate,
 )
 from hyperelliptic.catalog import get_entry, list_entries
@@ -36,10 +37,6 @@ from hyperelliptic.exactlin import (
 )
 
 F = Fraction
-
-
-def reference_mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def small_int_matrix(rows, cols, bound=5):
@@ -139,10 +136,11 @@ int_product_operands = st.tuples(st.integers(0, 4), st.integers(0, 4), st.intege
 
 
 class TestProductsAgainstReference:
-    """mat_mul (integer operands) and mat_vec (over one common denominator) against entry-wise sums.
+    """mat_mul and mat_vec, the integer products, against entry-wise sums.
 
-    mat_mul is the integer product; the rational products it no longer
-    takes are read column by column through mat_vec.
+    The rational products they no longer take are the references' alone:
+    `TestOverCommonDenominator` reads them as integer products over one
+    denominator.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -154,17 +152,16 @@ class TestProductsAgainstReference:
         assert all_ints(x for row in got for x in row)
 
     @settings(max_examples=300, deadline=None)
-    @given(product_operands)
+    @given(int_product_operands)
     def test_mat_vec(self, operands):
         a, b = operands
-        product = reference_mat_mul(a, b)
+        product = mat_mul(a, b)
         for j, v in enumerate(columns_of(b)):
             got = mat_vec(a, v)
             assert got == reference_mat_vec(a, v)
             if b and b[0]:
                 assert got == tuple(row[j] for row in product)
-            if all_ints(x for row in a for x in row) and all_ints(v):
-                assert all_ints(got)
+            assert all_ints(got)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -178,13 +175,14 @@ class TestProductsAgainstReference:
         ],
     )
     def test_edge_shapes(self, a, b):
-        if all_ints(x for row in a + b for x in row):
-            assert mat_mul(a, b) == reference_mat_mul(a, b)
         product = reference_mat_mul(a, b)
         for j, v in enumerate(columns_of(b)):
-            assert mat_vec(a, v) == reference_mat_vec(a, v)
             if b and b[0]:
-                assert mat_vec(a, v) == tuple(row[j] for row in product)
+                assert reference_mat_vec(a, v) == tuple(row[j] for row in product)
+        if all_ints(x for row in a + b for x in row):
+            assert mat_mul(a, b) == product
+            for v in columns_of(b):
+                assert mat_vec(a, v) == reference_mat_vec(a, v)
 
 
 class TestOverCommonDenominator:
@@ -198,15 +196,15 @@ class TestOverCommonDenominator:
         scaled = []
         for m in (a, bt):
             den, rows = over_common_denominator(m)
+            assert type(den) is int and den >= 1
             if all_ints(x for row in m for x in row):
-                assert den is None and rows is m
-            else:
-                assert all_ints(y for row in rows for y in row)
-                assert all(F(y, den) == x for r, row in zip(rows, m) for y, x in zip(r, row))
-                # den is the least common denominator iff no prime divides it
-                # and every scaled entry
-                assert gcd(den, *(y for row in rows for y in row)) == 1
-            scaled.append((den or 1, rows))
+                assert den == 1 and rows == [list(row) for row in m]
+            assert all_ints(y for row in rows for y in row)
+            assert all(F(y, den) == x for r, row in zip(rows, m) for y, x in zip(r, row))
+            # den is the least common denominator iff no prime divides it
+            # and every scaled entry
+            assert gcd(den, *(y for row in rows for y in row)) == 1
+            scaled.append((den, rows))
         (da, ia), (db, ib) = scaled
         products = tuple(
             tuple(F(sum(x * y for x, y in zip(r, c)), da * db) for c in ib) for r in ia
@@ -214,8 +212,10 @@ class TestOverCommonDenominator:
         integer_product = mat_mul(ia, transpose(ib))
         assert products == reference_mat_mul(a, b)
         assert tuple(tuple(F(x, da * db) for x in row) for row in integer_product) == products
+        # a rational vector is scaled once, as the library's callers do
         v = bt[0] if bt else tuple(0 for _ in b)
-        assert mat_vec(a, v) == reference_mat_vec(a, v)
+        dv, (iv,) = over_common_denominator((v,))
+        assert tuple(F(x, da * dv) for x in mat_vec(ia, iv)) == reference_mat_vec(a, v)
 
 
 class TestSublatticeDenominator:

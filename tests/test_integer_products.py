@@ -1,13 +1,13 @@
-"""Every matrix the library multiplies is an integer matrix.
+"""Every matrix and vector the library multiplies is integral.
 
-`exactlin.mat_mul` is the plain integer product: it would multiply
-`Fraction` operands too, without a word, so nothing in it holds the
-contract.  This test does.  It rebinds `mat_mul` wherever a `hyperelliptic`
-module binds it, the way `perfbench/tracing.py` rebinds its traced
-functions, with a wrapper that asserts every entry of both operands is an
-`int`, and runs `check`, `albanese --recurse`, `invariants` and `oracle`
-through the CLI on the catalog entries, the output digest's stress
-documents (every point and seed) and the D4 threefold.
+`exactlin.mat_mul` and `exactlin.mat_vec` are the plain integer products:
+they would multiply `Fraction` operands too, without a word, so nothing in
+them holds the contract.  This test does.  It rebinds each product wherever
+a `hyperelliptic` module binds it, the way `perfbench/tracing.py` rebinds
+its traced functions, with a wrapper that asserts every entry of both
+operands is an `int`, and runs `check`, `albanese --recurse`, `invariants`
+and `oracle` through the CLI on the catalog entries, the output digest's
+stress documents (every point and seed) and the D4 threefold.
 """
 
 import contextlib
@@ -25,6 +25,11 @@ from output_digest import STRESS_POINTS, documents
 
 COMMANDS = (["check"], ["albanese", "--recurse"], ["invariants"], ["oracle"])
 GROUPS = ("catalog", "stress", "d4")
+# each product's operand entries: two matrices, or a matrix and a vector
+ENTRIES = {
+    "mat_mul": lambda a, b: [x for m in (a, b) for row in m for x in row],
+    "mat_vec": lambda a, v: [x for row in a for x in row] + list(v),
+}
 
 
 def group_of(name: str) -> str:
@@ -35,15 +40,15 @@ def group_of(name: str) -> str:
     return "d4" if name == "d4-threefold" else "catalog"
 
 
-def integer_only_mat_mul(monkeypatch):
-    """Rebind mat_mul in every hyperelliptic namespace; return the list of checked calls."""
-    original = exactlin.mat_mul
+def integer_only(monkeypatch, product: str):
+    """Rebind one product in every hyperelliptic namespace; return the list of checked calls."""
+    original = getattr(exactlin, product)
+    entries = ENTRIES[product]
     calls = []
 
     def checked(a, b):
-        for operand in (a, b):
-            bad = next((x for row in operand for x in row if type(x) is not int), None)
-            assert bad is None, f"mat_mul operand entry {bad!r} is not an int"
+        bad = next((x for x in entries(a, b) if type(x) is not int), None)
+        assert bad is None, f"{product} operand entry {bad!r} is not an int"
         calls.append(None)
         return original(a, b)
 
@@ -56,17 +61,8 @@ def integer_only_mat_mul(monkeypatch):
     return calls
 
 
-def test_the_wrapper_refuses_a_fraction(monkeypatch):
-    calls = integer_only_mat_mul(monkeypatch)
-    assert torus.mat_mul(((1, 2),), ((3,), (4,))) == ((11,),)
-    with pytest.raises(AssertionError, match="not an int"):
-        torus.mat_mul(((Fraction(1, 2),),), ((1,),))
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("group", GROUPS)
-def test_every_mat_mul_operand_is_an_integer_matrix(group, tmp_path, monkeypatch):
-    calls = integer_only_mat_mul(monkeypatch)
+def run_group(group: str, tmp_path) -> None:
+    """Run every command, in json, on each document of one group."""
     path = tmp_path / "datum.json"
     seen = 0
     for name, doc in documents():
@@ -81,4 +77,35 @@ def test_every_mat_mul_operand_is_an_integer_matrix(group, tmp_path, monkeypatch
             assert code in (0, 2), (name, command, code)
     counts = {"catalog": len(list_entries()), "stress": 4 * len(STRESS_POINTS), "d4": 1}
     assert seen == counts[group]
+
+
+def test_the_wrapper_refuses_a_fraction(monkeypatch):
+    calls = integer_only(monkeypatch, "mat_mul")
+    assert torus.mat_mul(((1, 2),), ((3,), (4,))) == ((11,),)
+    with pytest.raises(AssertionError, match="not an int"):
+        torus.mat_mul(((Fraction(1, 2),),), ((1,),))
+    assert len(calls) == 1
+
+
+def test_the_mat_vec_wrapper_refuses_a_fraction(monkeypatch):
+    calls = integer_only(monkeypatch, "mat_vec")
+    assert torus.mat_vec(((1, 2), (0, -1)), (3, 4)) == (11, -4)
+    with pytest.raises(AssertionError, match="mat_vec operand entry Fraction"):
+        torus.mat_vec(((1, 2),), (Fraction(1, 2), 1))
+    with pytest.raises(AssertionError, match="not an int"):
+        torus.mat_vec(((Fraction(1, 2),),), (1,))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_every_mat_mul_operand_is_an_integer_matrix(group, tmp_path, monkeypatch):
+    calls = integer_only(monkeypatch, "mat_mul")
+    run_group(group, tmp_path)
+    assert calls  # the wrapper was reached through the library's own bindings
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_every_mat_vec_operand_is_integral(group, tmp_path, monkeypatch):
+    calls = integer_only(monkeypatch, "mat_vec")
+    run_group(group, tmp_path)
     assert calls  # the wrapper was reached through the library's own bindings

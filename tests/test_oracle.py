@@ -285,7 +285,8 @@ def reference_fiber_count(model, report):
     rank = model.rank
     r1 = report.decomposition.lambda1.rank
     predicted = (report.group_order // len(report.subgroup_h)) * n**r1
-    lmat = _albanese_projection_matrix(report)
+    den, rows = _albanese_projection_matrix(report)
+    lmat = [[Fraction(x, den) for x in row] for row in rows]
     dens = []
     coeffs = []
     for row in lmat:

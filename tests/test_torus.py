@@ -11,7 +11,7 @@ from helpers import (
 )
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
-from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose, vec_scale
+from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
 from hyperelliptic.torus import (
     AlternatingForm,
     EllipticFactor,
@@ -183,7 +183,7 @@ class TestIdentifyFactorSubspace:
             "odd rank three": ([e[0], e[1], e[2]], None),
             "wrong support": ([e[0], e[2]], None),
             "wrong support four": ([e[0], e[1], e[2], e[4]], None),
-            "index 2": ([vec_scale(2, e[0]), e[1]], None),
+            "index 2": ([tuple(2 * x for x in e[0]), e[1]], None),
             "half vector": ([e[0], e[1], half], None),
             "half vector across": ([e[0], e[1], e[2], e[3], (F(1, 2),) * 4 + (0, 0)], None),
             "first plane": ([e[0], e[1]], (0,)),
