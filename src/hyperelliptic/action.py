@@ -29,6 +29,7 @@ from .exactlin import (
     is_unimodular,
     mat_mul,
     mat_vec,
+    over_common_denominator,
     reduced_mod1,
     scaled_mod1,
     transpose,
@@ -308,7 +309,11 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) ->
     The block-diagonal B is rewritten in lattice coordinates as lam_basis_inv
     B C / den, for Lambda's columns C over den; if den does not divide it, B
     does not preserve Lambda, the action does not descend to A and
-    LatticeNotPreserved is raised.
+    LatticeNotPreserved is raised.  Each block must be a unit's entry in its
+    factor kind's table, and that unit is the generator's eigenvalue there.
+    The translation t = w / d in product coordinates is carried in integers:
+    its lattice coordinates are lam_basis_inv w / d, reduced mod 1 to their
+    least denominator.
     """
     if torus.factors is None:
         raise LatticeNotPreserved("factor actions need a torus with factor provenance")
@@ -327,7 +332,8 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) ->
         raise LatticeNotPreserved("linear part does not preserve the enlarged lattice")
     linear = tuple(tuple(x // den for x in row) for row in scaled)
     eig = tuple(factor_block_eigenvalue(f, b) for f, b in zip(torus.factors, blocks))
-    return AffineAut(linear, *scaled_mod1(torus.to_lattice_coords(translation_product)), eig)
+    d, (w,) = over_common_denominator((translation_product,))
+    return AffineAut(linear, *reduced_mod1(d, mat_vec(torus.lam_basis_inv, w)), eig)
 
 
 def affine_raw(linear, translation, eigenvalues) -> AffineAut:
@@ -477,20 +483,21 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
     translation: lin (x) C = rho + conj(rho), so ker rho = ker lin, and the
     kernel of g -> lin(g) is the translation subgroup.  On a torus with
     elliptic factors the form and the eigenvalues hold by construction:
-    ``affine_from_factor_action`` accepts only blocks that
-    ``factor_block_eigenvalue`` matches to units, so M = C^-1 B C with B
-    block-diagonal in them, for Lambda's basis C (over its den).  A unit has
-    norm 1, so each block b has det b = 1 and b^T J b = J, and M preserves
-    ``standard_form``'s C^T J C.  The units are a generator's eigenvalues
-    and close_group multiplies them factorwise, so every element's are those
-    of its linear part, and det rho is multiplicative.  A factor-aligned
-    Albanese fiber is data of the same kind; a datum assembled by hand is
-    taken on the same terms.  Raw data are checked: M^T E M = E per
-    generator, which implies it for every product, every element's
-    eigenvalues against its characteristic polynomial, and det rho, their
-    product, as a character (Serre, Linear Representations of Finite Groups,
-    2): the first Cayley edge on which it is not multiplicative is reported.
-    This needs no element orders.
+    ``affine_from_factor_action`` accepts only blocks that are entries of
+    their factor kind's unit table (``torus.FACTOR_KINDS``), so M = C^-1 B C
+    with B block-diagonal in them, for Lambda's basis C (over its den).  A
+    unit has norm 1, so each table block b has det b = 1 and b^T J b = J (the
+    tests check every entry), and M preserves ``standard_form``'s C^T J C.
+    The table's units are a generator's eigenvalues and close_group
+    multiplies them factorwise, so every element's are those of its linear
+    part, and det rho is multiplicative.  A factor-aligned Albanese fiber is
+    data of the same kind; a datum assembled by hand is taken on the same
+    terms.  Raw data are checked: M^T E M = E per generator, which implies it
+    for every product, every element's eigenvalues against its
+    characteristic polynomial, and det rho, their product, as a character
+    (Serre, Linear Representations of Finite Groups, 2): the first Cayley
+    edge on which it is not multiplicative is reported.  This needs no
+    element orders.
     """
     elements = d.group.elements
     fixed = []

@@ -27,6 +27,7 @@ from .albanese import AlbaneseReport
 from .cyclotomic import RootOfUnity
 from .exactlin import Sublattice
 from .torus import (
+    FACTOR_KINDS,
     AlternatingForm,
     EllipticFactor,
     TorusDatum,
@@ -119,9 +120,6 @@ def parse_root_label(text) -> RootOfUnity:
 # ---------------------------------------------------------------------------
 # documents -> data
 
-_FACTOR_KINDS = ("generic", "gauss", "eisenstein")
-
-
 def _check_keys(item: dict, allowed, where: str) -> None:
     """A key outside ``allowed`` is an input error, not a field read as its default."""
     unknown = sorted(set(item) - allowed)
@@ -134,7 +132,7 @@ def _parse_factor(item, where: str) -> EllipticFactor:
         raise InputError(f"factor entries need a 'kind', got {item!r}")
     _check_keys(item, {"kind", "label"}, where)
     kind = item["kind"]
-    if kind not in _FACTOR_KINDS:
+    if not isinstance(kind, str) or kind not in FACTOR_KINDS:
         raise InputError(f"unknown factor kind {kind!r}")
     label = item.get("label", "")
     if not isinstance(label, str):

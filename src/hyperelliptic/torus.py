@@ -10,14 +10,19 @@ building the standard form.  A form is kept as an integer Gram matrix, up
 to a positive scalar that none of its four readers sees: the antisymmetry
 and nonsingularity checks, `is_invariant_under` and `restricted_to`.
 
-Generic periods tau are formal: only +-1 acts on a generic factor, so all
-arithmetic stays rational while covering arbitrary tau in the upper
-half-plane.
+The factor kinds are one table, `FACTOR_KINDS`: each kind maps its units
+to their integer blocks on (1, tau) and gives its default label, so a block
+is looked up and its unit found by reading the table backwards.  Generic
+periods tau are formal: only +-1 acts on a generic factor, so its blocks
+are integral for every tau in the upper half-plane.
+`to_product_coords`, which writes a lattice-coordinate vector in product
+coordinates for reports, is the one place the module forms a rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import RootOfUnity
 from .exactlin import (
@@ -45,73 +50,64 @@ class DegenerateForm(ValueError):
     """An alternating form required to be nondegenerate is singular."""
 
 
-GENERIC, GAUSS, EISENSTEIN = "generic", "gauss", "eisenstein"
+class FactorKind(NamedTuple):
+    """An elliptic factor kind: its default display label and its units' blocks on (1, tau)."""
 
-# units of the endomorphism rings, as (a, b) with zeta = a + b*tau -> RootOfUnity
-_GAUSS_UNITS = {
-    (1, 0): RootOfUnity.of(0, 1),
-    (-1, 0): RootOfUnity.of(1, 2),
-    (0, 1): RootOfUnity.of(1, 4),
-    (0, -1): RootOfUnity.of(3, 4),
-}
-_EISENSTEIN_UNITS = {
-    (1, 0): RootOfUnity.of(0, 1),
-    (-1, 0): RootOfUnity.of(1, 2),
-    (0, 1): RootOfUnity.of(1, 3),      # zeta3 = tau
-    (-1, -1): RootOfUnity.of(2, 3),    # zeta3^2 = -1 - zeta3
-    (1, 1): RootOfUnity.of(1, 6),      # zeta6 = 1 + zeta3
-    (0, -1): RootOfUnity.of(5, 6),     # zeta6^5 = -zeta3
-}
-_GENERIC_UNITS = {
-    (1, 0): RootOfUnity.of(0, 1),
-    (-1, 0): RootOfUnity.of(1, 2),
+    label: str
+    blocks: dict[RootOfUnity, tuple[tuple[int, int], tuple[int, int]]]
+
+
+# A unit zeta = a + b*tau acts on the basis (1, tau) by the block with first
+# column (a, b): (a, 0; 0, a) on a generic factor, (a, -b; b, a) on the Gauss
+# curve (tau = i) and (a, -b; b, a - b) on the Eisenstein curve (tau = zeta3,
+# zeta3^2 = -1 - zeta3).
+_SIGNS = {RootOfUnity(0, 1): ((1, 0), (0, 1)), RootOfUnity(1, 2): ((-1, 0), (0, -1))}
+FACTOR_KINDS = {
+    "generic": FactorKind("E_tau", _SIGNS),
+    "gauss": FactorKind("E_i", {
+        **_SIGNS,
+        RootOfUnity(1, 4): ((0, -1), (1, 0)),  # i = tau
+        RootOfUnity(3, 4): ((0, 1), (-1, 0)),  # -i
+    }),
+    "eisenstein": FactorKind("E_zeta3", {
+        **_SIGNS,
+        RootOfUnity(1, 3): ((0, -1), (1, -1)),  # zeta3 = tau
+        RootOfUnity(2, 3): ((-1, 1), (-1, 0)),  # zeta3^2 = -1 - tau
+        RootOfUnity(1, 6): ((1, -1), (1, 0)),  # zeta6 = 1 + tau
+        RootOfUnity(5, 6): ((0, 1), (-1, 1)),  # zeta6^5 = -tau
+    }),
 }
 
 
 class EllipticFactor:
-    """One elliptic factor E = C/(Z + tau*Z) with basis (1, tau)."""
+    """One elliptic factor E = C/(Z + tau*Z) with basis (1, tau), of a kind in FACTOR_KINDS."""
 
     __slots__ = ("kind", "label")
 
     def __init__(self, kind: str, label: str = ""):
-        if kind not in (GENERIC, GAUSS, EISENSTEIN):
+        if kind not in FACTOR_KINDS:
             raise ValueError(f"unknown factor kind {kind!r}")
         self.kind = kind
         self.label = label
 
-    @property
-    def units(self) -> dict[tuple[int, int], RootOfUnity]:
-        return {GENERIC: _GENERIC_UNITS, GAUSS: _GAUSS_UNITS, EISENSTEIN: _EISENSTEIN_UNITS}[
-            self.kind
-        ]
-
     def display_label(self) -> str:
-        if self.label:
-            return self.label
-        return {GENERIC: "E_tau", GAUSS: "E_i", EISENSTEIN: "E_zeta3"}[self.kind]
+        return self.label or FACTOR_KINDS[self.kind].label
 
 
 def factor_automorphism_matrix(f: EllipticFactor, zeta: RootOfUnity):
     """2x2 integer matrix of multiplication by zeta on the basis (1, tau)."""
-    for (a, b), unit in f.units.items():
-        if unit == zeta:
-            if f.kind == GENERIC:
-                return ((a, 0), (0, a))
-            if f.kind == GAUSS:
-                # mult by a + b*i on basis (1, i)
-                return ((a, -b), (b, a))
-            # mult by a + b*zeta3 on basis (1, zeta3); zeta3^2 = -1 - zeta3
-            return ((a, -b), (b, a - b))
-    raise InvalidAutomorphism(f"{zeta} is not an automorphism of a {f.kind} factor")
+    block = FACTOR_KINDS[f.kind].blocks.get(zeta)
+    if block is None:
+        raise InvalidAutomorphism(f"{zeta} is not an automorphism of a {f.kind} factor")
+    return block
 
 
 def factor_block_eigenvalue(f: EllipticFactor, block) -> RootOfUnity:
-    """The complex multiplier of an integer 2x2 block acting on the factor."""
-    a, b = block[0][0], block[1][0]
-    unit = f.units.get((a, b))
-    if unit is None or factor_automorphism_matrix(f, unit) != tuple(map(tuple, block)):
-        raise InvalidAutomorphism(f"block {block} is not an automorphism of a {f.kind} factor")
-    return unit
+    """The unit whose block, as a tuple of row tuples, is ``block``: the table read backwards."""
+    for unit, unit_block in FACTOR_KINDS[f.kind].blocks.items():
+        if unit_block == block:
+            return unit
+    raise InvalidAutomorphism(f"block {block} is not an automorphism of a {f.kind} factor")
 
 
 class AlternatingForm:
@@ -144,9 +140,10 @@ class TorusDatum:
     Column i of ``lam_basis_inv`` is the coordinates of e_i in the basis of
     Lambda, integral because Lambda contains Z^rank.  Raw data use Z^rank.
     A rational vector v = w / d is carried between the two coordinates as
-    its integers w, by one integer product with ``lam_basis_inv`` or with
-    Lambda's Hermite columns, and divided once at the end: by d, or by
-    d * den for Lambda's columns over den.
+    its integers w: in product coordinates, its lattice coordinates are
+    ``lam_basis_inv`` w / d (as `affine_from_factor_action` reads a
+    translation); in lattice coordinates, its product coordinates are
+    C w / (d * den) for Lambda's Hermite columns C over den.
     """
 
     __slots__ = ("rank", "lattice", "factors", "lam_basis_inv")
@@ -166,10 +163,6 @@ class TorusDatum:
     @property
     def dim(self) -> int:
         return self.rank // 2
-
-    def to_lattice_coords(self, v_product):
-        d, (v,) = over_common_denominator((v_product,))
-        return tuple(Fraction(x, d) for x in mat_vec(self.lam_basis_inv, v))
 
     def to_product_coords(self, v_lattice):
         d, (v,) = over_common_denominator((v_lattice,))
@@ -222,12 +215,12 @@ def identify_factor_subspace(t: TorusDatum, sub: Sublattice) -> tuple[int, ...] 
     The sublattice, in lattice coordinates, must equal the lattice of
     ``factor_plane_columns`` on its support, the factors where it is nonzero
     in product coordinates; so entries like "A_1 = E_tau x E_i" are recognized.
+    Row k of the integer product of the sublattice's columns with Lambda's is
+    its basis vector k in product coordinates times both denominators.
     """
     if t.factors is None:
         return None
-    support = {
-        j // 2 for b in sub.basis_vectors() for j, x in enumerate(t.to_product_coords(b)) if x
-    }
-    indices = tuple(sorted(support))
+    scaled = mat_mul(sub.cols, t.lattice.cols)
+    indices = tuple(sorted({j // 2 for row in scaled for j, x in enumerate(row) if x}))
     planes = Sublattice.from_int_columns(t.rank, factor_plane_columns(t, indices))
     return indices if planes == sub else None

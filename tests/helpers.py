@@ -40,6 +40,10 @@ any entry type one entry at a time: the library's `mat_mul` and `mat_vec`
 take integers only.  `translation` reads an element's translation t =
 shift / den as a `Fraction` vector, which the library, reading the integers
 over den, never forms.
+`lattice_coords` is the rational reference for the integer product that
+carries a builder translation into lattice coordinates, and `ring_block` the
+reference for each entry of `torus.FACTOR_KINDS`: the block of
+multiplication by a + b*tau in the ring of the factor's kind.
 `three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
@@ -97,6 +101,24 @@ def reference_mat_vec(a, v):
 def translation(e: AffineAut) -> tuple[Fraction, ...]:
     """An element's translation t = shift / den in [0, 1)^rank, as a `Fraction` vector."""
     return tuple(Fraction(x, e.den) for x in e.shift)
+
+
+def lattice_coords(t, v) -> tuple[Fraction, ...]:
+    """A product-coordinate vector in t's lattice coordinates, in `Fraction` arithmetic."""
+    return reference_mat_vec(t.lam_basis_inv, tuple(map(Fraction, v)))
+
+
+def ring_block(kind: str, a: int, b: int):
+    """Multiplication by a + b*tau on the basis (1, tau) of a factor of the kind.
+
+    A generic factor's ring is Z, so b is 0 there; tau = i on the Gauss curve
+    and tau = zeta3, with zeta3^2 = -1 - zeta3, on the Eisenstein curve.
+    """
+    return {
+        "generic": ((a, 0), (0, a)),
+        "gauss": ((a, -b), (b, a)),
+        "eisenstein": ((a, -b), (b, a - b)),
+    }[kind]
 
 
 def mat_inv(m):

@@ -11,6 +11,7 @@ from helpers import (
     element_index,
     fiber_translations_match,
     h_by_solve,
+    lattice_coords,
     proj0,
     reference_mat_vec,
     t0_table,
@@ -166,7 +167,7 @@ class TestCocycle:
         # t0(g) = 1/4 on the first factor, mod Lambda_0
         d = datum_of("z4-threefold")
         dec, _ = pipeline_parts(d)
-        expected_t0 = d.torus.to_lattice_coords((F(1, 4), 0, 0, 0, 0, 0))
+        expected_t0 = lattice_coords(d.torus, (F(1, 4), 0, 0, 0, 0, 0))
         diff = tuple(a - b for a, b in zip(decompose_cocycle(d, dec)[0], expected_t0))
         assert contains(dec.lambda0, diff)
 
@@ -174,7 +175,7 @@ class TestCocycle:
         # t0(g2) = tau0/3 on the first factor, mod Lambda_0
         d = datum_of("zmzm-threefold-m3")
         dec, _ = pipeline_parts(d)
-        expected_t0 = d.torus.to_lattice_coords((0, F(1, 3), 0, 0, 0, 0))
+        expected_t0 = lattice_coords(d.torus, (0, F(1, 3), 0, 0, 0, 0))
         diff = tuple(a - b for a, b in zip(decompose_cocycle(d, dec)[1], expected_t0))
         assert contains(dec.lambda0, diff)
 

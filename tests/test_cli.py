@@ -403,11 +403,14 @@ class TestStrictInput:
             dict(RAW_INVOLUTION, elements=None),
             dict(BUILDER_SHIFT, generators=[{"blocks": 5}]),
             dict(BUILDER_SHIFT, factors=[{"kind": "generic", "label": 5}, {"kind": "generic"}]),
+            dict(BUILDER_SHIFT, factors=[{"kind": ["generic"]}, {"kind": "generic"}]),
+            dict(BUILDER_SHIFT, factors=[{"kind": "hexagonal"}, {"kind": "generic"}]),
         ],
         ids=[
             "bool-translation", "bool-k-gen", "bool-raw-translation", "bool-form",
             "factors-int", "factors-null", "k-gens-int", "generators-null",
             "raw-generators-int", "elements-null", "blocks-int", "label-int",
+            "kind-list", "kind-unknown",
         ],
     )
     def test_coerced_or_non_list_input_exit_1(self, doc, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Rationals become integers in one module, and no float enters the library.
+"""Rationals become integers in one module, only listed functions name `Fraction`, and
+no float enters the library.
 
 Only `exactlin` reads `.numerator` or `.denominator`: every other library
 module hands rational matrices to `exactlin` (its scaler
@@ -11,6 +12,13 @@ No module divides with `/`, writes a float or complex literal or calls
 `float(`: a rational is an integer over a held denominator or a `Fraction`,
 so no answer rests on floating point, even where a true division of two
 `Fraction`s would stay exact.
+
+The functions that name `Fraction`, or a module-level alias of it such as
+`catalog.F`, are a fixed list: the places where a rational value is formed
+or read, each for a reason noted beside it.  Every other function works on
+integers over a held denominator, so a new rational round trip, such as a
+translation built as `Fraction`s only to be scaled straight back to
+integers, shows up as a new name on the list.
 """
 
 import ast
@@ -44,6 +52,54 @@ def _floats(source: str):
     return sorted(found)
 
 
+def _rational_functions(source: str):
+    """Qualified names of the functions that name `Fraction` or a module-level alias of it."""
+    tree = ast.parse(source)
+    names = {"Fraction"} | {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "Fraction"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def names_fraction(fn) -> bool:
+        return any(
+            isinstance(n, ast.Name) and n.id in names
+            or isinstance(n, ast.Attribute) and n.attr == "Fraction"
+            for n in ast.walk(fn)
+        )
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and names_fraction(node):
+                yield prefix + node.name
+
+    return sorted(walk(tree.body, ""))
+
+
+# each library function that names `Fraction`, and why
+RATIONAL_FUNCTIONS = [
+    "albanese.compute_K",  # P0 gen = S gen / |G|, reduced modulo Lambda_0
+    "albanese.decompose_cocycle",  # t0(g) = S shift / (|G| den), a Fraction vector
+    "albanese.compute_albanese",  # a basis of P0(Z^n): S's Hermite columns over |G|
+    "catalog._factor_plane_diff",  # expected factor planes in product coordinates
+    "documents.format_rational",  # a rational written for a report
+    "documents.parse_rational",  # a rational read from a document
+    "exactlin.Sublattice.basis_vectors",  # the lattice's columns over its den
+    "exactlin.Sublattice.reduce_mod",  # a representative modulo the lattice
+    "exactlin.hermite_coords",  # the rational solve against Hermite columns
+    "exactlin.vec_is_integral",  # reads each entry's denominator
+    "invariants._certified_integer",  # the non-integral count, in an error message
+    "invariants.irregularity",  # the lattice irregularity, in an error message
+    "torus.TorusDatum.to_product_coords",  # a lattice vector in product coordinates
+]
+
+
 def _library():
     return sorted(Path(hyperelliptic.__file__).parent.glob("*.py"))
 
@@ -67,6 +123,15 @@ def test_no_module_divides_or_writes_a_float():
     assert found == []
 
 
+def test_only_the_listed_functions_name_fraction():
+    found = [
+        f"{path.stem}.{name}"
+        for path in _library()
+        for name in _rational_functions(path.read_text())
+    ]
+    assert found == sorted(RATIONAL_FUNCTIONS)
+
+
 def test_the_walk_sees_reads():
     # the check is only as good as its walk: a read in any position is found
     source = "x = Fraction(a).denominator\nf(y.numerator // 2)\nz = [v.denominator for v in w]\n"
@@ -82,3 +147,23 @@ def test_the_walk_sees_floats():
     # floor division, modulo, integer literals, `Fraction` and a `float` name read are not
     source = "q = a // b\nr %= 3\nt = Fraction(1, 2)\nkinds = (int, float)\n"
     assert _floats(source) == []
+
+
+def test_the_walk_sees_fraction_names():
+    # a name, an alias, an attribute or an annotation, in a function or a method
+    source = (
+        "from fractions import Fraction\n"
+        "import fractions\n"
+        "F = Fraction\n"
+        "def a(x):\n    return Fraction(x, 2)\n"
+        "def b(x):\n    return F(x)\n"
+        "def c(x):\n    return fractions.Fraction(x)\n"
+        "def d(x) -> Fraction:\n    return x\n"
+        "class K:\n    def m(self):\n        return [F(1) for _ in ()]\n"
+        "    def n(self):\n        return 1\n"
+        "def e(x):\n    return x // 2\n"
+    )
+    assert _rational_functions(source) == ["K.m", "a", "b", "c", "d"]
+    # an alias is module-level only, and a name like `Fractional` is not `Fraction`
+    source = "def f():\n    G = Fraction\ndef g(G):\n    return G(1)\ndef h():\n    Fractional()\n"
+    assert _rational_functions(source) == ["f"]

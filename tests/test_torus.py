@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,16 @@ from helpers import (
     factor_subspace_in_product_coords,
     index_over_product_lattice,
     lam_basis,
+    lattice_coords,
     mat_inv,
     reference_mat_mul,
+    ring_block,
 )
 from hyperelliptic.cyclotomic import RootOfUnity
-from hyperelliptic.documents import build_datum
-from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
+from hyperelliptic.documents import build_datum, parse_vector
+from hyperelliptic.exactlin import Sublattice, identity, mat_mul, scaled_mod1, transpose
 from hyperelliptic.torus import (
+    FACTOR_KINDS,
     AlternatingForm,
     EllipticFactor,
     InvalidAutomorphism,
@@ -56,7 +60,7 @@ class TestFactorMatrices:
         "factor", [GEN, GAUSS, EIS], ids=["generic", "gauss", "eisenstein"]
     )
     def test_matrix_order_matches_root_order(self, factor):
-        for unit in factor.units.values():
+        for unit in FACTOR_KINDS[factor.kind].blocks:
             m = factor_automorphism_matrix(factor, unit)
             power = identity(2)
             order = 0
@@ -69,9 +73,49 @@ class TestFactorMatrices:
 
     def test_block_eigenvalue_roundtrip(self):
         for factor in (GEN, GAUSS, EIS):
-            for unit in factor.units.values():
+            for unit in FACTOR_KINDS[factor.kind].blocks:
                 m = factor_automorphism_matrix(factor, unit)
                 assert factor_block_eigenvalue(factor, m) == unit
+
+
+# tau of each kind as a complex number; a generic factor's ring is Z, so its tau never enters
+TAU = {"generic": 0, "gauss": 1j, "eisenstein": cmath.exp(2j * cmath.pi / 3)}
+UNIT_GROUP_ORDER = {"generic": 2, "gauss": 4, "eisenstein": 6}
+J = ((0, 1), (-1, 0))
+
+
+@pytest.mark.parametrize("kind", sorted(FACTOR_KINDS))
+class TestFactorKindTable:
+    """Each entry of the kinds table against the ring-multiplication reference.
+
+    The order of each block and the reverse lookup are checked per unit in
+    TestFactorMatrices.
+    """
+
+    def test_units_are_the_whole_unit_group(self, kind):
+        n = UNIT_GROUP_ORDER[kind]
+        assert set(FACTOR_KINDS[kind].blocks) == {RootOfUnity.of(k, n) for k in range(n)}
+
+    def test_every_block_is_multiplication_by_its_unit(self, kind):
+        for unit, block in FACTOR_KINDS[kind].blocks.items():
+            a, b = block[0][0], block[1][0]
+            assert block == ring_block(kind, a, b)
+            zeta = cmath.exp(2j * cmath.pi * unit.k / unit.order)
+            assert cmath.isclose(a + b * TAU[kind], zeta, abs_tol=1e-12)
+
+    def test_every_block_has_det_1_and_preserves_the_form(self, kind):
+        for block in FACTOR_KINDS[kind].blocks.values():
+            assert block[0][0] * block[1][1] - block[0][1] * block[1][0] == 1
+            assert mat_mul(mat_mul(transpose(block), J), block) == J
+
+    def test_a_unimodular_non_unit_block_is_refused(self, kind):
+        shear = ((1, 1), (0, 1))
+        with pytest.raises(InvalidAutomorphism, match="is not an automorphism"):
+            factor_block_eigenvalue(EllipticFactor(kind), shear)
+
+    def test_the_default_label_is_the_kinds(self, kind):
+        assert EllipticFactor(kind).display_label() == FACTOR_KINDS[kind].label
+        assert EllipticFactor(kind, "E").display_label() == "E"
 
 
 class TestBuildProductTorus:
@@ -107,7 +151,7 @@ class TestBuildProductTorus:
     def test_lattice_coord_roundtrip(self):
         t = build_product_torus([GEN, GAUSS], [(F(1, 2), 0, F(1, 2), 0)])
         v = (F(1, 2), F(0), F(1, 2), F(0))
-        w = t.to_lattice_coords(v)
+        w = lattice_coords(t, v)
         assert all(x.denominator == 1 for x in w)  # v is in Lambda
         assert t.to_product_coords(w) == v
 
@@ -191,7 +235,7 @@ class TestIdentifyFactorSubspace:
             "everything": (e, (0, 1, 2)),
         }
         for name, (vectors, expected) in cases.items():
-            sub = Sublattice.from_rat_columns(6, [t.to_lattice_coords(v) for v in vectors])
+            sub = Sublattice.from_rat_columns(6, [lattice_coords(t, v) for v in vectors])
             got = identify_factor_subspace(t, sub)
             assert got == factor_subspace_in_product_coords(t, sub), name
             assert got == expected, name
@@ -214,3 +258,19 @@ def test_lattice_inverse_matches_the_reference_inverse_on_every_builder_torus():
         basis = lam_basis(t)
         assert t.lam_basis_inv == mat_inv(basis)
         assert reference_mat_mul(basis, t.lam_basis_inv) == identity(t.rank)
+
+
+def test_generator_translations_match_the_rational_reference_on_every_builder_document():
+    # the builder carries a product-coordinate translation into lattice
+    # coordinates in integers; the reference does it in Fraction arithmetic
+    count = 0
+    for _, doc in digest_documents():
+        if doc["mode"] != "builder":
+            continue
+        d = build_datum(doc)
+        for spec, index in zip(doc["generators"], d.group.gens):
+            t = parse_vector(spec.get("translation", ["0"] * d.rank), d.rank)
+            e = d.group.elements[index]
+            assert (e.den, e.shift) == scaled_mod1(lattice_coords(d.torus, t))
+            count += 1
+    assert count > 250
