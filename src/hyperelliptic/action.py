@@ -31,10 +31,9 @@ from .exactlin import (
     mat_vec,
     over_common_denominator,
     reduced_mod1,
-    scaled_mod1,
     transpose,
 )
-from .torus import AlternatingForm, TorusDatum, factor_block_eigenvalue
+from .torus import AlternatingForm, InvalidAutomorphism, TorusDatum, factor_block_eigenvalue
 
 DEFAULT_CLOSURE_CAP = 1024
 # the largest closure cap and lattice rank a document may ask for: closure
@@ -252,9 +251,11 @@ def close_group(
     generators' den, and the integer pair (M_e M_s, (M_e D t_s + D t_e) mod D)
     is both the product and its key.  A new element alone becomes an
     AffineAut, its den and shift D and D t mod D over their gcd, and gets its
-    eigenvalues once.  With elliptic factors each linear part is one unit of
-    each factor's endomorphism ring, so they are the factorwise product of
-    the parent's and the generator's, in factor order.  Raw data take them
+    eigenvalues once.  With elliptic factors a generator's are read off its
+    blocks (``factor_eigenvalues``; declared ones must agree, else
+    InconsistentEigenvalues), and each linear part is one unit of each
+    factor's endomorphism ring, so an element's are the factorwise product
+    of the parent's and the generator's, in factor order.  Raw data take them
     from ``eigenvalue_table`` (keyed by linear part) or else from the
     characteristic polynomial, which raises MissingEigenvalueData when it
     cannot split conjugate pairs.  Raises LatticeNotPreserved for
@@ -264,14 +265,19 @@ def close_group(
     gens = tuple(gens)
     rank = torus.rank
     table = dict(eigenvalue_table or {})
+    gen_eig = []
     for g in gens:
         if len(g.linear) != rank:
             raise LatticeNotPreserved("generator rank mismatch")
         if not all(isinstance(x, int) for row in g.linear for x in row):
             raise LatticeNotPreserved("linear part must be integral on the lattice")
+        eig = g.eigenvalues if torus.factors is None else factor_eigenvalues(torus, g.linear)
+        if g.eigenvalues not in (None, eig):
+            raise InconsistentEigenvalues(f"eigenvalues differ from the blocks' units {eig}")
         if not is_unimodular(g.linear):
             raise LatticeNotPreserved("linear part is not unimodular")
-        table.setdefault(g.linear, g.eigenvalues)
+        table.setdefault(g.linear, eig)
+        gen_eig.append(eig)
     den = lcm(*(g.den for g in gens))
     dt_gens = [tuple(x * (den // g.den) for x in g.shift) for g in gens]  # D t_s
 
@@ -288,7 +294,7 @@ def close_group(
             j = index.get((linear, shift))
             if j is None:
                 if torus.factors is not None:
-                    eig = tuple(x * y for x, y in zip(e.eigenvalues, g.eigenvalues))
+                    eig = tuple(x * y for x, y in zip(e.eigenvalues, gen_eig[s]))
                 else:
                     eig = table.get(linear) or _eigenvalues_from_char_poly(linear)
                     table[linear] = eig
@@ -303,14 +309,30 @@ def close_group(
     return ActionGroup(tuple(elements), tuple(edges), tuple(tree))
 
 
+def factor_eigenvalues(torus: TorusDatum, linear) -> tuple:
+    """The units of a factor torus's linear part M, one per factor, read off its blocks.
+
+    In product coordinates M is B = C M lam_basis_inv / den, for Lambda's
+    columns C over den; B must be block-diagonal in units' table entries.
+    """
+    den = torus.lattice.den
+    b = mat_mul(mat_mul(transpose(torus.lattice.cols), linear), torus.lam_basis_inv)
+    if any(x % den or x and i // 2 != j // 2 for i, row in enumerate(b) for j, x in enumerate(row)):
+        raise InvalidAutomorphism("linear part is not block-diagonal on the factors")
+    blocks = (tuple(tuple(x // den for x in row[k:k + 2]) for row in b[k:k + 2])
+              for k in range(0, len(b), 2))
+    return tuple(factor_block_eigenvalue(f, block) for f, block in zip(torus.factors, blocks))
+
+
 def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) -> AffineAut:
     """Build a generator from per-factor 2x2 blocks and a product-coordinate translation.
 
     The block-diagonal B is rewritten in lattice coordinates as lam_basis_inv
     B C / den, for Lambda's columns C over den; if den does not divide it, B
     does not preserve Lambda, the action does not descend to A and
-    LatticeNotPreserved is raised.  Each block must be a unit's entry in its
-    factor kind's table, and that unit is the generator's eigenvalue there.
+    LatticeNotPreserved is raised.  The generator declares no eigenvalues:
+    ``close_group`` reads them off its blocks, so a block that is no unit's
+    entry in its factor kind's table is refused there.
     The translation t = w / d in product coordinates is carried in integers:
     its lattice coordinates are lam_basis_inv w / d, reduced mod 1 to their
     least denominator.
@@ -321,25 +343,22 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) ->
     if len(blocks) != len(torus.factors):
         raise LatticeNotPreserved("one 2x2 block per factor is required")
     rank = torus.rank
-    big = [[0] * rank for _ in range(rank)]
-    for f, b in enumerate(blocks):
-        for i in range(2):
-            for j in range(2):
-                big[2 * f + i][2 * f + j] = b[i][j]
+    big = [[blocks[i // 2][i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(rank)]
+           for i in range(rank)]
     den = torus.lattice.den
     scaled = mat_mul(mat_mul(torus.lam_basis_inv, big), transpose(torus.lattice.cols))
     if any(x % den for row in scaled for x in row):
         raise LatticeNotPreserved("linear part does not preserve the enlarged lattice")
     linear = tuple(tuple(x // den for x in row) for row in scaled)
-    eig = tuple(factor_block_eigenvalue(f, b) for f, b in zip(torus.factors, blocks))
     d, (w,) = over_common_denominator((translation_product,))
-    return AffineAut(linear, *reduced_mod1(d, mat_vec(torus.lam_basis_inv, w)), eig)
+    return AffineAut(linear, *reduced_mod1(d, mat_vec(torus.lam_basis_inv, w)), None)
 
 
 def affine_raw(linear, translation, eigenvalues) -> AffineAut:
     """Raw-mode generator: integer matrix, lattice-coordinate translation, declared eigenvalues."""
     linear = tuple(tuple(int(x) for x in row) for row in linear)
-    return AffineAut(linear, *scaled_mod1(translation), tuple(eigenvalues))
+    d, (w,) = over_common_denominator((translation,))
+    return AffineAut(linear, *reduced_mod1(d, w), tuple(eigenvalues))
 
 
 def has_fixed_point(a: AffineAut) -> bool:
@@ -483,21 +502,21 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
     translation: lin (x) C = rho + conj(rho), so ker rho = ker lin, and the
     kernel of g -> lin(g) is the translation subgroup.  On a torus with
     elliptic factors the form and the eigenvalues hold by construction:
-    ``affine_from_factor_action`` accepts only blocks that are entries of
-    their factor kind's unit table (``torus.FACTOR_KINDS``), so M = C^-1 B C
-    with B block-diagonal in them, for Lambda's basis C (over its den).  A
-    unit has norm 1, so each table block b has det b = 1 and b^T J b = J (the
+    ``close_group`` accepts only generators whose blocks B = C M C^-1, for
+    Lambda's basis C (over its den), are entries of their factor kind's unit
+    table (``torus.FACTOR_KINDS``), hand-built generators included.  A unit
+    has norm 1, so each table block b has det b = 1 and b^T J b = J (the
     tests check every entry), and M preserves ``standard_form``'s C^T J C.
     The table's units are a generator's eigenvalues and close_group
     multiplies them factorwise, so every element's are those of its linear
     part, and det rho is multiplicative.  A factor-aligned Albanese fiber is
-    data of the same kind; a datum assembled by hand is taken on the same
-    terms.  Raw data are checked: M^T E M = E per generator, which implies it
-    for every product, every element's eigenvalues against its
-    characteristic polynomial, and det rho, their product, as a character
-    (Serre, Linear Representations of Finite Groups, 2): the first Cayley
-    edge on which it is not multiplicative is reported.  This needs no
-    element orders.
+    data of the same kind, built from the group's own elements; a form
+    assembled by hand is taken as given.  Raw data are checked: M^T E M = E
+    per generator, which implies it for every product, every element's
+    eigenvalues against its characteristic polynomial, and det rho, their
+    product, as a character (Serre, Linear Representations of Finite Groups,
+    2): the first Cayley edge on which it is not multiplicative is reported.
+    This needs no element orders.
     """
     elements = d.group.elements
     fixed = []

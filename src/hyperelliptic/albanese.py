@@ -27,9 +27,10 @@ is the saturated kernel of |G| I - S.  S has one column Hermite form
 columns of h, whose nonzero columns are |G| times a basis of P0(Z^n), as
 S = (|G|/D) D P0 for D the lcm of P0's denominators, and Euclid's steps on
 (c a, c b) are its steps on (a, b): the form of c m is c times m's, with the
-same transform.  K0 and K1 are the images of K under P0 and I - P0,
-t0(g) = P0 tau(g), and Lambda_B = P0(Z^n) + <t0(g) : g a generator> is one
-Hermite reduction of h's nonzero columns over |G| together with the t0(g).
+same transform.  K0 and K1 are the images of K under P0 and I - P0.  Every
+vector is integers over a held denominator: t0(g) = P0 tau(g) is the row
+S shift over |G| den, and Lambda_B = P0(Z^n) + <t0(g) : g a generator> is
+one Hermite reduction of h's nonzero columns and the t0 rows over |G| D.
 
 Everything is certified by construction.  G fixes V0 pointwise and keeps V1
 stable, so P0 M_g = P0 for every g; that makes t0 a homomorphism from G onto
@@ -58,8 +59,7 @@ eigenvalues: rho|V0 is trivial, and det rho|V1 = det rho is a character of G.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import NamedTuple
 
 from .action import (
@@ -74,15 +74,14 @@ from .exactlin import (
     FiniteAbelianGroup,
     Sublattice,
     column_hermite,
+    common_denominator,
     hermite_coords,
     hermite_kernel,
     kernel_lattice,
     mat_mul,
     mat_vec,
-    over_common_denominator,
     quotient_group,
     transpose,
-    vec_sub,
 )
 from .torus import TorusDatum, factor_plane_columns, identify_factor_subspace
 
@@ -194,33 +193,34 @@ def compute_K(d: HyperellipticDatum, lambda0: Sublattice, s) -> Decomposition:
     lambda1 = compute_A1(hermite)
     small = Sublattice.from_int_columns(rank, lambda0.cols + lambda1.cols)
     k = quotient_group(Sublattice.standard(rank), small)
-    k0_gens = []
-    k1_gens = []
-    for gen in k.generators:
-        den, (scaled,) = over_common_denominator((gen,))
-        p0 = tuple(Fraction(x, d.group.order * den) for x in mat_vec(s, scaled))
-        k0_gens.append(lambda0.reduce_mod(p0))
-        k1_gens.append(lambda1.reduce_mod(vec_sub(gen, p0)))
+    order = d.group.order
+    k0_gens, k1_gens = [], []
+    for den, gen in k.generators:  # P0 gen = S gen / (|G| den)
+        p0 = mat_vec(s, gen)
+        k0_gens.append(lambda0.reduce_mod(order * den, p0))
+        k1_gens.append(lambda1.reduce_mod(order * den, [order * x - y for x, y in zip(gen, p0)]))
     k0 = FiniteAbelianGroup(k.invariant_factors, tuple(k0_gens))
     k1 = FiniteAbelianGroup(k.invariant_factors, tuple(k1_gens))
     return Decomposition(lambda0, lambda1, k, k0, k1, s, hermite)
 
 
 def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
-    """The V0 part t0(g) = P0 tau(g) of each generator's translation, in ``gens`` order.
+    """The V0 parts t0(g) = P0 tau(g) of the generators' translations, over one denominator.
 
     The cocycle identity t0(gh) = t0(g) + t0(h) mod Lambda_0 + K0 follows from
     P0 M_g = P0, that is S M_g = S, because tau(gh) = M_g tau(h) + tau(g) -
     lambda and P0(Z^n) = Lambda_0 + K0; the identity for every element
-    follows from the generators.  t0(g) is S shift / (|G| den).
+    follows from the generators.  t0(g) is S shift / (|G| den): the result
+    is (|G| D, rows), D the lcm of the den, with S shift (D / den) in row s.
     """
     gens = [d.group.elements[i] for i in d.group.gens]
     s = dec.group_sum
     for g in gens:
         if mat_mul(s, g.linear) != s:
             raise PipelineInvariantError("a generator moves V0 or does not keep V1 stable")
-    order = d.group.order
-    return tuple(tuple(Fraction(x, order * g.den) for x in mat_vec(s, g.shift)) for g in gens)
+    den = lcm(*(g.den for g in gens))
+    rows = tuple(mat_vec(s, [x * (den // g.den) for x in g.shift]) for g in gens)
+    return d.group.order * den, rows
 
 
 def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):
@@ -230,14 +230,12 @@ def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):
     coordinates of |G| t0 against the nonzero columns of ``dec.hermite``
     (|G| times a basis of P0(Z^n)) mod 1, kept as integers mod their common
     denominator, is its tree parent's plus its edge generator's; H is the
-    class 0.  ``run_pipeline`` checks both counts against |G| and
-    [Lambda_B : Lambda_0].
+    class 0; |G| t0 is t0's rows over D.  ``run_pipeline`` checks both
+    counts against |G| and [Lambda_B : Lambda_0].
     """
-    order = d.group.order
     pivots = [c for c in transpose(dec.hermite[0]) if any(c)]
-    den, steps = over_common_denominator(
-        [hermite_coords(pivots, [x * order for x in v]) for v in t0]
-    )
+    den, steps = common_denominator([hermite_coords(pivots, row) for row in t0[1]])
+    den *= t0[0] // d.group.order  # the steps are |G| t0's coordinates times den
     classes = [(0,) * len(pivots)]
     for parent, s in d.group.tree[1:]:
         classes.append(tuple((a + b) % den for a, b in zip(classes[parent], steps[s])))
@@ -249,12 +247,14 @@ def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
     """Albanese lattice Lambda_B in V0 and the invariant factors of Lambda_B/Lambda_0.
 
     Lambda_B = P0(Z^n) + <t0(g) : g a generator of G>, reduced from the
-    rank(Lambda_0) pivot columns of S's Hermite form over |G|, a basis of
-    P0(Z^n) = Lambda_0 + K0, and the t0(g); t0 is a homomorphism modulo P0(Z^n).
+    rank(Lambda_0) pivot columns of S's Hermite form, a basis of |G| P0(Z^n)
+    = |G| (Lambda_0 + K0), and t0's rows, all over |G| D; t0 is a
+    homomorphism modulo P0(Z^n).
     """
-    order = d.group.order
-    image = [tuple(Fraction(x, order) for x in c) for c in transpose(dec.hermite[0]) if any(c)]
-    lam_b = Sublattice.from_rat_columns(d.rank, image + list(t0))
+    den, rows = t0
+    scale = den // d.group.order
+    image = [[x * scale for x in c] for c in transpose(dec.hermite[0]) if any(c)]
+    lam_b = Sublattice.from_int_columns(d.rank, image + list(rows), den)
     if lam_b.rank != dec.lambda0.rank:
         raise PipelineInvariantError("Albanese lattice rank differs from rank Lambda_0")
     factors = quotient_group(lam_b, dec.lambda0).invariant_factors

@@ -124,7 +124,7 @@ def _factor_plane_diff(datum: HyperellipticDatum, factor_index: int, plane_vecto
 
     The expected lattice is spanned by ``plane_vectors``, pairs (coefficient
     of 1, coefficient of tau) on one factor's plane; the actual one by
-    ``vectors``, given in the datum's lattice coordinates.
+    ``vectors``, given in the datum's lattice coordinates as (den, integers).
     """
     rank = datum.torus.rank
     expected = []
@@ -132,7 +132,7 @@ def _factor_plane_diff(datum: HyperellipticDatum, factor_index: int, plane_vecto
         col = [F(0)] * rank
         col[2 * factor_index], col[2 * factor_index + 1] = F(v[0]), F(v[1])
         expected.append(tuple(col))
-    actual = [datum.torus.to_product_coords(v) for v in vectors]
+    actual = [datum.torus.to_product_coords(den, v) for den, v in vectors]
     if Sublattice.from_rat_columns(rank, expected) == Sublattice.from_rat_columns(rank, actual):
         return None
     return {
@@ -206,18 +206,19 @@ def run_entry(name: str) -> dict:
             datum,
             0,
             entry.expected["albanese_lattice_factor0"],
-            alb.albanese_lattice.basis_vectors(),
+            [(alb.albanese_lattice.den, c) for c in alb.albanese_lattice.cols],
         )
         if problem:
             diff["albanese_lattice_factor0"] = problem
 
     if "k0_lattice_factor_plane" in entry.expected:
         factor_index, gens = entry.expected["k0_lattice_factor_plane"]
+        lam0 = alb.decomposition.lambda0
         problem = _factor_plane_diff(
             datum,
             factor_index,
             [(1, 0), (0, 1), *gens],
-            alb.decomposition.lambda0.basis_vectors() + alb.decomposition.k0.generators,
+            [(lam0.den, c) for c in lam0.cols] + list(alb.decomposition.k0.generators),
         )
         if problem:
             diff["k0_lattice_factor_plane"] = problem

@@ -60,8 +60,8 @@ def parse_rational(text) -> Fraction:
         raise InputError(f"bad rational {text!r}: {exc}") from None
 
 
-def format_rational(x) -> str:
-    return str(Fraction(x))
+def format_rational(x, den: int = 1) -> str:
+    return str(Fraction(x, den))
 
 
 def parse_vector(items, length: int | None = None):
@@ -73,8 +73,8 @@ def parse_vector(items, length: int | None = None):
     return v
 
 
-def format_vector(v) -> list[str]:
-    return [format_rational(x) for x in v]
+def format_vector(v, den: int = 1) -> list[str]:
+    return [format_rational(x, den) for x in v]
 
 
 _ROOT_SHORTHAND = {"1": (0, 1), "-1": (1, 2), "i": (1, 4), "-i": (3, 4)}
@@ -306,9 +306,9 @@ def _lattice_dict(lat: Sublattice, torus: TorusDatum) -> dict:
     return {
         "ambient_rank": lat.ambient_rank,
         "rank": lat.rank,
-        "basis": [format_vector(b) for b in lat.basis_vectors()],
+        "basis": [format_vector(c, lat.den) for c in lat.cols],
         "basis_product_coords": [
-            format_vector(torus.to_product_coords(b)) for b in lat.basis_vectors()
+            format_vector(torus.to_product_coords(lat.den, c)) for c in lat.cols
         ],
     }
 
@@ -317,9 +317,9 @@ def _group_dict(group, torus: TorusDatum) -> dict:
     return {
         "invariant_factors": list(group.invariant_factors),
         "order": group.order,
-        "generators": [format_vector(g) for g in group.generators],
+        "generators": [format_vector(g, den) for den, g in group.generators],
         "generators_product_coords": [
-            format_vector(torus.to_product_coords(g)) for g in group.generators
+            format_vector(torus.to_product_coords(den, g)) for den, g in group.generators
         ],
     }
 

@@ -1,38 +1,33 @@
-"""Exact integer/rational lattice linear algebra.
+"""Exact integer lattice linear algebra.
 
-All arithmetic is arbitrary-precision (`int`, `fractions.Fraction`); no
-floating point enters any computation, so every membership and solvability
-answer is a certificate.  Matrices are tuples of row tuples.  A lattice is
-built by reducing all its generators at once to one column-style Hermite form
-over a common denominator; the form is unique, so equal lattices compare equal.
+All arithmetic is on arbitrary-precision `int`s; no floating point enters
+any computation, so every membership and solvability answer is a
+certificate.  Matrices are tuples of row tuples.  A rational vector is a
+pair (den, integers) and a lattice is integer columns over one den, the
+column-style Hermite form of all its generators reduced at once; the form
+is unique, so equal lattices compare equal.
 
-This module is the one place where rationals become integers: no other
-module of the package reads a `.numerator` or a `.denominator`.
-`over_common_denominator` scales rational rows to integer rows over the lcm
-of their entry denominators, and `reduced_mod1` takes a translation, held as
-integers over a denominator, mod 1 to its least denominator.  Every matrix
-and vector the package multiplies is integral, so `mat_mul` and `mat_vec`
-are the plain integer products; where a rational matrix or vector is meant,
-its denominator is held once beside it (a `Sublattice`'s den, a group
-average's |G|, an element's den), and a caller with a rational vector scales
-it once before the product.  The Hermite form (Cohen, GTM 138, 2.4) answers
-the integer questions.  One column Hermite form (h, v) of m has two
-readers: `hermite_kernel` (the kernel of m) and `hermite_coords`
-(coordinates against h's pivot columns, as in `Sublattice.coords_of`);
-`is_unimodular` and `is_singular` read the row form.
-The Smith form is a loop of row and column Hermite forms, and the inverse of
-its unimodular u is the transform of u's row form, so `hermite_normal_form`
-is the one elimination routine.
+No other module reads a `.numerator` or a `.denominator`: rationals parsed
+from a document become integers here, by `over_common_denominator`, and
+from then on every vector is integers over a held denominator, taken mod 1
+by `reduced_mod1` and put over one with others by `common_denominator`;
+`mat_mul` and `mat_vec` are the integer products.
+The Hermite form (Cohen, GTM 138, 2.4) answers the integer questions.  One
+column Hermite form (h, v) of m has two readers: `hermite_kernel` (the
+kernel of m) and `hermite_coords` (coordinates against h's pivot columns,
+by back-substitution in integers, as in `Sublattice.coords_of`);
+`is_unimodular` and `is_singular` read the row form.  The Smith form is a
+loop of row and column Hermite forms, and the inverse of its unimodular u
+is the transform of u's row form, so `hermite_normal_form` is the one
+elimination routine.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -72,25 +67,21 @@ def mat_vec(a, v):
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_is_integral(v) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
-
-
-def reduced_mod1(den: int, scaled) -> tuple[int, tuple[int, ...]]:
-    """(D, D t mod D) for t = scaled / den, D the least positive integer with D t integral."""
-    scaled = tuple(x % den for x in scaled)
+def least_denominator(den: int, scaled) -> tuple[int, tuple[int, ...]]:
+    """(den, scaled) with gcd(den, *scaled) divided out: the least denominator of scaled / den."""
     c = gcd(den, *scaled)
     return den // c, tuple(x // c for x in scaled)
 
 
-def scaled_mod1(v) -> tuple[int, tuple[int, ...]]:
-    """(D, D v mod D), D the least positive integer with D v integral: equal iff v is mod 1."""
-    d, (scaled,) = over_common_denominator((v,))
-    return reduced_mod1(d, scaled)
+def common_denominator(vectors) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, integer vectors) for (den, integers) vectors: each over D, the lcm of their dens."""
+    d = lcm(*(den for den, _ in vectors))
+    return d, [tuple(x * (d // den) for x in v) for den, v in vectors]
+
+
+def reduced_mod1(den: int, scaled) -> tuple[int, tuple[int, ...]]:
+    """(D, D t mod D) for t = scaled / den, D the least positive integer with D t integral."""
+    return least_denominator(den, [x % den for x in scaled])
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -176,22 +167,21 @@ def is_singular(m: Matrix) -> bool:
     return any(not any(row) for row in hermite_normal_form(m)[0])
 
 
-def hermite_coords(cols, target) -> list[Fraction] | None:
-    """Rational y with sum_j y[j] * cols[j] == target, or None outside the columns' span.
+def hermite_coords(cols, target) -> tuple[int, tuple[int, ...]] | None:
+    """(den, y) with sum_j y[j] * cols[j] == den * target, den least, or None off the span.
 
     The nonzero integer columns are in column-Hermite form: the pivot (first
-    nonzero) rows strictly increase, so y is read off one pivot at a time.
+    nonzero) rows strictly increase, so y is read off one pivot at a time,
+    dividing by it, and the pivots' product clears every such denominator.
     """
-    target = list(target)
+    den = prod(abs(next(x for x in col if x)) for col in cols)
+    residual = [x * den for x in target]
     y = []
     for col in cols:
         pivot = next(i for i, x in enumerate(col) if x)
-        c = Fraction(target[pivot], col[pivot])
-        y.append(c)
-        if c:
-            for i, x in enumerate(col):
-                target[i] -= c * x
-    return None if any(target) else y
+        y.append(residual[pivot] // col[pivot])
+        residual = [x - y[-1] * b for x, b in zip(residual, col)]
+    return None if any(residual) else least_denominator(den, y)
 
 
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
@@ -227,16 +217,14 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
 # lattices
 
 class Sublattice(NamedTuple):
-    """A finitely generated lattice in Q^ambient_rank.
+    """A finitely generated lattice in Q^ambient_rank: integer columns over one denominator.
 
-    Basis vectors are ``cols[i] / den``: ``den`` is the least common
-    denominator of the generators, which depends on the lattice alone (its
-    vectors are integer combinations of them), and ``cols`` is the canonical
+    Basis vectors are ``cols[i] / den``: ``cols`` is the canonical
     column-Hermite form of all the generators over ``den``, reduced at once,
-    so structural equality is lattice equality.
-    ``den == 1`` is the plain integer-sublattice case (kernels, saturations,
-    Lambda_0, Lambda_1); rational denominators arise for quotient
-    presentations such as Lambda in product coordinates or Albanese lattices.
+    and ``den`` is the least that makes the lattice integral, so structural
+    equality is lattice equality.  ``den == 1`` for kernels, Lambda_0 and
+    Lambda_1; Lambda in product coordinates and Lambda_B have larger ones.
+    Vectors go in and out as (den, integers), as translations do.
     """
 
     ambient_rank: int
@@ -244,8 +232,14 @@ class Sublattice(NamedTuple):
     cols: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def from_int_columns(ambient_rank: int, cols) -> "Sublattice":
-        return Sublattice._canonical(ambient_rank, 1, [tuple(c) for c in cols])
+    def from_int_columns(ambient_rank: int, cols, den: int = 1) -> "Sublattice":
+        """The lattice of the integer columns over den: their Hermite form, den made least."""
+        if not cols:
+            return Sublattice(ambient_rank, 1, ())
+        h, _ = column_hermite(transpose(tuple(map(tuple, cols))))  # ambient_rank x k
+        kept = tuple(c for c in transpose(h) if any(c))
+        c = gcd(den, *(x for col in kept for x in col))
+        return Sublattice(ambient_rank, den // c, tuple(tuple(x // c for x in col) for col in kept))
 
     @staticmethod
     def from_rat_columns(ambient_rank: int, vectors) -> "Sublattice":
@@ -253,46 +247,39 @@ class Sublattice(NamedTuple):
             if len(v) != ambient_rank:
                 raise LatticeError("vector length does not match ambient rank")
         den, cols = over_common_denominator(vectors)
-        return Sublattice._canonical(ambient_rank, den, cols)
+        return Sublattice.from_int_columns(ambient_rank, cols, den)
 
     @staticmethod
     def standard(n: int) -> "Sublattice":
         return Sublattice(n, 1, identity(n))  # Z^n: the identity is already canonical
 
-    @staticmethod
-    def _canonical(ambient_rank: int, den: int, cols) -> "Sublattice":
-        if not cols:
-            return Sublattice(ambient_rank, 1, ())
-        m = transpose(tuple(cols))  # ambient_rank x k
-        h, _ = column_hermite(m)
-        kept = tuple(c for c in transpose(h) if any(c))
-        return Sublattice(ambient_rank, den, kept)
-
     @property
     def rank(self) -> int:
         return len(self.cols)
 
-    def basis_vectors(self) -> tuple[Vector, ...]:
-        return tuple(tuple(Fraction(x, self.den) for x in c) for c in self.cols)
-
-    def coords_of(self, v) -> Vector | None:
-        """Rational coordinates of v in this basis, or None if v is outside the span."""
+    def coords_of(self, den: int, v) -> tuple[int, tuple[int, ...]] | None:
+        """Coordinates of v / den in this basis as (least den, integers), or None off the span."""
         if len(v) != self.ambient_rank:
             raise LatticeError("vector length does not match ambient rank")
         coords = hermite_coords(self.cols, [x * self.den for x in v])
-        return None if coords is None else tuple(coords)
+        return None if coords is None else least_denominator(coords[0] * den, coords[1])
 
-    def reduce_mod(self, v) -> Vector:
-        """Canonical representative of v modulo this lattice (v must lie in the span)."""
-        coords = self.coords_of(v)
+    def reduce_mod(self, den: int, v) -> tuple[int, tuple[int, ...]]:
+        """Canonical representative of v / den (in the span) modulo this lattice: (den, integers).
+
+        Each basis vector is taken away the floor of its coordinate times.
+        """
+        coords = self.coords_of(den, v)
         if coords is None:
             raise LatticeError("vector is outside the lattice span")
-        rep = tuple(map(Fraction, v))
-        for c, b in zip(coords, self.basis_vectors()):
-            whole = c.numerator // c.denominator
+        e, y = coords
+        d = lcm(den, self.den)
+        rep = [x * (d // den) for x in v]
+        for c, col in zip(y, self.cols):
+            whole = (c // e) * (d // self.den)
             if whole:
-                rep = vec_sub(rep, [whole * x for x in b])
-        return rep
+                rep = [x - whole * b for x, b in zip(rep, col)]
+        return least_denominator(d, rep)
 
 
 def hermite_kernel(hermite: tuple[Matrix, Matrix]) -> Sublattice:
@@ -319,44 +306,37 @@ def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
     if k == 0:
         return FiniteAbelianGroup((), ())
     coord_cols = []
-    for b in small.basis_vectors():
-        coords = big.coords_of(b)
-        if coords is None or not all(c.denominator == 1 for c in coords):
+    for col in small.cols:
+        coords = big.coords_of(small.den, col)
+        if coords is None or coords[0] != 1:
             raise LatticeError("small lattice is not contained in big lattice")
-        coord_cols.append(tuple(int(c) for c in coords))
-    x = transpose(tuple(coord_cols))  # k x k, big-coordinates of small's basis
-    u, s = smith_normal_form(x)
+        coord_cols.append(coords[1])
+    u, s = smith_normal_form(transpose(coord_cols))  # k x k, small's basis in big's coordinates
     u_inv = hermite_normal_form(u)[1]  # u is unimodular: its row form is I
-    factors = []
-    gens = []
-    big_basis = big.basis_vectors()
+    big_basis = transpose(big.cols)  # ambient x k, over big.den
+    factors, gens = [], []
     for i in range(k):
         d = s[i][i]
         if d == 0:
             raise LatticeError("small lattice does not have finite index")
         if d == 1:
             continue
-        coeffs = tuple(u_inv[r][i] for r in range(k))
-        gen = tuple(
-            sum(c * b[t] for c, b in zip(coeffs, big_basis)) for t in range(big.ambient_rank)
-        )
-        factors.append(int(d))
-        gens.append(small.reduce_mod(gen))
+        factors.append(d)
+        gens.append(small.reduce_mod(big.den, mat_vec(big_basis, [row[i] for row in u_inv])))
     return FiniteAbelianGroup(tuple(factors), tuple(gens))
 
 
 class FiniteAbelianGroup(NamedTuple):
     """A finite abelian group with invariant factors d1 | d2 | ... (ascending).
 
-    Generators are coset representatives in ambient coordinates, reduced
-    modulo the reference sublattice they were computed against; generator i
-    has order invariant_factors[i].
+    Generators are coset representatives in ambient coordinates as (den,
+    integers), reduced modulo the reference sublattice they were computed
+    against; generator i has order invariant_factors[i].
     """
 
     invariant_factors: tuple[int, ...]
-    generators: tuple[Vector, ...]
+    generators: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def order(self) -> int:
         return prod(self.invariant_factors)
-

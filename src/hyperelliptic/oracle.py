@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .action import AffineAut, HyperellipticDatum, validate
 from .albanese import AlbaneseReport, PipelineInvariantError
 from .exactlin import (
-    over_common_denominator,
+    common_denominator,
     reduced_mod1,
     smith_normal_form,
     transpose,
@@ -268,11 +268,11 @@ def _albanese_projection_matrix(report: AlbaneseReport):
         return 1, ()
     columns = []
     for w in transpose(report.decomposition.group_sum):
-        coords = lam_b.coords_of(w)
+        coords = lam_b.coords_of(1, w)
         if coords is None:
             raise PipelineInvariantError("projection leaves the Albanese lattice span")
         columns.append(coords)
-    den, scaled = over_common_denominator(columns)
+    den, scaled = common_denominator(columns)
     return den * report.group_order, transpose(scaled)
 
 

@@ -34,7 +34,6 @@ from .exactlin import (
     mat_vec,
     over_common_denominator,
     transpose,
-    vec_is_integral,
 )
 
 
@@ -152,21 +151,20 @@ class TorusDatum:
         rank = lattice.ambient_rank
         if factors is not None and 2 * len(factors) != rank:
             raise ValueError("factor count does not match rank")
-        inv_cols = [lattice.coords_of(e) for e in identity(rank)]
-        if not all(c is not None and vec_is_integral(c) for c in inv_cols):
+        inv_cols = [lattice.coords_of(1, e) for e in identity(rank)]
+        if not all(c is not None and c[0] == 1 for c in inv_cols):
             raise LatticeError("lattice must contain the product lattice Z^rank")
         self.rank = rank
         self.lattice = lattice
         self.factors = factors
-        self.lam_basis_inv = transpose([tuple(map(int, c)) for c in inv_cols])
+        self.lam_basis_inv = transpose([c[1] for c in inv_cols])
 
     @property
     def dim(self) -> int:
         return self.rank // 2
 
-    def to_product_coords(self, v_lattice):
-        d, (v,) = over_common_denominator((v_lattice,))
-        d *= self.lattice.den
+    def to_product_coords(self, den: int, v):
+        d = den * self.lattice.den
         return tuple(Fraction(x, d) for x in mat_vec(transpose(self.lattice.cols), v))
 
     @staticmethod

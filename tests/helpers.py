@@ -44,6 +44,14 @@ over den, never forms.
 carries a builder translation into lattice coordinates, and `ring_block` the
 reference for each entry of `torus.FACTOR_KINDS`: the block of
 multiplication by a + b*tau in the ring of the factor's kind.
+`reference_hermite_coords`, `reference_coords_of`, `reference_reduce_mod`
+and `reference_quotient_group` are the `Fraction` forms of the lattice
+routines, which the library runs on (den, integers) vectors: the references
+`tests/test_integer_lattices.py` checks them against.  `rational`,
+`basis_vectors`, `generator_vectors` and `t0_vectors` read such vectors as
+`Fraction` vectors, and `as_pair` and `basis_pairs` write them.
+`scaled_mod1`, `vec_is_integral` and `vec_sub` left the library with their
+last library readers.
 `three_curve_document` writes the documents of the fiber-basis sweep.
 """
 
@@ -57,19 +65,19 @@ from conftest import bareiss_det
 from hyperelliptic.action import AffineAut, _check_eigenvalues
 from hyperelliptic.albanese import _fiber_basis, compute_A0, compute_K, group_sum
 from hyperelliptic.exactlin import (
+    FiniteAbelianGroup,
     LatticeError,
     Sublattice,
     column_hermite,
-    hermite_coords,
+    hermite_normal_form,
     identity,
     kernel_lattice,
     mat_mul,
     mat_vec,
     over_common_denominator,
-    scaled_mod1,
+    reduced_mod1,
+    smith_normal_form,
     transpose,
-    vec_is_integral,
-    vec_sub,
 )
 from hyperelliptic.oracle import (
     DEFAULT_POINT_CAP,
@@ -96,6 +104,131 @@ def reference_mat_mul(a, b):
 def reference_mat_vec(a, v):
     """The plain product of a matrix and a vector, one entry at a time, over their own types."""
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def rational(den: int, v) -> tuple[Fraction, ...]:
+    """The vector v / den of a (den, integers) pair, as a `Fraction` vector."""
+    return tuple(Fraction(x, den) for x in v)
+
+
+def scaled_mod1(v) -> tuple[int, tuple[int, ...]]:
+    """(D, D v mod D), D the least positive integer with D v integral: equal iff v is mod 1."""
+    return reduced_mod1(*as_pair(v))
+
+
+def as_pair(v) -> tuple[int, tuple[int, ...]]:
+    """A rational vector as (den, integers), den the lcm of its entries' denominators."""
+    den, (scaled,) = over_common_denominator((v,))
+    return den, tuple(scaled)
+
+
+def basis_vectors(s: Sublattice) -> tuple[tuple[Fraction, ...], ...]:
+    """A lattice's basis vectors, its columns over its den, as `Fraction` vectors."""
+    return tuple(rational(s.den, c) for c in s.cols)
+
+
+def basis_pairs(s: Sublattice) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """A lattice's basis vectors as (den, integers) pairs, the form group generators take."""
+    return tuple((s.den, c) for c in s.cols)
+
+
+def t0_vectors(t0) -> tuple[tuple[Fraction, ...], ...]:
+    """`decompose_cocycle`'s (den, rows), one row per generator, as `Fraction` vectors."""
+    den, rows = t0
+    return tuple(rational(den, row) for row in rows)
+
+
+def generator_vectors(group: FiniteAbelianGroup) -> tuple[tuple[Fraction, ...], ...]:
+    """A finite abelian group's generators, (den, integers) pairs, as `Fraction` vectors."""
+    return tuple(rational(den, v) for den, v in group.generators)
+
+
+def vec_is_integral(v) -> bool:
+    return all(Fraction(x).denominator == 1 for x in v)
+
+
+def vec_sub(u, v):
+    return tuple(x - y for x, y in zip(u, v))
+
+
+def reference_hermite_coords(cols, target) -> list[Fraction] | None:
+    """Rational y with sum_j y[j] * cols[j] == target, or None outside the columns' span.
+
+    The `Fraction` back-substitution `exactlin.hermite_coords` replaced: the
+    nonzero integer columns are in column-Hermite form, so y is read off one
+    pivot at a time.
+    """
+    target = list(target)
+    y = []
+    for col in cols:
+        pivot = next(i for i, x in enumerate(col) if x)
+        c = Fraction(target[pivot], col[pivot])
+        y.append(c)
+        if c:
+            for i, x in enumerate(col):
+                target[i] -= c * x
+    return None if any(target) else y
+
+
+def reference_coords_of(s: Sublattice, v) -> tuple[Fraction, ...] | None:
+    """Rational coordinates of the rational vector v in s's basis, or None outside the span."""
+    if len(v) != s.ambient_rank:
+        raise LatticeError("vector length does not match ambient rank")
+    coords = reference_hermite_coords(s.cols, [x * s.den for x in v])
+    return None if coords is None else tuple(coords)
+
+
+def reference_reduce_mod(s: Sublattice, v) -> tuple[Fraction, ...]:
+    """Canonical representative of the rational vector v modulo s, in `Fraction` arithmetic."""
+    coords = reference_coords_of(s, v)
+    if coords is None:
+        raise LatticeError("vector is outside the lattice span")
+    rep = tuple(map(Fraction, v))
+    for c, b in zip(coords, basis_vectors(s)):
+        whole = c.numerator // c.denominator
+        if whole:
+            rep = vec_sub(rep, [whole * x for x in b])
+    return rep
+
+
+def reference_quotient_group(big: Sublattice, small: Sublattice):
+    """(invariant factors, generators as `Fraction` vectors) of big/small, as `quotient_group` was.
+
+    small's basis in big's coordinates goes to the Smith form u x v = s, and
+    generator i is the big-vector of column i of u^-1, reduced modulo small,
+    for each invariant factor s[i][i] > 1.
+    """
+    if big.ambient_rank != small.ambient_rank:
+        raise LatticeError("ambient ranks differ")
+    if big.rank != small.rank:
+        raise LatticeError("quotient is infinite: ranks differ")
+    k = big.rank
+    if k == 0:
+        return (), ()
+    coord_cols = []
+    for b in basis_vectors(small):
+        coords = reference_coords_of(big, b)
+        if coords is None or not all(c.denominator == 1 for c in coords):
+            raise LatticeError("small lattice is not contained in big lattice")
+        coord_cols.append(tuple(int(c) for c in coords))
+    u, s = smith_normal_form(transpose(tuple(coord_cols)))
+    u_inv = hermite_normal_form(u)[1]
+    factors = []
+    gens = []
+    big_basis = basis_vectors(big)
+    for i in range(k):
+        d = s[i][i]
+        if d == 0:
+            raise LatticeError("small lattice does not have finite index")
+        if d == 1:
+            continue
+        coeffs = tuple(u_inv[r][i] for r in range(k))
+        gen = tuple(
+            sum(c * b[t] for c, b in zip(coeffs, big_basis)) for t in range(big.ambient_rank)
+        )
+        factors.append(int(d))
+        gens.append(reference_reduce_mod(small, gen))
+    return tuple(factors), tuple(gens)
 
 
 def translation(e: AffineAut) -> tuple[Fraction, ...]:
@@ -132,13 +265,13 @@ def mat_inv(m):
     cols = transpose(h)
     if not all(map(any, cols)):
         raise LatticeError("matrix is singular")
-    scaled = [hermite_coords(cols, [d * x for x in e]) for e in identity(len(m))]
+    scaled = [reference_hermite_coords(cols, [d * x for x in e]) for e in identity(len(m))]
     return transpose([reference_mat_vec(v, y) for y in scaled])
 
 
 def lam_basis(t):
     """A torus lattice's basis as a `Fraction` matrix: columns C / den, its Hermite columns."""
-    return transpose(t.lattice.basis_vectors())
+    return transpose(basis_vectors(t.lattice))
 
 
 def fixed_projector(d):
@@ -219,7 +352,7 @@ def basis_matrix(s: Sublattice):
 
 def contains(s: Sublattice, v) -> bool:
     """Whether v lies in the lattice s."""
-    coords = s.coords_of(v)
+    coords = reference_coords_of(s, v)
     return coords is not None and all(c.denominator == 1 for c in coords)
 
 
@@ -247,7 +380,7 @@ def projectors(lambda0: Sublattice, lambda1: Sublattice):
     blocks C0, C1 of C.
     """
     rank = lambda0.ambient_rank
-    cols = lambda0.basis_vectors() + lambda1.basis_vectors()
+    cols = basis_vectors(lambda0) + basis_vectors(lambda1)
     b = transpose(cols)  # rank x rank
     c = mat_inv(b)
     r0 = lambda0.rank
@@ -257,8 +390,8 @@ def projectors(lambda0: Sublattice, lambda1: Sublattice):
     if lambda1.rank == 0:
         zero = tuple(tuple(Fraction(0) for _ in range(rank)) for _ in range(rank))
         return tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)), zero
-    b0 = transpose(lambda0.basis_vectors())
-    b1 = transpose(lambda1.basis_vectors())
+    b0 = transpose(basis_vectors(lambda0))
+    b1 = transpose(basis_vectors(lambda1))
     c0 = c[:r0]
     c1 = c[r0:]
     return reference_mat_mul(b0, c0), reference_mat_mul(b1, c1)
@@ -305,7 +438,7 @@ def integer_solution(hermite, b) -> tuple[int, ...] | None:
     solution y of h @ y == b, which is integral iff x is.
     """
     h, v = hermite
-    y = hermite_coords([c for c in transpose(h) if any(c)], b)
+    y = reference_hermite_coords([c for c in transpose(h) if any(c)], b)
     if y is None or any(c.denominator != 1 for c in y):
         return None
     return mat_vec(v, [int(c) for c in y] + [0] * (len(v) - len(y)))
@@ -515,7 +648,7 @@ def factor_subspace_in_product_coords(t, sub: Sublattice) -> tuple[int, ...] | N
     """
     if t.factors is None or sub.rank % 2 != 0:
         return None
-    prod_vectors = [t.to_product_coords(b) for b in sub.basis_vectors()]
+    prod_vectors = [t.to_product_coords(sub.den, c) for c in sub.cols]
     support = set()
     for v in prod_vectors:
         for i, x in enumerate(v):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import compose, element_index
+from helpers import basis_pairs, compose, element_index
 from hyperelliptic.action import validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
@@ -85,11 +85,9 @@ def test_z4_threefold_example():
         assert report.fiber_class.holonomy_order == 2
         assert report.fiber_class.dim == 2
         # K0 = <1/2> on the first factor: compare lattices in product coordinates
-        torus = datum.torus
+        torus, dec = datum.torus, report.decomposition
         actual = Sublattice.from_rat_columns(
-            6,
-            [torus.to_product_coords(b) for b in report.decomposition.lambda0.basis_vectors()]
-            + [torus.to_product_coords(g) for g in report.decomposition.k0.generators],
+            6, [torus.to_product_coords(*v) for v in basis_pairs(dec.lambda0) + dec.k0.generators]
         )
         expected = Sublattice.from_rat_columns(
             6, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (F(1, 2), 0, 0, 0, 0, 0)]

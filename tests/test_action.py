@@ -11,6 +11,7 @@ from helpers import (
     coset_meets_lattice,
     element_index,
     members_of,
+    scaled_mod1,
     vec_denominator,
     vec_mod1,
 )
@@ -36,7 +37,7 @@ from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
-from hyperelliptic.exactlin import Sublattice, identity, mat_mul, scaled_mod1, transpose
+from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
 from hyperelliptic.torus import (
     AlternatingForm,
     EllipticFactor,

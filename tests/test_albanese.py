@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    basis_pairs,
     compose,
     contains,
     decomposition,
@@ -13,10 +14,13 @@ from helpers import (
     h_by_solve,
     lattice_coords,
     proj0,
+    reference_coords_of,
     reference_mat_vec,
     t0_table,
+    t0_vectors,
     three_curve_document,
     translation,
+    vec_sub,
 )
 from hyperelliptic.action import validate
 from hyperelliptic.albanese import (
@@ -30,7 +34,7 @@ from hyperelliptic.albanese import (
 from hyperelliptic.catalog import get_entry
 from hyperelliptic.cli import main
 from hyperelliptic.documents import build_datum
-from hyperelliptic.exactlin import Sublattice, vec_sub
+from hyperelliptic.exactlin import Sublattice
 from hyperelliptic.oracle import (
     build_model,
     datum_denominator,
@@ -60,8 +64,9 @@ def subgroup_h(d, dec):
 
 
 def product_lattice(d, vectors):
+    """The lattice of (den, integers) lattice-coordinate vectors, in product coordinates."""
     return Sublattice.from_rat_columns(
-        d.rank, [d.torus.to_product_coords(v) for v in vectors]
+        d.rank, [d.torus.to_product_coords(den, v) for den, v in vectors]
     )
 
 
@@ -79,10 +84,10 @@ class TestDecomposition:
         d = datum_of("bielliptic-1")
         dec, _ = pipeline_parts(d)
         assert dec.q == 1
-        assert product_lattice(d, dec.lambda0.basis_vectors()) == Sublattice.from_rat_columns(
+        assert product_lattice(d, basis_pairs(dec.lambda0)) == Sublattice.from_rat_columns(
             4, factor_plane(d, 0)
         )
-        assert product_lattice(d, dec.lambda1.basis_vectors()) == Sublattice.from_rat_columns(
+        assert product_lattice(d, basis_pairs(dec.lambda1)) == Sublattice.from_rat_columns(
             4, factor_plane(d, 1)
         )
         assert dec.k.order == 1
@@ -112,13 +117,13 @@ class TestDecomposition:
         assert dec.k.invariant_factors == (2,)
         # K0 = <1/2> on the first factor, K1 = <(1/2, 0)> on the fiber part
         k0_lat = product_lattice(
-            d, dec.lambda0.basis_vectors() + dec.k0.generators
+            d, basis_pairs(dec.lambda0) + dec.k0.generators
         )
         expected = Sublattice.from_rat_columns(
             6, factor_plane(d, 0) + [(F(1, 2), 0, 0, 0, 0, 0)]
         )
         assert k0_lat == expected
-        k1_lat = product_lattice(d, dec.lambda1.basis_vectors() + dec.k1.generators)
+        k1_lat = product_lattice(d, basis_pairs(dec.lambda1) + dec.k1.generators)
         expected1 = Sublattice.from_rat_columns(
             6,
             factor_plane(d, 1) + factor_plane(d, 2) + [(0, 0, F(1, 2), 0, 0, 0)],
@@ -130,7 +135,7 @@ class TestDecomposition:
         dec, _ = pipeline_parts(d)
         assert dec.k.invariant_factors == (2,)
         # K = <(tau/2, 1/2)>: product coordinates (0, 1/2, 1/2, 0)
-        gen = d.torus.to_product_coords(dec.k.generators[0])
+        gen = d.torus.to_product_coords(*dec.k.generators[0])
         lattice_with_gen = Sublattice.from_rat_columns(
             4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), gen]
         )
@@ -168,7 +173,7 @@ class TestCocycle:
         d = datum_of("z4-threefold")
         dec, _ = pipeline_parts(d)
         expected_t0 = lattice_coords(d.torus, (F(1, 4), 0, 0, 0, 0, 0))
-        diff = tuple(a - b for a, b in zip(decompose_cocycle(d, dec)[0], expected_t0))
+        diff = tuple(a - b for a, b in zip(t0_vectors(decompose_cocycle(d, dec))[0], expected_t0))
         assert contains(dec.lambda0, diff)
 
     def test_zmzm_second_generator_splits_to_tau_quotient(self):
@@ -176,7 +181,7 @@ class TestCocycle:
         d = datum_of("zmzm-threefold-m3")
         dec, _ = pipeline_parts(d)
         expected_t0 = lattice_coords(d.torus, (0, F(1, 3), 0, 0, 0, 0))
-        diff = tuple(a - b for a, b in zip(decompose_cocycle(d, dec)[1], expected_t0))
+        diff = tuple(a - b for a, b in zip(t0_vectors(decompose_cocycle(d, dec))[1], expected_t0))
         assert contains(dec.lambda0, diff)
 
     def test_splitting_reassembles(self):
@@ -191,7 +196,7 @@ class TestCocycle:
             assert set(shifts) == set(h)
             assert fiber_translations_match(d, run_pipeline(d), shifts)
             for i in h:
-                assert dec.lambda1.coords_of(shifts[i]) is not None
+                assert reference_coords_of(dec.lambda1, shifts[i]) is not None
                 w = vec_sub(translation(d.group.elements[i]), shifts[i])
                 assert all(x.denominator == 1 for x in w)
                 assert reference_mat_vec(proj0(d, dec), w) == table[i]
@@ -317,7 +322,7 @@ class TestFiberBasis:
         validate(d)
         lambda1 = run_pipeline(d).decomposition.lambda1
         cols, indices = _fiber_basis(d, lambda1)
-        assert indices == (1,) and cols != lambda1.basis_vectors()
+        assert indices == (1,) and cols != lambda1.cols
         outputs = {}
         for command in ("check", "albanese", "invariants", "oracle"):
             assert main([command, str(path), "--format", "json"]) == 0, command
@@ -339,7 +344,7 @@ class TestFiberBasis:
                 report = run_pipeline(d, recurse=True)
                 lambda1 = report.decomposition.lambda1
                 cols, indices = _fiber_basis(d, lambda1)
-                unaligned += indices is not None and cols != lambda1.basis_vectors()
+                unaligned += indices is not None and cols != lambda1.cols
                 assert fixed_point_survey(d).passed
                 model = build_model(d, datum_denominator(d))
                 assert oracle_fiber_count(model, report).passed

@@ -46,6 +46,7 @@ import pytest
 
 from conftest import bareiss_det, load_perfbench
 from helpers import (
+    basis_vectors,
     contains,
     decomposition,
     every_element_eigenvalue_violations,
@@ -54,22 +55,30 @@ from helpers import (
     fixed_projector,
     form_complement,
     generator_fixed_lattice,
+    generator_vectors,
     h_by_solve,
     lam_basis,
     mat_inv,
     model_actions,
     proj0,
     projectors,
+    reference_coords_of,
     reference_mat_vec,
+    reference_reduce_mod,
+    scaled_mod1,
     t0_table,
+    t0_vectors,
     three_curve_document,
     translation,
     vec_denominator,
+    vec_sub,
 )
 from hyperelliptic import action, albanese
 from hyperelliptic.action import (
+    ActionGroup,
     AffineAut,
     HyperellipticDatum,
+    InconsistentEigenvalues,
     close_group,
     quotient_by_translations,
     validate,
@@ -92,15 +101,14 @@ from hyperelliptic.exactlin import (
     kernel_lattice,
     mat_mul,
     over_common_denominator,
-    scaled_mod1,
     transpose,
-    vec_sub,
 )
 from hyperelliptic.invariants import invariants_report
 from hyperelliptic.oracle import build_model, datum_denominator
 from hyperelliptic.torus import (
     AlternatingForm,
     EllipticFactor,
+    InvalidAutomorphism,
     TorusDatum,
     build_product_torus,
     identify_factor_subspace,
@@ -123,9 +131,10 @@ def enumerate_k(d, dec):
     small = Sublattice.from_int_columns(d.rank, dec.lambda0.cols + dec.lambda1.cols)
     projector = proj0(d, dec)
     out = []
+    gens = generator_vectors(dec.k)
     for combo in itertools.product(*(range(f) for f in dec.k.invariant_factors)):
-        v = tuple(sum(c * g[t] for c, g in zip(combo, dec.k.generators)) for t in range(d.rank))
-        lift = small.reduce_mod(v)
+        v = tuple(sum(c * g[t] for c, g in zip(combo, gens)) for t in range(d.rank))
+        lift = reference_reduce_mod(small, v)
         p0 = reference_mat_vec(projector, lift)
         out.append((lift, p0, vec_sub(lift, p0)))
     return out
@@ -153,11 +162,13 @@ def check_against_enumeration(d, report):
     # K: both projections injective, checked element by element
     assert len(k_elements) == dec.k.order
     for lam, part in ((dec.lambda0, 1), (dec.lambda1, 2)):
-        images = {tuple(lam.reduce_mod(e[part])) if lam.rank else e[part] for e in k_elements}
+        images = {reference_reduce_mod(lam, e[part]) if lam.rank else e[part] for e in k_elements}
         assert len(images) == dec.k.order
 
     # S M_g = S and the cocycle identity hold for every element, not just generators
-    enlarged = Sublattice.from_rat_columns(d.rank, dec.lambda0.basis_vectors() + dec.k0.generators)
+    enlarged = Sublattice.from_rat_columns(
+        d.rank, basis_vectors(dec.lambda0) + generator_vectors(dec.k0)
+    )
     for i, e in enumerate(d.group.elements):
         assert mat_mul(dec.group_sum, e.linear) == dec.group_sum
         for j in range(d.group.order):
@@ -177,7 +188,7 @@ def check_against_enumeration(d, report):
         expected_h.append(i)
         t1 = vec_sub(translation(e), reference_mat_vec(projector, translation(e)))
         enumerated_shifts[i] = vec_sub(t1, match[2])
-        assert dec.lambda1.coords_of(enumerated_shifts[i]) is not None
+        assert reference_coords_of(dec.lambda1, enumerated_shifts[i]) is not None
     assert h == tuple(expected_h) == report.subgroup_h
     assert fiber_translations_match(d, report, enumerated_shifts)
     members = set(h)
@@ -188,7 +199,7 @@ def check_against_enumeration(d, report):
     # P0(Z^n) for every element g, and so does D times each basis vector of Lambda_B
     base = datum_denominator(d)
     image = Sublattice.from_rat_columns(d.rank, transpose(projector))
-    for v in [*table, *report.albanese_lattice.basis_vectors()]:
+    for v in [*table, *basis_vectors(report.albanese_lattice)]:
         assert in_lattice(image, tuple(base * x for x in v))
 
 
@@ -347,7 +358,7 @@ def test_tree_walk_matches_per_element_solve(family):
             assert compute_A0(dec.group_sum, datum.group.order) == generator_fixed_lattice(datum)
             table = t0_table(datum)
             t0 = decompose_cocycle(datum, dec)
-            assert t0 == tuple(table[i] for i in datum.group.gens)
+            assert t0_vectors(t0) == tuple(table[i] for i in datum.group.gens)
             members, index = compute_H(datum, dec, t0)
             solved, shifts = h_by_solve(datum, table)
             assert members == solved == report.subgroup_h
@@ -604,11 +615,11 @@ def test_model_actions_match_fraction_translations():
 
 @pytest.mark.parametrize("name", ["bielliptic-5", "z4-threefold", "zmzm-threefold-m3"])
 def test_wrong_generator_eigenvalue_fails_both_checks(name):
-    # declare 1 where a generator acts by a nontrivial unit, which no document
-    # can do: affine_from_factor_action reads each eigenvalue off its block.
-    # validate takes a factor torus's eigenvalues as built and reports
-    # nothing; the every-element reference flags the datum, and so does
-    # validate once the same group and form are given as raw data
+    # declare 1 where a generator acts by a nontrivial unit: close_group reads
+    # each generator's eigenvalues off its blocks on a factor torus and
+    # refuses the hand-built generator.  The same group with the wrong
+    # eigenvalues carried factorwise along the Cayley tree, given as raw
+    # data, fails validate as it fails the every-element reference
     d = get_entry(name).build()
     g = d.group.elements[d.group.gens[0]]
     k = next(k for k, z in enumerate(g.eigenvalues) if not z.is_one())
@@ -616,12 +627,29 @@ def test_wrong_generator_eigenvalue_fails_both_checks(name):
     gens = (AffineAut(g.linear, g.den, g.shift, eig),) + tuple(
         d.group.elements[i] for i in d.group.gens[1:]
     )
-    bad = HyperellipticDatum(d.torus, close_group(gens, d.torus), d.form)
-    reference = every_element_eigenvalue_violations(bad)
+    with pytest.raises(InconsistentEigenvalues, match="eigenvalues differ from the blocks' units"):
+        close_group(gens, d.torus)
+    eigenvalues = [d.group.elements[0].eigenvalues]
+    for parent, s in d.group.tree[1:]:
+        eigenvalues.append(tuple(x * y for x, y in zip(eigenvalues[parent], gens[s].eigenvalues)))
+    elements = tuple(AffineAut(e.linear, e.den, e.shift, z)
+                     for e, z in zip(d.group.elements, eigenvalues))
+    bad_group = ActionGroup(elements, d.group.edges, d.group.tree)
+    reference = every_element_eigenvalue_violations(HyperellipticDatum(d.torus, bad_group, d.form))
     assert reference
-    assert validate(bad).eigenvalue_violations == ()
-    raw = HyperellipticDatum(TorusDatum.raw(d.rank), bad.group, d.form)
+    raw = HyperellipticDatum(TorusDatum.raw(d.rank), bad_group, d.form)
     assert validate(raw).eigenvalue_violations == reference
+
+
+def test_hand_built_generator_off_the_unit_blocks_is_refused():
+    # a linear part that mixes two factors, or whose block is no unit, has no
+    # eigenvalues on the factors: close_group refuses it on a factor torus
+    torus = build_product_torus([EllipticFactor("generic"), EllipticFactor("generic")])
+    swap = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+    shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    for linear, message in ((swap, "not block-diagonal"), (shear, "not an automorphism")):
+        with pytest.raises(InvalidAutomorphism, match=message):
+            close_group([AffineAut(linear, 1, (0,) * 4, None)], torus)
 
 
 def builder_chains():

@@ -1,12 +1,11 @@
-"""Rationals become integers in one module, only listed functions name `Fraction`, and
-no float enters the library.
+"""Rationals become integers in one module, only listed functions name `Fraction`, only
+listed modules import `fractions`, and no float enters the library.
 
 Only `exactlin` reads `.numerator` or `.denominator`: every other library
-module hands rational matrices to `exactlin` (its scaler
-`over_common_denominator`, the Hermite solves and the singularity tests)
-instead of taking them apart itself.  The test walks each module's syntax
-tree and lists every attribute read of either name outside `exactlin`, with
-its line.
+module hands rational rows, as parsed, to `exactlin`'s scaler
+`over_common_denominator` instead of taking them apart itself.  The test
+walks each module's syntax tree and lists every attribute read of either
+name outside `exactlin`, with its line.
 
 No module divides with `/`, writes a float or complex literal or calls
 `float(`: a rational is an integer over a held denominator or a `Fraction`,
@@ -15,10 +14,13 @@ so no answer rests on floating point, even where a true division of two
 
 The functions that name `Fraction`, or a module-level alias of it such as
 `catalog.F`, are a fixed list: the places where a rational value is formed
-or read, each for a reason noted beside it.  Every other function works on
-integers over a held denominator, so a new rational round trip, such as a
-translation built as `Fraction`s only to be scaled straight back to
-integers, shows up as a new name on the list.
+or read, each for a reason noted beside it: a document is parsed, a report
+or a message is written, the catalog diffs a lattice in product
+coordinates.  Every other function, the whole Albanese pipeline and
+`exactlin` among them, works on integers over a held denominator, so a new
+rational round trip, such as a lattice vector built as `Fraction`s only to
+be scaled straight back to integers, shows up as a new name on the list.
+The modules that import `fractions` at all are a fixed list too.
 """
 
 import ast
@@ -50,6 +52,15 @@ def _floats(source: str):
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
             found.append((node.lineno, "float("))
     return sorted(found)
+
+
+def _imports_fractions(source: str) -> bool:
+    """Whether the source imports the `fractions` module or a name from it, anywhere."""
+    return any(
+        isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "fractions"
+        for node in ast.walk(ast.parse(source))
+    )
 
 
 def _rational_functions(source: str):
@@ -84,20 +95,15 @@ def _rational_functions(source: str):
 
 # each library function that names `Fraction`, and why
 RATIONAL_FUNCTIONS = [
-    "albanese.compute_K",  # P0 gen = S gen / |G|, reduced modulo Lambda_0
-    "albanese.decompose_cocycle",  # t0(g) = S shift / (|G| den), a Fraction vector
-    "albanese.compute_albanese",  # a basis of P0(Z^n): S's Hermite columns over |G|
     "catalog._factor_plane_diff",  # expected factor planes in product coordinates
     "documents.format_rational",  # a rational written for a report
     "documents.parse_rational",  # a rational read from a document
-    "exactlin.Sublattice.basis_vectors",  # the lattice's columns over its den
-    "exactlin.Sublattice.reduce_mod",  # a representative modulo the lattice
-    "exactlin.hermite_coords",  # the rational solve against Hermite columns
-    "exactlin.vec_is_integral",  # reads each entry's denominator
     "invariants._certified_integer",  # the non-integral count, in an error message
     "invariants.irregularity",  # the lattice irregularity, in an error message
     "torus.TorusDatum.to_product_coords",  # a lattice vector in product coordinates
 ]
+# the modules that import `fractions`: the owners of the functions above
+FRACTION_MODULES = ["catalog", "documents", "invariants", "torus"]
 
 
 def _library():
@@ -130,6 +136,11 @@ def test_only_the_listed_functions_name_fraction():
         for name in _rational_functions(path.read_text())
     ]
     assert found == sorted(RATIONAL_FUNCTIONS)
+
+
+def test_only_the_listed_modules_import_fractions():
+    found = [path.stem for path in _library() if _imports_fractions(path.read_text())]
+    assert found == FRACTION_MODULES
 
 
 def test_the_walk_sees_reads():
@@ -167,3 +178,13 @@ def test_the_walk_sees_fraction_names():
     # an alias is module-level only, and a name like `Fractional` is not `Fraction`
     source = "def f():\n    G = Fraction\ndef g(G):\n    return G(1)\ndef h():\n    Fractional()\n"
     assert _rational_functions(source) == ["f"]
+
+
+def test_the_walk_sees_fractions_imports():
+    # either import form, at module level or inside a function
+    assert _imports_fractions("from fractions import Fraction\n")
+    assert _imports_fractions("import fractions\n")
+    assert _imports_fractions("import math, fractions as f\n")
+    assert _imports_fractions("def f():\n    from fractions import Fraction\n")
+    # a relative import, another module or a name that merely contains the word is not
+    assert not _imports_fractions("from .fractions import x\nimport math\nfractions = 1\n")

@@ -20,7 +20,7 @@ from hyperelliptic.action import AffineAut, validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import CatalogEntry, get_entry
 from cyclo_reference import CycloNumber
-from helpers import factor_key, lam_basis, lattice_coords, torus_key
+from helpers import as_pair, factor_key, lam_basis, lattice_coords, torus_key
 from hyperelliptic.cyclotomic import CyclotomicInvariantError, RootOfUnity
 from hyperelliptic.exactlin import LatticeError, Sublattice, identity
 from hyperelliptic.invariants import invariants_report
@@ -77,10 +77,10 @@ class TestPlainClasses:
         factors = (EllipticFactor("generic"), EllipticFactor("generic"))
         t = build_product_torus(factors, [(F(1, 2), F(0), F(1, 2), F(0))])
         v = (F(1, 3), F(-2), F(5, 7), F(0))
-        assert t.to_product_coords(lattice_coords(t, v)) == v
+        assert t.to_product_coords(*as_pair(lattice_coords(t, v))) == v
         for j, column in enumerate(zip(*lam_basis(t))):
             e_j = tuple(F(int(i == j)) for i in range(t.rank))
-            assert t.to_product_coords(e_j) == column
+            assert t.to_product_coords(*as_pair(e_j)) == column
 
     def test_forms_and_factors_compare_by_value(self):
         matrix = ((F(0), F(1)), (F(-1), F(0)))

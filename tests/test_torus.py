@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    as_pair,
     factor_subspace_in_product_coords,
     index_over_product_lattice,
     lam_basis,
@@ -11,10 +12,11 @@ from helpers import (
     mat_inv,
     reference_mat_mul,
     ring_block,
+    scaled_mod1,
 )
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum, parse_vector
-from hyperelliptic.exactlin import Sublattice, identity, mat_mul, scaled_mod1, transpose
+from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
 from hyperelliptic.torus import (
     FACTOR_KINDS,
     AlternatingForm,
@@ -153,7 +155,7 @@ class TestBuildProductTorus:
         v = (F(1, 2), F(0), F(1, 2), F(0))
         w = lattice_coords(t, v)
         assert all(x.denominator == 1 for x in w)  # v is in Lambda
-        assert t.to_product_coords(w) == v
+        assert t.to_product_coords(*as_pair(w)) == v
 
 
 class TestStandardForm:
