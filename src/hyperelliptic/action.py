@@ -10,8 +10,8 @@ a new element's eigenvalues follow one rule per kind of datum (see
 close_group).  The group is its Cayley table: a generator is an element index
 (``ActionGroup.gens``), every product is read off the edges, element orders
 are walked once, on first use (``ActionGroup.orders``), and nothing looks an
-element up by value.  A derived group (an Albanese fiber)
-reads its parent's edges.
+element up by value.  A subgroup is read on its parent's table, and a derived
+group (an Albanese fiber, built only on descent) reads its parent's edges.
 Fixed-point existence is decided exactly by integer linear algebra: since
 the linear part and the translation are rational, a real fixed point exists
 iff a rational one does, so freeness results are certificates, not samples.
@@ -273,7 +273,8 @@ def close_group(
             raise LatticeNotPreserved("linear part must be integral on the lattice")
         eig = g.eigenvalues if torus.factors is None else factor_eigenvalues(torus, g.linear)
         if g.eigenvalues not in (None, eig):
-            raise InconsistentEigenvalues(f"eigenvalues differ from the blocks' units {eig}")
+            raise InconsistentEigenvalues(
+                f"eigenvalues differ from the blocks' units ({', '.join(map(str, eig))})")
         if not is_unimodular(g.linear):
             raise LatticeNotPreserved("linear part is not unimodular")
         table.setdefault(g.linear, eig)
@@ -483,10 +484,15 @@ def _check_eigenvalues(e: AffineAut, index: int) -> str | None:
                 expected[RootOfUnity.of(k, order)] = a
     if counts != expected:
         return (
-            f"element {index}: eigenvalues {sorted(counts.items())} do not match "
-            f"characteristic polynomial factors {sorted(expected.items())}"
+            f"element {index}: eigenvalues {_spell(counts)} do not match "
+            f"characteristic polynomial factors {_spell(expected)}"
         )
     return None
+
+
+def _spell(counts) -> str:
+    """Roots with their multiplicities in the document spelling, as {1: 2, i: 1}."""
+    return "{" + ", ".join(f"{z}: {m}" for z, m in sorted(counts.items())) + "}"
 
 
 def determinant(e: AffineAut) -> RootOfUnity:

@@ -10,7 +10,8 @@ Given X = A/G this computes, exactly and in lattice coordinates:
   * the subgroup H of elements whose V0-translation lies in K0,
   * the Albanese lattice Lambda_B (so Alb(X) = V0/Lambda_B) with the
     invariant factors of Lambda_B/Lambda_0,
-  * the Albanese fiber A1/H as a new datum, certified and classified.
+  * the Albanese fiber A1/H, classified from H's structure in G and, where
+    the recursion descends into it, written as a new certified datum.
 
 Every object is read through the group average of the linear parts,
 
@@ -47,7 +48,13 @@ Z^n meet V1 = Lambda_1, so P0 is injective on K, and so is I - P0.  A failed
 certificate raises PipelineInvariantError (NotASubgroup for H), which
 signals a bug rather than bad input.
 
-The fiber passes validation by theorem, as the datum did (h in H, basis B):
+The fiber A1/H is H acting faithfully (below) on A1: its class is H's
+structure, read on G's Cayley table (``classify_fiber``), and its canonical
+order comes off each h's eigenvalues less q ones, which must be 1.  Its
+datum, and the rewrite's certificates (saturation, lattice kept, distinct
+images, closure), are made only where ``run_pipeline(recurse=True)`` descends,
+never at q = 0; ``tests/test_certificates.py`` runs them and ``validate`` on
+every level.  The datum on basis B is valid by theorem (h in H):
 free: h has a w in Z^n with P0 w = t0(h), so tau(h) - w lies in V1 and is
   h's shift on A1 mod Lambda_1; a fixed point of h on A1 is one on A;
 faithful: M_h = I on V1 and on V0 makes h a translation of G, so h = 1
@@ -70,6 +77,7 @@ from .action import (
     rewrite_on_lattice,
     validate,
 )
+from .cyclotomic import RootOfUnity
 from .exactlin import (
     FiniteAbelianGroup,
     Sublattice,
@@ -143,10 +151,11 @@ class AlbaneseReport(NamedTuple):
     albanese_lattice: Sublattice
     albanese_isogeny_factors: tuple[int, ...]
     subgroup_h: tuple[int, ...]
-    fiber: HyperellipticDatum
     fiber_class: FiberClassification
+    fiber_canonical_order: int
     albanese_factor_indices: tuple[int, ...] | None
     fiber_factor_indices: tuple[int, ...] | None
+    fiber: HyperellipticDatum | None = None  # set, with fiber_report, where recursion descends
     fiber_report: "AlbaneseReport | None" = None
 
 
@@ -261,46 +270,12 @@ def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
     return lam_b, factors
 
 
-def _fiber_basis(d: HyperellipticDatum, lambda1: Sublattice):
-    """Integer basis columns of Lambda_1, factor-aligned if Lambda_1 is a product of factor planes.
+def fiber_eigenvalues(d: HyperellipticDatum, q: int, h_indices, factor_indices):
+    """Each h in H as (its index in G, its eigenvalues on A1), identity first.
 
-    The aligned columns are the lattice coordinates of the product coordinate
-    vectors of those factors, i.e. columns of lam_basis_inv; otherwise they are
-    the Hermite basis of Lambda_1, a kernel lattice, so over den 1.  Either
-    way they span Lambda_1 = Lambda meet V1, a saturated lattice.
+    They are h's on Lambda_1's factors, if it has them (``factor_indices``, in
+    factor order; h's must be 1 on the others), else all but its first q ones.
     """
-    indices = identify_factor_subspace(d.torus, lambda1)
-    if indices is None:
-        return lambda1.cols, None
-    return factor_plane_columns(d.torus, indices), indices
-
-
-def compute_fiber(
-    d: HyperellipticDatum,
-    dec: Decomposition,
-    h_indices,
-) -> tuple[HyperellipticDatum, tuple[int, ...] | None]:
-    """The fiber datum over the origin: A1 with the induced H-action, certified valid.
-
-    The fiber's lattice coordinates are the basis of Lambda_1 that
-    ``_fiber_basis`` returns: on a factor-aligned fiber, the product
-    coordinates of the fiber's factors; otherwise the Hermite basis of
-    Lambda_1.  Each h acts on A1 by (L M_h B, L tau(h) mod 1), for L the
-    integer left inverse of that basis B that ``rewrite_on_lattice`` reads
-    off one Hermite form: tau(h) is h's V1 shift tau(h) - w modulo Z^n, and L
-    maps Z^n into Z^rank(Lambda_1), so w is never formed.  A1/H is the
-    restriction of H to A1, so its group law is G's: each h goes to
-    ``rewrite_on_lattice`` with its index in G, and the fiber's products are
-    read off G's Cayley table, not closed again.  On a factor-aligned fiber h
-    keeps its eigenvalues on the fiber's factors, in factor order, and must
-    have eigenvalue 1 on the others; otherwise it drops the first q ones.
-    ``rewrite_on_lattice`` gives each h its own element, so the fiber's group
-    has order |H|, and its cached report is the passing one the module
-    docstring proves; ``quotient_by_translations`` then finds no translation
-    and returns the fiber unchanged.
-    """
-    cols, factor_indices = _fiber_basis(d, dec.lambda1)
-    q = dec.q
     members = []
     for i in h_indices:
         eig = d.group.elements[i].eigenvalues
@@ -312,20 +287,38 @@ def compute_fiber(
         if len(dropped) != q or not all(z.is_one() for z in dropped):
             raise PipelineInvariantError("element lacks eigenvalue 1 on the q Albanese directions")
         members.append((i, tuple(eig[k] for k in kept)))
-    factors = None if factor_indices is None else tuple(d.torus.factors[i] for i in factor_indices)
+    return tuple(members)
+
+
+def compute_fiber(d: HyperellipticDatum, dec: Decomposition, members, factor_indices):
+    """The fiber datum over the origin, A1 with H's action; built only on descent.
+
+    ``members`` are ``fiber_eigenvalues``'s pairs.  B, the basis of Lambda_1 =
+    Lambda meet V1, is the product coordinates of its factors (``factor_indices``,
+    columns of lam_basis_inv) if it has them, else its Hermite basis.  h acts
+    by (L M_h B, L tau(h) mod 1), for L the integer left inverse of B that
+    ``rewrite_on_lattice`` reads off one Hermite form, so h's V1 shift
+    tau(h) - w is never formed; products are read off G's table.  The group
+    has order |H|, and its cached report is the one the module docstring proves.
+    """
+    if factor_indices is None:
+        cols, factors = dec.lambda1.cols, None
+    else:
+        cols = factor_plane_columns(d.torus, factor_indices)
+        factors = tuple(d.torus.factors[i] for i in factor_indices)
     torus = TorusDatum(Sublattice.standard(len(cols)), factors)
     fiber = rewrite_on_lattice(d, cols, torus, members)
     fiber._report = ValidationReport(fiber.group.order, (), (), (), ())
-    return fiber, factor_indices
+    return fiber
 
 
-def _abelian_invariant_factors(group: ActionGroup) -> tuple[int, ...]:
-    """Invariant factors of a finite abelian group from its element orders.
+def _abelian_invariant_factors(orders) -> tuple[int, ...]:
+    """Invariant factors of a finite abelian group from its element orders, one per element.
 
     For each prime p, #{x : x^(p^k) = 1} = p^(s_k), and s_k - s_(k-1) counts
     the cyclic p-parts of order at least p^k.
     """
-    n = group.order
+    n = len(orders)
     factors = []  # largest first; entry j collects the j-th largest p-part of each p
     m = n
     p = 2
@@ -340,7 +333,7 @@ def _abelian_invariant_factors(group: ActionGroup) -> tuple[int, ...]:
         at_least = []  # at_least[k - 1]: cyclic p-parts of order at least p^k
         prev = 0
         for k in range(1, e + 1):
-            count = sum(1 for o in group.orders if p**k % o == 0)
+            count = sum(1 for o in orders if p**k % o == 0)
             s = 0
             while count % p == 0:
                 count //= p
@@ -358,16 +351,22 @@ def _abelian_invariant_factors(group: ActionGroup) -> tuple[int, ...]:
     return tuple(reversed(factors))
 
 
-def classify_fiber(fiber: HyperellipticDatum) -> FiberClassification:
-    """Abelian iff H is trivial, else H's structure: a fiber is faithful, so H is its holonomy."""
-    group = fiber.group
-    dim = fiber.dim
-    if group.order == 1:
+def classify_fiber(group: ActionGroup, h_indices, dim: int) -> FiberClassification:
+    """A1/H of dimension dim from H's structure, read on G's Cayley table.
+
+    A fiber is faithful, so its holonomy is H: abelian iff H is trivial.  H's
+    element orders are G's at its members; H is cyclic iff |H| is among them,
+    and abelian iff G is, or else iff its members commute in G.
+    """
+    if len(h_indices) == 1:
         return FiberClassification("abelian", dim, 1, True, (), (1,))
-    orders = tuple(sorted(group.orders))
-    cyclic = group.is_cyclic()
-    invariants = _abelian_invariant_factors(group) if group.is_abelian() else None
-    return FiberClassification("hyperelliptic", dim, group.order, cyclic, invariants, orders)
+    orders = tuple(sorted(group.orders[i] for i in h_indices))
+    cyclic = len(h_indices) in orders
+    pairs = ((a, b) for a in h_indices for b in h_indices if a < b)
+    abelian = group.is_abelian() or all(
+        group.compose_indices(a, b) == group.compose_indices(b, a) for a, b in pairs)
+    invariants = _abelian_invariant_factors(orders) if abelian else None
+    return FiberClassification("hyperelliptic", dim, len(h_indices), cyclic, invariants, orders)
 
 
 def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport:
@@ -385,9 +384,9 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
             f"|G| != |H| [G : H] or [G : H] |K| != [Lambda_B : Lambda_0] with"
             f" |H| = {len(h_indices)}, [G : H] = {h_index}"
         )
-    fiber, fiber_factor_indices = compute_fiber(d, dec, h_indices)
-    fiber = quotient_by_translations(fiber)
-    fiber_class = classify_fiber(fiber)
+    fiber_factor_indices = identify_factor_subspace(d.torus, dec.lambda1)
+    members = fiber_eigenvalues(d, dec.q, h_indices, fiber_factor_indices)
+    fiber_class = classify_fiber(d.group, h_indices, n - dec.q)
     if dec.q == n - 1 and d.group.order > 1 and not d.group.is_cyclic():
         raise PipelineInvariantError("irregularity n - 1 forces a cyclic group")
     if d.group.is_cyclic() and fiber_class.kind == "hyperelliptic" and not fiber_class.cyclic:
@@ -401,11 +400,12 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
         albanese_lattice=lam_b,
         albanese_isogeny_factors=factors,
         subgroup_h=h_indices,
-        fiber=fiber,
         fiber_class=fiber_class,
+        fiber_canonical_order=lcm(*(prod(e, start=RootOfUnity.one()).order for _, e in members)),
         albanese_factor_indices=alb_indices if alb_indices else None,
         fiber_factor_indices=fiber_factor_indices,
     )
-    if recurse and fiber_class.kind == "hyperelliptic" and fiber.dim < n:
-        report = report._replace(fiber_report=run_pipeline(fiber, recurse=True))
+    if recurse and fiber_class.kind == "hyperelliptic" and fiber_class.dim < n:
+        fiber = quotient_by_translations(compute_fiber(d, dec, members, fiber_factor_indices))
+        report = report._replace(fiber=fiber, fiber_report=run_pipeline(fiber, recurse=True))
     return report

@@ -71,7 +71,7 @@ def cmd_albanese(args) -> int:
     datum = _valid_datum(args.path)
     alb = run_pipeline(datum, recurse=args.recurse)
     payload = albanese_dict(alb, datum)
-    diag = canonical_report(canonical_order(datum), canonical_order(alb.fiber))
+    diag = canonical_report(canonical_order(datum), alb.fiber_canonical_order)
     payload["canonical"] = {
         "x_order": diag.x_canonical_order,
         "fiber_order": diag.fiber_canonical_order,

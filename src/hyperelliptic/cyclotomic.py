@@ -74,10 +74,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # roots of unity
 
+# the roots with a name in documents, as (k, order); any other is zeta<order>^<k>
+ROOT_SHORTHAND = {"1": (0, 1), "-1": (1, 2), "i": (1, 4), "-i": (3, 4)}
+
+
 class RootOfUnity(NamedTuple):
     """exp(2*pi*i * k / order), stored gcd-reduced so order is the actual order.
 
-    Roots compare and sort as the pair (k, order).
+    Roots compare and sort as the pair (k, order).  ``str`` gives the
+    document spelling that ``documents.parse_root_label`` reads.
     """
 
     k: int
@@ -104,3 +109,7 @@ class RootOfUnity(NamedTuple):
 
     def is_one(self) -> bool:
         return self.order == 1
+
+    def __str__(self) -> str:
+        name = next((label for label, z in ROOT_SHORTHAND.items() if z == self), None)
+        return name or f"zeta{self.order}" + (f"^{self.k}" if self.k != 1 else "")

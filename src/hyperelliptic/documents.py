@@ -24,7 +24,7 @@ from .action import (
     close_group,
 )
 from .albanese import AlbaneseReport
-from .cyclotomic import RootOfUnity
+from .cyclotomic import ROOT_SHORTHAND, RootOfUnity
 from .exactlin import Sublattice
 from .torus import (
     FACTOR_KINDS,
@@ -77,9 +77,6 @@ def format_vector(v, den: int = 1) -> list[str]:
     return [format_rational(x, den) for x in v]
 
 
-_ROOT_SHORTHAND = {"1": (0, 1), "-1": (1, 2), "i": (1, 4), "-i": (3, 4)}
-
-
 def _check_digit_count(text: str, what: str) -> None:
     """Name a run of digits past int()'s conversion limit by its length, not its digits.
 
@@ -101,8 +98,8 @@ def parse_root_label(text) -> RootOfUnity:
     if not isinstance(text, str):
         raise InputError(f"expected a root-of-unity label, got {text!r}")
     label = text.strip()
-    if label in _ROOT_SHORTHAND:
-        return RootOfUnity.of(*_ROOT_SHORTHAND[label])
+    if label in ROOT_SHORTHAND:
+        return RootOfUnity.of(*ROOT_SHORTHAND[label])
     if label.startswith("zeta"):
         body, caret, exp = label[4:].partition("^")
         if caret and not _is_ascii_digits(exp.removeprefix("-")):

@@ -52,7 +52,14 @@ routines, which the library runs on (den, integers) vectors: the references
 `Fraction` vectors, and `as_pair` and `basis_pairs` write them.
 `scaled_mod1`, `vec_is_integral` and `vec_sub` left the library with their
 last library readers.
-`three_curve_document` writes the documents of the fiber-basis sweep.
+`three_curve_document` writes the documents of the fiber-basis sweep, and
+`side_by_side` a builder document for copies of a variety side by side.
+`reference_classify_fiber` is the fiber's class read off the rewritten fiber
+datum's own group, the reference for `classify_fiber`'s reading of H on G's
+Cayley table.  `fiber_datum` builds a report's fiber datum as the recursion
+would, since the pipeline builds it only where the recursion descends, and
+`fiber_basis` is the basis that fiber is written in.  `pipeline_chain` walks
+the recursion, and `chain_data` adds each level's fiber datum to it.
 """
 
 from __future__ import annotations
@@ -62,8 +69,17 @@ from fractions import Fraction
 from math import lcm
 
 from conftest import bareiss_det
-from hyperelliptic.action import AffineAut, _check_eigenvalues
-from hyperelliptic.albanese import _fiber_basis, compute_A0, compute_K, group_sum
+from hyperelliptic.action import AffineAut, _check_eigenvalues, quotient_by_translations, validate
+from hyperelliptic.albanese import (
+    FiberClassification,
+    _abelian_invariant_factors,
+    compute_A0,
+    compute_fiber,
+    compute_K,
+    fiber_eigenvalues,
+    group_sum,
+    run_pipeline,
+)
 from hyperelliptic.exactlin import (
     FiniteAbelianGroup,
     LatticeError,
@@ -91,6 +107,7 @@ from hyperelliptic.oracle import (
     formula_level,
     oracle_fixed_points,
 )
+from hyperelliptic.torus import factor_plane_columns
 
 ORBIT_ENUMERATION_LIMIT = 500_000
 
@@ -471,11 +488,62 @@ def fiber_translations_match(d, report, shifts) -> bool:
     rational left inverse (B^T B)^-1 B^T: on span(B) every left inverse gives
     the B-coordinates, and this one needs neither integrality nor a saturated B.
     """
-    cols = _fiber_basis(d, report.decomposition.lambda1)[0]
+    cols = fiber_basis(d, report)
     left = reference_mat_mul(mat_inv(mat_mul(cols, transpose(cols))), cols)
     return all(
         (e.den, e.shift) == scaled_mod1(reference_mat_vec(left, shifts[i]))
-        for i, e in zip(report.subgroup_h, report.fiber.group.elements, strict=True)
+        for i, e in zip(report.subgroup_h, fiber_datum(d, report).group.elements, strict=True)
+    )
+
+
+def fiber_basis(d, report):
+    """The fiber basis B, columns in d's lattice coordinates, as ``compute_fiber`` chooses it."""
+    indices = report.fiber_factor_indices
+    if indices is None:
+        return report.decomposition.lambda1.cols
+    return factor_plane_columns(d.torus, indices)
+
+
+def fiber_datum(d, report):
+    """The fiber datum of d's Albanese report: the recursion's, else built as the recursion would.
+
+    ``run_pipeline`` builds the fiber only where ``recurse`` descends into it.
+    """
+    if report.fiber is not None:
+        return report.fiber
+    indices = report.fiber_factor_indices
+    members = fiber_eigenvalues(d, report.q, report.subgroup_h, indices)
+    return quotient_by_translations(compute_fiber(d, report.decomposition, members, indices))
+
+
+def pipeline_chain(d):
+    """(datum, report) for the datum and each fiber the recursion descends into."""
+    validate(d)
+    report = run_pipeline(d, recurse=True)
+    chain = [(d, report)]
+    while report.fiber_report is not None:
+        chain.append((report.fiber, report.fiber_report))
+        report = report.fiber_report
+    return chain
+
+
+def chain_data(d):
+    """A valid d and the fiber datum of each level of its recursion, the last one included."""
+    return [d] + [fiber_datum(x, report) for x, report in pipeline_chain(d)]
+
+
+def reference_classify_fiber(fiber) -> FiberClassification:
+    """The fiber's class read off the fiber datum's own group, as before H was read in G.
+
+    A fiber is faithful, so its group is its holonomy: abelian iff trivial.
+    """
+    group = fiber.group
+    if group.order == 1:
+        return FiberClassification("abelian", fiber.dim, 1, True, (), (1,))
+    orders = tuple(sorted(group.orders))
+    invariants = _abelian_invariant_factors(group.orders) if group.is_abelian() else None
+    return FiberClassification(
+        "hyperelliptic", fiber.dim, group.order, group.is_cyclic(), invariants, orders
     )
 
 
@@ -678,3 +746,19 @@ def three_curve_document(k_gen, translation):
             {"zetas": ["1", "-1", "1"], "translation": list(translation) + ["0"] * 4}
         ],
     }
+
+
+def side_by_side(doc, copies):
+    """A builder document for copies of doc's variety, each group acting on its own copy."""
+    f = len(doc["factors"])
+    generators = [
+        {
+            "zetas": ["1"] * (f * c) + g["zetas"] + ["1"] * (f * (copies - c - 1)),
+            "translation": ["0"] * (2 * f * c) + g["translation"]
+            + ["0"] * (2 * f * (copies - c - 1)),
+        }
+        for c in range(copies)
+        for g in doc["generators"]
+    ]
+    factors = [dict(x, label=f"{x['label']}.{c}") for c in range(copies) for x in doc["factors"]]
+    return {"mode": "builder", "factors": factors, "k_gens": [], "generators": generators}

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import basis_pairs, compose, element_index
+from helpers import basis_pairs, compose, element_index, fiber_datum
 from hyperelliptic.action import validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
@@ -152,7 +152,7 @@ def test_property_suite():
             dec = report.decomposition
             assert dec.k.order == dec.k0.order == dec.k1.order, name
             assert report.q + report.fiber_class.dim == report.dim, name
-            fiber_inv = invariants_report(report.fiber)
+            fiber_inv = invariants_report(fiber_datum(datum, report))
             assert inv.canonical_order % fiber_inv.canonical_order == 0, name
             if report.q == report.dim - 1:
                 assert datum.group.is_cyclic(), name

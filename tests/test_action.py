@@ -10,6 +10,7 @@ from helpers import (
     coset_has_fixed_point,
     coset_meets_lattice,
     element_index,
+    fiber_datum,
     members_of,
     scaled_mod1,
     vec_denominator,
@@ -324,8 +325,8 @@ class TestFixedPoints:
                 assert has_fixed_point(e) == coset_has_fixed_point(e)
             if validate(d).passed and d.group.order > 1:
                 report = run_pipeline(d)
-                if report.fiber.dim < d.dim:  # q > 0; at q = 0 the fiber is X again
-                    data.append(report.fiber)
+                if report.fiber_class.dim < d.dim:  # q > 0; at q = 0 the fiber is X again
+                    data.append(fiber_datum(d, report))
                     fibers += 1
         assert fibers > 20
 

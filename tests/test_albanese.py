@@ -10,6 +10,8 @@ from helpers import (
     contains,
     decomposition,
     element_index,
+    fiber_basis,
+    fiber_datum,
     fiber_translations_match,
     h_by_solve,
     lattice_coords,
@@ -24,8 +26,6 @@ from helpers import (
 )
 from hyperelliptic.action import validate
 from hyperelliptic.albanese import (
-    _fiber_basis,
-    classify_fiber,
     compute_H,
     compute_albanese,
     decompose_cocycle,
@@ -165,7 +165,7 @@ class TestCocycle:
         assert not any(shifts[0])
         report = run_pipeline(d)
         assert fiber_translations_match(d, report, shifts)
-        one = report.fiber.group.elements[0]
+        one = fiber_datum(d, report).group.elements[0]
         assert (one.den, any(one.shift)) == (1, False)
 
     def test_z4_generator_splits_on_base(self):
@@ -320,8 +320,9 @@ class TestFiberBasis:
         path.write_text(json.dumps(doc))
         d = build_datum(doc)
         validate(d)
-        lambda1 = run_pipeline(d).decomposition.lambda1
-        cols, indices = _fiber_basis(d, lambda1)
+        report = run_pipeline(d)
+        lambda1 = report.decomposition.lambda1
+        cols, indices = fiber_basis(d, report), report.fiber_factor_indices
         assert indices == (1,) and cols != lambda1.cols
         outputs = {}
         for command in ("check", "albanese", "invariants", "oracle"):
@@ -343,7 +344,7 @@ class TestFiberBasis:
                 valid += 1
                 report = run_pipeline(d, recurse=True)
                 lambda1 = report.decomposition.lambda1
-                cols, indices = _fiber_basis(d, lambda1)
+                cols, indices = fiber_basis(d, report), report.fiber_factor_indices
                 unaligned += indices is not None and cols != lambda1.cols
                 assert fixed_point_survey(d).passed
                 model = build_model(d, datum_denominator(d))

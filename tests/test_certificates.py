@@ -29,9 +29,15 @@ factor torus `validate` checks neither the form nor the eigenvalues, which
 hold by construction; the reference checks every element's eigenvalues and
 the form under every generator, on the same data, on the fiber-basis sweep
 and on every builder document of the output digest and each fiber of its
-recursion, while raw data still get every check.  Each fiber's report, which
-`compute_fiber` certifies by theorem, must equal `validate` of the fiber, on
-every level of those data and of two copies of `z2z2-threefold` side by side.
+recursion, while raw data still get every check.  The pipeline builds a
+fiber datum only where the recursion descends, which a counted
+`compute_fiber` checks; here every level's fiber is built (`fiber_datum`)
+and the rewrite's certificates run on it.  Its report, which `compute_fiber`
+certifies by theorem, must equal `validate` of it, and the class and
+canonical order the pipeline reads on G's Cayley table and off the kept
+eigenvalues must equal those read off it, on every level of those data and
+of two and three copies of `z2z2-threefold` side by side; every subgroup on
+two generators of three groups, D4 among them, is classified both ways too.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from helpers import (
     decomposition,
     every_element_eigenvalue_violations,
     factor_subspace_in_product_coords,
+    fiber_datum,
     fiber_translations_match,
     fixed_projector,
     form_complement,
@@ -60,8 +67,10 @@ from helpers import (
     lam_basis,
     mat_inv,
     model_actions,
+    pipeline_chain,
     proj0,
     projectors,
+    reference_classify_fiber,
     reference_coords_of,
     reference_mat_vec,
     reference_reduce_mod,
@@ -80,11 +89,11 @@ from hyperelliptic.action import (
     HyperellipticDatum,
     InconsistentEigenvalues,
     close_group,
-    quotient_by_translations,
     validate,
 )
 from hyperelliptic.albanese import (
     _abelian_invariant_factors,
+    classify_fiber,
     compute_A0,
     compute_H,
     decompose_cocycle,
@@ -103,7 +112,7 @@ from hyperelliptic.exactlin import (
     over_common_denominator,
     transpose,
 )
-from hyperelliptic.invariants import invariants_report
+from hyperelliptic.invariants import canonical_order, invariants_report
 from hyperelliptic.oracle import build_model, datum_denominator
 from hyperelliptic.torus import (
     AlternatingForm,
@@ -113,6 +122,7 @@ from hyperelliptic.torus import (
     build_product_torus,
     identify_factor_subspace,
 )
+from output_digest import STRESS_POINTS as DIGEST_STRESS_POINTS
 from output_digest import documents as digest_documents
 from test_cli import RAW_FORM_FLIP, RAW_INVOLUTION
 from test_closure_reference import z2z2_copies
@@ -138,17 +148,6 @@ def enumerate_k(d, dec):
         p0 = reference_mat_vec(projector, lift)
         out.append((lift, p0, vec_sub(lift, p0)))
     return out
-
-
-def pipeline_chain(d):
-    """(datum, report) for the datum and each fiber the recursion descends into."""
-    validate(d)
-    report = run_pipeline(d, recurse=True)
-    chain = [(d, report)]
-    while report.fiber_report is not None:
-        chain.append((report.fiber, report.fiber_report))
-        report = report.fiber_report
-    return chain
 
 
 def check_against_enumeration(d, report):
@@ -216,7 +215,7 @@ def subgroup_indices(group, gens) -> frozenset[int]:
 
 def check_invariant_factors(group):
     """p-primary counting against the divisor-count predicate it replaced."""
-    factors = _abelian_invariant_factors(group)
+    factors = _abelian_invariant_factors(group.orders)
     orders = group.orders
     product = 1
     for f in factors:
@@ -497,12 +496,63 @@ def test_factor_alignment_matches_product_coordinates(family):
 def test_certified_fiber_report_matches_validate(family):
     # compute_fiber gives each fiber a passing report by theorem, and the
     # pipeline no longer validates fibers; the full validate must agree
-    data = [z2z2_copies(2)] if family == "z2z2-x2" else projector_data(family)
+    data = fiber_levels(family)
     assert data
     for d in data:
-        for _, report in pipeline_chain(d):
-            certified = report.fiber._report  # read before validate replaces it
-            assert validate(report.fiber) == certified
+        for datum, report in pipeline_chain(d):
+            fiber = fiber_datum(datum, report)
+            certified = fiber._report  # read before validate replaces it
+            assert validate(fiber) == certified
+
+
+def fiber_levels(family):
+    """The data whose pipeline levels the fiber tests walk: a family, or copies of z2z2."""
+    if family.startswith("z2z2-x"):
+        return [z2z2_copies(int(family.removeprefix("z2z2-x")))]
+    return projector_data(family)
+
+
+@pytest.mark.parametrize(
+    "family", ["catalog", "stress", "sweep", "nonabelian", "base-change", "z2z2-x2", "z2z2-x3"]
+)
+def test_table_classification_matches_the_rewritten_fiber(family):
+    # classify_fiber reads H on G's Cayley table and the fiber's canonical
+    # order is read off the kept eigenvalues; the reference reads both off
+    # the fiber datum the rewrite builds, which the pipeline no longer
+    # builds unless the recursion descends
+    data = fiber_levels(family)
+    assert data
+    for d in data:
+        for datum, report in pipeline_chain(d):
+            fiber = fiber_datum(datum, report)
+            assert report.fiber_class == reference_classify_fiber(fiber)
+            assert report.fiber_canonical_order == canonical_order(fiber)
+
+
+def test_no_fiber_datum_unless_the_recursion_descends(monkeypatch):
+    calls = []
+    compute_fiber = albanese.compute_fiber
+
+    def counting(*args):
+        calls.append(args[0])
+        return compute_fiber(*args)
+
+    monkeypatch.setattr(albanese, "compute_fiber", counting)
+    stress = load_perfbench("stress")
+    data = [get_entry(name).build() for name in VALID_ENTRIES]
+    data += [build_datum(stress.stress_document(*p, 0)) for p in DIGEST_STRESS_POINTS]
+    for d in data:
+        validate(d)
+        run_pipeline(d)
+    copies = z2z2_copies(3)
+    validate(copies)
+    assert run_pipeline(copies, recurse=True).fiber is None
+    assert calls == []
+    for name in ("z4-threefold", "zmzm-threefold-m2", "zmzm-threefold-m3"):
+        calls.clear()
+        chain = pipeline_chain(get_entry(name).build())
+        assert len(calls) == len(chain) - 1 > 0
+        assert calls == [x for x, _ in chain[:-1]]
 
 
 def test_factor_alignment_matches_product_coordinates_on_the_sweep():
@@ -540,7 +590,7 @@ def test_invariant_factors_match_divisor_counts(name):
     d = get_entry(name).build()
     groups = [d.group]
     if not get_entry(name).expect_invalid:
-        groups += [quotient_by_translations(r.fiber).group for _, r in pipeline_chain(d)]
+        groups += [fiber_datum(x, r).group for x, r in pipeline_chain(d)]
     pairs = itertools.combinations(range(d.group.order), 2)
     for members in {subgroup_indices(d.group, pair) for pair in pairs}:
         elements = tuple(d.group.elements[i] for i in sorted(members))
@@ -548,6 +598,24 @@ def test_invariant_factors_match_divisor_counts(name):
     for group in groups:
         if group.order > 1 and group.is_abelian():
             check_invariant_factors(group)
+
+
+@pytest.mark.parametrize("name", ["d4-threefold", "z2z2-threefold", "zmzm-threefold-m3"])
+def test_subgroups_classified_on_the_table_match_their_own_closure(name):
+    # H <= G read on G's table against H closed on its own, for every
+    # subgroup on at most two generators: the D4 threefold's include abelian
+    # subgroups of a nonabelian group, and the group itself
+    d = build_datum(D4_THREEFOLD) if name == "d4-threefold" else get_entry(name).build()
+    pairs = itertools.combinations(range(d.group.order), 2)
+    kinds = set()
+    for members in {subgroup_indices(d.group, pair) for pair in pairs}:
+        h = tuple(sorted(members))
+        own = close_group([d.group.elements[i] for i in h[1:]], d.torus)
+        reference = reference_classify_fiber(HyperellipticDatum(d.torus, own, d.form))
+        assert classify_fiber(d.group, h, d.dim) == reference
+        kinds.add((reference.cyclic, reference.holonomy_invariant_factors is None))
+    nonabelian = {(False, True)} if name == "d4-threefold" else set()
+    assert kinds == {(True, False), (False, False)} | nonabelian
 
 
 def assert_eigenvalue_check_matches_every_element(d):

@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 
 import hyperelliptic
-from hyperelliptic.action import MAX_CLOSURE_CAP, MAX_RANK
+from hyperelliptic.action import (
+    MAX_CLOSURE_CAP,
+    MAX_RANK,
+    AffineAut,
+    InconsistentEigenvalues,
+    close_group,
+)
 from hyperelliptic.catalog import get_entry
 from hyperelliptic.cli import main
 from hyperelliptic.documents import (
@@ -569,6 +575,40 @@ class TestRawEigenvalueDeclarations:
             assert payload["failures"] == [failure]
         else:
             assert failure in err
+
+
+class TestRootSpelling:
+    """Messages name a root of unity as documents spell it: 1, -1, i, -i or zeta<n>^<k>."""
+
+    def test_every_root_of_order_at_most_24_reads_back(self):
+        for z in {RootOfUnity.of(k, n) for n in range(1, 25) for k in range(n)}:
+            assert parse_root_label(str(z)) == z
+        named = [RootOfUnity.of(k, n) for k, n in ((0, 1), (1, 2), (1, 4), (3, 4), (1, 3), (5, 6))]
+        assert list(map(str, named)) == ["1", "-1", "i", "-i", "zeta3", "zeta6^5"]
+
+    def test_unit_of_another_kind(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(with_generator(BUILDER_SHIFT, zetas=["i", "-1"])))
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 2
+        assert err == "invalid datum: i is not an automorphism of a generic factor\n"
+
+    def test_declared_eigenvalues_off_the_blocks(self):
+        d = get_entry("z4-threefold").build()
+        g = d.group.elements[d.group.gens[0]]
+        ones = (RootOfUnity.one(),) * len(g.eigenvalues)
+        with pytest.raises(InconsistentEigenvalues) as info:
+            close_group([AffineAut(g.linear, g.den, g.shift, ones)], d.torus)
+        assert str(info.value) == "eigenvalues differ from the blocks' units (1, -1, i)"
+
+    def test_eigenvalues_off_the_characteristic_polynomial(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(with_generator(RAW_INVOLUTION, eigenvalues=["i"])))
+        code, out, _ = run_cli(["check", str(path), "--format", "json"], capsys)
+        assert code == 2
+        assert "RootOfUnity(" not in out
+        assert ("element 1: eigenvalues {i: 1, -i: 1} do not match characteristic "
+                "polynomial factors {-1: 2}") in json.loads(out)["failures"]
 
 
 class TestEntryKeys:

@@ -23,7 +23,16 @@ import json
 import pytest
 
 from conftest import load_perfbench
-from helpers import compose, element_index, lam_basis, mat_inv, reference_mat_mul
+from helpers import (
+    chain_data,
+    compose,
+    element_index,
+    fiber_datum,
+    lam_basis,
+    mat_inv,
+    reference_mat_mul,
+    side_by_side,
+)
 import hyperelliptic.action
 import hyperelliptic.albanese
 from hyperelliptic.action import affine_identity, close_group, validate
@@ -39,14 +48,7 @@ STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8))
 
 def data_of(d):
     """d and, when d is valid, the fiber of each datum its recursion visits."""
-    out = [d]
-    if not validate(d).passed:
-        return out
-    report = run_pipeline(d, recurse=True)
-    while report is not None:
-        out.append(report.fiber)
-        report = report.fiber_report
-    return out
+    return chain_data(d) if validate(d).passed else [d]
 
 
 def catalog_data(name):
@@ -55,22 +57,6 @@ def catalog_data(name):
 
 def stress_data(point):
     return data_of(build_datum(load_perfbench("stress").stress_document(*point, 0)))
-
-
-def side_by_side(doc, copies):
-    """A builder document for copies of doc's variety, each group acting on its own copy."""
-    f = len(doc["factors"])
-    generators = [
-        {
-            "zetas": ["1"] * (f * c) + g["zetas"] + ["1"] * (f * (copies - c - 1)),
-            "translation": ["0"] * (2 * f * c) + g["translation"]
-            + ["0"] * (2 * f * (copies - c - 1)),
-        }
-        for c in range(copies)
-        for g in doc["generators"]
-    ]
-    factors = [dict(x, label=f"{x['label']}.{c}") for c in range(copies) for x in doc["factors"]]
-    return {"mode": "builder", "factors": factors, "k_gens": [], "generators": generators}
 
 
 def z2z2_copies(copies):
@@ -186,7 +172,7 @@ def test_two_z2z2_copies_have_h_everything():
     d = z2z2_copies(2)
     report = run_pipeline(d, recurse=True)
     assert (d.group.order, d.rank, report.q) == (16, 12, 0)
-    assert report.fiber.group.order == 16
+    assert fiber_datum(d, report).group.order == 16
 
 
 # q = 1 on e2; H = <g1> acts on the fiber e0 x e1 by (z0 + 1/2, -z1).  Dropping
@@ -213,7 +199,7 @@ def test_fiber_eigenvalues_are_in_factor_order(tmp_path, capsys):
     assert report.albanese_factor_indices == (2,)
     assert report.subgroup_h == (0, 1)
     one, minus = RootOfUnity.one(), RootOfUnity.of(1, 2)
-    fiber = report.fiber.group
+    fiber = fiber_datum(d, report).group
     assert [fiber.elements[i].eigenvalues for i in fiber.gens] == [(one, minus)]
 
     path = tmp_path / "fiber-order.json"

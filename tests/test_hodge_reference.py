@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import cyclo_reference as ref
 from conftest import load_perfbench
+from helpers import chain_data
 from hyperelliptic.action import validate
-from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cyclotomic import NonRational, RootOfUnity
 from hyperelliptic.documents import build_datum
@@ -41,17 +41,6 @@ STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8), (3, 4, 2))
 VALID_ENTRIES = [name for name in list_entries() if not get_entry(name).expect_invalid]
 
 
-def datum_and_fibers(d):
-    """The datum and the fiber of every Albanese report the recursion produces."""
-    validate(d)
-    data = [d]
-    report = run_pipeline(d, recurse=True)
-    while report is not None:
-        data.append(report.fiber)
-        report = report.fiber_report
-    return data
-
-
 def assert_matches_reference(d):
     assert hodge_diamond(d) == ref.hodge_diamond(d)
     assert irregularity(d, hodge_diamond(d)) == ref.irregularity(d)
@@ -59,7 +48,7 @@ def assert_matches_reference(d):
 
 @pytest.mark.parametrize("name", VALID_ENTRIES)
 def test_catalog_matches_reference(name):
-    for d in datum_and_fibers(get_entry(name).build()):
+    for d in chain_data(get_entry(name).build()):
         assert_matches_reference(d)
 
 

@@ -21,6 +21,7 @@ from helpers import (
     as_pair,
     basis_vectors,
     generator_vectors,
+    pipeline_chain,
     proj0,
     rational,
     reference_coords_of,
@@ -45,7 +46,6 @@ from hyperelliptic.exactlin import (
     transpose,
 )
 from output_digest import documents as digest_documents
-from test_certificates import pipeline_chain
 
 FRACTIONS = st.fractions(-3, 3, max_denominator=6)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import fiber_datum
 from hyperelliptic.action import HyperellipticDatum, close_group, validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
@@ -188,18 +189,19 @@ class TestReports:
         for k in range(1, 8):
             d = datum_of(f"bielliptic-{k}")
             report = run_pipeline(d)
-            diag = canonical_report(canonical_order(d), canonical_order(report.fiber))
+            diag = canonical_report(canonical_order(d), canonical_order(fiber_datum(d, report)))
             assert diag.fiber_canonical_order == 1
             assert diag.pulled_back_from_albanese
 
     def test_pullback_diagnostic_z4(self):
         d = datum_of("z4-threefold")
         report = run_pipeline(d)
-        diag = canonical_report(canonical_order(d), canonical_order(report.fiber))
+        fiber = fiber_datum(d, report)
+        diag = canonical_report(canonical_order(d), canonical_order(fiber))
         assert diag.x_canonical_order == 4
         assert diag.fiber_canonical_order == 2
         assert diag.x_canonical_order == invariants_report(d).canonical_order
-        assert diag.fiber_canonical_order == invariants_report(report.fiber).canonical_order
+        assert diag.fiber_canonical_order == invariants_report(fiber).canonical_order
         assert not diag.pulled_back_from_albanese
 
     def test_fiber_order_divides_across_catalog(self):
@@ -210,7 +212,7 @@ class TestReports:
             d = entry.build()
             validate(d)
             report = run_pipeline(d)
-            x_order, fiber_order = canonical_order(d), canonical_order(report.fiber)
+            x_order, fiber_order = canonical_order(d), canonical_order(fiber_datum(d, report))
             diag = canonical_report(x_order, fiber_order)
             assert x_order % fiber_order == 0
             assert diag.pulled_back_from_albanese == (fiber_order == 1)
@@ -219,4 +221,4 @@ class TestReports:
         d = datum_of("z4-threefold")
         report = run_pipeline(d)
         with pytest.raises(DivisibilityViolation):  # deliberately swapped
-            canonical_report(canonical_order(report.fiber), canonical_order(d))
+            canonical_report(canonical_order(fiber_datum(d, report)), canonical_order(d))

@@ -7,9 +7,14 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import load_perfbench
-from helpers import all_exhaustive, direct_fixed_points, orbits, two_branch_survey
+from helpers import (
+    all_exhaustive,
+    direct_fixed_points,
+    orbits,
+    pipeline_chain,
+    two_branch_survey,
+)
 from output_digest import STRESS_POINTS
-from test_certificates import pipeline_chain
 from hyperelliptic.action import HyperellipticDatum, close_group, validate
 from hyperelliptic.albanese import PipelineInvariantError, run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
