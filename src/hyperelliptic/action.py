@@ -29,7 +29,6 @@ from .exactlin import (
     is_unimodular,
     mat_mul,
     mat_vec,
-    over_common_denominator,
     reduced_mod1,
     transpose,
 )
@@ -325,7 +324,7 @@ def factor_eigenvalues(torus: TorusDatum, linear) -> tuple:
     return tuple(factor_block_eigenvalue(f, block) for f, block in zip(torus.factors, blocks))
 
 
-def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) -> AffineAut:
+def affine_from_factor_action(torus: TorusDatum, blocks, translation) -> AffineAut:
     """Build a generator from per-factor 2x2 blocks and a product-coordinate translation.
 
     The block-diagonal B is rewritten in lattice coordinates as lam_basis_inv
@@ -334,9 +333,9 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) ->
     LatticeNotPreserved is raised.  The generator declares no eigenvalues:
     ``close_group`` reads them off its blocks, so a block that is no unit's
     entry in its factor kind's table is refused there.
-    The translation t = w / d in product coordinates is carried in integers:
-    its lattice coordinates are lam_basis_inv w / d, reduced mod 1 to their
-    least denominator.
+    The translation t = w / d in product coordinates is given as (d, w), the
+    shape of an element's (den, shift): its lattice coordinates are
+    lam_basis_inv w / d, reduced mod 1 to their least denominator.
     """
     if torus.factors is None:
         raise LatticeNotPreserved("factor actions need a torus with factor provenance")
@@ -351,15 +350,16 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation_product) ->
     if any(x % den for row in scaled for x in row):
         raise LatticeNotPreserved("linear part does not preserve the enlarged lattice")
     linear = tuple(tuple(x // den for x in row) for row in scaled)
-    d, (w,) = over_common_denominator((translation_product,))
+    d, w = translation
     return AffineAut(linear, *reduced_mod1(d, mat_vec(torus.lam_basis_inv, w)), None)
 
 
 def affine_raw(linear, translation, eigenvalues) -> AffineAut:
-    """Raw-mode generator: integer matrix, lattice-coordinate translation, declared eigenvalues."""
-    linear = tuple(tuple(int(x) for x in row) for row in linear)
-    d, (w,) = over_common_denominator((translation,))
-    return AffineAut(linear, *reduced_mod1(d, w), tuple(eigenvalues))
+    """Raw-mode generator: integer matrix, lattice-coordinate translation (d, w), eigenvalues.
+
+    The matrix is taken as given: ``close_group`` refuses an entry that is not an integer.
+    """
+    return AffineAut(tuple(map(tuple, linear)), *reduced_mod1(*translation), tuple(eigenvalues))
 
 
 def has_fixed_point(a: AffineAut) -> bool:

@@ -50,17 +50,14 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Mapping
-from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .action import HyperellipticDatum, validate
 from .albanese import _abelian_invariant_factors, run_pipeline
-from .documents import build_datum
-from .exactlin import Sublattice
+from .documents import build_datum, format_vector, parse_vector
+from .exactlin import Sublattice, common_denominator
 from .invariants import invariants_report
-
-F = Fraction
 
 
 class UnknownEntry(KeyError):
@@ -123,21 +120,22 @@ def _factor_plane_diff(datum: HyperellipticDatum, factor_index: int, plane_vecto
     """The diff of two lattices in product coordinates, or None when they are equal.
 
     The expected lattice is spanned by ``plane_vectors``, pairs (coefficient
-    of 1, coefficient of tau) on one factor's plane; the actual one by
-    ``vectors``, given in the datum's lattice coordinates as (den, integers).
+    of 1, coefficient of tau) on one factor's plane, read as a document's
+    vectors are; the actual one by ``vectors``, given in the datum's lattice
+    coordinates as (den, integers).
     """
-    rank = datum.torus.rank
-    expected = []
-    for v in plane_vectors:
-        col = [F(0)] * rank
-        col[2 * factor_index], col[2 * factor_index + 1] = F(v[0]), F(v[1])
-        expected.append(tuple(col))
+    rank, i = datum.torus.rank, 2 * factor_index
+    expected = [parse_vector([0] * i + list(v) + [0] * (rank - i - 2), rank) for v in plane_vectors]
     actual = [datum.torus.to_product_coords(den, v) for den, v in vectors]
-    if Sublattice.from_rat_columns(rank, expected) == Sublattice.from_rat_columns(rank, actual):
+    expected_lattice, actual_lattice = (
+        Sublattice.from_int_columns(rank, cols, den)
+        for den, cols in map(common_denominator, (expected, actual))
+    )
+    if expected_lattice == actual_lattice:
         return None
     return {
-        "expected": [[str(x) for x in v] for v in expected],
-        "actual": [[str(x) for x in v] for v in actual],
+        "expected": [format_vector(*v) for v in expected],
+        "actual": [format_vector(*v) for v in actual],
     }
 
 
@@ -217,7 +215,7 @@ def run_entry(name: str) -> dict:
         problem = _factor_plane_diff(
             datum,
             factor_index,
-            [(1, 0), (0, 1), *gens],
+            [[1, 0], [0, 1], *gens],
             [(lam0.den, c) for c in lam0.cols] + list(alb.decomposition.k0.generators),
         )
         if problem:

@@ -2,8 +2,11 @@
 
 All numbers on the wire are exact rationals written as strings "p/q" in
 lowest terms ("p" when the denominator is 1); no floating point exists in the
-format.  Serialization is byte-deterministic for a fixed input: dictionaries
-are built in canonical order and dumped with sorted keys.
+format.  Only `parse_rational` forms a `Fraction`: a vector leaves the parser
+as (den, integers) over its least den, so the library takes no rational, and
+reports write it back with `exactlin.format_rational`.  Serialization is
+byte-deterministic for a fixed input: dictionaries are built in canonical
+order and dumped with sorted keys.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .action import (
 )
 from .albanese import AlbaneseReport
 from .cyclotomic import ROOT_SHORTHAND, RootOfUnity
-from .exactlin import Sublattice
+from .exactlin import Sublattice, common_denominator, format_rational, over_common_denominator
 from .torus import (
     FACTOR_KINDS,
     AlternatingForm,
@@ -60,20 +63,18 @@ def parse_rational(text) -> Fraction:
         raise InputError(f"bad rational {text!r}: {exc}") from None
 
 
-def format_rational(x, den: int = 1) -> str:
-    return str(Fraction(x, den))
-
-
-def parse_vector(items, length: int | None = None):
+def parse_vector(items, length: int) -> tuple[int, tuple[int, ...]]:
+    """A list of rationals as (den, integers), den the least that makes them integral."""
     if not isinstance(items, list):
         raise InputError(f"expected a list of rationals, got {items!r}")
     v = tuple(parse_rational(x) for x in items)
-    if length is not None and len(v) != length:
+    if len(v) != length:
         raise InputError(f"expected {length} coordinates, got {len(v)}")
-    return v
+    den, (scaled,) = over_common_denominator((v,))
+    return den, tuple(scaled)
 
 
-def format_vector(v, den: int = 1) -> list[str]:
+def format_vector(den: int, v) -> list[str]:
     return [format_rational(x, den) for x in v]
 
 
@@ -175,7 +176,7 @@ def _build_builder(doc) -> HyperellipticDatum:
         raise InputError(
             f"factors: {len(factors)} factors give rank {rank}, over the maximum {MAX_RANK}"
         )
-    k_gens = [parse_vector(v, rank) for v in _list(doc, "k_gens")]
+    k_gens = common_denominator([parse_vector(v, rank) for v in _list(doc, "k_gens")])
     torus = build_product_torus(factors, k_gens)
     generators = []
     for k, spec in enumerate(_list(doc, "generators")):
@@ -212,7 +213,7 @@ def _build_raw(doc) -> HyperellipticDatum:
     form_rows = doc["form"]
     if not isinstance(form_rows, list) or len(form_rows) != rank:
         raise InputError(f"form must be a {rank}x{rank} matrix")
-    form = AlternatingForm(tuple(parse_vector(row, rank) for row in form_rows))
+    form = AlternatingForm(common_denominator([parse_vector(row, rank) for row in form_rows])[1])
     torus = TorusDatum.raw(rank)
 
     def parse_element(spec, where):
@@ -303,9 +304,9 @@ def _lattice_dict(lat: Sublattice, torus: TorusDatum) -> dict:
     return {
         "ambient_rank": lat.ambient_rank,
         "rank": lat.rank,
-        "basis": [format_vector(c, lat.den) for c in lat.cols],
+        "basis": [format_vector(lat.den, c) for c in lat.cols],
         "basis_product_coords": [
-            format_vector(torus.to_product_coords(lat.den, c)) for c in lat.cols
+            format_vector(*torus.to_product_coords(lat.den, c)) for c in lat.cols
         ],
     }
 
@@ -314,9 +315,9 @@ def _group_dict(group, torus: TorusDatum) -> dict:
     return {
         "invariant_factors": list(group.invariant_factors),
         "order": group.order,
-        "generators": [format_vector(g, den) for den, g in group.generators],
+        "generators": [format_vector(*g) for g in group.generators],
         "generators_product_coords": [
-            format_vector(torus.to_product_coords(den, g)) for den, g in group.generators
+            format_vector(*torus.to_product_coords(*g)) for g in group.generators
         ],
     }
 

@@ -7,11 +7,11 @@ pair (den, integers) and a lattice is integer columns over one den, the
 column-style Hermite form of all its generators reduced at once; the form
 is unique, so equal lattices compare equal.
 
-No other module reads a `.numerator` or a `.denominator`: rationals parsed
-from a document become integers here, by `over_common_denominator`, and
-from then on every vector is integers over a held denominator, taken mod 1
-by `reduced_mod1` and put over one with others by `common_denominator`;
-`mat_mul` and `mat_vec` are the integer products.
+No other module reads a `.numerator` or a `.denominator`: the parser's
+rationals become integers here, by `over_common_denominator`, and from then
+on every vector is integers over a held denominator, taken mod 1 by
+`reduced_mod1`, put over one with others by `common_denominator` and written
+by `format_rational`; `mat_mul` and `mat_vec` are the integer products.
 The Hermite form (Cohen, GTM 138, 2.4) answers the integer questions.  One
 column Hermite form (h, v) of m has two readers: `hermite_kernel` (the
 kernel of m) and `hermite_coords` (coordinates against h's pivot columns,
@@ -71,6 +71,12 @@ def least_denominator(den: int, scaled) -> tuple[int, tuple[int, ...]]:
     """(den, scaled) with gcd(den, *scaled) divided out: the least denominator of scaled / den."""
     c = gcd(den, *scaled)
     return den // c, tuple(x // c for x in scaled)
+
+
+def format_rational(x: int, den: int) -> str:
+    """x / den in lowest terms as "p/q", or "p" when q is 1, as str(Fraction(x, den)) writes it."""
+    c = gcd(x, den)
+    return str(x // c) if den == c else f"{x // c}/{den // c}"
 
 
 def common_denominator(vectors) -> tuple[int, list[tuple[int, ...]]]:
@@ -240,14 +246,6 @@ class Sublattice(NamedTuple):
         kept = tuple(c for c in transpose(h) if any(c))
         c = gcd(den, *(x for col in kept for x in col))
         return Sublattice(ambient_rank, den // c, tuple(tuple(x // c for x in col) for col in kept))
-
-    @staticmethod
-    def from_rat_columns(ambient_rank: int, vectors) -> "Sublattice":
-        for v in vectors:
-            if len(v) != ambient_rank:
-                raise LatticeError("vector length does not match ambient rank")
-        den, cols = over_common_denominator(vectors)
-        return Sublattice.from_int_columns(ambient_rank, cols, den)
 
     @staticmethod
     def standard(n: int) -> "Sublattice":

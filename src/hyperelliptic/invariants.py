@@ -19,7 +19,6 @@ determinant character, on which translations act trivially.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
@@ -29,6 +28,7 @@ from .cyclotomic import (
     cyclotomic_polynomial,
     poly_divmod_exact,
 )
+from .exactlin import format_rational
 
 __all__ = [
     "HodgeDiamond",
@@ -140,7 +140,7 @@ def _certified_integer(cell, conductor: int, order: int, what: str) -> int:
         raise NonRational(f"{what} is not rational: remainder {rem} mod Phi_{conductor}")
     total = rem[0] if rem else 0
     if total < 0 or total % order:
-        raise Inconsistent(f"{what} is not a nonnegative integer: {Fraction(total, order)}")
+        raise Inconsistent(f"{what} is not a nonnegative integer: {format_rational(total, order)}")
     return total // order
 
 
@@ -155,7 +155,7 @@ def irregularity(d: HyperellipticDatum, diamond: HodgeDiamond) -> int:
     if traces != 2 * q * d.group.order:
         raise Inconsistent(
             f"character irregularity {q} != lattice irregularity "
-            f"{Fraction(traces, 2 * d.group.order)}"
+            f"{format_rational(traces, 2 * d.group.order)}"
         )
     return q
 

@@ -16,12 +16,12 @@ is looked up and its unit found by reading the table backwards.  Generic
 periods tau are formal: only +-1 acts on a generic factor, so its blocks
 are integral for every tau in the upper half-plane.
 `to_product_coords`, which writes a lattice-coordinate vector in product
-coordinates for reports, is the one place the module forms a rational.
+coordinates for reports, returns it as (den, integers) like every other
+vector, so the module forms no rational.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import RootOfUnity
@@ -30,9 +30,9 @@ from .exactlin import (
     Sublattice,
     identity,
     is_singular,
+    least_denominator,
     mat_mul,
     mat_vec,
-    over_common_denominator,
     transpose,
 )
 
@@ -110,7 +110,7 @@ def factor_block_eigenvalue(f: EllipticFactor, block) -> RootOfUnity:
 
 
 class AlternatingForm:
-    """Nondegenerate antisymmetric Gram matrix in lattice coordinates, over its lcm denominator."""
+    """Nondegenerate antisymmetric integer Gram matrix on the lattice, up to a positive scalar."""
 
     __slots__ = ("matrix",)
 
@@ -118,7 +118,7 @@ class AlternatingForm:
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise DegenerateForm("form matrix must be square")
-        matrix = tuple(map(tuple, over_common_denominator(matrix)[1]))
+        matrix = tuple(map(tuple, matrix))
         if any(matrix[i][j] != -matrix[j][i] for i in range(n) for j in range(n)):
             raise DegenerateForm("form matrix must be antisymmetric")
         if is_singular(matrix):
@@ -163,24 +163,24 @@ class TorusDatum:
     def dim(self) -> int:
         return self.rank // 2
 
-    def to_product_coords(self, den: int, v):
-        d = den * self.lattice.den
-        return tuple(Fraction(x, d) for x in mat_vec(transpose(self.lattice.cols), v))
+    def to_product_coords(self, den: int, v) -> tuple[int, tuple[int, ...]]:
+        """The product coordinates of v / den as (least den, integers)."""
+        return least_denominator(den * self.lattice.den, mat_vec(transpose(self.lattice.cols), v))
 
     @staticmethod
     def raw(rank: int) -> "TorusDatum":
         return TorusDatum(Sublattice.standard(rank))
 
 
-def build_product_torus(factors, k_gens=()) -> TorusDatum:
-    """Lambda = Z^2n + Z*k_gens over the product of the given elliptic factors."""
+def build_product_torus(factors, k_gens=(1, ())) -> TorusDatum:
+    """Lambda = Z^2n + Z*k_gens over the elliptic factors, k_gens given as (den, integer rows)."""
     factors = tuple(factors)
     rank = 2 * len(factors)
-    gens = tuple(map(tuple, k_gens))
-    for g in gens:
-        if len(g) != rank:
-            raise ValueError("k generator length must be 2 * number of factors")
-    return TorusDatum(Sublattice.from_rat_columns(rank, identity(rank) + gens), factors)
+    den, rows = k_gens
+    if any(len(g) != rank for g in rows):
+        raise ValueError("k generator length must be 2 * number of factors")
+    cols = [tuple(den * x for x in e) for e in identity(rank)] + list(rows)
+    return TorusDatum(Sublattice.from_int_columns(rank, cols, den), factors)
 
 
 def standard_form(t: TorusDatum) -> AlternatingForm:

@@ -49,11 +49,21 @@ and `reference_quotient_group` are the `Fraction` forms of the lattice
 routines, which the library runs on (den, integers) vectors: the references
 `tests/test_integer_lattices.py` checks them against.  `rational`,
 `basis_vectors`, `generator_vectors` and `t0_vectors` read such vectors as
-`Fraction` vectors, and `as_pair` and `basis_pairs` write them.
+`Fraction` vectors, and `as_pair` and `basis_pairs` write them: the tests
+hand the library a rational vector as `as_pair` writes it, and rational rows
+(k generators, a form) as `over_common_denominator` writes them, since the
+library's constructors take integers only, as a parsed document gives them.
+`from_rat_columns`, the lattice of rational vectors, left the library with
+its last library caller, when the parser began to hand `build_product_torus`
+integer rows: it is the reference the tests build expected lattices with.
 `scaled_mod1`, `vec_is_integral` and `vec_sub` left the library with their
 last library readers.
-`three_curve_document` writes the documents of the fiber-basis sweep, and
-`side_by_side` a builder document for copies of a variety side by side.
+`three_curve_document` writes the documents of the fiber-basis sweep,
+`side_by_side` a builder document for copies of a variety side by side, and
+`raw_document` a datum as a raw document that lists every element.
+`conjugated` writes a datum in another lattice basis, one that `base_change`
+gives: the tests' metamorphic family, and a fiber that is not aligned with
+the factors for `tests/output_digest.py`.
 `reference_classify_fiber` is the fiber's class read off the rewritten fiber
 datum's own group, the reference for `classify_fiber`'s reading of H on G's
 Cayley table.  `fiber_datum` builds a report's fiber datum as the recursion
@@ -65,11 +75,19 @@ the recursion, and `chain_data` adds each level's fiber datum to it.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import lcm
 
 from conftest import bareiss_det
-from hyperelliptic.action import AffineAut, _check_eigenvalues, quotient_by_translations, validate
+from hyperelliptic.action import (
+    AffineAut,
+    HyperellipticDatum,
+    _check_eigenvalues,
+    close_group,
+    quotient_by_translations,
+    validate,
+)
 from hyperelliptic.albanese import (
     FiberClassification,
     _abelian_invariant_factors,
@@ -80,6 +98,7 @@ from hyperelliptic.albanese import (
     group_sum,
     run_pipeline,
 )
+from hyperelliptic.documents import format_vector
 from hyperelliptic.exactlin import (
     FiniteAbelianGroup,
     LatticeError,
@@ -107,7 +126,7 @@ from hyperelliptic.oracle import (
     formula_level,
     oracle_fixed_points,
 )
-from hyperelliptic.torus import factor_plane_columns
+from hyperelliptic.torus import AlternatingForm, TorusDatum, factor_plane_columns
 
 ORBIT_ENUMERATION_LIMIT = 500_000
 
@@ -137,6 +156,15 @@ def as_pair(v) -> tuple[int, tuple[int, ...]]:
     """A rational vector as (den, integers), den the lcm of its entries' denominators."""
     den, (scaled,) = over_common_denominator((v,))
     return den, tuple(scaled)
+
+
+def from_rat_columns(ambient_rank: int, vectors) -> Sublattice:
+    """The lattice spanned by rational vectors: their integers over one den, in Hermite form."""
+    for v in vectors:
+        if len(v) != ambient_rank:
+            raise LatticeError("vector length does not match ambient rank")
+    den, cols = over_common_denominator(vectors)
+    return Sublattice.from_int_columns(ambient_rank, cols, den)
 
 
 def basis_vectors(s: Sublattice) -> tuple[tuple[Fraction, ...], ...]:
@@ -716,7 +744,7 @@ def factor_subspace_in_product_coords(t, sub: Sublattice) -> tuple[int, ...] | N
     """
     if t.factors is None or sub.rank % 2 != 0:
         return None
-    prod_vectors = [t.to_product_coords(sub.den, c) for c in sub.cols]
+    prod_vectors = [rational(*t.to_product_coords(sub.den, c)) for c in sub.cols]
     support = set()
     for v in prod_vectors:
         for i, x in enumerate(v):
@@ -731,8 +759,8 @@ def factor_subspace_in_product_coords(t, sub: Sublattice) -> tuple[int, ...] | N
             col = [Fraction(0)] * t.rank
             col[j] = Fraction(1)
             expected_cols.append(tuple(col))
-    expected = Sublattice.from_rat_columns(t.rank, expected_cols)
-    actual = Sublattice.from_rat_columns(t.rank, prod_vectors)
+    expected = from_rat_columns(t.rank, expected_cols)
+    actual = from_rat_columns(t.rank, prod_vectors)
     return indices if actual == expected else None
 
 
@@ -745,6 +773,55 @@ def three_curve_document(k_gen, translation):
         "generators": [
             {"zetas": ["1", "-1", "1"], "translation": list(translation) + ["0"] * 4}
         ],
+    }
+
+
+def conjugated(d, u):
+    """The same action written in the lattice basis given by the columns of u."""
+    u_inv = tuple(tuple(int(x) for x in row) for row in mat_inv(u))
+
+    def move(e):
+        den, shift = scaled_mod1(reference_mat_vec(u_inv, translation(e)))
+        return AffineAut(mat_mul(mat_mul(u_inv, e.linear), u), den, shift, e.eigenvalues)
+
+    table = {move(e).linear: e.eigenvalues for e in d.group.elements}
+    torus = TorusDatum.raw(d.rank)
+    gens = [move(d.group.elements[i]) for i in d.group.gens]
+    group = close_group(gens, torus, eigenvalue_table=table)
+    form = AlternatingForm(mat_mul(mat_mul(transpose(u), d.form.matrix), u))
+    return HyperellipticDatum(torus, group, form, j_stability_assumed=True)
+
+
+def base_change(kind: str, rank: int, seed: str):
+    """U = I + superdiagonal, or a seeded product of elementary matrices in GL(rank, Z)."""
+    if kind == "superdiagonal":
+        return tuple(tuple(int(j in (i, i + 1)) for j in range(rank)) for i in range(rank))
+    rng = random.Random(seed)
+    u = [list(row) for row in identity(rank)]
+    for _ in range(2 * rank):
+        i, j = rng.sample(range(rank), 2)  # row i += c * row j
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    flip = rng.randrange(rank)  # one row times -1, so det U = -1
+    u[flip] = [-a for a in u[flip]]
+    return tuple(map(tuple, u))
+
+
+def raw_document(d):
+    """A raw document of d: its form, its generators and every element, with eigenvalues."""
+    def spec(e):
+        return {
+            "matrix": [list(row) for row in e.linear],
+            "translation": format_vector(e.den, e.shift),
+            "eigenvalues": [f"zeta{z.order}^{z.k}" for z in e.eigenvalues],
+        }
+
+    return {
+        "mode": "raw",
+        "rank": d.rank,
+        "form": [format_vector(1, row) for row in d.form.matrix],
+        "generators": [spec(d.group.elements[i]) for i in d.group.gens],
+        "elements": [spec(e) for e in d.group.elements],
     }
 
 

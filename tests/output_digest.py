@@ -1,19 +1,21 @@
 """One sha256 over every CLI output on a fixed set of documents.
 
 Runs `check`, `albanese`, `albanese --recurse`, `invariants` and `oracle`,
-each in json and text format, in process, on 233 documents: the catalog
+each in json and text format, in process, on 234 documents: the catalog
 entries, the stress points (3,3,2), (2,4,2), (2,2,6), (2,2,8), (3,4,2) and
-(2,2,10) at seeds 0-3, the 192 `three_curve_document` sweep documents and
-the D4 threefold.  On each catalog entry and the D4 threefold it also runs
-`oracle --level L`, in both formats, at L = 2D and at L = 2D + 1, where D is
-the datum's translation denominator (`oracle.datum_denominator`): the first
-level is valid and D does not divide the second, so the given-level path and
-its `BadLevel` refusal are covered too.  An output is the exit code, stdout
-and stderr.  Two
-checkouts whose reports are byte-identical print the same count and digest,
-so a refactor that must not change any report is checked by running this
-in both.  It is a script, not a collected test, because it takes about
-half a minute.
+(2,2,10) at seeds 0-3, the 192 `three_curve_document` sweep documents, the
+D4 threefold and `z4-threefold` as a raw document in the superdiagonal
+lattice basis, every element listed with its eigenvalues, whose Albanese
+fiber is not aligned with the factors, so `albanese --recurse` writes that
+fiber in its Hermite basis.  On each catalog entry and the D4 threefold it
+also runs `oracle --level L`, in both formats, at L = 2D and at L = 2D + 1,
+where D is the datum's translation denominator (`oracle.datum_denominator`):
+the first level is valid and D does not divide the second, so the
+given-level path and its `BadLevel` refusal are covered too.  An output is
+the exit code, stdout and stderr.  Two checkouts whose reports are
+byte-identical print the same count and digest, so a refactor that must not
+change any report is checked by running this in both.  It is a script, not
+a collected test, because it takes about half a minute.
 
     PYTHONPATH=src python tests/output_digest.py [--each] [--expect SHA256]
 
@@ -39,7 +41,7 @@ TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
 
 from conftest import load_perfbench  # noqa: E402
-from helpers import three_curve_document  # noqa: E402
+from helpers import base_change, conjugated, raw_document, three_curve_document  # noqa: E402
 from test_nonabelian import D4_THREEFOLD  # noqa: E402
 
 from hyperelliptic.catalog import get_entry, list_entries  # noqa: E402
@@ -63,6 +65,9 @@ def documents():
             name = f"sweep-{'_'.join(k_gen)}-{'_'.join(translation)}"
             yield name, three_curve_document(k_gen, translation)
     yield "d4-threefold", D4_THREEFOLD
+    z4 = get_entry("z4-threefold").build()
+    u = base_change("superdiagonal", z4.rank, "z4-threefold")
+    yield "z4-threefold-superdiagonal", raw_document(conjugated(z4, u))
 
 
 def commands(name: str, doc) -> tuple[list[str], ...]:

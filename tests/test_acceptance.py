@@ -11,11 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import basis_pairs, compose, element_index, fiber_datum
+from helpers import basis_pairs, compose, element_index, fiber_datum, from_rat_columns, rational
 from hyperelliptic.action import validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
-from hyperelliptic.exactlin import Sublattice
 from hyperelliptic.invariants import canonical_report, invariants_report
 from hyperelliptic.oracle import (
     build_model,
@@ -86,10 +85,12 @@ def test_z4_threefold_example():
         assert report.fiber_class.dim == 2
         # K0 = <1/2> on the first factor: compare lattices in product coordinates
         torus, dec = datum.torus, report.decomposition
-        actual = Sublattice.from_rat_columns(
-            6, [torus.to_product_coords(*v) for v in basis_pairs(dec.lambda0) + dec.k0.generators]
+        actual = from_rat_columns(
+            6,
+            [rational(*torus.to_product_coords(*v))
+             for v in basis_pairs(dec.lambda0) + dec.k0.generators],
         )
-        expected = Sublattice.from_rat_columns(
+        expected = from_rat_columns(
             6, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (F(1, 2), 0, 0, 0, 0, 0)]
         )
         assert actual == expected

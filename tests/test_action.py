@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import load_perfbench
 from helpers import (
+    as_pair,
     compose,
     coset_has_fixed_point,
     coset_meets_lattice,
@@ -38,7 +39,7 @@ from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
-from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
+from hyperelliptic.exactlin import Sublattice, identity, mat_mul, over_common_denominator, transpose
 from hyperelliptic.torus import (
     AlternatingForm,
     EllipticFactor,
@@ -69,12 +70,12 @@ def block(factor, zeta):
 def z4_threefold(quarter=F(1, 4)):
     """Order-4 action on (E_tau0 x E_tau1 x E_i) / <(1/2, 1/2, 0)>."""
     torus = build_product_torus(
-        [GEN0, GEN1, GAUSS], [(F(1, 2), 0, F(1, 2), 0, 0, 0)]
+        [GEN0, GEN1, GAUSS], over_common_denominator([(F(1, 2), 0, F(1, 2), 0, 0, 0)])
     )
     g = affine_from_factor_action(
         torus,
         [block(GEN0, ONE), block(GEN1, MINUS), block(GAUSS, I4)],
-        (quarter, 0, 0, 0, 0, 0),
+        as_pair((quarter, 0, 0, 0, 0, 0)),
     )
     group = close_group([g], torus)
     return HyperellipticDatum(torus, group, standard_form(torus))
@@ -91,17 +92,17 @@ def zmzm_threefold(m):
         zeta = Z3
         t = (F(1, 3), F(-1, 3))  # (1 - zeta3)/3, a fixed point of z -> zeta3 z
     torus = build_product_torus(
-        factors, [(F(1, m), 0, 0, 0) + t]
+        factors, over_common_denominator([(F(1, m), 0, 0, 0) + t])
     )
     g1 = affine_from_factor_action(
         torus,
         [block(factors[0], ONE), block(factors[1], zeta), block(factors[2], ONE)],
-        (F(1, m), 0, 0, 0, 0, 0),
+        as_pair((F(1, m), 0, 0, 0, 0, 0)),
     )
     g2 = affine_from_factor_action(
         torus,
         [block(factors[0], ONE), block(factors[1], ONE), block(factors[2], zeta)],
-        (0, F(1, m), 0, 0, 0, 0),
+        as_pair((0, F(1, m), 0, 0, 0, 0)),
     )
     group = close_group([g1, g2], torus)
     return HyperellipticDatum(torus, group, standard_form(torus))
@@ -153,7 +154,7 @@ class TestCharPolyAgainstSympy:
 class TestClosure:
     def test_involution(self):
         torus = build_product_torus([GEN0])
-        g = affine_from_factor_action(torus, [block(GEN0, MINUS)], (0, 0))
+        g = affine_from_factor_action(torus, [block(GEN0, MINUS)], as_pair((0, 0)))
         group = close_group([g], torus)
         assert group.order == 2
 
@@ -179,28 +180,37 @@ class TestClosure:
 
     def test_non_unimodular_rejected(self):
         torus = TorusDatum.raw(2)
-        bad = affine_raw(((2, 0), (0, 1)), (0, 0), (ONE,))
+        bad = affine_raw(((2, 0), (0, 1)), as_pair((0, 0)), (ONE,))
         with pytest.raises(LatticeNotPreserved):
+            close_group([bad], torus)
+
+    def test_rational_matrix_entry_rejected(self):
+        # the matrix is taken as given: an entry 1/2 is not truncated to 0, which
+        # would make the linear part I and close a translation group of order 2
+        torus = TorusDatum.raw(2)
+        bad = affine_raw(((1, F(1, 2)), (0, 1)), as_pair((F(1, 2), 0)), (ONE,))
+        with pytest.raises(LatticeNotPreserved, match="linear part must be integral on the"):
             close_group([bad], torus)
 
     def test_lattice_not_preserved_by_factor_action(self):
         # -1 on only one half of an identified pair does not descend
-        torus = build_product_torus([GEN0, GEN1], [(F(1, 2), 0, F(1, 2), 0)])
+        k_gens = over_common_denominator([(F(1, 2), 0, F(1, 2), 0)])
+        torus = build_product_torus([GEN0, GEN1], k_gens)
         with pytest.raises(LatticeNotPreserved):
             affine_from_factor_action(
-                torus, [block(GEN0, ONE), ((2, 0), (0, 2))], (0, 0, 0, 0)
+                torus, [block(GEN0, ONE), ((2, 0), (0, 2))], as_pair((0, 0, 0, 0))
             )
 
     def test_raw_closure_needs_eigenvalues_for_complex_products(self):
         torus = TorusDatum.raw(4)
         rot = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
-        swapped = affine_raw(rot, (0, 0, 0, 0), (I4, I4.conjugate()))
+        swapped = affine_raw(rot, as_pair((0, 0, 0, 0)), (I4, I4.conjugate()))
         with pytest.raises(MissingEigenvalueData):
             close_group([swapped], torus)
 
     def test_raw_closure_with_real_eigenvalues_derives(self):
         torus = TorusDatum.raw(2)
-        neg = affine_raw(((-1, 0), (0, -1)), (F(1, 2), 0), (MINUS,))
+        neg = affine_raw(((-1, 0), (0, -1)), as_pair((F(1, 2), 0)), (MINUS,))
         group = close_group([neg], torus)
         assert group.order == 2
 
@@ -227,7 +237,7 @@ class TestTranslationStorage:
     @given(vector_pairs())
     def test_den_and_shift_match_the_fraction_reduction(self, pair):
         v, w = pair
-        a, b = (affine_raw(identity(len(x)), x, ()) for x in pair)
+        a, b = (affine_raw(identity(len(x)), as_pair(x), ()) for x in pair)
         assert a.den == vec_denominator(vec_mod1(v))
         assert a.shift == tuple(a.den * x for x in vec_mod1(v))
         assert (a.key() == b.key()) == (vec_mod1(v) == vec_mod1(w))
@@ -236,7 +246,7 @@ class TestTranslationStorage:
 class TestComposeInverse:
     def test_compose_reduces_mod_lattice(self):
         torus = build_product_torus([GEN0])
-        g = affine_from_factor_action(torus, [block(GEN0, ONE)], (F(1, 2), 0))
+        g = affine_from_factor_action(torus, [block(GEN0, ONE)], as_pair((F(1, 2), 0)))
         gg = compose(g, g)
         assert gg.key() == affine_identity(2).key()
 
@@ -267,14 +277,14 @@ class TestComposeInverse:
         assert ident.is_translation()
         shift = AffineAut(identity(2), 2, (1, 0), (ONE,))
         assert shift.is_translation()
-        neg = affine_raw(((-1, 0), (0, -1)), (0, 0), (MINUS,))
+        neg = affine_raw(((-1, 0), (0, -1)), as_pair((0, 0)), (MINUS,))
         assert not neg.is_translation()
 
 
 class TestFixedPoints:
     def test_negation_has_fixed_points(self):
         torus = build_product_torus([GEN0])
-        g = affine_from_factor_action(torus, [block(GEN0, MINUS)], (0, 0))
+        g = affine_from_factor_action(torus, [block(GEN0, MINUS)], as_pair((0, 0)))
         assert has_fixed_point(g) is True
 
     def test_pure_half_translation_is_free(self):
@@ -367,7 +377,7 @@ class TestValidate:
         torus = build_product_torus([GEN0, GEN1])
         shift = AffineAut(identity(4), 2, (1, 0, 0, 0), (ONE, ONE))
         neg = affine_from_factor_action(
-            torus, [block(GEN0, ONE), block(GEN1, MINUS)], (0, F(1, 2), 0, 0)
+            torus, [block(GEN0, ONE), block(GEN1, MINUS)], as_pair((0, F(1, 2), 0, 0))
         )
         data = [get_entry(name).build() for name in list_entries()]
         group = close_group([shift, neg], torus)
@@ -405,7 +415,8 @@ def swap_datum():
     """The swap of (e1, e2) with (e3, e4) on the raw rank-4 torus, form J + J."""
     torus = TorusDatum.raw(4)
     swap = affine_raw(
-        ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)), (0, 0, 0, 0), (ONE, MINUS)
+        ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)), as_pair((0, 0, 0, 0)),
+        (ONE, MINUS),
     )
     form = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
     return HyperellipticDatum(torus, close_group([swap], torus), AlternatingForm(form))
@@ -416,7 +427,7 @@ def shift_and_flip():
     torus = build_product_torus([GEN0, GEN1])
     shift = AffineAut(identity(4), 2, (1, 0, 0, 0), (ONE, ONE))
     neg = affine_from_factor_action(
-        torus, [block(GEN0, ONE), block(GEN1, MINUS)], (0, F(1, 2), 0, 0)
+        torus, [block(GEN0, ONE), block(GEN1, MINUS)], as_pair((0, F(1, 2), 0, 0))
     )
     return HyperellipticDatum(torus, close_group([shift, neg], torus), standard_form(torus))
 

@@ -13,9 +13,11 @@ from helpers import (
     fiber_basis,
     fiber_datum,
     fiber_translations_match,
+    from_rat_columns,
     h_by_solve,
     lattice_coords,
     proj0,
+    rational,
     reference_coords_of,
     reference_mat_vec,
     t0_table,
@@ -65,8 +67,8 @@ def subgroup_h(d, dec):
 
 def product_lattice(d, vectors):
     """The lattice of (den, integers) lattice-coordinate vectors, in product coordinates."""
-    return Sublattice.from_rat_columns(
-        d.rank, [d.torus.to_product_coords(den, v) for den, v in vectors]
+    return from_rat_columns(
+        d.rank, [rational(*d.torus.to_product_coords(den, v)) for den, v in vectors]
     )
 
 
@@ -84,10 +86,10 @@ class TestDecomposition:
         d = datum_of("bielliptic-1")
         dec, _ = pipeline_parts(d)
         assert dec.q == 1
-        assert product_lattice(d, basis_pairs(dec.lambda0)) == Sublattice.from_rat_columns(
+        assert product_lattice(d, basis_pairs(dec.lambda0)) == from_rat_columns(
             4, factor_plane(d, 0)
         )
-        assert product_lattice(d, basis_pairs(dec.lambda1)) == Sublattice.from_rat_columns(
+        assert product_lattice(d, basis_pairs(dec.lambda1)) == from_rat_columns(
             4, factor_plane(d, 1)
         )
         assert dec.k.order == 1
@@ -119,12 +121,12 @@ class TestDecomposition:
         k0_lat = product_lattice(
             d, basis_pairs(dec.lambda0) + dec.k0.generators
         )
-        expected = Sublattice.from_rat_columns(
+        expected = from_rat_columns(
             6, factor_plane(d, 0) + [(F(1, 2), 0, 0, 0, 0, 0)]
         )
         assert k0_lat == expected
         k1_lat = product_lattice(d, basis_pairs(dec.lambda1) + dec.k1.generators)
-        expected1 = Sublattice.from_rat_columns(
+        expected1 = from_rat_columns(
             6,
             factor_plane(d, 1) + factor_plane(d, 2) + [(0, 0, F(1, 2), 0, 0, 0)],
         )
@@ -135,11 +137,11 @@ class TestDecomposition:
         dec, _ = pipeline_parts(d)
         assert dec.k.invariant_factors == (2,)
         # K = <(tau/2, 1/2)>: product coordinates (0, 1/2, 1/2, 0)
-        gen = d.torus.to_product_coords(*dec.k.generators[0])
-        lattice_with_gen = Sublattice.from_rat_columns(
+        gen = rational(*d.torus.to_product_coords(*dec.k.generators[0]))
+        lattice_with_gen = from_rat_columns(
             4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), gen]
         )
-        expected = Sublattice.from_rat_columns(
+        expected = from_rat_columns(
             4,
             [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
              (0, F(1, 2), F(1, 2), 0)],

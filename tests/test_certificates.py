@@ -43,7 +43,6 @@ two generators of three groups, D4 among them, is classified both ways too.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from functools import cache
 from math import gcd, inf, lcm, prod
@@ -52,7 +51,9 @@ import pytest
 
 from conftest import bareiss_det, load_perfbench
 from helpers import (
+    base_change,
     basis_vectors,
+    conjugated,
     contains,
     decomposition,
     every_element_eigenvalue_violations,
@@ -61,6 +62,7 @@ from helpers import (
     fiber_translations_match,
     fixed_projector,
     form_complement,
+    from_rat_columns,
     generator_fixed_lattice,
     generator_vectors,
     h_by_solve,
@@ -74,7 +76,6 @@ from helpers import (
     reference_coords_of,
     reference_mat_vec,
     reference_reduce_mod,
-    scaled_mod1,
     t0_table,
     t0_vectors,
     three_curve_document,
@@ -165,7 +166,7 @@ def check_against_enumeration(d, report):
         assert len(images) == dec.k.order
 
     # S M_g = S and the cocycle identity hold for every element, not just generators
-    enlarged = Sublattice.from_rat_columns(
+    enlarged = from_rat_columns(
         d.rank, basis_vectors(dec.lambda0) + generator_vectors(dec.k0)
     )
     for i, e in enumerate(d.group.elements):
@@ -197,7 +198,7 @@ def check_against_enumeration(d, report):
     # the oracle's fiber count holds at every multiple of D because D t0(g) lies in
     # P0(Z^n) for every element g, and so does D times each basis vector of Lambda_B
     base = datum_denominator(d)
-    image = Sublattice.from_rat_columns(d.rank, transpose(projector))
+    image = from_rat_columns(d.rank, transpose(projector))
     for v in [*table, *basis_vectors(report.albanese_lattice)]:
         assert in_lattice(image, tuple(base * x for x in v))
 
@@ -238,37 +239,6 @@ VALID_ENTRIES = [name for name in list_entries() if not get_entry(name).expect_i
 def test_catalog_certificates_match_enumeration(name):
     for d, report in pipeline_chain(get_entry(name).build()):
         check_against_enumeration(d, report)
-
-
-def conjugated(d, u):
-    """The same action written in the lattice basis given by the columns of u."""
-    u_inv = tuple(tuple(int(x) for x in row) for row in mat_inv(u))
-
-    def move(e):
-        den, shift = scaled_mod1(reference_mat_vec(u_inv, translation(e)))
-        return AffineAut(mat_mul(mat_mul(u_inv, e.linear), u), den, shift, e.eigenvalues)
-
-    table = {move(e).linear: e.eigenvalues for e in d.group.elements}
-    torus = TorusDatum.raw(d.rank)
-    gens = [move(d.group.elements[i]) for i in d.group.gens]
-    group = close_group(gens, torus, eigenvalue_table=table)
-    form = AlternatingForm(mat_mul(mat_mul(transpose(u), d.form.matrix), u))
-    return HyperellipticDatum(torus, group, form, j_stability_assumed=True)
-
-
-def base_change(kind: str, rank: int, seed: str):
-    """U = I + superdiagonal, or a seeded product of elementary matrices in GL(rank, Z)."""
-    if kind == "superdiagonal":
-        return tuple(tuple(int(j in (i, i + 1)) for j in range(rank)) for i in range(rank))
-    rng = random.Random(seed)
-    u = [list(row) for row in identity(rank)]
-    for _ in range(2 * rank):
-        i, j = rng.sample(range(rank), 2)  # row i += c * row j
-        c = rng.choice((-2, -1, 1, 2))
-        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
-    flip = rng.randrange(rank)  # one row times -1, so det U = -1
-    u[flip] = [-a for a in u[flip]]
-    return tuple(map(tuple, u))
 
 
 BASE_CHANGES = [
@@ -461,7 +431,7 @@ def test_product_torus_and_factor_alignment_are_one_reduction_each(monkeypatch):
     seen = recorded_hermite_inputs(monkeypatch)
     half, third = Fraction(1, 2), Fraction(1, 3)
     k_gens = [(half, half, half, half, 0, 0), (0, 0, 0, 0, third, 2 * third)]
-    torus = build_product_torus([EllipticFactor("generic")] * 3, k_gens)
+    torus = build_product_torus([EllipticFactor("generic")] * 3, over_common_denominator(k_gens))
     assert len(seen) == 1
     assert len(seen[0]) == 6 + len(k_gens) and len(seen[0][0]) == 6
     assert torus.lam_basis_inv == mat_inv(lam_basis(torus))

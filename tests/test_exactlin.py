@@ -12,6 +12,7 @@ from helpers import (
     basis_vectors,
     contains,
     coset_meets_lattice,
+    from_rat_columns,
     generator_vectors,
     integer_solution,
     is_saturated,
@@ -25,6 +26,7 @@ from hyperelliptic.exactlin import (
     LatticeError,
     Sublattice,
     column_hermite,
+    format_rational,
     hermite_normal_form,
     identity,
     is_singular,
@@ -220,6 +222,15 @@ class TestOverCommonDenominator:
         assert tuple(F(x, da * dv) for x in mat_vec(ia, iv)) == reference_mat_vec(a, v)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
+@example(0, 7)
+@example(-6, 4)
+def test_format_rational_writes_what_fraction_writes(x, den):
+    # reports write (den, integers) in integers; the text is the one a Fraction prints
+    assert format_rational(x, den) == str(F(x, den))
+
+
 class TestSublatticeDenominator:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -243,7 +254,7 @@ class TestSublatticeDenominator:
         v_p(b) = v_p(D) > 0: then D x = a (D/b) is prime to p, a contradiction.
         """
         n, vectors = case
-        lat = Sublattice.from_rat_columns(n, vectors)
+        lat = from_rat_columns(n, vectors)
         assert gcd(lat.den, *(x for c in lat.cols for x in c)) == 1
 
 
@@ -577,7 +588,7 @@ class TestQuotient:
 
     def test_half_vector_lattice(self):
         # Z^4 extended by (1/2, 1/2, 0, 0) over Z^4: one factor of 2
-        big = Sublattice.from_rat_columns(
+        big = from_rat_columns(
             4,
             [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
              (F(1, 2), F(1, 2), 0, 0)],
@@ -585,7 +596,7 @@ class TestQuotient:
         small = Sublattice.standard(4)
         g = quotient_group(big, small)
         assert g.invariant_factors == (2,)
-        assert Sublattice.from_rat_columns(4, basis_vectors(small) + generator_vectors(g)) == big
+        assert from_rat_columns(4, basis_vectors(small) + generator_vectors(g)) == big
         assert g.generators[0] == (2, (1, 1, 0, 0))
 
     def test_order_is_det_of_change_of_basis(self):
@@ -611,11 +622,11 @@ class TestQuotient:
         # so [big : small] = |det c|
         extra, c = case
         n = len(c)
-        big = Sublattice.from_rat_columns(n, list(identity(n)) + extra)
+        big = from_rat_columns(n, list(identity(n)) + extra)
         basis = basis_vectors(big)
         small_basis = [tuple(sum(x * b[t] for x, b in zip(row, basis)) for t in range(n))
                        for row in c]
-        small = Sublattice.from_rat_columns(n, small_basis)
+        small = from_rat_columns(n, small_basis)
         if small.rank < n:
             with pytest.raises(LatticeError):
                 quotient_group(big, small)
@@ -629,7 +640,7 @@ class TestQuotient:
             assert contains(big, gen)
             multiples = [contains(small, tuple(k * x for x in gen)) for k in range(1, d + 1)]
             assert multiples == [False] * (d - 1) + [True]
-        assert Sublattice.from_rat_columns(n, basis_vectors(small) + gens) == big
+        assert from_rat_columns(n, basis_vectors(small) + gens) == big
 
     def test_errors(self):
         with pytest.raises(LatticeError):

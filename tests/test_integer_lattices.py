@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from helpers import (
     as_pair,
     basis_vectors,
+    from_rat_columns,
     generator_vectors,
     pipeline_chain,
     proj0,
@@ -90,7 +91,7 @@ def lattice_cases(draw):
     """(lattice, a vector in its span, a vector of the ambient space) with small entries."""
     n = draw(st.integers(1, 4))
     vector = st.lists(FRACTIONS, min_size=n, max_size=n).map(tuple)
-    lattice = Sublattice.from_rat_columns(n, draw(st.lists(vector, max_size=4)))
+    lattice = from_rat_columns(n, draw(st.lists(vector, max_size=4)))
     combo = draw(st.lists(FRACTIONS, min_size=lattice.rank, max_size=lattice.rank))
     basis = basis_vectors(lattice)
     inside = tuple(sum((c * b[t] for c, b in zip(combo, basis)), Fraction(0)) for t in range(n))
@@ -142,9 +143,9 @@ class TestRandom:
         # big = Z^n + the extra vectors; small has basis c @ (a basis of big)
         extra, c = case
         n = len(c)
-        big = Sublattice.from_rat_columns(n, list(identity(n)) + extra)
+        big = from_rat_columns(n, list(identity(n)) + extra)
         basis = basis_vectors(big)
-        small = Sublattice.from_rat_columns(
+        small = from_rat_columns(
             n, [tuple(sum(x * b[t] for x, b in zip(row, basis)) for t in range(n)) for row in c]
         )
         same_quotient(big, small)

@@ -7,7 +7,8 @@ a `hyperelliptic` module binds it, the way `perfbench/tracing.py` rebinds
 its traced functions, with a wrapper that asserts every entry of both
 operands is an `int`, and runs `check`, `albanese --recurse`, `invariants`
 and `oracle` through the CLI on the catalog entries, the output digest's
-stress documents (every point and seed) and the D4 threefold.
+stress documents (every point and seed), the D4 threefold and `z4-threefold`
+in the superdiagonal lattice basis.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ from hyperelliptic.cli import main
 from output_digest import STRESS_POINTS, documents
 
 COMMANDS = (["check"], ["albanese", "--recurse"], ["invariants"], ["oracle"])
-GROUPS = ("catalog", "stress", "d4")
+GROUPS = ("catalog", "stress", "d4", "base-change")
 # each product's operand entries: two matrices, or a matrix and a vector
 ENTRIES = {
     "mat_mul": lambda a, b: [x for m in (a, b) for row in m for x in row],
@@ -37,7 +38,9 @@ def group_of(name: str) -> str:
         return "stress"
     if name.startswith("sweep-"):
         return "sweep"
-    return "d4" if name == "d4-threefold" else "catalog"
+    if name == "d4-threefold":
+        return "d4"
+    return "catalog" if name in list_entries() else "base-change"
 
 
 def integer_only(monkeypatch, product: str):
@@ -75,7 +78,8 @@ def run_group(group: str, tmp_path) -> None:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command[0], str(path), *command[1:], "--format", "json"])
             assert code in (0, 2), (name, command, code)
-    counts = {"catalog": len(list_entries()), "stress": 4 * len(STRESS_POINTS), "d4": 1}
+    counts = {"catalog": len(list_entries()), "stress": 4 * len(STRESS_POINTS), "d4": 1,
+              "base-change": 1}
     assert seen == counts[group]
 
 

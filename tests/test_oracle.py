@@ -9,6 +9,7 @@ import pytest
 from conftest import load_perfbench
 from helpers import (
     all_exhaustive,
+    as_pair,
     direct_fixed_points,
     orbits,
     pipeline_chain,
@@ -75,7 +76,7 @@ def negation_datum():
     f = EllipticFactor("generic", "t")
     torus = build_product_torus([f])
     g = affine_from_factor_action(
-        torus, [factor_automorphism_matrix(f, RootOfUnity.of(1, 2))], (0, 0)
+        torus, [factor_automorphism_matrix(f, RootOfUnity.of(1, 2))], as_pair((0, 0))
     )
     d = HyperellipticDatum(torus, close_group([g], torus), standard_form(torus))
     return d

@@ -1,26 +1,27 @@
-"""Rationals become integers in one module, only listed functions name `Fraction`, only
-listed modules import `fractions`, and no float enters the library.
+"""Rationals become integers in the parser, only `parse_rational` names `Fraction`, only
+`documents` imports `fractions`, and no float enters the library.
 
-Only `exactlin` reads `.numerator` or `.denominator`: every other library
-module hands rational rows, as parsed, to `exactlin`'s scaler
-`over_common_denominator` instead of taking them apart itself.  The test
-walks each module's syntax tree and lists every attribute read of either
-name outside `exactlin`, with its line.
+Only `exactlin` reads `.numerator` or `.denominator`: the parser hands
+rational rows, as parsed, to `exactlin`'s scaler `over_common_denominator`
+instead of taking them apart itself.  The test walks each module's syntax
+tree and lists every attribute read of either name outside `exactlin`, with
+its line.  Only `documents` calls the scaler: every library constructor
+takes a rational as (den, integers), as the parser hands it on, so none
+scales a rational of its own.
 
 No module divides with `/`, writes a float or complex literal or calls
 `float(`: a rational is an integer over a held denominator or a `Fraction`,
 so no answer rests on floating point, even where a true division of two
 `Fraction`s would stay exact.
 
-The functions that name `Fraction`, or a module-level alias of it such as
-`catalog.F`, are a fixed list: the places where a rational value is formed
-or read, each for a reason noted beside it: a document is parsed, a report
-or a message is written, the catalog diffs a lattice in product
-coordinates.  Every other function, the whole Albanese pipeline and
-`exactlin` among them, works on integers over a held denominator, so a new
-rational round trip, such as a lattice vector built as `Fraction`s only to
-be scaled straight back to integers, shows up as a new name on the list.
-The modules that import `fractions` at all are a fixed list too.
+The functions that name `Fraction`, or a module-level alias of it, are a
+fixed list with one name: `documents.parse_rational`, where a document's
+rational is read.  Every other function, from the parser's vectors to the
+report's `exactlin.format_rational`, works on integers over a held
+denominator, so a new rational round trip, such as a lattice vector built as
+`Fraction`s only to be scaled straight back to integers, shows up as a new
+name on the list.  The modules that import `fractions` at all are a fixed
+list too.
 """
 
 import ast
@@ -95,15 +96,22 @@ def _rational_functions(source: str):
 
 # each library function that names `Fraction`, and why
 RATIONAL_FUNCTIONS = [
-    "catalog._factor_plane_diff",  # expected factor planes in product coordinates
-    "documents.format_rational",  # a rational written for a report
     "documents.parse_rational",  # a rational read from a document
-    "invariants._certified_integer",  # the non-integral count, in an error message
-    "invariants.irregularity",  # the lattice irregularity, in an error message
-    "torus.TorusDatum.to_product_coords",  # a lattice vector in product coordinates
 ]
 # the modules that import `fractions`: the owners of the functions above
-FRACTION_MODULES = ["catalog", "documents", "invariants", "torus"]
+FRACTION_MODULES = ["documents"]
+# the scaler of parsed rationals to integers, and the modules that call it
+SCALER = "over_common_denominator"
+SCALER_CALLERS = ["documents"]
+
+
+def _calls(source: str, name: str) -> bool:
+    """Whether the source calls `name`, as a bare name or as an attribute."""
+    return any(
+        isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(source))
+    )
 
 
 def _library():
@@ -141,6 +149,11 @@ def test_only_the_listed_functions_name_fraction():
 def test_only_the_listed_modules_import_fractions():
     found = [path.stem for path in _library() if _imports_fractions(path.read_text())]
     assert found == FRACTION_MODULES
+
+
+def test_only_the_parser_scales_rationals():
+    found = [path.stem for path in _library() if _calls(path.read_text(), SCALER)]
+    assert found == SCALER_CALLERS
 
 
 def test_the_walk_sees_reads():
@@ -188,3 +201,12 @@ def test_the_walk_sees_fractions_imports():
     assert _imports_fractions("def f():\n    from fractions import Fraction\n")
     # a relative import, another module or a name that merely contains the word is not
     assert not _imports_fractions("from .fractions import x\nimport math\nfractions = 1\n")
+
+
+def test_the_walk_sees_calls():
+    # a bare call, an attribute call or a call nested in another is found
+    assert _calls("d, v = f(rows)\n", "f")
+    assert _calls("x = exactlin.f(rows)\n", "f")
+    assert _calls("y = g([f(r) for r in rows])\n", "f")
+    # a definition, a name read or an import is not a call
+    assert not _calls("def f(rows):\n    return g(rows)\nh = f\nfrom m import f\n", "f")

@@ -6,20 +6,21 @@ import pytest
 from helpers import (
     as_pair,
     factor_subspace_in_product_coords,
+    from_rat_columns,
     index_over_product_lattice,
     lam_basis,
     lattice_coords,
     mat_inv,
+    rational,
     reference_mat_mul,
     ring_block,
     scaled_mod1,
 )
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum, parse_vector
-from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
+from hyperelliptic.exactlin import Sublattice, identity, mat_mul, over_common_denominator, transpose
 from hyperelliptic.torus import (
     FACTOR_KINDS,
-    AlternatingForm,
     EllipticFactor,
     InvalidAutomorphism,
     NoProvenance,
@@ -129,7 +130,7 @@ class TestBuildProductTorus:
     def test_half_diagonal_identification(self):
         t = build_product_torus(
             [GEN, EllipticFactor("generic", "tau1"), GAUSS],
-            [(F(1, 2), 0, F(1, 2), 0, 0, 0)],
+            over_common_denominator([(F(1, 2), 0, F(1, 2), 0, 0, 0)]),
         )
         assert t.rank == 6
         assert index_over_product_lattice(t) == 2
@@ -138,7 +139,7 @@ class TestBuildProductTorus:
         # K = <(1/2, 0, 1/2)> in complex notation, expanded coordinates below
         t = build_product_torus(
             [GEN, EllipticFactor("generic", "tau1"), EllipticFactor("generic", "tau2")],
-            [(F(1, 2), 0, 0, 0, F(1, 2), 0)],
+            over_common_denominator([(F(1, 2), 0, 0, 0, F(1, 2), 0)]),
         )
         assert index_over_product_lattice(t) == 2
 
@@ -146,16 +147,16 @@ class TestBuildProductTorus:
         # generator of order 3 plus an independent one of order 2
         t = build_product_torus(
             [GEN, EIS],
-            [(F(1, 3), 0, F(1, 3), F(-1, 3)), (0, F(1, 2), 0, 0)],
+            over_common_denominator([(F(1, 3), 0, F(1, 3), F(-1, 3)), (0, F(1, 2), 0, 0)]),
         )
         assert index_over_product_lattice(t) == 6
 
     def test_lattice_coord_roundtrip(self):
-        t = build_product_torus([GEN, GAUSS], [(F(1, 2), 0, F(1, 2), 0)])
+        t = build_product_torus([GEN, GAUSS], over_common_denominator([(F(1, 2), 0, F(1, 2), 0)]))
         v = (F(1, 2), F(0), F(1, 2), F(0))
         w = lattice_coords(t, v)
         assert all(x.denominator == 1 for x in w)  # v is in Lambda
-        assert t.to_product_coords(*as_pair(w)) == v
+        assert rational(*t.to_product_coords(*as_pair(w))) == v
 
 
 class TestStandardForm:
@@ -181,7 +182,7 @@ class TestStandardForm:
     def test_rational_on_enlarged_lattice(self):
         # the Gram matrix lam^T J lam has denominators dividing den^2 = 4; the
         # form keeps den^2 times it, C^T J C for the Hermite columns C
-        t = build_product_torus([GEN, GEN], [(F(1, 2), 0, F(1, 2), 0)])
+        t = build_product_torus([GEN, GEN], over_common_denominator([(F(1, 2), 0, F(1, 2), 0)]))
         form = standard_form(t)
         j = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
         basis = lam_basis(t)
@@ -192,7 +193,7 @@ class TestStandardForm:
         assert all(type(x) is int for row in form.matrix for x in row)
 
     def test_raw_form_is_stored_over_its_lcm_denominator(self):
-        form = AlternatingForm(((F(0), F(1, 2)), (F(-1, 2), F(0))))
+        form = build_datum({"mode": "raw", "rank": 2, "form": [["0", "1/2"], ["-1/2", "0"]]}).form
         assert form.matrix == ((0, 1), (-1, 0))
         assert all(type(x) is int for row in form.matrix for x in row)
         swap = ((0, 1), (1, 0))
@@ -221,7 +222,7 @@ class TestIdentifyFactorSubspace:
         # than the rank, a plane of index 2, planes enlarged by a half vector
         # (the k_gen lies in Lambda, the other half vector never does) and the
         # aligned planes themselves
-        t = build_product_torus([GEN, GAUSS, EIS], k_gens)
+        t = build_product_torus([GEN, GAUSS, EIS], over_common_denominator(k_gens))
         e = [tuple(F(int(i == j)) for j in range(6)) for i in range(6)]
         half = (F(1, 2), F(1, 2), 0, 0, 0, 0)
         cases = {
@@ -237,7 +238,7 @@ class TestIdentifyFactorSubspace:
             "everything": (e, (0, 1, 2)),
         }
         for name, (vectors, expected) in cases.items():
-            sub = Sublattice.from_rat_columns(6, [lattice_coords(t, v) for v in vectors])
+            sub = from_rat_columns(6, [lattice_coords(t, v) for v in vectors])
             got = identify_factor_subspace(t, sub)
             assert got == factor_subspace_in_product_coords(t, sub), name
             assert got == expected, name
@@ -271,7 +272,7 @@ def test_generator_translations_match_the_rational_reference_on_every_builder_do
             continue
         d = build_datum(doc)
         for spec, index in zip(doc["generators"], d.group.gens):
-            t = parse_vector(spec.get("translation", ["0"] * d.rank), d.rank)
+            t = rational(*parse_vector(spec.get("translation", ["0"] * d.rank), d.rank))
             e = d.group.elements[index]
             assert (e.den, e.shift) == scaled_mod1(lattice_coords(d.torus, t))
             count += 1
