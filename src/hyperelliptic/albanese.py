@@ -133,15 +133,6 @@ class FiberClassification(NamedTuple):
     holonomy_invariant_factors: tuple[int, ...] | None  # None for nonabelian holonomy
     element_orders: tuple[int, ...]
 
-    def describe(self) -> str:
-        if self.kind == "abelian":
-            return f"abelian of dimension {self.dim}"
-        if self.holonomy_invariant_factors is not None:
-            structure = " x ".join(f"Z/{d}" for d in self.holonomy_invariant_factors)
-        else:
-            structure = f"nonabelian of order {self.holonomy_order}"
-        return f"hyperelliptic of dimension {self.dim} with holonomy {structure}"
-
 
 class AlbaneseReport(NamedTuple):
     q: int

@@ -4,8 +4,10 @@ Exit codes: 0 success (``--help`` included), 1 I/O, parse or usage error,
 2 mathematical validation failure, 3 internal consistency failure or any
 other exception, reported as ``internal error: <ExceptionType>: <message>``,
 so no traceback reaches the user.  Output is deterministic byte-for-byte for
-a fixed input and flags, and each report, json or text, goes to stdout in
-one write, so one that stdout cannot encode leaves no partial report.
+a fixed input and flags.  Each command builds one JSON payload (`documents`);
+``--format json`` writes it with `dumps_canonical`, and ``--format text`` is
+a rendering of that payload, read from it alone.  Each report goes to stdout
+in one write, so one that stdout cannot encode leaves no partial report.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .documents import (
     dumps_canonical,
     invariants_dict,
     load_document,
+    oracle_dict,
     validation_dict,
 )
 from .invariants import canonical_order, canonical_report, invariants_report
@@ -39,9 +42,12 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _write_lines(lines) -> None:
-    """A text report in one write, as json's, so a report stdout cannot encode writes nothing."""
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
+def _write(fmt: str, payload, render=list) -> None:
+    """The one write of a report: the payload's json, or the text lines render reads off it."""
+    if fmt == "json":
+        sys.stdout.write(dumps_canonical(payload))
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in render(payload)))
 
 
 def _valid_datum(path: str):
@@ -53,41 +59,20 @@ def _valid_datum(path: str):
     return datum
 
 
+def check_text(payload) -> list[str]:
+    keys = ("passed", "is_hyperelliptic", "group_order", "free",
+            "form_invariant", "eigenvalues_consistent", "faithful")
+    return ([f"{key}: {payload[key]}" for key in keys]
+            + [f"failure: {failure}" for failure in payload["failures"]])
+
+
 def cmd_check(args) -> int:
-    datum = load_document(args.path)
-    report = validate(datum)
-    payload = validation_dict(report)
-    if args.format == "json":
-        sys.stdout.write(dumps_canonical(payload))
-    else:
-        keys = ("passed", "is_hyperelliptic", "group_order", "free",
-                "form_invariant", "eigenvalues_consistent", "faithful")
-        _write_lines([f"{key}: {payload[key]}" for key in keys]
-                     + [f"failure: {failure}" for failure in payload["failures"]])
+    report = validate(load_document(args.path))
+    _write(args.format, validation_dict(report), check_text)
     return 0 if report.passed else 2
 
 
-def cmd_albanese(args) -> int:
-    datum = _valid_datum(args.path)
-    alb = run_pipeline(datum, recurse=args.recurse)
-    payload = albanese_dict(alb, datum)
-    diag = canonical_report(canonical_order(datum), alb.fiber_canonical_order)
-    payload["canonical"] = {
-        "x_order": diag.x_canonical_order,
-        "fiber_order": diag.fiber_canonical_order,
-        "pulled_back_from_albanese": diag.pulled_back_from_albanese,
-    }
-    if args.format == "json":
-        sys.stdout.write(dumps_canonical(payload))
-    else:
-        _write_lines(_albanese_lines(payload) + [
-            f"canonical orders: omega_X {diag.x_canonical_order}, "
-            f"fiber {diag.fiber_canonical_order}; pulled back from Albanese: "
-            f"{diag.pulled_back_from_albanese}"])
-    return 0
-
-
-def _albanese_lines(payload: dict, indent: str = "") -> list[str]:
+def albanese_text(payload, indent: str = "") -> list[str]:
     alb = payload["albanese"]
     h = payload["h"]
     fiber = payload["fiber"]
@@ -100,9 +85,14 @@ def _albanese_lines(payload: dict, indent: str = "") -> list[str]:
         f"{indent}H: order {h['order']}, element indices {h['element_indices']}",
         f"{indent}fiber: {fiber['description']}{_on_factors(fiber['factor_names'])}",
     ]
-    if payload.get("fiber_report"):
+    if payload["fiber_report"]:
         lines.append(f"{indent}fiber report:")
-        lines += _albanese_lines(payload["fiber_report"], indent + "  ")
+        lines += albanese_text(payload["fiber_report"], indent + "  ")
+    if "canonical" in payload:  # the top level's alone
+        canonical = payload["canonical"]
+        lines.append(f"canonical orders: omega_X {canonical['x_order']}, "
+                     f"fiber {canonical['fiber_order']}; pulled back from Albanese: "
+                     f"{canonical['pulled_back_from_albanese']}")
     return lines
 
 
@@ -110,21 +100,55 @@ def _on_factors(names) -> str:
     return f" on {' x '.join(names)}" if names else ""
 
 
-def cmd_invariants(args) -> int:
+def cmd_albanese(args) -> int:
     datum = _valid_datum(args.path)
-    inv = invariants_report(datum)
-    payload = invariants_dict(inv)
-    if args.format == "json":
-        sys.stdout.write(dumps_canonical(payload))
-    else:
-        _write_lines([
-            f"dim X = {inv.dim}, q = {inv.q}, |G| = {inv.group_order}, cyclic = {inv.cyclic}",
-            f"canonical order = {inv.canonical_order}, "
-            f"chi(O_X) = {inv.euler_char_structure_sheaf}",
-            "Hodge diamond:",
-            inv.diamond.pretty(),
-        ])
+    alb = run_pipeline(datum, recurse=args.recurse)
+    payload = albanese_dict(alb, datum)
+    diag = canonical_report(canonical_order(datum), alb.fiber_canonical_order)
+    payload["canonical"] = {
+        "x_order": diag.x_canonical_order,
+        "fiber_order": diag.fiber_canonical_order,
+        "pulled_back_from_albanese": diag.pulled_back_from_albanese,
+    }
+    _write(args.format, payload, albanese_text)
     return 0
+
+
+def invariants_text(payload) -> list[str]:
+    rows = payload["hodge_rows"]
+    width = max(len(str(x)) for row in rows for x in row) + 2
+    return [
+        f"dim X = {payload['dim']}, q = {payload['q']}, |G| = {payload['group_order']}, "
+        f"cyclic = {payload['cyclic']}",
+        f"canonical order = {payload['canonical_order']}, "
+        f"chi(O_X) = {payload['euler_char_structure_sheaf']}",
+        "Hodge diamond:",
+    ] + ["".join(str(x).center(width) for x in row).center(len(rows) * width).rstrip()
+         for row in rows]
+
+
+def cmd_invariants(args) -> int:
+    inv = invariants_report(_valid_datum(args.path))
+    _write(args.format, invariants_dict(inv), invariants_text)
+    return 0
+
+
+def oracle_text(payload) -> list[str]:
+    fixed, fibers = payload["fixed_points"], payload["fiber_count"]
+    if fibers["passed"]:
+        verdict = (f"pass: {fibers['fibers']} fibers of {fibers['points_per_fiber']} "
+                   f"points each at level {fibers['level']}")
+    else:
+        key, count = fibers["witness"]
+        verdict = f"fail at level {fibers['level']}: fiber {key} has {count} points"
+    return (
+        [f"fixed points: {'pass' if fixed['passed'] else 'FAIL'}"
+         f"{' (reduced levels)' if fixed['downgraded_from_formula_level'] else ''}"]
+        + [f"  element {c['element']}: count {c['count']} at level {c['level']}"
+           f" ({'exhaustive' if c['exhaustive'] else 'one-sided'},"
+           f" exact={c['exact_has_fixed_point']})" for c in fixed["checks"]]
+        + [f"fiber count: {verdict}"]
+    )
 
 
 def cmd_oracle(args) -> int:
@@ -133,41 +157,7 @@ def cmd_oracle(args) -> int:
     alb = run_pipeline(datum)
     level = args.level or datum_denominator(datum)
     verdict = oracle_fiber_count(build_model(datum, level), alb)
-    payload = {
-        "fixed_points": {
-            "passed": survey.passed,
-            "downgraded_from_formula_level": survey.downgraded,
-            "checks": [
-                {
-                    "element": c.element_index,
-                    "level": c.level,
-                    "exhaustive": c.exhaustive,
-                    "count": c.count,
-                    "exact_has_fixed_point": c.exact_has_fixed_point,
-                    "agrees": c.agrees,
-                }
-                for c in survey.checks
-            ],
-        },
-        "fiber_count": {
-            "passed": verdict.passed,
-            "level": verdict.level,
-            "fibers": verdict.fiber_count,
-            "points_per_fiber": verdict.predicted_points_per_fiber,
-            "witness": list(map(str, verdict.witness)) if verdict.witness else None,
-        },
-    }
-    if args.format == "json":
-        sys.stdout.write(dumps_canonical(payload))
-    else:
-        _write_lines(
-            [f"fixed points: {'pass' if survey.passed else 'FAIL'}"
-             f"{' (reduced levels)' if survey.downgraded else ''}"]
-            + [f"  element {c.element_index}: count {c.count} at level {c.level}"
-               f" ({'exhaustive' if c.exhaustive else 'one-sided'},"
-               f" exact={c.exact_has_fixed_point})" for c in survey.checks]
-            + [f"fiber count: {verdict.describe()}"]
-        )
+    _write(args.format, oracle_dict(survey, verdict), oracle_text)
     return 0 if survey.passed and verdict.passed else 2
 
 
@@ -176,7 +166,7 @@ def cmd_catalog(args) -> int:
     from .catalog import UnknownEntry, get_entry, list_entries, run_entry
 
     if args.action == "list":
-        _write_lines(list_entries())
+        _write("text", list_entries())  # one name a line
         return 0
     if args.name is None:
         return _fail(1, f"catalog {args.action} needs an entry name")
@@ -187,11 +177,11 @@ def cmd_catalog(args) -> int:
     if args.action == "run":
         diff = run_entry(args.name)
         if not diff:
-            _write_lines([f"{args.name}: empty diff"])
+            _write("text", [f"{args.name}: empty diff"])
             return 0
-        sys.stdout.write(dumps_canonical({"entry": args.name, "diff": diff}))
+        _write("json", {"entry": args.name, "diff": diff})
         return 2
-    sys.stdout.write(dumps_canonical(entry.document))  # export, the last choice
+    _write("json", entry.document)  # export, the last choice
     return 0
 
 
@@ -215,28 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="validate a datum file")
-    p.add_argument("path")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("albanese", help="compute the Albanese report")
-    p.add_argument("path")
-    p.add_argument("--recurse", action="store_true",
-                   help="recurse into hyperelliptic fibers")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_albanese)
-
-    p = sub.add_parser("invariants", help="irregularity, Hodge diamond, canonical order")
-    p.add_argument("path")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("oracle", help="brute-force torsion-level verification")
-    p.add_argument("path")
-    p.add_argument("--level", type=_level, default=None)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_oracle)
+    for name, help_text, func, options in (
+        ("check", "validate a datum file", cmd_check, {}),
+        ("albanese", "compute the Albanese report", cmd_albanese,
+         {"--recurse": {"action": "store_true", "help": "recurse into hyperelliptic fibers"}}),
+        ("invariants", "irregularity, Hodge diamond, canonical order", cmd_invariants, {}),
+        ("oracle", "brute-force torsion-level verification", cmd_oracle,
+         {"--level": {"type": _level}}),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("path")
+        for flag, settings in options.items():
+            p.add_argument(flag, **settings)
+        p.add_argument("--format", choices=("json", "text"), default="text")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("catalog", help="built-in constructions")
     p.add_argument("action", choices=("list", "run", "export"))

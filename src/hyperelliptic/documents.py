@@ -343,6 +343,16 @@ def _factor_names(torus: TorusDatum, indices) -> list[str] | None:
     return [torus.factors[i].display_label() for i in indices]
 
 
+def _fiber_description(fiber_class) -> str:
+    if fiber_class.kind == "abelian":
+        return f"abelian of dimension {fiber_class.dim}"
+    if fiber_class.holonomy_invariant_factors is not None:
+        structure = " x ".join(f"Z/{d}" for d in fiber_class.holonomy_invariant_factors)
+    else:
+        structure = f"nonabelian of order {fiber_class.holonomy_order}"
+    return f"hyperelliptic of dimension {fiber_class.dim} with holonomy {structure}"
+
+
 def albanese_dict(report: AlbaneseReport, datum: HyperellipticDatum) -> dict:
     torus = datum.torus
     fiber_class = report.fiber_class
@@ -377,7 +387,7 @@ def albanese_dict(report: AlbaneseReport, datum: HyperellipticDatum) -> dict:
             ),
             "element_orders": list(fiber_class.element_orders),
             "factor_names": _factor_names(torus, report.fiber_factor_indices),
-            "description": fiber_class.describe(),
+            "description": _fiber_description(fiber_class),
         },
         "flags": {
             "builder_mode": datum.builder_mode,
@@ -399,6 +409,33 @@ def invariants_dict(inv) -> dict:
         "canonical_order": inv.canonical_order,
         "euler_char_structure_sheaf": inv.euler_char_structure_sheaf,
         "hodge_rows": [list(row) for row in inv.diamond.rows()],
+    }
+
+
+def oracle_dict(survey, verdict) -> dict:
+    return {
+        "fixed_points": {
+            "passed": survey.passed,
+            "downgraded_from_formula_level": survey.downgraded,
+            "checks": [
+                {
+                    "element": c.element_index,
+                    "level": c.level,
+                    "exhaustive": c.exhaustive,
+                    "count": c.count,
+                    "exact_has_fixed_point": c.exact_has_fixed_point,
+                    "agrees": c.agrees,
+                }
+                for c in survey.checks
+            ],
+        },
+        "fiber_count": {
+            "passed": verdict.passed,
+            "level": verdict.level,
+            "fibers": verdict.fiber_count,
+            "points_per_fiber": verdict.predicted_points_per_fiber,
+            "witness": list(map(str, verdict.witness)) if verdict.witness else None,
+        },
     }
 
 

@@ -63,16 +63,6 @@ class HodgeDiamond(NamedTuple):
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.row(k) for k in range(2 * self.n + 1))
 
-    def pretty(self) -> str:
-        rows = self.rows()
-        width = max(len(str(x)) for row in rows for x in row) + 2
-        total = (2 * self.n + 1) * width
-        lines = []
-        for row in rows:
-            text = "".join(str(x).center(width) for x in row)
-            lines.append(text.center(total).rstrip())
-        return "\n".join(lines)
-
 
 class InvariantsReport(NamedTuple):
     dim: int

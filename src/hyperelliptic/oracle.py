@@ -248,14 +248,6 @@ class FiberCountVerdict(NamedTuple):
     fiber_count: int
     witness: tuple | None  # (fiber key, offending count) on failure
 
-    def describe(self) -> str:
-        if self.passed:
-            return (
-                f"pass: {self.fiber_count} fibers of {self.predicted_points_per_fiber} "
-                f"points each at level {self.level}"
-            )
-        return f"fail at level {self.level}: fiber {self.witness[0]} has {self.witness[1]} points"
-
 
 def _albanese_projection_matrix(report: AlbaneseReport):
     """(den, integer rows L) with key(v) = frac(L v / den): P0 v = S v / |G| in Lambda_B's basis.

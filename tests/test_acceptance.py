@@ -179,7 +179,7 @@ def test_oracle_equivalence():
             report = run_pipeline(datum)
             level = datum_denominator(datum)
             verdict = oracle_fiber_count(build_model(datum, level), report)
-            assert verdict.passed, (name, verdict.describe())
+            assert verdict.passed, (name, verdict)
         # negative entries still get their fixed-point counts cross-checked
         for name in list_entries():
             if not get_entry(name).expect_invalid:

@@ -20,7 +20,7 @@ from helpers import compose, element_index, fiber_datum
 from hyperelliptic.action import validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.cli import main
-from hyperelliptic.documents import build_datum
+from hyperelliptic.documents import albanese_dict, build_datum
 from hyperelliptic.invariants import invariants_report
 
 HALF = "1/2"
@@ -71,7 +71,7 @@ def test_albanese_and_invariants():
     report = run_pipeline(d, recurse=True)
     assert report.q == 0
     assert report.subgroup_h == tuple(range(8))
-    assert report.fiber_class.describe() == (
+    assert albanese_dict(report, d)["fiber"]["description"] == (
         "hyperelliptic of dimension 3 with holonomy nonabelian of order 8"
     )
     inv = invariants_report(d)

@@ -248,7 +248,7 @@ class TestFiberCount:
         report = run_pipeline(d)
         level = datum_denominator(d)
         verdict = oracle_fiber_count(build_model(d, level), report)
-        assert verdict.passed, verdict.describe()
+        assert verdict.passed, verdict
 
     def test_passes_at_every_multiple_of_the_denominator(self, pipeline_levels):
         # every nonempty fiber holds [G : H] N^rank(Lambda_1) points at any multiple N
@@ -262,7 +262,7 @@ class TestFiberCount:
                 except CapExceeded:
                     continue
                 verdict = oracle_fiber_count(model, report)
-                assert verdict.passed, (label, level, verdict.describe())
+                assert verdict.passed, (label, level, verdict)
                 counted += 1
         assert counted == 69
 
