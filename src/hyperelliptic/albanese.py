@@ -382,7 +382,6 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
         raise PipelineInvariantError("irregularity n - 1 forces a cyclic group")
     if d.group.is_cyclic() and fiber_class.kind == "hyperelliptic" and not fiber_class.cyclic:
         raise PipelineInvariantError("cyclic groups must give abelian or cyclic fibers")
-    alb_indices = identify_factor_subspace(d.torus, lambda0) if lambda0.rank else ()
     report = AlbaneseReport(
         q=dec.q,
         dim=n,
@@ -393,7 +392,7 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
         subgroup_h=h_indices,
         fiber_class=fiber_class,
         fiber_canonical_order=lcm(*(prod(e, start=RootOfUnity.one()).order for _, e in members)),
-        albanese_factor_indices=alb_indices if alb_indices else None,
+        albanese_factor_indices=identify_factor_subspace(d.torus, lambda0) or None,
         fiber_factor_indices=fiber_factor_indices,
     )
     if recurse and fiber_class.kind == "hyperelliptic" and fiber_class.dim < n:

@@ -19,12 +19,12 @@ from .action import validate
 from .albanese import run_pipeline
 from .documents import (
     InputError,
-    _is_ascii_digits,
     albanese_dict,
     dumps_canonical,
     invariants_dict,
     load_document,
     oracle_dict,
+    read_digits,
     validation_dict,
 )
 from .invariants import canonical_order, canonical_report, invariants_report
@@ -187,14 +187,15 @@ def cmd_catalog(args) -> int:
 
 def _level(text: str) -> int:
     """The --level value: a positive integer in ASCII digits, or a usage error."""
-    if not _is_ascii_digits(text):
+    if not (text.isascii() and text.isdigit()):  # int() also reads "1_0", " 4" and "\u0664"
         raise argparse.ArgumentTypeError(f"invalid level {text!r}: not a run of digits 0-9")
-    if 0 < (limit := sys.get_int_max_str_digits()) < len(text):
-        raise argparse.ArgumentTypeError(
-            f"invalid level: a number of {len(text)} digits, over the limit of {limit}")
-    if int(text) < 1:
+    try:
+        level = read_digits(text, "invalid level")
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if level < 1:
         raise argparse.ArgumentTypeError(f"invalid level {text}: must be positive")
-    return int(text)
+    return level
 
 
 def build_parser() -> argparse.ArgumentParser:

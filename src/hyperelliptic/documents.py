@@ -2,11 +2,14 @@
 
 All numbers on the wire are exact rationals written as strings "p/q" in
 lowest terms ("p" when the denominator is 1); no floating point exists in the
-format.  Only `parse_rational` forms a `Fraction`: a vector leaves the parser
-as (den, integers) over its least den, so the library takes no rational, and
-reports write it back with `exactlin.format_rational`.  Serialization is
-byte-deterministic for a fixed input: dictionaries are built in canonical
-order and dumped with sorted keys.
+format.  A document may also give a rational as a JSON integer or as a
+decimal "p.d".  One compiled pattern per token kind (`_RATIONAL`,
+`_ROOT_LABEL`) says exactly what a document may contain, and `read_digits`
+turns each digit run it captures into an int, so a rational is read straight
+into (den, numerator) in lowest terms, a vector leaves the parser as (den,
+integers) over its least den, and reports write it back with
+`exactlin.format_rational`.  Serialization is byte-deterministic for a fixed
+input: dictionaries are built in canonical order and dumped with sorted keys.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .action import (
     DEFAULT_CLOSURE_CAP,
@@ -28,7 +30,7 @@ from .action import (
 )
 from .albanese import AlbaneseReport
 from .cyclotomic import ROOT_SHORTHAND, RootOfUnity
-from .exactlin import Sublattice, common_denominator, format_rational, over_common_denominator
+from .exactlin import Sublattice, common_denominator, format_rational, least_denominator
 from .torus import (
     FACTOR_KINDS,
     AlternatingForm,
@@ -47,52 +49,59 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 # rationals and root-of-unity labels
 
-def parse_rational(text) -> Fraction:
+_SPACE = "[\t-\r\x1c-\x20]*"  # the ASCII characters str.isspace() accepts
+# [-+]? then p, p/q, p. or p.d, or .d, in ASCII digits: no '_' separators, no non-ASCII digits
+# and no exponent, which would let nine characters, 1e1000000, ask for a million digits
+_RATIONAL = re.compile(rf"{_SPACE}(?P<sign>[-+]?)(?P<num>[0-9]+|(?=\.[0-9]))"
+                       rf"(?:/(?P<den>[0-9]+)|\.(?P<frac>[0-9]*))?{_SPACE}")
+_ROOT_LABEL = re.compile(r"zeta(?P<order>[0-9]+)(?:\^(?P<minus>-?)(?P<power>[0-9]+))?")
+
+
+def read_digits(run: str, what: str) -> int:
+    """The int a run of ASCII digits spells, or a refusal that names an over-long run by its length.
+
+    int()'s own refusal quotes a remedy (sys.set_int_max_str_digits) that a document cannot apply.
+    """
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < len(run):
+        raise InputError(f"{what}: a number of {len(run)} digits, over the limit of {limit}")
+    return int(run)
+
+
+def parse_rational(text) -> tuple[int, int]:
+    """(den, numerator) in lowest terms of a JSON integer or of a string `_RATIONAL` reads."""
     if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
+        return 1, text
     if not isinstance(text, str):
         raise InputError(f"expected a rational string, got {text!r}")
-    if not text.isascii() or "_" in text:  # Fraction reads "1_0" as 10 and non-ASCII digits
-        raise InputError(f"bad rational {text!r}: only ASCII digits without '_'")
-    _check_digit_count(text, "bad rational")
-    if "e" in text.lower():  # Fraction reads "1e999999999" as a number of a billion digits
-        raise InputError(f"bad rational {text!r}: exponent notation is not accepted")
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}: {exc}") from None
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise InputError(f"bad rational {text!r}: not p, p/q or a decimal p.d in ASCII digits "
+                         "with an optional sign, without '_' or exponent notation")
+    num, den, frac = m.group("num", "den", "frac")
+    low = read_digits(frac or "0", "bad rational")  # an over-long run never reaches 10 ** len
+    scale = 10 ** len(frac or "")
+    top = read_digits(num or "0", "bad rational") * scale + low
+    bottom = read_digits(den or "1", "bad rational") * scale
+    if bottom == 0:
+        raise InputError(f"bad rational {text!r}: zero denominator")
+    q, (p,) = least_denominator(bottom, (-top if m["sign"] == "-" else top,))
+    return q, p
 
 
 def parse_vector(items, length: int) -> tuple[int, tuple[int, ...]]:
     """A list of rationals as (den, integers), den the least that makes them integral."""
     if not isinstance(items, list):
         raise InputError(f"expected a list of rationals, got {items!r}")
-    v = tuple(parse_rational(x) for x in items)
+    v = [parse_rational(x) for x in items]
     if len(v) != length:
         raise InputError(f"expected {length} coordinates, got {len(v)}")
-    den, (scaled,) = over_common_denominator((v,))
-    return den, tuple(scaled)
+    den, scaled = common_denominator([(d, (x,)) for d, x in v])
+    return den, tuple(x for (x,) in scaled)
 
 
 def format_vector(den: int, v) -> list[str]:
     return [format_rational(x, den) for x in v]
-
-
-def _check_digit_count(text: str, what: str) -> None:
-    """Name a run of digits past int()'s conversion limit by its length, not its digits.
-
-    int() reads each run of a rational or a label on its own, and its error
-    quotes a remedy (sys.set_int_max_str_digits) that a document cannot apply.
-    """
-    longest = max(map(len, re.findall("[0-9]+", text)), default=0)
-    limit = sys.get_int_max_str_digits()
-    if limit and longest > limit:
-        raise InputError(f"{what}: a number of {longest} digits, over the limit of {limit}")
-
-
-def _is_ascii_digits(text: str) -> bool:
-    """Whether text is a nonempty run of 0-9; int() also reads "1_0", " 4" and non-ASCII digits."""
-    return text.isascii() and text.isdigit()
 
 
 def parse_root_label(text) -> RootOfUnity:
@@ -101,18 +110,15 @@ def parse_root_label(text) -> RootOfUnity:
     label = text.strip()
     if label in ROOT_SHORTHAND:
         return RootOfUnity.of(*ROOT_SHORTHAND[label])
-    if label.startswith("zeta"):
-        body, caret, exp = label[4:].partition("^")
-        if caret and not _is_ascii_digits(exp.removeprefix("-")):
-            raise InputError(f"bad exponent in {text!r}")
-        if not _is_ascii_digits(body):
-            raise InputError(f"bad root-of-unity label {text!r}")
-        _check_digit_count(label, "bad root-of-unity label")
-        order, power = int(body), int(exp or 1)
-        if order < 1:
-            raise InputError(f"bad root-of-unity order in {text!r}")
-        return RootOfUnity.of(power, order)
-    raise InputError(f"bad root-of-unity label {text!r}")
+    m = _ROOT_LABEL.fullmatch(label)
+    if m is None:
+        raise InputError(f"bad root-of-unity label {text!r}: not 1, -1, i, -i, zeta<n> or "
+                         "zeta<n>^<k> with n and k in ASCII digits, k with an optional '-'")
+    order = read_digits(m["order"], "bad root-of-unity label")
+    power = read_digits(m["power"], "bad root-of-unity label") if m["power"] else 1
+    if order < 1:
+        raise InputError(f"bad root-of-unity order in {text!r}")
+    return RootOfUnity.of(-power if m["minus"] else power, order)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +286,8 @@ def _unique_keys(pairs) -> dict:
 
 def _json_int(text: str) -> int:
     """parse_int for json: an over-long integer literal is named by its length."""
-    _check_digit_count(text, "integer literal")
-    return int(text)
+    n = read_digits(text.removeprefix("-"), "integer literal")
+    return -n if text.startswith("-") else n
 
 
 def load_document(path: str) -> HyperellipticDatum:

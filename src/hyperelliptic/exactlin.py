@@ -7,11 +7,11 @@ pair (den, integers) and a lattice is integer columns over one den, the
 column-style Hermite form of all its generators reduced at once; the form
 is unique, so equal lattices compare equal.
 
-No other module reads a `.numerator` or a `.denominator`: the parser's
-rationals become integers here, by `over_common_denominator`, and from then
-on every vector is integers over a held denominator, taken mod 1 by
-`reduced_mod1`, put over one with others by `common_denominator` and written
-by `format_rational`; `mat_mul` and `mat_vec` are the integer products.
+The parser reads a document's rationals straight into integers, so every
+vector is integers over a held denominator: taken mod 1 by `reduced_mod1`,
+put over one with others by `common_denominator`, reduced by
+`least_denominator` and written by `format_rational`; `mat_mul` and
+`mat_vec` are the integer products.
 The Hermite form (Cohen, GTM 138, 2.4) answers the integer questions.  One
 column Hermite form (h, v) of m has two readers: `hermite_kernel` (the
 kernel of m) and `hermite_coords` (coordinates against h's pivot columns,
@@ -44,16 +44,6 @@ def identity(n: int) -> Matrix:
 
 def transpose(m):
     return tuple(zip(*m)) if m else ()
-
-
-def over_common_denominator(rows):
-    """(D, integer rows) with rows == integer rows / D for the least positive integer D.
-
-    D is the lcm of the entry denominators (1 for int entries), so each
-    integer entry is numerator * (D // denominator).
-    """
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 def mat_mul(a, b):

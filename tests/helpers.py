@@ -57,7 +57,9 @@ library's constructors take integers only, as a parsed document gives them.
 its last library caller, when the parser began to hand `build_product_torus`
 integer rows: it is the reference the tests build expected lattices with.
 `scaled_mod1`, `vec_is_integral` and `vec_sub` left the library with their
-last library readers.
+last library readers.  `over_common_denominator`, which writes `Fraction`
+rows as integers over their least common denominator, left it when the
+parser began to read a document's rationals straight into integers.
 `three_curve_document` writes the documents of the fiber-basis sweep,
 `side_by_side` a builder document for copies of a variety side by side, and
 `raw_document` a datum as a raw document that lists every element.
@@ -109,7 +111,6 @@ from hyperelliptic.exactlin import (
     kernel_lattice,
     mat_mul,
     mat_vec,
-    over_common_denominator,
     reduced_mod1,
     smith_normal_form,
     transpose,
@@ -150,6 +151,16 @@ def rational(den: int, v) -> tuple[Fraction, ...]:
 def scaled_mod1(v) -> tuple[int, tuple[int, ...]]:
     """(D, D v mod D), D the least positive integer with D v integral: equal iff v is mod 1."""
     return reduced_mod1(*as_pair(v))
+
+
+def over_common_denominator(rows):
+    """(D, integer rows) with rows == integer rows / D for the least positive integer D.
+
+    D is the lcm of the entry denominators (1 for int entries), so each
+    integer entry is numerator * (D // denominator).
+    """
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 def as_pair(v) -> tuple[int, tuple[int, ...]]:

@@ -2,14 +2,15 @@
 
 Traces every line the library executes, from its import on, while
 `hyperelliptic.cli.main` runs every command of `output_digest.py` in both
-formats on its documents, plus `catalog list` and `catalog run` and `catalog
-export` on each entry.  It then prints, module by module, the line ranges of
-the statements (as `ast` parses them, docstrings left out) none of whose lines
-ran: code that no input of this set reaches, so deleting it changes no output
-the digest sees.  A compound statement counts as run when a line of its
-header or a statement inside it ran; consecutive statements that never ran
-print as one range, and nothing inside them is listed again.  It is a script,
-not a collected test, because tracing every line takes a few minutes.
+formats on its documents, malformed ones included, plus `catalog list` and
+`catalog run` and `catalog export` on each entry.  It then prints, module by
+module, the line ranges of the statements (as `ast` parses them, docstrings
+left out) none of whose lines ran: code that no input of this set reaches, so
+deleting it changes no output the digest sees.  A compound statement counts as
+run when a line of its header or a statement inside it ran; consecutive
+statements that never ran print as one range, and nothing inside them is
+listed again.  It is a script, not a collected test, because tracing every
+line takes a few minutes.
 
     PYTHONPATH=src python tests/reachability.py [--expect N]
 
@@ -26,7 +27,6 @@ import ast
 import contextlib
 import io
 import itertools
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -96,7 +96,7 @@ def trace_runs() -> dict[Path, set[int]]:
         return None if hits[name] is None else trace_lines
 
     sys.settrace(trace_calls)
-    from output_digest import commands, documents
+    from output_digest import cases
 
     from hyperelliptic.catalog import list_entries
     from hyperelliptic.cli import main
@@ -107,9 +107,9 @@ def trace_runs() -> dict[Path, set[int]]:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "datum.json"
-        for name, doc in documents():
-            path.write_text(json.dumps(doc))
-            for command, fmt in itertools.product(commands(name, doc), ("json", "text")):
+        for _, text, command in cases():
+            path.write_text(text)
+            for fmt in ("json", "text"):
                 silent_main([command[0], str(path), *command[1:], "--format", fmt])
     silent_main(["catalog", "list"])
     for name, action in itertools.product(list_entries(), ("run", "export")):

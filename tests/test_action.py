@@ -13,6 +13,7 @@ from helpers import (
     element_index,
     fiber_datum,
     members_of,
+    over_common_denominator,
     scaled_mod1,
     vec_denominator,
     vec_mod1,
@@ -39,7 +40,7 @@ from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
-from hyperelliptic.exactlin import Sublattice, identity, mat_mul, over_common_denominator, transpose
+from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
 from hyperelliptic.torus import (
     AlternatingForm,
     EllipticFactor,

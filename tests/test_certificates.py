@@ -69,6 +69,7 @@ from helpers import (
     lam_basis,
     mat_inv,
     model_actions,
+    over_common_denominator,
     pipeline_chain,
     proj0,
     projectors,
@@ -110,7 +111,6 @@ from hyperelliptic.exactlin import (
     identity,
     kernel_lattice,
     mat_mul,
-    over_common_denominator,
     transpose,
 )
 from hyperelliptic.invariants import canonical_order, invariants_report

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hyperelliptic
 from hyperelliptic.action import (
@@ -70,10 +73,32 @@ def z4_file(tmp_path, capsys):
     return str(path)
 
 
+def reference_rational(text: str) -> Fraction | None:
+    """The reference for `parse_rational`: what `Fraction` reads off the stripped text, or None.
+
+    Non-ASCII text, '_' and exponents, which `Fraction` would read, are refused first.
+    """
+    if not text.isascii() or "_" in text or "e" in text.lower():
+        return None
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+# the pieces a rational is spelled from, and the ones the format refuses
+RATIONAL_PIECES = st.one_of(
+    st.sampled_from(["-", "+", "/", ".", " ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f",
+                     "\xa0", "_", "\uff11", "e", "E", "d"]),
+    st.from_regex("[0-9]{1,4}", fullmatch=True),
+)
+
+
 class TestParsing:
     def test_rationals(self):
-        assert parse_rational("3/4") == parse_rational("6/8")
-        assert parse_rational("2") == 2
+        assert parse_rational("3/4") == parse_rational("6/8") == (4, 3)
+        assert parse_rational("2") == (1, 2)
+        assert parse_rational("-0.25") == (4, -1)
         with pytest.raises(InputError):
             parse_rational("3.5x")
         with pytest.raises(InputError):
@@ -91,6 +116,22 @@ class TestParsing:
         # Fraction alone reads "1_0/3" as 10/3 and fullwidth digits as ASCII ones
         with pytest.raises(InputError):
             parse_rational(text)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.lists(RATIONAL_PIECES, max_size=8).map("".join))
+    @example(" -1.\x1f")
+    @example("\x1c.5")
+    @example("1.d")
+    @example("1 / 2")
+    @example("\xa01")
+    @example("+.0/2")
+    def test_rationals_read_what_the_reference_reads(self, text):
+        expected = reference_rational(text)
+        if expected is None:
+            with pytest.raises(InputError, match=f"^bad rational {re.escape(repr(text))}: "):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == (expected.denominator, expected.numerator)
 
     def test_decimal_rationals_stay_exact(self):
         assert parse_rational("0.5") == parse_rational("1/2")
@@ -387,6 +428,12 @@ class TestStrictInput:
         code, err = self.check_exit(doc, tmp_path, capsys)
         assert code == 1
         assert "exponent notation" in err
+
+    def test_zero_denominator_is_named(self, tmp_path, capsys):
+        doc = with_generator(RAW_INVOLUTION, translation=["1/0", "1/2"])
+        code, err = self.check_exit(doc, tmp_path, capsys)
+        assert code == 1
+        assert err == "input error: bad rational '1/0': zero denominator\n"
 
     def test_unknown_key_exit_1(self, tmp_path, capsys):
         for doc in (get_entry("z4-threefold").document, RAW_INVOLUTION):

@@ -17,6 +17,7 @@ from helpers import (
     integer_solution,
     is_saturated,
     mat_inv,
+    over_common_denominator,
     reference_mat_mul,
     reference_mat_vec,
     saturate,
@@ -34,7 +35,6 @@ from hyperelliptic.exactlin import (
     kernel_lattice,
     mat_mul,
     mat_vec,
-    over_common_denominator,
     quotient_group,
     smith_normal_form,
     transpose,

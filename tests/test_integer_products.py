@@ -7,8 +7,9 @@ a `hyperelliptic` module binds it, the way `perfbench/tracing.py` rebinds
 its traced functions, with a wrapper that asserts every entry of both
 operands is an `int`, and runs `check`, `albanese --recurse`, `invariants`
 and `oracle` through the CLI on the catalog entries, the output digest's
-stress documents (every point and seed), the D4 threefold and `z4-threefold`
-in the superdiagonal lattice basis.
+stress documents (every point and seed), the D4 threefold, `z4-threefold`
+in the superdiagonal lattice basis and the digest's two catalog variants,
+`z4-threefold` spelled in decimals and `small-irregularity-cyclic` at rank 10.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ from hyperelliptic.cli import main
 from output_digest import STRESS_POINTS, documents
 
 COMMANDS = (["check"], ["albanese", "--recurse"], ["invariants"], ["oracle"])
-GROUPS = ("catalog", "stress", "d4", "base-change")
+GROUPS = ("catalog", "stress", "d4", "base-change", "variant")
 # each product's operand entries: two matrices, or a matrix and a vector
 ENTRIES = {
     "mat_mul": lambda a, b: [x for m in (a, b) for row in m for x in row],
@@ -40,6 +41,8 @@ def group_of(name: str) -> str:
         return "sweep"
     if name == "d4-threefold":
         return "d4"
+    if name in ("z4-threefold-decimal", "small-irregularity-cyclic-rank10"):
+        return "variant"
     return "catalog" if name in list_entries() else "base-change"
 
 
@@ -79,7 +82,7 @@ def run_group(group: str, tmp_path) -> None:
                 code = main([command[0], str(path), *command[1:], "--format", "json"])
             assert code in (0, 2), (name, command, code)
     counts = {"catalog": len(list_entries()), "stress": 4 * len(STRESS_POINTS), "d4": 1,
-              "base-change": 1}
+              "base-change": 1, "variant": 2}
     assert seen == counts[group]
 
 

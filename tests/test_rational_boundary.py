@@ -1,27 +1,20 @@
-"""Rationals become integers in the parser, only `parse_rational` names `Fraction`, only
-`documents` imports `fractions`, and no float enters the library.
+"""No library module imports `fractions`, names `Fraction`, reads a
+`.numerator` or a `.denominator`, or lets a float in.
 
-Only `exactlin` reads `.numerator` or `.denominator`: the parser hands
-rational rows, as parsed, to `exactlin`'s scaler `over_common_denominator`
-instead of taking them apart itself.  The test walks each module's syntax
-tree and lists every attribute read of either name outside `exactlin`, with
-its line.  Only `documents` calls the scaler: every library constructor
-takes a rational as (den, integers), as the parser hands it on, so none
-scales a rational of its own.
+The parser reads a document's rationals straight into integers, one compiled
+pattern per token kind, so every library function, from the parser's
+vectors to the report's `exactlin.format_rational`, works on integers over a
+held denominator.  The test walks each module's syntax tree and lists every
+attribute read of either name, with its line, every function that names
+`Fraction` or a module-level alias of it, and every module that imports
+`fractions`: a new rational round trip, such as a lattice vector built as
+`Fraction`s only to be scaled straight back to integers, shows up on one of
+the lists.  The allow-lists of functions and modules are empty; an entry
+added to one needs its reason beside it.
 
 No module divides with `/`, writes a float or complex literal or calls
-`float(`: a rational is an integer over a held denominator or a `Fraction`,
-so no answer rests on floating point, even where a true division of two
-`Fraction`s would stay exact.
-
-The functions that name `Fraction`, or a module-level alias of it, are a
-fixed list with one name: `documents.parse_rational`, where a document's
-rational is read.  Every other function, from the parser's vectors to the
-report's `exactlin.format_rational`, works on integers over a held
-denominator, so a new rational round trip, such as a lattice vector built as
-`Fraction`s only to be scaled straight back to integers, shows up as a new
-name on the list.  The modules that import `fractions` at all are a fixed
-list too.
+`float(`: a rational is an integer over a held denominator, so no answer
+rests on floating point.
 """
 
 import ast
@@ -29,7 +22,6 @@ from pathlib import Path
 
 import hyperelliptic
 
-OWNER = "exactlin"
 FIELDS = {"numerator", "denominator"}
 
 
@@ -95,34 +87,19 @@ def _rational_functions(source: str):
 
 
 # each library function that names `Fraction`, and why
-RATIONAL_FUNCTIONS = [
-    "documents.parse_rational",  # a rational read from a document
-]
+RATIONAL_FUNCTIONS: list[str] = []
 # the modules that import `fractions`: the owners of the functions above
-FRACTION_MODULES = ["documents"]
-# the scaler of parsed rationals to integers, and the modules that call it
-SCALER = "over_common_denominator"
-SCALER_CALLERS = ["documents"]
-
-
-def _calls(source: str, name: str) -> bool:
-    """Whether the source calls `name`, as a bare name or as an attribute."""
-    return any(
-        isinstance(node, ast.Call)
-        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        for node in ast.walk(ast.parse(source))
-    )
+FRACTION_MODULES: list[str] = []
 
 
 def _library():
     return sorted(Path(hyperelliptic.__file__).parent.glob("*.py"))
 
 
-def test_only_exactlin_reads_numerators_and_denominators():
+def test_no_module_reads_numerators_or_denominators():
     found = [
         f"{path.stem}:{line}: .{attr}"
         for path in _library()
-        if path.stem != OWNER
         for line, attr in _reads(path.read_text())
     ]
     assert found == []
@@ -151,17 +128,11 @@ def test_only_the_listed_modules_import_fractions():
     assert found == FRACTION_MODULES
 
 
-def test_only_the_parser_scales_rationals():
-    found = [path.stem for path in _library() if _calls(path.read_text(), SCALER)]
-    assert found == SCALER_CALLERS
-
-
 def test_the_walk_sees_reads():
     # the check is only as good as its walk: a read in any position is found
     source = "x = Fraction(a).denominator\nf(y.numerator // 2)\nz = [v.denominator for v in w]\n"
     assert _reads(source) == [(1, "denominator"), (2, "numerator"), (3, "denominator")]
     assert _reads("denominator = 1\nnumerator(x)\n") == []
-    assert OWNER in {p.stem for p in Path(hyperelliptic.__file__).parent.glob("*.py")}
 
 
 def test_the_walk_sees_floats():
@@ -201,12 +172,3 @@ def test_the_walk_sees_fractions_imports():
     assert _imports_fractions("def f():\n    from fractions import Fraction\n")
     # a relative import, another module or a name that merely contains the word is not
     assert not _imports_fractions("from .fractions import x\nimport math\nfractions = 1\n")
-
-
-def test_the_walk_sees_calls():
-    # a bare call, an attribute call or a call nested in another is found
-    assert _calls("d, v = f(rows)\n", "f")
-    assert _calls("x = exactlin.f(rows)\n", "f")
-    assert _calls("y = g([f(r) for r in rows])\n", "f")
-    # a definition, a name read or an import is not a call
-    assert not _calls("def f(rows):\n    return g(rows)\nh = f\nfrom m import f\n", "f")

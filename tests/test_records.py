@@ -26,11 +26,12 @@ from helpers import (
     from_rat_columns,
     lam_basis,
     lattice_coords,
+    over_common_denominator,
     rational,
     torus_key,
 )
 from hyperelliptic.cyclotomic import CyclotomicInvariantError, RootOfUnity
-from hyperelliptic.exactlin import LatticeError, Sublattice, identity, over_common_denominator
+from hyperelliptic.exactlin import LatticeError, Sublattice, identity
 from hyperelliptic.invariants import invariants_report
 from hyperelliptic.torus import (
     AlternatingForm,

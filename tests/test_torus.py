@@ -11,6 +11,7 @@ from helpers import (
     lam_basis,
     lattice_coords,
     mat_inv,
+    over_common_denominator,
     rational,
     reference_mat_mul,
     ring_block,
@@ -18,7 +19,7 @@ from helpers import (
 )
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum, parse_vector
-from hyperelliptic.exactlin import Sublattice, identity, mat_mul, over_common_denominator, transpose
+from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
 from hyperelliptic.torus import (
     FACTOR_KINDS,
     EllipticFactor,
