@@ -19,18 +19,21 @@ iff a rational one does, so freeness results are certificates, not samples.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from .cyclotomic import RootOfUnity, cyclotomic_polynomial, euler_phi, poly_divmod_exact
 from .exactlin import (
+    column_lists,
     hermite_normal_form,
     identity,
+    identity_rows,
     is_unimodular,
-    mat_mul,
+    list_product,
     mat_vec,
     reduced_mod1,
-    transpose,
 )
 from .torus import AlternatingForm, InvalidAutomorphism, TorusDatum, factor_block_eigenvalue
 
@@ -248,11 +251,13 @@ def close_group(
     records edges[i][s] = index of elements[i] . gens[s].  Linear parts are
     integral, so every translation lies in (1/D)Z^rank, D the lcm of the
     generators' den, and the integer pair (M_e M_s, (M_e D t_s + D t_e) mod D)
-    is both the product and its key.  A new element alone becomes an
-    AffineAut, its den and shift D and D t mod D over their gcd, and gets its
-    eigenvalues once.  With elliptic factors a generator's are read off its
-    blocks (``factor_eigenvalues``; declared ones must agree, else
-    InconsistentEigenvalues), and each linear part is one unit of each
+    is the product.  M_e M_s is formed as list rows and looked up by its
+    entries in one flat tuple, so a product already in the table builds no
+    row tuple; a new element alone gets its linear part as row tuples and
+    becomes an AffineAut, its den and shift D and D t mod D over their gcd,
+    and gets its eigenvalues once.  With elliptic factors a generator's are
+    read off its blocks (``factor_eigenvalues``; declared ones must agree,
+    else InconsistentEigenvalues), and each linear part is one unit of each
     factor's endomorphism ring, so an element's are the factorwise product
     of the parent's and the generator's, in factor order.  Raw data take them
     from ``eigenvalue_table`` (keyed by linear part) or else from the
@@ -279,20 +284,23 @@ def close_group(
         table.setdefault(g.linear, eig)
         gen_eig.append(eig)
     den = lcm(*(g.den for g in gens))
-    dt_gens = [tuple(x * (den // g.den) for x in g.shift) for g in gens]  # D t_s
+    dt_gens = [[x * (den // g.den) for x in g.shift] for g in gens]  # D t_s
+    gen_cols = [column_lists(g.linear) for g in gens]
 
     elements = [affine_identity(rank)]
     dt = [(0,) * rank]  # D t_e mod D
-    index = {(elements[0].linear, dt[0]): 0}
+    index = {(tuple(chain.from_iterable(elements[0].linear)), dt[0]): 0}
     edges = []
     tree = [None]
     for i, e in enumerate(elements):  # the list grows while it is walked
         row = []
-        for s, g in enumerate(gens):
-            linear = mat_mul(e.linear, g.linear)
-            shift = tuple((x + y) % den for x, y in zip(mat_vec(e.linear, dt_gens[s]), dt[i]))
-            j = index.get((linear, shift))
+        for s, (g_cols, dt_s) in enumerate(zip(gen_cols, dt_gens)):
+            rows = list_product(e.linear, g_cols)
+            shift = tuple([(sum(map(mul, r, dt_s)) + y) % den for r, y in zip(e.linear, dt[i])])
+            key = (tuple(chain.from_iterable(rows)), shift)
+            j = index.get(key)
             if j is None:
+                linear = tuple(map(tuple, rows))
                 if torus.factors is not None:
                     eig = tuple(x * y for x, y in zip(e.eigenvalues, gen_eig[s]))
                 else:
@@ -300,7 +308,7 @@ def close_group(
                     table[linear] = eig
                 if len(elements) >= cap:
                     raise NotClosedWithinCap(f"group closure exceeds cap {cap}")
-                j = index[linear, shift] = len(elements)
+                j = index[key] = len(elements)
                 elements.append(AffineAut(linear, *reduced_mod1(den, shift), eig))
                 dt.append(shift)
                 tree.append((i, s))
@@ -316,7 +324,7 @@ def factor_eigenvalues(torus: TorusDatum, linear) -> tuple:
     columns C over den; B must be block-diagonal in units' table entries.
     """
     den = torus.lattice.den
-    b = mat_mul(mat_mul(transpose(torus.lattice.cols), linear), torus.lam_basis_inv)
+    b = list_product(list_product(torus.basis_rows, column_lists(linear)), torus.inv_cols)
     if any(x % den or x and i // 2 != j // 2 for i, row in enumerate(b) for j, x in enumerate(row)):
         raise InvalidAutomorphism("linear part is not block-diagonal on the factors")
     blocks = (tuple(tuple(x // den for x in row[k:k + 2]) for row in b[k:k + 2])
@@ -346,12 +354,13 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation) -> AffineA
     big = [[blocks[i // 2][i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(rank)]
            for i in range(rank)]
     den = torus.lattice.den
-    scaled = mat_mul(mat_mul(torus.lam_basis_inv, big), transpose(torus.lattice.cols))
+    scaled = list_product(list_product(torus.lam_basis_inv, column_lists(big)), torus.lattice.cols)
     if any(x % den for row in scaled for x in row):
         raise LatticeNotPreserved("linear part does not preserve the enlarged lattice")
-    linear = tuple(tuple(x // den for x in row) for row in scaled)
+    linear = tuple(tuple([x // den for x in row]) for row in scaled)
     d, w = translation
-    return AffineAut(linear, *reduced_mod1(d, mat_vec(torus.lam_basis_inv, w)), None)
+    lattice_w = [sum(map(mul, row, w)) for row in torus.lam_basis_inv]
+    return AffineAut(linear, *reduced_mod1(d, lattice_w), None)
 
 
 def affine_raw(linear, translation, eigenvalues) -> AffineAut:
@@ -373,12 +382,10 @@ def has_fixed_point(a: AffineAut) -> bool:
     (u t)_i = (u lambda)_i.  So g has a fixed point iff u t is integral on the
     zero rows of h, that is iff u shift = 0 mod den there.
     """
-    n = a.rank
     h, u = hermite_normal_form(
-        tuple(tuple(a.linear[i][j] - int(i == j) for j in range(n)) for i in range(n))
-    )
-    zero_rows = tuple(row for row, h_row in zip(u, h) if not any(h_row))
-    return all(x % a.den == 0 for x in mat_vec(zero_rows, a.shift))
+        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a.linear)])
+    return all(sum(map(mul, row, a.shift)) % a.den == 0
+               for row, h_row in zip(u, h) if not any(h_row))
 
 
 class ValidationReport(NamedTuple):
@@ -589,19 +596,19 @@ def rewrite_on_lattice(
     generator.  The rewrite is a homomorphism, so a product is read off d's
     Cayley table; one outside the members raises GroupInvariantError.
     """
-    b = transpose(cols)
     r = len(cols)
-    h, u = hermite_normal_form(b)
-    if h[:r] != identity(r):
+    h, u = hermite_normal_form(column_lists(cols))  # B, n x r
+    if h[:r] != identity_rows(r):
         raise GroupInvariantError("the fiber basis does not span a saturated lattice")
     left = u[:r]
     elements, label, owner = [], {}, {}
     for i, eigenvalues in members:
         e = d.group.elements[i]
-        umb = mat_mul(u, mat_mul(e.linear, b))  # L M B over R M B
+        umb = list_product(u, column_lists(list_product(e.linear, cols)))  # L M B over R M B
         if any(map(any, umb[r:])):
             raise GroupInvariantError("an element does not preserve the lattice")
-        g = AffineAut(umb[:r], *reduced_mod1(e.den, mat_vec(left, e.shift)), eigenvalues)
+        linear = tuple(map(tuple, umb[:r]))
+        g = AffineAut(linear, *reduced_mod1(e.den, mat_vec(left, e.shift)), eigenvalues)
         key = g.key()
         if key in owner:
             raise GroupInvariantError(f"elements {owner[key]} and {i} have one image")

@@ -82,14 +82,14 @@ from .exactlin import (
     FiniteAbelianGroup,
     Sublattice,
     column_hermite,
+    column_lists,
     common_denominator,
     hermite_coords,
     hermite_kernel,
     kernel_lattice,
-    mat_mul,
+    list_product,
     mat_vec,
     quotient_group,
-    transpose,
 )
 from .torus import TorusDatum, factor_plane_columns, identify_factor_subspace
 
@@ -215,8 +215,9 @@ def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
     """
     gens = [d.group.elements[i] for i in d.group.gens]
     s = dec.group_sum
+    s_rows = [list(row) for row in s]
     for g in gens:
-        if mat_mul(s, g.linear) != s:
+        if list_product(s, column_lists(g.linear)) != s_rows:
             raise PipelineInvariantError("a generator moves V0 or does not keep V1 stable")
     den = lcm(*(g.den for g in gens))
     rows = tuple(mat_vec(s, [x * (den // g.den) for x in g.shift]) for g in gens)
@@ -233,7 +234,7 @@ def compute_H(d: HyperellipticDatum, dec: Decomposition, t0):
     class 0; |G| t0 is t0's rows over D.  ``run_pipeline`` checks both
     counts against |G| and [Lambda_B : Lambda_0].
     """
-    pivots = [c for c in transpose(dec.hermite[0]) if any(c)]
+    pivots = [c for c in column_lists(dec.hermite[0]) if any(c)]
     den, steps = common_denominator([hermite_coords(pivots, row) for row in t0[1]])
     den *= t0[0] // d.group.order  # the steps are |G| t0's coordinates times den
     classes = [(0,) * len(pivots)]
@@ -253,7 +254,7 @@ def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
     """
     den, rows = t0
     scale = den // d.group.order
-    image = [[x * scale for x in c] for c in transpose(dec.hermite[0]) if any(c)]
+    image = [[x * scale for x in c] for c in column_lists(dec.hermite[0]) if any(c)]
     lam_b = Sublattice.from_int_columns(d.rank, image + list(rows), den)
     if lam_b.rank != dec.lambda0.rank:
         raise PipelineInvariantError("Albanese lattice rank differs from rank Lambda_0")

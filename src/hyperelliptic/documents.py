@@ -49,7 +49,8 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 # rationals and root-of-unity labels
 
-_SPACE = "[\t-\r\x1c-\x20]*"  # the ASCII characters str.isspace() accepts
+_ASCII_SPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "  # the ASCII characters str.isspace() accepts
+_SPACE = f"[{_ASCII_SPACE}]*"  # what may surround a rational or a root-of-unity label
 # [-+]? then p, p/q, p. or p.d, or .d, in ASCII digits: no '_' separators, no non-ASCII digits
 # and no exponent, which would let nine characters, 1e1000000, ask for a million digits
 _RATIONAL = re.compile(rf"{_SPACE}(?P<sign>[-+]?)(?P<num>[0-9]+|(?=\.[0-9]))"
@@ -107,7 +108,7 @@ def format_vector(den: int, v) -> list[str]:
 def parse_root_label(text) -> RootOfUnity:
     if not isinstance(text, str):
         raise InputError(f"expected a root-of-unity label, got {text!r}")
-    label = text.strip()
+    label = text.strip(_ASCII_SPACE)
     if label in ROOT_SHORTHAND:
         return RootOfUnity.of(*ROOT_SHORTHAND[label])
     m = _ROOT_LABEL.fullmatch(label)

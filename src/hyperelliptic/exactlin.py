@@ -2,10 +2,24 @@
 
 All arithmetic is on arbitrary-precision `int`s; no floating point enters
 any computation, so every membership and solvability answer is a
-certificate.  Matrices are tuples of row tuples.  A rational vector is a
-pair (den, integers) and a lattice is integer columns over one den, the
-column-style Hermite form of all its generators reduced at once; the form
-is unique, so equal lattices compare equal.
+certificate.  A rational vector is a pair (den, integers) and a lattice is
+integer columns over one den, the column-style Hermite form of all its
+generators reduced at once; the form is unique, so equal lattices compare
+equal.
+
+The row rule: a matrix that is kept (returned to a caller that holds it, or
+stored in a record) is a tuple of row tuples, each row built once, at its
+final length; a kernel's temporaries are list rows.  A transpose that is
+only read is `column_lists`, an intermediate product is `list_product` and
+an identity seed is `identity_rows`.  The eliminations
+(`hermite_normal_form`, `smith_normal_form`) return rows of the kind their
+argument has, tuple rows for tuple rows and list rows for list rows, which
+is how the kernels pass temporaries to each other; `column_hermite`'s form
+is kept, so it returns tuple rows.  The reason is CPython 3.11's tuple
+freelist: a freed tuple of size 20 is pushed onto it, but one of that size
+is never popped, so each row tuple of a rank-20 matrix that is built and
+dropped stays allocated, up to 2000 of them of 184 B each, until the
+process ends (`tests/row_churn.py` counts them).
 
 The parser reads a document's rationals straight into integers, so every
 vector is integers over a held denominator: taken mod 1 by `reduced_mod1`,
@@ -16,16 +30,18 @@ The Hermite form (Cohen, GTM 138, 2.4) answers the integer questions.  One
 column Hermite form (h, v) of m has two readers: `hermite_kernel` (the
 kernel of m) and `hermite_coords` (coordinates against h's pivot columns,
 by back-substitution in integers, as in `Sublattice.coords_of`);
-`is_unimodular` and `is_singular` read the row form.  The Smith form is a
-loop of row and column Hermite forms, and the inverse of its unimodular u
-is the transform of u's row form, so `hermite_normal_form` is the one
-elimination routine.
+`is_unimodular` and `is_singular` read the row form.  The column form of m
+is the row form of m's transpose, so a reader that wants its columns, such
+as `kernel_lattice` and `Sublattice.from_int_columns`, reads that row form
+directly.  The Smith form is a loop of row and column Hermite forms, and
+the inverse of its unimodular u is the transform of u's row form, so
+`hermite_normal_form` is the one elimination routine.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -39,17 +55,32 @@ class LatticeError(ValueError):
 # small matrix/vector helpers (exact, shape-explicit where it matters)
 
 def identity(n: int) -> Matrix:
-    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+    return tuple(map(tuple, identity_rows(n)))
+
+
+def identity_rows(n: int) -> list[list[int]]:
+    """The n x n identity as list rows, the seed of a kernel's transform."""
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def transpose(m):
-    return tuple(zip(*m)) if m else ()
+    """The transpose to keep, as tuple rows, each built once from a column list."""
+    return tuple(map(tuple, column_lists(m)))
+
+
+def column_lists(m) -> list[list[int]]:
+    """The columns of a matrix as lists: a transpose that builds no tuple."""
+    return [list(map(itemgetter(j), m)) for j in range(len(m[0]))] if m else []
+
+
+def list_product(rows, cols) -> list[list[int]]:
+    """The product of the matrix with these rows and the one with these columns, as list rows."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 
 def mat_mul(a, b):
-    """The product of two integer matrices."""
-    bt = transpose(b)
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    """The product of two integer matrices; b's columns are read as lists."""
+    return tuple(tuple(row) for row in list_product(a, column_lists(b)))
 
 
 def mat_vec(a, v):
@@ -60,7 +91,7 @@ def mat_vec(a, v):
 def least_denominator(den: int, scaled) -> tuple[int, tuple[int, ...]]:
     """(den, scaled) with gcd(den, *scaled) divided out: the least denominator of scaled / den."""
     c = gcd(den, *scaled)
-    return den // c, tuple(x // c for x in scaled)
+    return den // c, (tuple(scaled) if c == 1 else tuple(x // c for x in scaled))
 
 
 def format_rational(x: int, den: int) -> str:
@@ -104,6 +135,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # normal forms
 
+def _rows_like(m, rows):
+    """The list rows given, as rows of m's kind: lists if m's rows (or m, if empty) are lists."""
+    return rows if isinstance(m[0] if m else m, list) else tuple(map(tuple, rows))
+
+
 def _combine_rows(mats, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
     """Hermite row step in each matrix: rows i, j <- (a*i + b*j, c*i + d*j), a*d - b*c == +-1."""
     for m in mats:
@@ -118,12 +154,13 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
 
     Canonical tie-breaking: pivots are positive, entries above each pivot are
     reduced into [0, pivot), pivot columns strictly increase down the rows and
-    zero rows sit at the bottom, so the output is deterministic.
+    zero rows sit at the bottom, so the output is deterministic.  The rows
+    of h and u are lists if m's are, else tuples.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     h = [list(row) for row in m]
-    u = [list(row) for row in identity(rows)]
+    u = identity_rows(rows)
     r = 0
     for col in range(cols):
         for i in range(r + 1, rows):
@@ -144,23 +181,23 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
             r += 1
             if r == rows:
                 break
-    return tuple(map(tuple, h)), tuple(map(tuple, u))
+    return _rows_like(m, h), _rows_like(m, u)
 
 
 def column_hermite(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Column-operation Hermite form: (h, v) with m @ v == h, v unimodular."""
-    ht, ut = hermite_normal_form(transpose(m))
+    """Column-operation Hermite form: (h, v) with m @ v == h, v unimodular, kept as tuple rows."""
+    ht, ut = hermite_normal_form(column_lists(m))
     return transpose(ht), transpose(ut)
 
 
 def is_unimodular(m: Matrix) -> bool:
     """Whether a square integer matrix has determinant +-1: its Hermite form is the identity."""
-    return hermite_normal_form(m)[0] == identity(len(m))
+    return hermite_normal_form([list(row) for row in m])[0] == identity_rows(len(m))
 
 
 def is_singular(m: Matrix) -> bool:
     """Whether a square integer matrix is singular: its Hermite form has a zero row."""
-    return any(not any(row) for row in hermite_normal_form(m)[0])
+    return any(not any(row) for row in hermite_normal_form([list(row) for row in m])[0])
 
 
 def hermite_coords(cols, target) -> tuple[int, tuple[int, ...]] | None:
@@ -193,20 +230,23 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
     previous value; if it stays the same, row t and column t are cleared.  Once
     s is diagonal, each d_t that does not divide d_{t+1} gets column t+1 added
     to column t, and the next row form lowers the first such d_t to
-    gcd(d_t, d_{t+1}) and leaves the d before it as they are.
+    gcd(d_t, d_{t+1}) and leaves the d before it as they are.  The rounds run
+    on list rows; u and s come back as rows of m's kind.
     """
     cols = len(m[0]) if m else 0
-    s, u = m, identity(len(m))
+    s, u = [list(row) for row in m], identity_rows(len(m))
     while True:
-        h, _ = hermite_normal_form(tuple(a + b for a, b in zip(s, u)))
-        s, u = column_hermite(tuple(r[:cols] for r in h))[0], tuple(r[cols:] for r in h)
+        h, _ = hermite_normal_form([a + b for a, b in zip(s, u)])
+        u = [row[cols:] for row in h]
+        st, _ = hermite_normal_form(column_lists(h)[:cols])  # column form of h's s part
+        s = column_lists(st)
         if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(s)):
             continue
         d = [row[t] for t, row in enumerate(s[:cols])]
         fix = {t for t in range(len(d) - 1) if d[t] and d[t + 1] % d[t]}
         if not fix:
-            return u, s
-        s = tuple(tuple(x + row[t + 1] if t in fix else x for t, x in enumerate(row)) for row in s)
+            return _rows_like(m, u), _rows_like(m, s)
+        s = [[x + row[t + 1] if t in fix else x for t, x in enumerate(row)] for row in s]
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +272,10 @@ class Sublattice(NamedTuple):
         """The lattice of the integer columns over den: their Hermite form, den made least."""
         if not cols:
             return Sublattice(ambient_rank, 1, ())
-        h, _ = column_hermite(transpose(tuple(map(tuple, cols))))  # ambient_rank x k
-        kept = tuple(c for c in transpose(h) if any(c))
-        c = gcd(den, *(x for col in kept for x in col))
-        return Sublattice(ambient_rank, den // c, tuple(tuple(x // c for x in col) for col in kept))
+        # the form of m / c is the form of m over c, so den is made least first
+        c = gcd(den, *(x for col in cols for x in col))
+        h, _ = hermite_normal_form([[x // c for x in col] for col in cols])
+        return Sublattice(ambient_rank, den // c, tuple(tuple(row) for row in h if any(row)))
 
     @staticmethod
     def standard(n: int) -> "Sublattice":
@@ -273,15 +313,25 @@ class Sublattice(NamedTuple):
 def hermite_kernel(hermite: tuple[Matrix, Matrix]) -> Sublattice:
     """Saturated kernel of m off column_hermite(m) = (h, v): v's columns over h's zero columns."""
     h, v = hermite
-    kernel_cols = [col for hcol, col in zip(transpose(h), transpose(v)) if not any(hcol)]
-    return Sublattice.from_int_columns(len(v), kernel_cols)
+    return _kernel_of_columns(column_lists(h), column_lists(v))
+
+
+def _kernel_of_columns(h_cols, v_cols) -> Sublattice:
+    """The lattice of v's columns over h's zero columns, for a column form (h, v) as columns."""
+    return Sublattice.from_int_columns(len(v_cols), [
+        col for h_col, col in zip(h_cols, v_cols) if not any(h_col)])
 
 
 def kernel_lattice(m: Matrix) -> Sublattice:
-    """Saturated sublattice {v in Z^cols : m @ v == 0} of an integer matrix m."""
+    """Saturated sublattice {v in Z^cols : m @ v == 0} of an integer matrix m.
+
+    The row form (ht, ut) of m's transpose is column_hermite(m) with its
+    columns as rows, so the kernel is read off it as `hermite_kernel` reads
+    the column form.
+    """
     if not m:
         raise LatticeError("kernel_lattice needs at least one row (use Sublattice.standard)")
-    return hermite_kernel(column_hermite(m))
+    return _kernel_of_columns(*hermite_normal_form(column_lists(m)))
 
 
 def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
@@ -299,9 +349,9 @@ def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
         if coords is None or coords[0] != 1:
             raise LatticeError("small lattice is not contained in big lattice")
         coord_cols.append(coords[1])
-    u, s = smith_normal_form(transpose(coord_cols))  # k x k, small's basis in big's coordinates
+    u, s = smith_normal_form(column_lists(coord_cols))  # k x k, small's basis in big's coordinates
     u_inv = hermite_normal_form(u)[1]  # u is unimodular: its row form is I
-    big_basis = transpose(big.cols)  # ambient x k, over big.den
+    big_basis = column_lists(big.cols)  # ambient x k, over big.den
     factors, gens = [], []
     for i in range(k):
         d = s[i][i]

@@ -36,6 +36,7 @@ from typing import NamedTuple
 from .action import AffineAut, HyperellipticDatum, validate
 from .albanese import AlbaneseReport, PipelineInvariantError
 from .exactlin import (
+    column_lists,
     common_denominator,
     reduced_mod1,
     smith_normal_form,
@@ -83,12 +84,9 @@ def element_level_bound(e: AffineAut) -> int:
     zero count at any multiple of this bound certifies freeness of e.  Each
     divisor divides the next, so their lcm is the largest of them.
     """
-    n = e.rank
-    diff = tuple(
-        tuple(e.linear[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-    _, s = smith_normal_form(diff)
-    return max(1, *(s[i][i] for i in range(n))) * e.den
+    _, s = smith_normal_form(
+        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(e.linear)])
+    return max(1, *(row[i] for i, row in enumerate(s))) * e.den
 
 
 def formula_level(d: HyperellipticDatum) -> int:
@@ -139,10 +137,8 @@ def oracle_fixed_points(model: TorsionModel, element_index: int) -> int:
     n = model.level
     r = model.rank
     m, nt = model.actions[element_index]
-    a = tuple(
-        tuple((m[i][j] - (1 if i == j else 0)) % n for j in range(r)) for i in range(r)
-    )
-    b = tuple((-x) % n for x in nt)
+    a = [[(x - (i == j)) % n for j, x in enumerate(row)] for i, row in enumerate(m)]
+    b = [(-x) % n for x in nt]
     active_rows = [i for i in range(r) if any(a[i])]
     for i in range(r):
         if i not in active_rows and b[i] != 0:
@@ -259,7 +255,7 @@ def _albanese_projection_matrix(report: AlbaneseReport):
     if lam_b.rank == 0:
         return 1, ()
     columns = []
-    for w in transpose(report.decomposition.group_sum):
+    for w in column_lists(report.decomposition.group_sum):
         coords = lam_b.coords_of(1, w)
         if coords is None:
             raise PipelineInvariantError("projection leaves the Albanese lattice span")

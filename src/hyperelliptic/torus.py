@@ -28,9 +28,11 @@ from .cyclotomic import RootOfUnity
 from .exactlin import (
     LatticeError,
     Sublattice,
-    identity,
+    column_lists,
+    identity_rows,
     is_singular,
     least_denominator,
+    list_product,
     mat_mul,
     mat_vec,
     transpose,
@@ -127,10 +129,11 @@ class AlternatingForm:
 
     def restricted_to(self, basis_columns) -> tuple[tuple[int, ...], ...]:
         """Gram matrix B^T E B for the given integer basis columns."""
-        return mat_mul(mat_mul(basis_columns, self.matrix), transpose(basis_columns))
+        b_rows = column_lists(basis_columns)
+        return mat_mul(list_product(basis_columns, column_lists(self.matrix)), b_rows)
 
     def is_invariant_under(self, m) -> bool:
-        return mat_mul(mat_mul(transpose(m), self.matrix), m) == self.matrix
+        return mat_mul(list_product(column_lists(m), column_lists(self.matrix)), m) == self.matrix
 
 
 class TorusDatum:
@@ -142,22 +145,26 @@ class TorusDatum:
     its integers w: in product coordinates, its lattice coordinates are
     ``lam_basis_inv`` w / d (as `affine_from_factor_action` reads a
     translation); in lattice coordinates, its product coordinates are
-    C w / (d * den) for Lambda's Hermite columns C over den.
+    C w / (d * den) for Lambda's Hermite columns C over den.  The products
+    read C by rows (``basis_rows``, list rows) and lam_basis_inv by columns
+    (``inv_cols``), both made once, here.
     """
 
-    __slots__ = ("rank", "lattice", "factors", "lam_basis_inv")
+    __slots__ = ("rank", "lattice", "factors", "lam_basis_inv", "inv_cols", "basis_rows")
 
     def __init__(self, lattice: Sublattice, factors: tuple[EllipticFactor, ...] | None = None):
         rank = lattice.ambient_rank
         if factors is not None and 2 * len(factors) != rank:
             raise ValueError("factor count does not match rank")
-        inv_cols = [lattice.coords_of(1, e) for e in identity(rank)]
+        inv_cols = [lattice.coords_of(1, e) for e in identity_rows(rank)]
         if not all(c is not None and c[0] == 1 for c in inv_cols):
             raise LatticeError("lattice must contain the product lattice Z^rank")
         self.rank = rank
         self.lattice = lattice
         self.factors = factors
-        self.lam_basis_inv = transpose([c[1] for c in inv_cols])
+        self.inv_cols = tuple(c[1] for c in inv_cols)
+        self.lam_basis_inv = transpose(self.inv_cols)
+        self.basis_rows = column_lists(lattice.cols)
 
     @property
     def dim(self) -> int:
@@ -165,7 +172,7 @@ class TorusDatum:
 
     def to_product_coords(self, den: int, v) -> tuple[int, tuple[int, ...]]:
         """The product coordinates of v / den as (least den, integers)."""
-        return least_denominator(den * self.lattice.den, mat_vec(transpose(self.lattice.cols), v))
+        return least_denominator(den * self.lattice.den, mat_vec(self.basis_rows, v))
 
     @staticmethod
     def raw(rank: int) -> "TorusDatum":
@@ -179,7 +186,7 @@ def build_product_torus(factors, k_gens=(1, ())) -> TorusDatum:
     den, rows = k_gens
     if any(len(g) != rank for g in rows):
         raise ValueError("k generator length must be 2 * number of factors")
-    cols = [tuple(den * x for x in e) for e in identity(rank)] + list(rows)
+    cols = [[den * x for x in e] for e in identity_rows(rank)] + list(rows)
     return TorusDatum(Sublattice.from_int_columns(rank, cols, den), factors)
 
 
@@ -197,14 +204,12 @@ def standard_form(t: TorusDatum) -> AlternatingForm:
     for i in range(0, n2, 2):
         j[i][i + 1] = 1
         j[i + 1][i] = -1
-    cols = t.lattice.cols
-    return AlternatingForm(mat_mul(mat_mul(cols, j), transpose(cols)))
+    return AlternatingForm(mat_mul(list_product(t.lattice.cols, column_lists(j)), t.basis_rows))
 
 
 def factor_plane_columns(t: TorusDatum, indices) -> tuple[tuple[int, ...], ...]:
     """The factors' plane unit vectors in lattice coordinates: columns of lam_basis_inv."""
-    inv_cols = transpose(t.lam_basis_inv)
-    return tuple(inv_cols[j] for i in indices for j in (2 * i, 2 * i + 1))
+    return tuple(t.inv_cols[j] for i in indices for j in (2 * i, 2 * i + 1))
 
 
 def identify_factor_subspace(t: TorusDatum, sub: Sublattice) -> tuple[int, ...] | None:
@@ -218,7 +223,7 @@ def identify_factor_subspace(t: TorusDatum, sub: Sublattice) -> tuple[int, ...] 
     """
     if t.factors is None:
         return None
-    scaled = mat_mul(sub.cols, t.lattice.cols)
+    scaled = list_product(sub.cols, t.basis_rows)
     indices = tuple(sorted({j // 2 for row in scaled for j, x in enumerate(row) if x}))
     planes = Sublattice.from_int_columns(t.rank, factor_plane_columns(t, indices))
     return indices if planes == sub else None

@@ -117,6 +117,17 @@ class TestParsing:
         with pytest.raises(InputError):
             parse_rational(text)
 
+    @pytest.mark.parametrize("label", ["\xa0i", "\u3000zeta4", "zeta4\xa0", "-1\u2003", "\x85-1"])
+    def test_root_labels_take_the_rationals_whitespace(self, label, tmp_path, capsys):
+        # str.strip() alone reads these as i, zeta4, zeta4, -1 and -1: only the
+        # ASCII whitespace that may surround a rational may surround a label
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(with_generator(RAW_INVOLUTION, eigenvalues=[label])))
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 1
+        assert "bad root-of-unity label" in err
+        assert parse_root_label("\t\x1c-1\x1f\n") == parse_root_label("-1")
+
     @settings(max_examples=2000, deadline=None)
     @given(st.lists(RATIONAL_PIECES, max_size=8).map("".join))
     @example(" -1.\x1f")

@@ -1,7 +1,11 @@
 import itertools
+import json
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +45,12 @@ from hyperelliptic.exactlin import (
 )
 
 F = Fraction
+ROW_CHURN = Path(__file__).resolve().parent / "row_churn.py"
+
+
+def list_rows(m):
+    """m with list rows, the form the kernels pass to each other."""
+    return [list(row) for row in m]
 
 
 def small_int_matrix(rows, cols, bound=5):
@@ -91,6 +101,7 @@ class TestHermite:
         assert mat_mul(u, m) == h
         assert abs(bareiss_det(u)) == 1
         assert_canonical_hnf(h)
+        assert hermite_normal_form(list_rows(m)) == (list_rows(h), list_rows(u))
 
     @settings(max_examples=30, deadline=None)
     @given(small_int_matrix(3, 5))
@@ -98,6 +109,7 @@ class TestHermite:
         h, u = hermite_normal_form(m)
         assert mat_mul(u, m) == h
         assert abs(bareiss_det(u)) == 1
+        assert hermite_normal_form(list_rows(m)) == (list_rows(h), list_rows(u))
 
 
 # entries: ints, Fractions with denominators up to 10^6, or a mix of both
@@ -403,10 +415,14 @@ def sympy_smith(m):
 
 
 def assert_normal_forms_match_sympy(m):
-    h, _ = hermite_normal_form(m)
+    """sympy's forms for m, and the same rows, as lists, for m's rows as lists."""
+    h, u = hermite_normal_form(m)
     assert tuple(row for row in h if any(row)) == sympy_hermite_rows(m)
-    _, s = smith_normal_form(m)
+    assert hermite_normal_form(list_rows(m)) == (list_rows(h), list_rows(u))
+    v, s = smith_normal_form(m)
     assert s == sympy_smith(m)
+    assert smith_normal_form(list_rows(m)) == (list_rows(v), list_rows(s))
+    assert column_hermite(list_rows(m)) == column_hermite(m)
 
 
 def minus_identity(m):
@@ -436,6 +452,7 @@ class TestScaledHermite:
         h, v = column_hermite(m)
         scaled = tuple(tuple(c * x for x in row) for row in m)
         assert column_hermite(scaled) == (tuple(tuple(c * x for x in row) for row in h), v)
+        assert column_hermite(list_rows(scaled)) == column_hermite(scaled)
 
 
 class TestNormalFormsAgainstSympy:
@@ -488,6 +505,7 @@ class TestSmith:
     def test_random_against_minor_gcds(self, m):
         rows, cols = len(m), len(m[0])
         u, s = smith_normal_form(m)
+        assert smith_normal_form(list_rows(m)) == (list_rows(u), list_rows(s))
         # u @ m @ v == s for some unimodular v iff the canonical column
         # Hermite forms of u @ m and s agree
         assert len(u) == rows and all(len(row) == rows for row in u)
@@ -512,6 +530,20 @@ class TestSmith:
                 break
             prod *= d
             assert minors_gcd(m, k) == prod
+
+
+def test_kernels_leave_no_dead_rank_20_rows():
+    # CPython 3.11 keeps every freed tuple of size 20 on its freelist for
+    # good, so a kernel that builds a rank-20 row it then drops leaks it;
+    # each kernel, run once on a 20 x 20 unimodular matrix or a rank-20
+    # lattice in a fresh interpreter, may leave only a handful
+    run = subprocess.run([sys.executable, str(ROW_CHURN), "--kernels"],
+                         capture_output=True, text=True, check=True)
+    parked = json.loads(run.stdout)
+    if None in parked.values():
+        pytest.skip("sys._debugmallocstats() prints no count of free size-20 tuples")
+    assert len(parked) == 8
+    assert {name: n for name, n in parked.items() if n > 2} == {}
 
 
 class TestSaturate:

@@ -1,8 +1,9 @@
 """Every matrix and vector the library multiplies is integral.
 
-`exactlin.mat_mul` and `exactlin.mat_vec` are the plain integer products:
-they would multiply `Fraction` operands too, without a word, so nothing in
-them holds the contract.  This test does.  It rebinds each product wherever
+`exactlin.mat_mul`, `exactlin.list_product` (the same product, read off
+b's columns and returned as list rows) and `exactlin.mat_vec` are the plain
+integer products: they would multiply `Fraction` operands too, without a
+word, so nothing in them holds the contract.  This test does.  It rebinds each product wherever
 a `hyperelliptic` module binds it, the way `perfbench/tracing.py` rebinds
 its traced functions, with a wrapper that asserts every entry of both
 operands is an `int`, and runs `check`, `albanese --recurse`, `invariants`
@@ -30,6 +31,7 @@ GROUPS = ("catalog", "stress", "d4", "base-change", "variant")
 # each product's operand entries: two matrices, or a matrix and a vector
 ENTRIES = {
     "mat_mul": lambda a, b: [x for m in (a, b) for row in m for x in row],
+    "list_product": lambda rows, cols: [x for m in (rows, cols) for row in m for x in row],
     "mat_vec": lambda a, v: [x for row in a for x in row] + list(v),
 }
 
@@ -107,6 +109,13 @@ def test_the_mat_vec_wrapper_refuses_a_fraction(monkeypatch):
 @pytest.mark.parametrize("group", GROUPS)
 def test_every_mat_mul_operand_is_an_integer_matrix(group, tmp_path, monkeypatch):
     calls = integer_only(monkeypatch, "mat_mul")
+    run_group(group, tmp_path)
+    assert calls  # the wrapper was reached through the library's own bindings
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_every_list_product_operand_is_an_integer_matrix(group, tmp_path, monkeypatch):
+    calls = integer_only(monkeypatch, "list_product")
     run_group(group, tmp_path)
     assert calls  # the wrapper was reached through the library's own bindings
 
