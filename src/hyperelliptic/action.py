@@ -7,11 +7,13 @@ equality of elements is canonical.  ``close_group`` is the only place that
 multiplies elements, in integers: a product's key is its linear part and
 D t mod D, D the lcm of the generators' den.  It keeps the Cayley edges, and
 a new element's eigenvalues follow one rule per kind of datum (see
-close_group).  The group is its Cayley table: a generator is an element index
-(``ActionGroup.gens``), every product is read off the edges, element orders
-are walked once, on first use (``ActionGroup.orders``), and nothing looks an
-element up by value.  A subgroup is read on its parent's table, and a derived
-group (an Albanese fiber, built only on descent) reads its parent's edges.
+close_group).  A generator on a torus with elliptic factors carries the units
+it was made from (``affine_from_factor_action``).  The group is its Cayley
+table: a generator is an element index (``ActionGroup.gens``), every product
+is read off the edges, element orders are walked once, on first use
+(``ActionGroup.orders``), and nothing looks an element up by value.  A
+subgroup is read on its parent's table, and a derived group (an Albanese
+fiber, built only on descent) reads its parent's edges.
 Fixed-point existence is decided exactly by integer linear algebra: since
 the linear part and the translation are rational, a real fixed point exists
 iff a rational one does, so freeness results are certificates, not samples.
@@ -35,7 +37,7 @@ from .exactlin import (
     mat_vec,
     reduced_mod1,
 )
-from .torus import AlternatingForm, InvalidAutomorphism, TorusDatum, factor_block_eigenvalue
+from .torus import AlternatingForm, TorusDatum, factor_block_eigenvalue
 
 DEFAULT_CLOSURE_CAP = 1024
 # the largest closure cap and lattice rank a document may ask for: closure
@@ -255,34 +257,30 @@ def close_group(
     entries in one flat tuple, so a product already in the table builds no
     row tuple; a new element alone gets its linear part as row tuples and
     becomes an AffineAut, its den and shift D and D t mod D over their gcd,
-    and gets its eigenvalues once.  With elliptic factors a generator's are
-    read off its blocks (``factor_eigenvalues``; declared ones must agree,
-    else InconsistentEigenvalues), and each linear part is one unit of each
-    factor's endomorphism ring, so an element's are the factorwise product
-    of the parent's and the generator's, in factor order.  Raw data take them
-    from ``eigenvalue_table`` (keyed by linear part) or else from the
+    and gets its eigenvalues once.  With elliptic factors every generator
+    comes from ``affine_from_factor_action``, which certifies its linear
+    part and gives it its blocks' units, taken here as given; each linear
+    part is one unit of each factor's endomorphism ring, so an element's
+    eigenvalues are the factorwise product of the parent's and the
+    generator's, in factor order.  Raw data take them from
+    ``eigenvalue_table`` (keyed by linear part) or else from the
     characteristic polynomial, which raises MissingEigenvalueData when it
-    cannot split conjugate pairs.  Raises LatticeNotPreserved for
-    non-unimodular or non-integral linear parts and NotClosedWithinCap past
-    the cap.
+    cannot split conjugate pairs, and raw generators are checked here:
+    LatticeNotPreserved for non-integral or non-unimodular linear parts.
+    Raises NotClosedWithinCap past the cap.
     """
     gens = tuple(gens)
     rank = torus.rank
     table = dict(eigenvalue_table or {})
-    gen_eig = []
     for g in gens:
         if len(g.linear) != rank:
             raise LatticeNotPreserved("generator rank mismatch")
-        if not all(isinstance(x, int) for row in g.linear for x in row):
-            raise LatticeNotPreserved("linear part must be integral on the lattice")
-        eig = g.eigenvalues if torus.factors is None else factor_eigenvalues(torus, g.linear)
-        if g.eigenvalues not in (None, eig):
-            raise InconsistentEigenvalues(
-                f"eigenvalues differ from the blocks' units ({', '.join(map(str, eig))})")
-        if not is_unimodular(g.linear):
-            raise LatticeNotPreserved("linear part is not unimodular")
-        table.setdefault(g.linear, eig)
-        gen_eig.append(eig)
+        if torus.factors is None:
+            if not all(isinstance(x, int) for row in g.linear for x in row):
+                raise LatticeNotPreserved("linear part must be integral on the lattice")
+            if not is_unimodular(g.linear):
+                raise LatticeNotPreserved("linear part is not unimodular")
+            table.setdefault(g.linear, g.eigenvalues)
     den = lcm(*(g.den for g in gens))
     dt_gens = [[x * (den // g.den) for x in g.shift] for g in gens]  # D t_s
     gen_cols = [column_lists(g.linear) for g in gens]
@@ -302,7 +300,7 @@ def close_group(
             if j is None:
                 linear = tuple(map(tuple, rows))
                 if torus.factors is not None:
-                    eig = tuple(x * y for x, y in zip(e.eigenvalues, gen_eig[s]))
+                    eig = tuple(x * y for x, y in zip(e.eigenvalues, gens[s].eigenvalues))
                 else:
                     eig = table.get(linear) or _eigenvalues_from_char_poly(linear)
                     table[linear] = eig
@@ -317,30 +315,21 @@ def close_group(
     return ActionGroup(tuple(elements), tuple(edges), tuple(tree))
 
 
-def factor_eigenvalues(torus: TorusDatum, linear) -> tuple:
-    """The units of a factor torus's linear part M, one per factor, read off its blocks.
-
-    In product coordinates M is B = C M lam_basis_inv / den, for Lambda's
-    columns C over den; B must be block-diagonal in units' table entries.
-    """
-    den = torus.lattice.den
-    b = list_product(list_product(torus.basis_rows, column_lists(linear)), torus.inv_cols)
-    if any(x % den or x and i // 2 != j // 2 for i, row in enumerate(b) for j, x in enumerate(row)):
-        raise InvalidAutomorphism("linear part is not block-diagonal on the factors")
-    blocks = (tuple(tuple(x // den for x in row[k:k + 2]) for row in b[k:k + 2])
-              for k in range(0, len(b), 2))
-    return tuple(factor_block_eigenvalue(f, block) for f, block in zip(torus.factors, blocks))
-
-
 def affine_from_factor_action(torus: TorusDatum, blocks, translation) -> AffineAut:
     """Build a generator from per-factor 2x2 blocks and a product-coordinate translation.
 
     The block-diagonal B is rewritten in lattice coordinates as lam_basis_inv
     B C / den, for Lambda's columns C over den; if den does not divide it, B
     does not preserve Lambda, the action does not descend to A and
-    LatticeNotPreserved is raised.  The generator declares no eigenvalues:
-    ``close_group`` reads them off its blocks, so a block that is no unit's
-    entry in its factor kind's table is refused there.
+    LatticeNotPreserved is raised.  Each block must be a unit's entry in its
+    factor kind's table (``torus.FACTOR_KINDS``), else InvalidAutomorphism,
+    and those units are the generator's eigenvalues, in factor order.  A
+    unit has norm 1, so each block b has det b = 1 and b^T J b = J (the
+    tests check every entry): M = C^-1 B C, for Lambda's basis C over its
+    den, has det M = 1 and preserves ``standard_form``'s C^T J C, and the
+    eigenvalues are those of M.  ``close_group`` multiplies the units
+    factorwise, so the form and the eigenvalues hold on every element by
+    construction, and it checks no such generator again.
     The translation t = w / d in product coordinates is given as (d, w), the
     shape of an element's (den, shift): its lattice coordinates are
     lam_basis_inv w / d, reduced mod 1 to their least denominator.
@@ -358,9 +347,10 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation) -> AffineA
     if any(x % den for row in scaled for x in row):
         raise LatticeNotPreserved("linear part does not preserve the enlarged lattice")
     linear = tuple(tuple([x // den for x in row]) for row in scaled)
+    eigenvalues = tuple(map(factor_block_eigenvalue, torus.factors, blocks))
     d, w = translation
     lattice_w = [sum(map(mul, row, w)) for row in torus.lam_basis_inv]
-    return AffineAut(linear, *reduced_mod1(d, lattice_w), None)
+    return AffineAut(linear, *reduced_mod1(d, lattice_w), eigenvalues)
 
 
 def affine_raw(linear, translation, eigenvalues) -> AffineAut:
@@ -514,17 +504,12 @@ def validate(d: HyperellipticDatum) -> ValidationReport:
     representation rho is faithful iff no nonidentity element is a
     translation: lin (x) C = rho + conj(rho), so ker rho = ker lin, and the
     kernel of g -> lin(g) is the translation subgroup.  On a torus with
-    elliptic factors the form and the eigenvalues hold by construction:
-    ``close_group`` accepts only generators whose blocks B = C M C^-1, for
-    Lambda's basis C (over its den), are entries of their factor kind's unit
-    table (``torus.FACTOR_KINDS``), hand-built generators included.  A unit
-    has norm 1, so each table block b has det b = 1 and b^T J b = J (the
-    tests check every entry), and M preserves ``standard_form``'s C^T J C.
-    The table's units are a generator's eigenvalues and close_group
-    multiplies them factorwise, so every element's are those of its linear
-    part, and det rho is multiplicative.  A factor-aligned Albanese fiber is
-    data of the same kind, built from the group's own elements; a form
-    assembled by hand is taken as given.  Raw data are checked: M^T E M = E
+    elliptic factors the form and the eigenvalues hold by construction
+    (``affine_from_factor_action``), so every element's eigenvalues are
+    those of its linear part and det rho is multiplicative.  A
+    factor-aligned Albanese fiber is data of the same kind, built from the
+    group's own elements; a generator or form assembled by hand is taken as
+    given.  Raw data are checked: M^T E M = E
     per generator, which implies it for every product, every element's
     eigenvalues against its characteristic polynomial, and det rho, their
     product, as a character (Serre, Linear Representations of Finite Groups,

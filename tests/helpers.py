@@ -44,6 +44,10 @@ over den, never forms.
 carries a builder translation into lattice coordinates, and `ring_block` the
 reference for each entry of `torus.FACTOR_KINDS`: the block of
 multiplication by a + b*tau in the ring of the factor's kind.
+`block_eigenvalues` reads the units off a factor-torus linear part's blocks
+in product coordinates, as `close_group` did in integers before a builder
+generator began to carry the units it was made from: it is the reference
+for those units and for the factorwise products every element carries.
 `reference_hermite_coords`, `reference_coords_of`, `reference_reduce_mod`
 and `reference_quotient_group` are the `Fraction` forms of the lattice
 routines, which the library runs on (den, integers) vectors: the references
@@ -127,7 +131,12 @@ from hyperelliptic.oracle import (
     formula_level,
     oracle_fixed_points,
 )
-from hyperelliptic.torus import AlternatingForm, TorusDatum, factor_plane_columns
+from hyperelliptic.torus import (
+    AlternatingForm,
+    TorusDatum,
+    factor_block_eigenvalue,
+    factor_plane_columns,
+)
 
 ORBIT_ENUMERATION_LIMIT = 500_000
 
@@ -308,6 +317,25 @@ def ring_block(kind: str, a: int, b: int):
         "gauss": ((a, -b), (b, a)),
         "eisenstein": ((a, -b), (b, a - b)),
     }[kind]
+
+
+def block_eigenvalues(torus, linear) -> tuple:
+    """The unit of each diagonal 2x2 block of a factor-torus linear part M, in factor order.
+
+    In product coordinates M is L M L^-1, for Lambda's basis L = C / den: an
+    integer matrix, block-diagonal in units' table entries.
+    """
+    basis = lam_basis(torus)
+    m = reference_mat_mul(reference_mat_mul(basis, linear), mat_inv(basis))
+    assert all(x.denominator == 1 for row in m for x in row)
+    assert all(m[i][j] == 0 for i in range(len(m)) for j in range(len(m)) if i // 2 != j // 2)
+    return tuple(
+        factor_block_eigenvalue(
+            f, ((int(m[2 * k][2 * k]), int(m[2 * k][2 * k + 1])),
+                (int(m[2 * k + 1][2 * k]), int(m[2 * k + 1][2 * k + 1])))
+        )
+        for k, f in enumerate(torus.factors)
+    )
 
 
 def mat_inv(m):

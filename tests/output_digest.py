@@ -20,15 +20,17 @@ document of `MALFORMED` and `MALFORMED_JSON`, one for each refusal a
 document can reach.  An output is the exit code, stdout and stderr, with
 the temporary file's name read as FILE.  Two checkouts whose reports are
 byte-identical print the same count and digest, so a refactor that must not
-change any report is checked by running this in both.  It is a script, not
-a collected test, because it takes about half a minute.
+change any report is checked by running this in both.
 
     PYTHONPATH=src python tests/output_digest.py [--each] [--expect SHA256]
 
 `--each` also prints one digest per output, to find the ones that differ.
 `--expect SHA256` compares the digest with a known one, such as the digest
 printed in the other checkout: when they differ, the script prints both and
-exits 1, so the byte-identity check is one command.
+exits 1, so the byte-identity check is one command.  `RECORDED` is the
+digest of the reports as they stand, and `tests/test_output_digest.py`
+checks it, so a change to any report byte fails the tests; a change meant to
+alter reports records the new digest here.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from hyperelliptic.oracle import datum_denominator  # noqa: E402
 
 STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8), (3, 4, 2), (2, 2, 10))
 COMMANDS = (["check"], ["albanese"], ["albanese", "--recurse"], ["invariants"], ["oracle"])
+RECORDED = "4b27435ad37f464283c07b340e8e7607f707aceda961855e77c625f980584c0b"
 LONG = "9" * 5000  # a run of digits past int()'s default conversion limit of 4300
 
 # (z0 + 1/2, -z1) and -z + (0, 1/2): well-formed, the bases of the malformed documents
@@ -229,20 +232,25 @@ def outputs(path: Path):
             yield f"{name} {' '.join(command)} {fmt}", hashlib.sha256(record.encode()).hexdigest()
 
 
+def total_digest(each=False) -> tuple[int, str]:
+    """(number of outputs, sha256 over every output's digest and label); each prints them."""
+    total = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, digest in outputs(Path(tmp) / "datum.json"):
+            if each:
+                print(digest, label)
+            total.update(f"{digest} {label}\n".encode())
+            count += 1
+    return count, total.hexdigest()
+
+
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--each", action="store_true", help="print one digest per output")
     parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the digest is this one")
     args = parser.parse_args(argv)
-    total = hashlib.sha256()
-    count = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for label, digest in outputs(Path(tmp) / "datum.json"):
-            if args.each:
-                print(digest, label)
-            total.update(f"{digest} {label}\n".encode())
-            count += 1
-    digest = total.hexdigest()
+    count, digest = total_digest(args.each)
     print(f"{count} outputs, sha256 {digest}")
     if args.expect is not None and digest != args.expect:
         print(f"digest differs: expected {args.expect}, got {digest}")

@@ -29,10 +29,12 @@ factor torus `validate` checks neither the form nor the eigenvalues, which
 hold by construction; the reference checks every element's eigenvalues and
 the form under every generator, on the same data, on the fiber-basis sweep
 and on every builder document of the output digest and each fiber of its
-recursion, while raw data still get every check.  The pipeline builds a
-fiber datum only where the recursion descends, which a counted
-`compute_fiber` checks; here every level's fiber is built (`fiber_datum`)
-and the rewrite's certificates run on it.  Its report, which `compute_fiber`
+recursion, while raw data still get every check.  On those builder
+documents every generator carries the units read off its blocks, and its
+linear part is unimodular: `close_group` takes both from the constructor.
+The pipeline builds a fiber datum only where the recursion descends, which
+a counted `compute_fiber` checks; here every level's fiber is built
+(`fiber_datum`) and the rewrite's certificates run on it.  Its report, which `compute_fiber`
 certifies by theorem, must equal `validate` of it, and the class and
 canonical order the pipeline reads on G's Cayley table and off the kept
 eigenvalues must equal those read off it, on every level of those data and
@@ -53,6 +55,7 @@ from conftest import bareiss_det, load_perfbench
 from helpers import (
     base_change,
     basis_vectors,
+    block_eigenvalues,
     conjugated,
     contains,
     decomposition,
@@ -84,12 +87,12 @@ from helpers import (
     vec_denominator,
     vec_sub,
 )
-from hyperelliptic import action, albanese
+from hyperelliptic import action, albanese, documents
 from hyperelliptic.action import (
     ActionGroup,
     AffineAut,
     HyperellipticDatum,
-    InconsistentEigenvalues,
+    affine_from_factor_action,
     close_group,
     validate,
 )
@@ -109,6 +112,7 @@ from hyperelliptic.exactlin import (
     column_hermite,
     hermite_normal_form,
     identity,
+    is_unimodular,
     kernel_lattice,
     mat_mul,
     transpose,
@@ -653,11 +657,9 @@ def test_model_actions_match_fraction_translations():
 
 @pytest.mark.parametrize("name", ["bielliptic-5", "z4-threefold", "zmzm-threefold-m3"])
 def test_wrong_generator_eigenvalue_fails_both_checks(name):
-    # declare 1 where a generator acts by a nontrivial unit: close_group reads
-    # each generator's eigenvalues off its blocks on a factor torus and
-    # refuses the hand-built generator.  The same group with the wrong
-    # eigenvalues carried factorwise along the Cayley tree, given as raw
-    # data, fails validate as it fails the every-element reference
+    # declare 1 where a generator acts by a nontrivial unit and carry the
+    # wrong eigenvalues factorwise along the Cayley tree: given as raw data,
+    # the group fails validate as it fails the every-element reference
     d = get_entry(name).build()
     g = d.group.elements[d.group.gens[0]]
     k = next(k for k, z in enumerate(g.eigenvalues) if not z.is_one())
@@ -665,8 +667,6 @@ def test_wrong_generator_eigenvalue_fails_both_checks(name):
     gens = (AffineAut(g.linear, g.den, g.shift, eig),) + tuple(
         d.group.elements[i] for i in d.group.gens[1:]
     )
-    with pytest.raises(InconsistentEigenvalues, match="eigenvalues differ from the blocks' units"):
-        close_group(gens, d.torus)
     eigenvalues = [d.group.elements[0].eigenvalues]
     for parent, s in d.group.tree[1:]:
         eigenvalues.append(tuple(x * y for x, y in zip(eigenvalues[parent], gens[s].eigenvalues)))
@@ -680,14 +680,38 @@ def test_wrong_generator_eigenvalue_fails_both_checks(name):
 
 
 def test_hand_built_generator_off_the_unit_blocks_is_refused():
-    # a linear part that mixes two factors, or whose block is no unit, has no
-    # eigenvalues on the factors: close_group refuses it on a factor torus
-    torus = build_product_torus([EllipticFactor("generic"), EllipticFactor("generic")])
-    swap = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
-    shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    for linear, message in ((swap, "not block-diagonal"), (shear, "not an automorphism")):
-        with pytest.raises(InvalidAutomorphism, match=message):
-            close_group([AffineAut(linear, 1, (0,) * 4, None)], torus)
+    # a block that is no unit's entry in its factor kind's table has no
+    # eigenvalue: the constructor refuses it, whichever factor it is on
+    torus = build_product_torus([EllipticFactor("generic"), EllipticFactor("gauss")])
+    one, i, shear = ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((1, 1), (0, 1))
+    for blocks, message in (
+        ([shear, one], "block ((1, 1), (0, 1)) is not an automorphism of a generic factor"),
+        ([i, i], "block ((0, -1), (1, 0)) is not an automorphism of a generic factor"),
+        ([one, shear], "block ((1, 1), (0, 1)) is not an automorphism of a gauss factor"),
+    ):
+        with pytest.raises(InvalidAutomorphism) as info:
+            affine_from_factor_action(torus, blocks, (1, (0,) * 4))
+        assert str(info.value) == message
+
+
+def test_builder_generators_carry_their_blocks_units(monkeypatch):
+    # close_group takes a factor-torus generator's eigenvalues and its
+    # unimodularity from the constructor: both hold on every generator the
+    # builder documents of the output digest make
+    made = []
+
+    def recording(torus, blocks, translation):
+        made.append((torus, affine_from_factor_action(torus, blocks, translation)))
+        return made[-1][1]
+
+    monkeypatch.setattr(documents, "affine_from_factor_action", recording)
+    builders = [doc for _, doc in digest_documents() if doc["mode"] == "builder"]
+    for doc in builders:
+        build_datum(doc)
+    assert len(made) > len(builders)
+    for torus, g in made:
+        assert g.eigenvalues == block_eigenvalues(torus, g.linear)
+        assert is_unimodular(g.linear)
 
 
 def builder_chains():

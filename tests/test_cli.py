@@ -13,13 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperelliptic
-from hyperelliptic.action import (
-    MAX_CLOSURE_CAP,
-    MAX_RANK,
-    AffineAut,
-    InconsistentEigenvalues,
-    close_group,
-)
+from hyperelliptic.action import MAX_CLOSURE_CAP, MAX_RANK, affine_from_factor_action
 from hyperelliptic.catalog import get_entry
 from hyperelliptic.cli import main
 from hyperelliptic.documents import (
@@ -278,6 +272,47 @@ BUILDER_SHIFT = {
 
 def with_generator(doc, **changes):
     return dict(doc, generators=[dict(doc["generators"][0], **changes)])
+
+
+ONE, MINUS, SHEAR = ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 1), (0, 1))
+# z4-threefold in the blocks spelling with the Gauss factor's i sheared: the
+# shear preserves the lattice but is no unit
+Z4_SHEARED = dict(get_entry("z4-threefold").document, generators=[
+    {"blocks": [ONE, MINUS, SHEAR], "translation": ["1/4", "0", "0", "0", "0", "0"]}])
+
+
+class TestNonUnitBlock:
+    """A block that is no unit is refused as its generator is built (exit 2).
+
+    That is before `closure_cap` is read and before a later generator's
+    lattice check, so on a document with two faults it is the error named.
+    """
+
+    MESSAGE = "invalid datum: block ((1, 1), (0, 1)) is not an automorphism of a gauss factor\n"
+
+    def check(self, doc, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert (code, out, err) == (2, "", self.MESSAGE)
+
+    def test_non_unit_block_exits_2(self, tmp_path, capsys):
+        self.check(Z4_SHEARED, tmp_path, capsys)
+
+    @pytest.mark.parametrize("cap", ["abc", 0, MAX_CLOSURE_CAP + 1])
+    def test_before_a_bad_closure_cap(self, cap, tmp_path, capsys):
+        # the cap alone is an input error (exit 1)
+        self.check(dict(Z4_SHEARED, closure_cap=cap), tmp_path, capsys)
+
+    def test_before_a_later_lattice_break(self, tmp_path, capsys):
+        # ((1, 0), (1, 1)) on the first factor moves the half period k_gens adds
+        breaking = {"blocks": [((1, 0), (1, 1)), ONE, ONE]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(dict(Z4_SHEARED, generators=[breaking])))
+        assert run_cli(["check", str(path)], capsys) == (
+            2, "", "invalid datum: linear part does not preserve the enlarged lattice\n")
+        self.check(dict(Z4_SHEARED, generators=Z4_SHEARED["generators"] + [breaking]),
+                   tmp_path, capsys)
 
 
 class TestUsageErrors:
@@ -652,12 +687,10 @@ class TestRootSpelling:
         assert err == "invalid datum: i is not an automorphism of a generic factor\n"
 
     def test_declared_eigenvalues_off_the_blocks(self):
-        d = get_entry("z4-threefold").build()
-        g = d.group.elements[d.group.gens[0]]
-        ones = (RootOfUnity.one(),) * len(g.eigenvalues)
-        with pytest.raises(InconsistentEigenvalues) as info:
-            close_group([AffineAut(g.linear, g.den, g.shift, ones)], d.torus)
-        assert str(info.value) == "eigenvalues differ from the blocks' units (1, -1, i)"
+        # the constructor declares a generator's eigenvalues: its blocks' units
+        torus = get_entry("z4-threefold").build().torus
+        g = affine_from_factor_action(torus, [ONE, MINUS, ((0, -1), (1, 0))], (1, (0,) * 6))
+        assert ", ".join(map(str, g.eigenvalues)) == "1, -1, i"
 
     def test_eigenvalues_off_the_characteristic_polynomial(self, tmp_path, capsys):
         path = tmp_path / "doc.json"

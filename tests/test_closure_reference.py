@@ -10,7 +10,7 @@ factorwise product of its parent's and its generator's.  The references
 here are the computations those replaced: `compose`, the `Fraction`
 product, on every pair of elements, a power walk for element orders, the
 all-pairs commutation test, and the eigenvalue read off each diagonal 2x2
-block in product coordinates.
+block in product coordinates (`helpers.block_eigenvalues`).
 They run on every catalog entry, on the fibers along each valid entry's
 recursion, on two copies of `z2z2-threefold` side by side, and on the
 benchmark's stress points at seed 0.
@@ -24,13 +24,11 @@ import pytest
 
 from conftest import load_perfbench
 from helpers import (
+    block_eigenvalues,
     chain_data,
     compose,
     element_index,
     fiber_datum,
-    lam_basis,
-    mat_inv,
-    reference_mat_mul,
     side_by_side,
 )
 import hyperelliptic.action
@@ -41,7 +39,6 @@ from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cli import main
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
-from hyperelliptic.torus import factor_block_eigenvalue
 
 STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8))
 
@@ -80,21 +77,6 @@ def naive_order(e) -> int:
     return order
 
 
-def block_eigenvalues(torus, e):
-    """The eigenvalue of each diagonal 2x2 block of e in product coordinates, in factor order."""
-    basis = lam_basis(torus)
-    m = reference_mat_mul(reference_mat_mul(basis, e.linear), mat_inv(basis))
-    assert all(x.denominator == 1 for row in m for x in row)
-    assert all(m[i][j] == 0 for i in range(len(m)) for j in range(len(m)) if i // 2 != j // 2)
-    return tuple(
-        factor_block_eigenvalue(
-            f, ((int(m[2 * k][2 * k]), int(m[2 * k][2 * k + 1])),
-                (int(m[2 * k + 1][2 * k]), int(m[2 * k + 1][2 * k + 1])))
-        )
-        for k, f in enumerate(torus.factors)
-    )
-
-
 @pytest.mark.parametrize("data,arg", CASES)
 def test_products_match_compose(data, arg):
     for d in data(arg):
@@ -117,7 +99,7 @@ def test_eigenvalues_match_factor_blocks(data, arg):
         if d.torus.factors is None:
             continue
         for e in d.group.elements:
-            assert e.eigenvalues == block_eigenvalues(d.torus, e)
+            assert e.eigenvalues == block_eigenvalues(d.torus, e.linear)
             checked += 1
     assert checked
 
