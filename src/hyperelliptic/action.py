@@ -27,6 +27,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .cyclotomic import RootOfUnity, cyclotomic_polynomial, euler_phi, poly_divmod_exact
+from .errors import CapReached, InternalError, InvalidDatum
 from .exactlin import (
     column_lists,
     hermite_normal_form,
@@ -44,31 +45,6 @@ DEFAULT_CLOSURE_CAP = 1024
 # time grows with the cap, and every per-element check with a power of the rank
 MAX_CLOSURE_CAP = 65536
 MAX_RANK = 64
-
-
-class LatticeNotPreserved(ValueError):
-    """A linear part fails to map the period lattice to itself (or is not unimodular)."""
-
-
-class NotClosedWithinCap(ValueError):
-    """Group closure exceeded the configured cap."""
-
-
-class MissingEigenvalueData(ValueError):
-    """Closure produced an element whose complex eigenvalues cannot be derived.
-
-    For non-real eigenvalues the characteristic polynomial only determines
-    conjugate pairs, not which member acts holomorphically, so raw data must
-    list every group element with its eigenvalues.
-    """
-
-
-class InconsistentEigenvalues(ValueError):
-    """Declared eigenvalues contradict the characteristic polynomial."""
-
-
-class GroupInvariantError(RuntimeError):
-    """A theorem-backed check on a validated group failed; signals an internal bug."""
 
 
 def char_poly(m) -> tuple[int, ...]:
@@ -99,8 +75,8 @@ def char_poly(m) -> tuple[int, ...]:
 def cyclotomic_multiplicities(poly: tuple[int, ...]) -> dict[int, int]:
     """Factor an integer polynomial as a product of cyclotomics Phi_N^(a_N).
 
-    Raises InconsistentEigenvalues if any non-cyclotomic factor remains,
-    which also certifies that the matrix has finite order.
+    Raises InvalidDatum if any non-cyclotomic factor remains, which also
+    certifies that the matrix has finite order.
     """
     deg = len(poly) - 1
     limit = 2 * deg * deg + 2
@@ -118,7 +94,7 @@ def cyclotomic_multiplicities(poly: tuple[int, ...]) -> dict[int, int]:
             rem = q
         if rem == (1,):
             return mults
-    raise InconsistentEigenvalues("characteristic polynomial is not a product of cyclotomics")
+    raise InvalidDatum("characteristic polynomial is not a product of cyclotomics")
 
 
 class AffineAut:
@@ -165,14 +141,14 @@ def _eigenvalues_from_char_poly(m) -> tuple[RootOfUnity, ...]:
     """Derive eigenvalues when the conjugate-pair split is forced (orders <= 2)."""
     mults = cyclotomic_multiplicities(char_poly(m))
     if any(n > 2 for n in mults):
-        raise MissingEigenvalueData(
+        raise InvalidDatum(
             "closure created an element with complex eigenvalues of order > 2; "
             "list all group elements with their eigenvalues in the input"
         )
     eig = []
     for n, a in sorted(mults.items()):
         if a % 2 != 0:
-            raise InconsistentEigenvalues("odd multiplicity of a real eigenvalue")
+            raise InvalidDatum("odd multiplicity of a real eigenvalue")
         eig.extend([RootOfUnity.of(1 if n == 2 else 0, n)] * (a // 2))
     return tuple(eig)
 
@@ -264,22 +240,23 @@ def close_group(
     eigenvalues are the factorwise product of the parent's and the
     generator's, in factor order.  Raw data take them from
     ``eigenvalue_table`` (keyed by linear part) or else from the
-    characteristic polynomial, which raises MissingEigenvalueData when it
-    cannot split conjugate pairs, and raw generators are checked here:
-    LatticeNotPreserved for non-integral or non-unimodular linear parts.
-    Raises NotClosedWithinCap past the cap.
+    characteristic polynomial, which raises InvalidDatum when it cannot
+    split conjugate pairs (only then must raw data list every element with
+    its eigenvalues), and raw generators are checked here: InvalidDatum for
+    non-integral or non-unimodular linear parts.  A group with more than
+    ``cap`` elements raises CapReached.
     """
     gens = tuple(gens)
     rank = torus.rank
     table = dict(eigenvalue_table or {})
     for g in gens:
         if len(g.linear) != rank:
-            raise LatticeNotPreserved("generator rank mismatch")
+            raise InvalidDatum("generator rank mismatch")
         if torus.factors is None:
             if not all(isinstance(x, int) for row in g.linear for x in row):
-                raise LatticeNotPreserved("linear part must be integral on the lattice")
+                raise InvalidDatum("linear part must be integral on the lattice")
             if not is_unimodular(g.linear):
-                raise LatticeNotPreserved("linear part is not unimodular")
+                raise InvalidDatum("linear part is not unimodular")
             table.setdefault(g.linear, g.eigenvalues)
     den = lcm(*(g.den for g in gens))
     dt_gens = [[x * (den // g.den) for x in g.shift] for g in gens]  # D t_s
@@ -305,7 +282,7 @@ def close_group(
                     eig = table.get(linear) or _eigenvalues_from_char_poly(linear)
                     table[linear] = eig
                 if len(elements) >= cap:
-                    raise NotClosedWithinCap(f"group closure exceeds cap {cap}")
+                    raise CapReached(f"closure cap {cap}, the group has more elements")
                 j = index[key] = len(elements)
                 elements.append(AffineAut(linear, *reduced_mod1(den, shift), eig))
                 dt.append(shift)
@@ -321,8 +298,8 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation) -> AffineA
     The block-diagonal B is rewritten in lattice coordinates as lam_basis_inv
     B C / den, for Lambda's columns C over den; if den does not divide it, B
     does not preserve Lambda, the action does not descend to A and
-    LatticeNotPreserved is raised.  Each block must be a unit's entry in its
-    factor kind's table (``torus.FACTOR_KINDS``), else InvalidAutomorphism,
+    InvalidDatum is raised.  Each block must be a unit's entry in its
+    factor kind's table (``torus.FACTOR_KINDS``), else InvalidDatum too,
     and those units are the generator's eigenvalues, in factor order.  A
     unit has norm 1, so each block b has det b = 1 and b^T J b = J (the
     tests check every entry): M = C^-1 B C, for Lambda's basis C over its
@@ -335,17 +312,17 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation) -> AffineA
     lam_basis_inv w / d, reduced mod 1 to their least denominator.
     """
     if torus.factors is None:
-        raise LatticeNotPreserved("factor actions need a torus with factor provenance")
+        raise InvalidDatum("factor actions need a torus with factor provenance")
     blocks = tuple(tuple(map(tuple, b)) for b in blocks)
     if len(blocks) != len(torus.factors):
-        raise LatticeNotPreserved("one 2x2 block per factor is required")
+        raise InvalidDatum("one 2x2 block per factor is required")
     rank = torus.rank
     big = [[blocks[i // 2][i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(rank)]
            for i in range(rank)]
     den = torus.lattice.den
     scaled = list_product(list_product(torus.lam_basis_inv, column_lists(big)), torus.lattice.cols)
     if any(x % den for row in scaled for x in row):
-        raise LatticeNotPreserved("linear part does not preserve the enlarged lattice")
+        raise InvalidDatum("linear part does not preserve the enlarged lattice")
     linear = tuple(tuple([x // den for x in row]) for row in scaled)
     eigenvalues = tuple(map(factor_block_eigenvalue, torus.factors, blocks))
     d, w = translation
@@ -467,7 +444,7 @@ def _check_eigenvalues(e: AffineAut, index: int) -> str | None:
         return f"element {index}: expected {n} eigenvalues, got {len(e.eigenvalues)}"
     try:
         mults = cyclotomic_multiplicities(char_poly(e.linear))
-    except InconsistentEigenvalues as exc:
+    except InvalidDatum as exc:
         return f"element {index}: {exc}"
     counts: dict[RootOfUnity, int] = {}
     for z in e.eigenvalues:
@@ -552,11 +529,11 @@ def quotient_by_translations(d: HyperellipticDatum) -> HyperellipticDatum:
     Every datum ``run_pipeline`` reaches is faithful: a top-level datum has
     passed ``validate``, and an Albanese fiber is faithful by theorem (see the
     ``albanese`` module docstring).  So no translation subgroup is left to
-    quotient away, and a nonidentity translation raises GroupInvariantError.
+    quotient away, and a nonidentity translation raises InternalError.
     """
     for i, e in enumerate(d.group.elements[1:], 1):
         if e.is_translation():
-            raise GroupInvariantError(f"element {i} is a translation of a faithful datum")
+            raise InternalError(f"element {i} is a translation of a faithful datum")
     return d
 
 
@@ -571,39 +548,39 @@ def rewrite_on_lattice(
     d.group, eigenvalues) pairs, identity first: the eigenvalues are the new
     datum's.  One row Hermite form u B = h of B (n x r) certifies the
     saturation, as h's top r rows are I exactly when B spans a saturated
-    lattice (else GroupInvariantError).  Then L = u[:r] is an integer left
+    lattice (else InternalError).  Then L = u[:r] is an integer left
     inverse, L B = I, and R = u[r:] vanishes exactly on span(B).  A member
-    (M, tau) preserves the lattice iff R M B = 0 (else GroupInvariantError)
+    (M, tau) preserves the lattice iff R M B = 0 (else InternalError)
     and reads (L M B, L tau mod 1) in the basis B, L tau being the integers
     L shift over the member's den; the form reads B^T E B.
-    Two members with one image raise GroupInvariantError: the members act
+    Two members with one image raise InternalError: the members act
     faithfully, so each keeps its own element.  Every nonidentity member is a
     generator.  The rewrite is a homomorphism, so a product is read off d's
-    Cayley table; one outside the members raises GroupInvariantError.
+    Cayley table; one outside the members raises InternalError.
     """
     r = len(cols)
     h, u = hermite_normal_form(column_lists(cols))  # B, n x r
     if h[:r] != identity_rows(r):
-        raise GroupInvariantError("the fiber basis does not span a saturated lattice")
+        raise InternalError("the fiber basis does not span a saturated lattice")
     left = u[:r]
     elements, label, owner = [], {}, {}
     for i, eigenvalues in members:
         e = d.group.elements[i]
         umb = list_product(u, column_lists(list_product(e.linear, cols)))  # L M B over R M B
         if any(map(any, umb[r:])):
-            raise GroupInvariantError("an element does not preserve the lattice")
+            raise InternalError("an element does not preserve the lattice")
         linear = tuple(map(tuple, umb[:r]))
         g = AffineAut(linear, *reduced_mod1(e.den, mat_vec(left, e.shift)), eigenvalues)
         key = g.key()
         if key in owner:
-            raise GroupInvariantError(f"elements {owner[key]} and {i} have one image")
+            raise InternalError(f"elements {owner[key]} and {i} have one image")
         owner[key], label[i] = i, len(elements)
         elements.append(g)
     reps = tuple(label)
     try:
         edges = tuple(tuple(label[d.group.compose_indices(a, s)] for s in reps[1:]) for a in reps)
     except KeyError as exc:
-        raise GroupInvariantError(f"members are not closed: element {exc} is missing") from None
+        raise InternalError(f"members are not closed: element {exc} is missing") from None
     tree = (None,) + tuple((0, j) for j in range(len(reps) - 1))
     return HyperellipticDatum(
         torus,

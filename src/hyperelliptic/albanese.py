@@ -45,8 +45,8 @@ number of classes t0 takes modulo P0(Z^n); the second is
 [G : H] = [Lambda_B : P0(Z^n)] as [P0(Z^n) : Lambda_0] = |K0|.  K0 and K1
 need no certificate: an x in Z^n with P0 x in Lambda_0 has x - P0 x in
 Z^n meet V1 = Lambda_1, so P0 is injective on K, and so is I - P0.  A failed
-certificate raises PipelineInvariantError (NotASubgroup for H), which
-signals a bug rather than bad input.
+certificate raises InternalError, which signals a bug rather than bad
+input.
 
 The fiber A1/H is H acting faithfully (below) on A1: its class is H's
 structure, read on G's Cayley table (``classify_fiber``), and its canonical
@@ -78,6 +78,7 @@ from .action import (
     validate,
 )
 from .cyclotomic import RootOfUnity
+from .errors import InternalError, InvalidDatum
 from .exactlin import (
     FiniteAbelianGroup,
     Sublattice,
@@ -95,18 +96,6 @@ from .torus import TorusDatum, factor_plane_columns, identify_factor_subspace
 
 # only perfbench's compute_K size hook reads this; nothing enumerates K any more
 K_ENUMERATION_CAP = 100_000
-
-
-class OddRank(ValueError):
-    """The fixed lattice has odd rank: the complex-structure data is inconsistent."""
-
-
-class NotASubgroup(RuntimeError):
-    """H failed its subgroup certificate; impossible for valid data, so a pipeline bug."""
-
-
-class PipelineInvariantError(RuntimeError):
-    """A theorem-backed consistency check failed; signals an internal bug."""
 
 
 class Decomposition(NamedTuple):
@@ -153,7 +142,7 @@ class AlbaneseReport(NamedTuple):
 def _require_validated(d: HyperellipticDatum) -> None:
     report = d._report or validate(d)  # a fiber's report is certified by compute_fiber
     if not report.passed:
-        raise PipelineInvariantError(
+        raise InternalError(
             "pipeline requires a datum that passes validation: " + "; ".join(report.failures())
         )
 
@@ -163,7 +152,7 @@ def compute_A0(s, order: int) -> Sublattice:
     complement = [[order * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(s)]
     lam0 = kernel_lattice(complement)
     if lam0.rank % 2 != 0:
-        raise OddRank(f"fixed lattice has odd rank {lam0.rank}")
+        raise InvalidDatum(f"fixed lattice has odd rank {lam0.rank}")
     return lam0
 
 
@@ -218,7 +207,7 @@ def decompose_cocycle(d: HyperellipticDatum, dec: Decomposition):
     s_rows = [list(row) for row in s]
     for g in gens:
         if list_product(s, column_lists(g.linear)) != s_rows:
-            raise PipelineInvariantError("a generator moves V0 or does not keep V1 stable")
+            raise InternalError("a generator moves V0 or does not keep V1 stable")
     den = lcm(*(g.den for g in gens))
     rows = tuple(mat_vec(s, [x * (den // g.den) for x in g.shift]) for g in gens)
     return d.group.order * den, rows
@@ -257,7 +246,7 @@ def compute_albanese(d: HyperellipticDatum, dec: Decomposition, t0):
     image = [[x * scale for x in c] for c in column_lists(dec.hermite[0]) if any(c)]
     lam_b = Sublattice.from_int_columns(d.rank, image + list(rows), den)
     if lam_b.rank != dec.lambda0.rank:
-        raise PipelineInvariantError("Albanese lattice rank differs from rank Lambda_0")
+        raise InternalError("Albanese lattice rank differs from rank Lambda_0")
     factors = quotient_group(lam_b, dec.lambda0).invariant_factors
     return lam_b, factors
 
@@ -277,7 +266,7 @@ def fiber_eigenvalues(d: HyperellipticDatum, q: int, h_indices, factor_indices):
             kept = [k for k in range(len(eig)) if k not in ones]
         dropped = [eig[k] for k in range(len(eig)) if k not in kept]
         if len(dropped) != q or not all(z.is_one() for z in dropped):
-            raise PipelineInvariantError("element lacks eigenvalue 1 on the q Albanese directions")
+            raise InternalError("element lacks eigenvalue 1 on the q Albanese directions")
         members.append((i, tuple(eig[k] for k in kept)))
     return tuple(members)
 
@@ -331,7 +320,7 @@ def _abelian_invariant_factors(orders) -> tuple[int, ...]:
                 count //= p
                 s += 1
             if count != 1:
-                raise PipelineInvariantError(f"the {p}^{k}-torsion count is not a power of {p}")
+                raise InternalError(f"the {p}^{k}-torsion count is not a power of {p}")
             at_least.append(s - prev)
             prev = s
         for j in range(at_least[0]):
@@ -339,7 +328,7 @@ def _abelian_invariant_factors(orders) -> tuple[int, ...]:
                 factors.append(1)
             factors[j] *= p ** sum(1 for c in at_least if c > j)
     if prod(factors) != n:
-        raise PipelineInvariantError("no abelian structure matches the element orders")
+        raise InternalError("no abelian structure matches the element orders")
     return tuple(reversed(factors))
 
 
@@ -372,7 +361,7 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
     h_indices, h_index = compute_H(d, dec, t0)
     lam_b, factors = compute_albanese(d, dec, t0)
     if d.group.order != len(h_indices) * h_index or h_index * dec.k.order != prod(factors):
-        raise NotASubgroup(
+        raise InternalError(
             f"|G| != |H| [G : H] or [G : H] |K| != [Lambda_B : Lambda_0] with"
             f" |H| = {len(h_indices)}, [G : H] = {h_index}"
         )
@@ -380,9 +369,9 @@ def run_pipeline(d: HyperellipticDatum, recurse: bool = False) -> AlbaneseReport
     members = fiber_eigenvalues(d, dec.q, h_indices, fiber_factor_indices)
     fiber_class = classify_fiber(d.group, h_indices, n - dec.q)
     if dec.q == n - 1 and d.group.order > 1 and not d.group.is_cyclic():
-        raise PipelineInvariantError("irregularity n - 1 forces a cyclic group")
+        raise InternalError("irregularity n - 1 forces a cyclic group")
     if d.group.is_cyclic() and fiber_class.kind == "hyperelliptic" and not fiber_class.cyclic:
-        raise PipelineInvariantError("cyclic groups must give abelian or cyclic fibers")
+        raise InternalError("cyclic groups must give abelian or cyclic fibers")
     report = AlbaneseReport(
         q=dec.q,
         dim=n,

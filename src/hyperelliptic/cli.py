@@ -1,10 +1,25 @@
 """Command-line front end.
 
-Exit codes: 0 success (``--help`` included), 1 I/O, parse or usage error,
-2 mathematical validation failure, 3 internal consistency failure or any
-other exception, reported as ``internal error: <ExceptionType>: <message>``,
-so no traceback reaches the user.  Output is deterministic byte-for-byte for
-a fixed input and flags.  Each command builds one JSON payload (`documents`);
+A run ends in one of four outcomes.  A failure prints one line to stderr,
+and each library error class (`errors`) carries its exit code and prefix:
+
+- success: exit 0 (``--help`` included);
+- an input error: exit 1, ``input error: <message>`` for a file that cannot
+  be read or a malformed document (``InputError``); argparse's usage message
+  for a bad command line, ``unknown catalog entry: <name>``, or ``cannot
+  write output: <message>`` when stdout cannot encode the report;
+- a mathematical failure: exit 2, ``invalid datum: <message>``
+  (``InvalidDatum``), or ``cap reached: <cap> <value>, <what needed more>``
+  (``CapReached``) when a resource cap stops the run before it can decide;
+- an internal bug: exit 3, ``internal error: <message>`` for a failed
+  theorem-backed certificate (``InternalError``), or ``internal error:
+  <ExceptionType>: <message>`` for any other exception, so no traceback
+  reaches the user.
+
+``check``, ``oracle`` and ``catalog run`` also exit 2, with their report on
+stdout, when the datum fails validation, the oracle's verdict fails or the
+entry's diff is not empty.  Output is deterministic byte-for-byte for a
+fixed input and flags.  Each command builds one JSON payload (`documents`);
 ``--format json`` writes it with `dumps_canonical`, and ``--format text`` is
 a rendering of that payload, read from it alone.  Each report goes to stdout
 in one write, so one that stdout cannot encode leaves no partial report.
@@ -18,7 +33,6 @@ import sys
 from .action import validate
 from .albanese import run_pipeline
 from .documents import (
-    InputError,
     albanese_dict,
     dumps_canonical,
     invariants_dict,
@@ -27,14 +41,9 @@ from .documents import (
     read_digits,
     validation_dict,
 )
+from .errors import CapReached, InputError, InternalError, InvalidDatum
 from .invariants import canonical_order, canonical_report, invariants_report
 from .oracle import build_model, datum_denominator, fixed_point_survey, oracle_fiber_count
-
-_MATH_ERRORS = (ValueError,)  # all domain errors subclass ValueError
-# failed theorem-backed certificates (PipelineInvariantError, NotASubgroup,
-# GroupInvariantError, CyclotomicInvariantError) subclass RuntimeError; the
-# library has no assert statements, so AssertionError can only be a bug too
-_INTERNAL_ERRORS = (RuntimeError, AssertionError)
 
 
 def _fail(code: int, message: str) -> int:
@@ -55,7 +64,7 @@ def _valid_datum(path: str):
     datum = load_document(path)
     report = validate(datum)
     if not report.passed:
-        raise ValueError("; ".join(report.failures()))
+        raise InvalidDatum("; ".join(report.failures()))
     return datum
 
 
@@ -236,14 +245,10 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        return _fail(1, f"input error: {exc}")
-    except UnicodeEncodeError as exc:  # a ValueError, but stdout's encoding is at fault
+    except (InputError, InvalidDatum, CapReached, InternalError) as exc:
+        return _fail(exc.exit_code, f"{exc.prefix}: {exc}")
+    except UnicodeEncodeError as exc:  # stdout's encoding is at fault, not the datum
         return _fail(1, f"cannot write output: {exc}")
-    except _INTERNAL_ERRORS as exc:
-        return _fail(3, f"internal error: {exc}")
-    except _MATH_ERRORS as exc:
-        return _fail(2, f"invalid datum: {exc}")
     except Exception as exc:  # an exception no layer raises on purpose is a bug
         return _fail(3, f"internal error: {type(exc).__name__}: {exc}")
 

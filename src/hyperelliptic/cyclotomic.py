@@ -12,13 +12,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-
-class NonRational(ValueError):
-    """A sum of roots of unity expected to be rational is not, mod Phi_N."""
-
-
-class CyclotomicInvariantError(RuntimeError):
-    """An internal precondition of the polynomial arithmetic failed; signals a bug."""
+from .errors import InternalError, InvalidDatum
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +23,7 @@ def poly_divmod_exact(num, den):
     num = list(num)
     d = len(den) - 1
     if den[-1] != 1:
-        raise CyclotomicInvariantError("divisor must be monic")
+        raise InternalError("divisor must be monic")
     q = [0] * max(len(num) - d, 0)
     for i in range(len(num) - 1, d - 1, -1):
         c = num[i]
@@ -61,13 +55,13 @@ def euler_phi(n: int) -> int:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Phi_n as a coefficient tuple, by dividing x^n - 1 by Phi_d for d | n, d < n."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidDatum("n must be >= 1")
     num = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
             num, rem = poly_divmod_exact(num, cyclotomic_polynomial(d))
             if rem != ():
-                raise CyclotomicInvariantError(f"Phi_{d} does not divide x^{n} - 1")
+                raise InternalError(f"Phi_{d} does not divide x^{n} - 1")
     return num
 
 
@@ -91,7 +85,7 @@ class RootOfUnity(NamedTuple):
     @staticmethod
     def of(k: int, order: int) -> "RootOfUnity":
         if order < 1:
-            raise ValueError("order must be >= 1")
+            raise InvalidDatum("order must be >= 1")
         k %= order
         g = gcd(k, order)
         return RootOfUnity(k // g, order // g)

@@ -30,6 +30,7 @@ from .action import (
 )
 from .albanese import AlbaneseReport
 from .cyclotomic import ROOT_SHORTHAND, RootOfUnity
+from .errors import InputError
 from .exactlin import Sublattice, common_denominator, format_rational, least_denominator
 from .torus import (
     FACTOR_KINDS,
@@ -40,10 +41,6 @@ from .torus import (
     factor_automorphism_matrix,
     standard_form,
 )
-
-
-class InputError(ValueError):
-    """Malformed document: wrong shape, unknown field values, bad rationals."""
 
 
 # ---------------------------------------------------------------------------

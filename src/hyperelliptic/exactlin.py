@@ -44,11 +44,9 @@ from math import gcd, lcm, prod
 from operator import itemgetter, mul
 from typing import NamedTuple
 
+from .errors import InvalidDatum
+
 Matrix = tuple[tuple[int, ...], ...]
-
-
-class LatticeError(ValueError):
-    """Raised for structurally invalid lattice arguments (rank/ambient mismatch)."""
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +286,7 @@ class Sublattice(NamedTuple):
     def coords_of(self, den: int, v) -> tuple[int, tuple[int, ...]] | None:
         """Coordinates of v / den in this basis as (least den, integers), or None off the span."""
         if len(v) != self.ambient_rank:
-            raise LatticeError("vector length does not match ambient rank")
+            raise InvalidDatum("vector length does not match ambient rank")
         coords = hermite_coords(self.cols, [x * self.den for x in v])
         return None if coords is None else least_denominator(coords[0] * den, coords[1])
 
@@ -299,7 +297,7 @@ class Sublattice(NamedTuple):
         """
         coords = self.coords_of(den, v)
         if coords is None:
-            raise LatticeError("vector is outside the lattice span")
+            raise InvalidDatum("vector is outside the lattice span")
         e, y = coords
         d = lcm(den, self.den)
         rep = [x * (d // den) for x in v]
@@ -330,16 +328,16 @@ def kernel_lattice(m: Matrix) -> Sublattice:
     the column form.
     """
     if not m:
-        raise LatticeError("kernel_lattice needs at least one row (use Sublattice.standard)")
+        raise InvalidDatum("kernel_lattice needs at least one row (use Sublattice.standard)")
     return _kernel_of_columns(*hermite_normal_form(column_lists(m)))
 
 
 def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
     """Structure of big/small for a finite-index inclusion small <= big."""
     if big.ambient_rank != small.ambient_rank:
-        raise LatticeError("ambient ranks differ")
+        raise InvalidDatum("ambient ranks differ")
     if big.rank != small.rank:
-        raise LatticeError("quotient is infinite: ranks differ")
+        raise InvalidDatum("quotient is infinite: ranks differ")
     k = big.rank
     if k == 0:
         return FiniteAbelianGroup((), ())
@@ -347,7 +345,7 @@ def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
     for col in small.cols:
         coords = big.coords_of(small.den, col)
         if coords is None or coords[0] != 1:
-            raise LatticeError("small lattice is not contained in big lattice")
+            raise InvalidDatum("small lattice is not contained in big lattice")
         coord_cols.append(coords[1])
     u, s = smith_normal_form(column_lists(coord_cols))  # k x k, small's basis in big's coordinates
     u_inv = hermite_normal_form(u)[1]  # u is unimodular: its row form is I
@@ -356,7 +354,7 @@ def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
     for i in range(k):
         d = s[i][i]
         if d == 0:
-            raise LatticeError("small lattice does not have finite index")
+            raise InvalidDatum("small lattice does not have finite index")
         if d == 1:
             continue
         factors.append(d)

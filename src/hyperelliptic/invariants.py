@@ -12,9 +12,9 @@ each class, e_0 .. e_n are expanded in one pass of prod (1 + x * zeta_N^a) as
 lists of N integer counts in the group ring Z[Z/N], and each (p, q) cell
 accumulates count * (e_p convolved with conj(e_q)), conjugation being the
 index map t -> -t.  Each cell is reduced mod Phi_N once; the remainder must
-be a constant (else NonRational) that is nonnegative and divisible by |G|
-(else Inconsistent).  The canonical order of omega_X is the order of the
-determinant character, on which translations act trivially.
+be a constant that is nonnegative and divisible by |G|, else InvalidDatum.
+The canonical order of omega_X is the order of the determinant character, on
+which translations act trivially.
 """
 
 from __future__ import annotations
@@ -23,33 +23,20 @@ from math import lcm
 from typing import NamedTuple
 
 from .action import HyperellipticDatum, determinant
-from .cyclotomic import (
-    NonRational,
-    cyclotomic_polynomial,
-    poly_divmod_exact,
-)
+from .cyclotomic import cyclotomic_polynomial, poly_divmod_exact
+from .errors import InternalError, InvalidDatum
 from .exactlin import format_rational
 
 __all__ = [
     "HodgeDiamond",
     "InvariantsReport",
     "PullbackDiagnostic",
-    "Inconsistent",
-    "DivisibilityViolation",
     "irregularity",
     "hodge_diamond",
     "canonical_order",
     "invariants_report",
     "canonical_report",
 ]
-
-
-class Inconsistent(ValueError):
-    """Character-average and lattice computations of an invariant disagree."""
-
-
-class DivisibilityViolation(RuntimeError):
-    """Fiber canonical order fails to divide the total space's; a pipeline bug."""
 
 
 class HodgeDiamond(NamedTuple):
@@ -127,10 +114,10 @@ def _certified_integer(cell, conductor: int, order: int, what: str) -> int:
     """(1/|G|) * sum_t cell[t] * zeta_N^t, certified to be a nonnegative integer."""
     _, rem = poly_divmod_exact(cell, cyclotomic_polynomial(conductor))
     if len(rem) > 1:
-        raise NonRational(f"{what} is not rational: remainder {rem} mod Phi_{conductor}")
+        raise InvalidDatum(f"{what} is not rational: remainder {rem} mod Phi_{conductor}")
     total = rem[0] if rem else 0
     if total < 0 or total % order:
-        raise Inconsistent(f"{what} is not a nonnegative integer: {format_rational(total, order)}")
+        raise InvalidDatum(f"{what} is not a nonnegative integer: {format_rational(total, order)}")
     return total // order
 
 
@@ -143,7 +130,7 @@ def irregularity(d: HyperellipticDatum, diamond: HodgeDiamond) -> int:
     q = diamond.h[1][0] if d.dim else 0
     traces = sum(e.linear[i][i] for e in d.group.elements for i in range(d.rank))
     if traces != 2 * q * d.group.order:
-        raise Inconsistent(
+        raise InvalidDatum(
             f"character irregularity {q} != lattice irregularity "
             f"{format_rational(traces, 2 * d.group.order)}"
         )
@@ -168,9 +155,9 @@ def hodge_diamond(d: HyperellipticDatum) -> HodgeDiamond:
     for p in range(n + 1):
         for q in range(n + 1):
             if diamond.h[p][q] != diamond.h[q][p]:
-                raise Inconsistent("Hodge symmetry h^{p,q} = h^{q,p} fails")
+                raise InvalidDatum("Hodge symmetry h^{p,q} = h^{q,p} fails")
             if diamond.h[p][q] != diamond.h[n - p][n - q]:
-                raise Inconsistent("Serre symmetry h^{p,q} = h^{n-p,n-q} fails")
+                raise InvalidDatum("Serre symmetry h^{p,q} = h^{n-p,n-q} fails")
     return diamond
 
 
@@ -185,9 +172,9 @@ def invariants_report(d: HyperellipticDatum) -> InvariantsReport:
     euler = sum((-1) ** k * diamond.h[0][k] for k in range(d.dim + 1))
     order = canonical_order(d)
     if (diamond.h[d.dim][0] == 1) != (order == 1):
-        raise Inconsistent("h^{n,0} = 1 must hold exactly when the canonical order is 1")
+        raise InvalidDatum("h^{n,0} = 1 must hold exactly when the canonical order is 1")
     if d.group.order > 1 and euler != 0:
-        raise Inconsistent("chi(O_X) must vanish for a nontrivial free quotient")
+        raise InvalidDatum("chi(O_X) must vanish for a nontrivial free quotient")
     return InvariantsReport(
         dim=d.dim,
         q=q,
@@ -206,7 +193,7 @@ def canonical_report(x_order: int, fiber_order: int) -> PullbackDiagnostic:
     from Alb(X) exactly when the fiber is Calabi-Yau (order 1).
     """
     if x_order % fiber_order != 0:
-        raise DivisibilityViolation(
+        raise InternalError(
             f"fiber canonical order {fiber_order} does not divide {x_order}"
         )
     return PullbackDiagnostic(

@@ -34,7 +34,8 @@ from math import lcm, prod
 from typing import NamedTuple
 
 from .action import AffineAut, HyperellipticDatum, validate
-from .albanese import AlbaneseReport, PipelineInvariantError
+from .albanese import AlbaneseReport
+from .errors import CapReached, InternalError, InvalidDatum
 from .exactlin import (
     column_lists,
     common_denominator,
@@ -44,14 +45,6 @@ from .exactlin import (
 )
 
 DEFAULT_POINT_CAP = 10_000_000
-
-
-class CapExceeded(ValueError):
-    """The model would enumerate more points than the configured cap."""
-
-
-class BadLevel(ValueError):
-    """The level is not divisible by some denominator appearing in the datum."""
 
 
 class TorsionModel(NamedTuple):
@@ -115,10 +108,11 @@ def build_model(
     """
     rank = d.rank
     if level < 1 or level % datum_denominator(d) != 0:
-        raise BadLevel(f"level {level} is not divisible by all datum denominators")
+        raise InvalidDatum(f"level {level} is not divisible by all datum denominators")
     size = _split_grid_size(level, rank) if split_counting else level**rank
     if size > cap:
-        raise CapExceeded(f"level {level} needs {size} enumerated points, over the cap {cap}")
+        grid = " in its split grid" if split_counting else ""
+        raise CapReached(f"oracle point cap {cap}, level {level} needs {size} points{grid}")
     actions = tuple(
         (e.linear, tuple(level // e.den * x for x in e.shift)) for e in d.group.elements
     )
@@ -198,7 +192,7 @@ def fixed_point_survey(
     element's count is exhaustive when its level is a multiple of its bound,
     lcm(element_level_bound, datum denominator).  A given level is built
     first, so a level that is not a multiple of every denominator raises
-    BadLevel and one whose split grid is over the cap raises CapExceeded;
+    InvalidDatum and one whose split grid is over the cap raises CapReached;
     every element is counted there.  With no level given, the shared level is
     ``formula_level``, lcm(denominators) * lcm(orders), a multiple of every
     bound by the module's theorem (the largest Smith divisor of M - I divides
@@ -258,7 +252,7 @@ def _albanese_projection_matrix(report: AlbaneseReport):
     for w in column_lists(report.decomposition.group_sum):
         coords = lam_b.coords_of(1, w)
         if coords is None:
-            raise PipelineInvariantError("projection leaves the Albanese lattice span")
+            raise InternalError("projection leaves the Albanese lattice span")
         columns.append(coords)
     den, scaled = common_denominator(columns)
     return den * report.group_order, transpose(scaled)
@@ -286,7 +280,7 @@ def oracle_fiber_count(model: TorsionModel, report: AlbaneseReport) -> FiberCoun
     map: the fiber count is the number of nonzero slots, and the first
     nonzero slot whose scaled count is off is the smallest failing key.  A
     table with more slots than the model has points (N^rank, the count that
-    build_model caps) raises CapExceeded, so a malformed report cannot
+    build_model caps) raises CapReached, so a malformed report cannot
     allocate past that cap.
     """
     n = model.level
@@ -313,8 +307,8 @@ def oracle_fiber_count(model: TorsionModel, report: AlbaneseReport) -> FiberCoun
     ]
     size = prod(d for d, _ in packed)
     if size > model.point_count:
-        raise CapExceeded(
-            f"fiber table of {size} keys exceeds the {model.point_count} model points"
+        raise CapReached(
+            f"fiber table cap {model.point_count} (the model's points), the table needs {size} keys"
         )
     counts = [0] * size
     for p in itertools.product(range(n), repeat=len(active)):

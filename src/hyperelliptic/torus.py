@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cyclotomic import RootOfUnity
+from .errors import InvalidDatum
 from .exactlin import (
-    LatticeError,
     Sublattice,
     column_lists,
     identity_rows,
@@ -37,18 +37,6 @@ from .exactlin import (
     mat_vec,
     transpose,
 )
-
-
-class InvalidAutomorphism(ValueError):
-    """The requested root of unity is not a lattice automorphism of the factor."""
-
-
-class NoProvenance(ValueError):
-    """Operation needs product-of-elliptic-curves provenance that the torus lacks."""
-
-
-class DegenerateForm(ValueError):
-    """An alternating form required to be nondegenerate is singular."""
 
 
 class FactorKind(NamedTuple):
@@ -87,7 +75,7 @@ class EllipticFactor:
 
     def __init__(self, kind: str, label: str = ""):
         if kind not in FACTOR_KINDS:
-            raise ValueError(f"unknown factor kind {kind!r}")
+            raise InvalidDatum(f"unknown factor kind {kind!r}")
         self.kind = kind
         self.label = label
 
@@ -99,7 +87,7 @@ def factor_automorphism_matrix(f: EllipticFactor, zeta: RootOfUnity):
     """2x2 integer matrix of multiplication by zeta on the basis (1, tau)."""
     block = FACTOR_KINDS[f.kind].blocks.get(zeta)
     if block is None:
-        raise InvalidAutomorphism(f"{zeta} is not an automorphism of a {f.kind} factor")
+        raise InvalidDatum(f"{zeta} is not an automorphism of a {f.kind} factor")
     return block
 
 
@@ -108,7 +96,7 @@ def factor_block_eigenvalue(f: EllipticFactor, block) -> RootOfUnity:
     for unit, unit_block in FACTOR_KINDS[f.kind].blocks.items():
         if unit_block == block:
             return unit
-    raise InvalidAutomorphism(f"block {block} is not an automorphism of a {f.kind} factor")
+    raise InvalidDatum(f"block {block} is not an automorphism of a {f.kind} factor")
 
 
 class AlternatingForm:
@@ -119,12 +107,12 @@ class AlternatingForm:
     def __init__(self, matrix):
         n = len(matrix)
         if any(len(row) != n for row in matrix):
-            raise DegenerateForm("form matrix must be square")
+            raise InvalidDatum("form matrix must be square")
         matrix = tuple(map(tuple, matrix))
         if any(matrix[i][j] != -matrix[j][i] for i in range(n) for j in range(n)):
-            raise DegenerateForm("form matrix must be antisymmetric")
+            raise InvalidDatum("form matrix must be antisymmetric")
         if is_singular(matrix):
-            raise DegenerateForm("form matrix is singular")
+            raise InvalidDatum("form matrix is singular")
         self.matrix = matrix
 
     def restricted_to(self, basis_columns) -> tuple[tuple[int, ...], ...]:
@@ -155,10 +143,10 @@ class TorusDatum:
     def __init__(self, lattice: Sublattice, factors: tuple[EllipticFactor, ...] | None = None):
         rank = lattice.ambient_rank
         if factors is not None and 2 * len(factors) != rank:
-            raise ValueError("factor count does not match rank")
+            raise InvalidDatum("factor count does not match rank")
         inv_cols = [lattice.coords_of(1, e) for e in identity_rows(rank)]
         if not all(c is not None and c[0] == 1 for c in inv_cols):
-            raise LatticeError("lattice must contain the product lattice Z^rank")
+            raise InvalidDatum("lattice must contain the product lattice Z^rank")
         self.rank = rank
         self.lattice = lattice
         self.factors = factors
@@ -185,7 +173,7 @@ def build_product_torus(factors, k_gens=(1, ())) -> TorusDatum:
     rank = 2 * len(factors)
     den, rows = k_gens
     if any(len(g) != rank for g in rows):
-        raise ValueError("k generator length must be 2 * number of factors")
+        raise InvalidDatum("k generator length must be 2 * number of factors")
     cols = [[den * x for x in e] for e in identity_rows(rank)] + list(rows)
     return TorusDatum(Sublattice.from_int_columns(rank, cols, den), factors)
 
@@ -198,7 +186,7 @@ def standard_form(t: TorusDatum) -> AlternatingForm:
     C^T J C / den^2, so C^T J C is the form up to a positive scalar.
     """
     if t.factors is None:
-        raise NoProvenance("raw lattices must supply an alternating form explicitly")
+        raise InvalidDatum("raw lattices must supply an alternating form explicitly")
     n2 = t.rank
     j = [[0] * n2 for _ in range(n2)]
     for i in range(0, n2, 2):

@@ -16,13 +16,12 @@ from math import lcm
 
 from helpers import generator_fixed_lattice
 from hyperelliptic.cyclotomic import (
-    CyclotomicInvariantError,
-    NonRational,
     RootOfUnity,
     cyclotomic_polynomial,
     euler_phi,
 )
-from hyperelliptic.invariants import HodgeDiamond, Inconsistent
+from hyperelliptic.errors import InternalError, InvalidDatum
+from hyperelliptic.invariants import HodgeDiamond
 
 
 def poly_mul(a, b):
@@ -41,7 +40,7 @@ class CycloNumber:
 
     def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
         if len(coeffs) != euler_phi(conductor):
-            raise CyclotomicInvariantError(
+            raise InternalError(
                 f"Q(zeta_{conductor}) needs {euler_phi(conductor)} coefficients, "
                 f"got {len(coeffs)}"
             )
@@ -117,9 +116,9 @@ class CycloNumber:
         return not any(self.coeffs)
 
     def rational_part(self) -> Fraction:
-        """The value as a rational; NonRational if any higher coefficient is nonzero."""
+        """The value as a rational; InvalidDatum if any higher coefficient is nonzero."""
         if any(self.coeffs[1:]):
-            raise NonRational(f"not a rational constant: {self.coeffs}")
+            raise InvalidDatum(f"not a rational constant: {self.coeffs}")
         return self.coeffs[0]
 
 
@@ -209,9 +208,9 @@ def _conductor(d) -> int:
 
 
 def _certified_integer(value: CycloNumber, what: str) -> int:
-    rational = value.rational_part()  # NonRational propagates
+    rational = value.rational_part()  # InvalidDatum propagates
     if rational.denominator != 1 or rational < 0:
-        raise Inconsistent(f"{what} is not a nonnegative integer: {rational}")
+        raise InvalidDatum(f"{what} is not a nonnegative integer: {rational}")
     return int(rational)
 
 
@@ -226,7 +225,7 @@ def irregularity(d) -> int:
     q = _certified_integer(average, "irregularity")
     lattice_q = generator_fixed_lattice(d).rank // 2
     if q != lattice_q:
-        raise Inconsistent(
+        raise InvalidDatum(
             f"character irregularity {q} != lattice irregularity {lattice_q}"
         )
     return q
@@ -255,7 +254,7 @@ def hodge_diamond(d) -> HodgeDiamond:
     for p in range(n + 1):
         for q in range(n + 1):
             if diamond.h[p][q] != diamond.h[q][p]:
-                raise Inconsistent("Hodge symmetry h^{p,q} = h^{q,p} fails")
+                raise InvalidDatum("Hodge symmetry h^{p,q} = h^{q,p} fails")
             if diamond.h[p][q] != diamond.h[n - p][n - q]:
-                raise Inconsistent("Serre symmetry h^{p,q} = h^{n-p,n-q} fails")
+                raise InvalidDatum("Serre symmetry h^{p,q} = h^{n-p,n-q} fails")
     return diamond

@@ -105,9 +105,9 @@ from hyperelliptic.albanese import (
     run_pipeline,
 )
 from hyperelliptic.documents import format_vector
+from hyperelliptic.errors import CapReached, InvalidDatum
 from hyperelliptic.exactlin import (
     FiniteAbelianGroup,
-    LatticeError,
     Sublattice,
     column_hermite,
     hermite_normal_form,
@@ -121,7 +121,6 @@ from hyperelliptic.exactlin import (
 )
 from hyperelliptic.oracle import (
     DEFAULT_POINT_CAP,
-    CapExceeded,
     FixedPointCheck,
     FixedPointSurvey,
     _split_grid_size,
@@ -182,7 +181,7 @@ def from_rat_columns(ambient_rank: int, vectors) -> Sublattice:
     """The lattice spanned by rational vectors: their integers over one den, in Hermite form."""
     for v in vectors:
         if len(v) != ambient_rank:
-            raise LatticeError("vector length does not match ambient rank")
+            raise InvalidDatum("vector length does not match ambient rank")
     den, cols = over_common_denominator(vectors)
     return Sublattice.from_int_columns(ambient_rank, cols, den)
 
@@ -238,7 +237,7 @@ def reference_hermite_coords(cols, target) -> list[Fraction] | None:
 def reference_coords_of(s: Sublattice, v) -> tuple[Fraction, ...] | None:
     """Rational coordinates of the rational vector v in s's basis, or None outside the span."""
     if len(v) != s.ambient_rank:
-        raise LatticeError("vector length does not match ambient rank")
+        raise InvalidDatum("vector length does not match ambient rank")
     coords = reference_hermite_coords(s.cols, [x * s.den for x in v])
     return None if coords is None else tuple(coords)
 
@@ -247,7 +246,7 @@ def reference_reduce_mod(s: Sublattice, v) -> tuple[Fraction, ...]:
     """Canonical representative of the rational vector v modulo s, in `Fraction` arithmetic."""
     coords = reference_coords_of(s, v)
     if coords is None:
-        raise LatticeError("vector is outside the lattice span")
+        raise InvalidDatum("vector is outside the lattice span")
     rep = tuple(map(Fraction, v))
     for c, b in zip(coords, basis_vectors(s)):
         whole = c.numerator // c.denominator
@@ -264,9 +263,9 @@ def reference_quotient_group(big: Sublattice, small: Sublattice):
     for each invariant factor s[i][i] > 1.
     """
     if big.ambient_rank != small.ambient_rank:
-        raise LatticeError("ambient ranks differ")
+        raise InvalidDatum("ambient ranks differ")
     if big.rank != small.rank:
-        raise LatticeError("quotient is infinite: ranks differ")
+        raise InvalidDatum("quotient is infinite: ranks differ")
     k = big.rank
     if k == 0:
         return (), ()
@@ -274,7 +273,7 @@ def reference_quotient_group(big: Sublattice, small: Sublattice):
     for b in basis_vectors(small):
         coords = reference_coords_of(big, b)
         if coords is None or not all(c.denominator == 1 for c in coords):
-            raise LatticeError("small lattice is not contained in big lattice")
+            raise InvalidDatum("small lattice is not contained in big lattice")
         coord_cols.append(tuple(int(c) for c in coords))
     u, s = smith_normal_form(transpose(tuple(coord_cols)))
     u_inv = hermite_normal_form(u)[1]
@@ -284,7 +283,7 @@ def reference_quotient_group(big: Sublattice, small: Sublattice):
     for i in range(k):
         d = s[i][i]
         if d == 0:
-            raise LatticeError("small lattice does not have finite index")
+            raise InvalidDatum("small lattice does not have finite index")
         if d == 1:
             continue
         coeffs = tuple(u_inv[r][i] for r in range(k))
@@ -339,7 +338,7 @@ def block_eigenvalues(torus, linear) -> tuple:
 
 
 def mat_inv(m):
-    """Exact inverse of a square rational matrix (LatticeError if singular).
+    """Exact inverse of a square rational matrix (InvalidDatum if singular).
 
     For m = a / D with a integral, column_hermite(a) = (h, v) has a v = h, so
     m^-1 = v (D h^-1), and column j of D h^-1 is read off h's pivots.
@@ -348,7 +347,7 @@ def mat_inv(m):
     h, v = column_hermite(a)
     cols = transpose(h)
     if not all(map(any, cols)):
-        raise LatticeError("matrix is singular")
+        raise InvalidDatum("matrix is singular")
     scaled = [reference_hermite_coords(cols, [d * x for x in e]) for e in identity(len(m))]
     return transpose([reference_mat_vec(v, y) for y in scaled])
 
@@ -444,7 +443,7 @@ def coset_meets_lattice(w: Sublattice, t) -> bool:
     """Exact decision of (t + span_Q(w)) intersect Z^n != empty set."""
     t = tuple(map(Fraction, t))
     if len(t) != w.ambient_rank:
-        raise LatticeError("vector length does not match ambient rank")
+        raise InvalidDatum("vector length does not match ambient rank")
     if w.rank == w.ambient_rank:
         return True
     if w.rank == 0:
@@ -627,7 +626,7 @@ def coset_has_fixed_point(e) -> bool:
 def saturate(s: Sublattice) -> Sublattice:
     """Saturation (span_Q(s) intersected with Z^ambient) of an integer sublattice."""
     if s.den != 1:
-        raise LatticeError("saturate expects an integer sublattice")
+        raise InvalidDatum("saturate expects an integer sublattice")
     if s.rank == 0:
         return s
     basis = basis_matrix(s)  # ambient x rank
@@ -639,7 +638,7 @@ def saturate(s: Sublattice) -> Sublattice:
 
 def is_saturated(s: Sublattice) -> bool:
     if s.den != 1:
-        raise LatticeError("saturation is only meaningful for integer lattices")
+        raise InvalidDatum("saturation is only meaningful for integer lattices")
     return saturate(s) == s
 
 
@@ -661,7 +660,7 @@ def apply(model, element_index: int, point):
 def orbits(model) -> list[int]:
     """All orbit sizes of the torsion model (small models only)."""
     if model.point_count > ORBIT_ENUMERATION_LIMIT:
-        raise CapExceeded("orbit enumeration is limited to small models")
+        raise CapReached("orbit enumeration is limited to small models")
     seen: set = set()
     sizes = []
     for p in torsion_points(model):

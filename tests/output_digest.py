@@ -14,13 +14,15 @@ fixed-point survey falls back to each element's own level.  On each catalog
 entry and the D4 threefold it also runs `oracle --level L`, in both
 formats, at L = 2D and at L = 2D + 1, where D is the datum's translation
 denominator (`oracle.datum_denominator`): the first level is valid and D
-does not divide the second, so the given-level path and its `BadLevel`
-refusal are covered too.  It then runs `check`, in both formats, on each
-document of `MALFORMED` and `MALFORMED_JSON`, one for each refusal a
-document can reach.  An output is the exit code, stdout and stderr, with
-the temporary file's name read as FILE.  Two checkouts whose reports are
-byte-identical print the same count and digest, so a refactor that must not
-change any report is checked by running this in both.
+does not divide the second, so the given-level path and its refusal of a
+level are covered too; on `z4-threefold` it also runs `oracle --level 400`,
+whose split grid is over the point cap.  It then runs `check`, in both
+formats, on each document of `MALFORMED` and `MALFORMED_JSON`, one for each
+refusal a document can reach, a reached closure cap among them.  An output
+is the exit code, stdout and stderr, with the temporary file's name read as
+FILE.  Two checkouts whose reports are byte-identical print the same count
+and digest, so a refactor that must not change any report is checked by
+running this in both.
 
     PYTHONPATH=src python tests/output_digest.py [--each] [--expect SHA256]
 
@@ -60,7 +62,7 @@ from hyperelliptic.oracle import datum_denominator  # noqa: E402
 
 STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8), (3, 4, 2), (2, 2, 10))
 COMMANDS = (["check"], ["albanese"], ["albanese", "--recurse"], ["invariants"], ["oracle"])
-RECORDED = "4b27435ad37f464283c07b340e8e7607f707aceda961855e77c625f980584c0b"
+RECORDED = "29b44e6ee50b7878d0b801137b703433d7e5c4999f173036d89815e8a5c52719"
 LONG = "9" * 5000  # a run of digits past int()'s default conversion limit of 4300
 
 # (z0 + 1/2, -z1) and -z + (0, 1/2): well-formed, the bases of the malformed documents
@@ -95,7 +97,7 @@ def _element(**spec) -> dict:
 
 
 # one document for each refusal a document can reach, each bad rational and
-# label form among them; `check` runs on each
+# label form and a reached closure cap among them; `check` runs on each
 MALFORMED = {
     **{f"rational-{name}": _rational(text) for name, text in (
         ("underscore", "1_0/3"), ("fullwidth-digit", "\uff11/2"), ("nbsp", "\xa01/2"),
@@ -137,6 +139,7 @@ MALFORMED = {
     "block-entry-float": dict(BUILDER, generators=[{"blocks": [[[1.0, 0], [0, 1]]] * 2}]),
     "closure-cap-string": dict(BUILDER, closure_cap="abc"),
     "closure-cap-over": dict(RAW, closure_cap=MAX_CLOSURE_CAP + 1),
+    "closure-cap-reached": dict(get_entry("z4-threefold").document, closure_cap=2),
     "rank-zero": dict(RAW, rank=0),
     "rank-odd": dict(RAW, rank=3),
     "rank-over": dict(RAW, rank=MAX_RANK + 2),
@@ -200,11 +203,15 @@ def with_generic_factor(doc) -> dict:
 
 
 def commands(name: str, doc) -> tuple[list[str], ...]:
-    """COMMANDS, and on a catalog entry or the D4 threefold `oracle --level` at 2D and 2D + 1."""
+    """COMMANDS, and on a catalog entry or the D4 threefold `oracle --level` at 2D and 2D + 1.
+
+    On `z4-threefold` also `oracle --level 400`, over the point cap.
+    """
     if name not in {*list_entries(), "d4-threefold"}:
         return COMMANDS
     den = datum_denominator(build_datum(doc))
-    return COMMANDS + tuple(["oracle", "--level", str(level)] for level in (2 * den, 2 * den + 1))
+    levels = (2 * den, 2 * den + 1, *((400,) if name == "z4-threefold" else ()))
+    return COMMANDS + tuple(["oracle", "--level", str(level)] for level in levels)
 
 
 def cases():

@@ -20,11 +20,7 @@ from helpers import (
 )
 from hyperelliptic.action import (
     AffineAut,
-    GroupInvariantError,
     HyperellipticDatum,
-    LatticeNotPreserved,
-    MissingEigenvalueData,
-    NotClosedWithinCap,
     affine_from_factor_action,
     affine_identity,
     affine_raw,
@@ -40,6 +36,7 @@ from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
+from hyperelliptic.errors import CapReached, InternalError, InvalidDatum
 from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
 from hyperelliptic.torus import (
     AlternatingForm,
@@ -176,13 +173,13 @@ class TestClosure:
     def test_cap(self):
         torus = build_product_torus([GEN0])
         g = AffineAut(identity(2), 5, (1, 0), (ONE,))
-        with pytest.raises(NotClosedWithinCap):
+        with pytest.raises(CapReached, match="^closure cap 3, the group has more elements$"):
             close_group([g], torus, cap=3)
 
     def test_non_unimodular_rejected(self):
         torus = TorusDatum.raw(2)
         bad = affine_raw(((2, 0), (0, 1)), as_pair((0, 0)), (ONE,))
-        with pytest.raises(LatticeNotPreserved):
+        with pytest.raises(InvalidDatum, match="^linear part is not unimodular$"):
             close_group([bad], torus)
 
     def test_rational_matrix_entry_rejected(self):
@@ -190,14 +187,16 @@ class TestClosure:
         # would make the linear part I and close a translation group of order 2
         torus = TorusDatum.raw(2)
         bad = affine_raw(((1, F(1, 2)), (0, 1)), as_pair((F(1, 2), 0)), (ONE,))
-        with pytest.raises(LatticeNotPreserved, match="linear part must be integral on the"):
+        with pytest.raises(InvalidDatum, match="linear part must be integral on the"):
             close_group([bad], torus)
 
     def test_lattice_not_preserved_by_factor_action(self):
         # -1 on only one half of an identified pair does not descend
         k_gens = over_common_denominator([(F(1, 2), 0, F(1, 2), 0)])
         torus = build_product_torus([GEN0, GEN1], k_gens)
-        with pytest.raises(LatticeNotPreserved):
+        with pytest.raises(
+            InvalidDatum, match="^linear part does not preserve the enlarged lattice$"
+        ):
             affine_from_factor_action(
                 torus, [block(GEN0, ONE), ((2, 0), (0, 2))], as_pair((0, 0, 0, 0))
             )
@@ -206,7 +205,9 @@ class TestClosure:
         torus = TorusDatum.raw(4)
         rot = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
         swapped = affine_raw(rot, as_pair((0, 0, 0, 0)), (I4, I4.conjugate()))
-        with pytest.raises(MissingEigenvalueData):
+        message = ("^closure created an element with complex eigenvalues of order > 2; "
+                   "list all group elements with their eigenvalues in the input$")
+        with pytest.raises(InvalidDatum, match=message):
             close_group([swapped], torus)
 
     def test_raw_closure_with_real_eigenvalues_derives(self):
@@ -444,13 +445,13 @@ class TestQuotientByTranslations:
         torus = build_product_torus([GEN0])
         shift = AffineAut(identity(2), 2, (1, 0), (ONE,))
         d = HyperellipticDatum(torus, close_group([shift], torus), standard_form(torus))
-        with pytest.raises(GroupInvariantError, match="element 1 is a translation"):
+        with pytest.raises(InternalError, match="element 1 is a translation"):
             quotient_by_translations(d)
 
     def test_idempotent(self):
         d = shift_and_flip()
         assert d.group.order == 4 and d.group.elements[1].is_translation()
-        with pytest.raises(GroupInvariantError, match="element 1 is a translation"):
+        with pytest.raises(InternalError, match="element 1 is a translation"):
             quotient_by_translations(d)
 
     def test_unstable_lattice_is_internal_error(self):
@@ -458,9 +459,9 @@ class TestQuotientByTranslations:
         # this one is not saturated either, and the saturation certificate comes first
         d = z4_threefold()
         cols = tuple(tuple(2 if i == j == 4 else int(i == j) for i in range(6)) for j in range(6))
-        with pytest.raises(GroupInvariantError, match="does not span a saturated lattice"):
+        with pytest.raises(InternalError, match="does not span a saturated lattice"):
             rewrite_on_lattice(d, cols, d.torus, members_of(d.group))
-        assert issubclass(GroupInvariantError, RuntimeError)
+        assert InternalError.exit_code == 3
 
     def test_swap_off_the_basis_plane_is_internal_error(self):
         # M swaps (e1, e2) with (e3, e4), so M B leaves span(B) for B = (e1, e2);
@@ -468,7 +469,7 @@ class TestQuotientByTranslations:
         # integral, so only a test that M B lies in span(B) sees it
         d = swap_datum()
         cols = identity(4)[:2]
-        with pytest.raises(GroupInvariantError, match="does not preserve the lattice"):
+        with pytest.raises(InternalError, match="does not preserve the lattice"):
             rewrite_on_lattice(d, cols, TorusDatum.raw(2), members_of(d.group))
 
     def test_unsaturated_basis_is_internal_error(self):
@@ -476,7 +477,7 @@ class TestQuotientByTranslations:
         # Lambda meet span(B), so it has no integer left inverse
         d = swap_datum()
         cols = ((2, 0, 2, 0), (0, 1, 0, 1))
-        with pytest.raises(GroupInvariantError, match="does not span a saturated lattice"):
+        with pytest.raises(InternalError, match="does not span a saturated lattice"):
             rewrite_on_lattice(d, cols, TorusDatum.raw(2), members_of(d.group))
 
     def test_members_not_closed_are_internal_error(self):
@@ -485,7 +486,7 @@ class TestQuotientByTranslations:
         assert d.group.orders[1] == 4
         cols = identity(6)
         members = members_of(d.group)[:2]
-        with pytest.raises(GroupInvariantError, match="not closed"):
+        with pytest.raises(InternalError, match="not closed"):
             rewrite_on_lattice(d, cols, d.torus, members)
 
     def test_two_members_of_one_image_are_internal_error(self):
@@ -494,7 +495,7 @@ class TestQuotientByTranslations:
         d = shift_and_flip()
         cols = identity(4)[2:]
         torus = build_product_torus([GEN1])
-        with pytest.raises(GroupInvariantError, match="elements 0 and 1 have one image"):
+        with pytest.raises(InternalError, match="elements 0 and 1 have one image"):
             rewrite_on_lattice(d, cols, torus, members_of(d.group))
 
     def test_group_order_factorization(self):
@@ -502,5 +503,5 @@ class TestQuotientByTranslations:
         d = shift_and_flip()
         translations = [i for i, e in enumerate(d.group.elements) if e.is_translation()]
         assert translations == [0, 1]
-        with pytest.raises(GroupInvariantError, match="element 1 is a translation"):
+        with pytest.raises(InternalError, match="element 1 is a translation"):
             quotient_by_translations(d)

@@ -45,6 +45,7 @@ two generators of three groups, D4 among them, is classified both ways too.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import cache
 from math import gcd, inf, lcm, prod
@@ -107,6 +108,7 @@ from hyperelliptic.albanese import (
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum
+from hyperelliptic.errors import InvalidDatum
 from hyperelliptic.exactlin import (
     Sublattice,
     column_hermite,
@@ -122,7 +124,6 @@ from hyperelliptic.oracle import build_model, datum_denominator
 from hyperelliptic.torus import (
     AlternatingForm,
     EllipticFactor,
-    InvalidAutomorphism,
     TorusDatum,
     build_product_torus,
     identify_factor_subspace,
@@ -689,9 +690,8 @@ def test_hand_built_generator_off_the_unit_blocks_is_refused():
         ([i, i], "block ((0, -1), (1, 0)) is not an automorphism of a generic factor"),
         ([one, shear], "block ((1, 1), (0, 1)) is not an automorphism of a gauss factor"),
     ):
-        with pytest.raises(InvalidAutomorphism) as info:
+        with pytest.raises(InvalidDatum, match=f"^{re.escape(message)}$"):
             affine_from_factor_action(torus, blocks, (1, (0,) * 4))
-        assert str(info.value) == message
 
 
 def test_builder_generators_carry_their_blocks_units(monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import re
@@ -17,14 +18,14 @@ from hyperelliptic.action import MAX_CLOSURE_CAP, MAX_RANK, affine_from_factor_a
 from hyperelliptic.catalog import get_entry
 from hyperelliptic.cli import main
 from hyperelliptic.documents import (
-    InputError,
     build_datum,
     dumps_canonical,
     parse_rational,
     parse_root_label,
 )
-from hyperelliptic.albanese import PipelineInvariantError, run_pipeline
+from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.cyclotomic import RootOfUnity
+from hyperelliptic.errors import InputError, InternalError, InvalidDatum
 from hyperelliptic.exactlin import identity, transpose
 from helpers import contains, element_keys, fixed_projector, from_rat_columns, translation
 from test_nonabelian import D4_THREEFOLD
@@ -164,9 +165,7 @@ class TestParsing:
         with pytest.raises(InputError):
             build_datum({"mode": "raw", "rank": 3})
         # well-formed but mathematically invalid: a math error, not a parse error
-        from hyperelliptic.torus import InvalidAutomorphism
-
-        with pytest.raises(InvalidAutomorphism):
+        with pytest.raises(InvalidDatum, match="^i is not an automorphism of a generic factor$"):
             build_datum(
                 {
                     "mode": "builder",
@@ -613,7 +612,7 @@ class TestTranslationInGroup:
         )
 
     def test_run_pipeline_refuses(self):
-        with pytest.raises(PipelineInvariantError, match="nonidentity translations"):
+        with pytest.raises(InternalError, match="nonidentity translations"):
             run_pipeline(build_datum(self.DOC))
 
 
@@ -1070,12 +1069,39 @@ class TestUnencodableOutput:
         assert "E_\u03c4".encode() in unicode_run.stdout
 
 
+class TestCapReached:
+    """Each cap that can stop a run exits 2 as a reached cap, naming the cap and its value."""
+
+    def test_closure_cap(self, tmp_path, capsys):
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(dict(get_entry("z4-threefold").document, closure_cap=2)))
+        assert run_cli(["check", str(path)], capsys) == (
+            2, "", "cap reached: closure cap 2, the group has more elements\n")
+
+    def test_full_grid_cap(self, z4_file, capsys):
+        # the split grid of level 20 fits, the 20^6 points the fiber count's model asks for do not
+        assert run_cli(["oracle", z4_file, "--level", "20"], capsys) == (
+            2, "", "cap reached: oracle point cap 10000000, level 20 needs 64000000 points\n")
+
+    def test_given_level_split_grid_cap(self, z4_file, capsys):
+        assert run_cli(["oracle", z4_file, "--level", "400"], capsys) == (
+            2, "", "cap reached: oracle point cap 10000000, level 400 needs 128000000 points "
+            "in its split grid\n")
+
+    def test_fiber_table_cap(self, z4_file, capsys, monkeypatch):
+        # a projection row over the prime 10007 gives 10007 * 4 keys at level 4, more
+        # than the 4^6 points of the model: only a malformed report can ask for that
+        monkeypatch.setattr("hyperelliptic.oracle._albanese_projection_matrix",
+                            lambda report: (10007, ((1, 0, 0, 0, 0, 0),)))
+        assert run_cli(["oracle", z4_file], capsys) == (
+            2, "", "cap reached: fiber table cap 4096 (the model's points), the table needs "
+            "40028 keys\n")
+
+
 class TestInternalErrors:
     def test_pipeline_invariant_error_exits_3(self, z4_file, capsys, monkeypatch):
-        from hyperelliptic.albanese import PipelineInvariantError
-
         def boom(*args, **kwargs):
-            raise PipelineInvariantError("synthetic failure")
+            raise InternalError("synthetic failure")
 
         monkeypatch.setattr("hyperelliptic.cli.run_pipeline", boom)
         code, _, err = run_cli(["albanese", z4_file], capsys)
@@ -1095,7 +1121,9 @@ class TestInternalErrors:
             return members[:-1], index
 
         monkeypatch.setattr(albanese, "compute_H", lossy)
-        with pytest.raises(albanese.NotASubgroup):
+        message = (f"|G| != |H| [G : H] or [G : H] |K| != [Lambda_B : Lambda_0] with"
+                   f" |H| = {d.group.order - 1}, [G : H] = 1")
+        with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
             albanese.run_pipeline(d)
         path = tmp_path / "z2z2.json"
         path.write_text(json.dumps(get_entry("z2z2-threefold").document))
@@ -1104,19 +1132,21 @@ class TestInternalErrors:
         assert "internal error" in err
 
     def test_unexpected_exception_exits_3_with_its_type(self, z4_file, capsys, monkeypatch):
-        # an exception no layer raises on purpose is a bug, not an input error
+        # an exception no layer raises on purpose is a bug, not an input error nor an
+        # invalid datum: Python's own ValueError included
         from hyperelliptic import albanese
 
-        def broken(*args):
-            raise IndexError("synthetic index failure")
+        for error in (IndexError, ValueError):
+            def broken(*args):
+                raise error("synthetic failure")
 
-        monkeypatch.setattr(albanese, "compute_albanese", broken)
-        code, out, err = run_cli(["albanese", z4_file], capsys)
-        assert (code, out) == (3, "")
-        assert err == "internal error: IndexError: synthetic index failure\n"
+            monkeypatch.setattr(albanese, "compute_albanese", broken)
+            code, out, err = run_cli(["albanese", z4_file], capsys)
+            assert (code, out) == (3, ""), error
+            assert err == f"internal error: {error.__name__}: synthetic failure\n"
 
     def test_cyclotomic_invariant_error_exits_3(self, z4_file, capsys, monkeypatch):
-        # a non-monic Phi_N makes the reduction mod Phi_N raise CyclotomicInvariantError
+        # a non-monic Phi_N makes the reduction mod Phi_N raise InternalError
         monkeypatch.setattr(
             "hyperelliptic.invariants.cyclotomic_polynomial", lambda n: (1, 2)
         )
@@ -1135,6 +1165,26 @@ class TestInternalErrors:
                 if isinstance(node, ast.Assert)
             ]
         assert offenders == []
+
+    def test_library_defines_one_error_class_per_outcome(self):
+        # the class of an error decides its exit code, so the library defines the four
+        # of `errors` and no other, besides the catalog's own UnknownEntry
+        defined = set()
+        for path in sorted(Path(hyperelliptic.__file__).parent.glob("*.py")):
+            dotted = "hyperelliptic" if path.stem == "__init__" else f"hyperelliptic.{path.stem}"
+            module = importlib.import_module(dotted)
+            defined |= {
+                f"{path.stem}.{name}"
+                for name, value in vars(module).items()
+                if isinstance(value, type) and issubclass(value, BaseException)
+                and value.__module__ == module.__name__
+            }
+            tree = ast.parse(path.read_text(), filename=str(path))
+            nested = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                      and node not in tree.body]
+            assert nested == [], path.name
+        assert defined == {"errors.InputError", "errors.InvalidDatum", "errors.CapReached",
+                           "errors.InternalError", "catalog.UnknownEntry"}
 
 
 class TestDeterminism:

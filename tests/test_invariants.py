@@ -7,9 +7,8 @@ from helpers import fiber_datum
 from hyperelliptic.action import HyperellipticDatum, close_group, validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
+from hyperelliptic.errors import InternalError, InvalidDatum
 from hyperelliptic.invariants import (
-    DivisibilityViolation,
-    Inconsistent,
     canonical_order,
     canonical_report,
     hodge_diamond,
@@ -83,7 +82,9 @@ class TestIrregularity:
         rows = [list(row) for row in diamond.h]
         rows[1][0] = 2
         wrong = diamond._replace(h=tuple(map(tuple, rows)))
-        with pytest.raises(Inconsistent, match="character irregularity 2 != lattice irregularity 1$"):
+        with pytest.raises(
+            InvalidDatum, match="character irregularity 2 != lattice irregularity 1$"
+        ):
             irregularity(d, wrong)
 
 
@@ -220,5 +221,8 @@ class TestReports:
     def test_divisibility_violation_raises(self):
         d = datum_of("z4-threefold")
         report = run_pipeline(d)
-        with pytest.raises(DivisibilityViolation):  # deliberately swapped
+        # deliberately swapped
+        with pytest.raises(
+            InternalError, match="^fiber canonical order 4 does not divide 2$"
+        ):
             canonical_report(canonical_order(fiber_datum(d, report)), canonical_order(d))

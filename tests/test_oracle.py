@@ -17,13 +17,12 @@ from helpers import (
 )
 from output_digest import STRESS_POINTS
 from hyperelliptic.action import HyperellipticDatum, close_group, validate
-from hyperelliptic.albanese import PipelineInvariantError, run_pipeline
+from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
 from hyperelliptic.documents import build_datum
+from hyperelliptic.errors import CapReached, InternalError, InvalidDatum
 from hyperelliptic.exactlin import Sublattice
 from hyperelliptic.oracle import (
-    BadLevel,
-    CapExceeded,
     FiberCountVerdict,
     TorsionModel,
     _albanese_projection_matrix,
@@ -96,12 +95,16 @@ class TestBuildModel:
 
     def test_bad_level(self):
         d = datum_of("bielliptic-5")  # denominators need 4
-        with pytest.raises(BadLevel):
+        with pytest.raises(
+            InvalidDatum, match="^level 2 is not divisible by all datum denominators$"
+        ):
             build_model(d, 2)
 
     def test_cap(self):
         d = datum_of("z4-threefold")
-        with pytest.raises(CapExceeded):
+        with pytest.raises(
+            CapReached, match="^oracle point cap 1000, level 16 needs 16777216 points$"
+        ):
             build_model(d, 16, cap=1000)
 
     def test_z4_free_at_level_4(self):
@@ -171,8 +174,8 @@ class TestSurvey:
                     kwargs = {"level": level} if cap is None else {"level": level, "cap": cap}
                     try:
                         expected = two_branch_survey(d, **kwargs)
-                    except CapExceeded as exc:
-                        with pytest.raises(CapExceeded, match=f"^{re.escape(str(exc))}$"):
+                    except CapReached as exc:
+                        with pytest.raises(CapReached, match=f"^{re.escape(str(exc))}$"):
                             fixed_point_survey(d, **kwargs)
                         outcomes.append("cap")
                         continue
@@ -187,9 +190,12 @@ class TestSurvey:
         # level 33 is not a multiple of z4-threefold's denominator 4, and its
         # split grid of 2 * 33^3 points is over the cap: neither falls back
         d = datum_of("z4-threefold")
-        with pytest.raises(BadLevel):
+        with pytest.raises(
+            InvalidDatum, match="^level 33 is not divisible by all datum denominators$"
+        ):
             fixed_point_survey(d, level=33, cap=1000)
-        with pytest.raises(CapExceeded):
+        message = "^oracle point cap 1000, level 16 needs 8192 points in its split grid$"
+        with pytest.raises(CapReached, match=message):
             fixed_point_survey(d, level=16, cap=1000)
         assert fixed_point_survey(d, level=16, cap=10**4).checks[0].level == 16
 
@@ -259,7 +265,7 @@ class TestFiberCount:
             for level in (datum_denominator(d) * k for k in (1, 2, 3)):
                 try:
                     model = build_model(d, level)
-                except CapExceeded:
+                except CapReached:
                     continue
                 verdict = oracle_fiber_count(model, report)
                 assert verdict.passed, (label, level, verdict)
@@ -281,7 +287,7 @@ class TestFiberCount:
         d = datum_of("bielliptic-1")
         report = run_pipeline(d)
         broken = report._replace(albanese_lattice=report.decomposition.lambda1)
-        with pytest.raises(PipelineInvariantError, match="Albanese lattice span"):
+        with pytest.raises(InternalError, match="Albanese lattice span"):
             _albanese_projection_matrix(broken)
 
 
@@ -391,5 +397,7 @@ class TestDenseFiberTable:
     def test_table_larger_than_model_is_capped(self):
         # Lambda_B = 3Z gives the key p/6 mod 1: six slots for a two-point model
         report = projection_report(1, ((1,),), [(3,)], 1)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(
+            CapReached, match=r"^fiber table cap 2 \(the model's points\), the table needs 6 keys$"
+        ):
             oracle_fiber_count(TorsionModel(2, 1, ()), report)

@@ -8,6 +8,7 @@ hyperelliptic.cli` cheap.
 """
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -30,12 +31,12 @@ from helpers import (
     rational,
     torus_key,
 )
-from hyperelliptic.cyclotomic import CyclotomicInvariantError, RootOfUnity
-from hyperelliptic.exactlin import LatticeError, Sublattice, identity
+from hyperelliptic.cyclotomic import RootOfUnity
+from hyperelliptic.errors import InternalError, InvalidDatum
+from hyperelliptic.exactlin import Sublattice, identity
 from hyperelliptic.invariants import invariants_report
 from hyperelliptic.torus import (
     AlternatingForm,
-    DegenerateForm,
     EllipticFactor,
     TorusDatum,
     build_product_torus,
@@ -102,21 +103,25 @@ class TestPlainClasses:
         assert CycloNumber.one(4) != CycloNumber.zero(4)
 
     @pytest.mark.parametrize(
-        "build,error",
+        "build,error,message",
         [
-            (lambda: AlternatingForm(((0, 1),)), DegenerateForm),
-            (lambda: AlternatingForm(((0, 1), (1, 0))), DegenerateForm),
-            (lambda: AlternatingForm(((0, 0), (0, 0))), DegenerateForm),
-            (lambda: EllipticFactor("hexagonal"), ValueError),
-            (lambda: TorusDatum(Sublattice.standard(4), (EllipticFactor("generic"),)), ValueError),
-            (lambda: TorusDatum(Sublattice.from_int_columns(2, [(2, 0), (0, 1)])), LatticeError),
-            (lambda: CycloNumber(4, (F(1),)), CyclotomicInvariantError),
+            (lambda: AlternatingForm(((0, 1),)), InvalidDatum, "form matrix must be square"),
+            (lambda: AlternatingForm(((0, 1), (1, 0))), InvalidDatum,
+             "form matrix must be antisymmetric"),
+            (lambda: AlternatingForm(((0, 0), (0, 0))), InvalidDatum, "form matrix is singular"),
+            (lambda: EllipticFactor("hexagonal"), InvalidDatum, "unknown factor kind 'hexagonal'"),
+            (lambda: TorusDatum(Sublattice.standard(4), (EllipticFactor("generic"),)),
+             InvalidDatum, "factor count does not match rank"),
+            (lambda: TorusDatum(Sublattice.from_int_columns(2, [(2, 0), (0, 1)])), InvalidDatum,
+             "lattice must contain the product lattice Z^rank"),
+            (lambda: CycloNumber(4, (F(1),)), InternalError,
+             "Q(zeta_4) needs 2 coefficients, got 1"),
         ],
         ids=["form-not-square", "form-not-antisymmetric", "form-singular", "factor-kind",
              "factor-count", "lattice-misses-Z^n", "cyclo-coefficients"],
     )
-    def test_checking_constructors_still_check(self, build, error):
-        with pytest.raises(error):
+    def test_checking_constructors_still_check(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()
 
 
