@@ -122,10 +122,6 @@ class AffineAut:
         self.shift = shift
         self.eigenvalues = eigenvalues
 
-    @property
-    def rank(self) -> int:
-        return len(self.linear)
-
     def is_translation(self) -> bool:
         return all(x == (i == j) for i, row in enumerate(self.linear) for j, x in enumerate(row))
 
@@ -243,18 +239,14 @@ def close_group(
     characteristic polynomial, which raises InvalidDatum when it cannot
     split conjugate pairs (only then must raw data list every element with
     its eigenvalues), and raw generators are checked here: InvalidDatum for
-    non-integral or non-unimodular linear parts.  A group with more than
-    ``cap`` elements raises CapReached.
+    a non-unimodular linear part.  A group with more than ``cap`` elements
+    raises CapReached.
     """
     gens = tuple(gens)
     rank = torus.rank
     table = dict(eigenvalue_table or {})
-    for g in gens:
-        if len(g.linear) != rank:
-            raise InvalidDatum("generator rank mismatch")
-        if torus.factors is None:
-            if not all(isinstance(x, int) for row in g.linear for x in row):
-                raise InvalidDatum("linear part must be integral on the lattice")
+    if torus.factors is None:
+        for g in gens:
             if not is_unimodular(g.linear):
                 raise InvalidDatum("linear part is not unimodular")
             table.setdefault(g.linear, g.eigenvalues)
@@ -312,10 +304,8 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation) -> AffineA
     lam_basis_inv w / d, reduced mod 1 to their least denominator.
     """
     if torus.factors is None:
-        raise InvalidDatum("factor actions need a torus with factor provenance")
+        raise InternalError("factor actions need a torus with factor provenance")
     blocks = tuple(tuple(map(tuple, b)) for b in blocks)
-    if len(blocks) != len(torus.factors):
-        raise InvalidDatum("one 2x2 block per factor is required")
     rank = torus.rank
     big = [[blocks[i // 2][i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(rank)]
            for i in range(rank)]
@@ -333,7 +323,7 @@ def affine_from_factor_action(torus: TorusDatum, blocks, translation) -> AffineA
 def affine_raw(linear, translation, eigenvalues) -> AffineAut:
     """Raw-mode generator: integer matrix, lattice-coordinate translation (d, w), eigenvalues.
 
-    The matrix is taken as given: ``close_group`` refuses an entry that is not an integer.
+    The matrix is taken as given: `documents` reads JSON integers alone into it.
     """
     return AffineAut(tuple(map(tuple, linear)), *reduced_mod1(*translation), tuple(eigenvalues))
 
@@ -439,9 +429,6 @@ class HyperellipticDatum:
 
 
 def _check_eigenvalues(e: AffineAut, index: int) -> str | None:
-    n = e.rank // 2
-    if len(e.eigenvalues) != n:
-        return f"element {index}: expected {n} eigenvalues, got {len(e.eigenvalues)}"
     try:
         mults = cyclotomic_multiplicities(char_poly(e.linear))
     except InvalidDatum as exc:

@@ -8,13 +8,14 @@ and each library error class (`errors`) carries its exit code and prefix:
   be read or a malformed document (``InputError``); argparse's usage message
   for a bad command line, ``unknown catalog entry: <name>``, or ``cannot
   write output: <message>`` when stdout cannot encode the report;
-- a mathematical failure: exit 2, ``invalid datum: <message>``
-  (``InvalidDatum``), or ``cap reached: <cap> <value>, <what needed more>``
-  (``CapReached``) when a resource cap stops the run before it can decide;
+- a mathematical failure: exit 2, ``invalid datum: <message>`` for a
+  well-formed document that fails a condition (``InvalidDatum``), or ``cap
+  reached: <cap> <value>, <what needed more>`` (``CapReached``) when a
+  resource cap stops the run before it can decide;
 - an internal bug: exit 3, ``internal error: <message>`` for a failed
-  theorem-backed certificate (``InternalError``), or ``internal error:
-  <ExceptionType>: <message>`` for any other exception, so no traceback
-  reaches the user.
+  theorem-backed certificate or a failed precondition on data the library
+  made (``InternalError``), or ``internal error: <ExceptionType>:
+  <message>`` for any other exception, so no traceback reaches the user.
 
 ``check``, ``oracle`` and ``catalog run`` also exit 2, with their report on
 stdout, when the datum fails validation, the oracle's verdict fails or the

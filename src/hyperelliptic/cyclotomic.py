@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import InternalError, InvalidDatum
+from .errors import InternalError
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def euler_phi(n: int) -> int:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Phi_n as a coefficient tuple, by dividing x^n - 1 by Phi_d for d | n, d < n."""
     if n < 1:
-        raise InvalidDatum("n must be >= 1")
+        raise InternalError("n must be >= 1")
     num = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -84,8 +84,6 @@ class RootOfUnity(NamedTuple):
 
     @staticmethod
     def of(k: int, order: int) -> "RootOfUnity":
-        if order < 1:
-            raise InvalidDatum("order must be >= 1")
         k %= order
         g = gcd(k, order)
         return RootOfUnity(k // g, order // g)

@@ -342,7 +342,7 @@ def validation_dict(report: ValidationReport) -> dict:
 
 
 def _factor_names(torus: TorusDatum, indices) -> list[str] | None:
-    if indices is None or torus.factors is None:
+    if indices is None:
         return None
     return [torus.factors[i].display_label() for i in indices]
 

@@ -18,7 +18,11 @@ class InputError(ValueError):
 
 
 class InvalidDatum(Exception):
-    """A well-formed datum that fails a mathematical condition."""
+    """A well-formed datum that fails a mathematical condition.
+
+    Raised only where some document reaches it: a document's shape is
+    refused first, by `documents` (InputError).
+    """
 
     exit_code, prefix = 2, "invalid datum"
 
@@ -33,6 +37,10 @@ class CapReached(Exception):
 
 
 class InternalError(Exception):
-    """A theorem-backed check failed on a validated datum: a bug."""
+    """A bug: a theorem-backed check failed on a validated datum.
+
+    Also a failed precondition on data the library made itself (a lattice, a
+    torus, a matrix), which no document reaches.
+    """
 
     exit_code, prefix = 3, "internal error"

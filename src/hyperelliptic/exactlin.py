@@ -12,14 +12,13 @@ stored in a record) is a tuple of row tuples, each row built once, at its
 final length; a kernel's temporaries are list rows.  A transpose that is
 only read is `column_lists`, an intermediate product is `list_product` and
 an identity seed is `identity_rows`.  The eliminations
-(`hermite_normal_form`, `smith_normal_form`) return rows of the kind their
-argument has, tuple rows for tuple rows and list rows for list rows, which
-is how the kernels pass temporaries to each other; `column_hermite`'s form
-is kept, so it returns tuple rows.  The reason is CPython 3.11's tuple
-freelist: a freed tuple of size 20 is pushed onto it, but one of that size
-is never popped, so each row tuple of a rank-20 matrix that is built and
-dropped stays allocated, up to 2000 of them of 184 B each, until the
-process ends (`tests/row_churn.py` counts them).
+(`hermite_normal_form`, `smith_normal_form`) return list rows, the kernels'
+temporaries; `column_hermite`'s form is kept, so it returns tuple rows.
+The reason is CPython 3.11's tuple freelist: a freed tuple of size 20 is
+pushed onto it, but one of that size is never popped, so each row tuple of
+a rank-20 matrix that is built and dropped stays allocated, up to 2000 of
+them of 184 B each, until the process ends (`tests/row_churn.py` counts
+them).
 
 The parser reads a document's rationals straight into integers, so every
 vector is integers over a held denominator: taken mod 1 by `reduced_mod1`,
@@ -44,7 +43,7 @@ from math import gcd, lcm, prod
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .errors import InvalidDatum
+from .errors import InternalError
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -133,11 +132,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # normal forms
 
-def _rows_like(m, rows):
-    """The list rows given, as rows of m's kind: lists if m's rows (or m, if empty) are lists."""
-    return rows if isinstance(m[0] if m else m, list) else tuple(map(tuple, rows))
-
-
 def _combine_rows(mats, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
     """Hermite row step in each matrix: rows i, j <- (a*i + b*j, c*i + d*j), a*d - b*c == +-1."""
     for m in mats:
@@ -147,13 +141,13 @@ def _combine_rows(mats, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
         )
 
 
-def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
+def hermite_normal_form(m) -> tuple[list[list[int]], list[list[int]]]:
     """Row-operation Hermite form: (h, u) with u @ m == h and u unimodular.
 
     Canonical tie-breaking: pivots are positive, entries above each pivot are
     reduced into [0, pivot), pivot columns strictly increase down the rows and
     zero rows sit at the bottom, so the output is deterministic.  The rows
-    of h and u are lists if m's are, else tuples.
+    of h and u are lists.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -179,7 +173,7 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
             r += 1
             if r == rows:
                 break
-    return _rows_like(m, h), _rows_like(m, u)
+    return h, u
 
 
 def column_hermite(m: Matrix) -> tuple[Matrix, Matrix]:
@@ -215,7 +209,7 @@ def hermite_coords(cols, target) -> tuple[int, tuple[int, ...]] | None:
     return None if any(residual) else least_denominator(den, y)
 
 
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
+def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]]]:
     """(u, s) with u @ m @ v == s diagonal, d_i | d_{i+1}, u and some v unimodular (not formed).
 
     A loop of Hermite forms (Kannan and Bachem, 1979; Cohen, GTM 138, 2.4).
@@ -228,8 +222,8 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
     previous value; if it stays the same, row t and column t are cleared.  Once
     s is diagonal, each d_t that does not divide d_{t+1} gets column t+1 added
     to column t, and the next row form lowers the first such d_t to
-    gcd(d_t, d_{t+1}) and leaves the d before it as they are.  The rounds run
-    on list rows; u and s come back as rows of m's kind.
+    gcd(d_t, d_{t+1}) and leaves the d before it as they are.  u and s are
+    list rows.
     """
     cols = len(m[0]) if m else 0
     s, u = [list(row) for row in m], identity_rows(len(m))
@@ -243,7 +237,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
         d = [row[t] for t, row in enumerate(s[:cols])]
         fix = {t for t in range(len(d) - 1) if d[t] and d[t + 1] % d[t]}
         if not fix:
-            return _rows_like(m, u), _rows_like(m, s)
+            return u, s
         s = [[x + row[t + 1] if t in fix else x for t, x in enumerate(row)] for row in s]
 
 
@@ -286,7 +280,7 @@ class Sublattice(NamedTuple):
     def coords_of(self, den: int, v) -> tuple[int, tuple[int, ...]] | None:
         """Coordinates of v / den in this basis as (least den, integers), or None off the span."""
         if len(v) != self.ambient_rank:
-            raise InvalidDatum("vector length does not match ambient rank")
+            raise InternalError("vector length does not match ambient rank")
         coords = hermite_coords(self.cols, [x * self.den for x in v])
         return None if coords is None else least_denominator(coords[0] * den, coords[1])
 
@@ -297,7 +291,7 @@ class Sublattice(NamedTuple):
         """
         coords = self.coords_of(den, v)
         if coords is None:
-            raise InvalidDatum("vector is outside the lattice span")
+            raise InternalError("vector is outside the lattice span")
         e, y = coords
         d = lcm(den, self.den)
         rep = [x * (d // den) for x in v]
@@ -328,16 +322,16 @@ def kernel_lattice(m: Matrix) -> Sublattice:
     the column form.
     """
     if not m:
-        raise InvalidDatum("kernel_lattice needs at least one row (use Sublattice.standard)")
+        raise InternalError("kernel_lattice needs at least one row (use Sublattice.standard)")
     return _kernel_of_columns(*hermite_normal_form(column_lists(m)))
 
 
 def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
     """Structure of big/small for a finite-index inclusion small <= big."""
     if big.ambient_rank != small.ambient_rank:
-        raise InvalidDatum("ambient ranks differ")
+        raise InternalError("ambient ranks differ")
     if big.rank != small.rank:
-        raise InvalidDatum("quotient is infinite: ranks differ")
+        raise InternalError("quotient is infinite: ranks differ")
     k = big.rank
     if k == 0:
         return FiniteAbelianGroup((), ())
@@ -345,7 +339,7 @@ def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
     for col in small.cols:
         coords = big.coords_of(small.den, col)
         if coords is None or coords[0] != 1:
-            raise InvalidDatum("small lattice is not contained in big lattice")
+            raise InternalError("small lattice is not contained in big lattice")
         coord_cols.append(coords[1])
     u, s = smith_normal_form(column_lists(coord_cols))  # k x k, small's basis in big's coordinates
     u_inv = hermite_normal_form(u)[1]  # u is unimodular: its row form is I
@@ -354,7 +348,7 @@ def quotient_group(big: Sublattice, small: Sublattice) -> "FiniteAbelianGroup":
     for i in range(k):
         d = s[i][i]
         if d == 0:
-            raise InvalidDatum("small lattice does not have finite index")
+            raise InternalError("small lattice does not have finite index")
         if d == 1:
             continue
         factors.append(d)

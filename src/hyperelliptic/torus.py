@@ -18,6 +18,13 @@ are integral for every tau in the upper half-plane.
 `to_product_coords`, which writes a lattice-coordinate vector in product
 coordinates for reports, returns it as (den, integers) like every other
 vector, so the module forms no rational.
+
+A document's shape is checked once, by `documents`: a factor kind outside
+the table, a form that is not square and a k generator of the wrong length
+never reach this module.  What a well-formed document can still get wrong
+(a unit or block its factor lacks, a form that is not antisymmetric or is
+singular) raises InvalidDatum; a torus the library builds itself that breaks
+a precondition raises InternalError.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cyclotomic import RootOfUnity
-from .errors import InvalidDatum
+from .errors import InternalError, InvalidDatum
 from .exactlin import (
     Sublattice,
     column_lists,
@@ -74,8 +81,6 @@ class EllipticFactor:
     __slots__ = ("kind", "label")
 
     def __init__(self, kind: str, label: str = ""):
-        if kind not in FACTOR_KINDS:
-            raise InvalidDatum(f"unknown factor kind {kind!r}")
         self.kind = kind
         self.label = label
 
@@ -106,8 +111,6 @@ class AlternatingForm:
 
     def __init__(self, matrix):
         n = len(matrix)
-        if any(len(row) != n for row in matrix):
-            raise InvalidDatum("form matrix must be square")
         matrix = tuple(map(tuple, matrix))
         if any(matrix[i][j] != -matrix[j][i] for i in range(n) for j in range(n)):
             raise InvalidDatum("form matrix must be antisymmetric")
@@ -143,10 +146,10 @@ class TorusDatum:
     def __init__(self, lattice: Sublattice, factors: tuple[EllipticFactor, ...] | None = None):
         rank = lattice.ambient_rank
         if factors is not None and 2 * len(factors) != rank:
-            raise InvalidDatum("factor count does not match rank")
+            raise InternalError("factor count does not match rank")
         inv_cols = [lattice.coords_of(1, e) for e in identity_rows(rank)]
         if not all(c is not None and c[0] == 1 for c in inv_cols):
-            raise InvalidDatum("lattice must contain the product lattice Z^rank")
+            raise InternalError("lattice must contain the product lattice Z^rank")
         self.rank = rank
         self.lattice = lattice
         self.factors = factors
@@ -172,8 +175,6 @@ def build_product_torus(factors, k_gens=(1, ())) -> TorusDatum:
     factors = tuple(factors)
     rank = 2 * len(factors)
     den, rows = k_gens
-    if any(len(g) != rank for g in rows):
-        raise InvalidDatum("k generator length must be 2 * number of factors")
     cols = [[den * x for x in e] for e in identity_rows(rank)] + list(rows)
     return TorusDatum(Sublattice.from_int_columns(rank, cols, den), factors)
 
@@ -186,7 +187,7 @@ def standard_form(t: TorusDatum) -> AlternatingForm:
     C^T J C / den^2, so C^T J C is the form up to a positive scalar.
     """
     if t.factors is None:
-        raise InvalidDatum("raw lattices must supply an alternating form explicitly")
+        raise InternalError("raw lattices must supply an alternating form explicitly")
     n2 = t.rank
     j = [[0] * n2 for _ in range(n2)]
     for i in range(0, n2, 2):

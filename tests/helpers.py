@@ -105,7 +105,7 @@ from hyperelliptic.albanese import (
     run_pipeline,
 )
 from hyperelliptic.documents import format_vector
-from hyperelliptic.errors import CapReached, InvalidDatum
+from hyperelliptic.errors import CapReached, InternalError, InvalidDatum
 from hyperelliptic.exactlin import (
     FiniteAbelianGroup,
     Sublattice,
@@ -181,7 +181,7 @@ def from_rat_columns(ambient_rank: int, vectors) -> Sublattice:
     """The lattice spanned by rational vectors: their integers over one den, in Hermite form."""
     for v in vectors:
         if len(v) != ambient_rank:
-            raise InvalidDatum("vector length does not match ambient rank")
+            raise InternalError("vector length does not match ambient rank")
     den, cols = over_common_denominator(vectors)
     return Sublattice.from_int_columns(ambient_rank, cols, den)
 
@@ -237,7 +237,7 @@ def reference_hermite_coords(cols, target) -> list[Fraction] | None:
 def reference_coords_of(s: Sublattice, v) -> tuple[Fraction, ...] | None:
     """Rational coordinates of the rational vector v in s's basis, or None outside the span."""
     if len(v) != s.ambient_rank:
-        raise InvalidDatum("vector length does not match ambient rank")
+        raise InternalError("vector length does not match ambient rank")
     coords = reference_hermite_coords(s.cols, [x * s.den for x in v])
     return None if coords is None else tuple(coords)
 
@@ -246,7 +246,7 @@ def reference_reduce_mod(s: Sublattice, v) -> tuple[Fraction, ...]:
     """Canonical representative of the rational vector v modulo s, in `Fraction` arithmetic."""
     coords = reference_coords_of(s, v)
     if coords is None:
-        raise InvalidDatum("vector is outside the lattice span")
+        raise InternalError("vector is outside the lattice span")
     rep = tuple(map(Fraction, v))
     for c, b in zip(coords, basis_vectors(s)):
         whole = c.numerator // c.denominator
@@ -263,9 +263,9 @@ def reference_quotient_group(big: Sublattice, small: Sublattice):
     for each invariant factor s[i][i] > 1.
     """
     if big.ambient_rank != small.ambient_rank:
-        raise InvalidDatum("ambient ranks differ")
+        raise InternalError("ambient ranks differ")
     if big.rank != small.rank:
-        raise InvalidDatum("quotient is infinite: ranks differ")
+        raise InternalError("quotient is infinite: ranks differ")
     k = big.rank
     if k == 0:
         return (), ()
@@ -273,7 +273,7 @@ def reference_quotient_group(big: Sublattice, small: Sublattice):
     for b in basis_vectors(small):
         coords = reference_coords_of(big, b)
         if coords is None or not all(c.denominator == 1 for c in coords):
-            raise InvalidDatum("small lattice is not contained in big lattice")
+            raise InternalError("small lattice is not contained in big lattice")
         coord_cols.append(tuple(int(c) for c in coords))
     u, s = smith_normal_form(transpose(tuple(coord_cols)))
     u_inv = hermite_normal_form(u)[1]
@@ -283,7 +283,7 @@ def reference_quotient_group(big: Sublattice, small: Sublattice):
     for i in range(k):
         d = s[i][i]
         if d == 0:
-            raise InvalidDatum("small lattice does not have finite index")
+            raise InternalError("small lattice does not have finite index")
         if d == 1:
             continue
         coeffs = tuple(u_inv[r][i] for r in range(k))
@@ -443,7 +443,7 @@ def coset_meets_lattice(w: Sublattice, t) -> bool:
     """Exact decision of (t + span_Q(w)) intersect Z^n != empty set."""
     t = tuple(map(Fraction, t))
     if len(t) != w.ambient_rank:
-        raise InvalidDatum("vector length does not match ambient rank")
+        raise InternalError("vector length does not match ambient rank")
     if w.rank == w.ambient_rank:
         return True
     if w.rank == 0:
@@ -615,7 +615,7 @@ def reference_classify_fiber(fiber) -> FiberClassification:
 
 def coset_has_fixed_point(e) -> bool:
     """The exact fixed-point decision through coset_meets_lattice: t + colspace(M - I)."""
-    n = e.rank
+    n = len(e.linear)
     diff_cols = [
         tuple(e.linear[i][j] - (1 if i == j else 0) for i in range(n)) for j in range(n)
     ]

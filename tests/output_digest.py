@@ -18,7 +18,8 @@ does not divide the second, so the given-level path and its refusal of a
 level are covered too; on `z4-threefold` it also runs `oracle --level 400`,
 whose split grid is over the point cap.  It then runs `check`, in both
 formats, on each document of `MALFORMED` and `MALFORMED_JSON`, one for each
-refusal a document can reach, a reached closure cap among them.  An output
+refusal a document can reach, a reached closure cap among them, and one for
+each validation failure `check` reports.  An output
 is the exit code, stdout and stderr, with the temporary file's name read as
 FILE.  Two checkouts whose reports are byte-identical print the same count
 and digest, so a refactor that must not change any report is checked by
@@ -62,7 +63,7 @@ from hyperelliptic.oracle import datum_denominator  # noqa: E402
 
 STRESS_POINTS = ((3, 3, 2), (2, 4, 2), (2, 2, 6), (2, 2, 8), (3, 4, 2), (2, 2, 10))
 COMMANDS = (["check"], ["albanese"], ["albanese", "--recurse"], ["invariants"], ["oracle"])
-RECORDED = "29b44e6ee50b7878d0b801137b703433d7e5c4999f173036d89815e8a5c52719"
+RECORDED = "15bf5899edc67f9410f67655e61b5452c1a1a99774a16e60e1896041371a22d3"
 LONG = "9" * 5000  # a run of digits past int()'s default conversion limit of 4300
 
 # (z0 + 1/2, -z1) and -z + (0, 1/2): well-formed, the bases of the malformed documents
@@ -96,8 +97,29 @@ def _element(**spec) -> dict:
     return dict(RAW, elements=[{"eigenvalues": ["-1"], **spec}])
 
 
+# free, faithful and with consistent eigenvalues, but diag(1, 1, -1, -1)
+# flips E(e0, e2), so the form is not invariant
+RAW_FORM_FLIP = {
+    "mode": "raw",
+    "rank": 4,
+    "form": [["0", "1", "1", "0"], ["-1", "0", "0", "0"],
+             ["-1", "0", "0", "1"], ["0", "0", "-1", "0"]],
+    "generators": [
+        {"matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+         "translation": ["1/2", "0", "0", "0"],
+         "eigenvalues": ["1", "-1"]}
+    ],
+}
+ONE, MINUS, SHEAR = ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 1), (0, 1))
+# z4-threefold in the blocks spelling with the Gauss factor's i sheared: the
+# shear preserves the lattice but is no unit
+Z4_SHEARED = dict(get_entry("z4-threefold").document, generators=[
+    {"blocks": [ONE, MINUS, SHEAR], "translation": ["1/4", "0", "0", "0", "0", "0"]}])
+
+
 # one document for each refusal a document can reach, each bad rational and
-# label form and a reached closure cap among them; `check` runs on each
+# label form and a reached closure cap among them, and for each failure
+# `check` reports; `check` runs on each
 MALFORMED = {
     **{f"rational-{name}": _rational(text) for name, text in (
         ("underscore", "1_0/3"), ("fullwidth-digit", "\uff11/2"), ("nbsp", "\xa01/2"),
@@ -151,6 +173,29 @@ MALFORMED = {
     "element-matrix-not-in-group": _element(matrix=[[0, -1], [1, 0]], eigenvalues=["i"]),
     "element-translation-not-in-group": _element(matrix=[[-1, 0], [0, -1]],
                                                  translation=["1/2", "0"]),
+    "generator-not-unimodular": _generator(RAW, matrix=[[2, 0], [0, 1]],
+                                           translation=["0", "0"], eigenvalues=["1"]),
+    "generator-infinite-order": _generator(RAW, matrix=[[2, 1], [1, 1]]),
+    # the closure meets -i, whose order-4 eigenvalue pair no entry declares
+    "closure-complex-undeclared": _generator(RAW, matrix=[[0, -1], [1, 0]], eigenvalues=["i"]),
+    # diag(-1, 1) . -I = diag(1, -1) has the real eigenvalues 1 and -1 once each
+    "closure-odd-real-multiplicity": dict(RAW, generators=[
+        {"matrix": [[-1, 0], [0, 1]], "eigenvalues": ["1"]},
+        {"matrix": [[-1, 0], [0, -1]], "eigenvalues": ["-1"]},
+    ]),
+    # ((1, 0), (1, 1)) on the first factor moves the half period k_gens adds
+    "block-breaks-lattice": dict(Z4_SHEARED,
+                                 generators=[{"blocks": [((1, 0), (1, 1)), ONE, ONE]}]),
+    "block-not-a-unit": Z4_SHEARED,
+    "zeta-not-a-unit": _label("i"),
+    "form-not-antisymmetric": dict(RAW, form=[["0", "1"], ["1", "0"]]),
+    "form-singular": dict(RAW, form=[["0", "0"], ["0", "0"]]),
+    "check-form-moved": RAW_FORM_FLIP,
+    "check-eigenvalues-off-char-poly": _generator(RAW, eigenvalues=["i"]),
+    # r^3 declared (1, i, i) fits its characteristic polynomial, but its
+    # determinant is -1 while det rho(r)^3 = 1
+    "check-det-not-a-character": dict(D4_THREEFOLD, elements=[
+        dict(D4_THREEFOLD["elements"][0], eigenvalues=["1", "i", "i"])]),
 }
 # refusals of the file's JSON itself, as text
 MALFORMED_JSON = {

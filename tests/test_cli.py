@@ -28,6 +28,7 @@ from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.errors import InputError, InternalError, InvalidDatum
 from hyperelliptic.exactlin import identity, transpose
 from helpers import contains, element_keys, fixed_projector, from_rat_columns, translation
+from output_digest import MINUS, ONE, RAW_FORM_FLIP, Z4_SHEARED
 from test_nonabelian import D4_THREEFOLD
 
 
@@ -164,6 +165,11 @@ class TestParsing:
             build_datum({"mode": "builder", "factors": []})
         with pytest.raises(InputError):
             build_datum({"mode": "raw", "rank": 3})
+        # the parser sizes a raw form, so `AlternatingForm` is never given one that is not square
+        with pytest.raises(InputError, match="^form must be a 2x2 matrix$"):
+            build_datum(dict(RAW_INVOLUTION, form=[["0", "1"]]))
+        with pytest.raises(InputError, match="^expected 2 coordinates, got 1$"):
+            build_datum(dict(RAW_INVOLUTION, form=[["0", "1"], ["-1"]]))
         # well-formed but mathematically invalid: a math error, not a parse error
         with pytest.raises(InvalidDatum, match="^i is not an automorphism of a generic factor$"):
             build_datum(
@@ -246,20 +252,6 @@ RAW_INVOLUTION = {
     ],
 }
 
-# free, faithful and with consistent eigenvalues, but diag(1, 1, -1, -1)
-# flips E(e0, e2), so the form is not invariant
-RAW_FORM_FLIP = {
-    "mode": "raw",
-    "rank": 4,
-    "form": [["0", "1", "1", "0"], ["-1", "0", "0", "0"],
-             ["-1", "0", "0", "1"], ["0", "0", "-1", "0"]],
-    "generators": [
-        {"matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
-         "translation": ["1/2", "0", "0", "0"],
-         "eigenvalues": ["1", "-1"]}
-    ],
-}
-
 
 # (z0 + 1/2, -z1): free and valid, the base of the malformed builder cases
 BUILDER_SHIFT = {
@@ -271,13 +263,6 @@ BUILDER_SHIFT = {
 
 def with_generator(doc, **changes):
     return dict(doc, generators=[dict(doc["generators"][0], **changes)])
-
-
-ONE, MINUS, SHEAR = ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 1), (0, 1))
-# z4-threefold in the blocks spelling with the Gauss factor's i sheared: the
-# shear preserves the lattice but is no unit
-Z4_SHEARED = dict(get_entry("z4-threefold").document, generators=[
-    {"blocks": [ONE, MINUS, SHEAR], "translation": ["1/4", "0", "0", "0", "0", "0"]}])
 
 
 class TestNonUnitBlock:
@@ -1185,6 +1170,19 @@ class TestInternalErrors:
             assert nested == [], path.name
         assert defined == {"errors.InputError", "errors.InvalidDatum", "errors.CapReached",
                            "errors.InternalError", "catalog.UnknownEntry"}
+
+    def test_each_check_has_one_home(self):
+        # the parser alone refuses a malformed document, and the integer and
+        # cyclotomic kernels see only data the library made, so a failed
+        # precondition there is a bug, never a fault of the input
+        raisers = {}
+        for path in sorted(Path(hyperelliptic.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raisers.setdefault(getattr(exc, "id", None), set()).add(path.stem)
+        assert raisers["InputError"] == {"documents"}
+        assert not raisers["InvalidDatum"] & {"exactlin", "cyclotomic"}
 
 
 class TestDeterminism:

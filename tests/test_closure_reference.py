@@ -72,7 +72,7 @@ CASES = [pytest.param(catalog_data, name, id=name) for name in list_entries()] +
 
 def naive_order(e) -> int:
     power, order = e, 1
-    while power.key() != affine_identity(e.rank).key():
+    while power.key() != affine_identity(len(e.linear)).key():
         power, order = compose(power, e), order + 1
     return order
 

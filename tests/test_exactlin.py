@@ -27,7 +27,7 @@ from helpers import (
     saturate,
 )
 from hyperelliptic.catalog import get_entry, list_entries
-from hyperelliptic.errors import InvalidDatum
+from hyperelliptic.errors import InternalError, InvalidDatum
 from hyperelliptic.exactlin import (
     Sublattice,
     column_hermite,
@@ -85,31 +85,31 @@ def assert_canonical_hnf(h):
 class TestHermite:
     def test_identity(self):
         h, u = hermite_normal_form(identity(3))
-        assert h == identity(3)
-        assert u == identity(3)
+        assert h == list_rows(identity(3))
+        assert u == list_rows(identity(3))
 
     def test_zero(self):
         z = ((0, 0), (0, 0))
         h, u = hermite_normal_form(z)
-        assert h == z
-        assert u == identity(2)
+        assert h == list_rows(z)
+        assert u == list_rows(identity(2))
 
     @settings(max_examples=60, deadline=None)
     @given(small_int_matrix(4, 4))
     def test_random_against_oracle(self, m):
         h, u = hermite_normal_form(m)
-        assert mat_mul(u, m) == h
+        assert list_rows(mat_mul(u, m)) == h
         assert abs(bareiss_det(u)) == 1
         assert_canonical_hnf(h)
-        assert hermite_normal_form(list_rows(m)) == (list_rows(h), list_rows(u))
+        assert hermite_normal_form(list_rows(m)) == (h, u)
 
     @settings(max_examples=30, deadline=None)
     @given(small_int_matrix(3, 5))
     def test_rectangular(self, m):
         h, u = hermite_normal_form(m)
-        assert mat_mul(u, m) == h
+        assert list_rows(mat_mul(u, m)) == h
         assert abs(bareiss_det(u)) == 1
-        assert hermite_normal_form(list_rows(m)) == (list_rows(h), list_rows(u))
+        assert hermite_normal_form(list_rows(m)) == (h, u)
 
 
 # entries: ints, Fractions with denominators up to 10^6, or a mix of both
@@ -385,9 +385,9 @@ class TestInverse:
         # quotient_group reads the inverse of the Smith form's u this way
         n = len(u)
         h, u_inv = hermite_normal_form(u)
-        assert h == identity(n)
+        assert h == list_rows(identity(n))
         assert reference_mat_mul(u_inv, u) == identity(n) == reference_mat_mul(u, u_inv)
-        assert u_inv == mat_inv(u)
+        assert u_inv == list_rows(mat_inv(u))
 
 
 def sympy_hermite_rows(m):
@@ -415,13 +415,13 @@ def sympy_smith(m):
 
 
 def assert_normal_forms_match_sympy(m):
-    """sympy's forms for m, and the same rows, as lists, for m's rows as lists."""
+    """sympy's forms for m, and the same forms for m's rows as lists."""
     h, u = hermite_normal_form(m)
-    assert tuple(row for row in h if any(row)) == sympy_hermite_rows(m)
-    assert hermite_normal_form(list_rows(m)) == (list_rows(h), list_rows(u))
+    assert [row for row in h if any(row)] == list_rows(sympy_hermite_rows(m))
+    assert hermite_normal_form(list_rows(m)) == (h, u)
     v, s = smith_normal_form(m)
-    assert s == sympy_smith(m)
-    assert smith_normal_form(list_rows(m)) == (list_rows(v), list_rows(s))
+    assert s == list_rows(sympy_smith(m))
+    assert smith_normal_form(list_rows(m)) == (v, s)
     assert column_hermite(list_rows(m)) == column_hermite(m)
 
 
@@ -482,7 +482,7 @@ class TestSmith:
 
     def test_identity(self):
         _, s = smith_normal_form(identity(3))
-        assert s == identity(3)
+        assert s == list_rows(identity(3))
 
     def test_already_smith(self):
         _, s = smith_normal_form(((2, 0), (0, 2)))
@@ -505,7 +505,7 @@ class TestSmith:
     def test_random_against_minor_gcds(self, m):
         rows, cols = len(m), len(m[0])
         u, s = smith_normal_form(m)
-        assert smith_normal_form(list_rows(m)) == (list_rows(u), list_rows(s))
+        assert smith_normal_form(list_rows(m)) == (u, s)
         # u @ m @ v == s for some unimodular v iff the canonical column
         # Hermite forms of u @ m and s agree
         assert len(u) == rows and all(len(row) == rows for row in u)
@@ -660,7 +660,7 @@ class TestQuotient:
                        for row in c]
         small = from_rat_columns(n, small_basis)
         if small.rank < n:
-            with pytest.raises(InvalidDatum, match="^quotient is infinite: ranks differ$"):
+            with pytest.raises(InternalError, match="^quotient is infinite: ranks differ$"):
                 quotient_group(big, small)
             return
         g = quotient_group(big, small)
@@ -675,9 +675,9 @@ class TestQuotient:
         assert from_rat_columns(n, basis_vectors(small) + gens) == big
 
     def test_errors(self):
-        with pytest.raises(InvalidDatum, match="^quotient is infinite: ranks differ$"):
+        with pytest.raises(InternalError, match="^quotient is infinite: ranks differ$"):
             quotient_group(Sublattice.standard(2), Sublattice.from_int_columns(2, [(1, 0)]))
-        with pytest.raises(InvalidDatum, match="^small lattice is not contained in big lattice$"):
+        with pytest.raises(InternalError, match="^small lattice is not contained in big lattice$"):
             quotient_group(
                 Sublattice.from_int_columns(2, [(2, 0), (0, 2)]),
                 Sublattice.from_int_columns(2, [(1, 0), (0, 3)]),

@@ -105,20 +105,18 @@ class TestPlainClasses:
     @pytest.mark.parametrize(
         "build,error,message",
         [
-            (lambda: AlternatingForm(((0, 1),)), InvalidDatum, "form matrix must be square"),
             (lambda: AlternatingForm(((0, 1), (1, 0))), InvalidDatum,
              "form matrix must be antisymmetric"),
             (lambda: AlternatingForm(((0, 0), (0, 0))), InvalidDatum, "form matrix is singular"),
-            (lambda: EllipticFactor("hexagonal"), InvalidDatum, "unknown factor kind 'hexagonal'"),
             (lambda: TorusDatum(Sublattice.standard(4), (EllipticFactor("generic"),)),
-             InvalidDatum, "factor count does not match rank"),
-            (lambda: TorusDatum(Sublattice.from_int_columns(2, [(2, 0), (0, 1)])), InvalidDatum,
+             InternalError, "factor count does not match rank"),
+            (lambda: TorusDatum(Sublattice.from_int_columns(2, [(2, 0), (0, 1)])), InternalError,
              "lattice must contain the product lattice Z^rank"),
             (lambda: CycloNumber(4, (F(1),)), InternalError,
              "Q(zeta_4) needs 2 coefficients, got 1"),
         ],
-        ids=["form-not-square", "form-not-antisymmetric", "form-singular", "factor-kind",
-             "factor-count", "lattice-misses-Z^n", "cyclo-coefficients"],
+        ids=["form-not-antisymmetric", "form-singular", "factor-count", "lattice-misses-Z^n",
+             "cyclo-coefficients"],
     )
     def test_checking_constructors_still_check(self, build, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -19,7 +19,7 @@ from helpers import (
 )
 from hyperelliptic.cyclotomic import RootOfUnity
 from hyperelliptic.documents import build_datum, parse_vector
-from hyperelliptic.errors import InvalidDatum
+from hyperelliptic.errors import InternalError, InvalidDatum
 from hyperelliptic.exactlin import Sublattice, identity, mat_mul, transpose
 from hyperelliptic.torus import (
     FACTOR_KINDS,
@@ -177,7 +177,7 @@ class TestStandardForm:
 
     def test_raw_needs_explicit_form(self):
         with pytest.raises(
-            InvalidDatum, match="^raw lattices must supply an alternating form explicitly$"
+            InternalError, match="^raw lattices must supply an alternating form explicitly$"
         ):
             standard_form(TorusDatum.raw(2))
 
