@@ -37,6 +37,7 @@ from .exactlin import (
     list_product,
     mat_vec,
     reduced_mod1,
+    transpose,
 )
 from .torus import AlternatingForm, TorusDatum, factor_block_eigenvalue
 
@@ -225,21 +226,23 @@ def close_group(
     records edges[i][s] = index of elements[i] . gens[s].  Linear parts are
     integral, so every translation lies in (1/D)Z^rank, D the lcm of the
     generators' den, and the integer pair (M_e M_s, (M_e D t_s + D t_e) mod D)
-    is the product.  M_e M_s is formed as list rows and looked up by its
-    entries in one flat tuple, so a product already in the table builds no
-    row tuple; a new element alone gets its linear part as row tuples and
-    becomes an AffineAut, its den and shift D and D t mod D over their gcd,
-    and gets its eigenvalues once.  With elliptic factors every generator
-    comes from ``affine_from_factor_action``, which certifies its linear
-    part and gives it its blocks' units, taken here as given; each linear
-    part is one unit of each factor's endomorphism ring, so an element's
-    eigenvalues are the factorwise product of the parent's and the
+    is the product.  M_e M_s is read by columns: a generator column whose one
+    nonzero entry is x, in row k, gives x times M_e's column k (that list
+    itself when x = 1), any other column its dot products with M_e's rows.  It
+    is looked up by its entries in one flat tuple, so a product already in the
+    table builds no row tuple; a new element alone gets its linear part as row
+    tuples and becomes an AffineAut, its den and shift D and D t mod D over
+    their gcd, and gets its eigenvalues once.  With elliptic factors every
+    generator comes from ``affine_from_factor_action``, which certifies its
+    linear part and gives it its blocks' units, taken here as given; each
+    linear part is one unit of each factor's endomorphism ring, so an
+    element's eigenvalues are the factorwise product of the parent's and the
     generator's, in factor order.  Raw data take them from
     ``eigenvalue_table`` (keyed by linear part) or else from the
-    characteristic polynomial, which raises InvalidDatum when it cannot
-    split conjugate pairs (only then must raw data list every element with
-    its eigenvalues), and raw generators are checked here: InvalidDatum for
-    a non-unimodular linear part.  A group with more than ``cap`` elements
+    characteristic polynomial, which raises InvalidDatum when it cannot split
+    conjugate pairs (only then must raw data list every element with its
+    eigenvalues), and raw generators are checked here: InvalidDatum for a
+    non-unimodular linear part.  A group with more than ``cap`` elements
     raises CapReached.
     """
     gens = tuple(gens)
@@ -252,22 +255,25 @@ def close_group(
             table.setdefault(g.linear, g.eigenvalues)
     den = lcm(*(g.den for g in gens))
     dt_gens = [[x * (den // g.den) for x in g.shift] for g in gens]  # D t_s
-    gen_cols = [column_lists(g.linear) for g in gens]
+    gen_cols = [[_one_entry(c) for c in column_lists(g.linear)] for g in gens]
 
     elements = [affine_identity(rank)]
     dt = [(0,) * rank]  # D t_e mod D
-    index = {(tuple(chain.from_iterable(elements[0].linear)), dt[0]): 0}
+    index = {(tuple(chain.from_iterable(elements[0].linear)), dt[0]): 0}  # I is its transpose
     edges = []
     tree = [None]
     for i, e in enumerate(elements):  # the list grows while it is walked
+        e_cols = column_lists(e.linear)
         row = []
         for s, (g_cols, dt_s) in enumerate(zip(gen_cols, dt_gens)):
-            rows = list_product(e.linear, g_cols)
+            cols = [[sum(map(mul, r, c)) for r in e.linear] if type(c) is list
+                    else e_cols[c[0]] if c[1] == 1 else [c[1] * y for y in e_cols[c[0]]]
+                    for c in g_cols]
             shift = tuple([(sum(map(mul, r, dt_s)) + y) % den for r, y in zip(e.linear, dt[i])])
-            key = (tuple(chain.from_iterable(rows)), shift)
+            key = (tuple(chain.from_iterable(cols)), shift)
             j = index.get(key)
             if j is None:
-                linear = tuple(map(tuple, rows))
+                linear = transpose(cols)
                 if torus.factors is not None:
                     eig = tuple(x * y for x, y in zip(e.eigenvalues, gens[s].eigenvalues))
                 else:
@@ -282,6 +288,12 @@ def close_group(
             row.append(j)
         edges.append(tuple(row))
     return ActionGroup(tuple(elements), tuple(edges), tuple(tree))
+
+
+def _one_entry(col):
+    """(k, x) for a column whose one nonzero entry is x, in row k; any other column as it is."""
+    nonzero = [(k, x) for k, x in enumerate(col) if x]
+    return nonzero[0] if len(nonzero) == 1 else col
 
 
 def affine_from_factor_action(torus: TorusDatum, blocks, translation) -> AffineAut:
@@ -429,10 +441,7 @@ class HyperellipticDatum:
 
 
 def _check_eigenvalues(e: AffineAut, index: int) -> str | None:
-    try:
-        mults = cyclotomic_multiplicities(char_poly(e.linear))
-    except InvalidDatum as exc:
-        return f"element {index}: {exc}"
+    mults = cyclotomic_multiplicities(char_poly(e.linear))
     counts: dict[RootOfUnity, int] = {}
     for z in e.eigenvalues:
         counts[z] = counts.get(z, 0) + 1

@@ -10,8 +10,9 @@ equal.
 The row rule: a matrix that is kept (returned to a caller that holds it, or
 stored in a record) is a tuple of row tuples, each row built once, at its
 final length; a kernel's temporaries are list rows.  A transpose that is
-only read is `column_lists`, an intermediate product is `list_product` and
-an identity seed is `identity_rows`.  The eliminations
+only read is `column_lists`, an intermediate product is `list_product`, an
+identity seed is `identity_rows`, and a matrix built as list columns, as
+`close_group` builds a product, is kept by `transpose`.  The eliminations
 (`hermite_normal_form`, `smith_normal_form`) return list rows, the kernels'
 temporaries; `column_hermite`'s form is kept, so it returns tuple rows.
 The reason is CPython 3.11's tuple freelist: a freed tuple of size 20 is

@@ -27,17 +27,6 @@ from .cyclotomic import cyclotomic_polynomial, poly_divmod_exact
 from .errors import InternalError, InvalidDatum
 from .exactlin import format_rational
 
-__all__ = [
-    "HodgeDiamond",
-    "InvariantsReport",
-    "PullbackDiagnostic",
-    "irregularity",
-    "hodge_diamond",
-    "canonical_order",
-    "invariants_report",
-    "canonical_report",
-]
-
 
 class HodgeDiamond(NamedTuple):
     n: int

@@ -11,7 +11,10 @@ table of every element, H by one integer solve per element, `integer_solution`,
 the solve it calls, a fiber translation's coordinates by the rational left
 inverse (B^T B)^-1 B^T of the fiber basis, factor alignment decided in
 product coordinates, `compose`, the product of two
-elements in `Fraction` arithmetic, which `close_group` no longer calls, and
+elements in `Fraction` arithmetic, which `close_group` no longer calls,
+`reference_close_group`, the closure that formed every product M_e M_s as a
+dense rank x rank matrix before `close_group` began to read each generator
+by its nonzero columns, and
 `element_keys` and `element_index`, which compare elements by key in place
 of the equality `AffineAut` had, and `factor_key` and `torus_key`, which
 compare factors and tori by the fields the library reads in place of the
@@ -84,12 +87,17 @@ import itertools
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from conftest import bareiss_det
 from hyperelliptic.action import (
+    DEFAULT_CLOSURE_CAP,
+    ActionGroup,
     AffineAut,
     HyperellipticDatum,
     _check_eigenvalues,
+    _eigenvalues_from_char_poly,
+    affine_identity,
     close_group,
     quotient_by_translations,
     validate,
@@ -110,9 +118,12 @@ from hyperelliptic.exactlin import (
     FiniteAbelianGroup,
     Sublattice,
     column_hermite,
+    column_lists,
     hermite_normal_form,
     identity,
+    is_unimodular,
     kernel_lattice,
+    list_product,
     mat_mul,
     mat_vec,
     reduced_mod1,
@@ -393,6 +404,50 @@ def compose(a: AffineAut, b: AffineAut) -> AffineAut:
     )
     den = vec_denominator(t)
     return AffineAut(mat_mul(a.linear, b.linear), den, tuple(int(x * den) for x in t), None)
+
+
+def reference_close_group(gens, torus, cap=DEFAULT_CLOSURE_CAP, eigenvalue_table=None):
+    """`close_group` with every product M_e M_s formed densely, as list rows by dot products."""
+    gens = tuple(gens)
+    rank = torus.rank
+    table = dict(eigenvalue_table or {})
+    if torus.factors is None:
+        for g in gens:
+            if not is_unimodular(g.linear):
+                raise InvalidDatum("linear part is not unimodular")
+            table.setdefault(g.linear, g.eigenvalues)
+    den = lcm(*(g.den for g in gens))
+    dt_gens = [[x * (den // g.den) for x in g.shift] for g in gens]  # D t_s
+    gen_cols = [column_lists(g.linear) for g in gens]
+
+    elements = [affine_identity(rank)]
+    dt = [(0,) * rank]  # D t_e mod D
+    index = {(tuple(itertools.chain.from_iterable(elements[0].linear)), dt[0]): 0}
+    edges = []
+    tree = [None]
+    for i, e in enumerate(elements):  # the list grows while it is walked
+        row = []
+        for s, (g_cols, dt_s) in enumerate(zip(gen_cols, dt_gens)):
+            rows = list_product(e.linear, g_cols)
+            shift = tuple([(sum(map(mul, r, dt_s)) + y) % den for r, y in zip(e.linear, dt[i])])
+            key = (tuple(itertools.chain.from_iterable(rows)), shift)
+            j = index.get(key)
+            if j is None:
+                linear = tuple(map(tuple, rows))
+                if torus.factors is not None:
+                    eig = tuple(x * y for x, y in zip(e.eigenvalues, gens[s].eigenvalues))
+                else:
+                    eig = table.get(linear) or _eigenvalues_from_char_poly(linear)
+                    table[linear] = eig
+                if len(elements) >= cap:
+                    raise CapReached(f"closure cap {cap}, the group has more elements")
+                j = index[key] = len(elements)
+                elements.append(AffineAut(linear, *reduced_mod1(den, shift), eig))
+                dt.append(shift)
+                tree.append((i, s))
+            row.append(j)
+        edges.append(tuple(row))
+    return ActionGroup(tuple(elements), tuple(edges), tuple(tree))
 
 
 def model_actions(d, level: int):

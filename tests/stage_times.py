@@ -7,9 +7,10 @@ prints the minimum and maximum of the two times of each stage, in seconds.
 The `freeness` column is the part of `validate` spent in `has_fixed_point`,
 timed by rebinding `action.has_fixed_point`, which `validate` looks up at
 each call, in this process only.
-The points are the stress documents (3,4,2), (3,5,3) and (2,8,4) at seed 0
-and 3 and 4 copies of `z2z2-threefold` side by side, each copy's group
-acting on its own factors.  `--point M,K,BASE` and `--copies C` add more,
+The points are the stress documents (3,4,2), (3,5,3), (2,8,4), (3,7,4) and
+(3,8,4) at seed 0, the last two of order 2187 and 6561, and 3 and 4 copies
+of `z2z2-threefold` side by side, each copy's group acting on its own
+factors.  `--point M,K,BASE` and `--copies C` add more,
 and may be repeated.  A stress point's group has order M^K; past the default
 closure cap its document asks for a cap of M^K, which must be at most the
 largest cap a document may ask for.  The process first pins itself, and
@@ -41,7 +42,7 @@ from hyperelliptic.catalog import get_entry  # noqa: E402
 from hyperelliptic.documents import build_datum  # noqa: E402
 from hyperelliptic.invariants import invariants_report  # noqa: E402
 
-STRESS_POINTS = ((3, 4, 2), (3, 5, 3), (2, 8, 4))
+STRESS_POINTS = ((3, 4, 2), (3, 5, 3), (2, 8, 4), (3, 7, 4), (3, 8, 4))
 COPIES = (3, 4)
 STAGES = ("build_datum", "validate", "freeness", "run_pipeline", "invariants_report")
 RUNS = 2

@@ -14,6 +14,14 @@ block in product coordinates (`helpers.block_eigenvalues`).
 They run on every catalog entry, on the fibers along each valid entry's
 recursion, on two copies of `z2z2-threefold` side by side, and on the
 benchmark's stress points at seed 0.
+`close_group` reads each generator by its nonzero columns, so a product
+column is x times a column of the parent's linear part when the generator's
+column has one nonzero entry x; `helpers.reference_close_group` forms every
+product densely.  The two give the same elements, edges and tree on every
+closure that building these data makes: each catalog entry, written as a
+raw document and in a random lattice basis too, the D4 threefold, a rank-2
+element of order 3 with a dense column, three stress points at seed 0
+and three copies of `z2z2-threefold`.
 """
 
 from __future__ import annotations
@@ -23,16 +31,24 @@ import json
 import pytest
 
 from conftest import load_perfbench
+import helpers
 from helpers import (
+    base_change,
     block_eigenvalues,
     chain_data,
     compose,
+    conjugated,
     element_index,
     fiber_datum,
+    raw_document,
+    reference_close_group,
     side_by_side,
 )
+from test_nonabelian import D4_THREEFOLD
 import hyperelliptic.action
 import hyperelliptic.albanese
+import hyperelliptic.documents
+import hyperelliptic.exactlin
 from hyperelliptic.action import affine_identity, close_group, validate
 from hyperelliptic.albanese import run_pipeline
 from hyperelliptic.catalog import get_entry, list_entries
@@ -148,6 +164,80 @@ def test_closure_builds_one_element_per_group_element(data, arg, monkeypatch):
     assert [(e.key(), e.eigenvalues) for e in group.elements] == [
         (e.key(), e.eigenvalues) for e in d.group.elements]
     assert (group.edges, group.tree) == (d.group.edges, d.group.tree)
+
+
+# x -> M x + (1/3, 2/3) with M of order 3, whose second column (-1, -1) is dense
+RANK2_ORDER3 = {
+    "mode": "raw",
+    "rank": 2,
+    "form": [["0", "1"], ["-1", "0"]],
+    "generators": [
+        {"matrix": [[0, -1], [1, -1]], "translation": ["1/3", "2/3"], "eigenvalues": ["zeta3^1"]},
+    ],
+    "elements": [{"matrix": [[-1, 1], [-1, 0]], "eigenvalues": ["zeta3^2"]}],
+}
+
+
+def entry_rewritten(name):
+    """The entry, then the entry as a raw document and in a random lattice basis."""
+    d = get_entry(name).build()
+    build_datum(raw_document(d))
+    conjugated(d, base_change("random", d.rank, name))
+
+
+def stress_datum(point):
+    build_datum(load_perfbench("stress").stress_document(*point, 0))
+
+
+REFERENCE_CASES = [pytest.param(entry_rewritten, name, id=name) for name in list_entries()] + [
+    pytest.param(build_datum, D4_THREEFOLD, id="d4-threefold"),
+    pytest.param(build_datum, RANK2_ORDER3, id="rank2-order3"),
+] + [
+    pytest.param(stress_datum, point, id="m{}-k{}-base{}".format(*point))
+    for point in ((3, 4, 2), (3, 5, 3), (2, 8, 4))
+] + [pytest.param(z2z2_copies, 3, id="z2z2-x3")]
+
+
+def recorded_closures(build, arg, monkeypatch):
+    """(args, kwargs, group) of each close_group call that build(arg) makes."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        group = close_group(*args, **kwargs)
+        calls.append((args, kwargs, group))
+        return group
+
+    monkeypatch.setattr(hyperelliptic.documents, "close_group", recorded)
+    monkeypatch.setattr(helpers, "close_group", recorded)
+    build(arg)
+    monkeypatch.undo()
+    assert calls
+    return calls
+
+
+def closure_fields(group):
+    elements = [(e.linear, e.den, e.shift, e.eigenvalues) for e in group.elements]
+    return elements, group.edges, group.tree
+
+
+@pytest.mark.parametrize("build,arg", REFERENCE_CASES)
+def test_closure_matches_dense_reference(build, arg, monkeypatch):
+    for args, kwargs, group in recorded_closures(build, arg, monkeypatch):
+        assert closure_fields(group) == closure_fields(reference_close_group(*args, **kwargs))
+
+
+@pytest.mark.parametrize("doc", [pytest.param(get_entry("z4-threefold").document, id="builder"),
+                                 pytest.param(D4_THREEFOLD, id="raw")])
+def test_closure_forms_no_dense_product(doc, monkeypatch):
+    calls = recorded_closures(build_datum, doc, monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("close_group formed a dense product")
+
+    monkeypatch.setattr(hyperelliptic.exactlin, "list_product", refuse)
+    monkeypatch.setattr(hyperelliptic.action, "list_product", refuse)
+    for args, kwargs, group in calls:
+        assert closure_fields(close_group(*args, **kwargs)) == closure_fields(group)
 
 
 def test_two_z2z2_copies_have_h_everything():
